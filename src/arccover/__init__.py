@@ -3,141 +3,34 @@ of a nonabelian simple group: construction, decomposition, graphs, and
 machine-checkable certificates."""
 
 from ._version import __version__
-from .catalog import BUILTIN_CATALOG, catalog_entries, resolve_group
-from .cosetgraph import (
-    CoverCertificate,
-    CosetGraph,
-    build_coset_graph,
-    centralizer_elements,
-    export_graph,
-    graph_girth,
-    graph_invariants,
-    is_petersen,
-    quotient_graph,
-    two_arc_transitive,
-    verify_connected,
-)
-from .errors import (
-    ArccoverError,
-    CapacityExceeded,
-    InternalCheckError,
-    ParseError,
-    ValidationError,
-)
-from .groups import (
-    AutomorphismMap,
-    PermGroup,
-    StabilizerChain,
-    TableGroup,
-    closure,
-    conj_intersection,
-    extend_to_automorphism,
-    group_order,
-    is_2_transitive,
-    is_nonabelian_simple,
-    right_transversal,
-    schreier_kernel_generators,
-)
-from .perm import (
-    Permutation,
-    cycle_class,
-    cycle_classes,
-    format_cycles,
-    n_cycle_index,
-    n_cycles,
-    parse_cycles,
-)
-from .report import (
-    Certificate,
-    JobSpec,
-    SuiteResult,
-    load_baselines,
-    run_job,
-    run_suite,
-)
-from .subdirect import (
-    BlockReport,
-    SubdirectStructure,
-    cross_automorphism,
-    inverting_automorphism,
-    k4_block_count,
-    structures_equal,
-    subdirect_decompose,
-)
-from .wreath import (
-    CoverGroupData,
-    CoverJob,
-    K4TupleData,
-    WreathContext,
-    WreathElement,
-    build_cover_group,
-    class_assignment,
-    k4_tuple_data,
-    kernel_witness,
-    position_action,
-)
+from .catalog import resolve_group
+from .cosetgraph import build_coset_graph, quotient_graph
+from .errors import ArccoverError, CapacityExceeded, ValidationError
+from .groups import StabilizerChain, closure, group_order
+from .perm import Permutation, parse_cycles
+from .report import Certificate, JobSpec, run_job, run_suite
+from .subdirect import subdirect_decompose
+from .wreath import CoverJob, WreathContext, build_cover_group
 
 __all__ = [
     "__version__",
     "ArccoverError",
-    "AutomorphismMap",
-    "BUILTIN_CATALOG",
-    "BlockReport",
     "CapacityExceeded",
     "Certificate",
-    "CosetGraph",
-    "CoverCertificate",
-    "CoverGroupData",
     "CoverJob",
-    "InternalCheckError",
     "JobSpec",
-    "K4TupleData",
-    "ParseError",
-    "PermGroup",
     "Permutation",
     "StabilizerChain",
-    "SubdirectStructure",
-    "SuiteResult",
-    "TableGroup",
     "ValidationError",
     "WreathContext",
-    "WreathElement",
     "build_coset_graph",
     "build_cover_group",
-    "catalog_entries",
-    "centralizer_elements",
-    "class_assignment",
     "closure",
-    "conj_intersection",
-    "cross_automorphism",
-    "cycle_class",
-    "cycle_classes",
-    "export_graph",
-    "extend_to_automorphism",
-    "format_cycles",
-    "graph_girth",
-    "graph_invariants",
     "group_order",
-    "inverting_automorphism",
-    "is_2_transitive",
-    "is_nonabelian_simple",
-    "is_petersen",
-    "k4_block_count",
-    "k4_tuple_data",
-    "kernel_witness",
-    "load_baselines",
-    "n_cycle_index",
-    "n_cycles",
     "parse_cycles",
-    "position_action",
     "quotient_graph",
     "resolve_group",
-    "right_transversal",
     "run_job",
     "run_suite",
-    "schreier_kernel_generators",
-    "structures_equal",
     "subdirect_decompose",
-    "two_arc_transitive",
-    "verify_connected",
 ]

@@ -28,7 +28,10 @@ BUILTIN_CATALOG: dict[str, dict] = {
 def catalog_entries(extra_path: str | Path | None = None) -> dict[str, dict]:
     entries = {k: dict(v) for k, v in BUILTIN_CATALOG.items()}
     if extra_path is not None:
-        raw = json.loads(Path(extra_path).read_text())
+        try:
+            raw = json.loads(Path(extra_path).read_text())
+        except (OSError, ValueError) as exc:
+            raise ValidationError(f"cannot read catalog file {extra_path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ValidationError("catalog file must be a JSON object of named entries")
         for name, entry in raw.items():

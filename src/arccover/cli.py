@@ -24,13 +24,7 @@ from .cosetgraph import VERTEX_CAP_DEFAULT
 from .errors import CapacityExceeded, ValidationError
 from .groups import ENUM_CAP_DEFAULT
 from .perm import parse_cycles
-from .report import (
-    SUITE_NAMES,
-    Certificate,
-    JobSpec,
-    run_job,
-    run_suite,
-)
+from .report import EXPORT_SUFFIX, SUITE_NAMES, JobSpec, run_job, run_suite
 from .wreath import CoverJob
 
 _PHASE_OF_VERB = {
@@ -56,12 +50,10 @@ def _add_job_arguments(sub: argparse.ArgumentParser) -> None:
                      help=f"largest graph to build (default {VERTEX_CAP_DEFAULT})")
     sub.add_argument("--enum-cap", type=int, default=None,
                      help=f"largest enumeration allowed (default {ENUM_CAP_DEFAULT})")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="seed for sampled spot checks (default 0)")
     sub.add_argument("--catalog", default=None, help="extra group catalog JSON file")
     sub.add_argument("--out", default=None, help="directory for certificate and exports")
     sub.add_argument("--format", action="append", default=None,
-                     choices=["edge-list", "adjacency-text"],
+                     choices=list(EXPORT_SUFFIX),
                      help="graph export format (repeatable)")
 
 
@@ -69,17 +61,15 @@ def _spec_from_args(args: argparse.Namespace) -> JobSpec:
     flag_values = {
         "vertex_cap": args.vertex_cap,
         "enum_cap": args.enum_cap,
-        "seed": args.seed,
         "catalog": args.catalog,
         "out_dir": args.out,
-        "formats": tuple(args.format) if args.format else None,
+        "formats": args.format,
     }
+    overrides = {k: v for k, v in flag_values.items() if v is not None}
     if args.job:
         if any(v is not None for v in (args.n, args.group, args.x, args.y)):
             raise ValidationError("pass either --job or the --n/--group/--x/--y flags")
-        spec = JobSpec.from_file(args.job)
-        overrides = {k: v for k, v in flag_values.items() if v is not None}
-        return replace(spec, **overrides) if overrides else spec
+        return replace(JobSpec.from_file(args.job), **overrides)
     missing = [
         name
         for name, v in (("--n", args.n), ("--group", args.group),
@@ -88,16 +78,7 @@ def _spec_from_args(args: argparse.Namespace) -> JobSpec:
     ]
     if missing:
         raise ValidationError(f"missing required flags: {', '.join(missing)}")
-    defaults = {
-        "vertex_cap": VERTEX_CAP_DEFAULT,
-        "enum_cap": ENUM_CAP_DEFAULT,
-        "seed": 0,
-        "catalog": None,
-        "out_dir": None,
-        "formats": (),
-    }
-    filled = {k: (v if v is not None else defaults[k]) for k, v in flag_values.items()}
-    return JobSpec(n=args.n, group=args.group, x=args.x, y=args.y, **filled)
+    return JobSpec(n=args.n, group=args.group, x=args.x, y=args.y, **overrides)
 
 
 def _emit(payload: dict) -> None:
@@ -147,7 +128,6 @@ def _run_suite_verb(args: argparse.Namespace) -> int:
         args.name,
         out_dir=args.out,
         catalog=args.catalog,
-        seed=args.seed if args.seed is not None else 0,
         parallel=args.parallel,
         baselines_path=args.baselines,
     )
@@ -178,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     suite.add_argument("name", choices=SUITE_NAMES)
     suite.add_argument("--out", default=None, help="directory for certificates")
     suite.add_argument("--catalog", default=None, help="extra group catalog JSON file")
-    suite.add_argument("--seed", type=int, default=None)
     suite.add_argument("--parallel", action="store_true", help="run jobs in processes")
     suite.add_argument("--baselines", default=None,
                        help="regression baselines JSON (frozen on first run)")

@@ -11,7 +11,7 @@ vertex ids do not depend on discovery order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import CapacityExceeded, InternalCheckError, ValidationError
 from .groups import conj_intersection, is_2_transitive, right_transversal
@@ -404,17 +404,6 @@ def graph_girth(
             frontier = new_frontier
             d += 1
     return best
-
-
-def is_petersen(adjacency: Sequence[Sequence[int]]) -> bool:
-    """The unique 3-regular girth-5 graph on 10 vertices."""
-    inv = graph_invariants(adjacency)
-    return (
-        inv["order"] == 10
-        and inv["valency"] == 3
-        and inv["components"] == 1
-        and inv["girth"] == 5
-    )
 
 
 def centralizer_elements(elements: Sequence, gens: Sequence) -> list:

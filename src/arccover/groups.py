@@ -217,6 +217,7 @@ class PermGroup:
         self.degree = degree
         self._chain: Optional[StabilizerChain] = None
         self._elements: Optional[tuple[Permutation, ...]] = None
+        self._table: Optional[TableGroup] = None
 
     @classmethod
     def from_cycle_strings(cls, texts: Sequence[str], degree: int) -> "PermGroup":
@@ -247,6 +248,12 @@ class PermGroup:
             )
         return self._elements
 
+    def table(self) -> Optional[TableGroup]:
+        """The multiplication table, built once; None when |T| > TABLE_CAP."""
+        if self._table is None and self.order() <= TABLE_CAP:
+            self._table = TableGroup(self)
+        return self._table
+
     def orbit_of(self, point: int) -> list[int]:
         return orbit(point, self.generators, _point_action)
 
@@ -263,24 +270,6 @@ def group_order(generators: Sequence[Permutation], degree: int) -> int:
 # ---------------------------------------------------------------------------
 # action predicates
 # ---------------------------------------------------------------------------
-
-
-def is_regular(elements: Sequence, domain: Sequence, action: Callable) -> bool:
-    """True iff the (listed) group acts regularly on `domain`.
-
-    `elements` must be the full element list; regular = transitive with
-    trivial point stabilizers, checked as |orbit| == |domain| == |group| via
-    the sharp count of (element, point) coincidences.
-    """
-    if not domain:
-        return False
-    base = domain[0]
-    images = [action(base, g) for g in elements]
-    return (
-        len(set(images)) == len(elements)
-        and set(images) == set(domain)
-        and len(elements) == len(domain)
-    )
 
 
 def is_2_transitive(generators: Sequence[Permutation], degree: int) -> bool:
@@ -462,18 +451,6 @@ class TableGroup:
     def generates(self, sources: Sequence[int]) -> bool:
         return len(self.generated_indices(sources)) == self.size
 
-    def small_generating_subset(self, sources: Sequence[int]) -> list[int]:
-        """A short prefix-greedy subset of `sources` generating the same group."""
-        target = self.generated_indices(sources)
-        chosen: list[int] = []
-        for s in sources:
-            if s in chosen:
-                continue
-            chosen.append(s)
-            if len(self.generated_indices(chosen)) == len(target):
-                return chosen
-        return chosen
-
 
 def conjugacy_class_reps(table: TableGroup) -> list[int]:
     """One index per conjugacy class, smallest index first."""
@@ -549,17 +526,6 @@ class AutomorphismMap:
 
     def lookup_array(self) -> np.ndarray:
         return np.asarray(self.lookup, dtype=np.int32)
-
-    def is_multiplicative_sample(self, rng, samples: int = 200) -> bool:
-        t = self.table
-        if t is None:
-            return True
-        for _ in range(samples):
-            a = rng.randrange(t.size)
-            b = rng.randrange(t.size)
-            if self.lookup[t.multiply(a, b)] != t.multiply(self.lookup[a], self.lookup[b]):
-                return False
-        return True
 
 
 def extend_to_automorphism(

@@ -184,10 +184,6 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     return Permutation(images)
 
 
-def format_cycles(perm: Permutation) -> str:
-    return perm.cycle_string()
-
-
 @lru_cache(maxsize=None)
 def n_cycles(n: int) -> tuple[Permutation, ...]:
     """All (n-1)! cycles (1, i2, ..., in) of degree n, in canonical order.

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import json
 import math
-import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from ._version import __version__
 from .catalog import resolve_group
@@ -32,14 +31,19 @@ from .cosetgraph import (
     verify_connected,
 )
 from .errors import ArccoverError, CapacityExceeded, ValidationError
-from .groups import ENUM_CAP_DEFAULT, closure, group_order, schreier_kernel_generators
-from .perm import Permutation, cycle_classes, format_cycles, n_cycles, parse_cycles
+from .groups import (
+    ENUM_CAP_DEFAULT,
+    closure,
+    conj_intersection,
+    group_order,
+    orbit,
+    schreier_kernel_generators,
+)
+from .perm import Permutation, cycle_classes, n_cycles, parse_cycles
 from .subdirect import (
     BlockReport,
-    SubdirectStructure,
     cross_automorphism,
     inverting_automorphism,
-    k4_block_count,
     structures_equal,
     subdirect_decompose,
 )
@@ -47,19 +51,30 @@ from .wreath import (
     CoverGroupData,
     CoverJob,
     WreathElement,
+    _k4_maps,
     build_cover_group,
     k4_tuple_data,
     kernel_witness,
-    to_positions,
 )
 
 # largest |Y| that the centralizer stage will enumerate element by element
 CENTRALIZER_ENUM_LIMIT = 20_000
 
+# graph export format -> file name suffix
+EXPORT_SUFFIX = {"edge-list": "edges", "adjacency-text": "adj"}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
 
 @dataclass(frozen=True)
 class JobSpec:
-    """One pipeline run: the construction inputs plus caps and output wiring."""
+    """One pipeline run: the construction inputs plus caps and output wiring.
+
+    Every field is type-checked at construction, so a bad job file, flag or
+    library call is rejected with ValidationError before any work starts.
+    """
 
     n: int
     group: str
@@ -67,12 +82,33 @@ class JobSpec:
     y: str
     vertex_cap: int = VERTEX_CAP_DEFAULT
     enum_cap: int = ENUM_CAP_DEFAULT
-    seed: int = 0
     catalog: Optional[str] = None
     out_dir: Optional[str] = None
     formats: tuple[str, ...] = ()
     time_budget: Optional[float] = None
     label: Optional[str] = None
+
+    def __post_init__(self):
+        for name in ("n", "vertex_cap", "enum_cap"):
+            if not _is_int(getattr(self, name)):
+                raise ValidationError(f"job field {name!r} must be an integer")
+        for name in ("group", "x", "y"):
+            if not isinstance(getattr(self, name), str):
+                raise ValidationError(f"job field {name!r} must be a string")
+        for name in ("catalog", "out_dir", "label"):
+            if getattr(self, name) is not None and not isinstance(getattr(self, name), str):
+                raise ValidationError(f"job field {name!r} must be a string")
+        budget = self.time_budget
+        if budget is not None and not (_is_int(budget) or isinstance(budget, float)):
+            raise ValidationError("job field 'time_budget' must be a number")
+        if not isinstance(self.formats, (list, tuple)):
+            raise ValidationError("job field 'formats' must be a list of format names")
+        object.__setattr__(self, "formats", tuple(self.formats))
+        for fmt in self.formats:
+            if not isinstance(fmt, str) or fmt not in EXPORT_SUFFIX:
+                raise ValidationError(
+                    f"unknown export format {fmt!r}; choose from {', '.join(EXPORT_SUFFIX)}"
+                )
 
     def job_name(self) -> str:
         if self.label:
@@ -87,19 +123,18 @@ class JobSpec:
             "y": self.y,
             "vertex_cap": self.vertex_cap,
             "enum_cap": self.enum_cap,
-            "seed": self.seed,
         }
 
     @classmethod
     def from_file(cls, path: str) -> "JobSpec":
         try:
             raw = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise ValidationError(f"cannot read job file {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ValidationError("job file must hold a JSON object")
         allowed = {
-            "n", "group", "x", "y", "vertex_cap", "enum_cap", "seed",
+            "n", "group", "x", "y", "vertex_cap", "enum_cap",
             "catalog", "out_dir", "formats", "time_budget", "label",
         }
         unknown = sorted(set(raw) - allowed)
@@ -108,13 +143,6 @@ class JobSpec:
         missing = sorted({"n", "group", "x", "y"} - set(raw))
         if missing:
             raise ValidationError(f"job file lacks required keys: {', '.join(missing)}")
-        if not isinstance(raw["n"], int):
-            raise ValidationError("job file field 'n' must be an integer")
-        for key in ("group", "x", "y"):
-            if not isinstance(raw[key], str):
-                raise ValidationError(f"job file field {key!r} must be a string")
-        if "formats" in raw:
-            raw["formats"] = tuple(raw["formats"])
         return cls(**raw)
 
 
@@ -170,16 +198,43 @@ class Certificate:
         return f"{state}  {s['passed']}/{s['checks']} checks  {name}"
 
 
+PHASES = ("construct", "decompose", "graph", "full")
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One certified step of the pipeline.
+
+    The stage runs when the requested phase reaches `phase`, the job's n
+    equals `only_n` (if set), and every stage named in `needs` has passed.
+    `body(run)` returns (computed, passed, product); the product of a passed
+    stage is what later stages read from `run.products[id]`. A body raises
+    CapacityExceeded to skip the stage for capacity.
+    """
+
+    id: str
+    phase: str
+    needs: tuple[str, ...]
+    claim: str
+    inputs: Callable[["_Run"], dict]
+    body: Callable[["_Run"], tuple]
+    only_n: Optional[int] = None
+
+
 class _Run:
     """Mutable state threaded through the pipeline stages."""
 
-    def __init__(self, spec: JobSpec):
+    def __init__(self, spec: JobSpec, data: CoverGroupData, started: float):
         self.spec = spec
+        self.data = data
+        self.n = data.ctx.n
+        self.h_elems = data.h_elements()
+        self.products: dict[str, object] = {}
         self.checks: list[dict] = []
         self.skips: list[dict] = []
         self.timings: dict[str, float] = {}
         self.artifacts: list[str] = []
-        self.started = time.perf_counter()
+        self.started = started
 
     def out_of_budget(self) -> bool:
         budget = self.spec.time_budget
@@ -196,34 +251,42 @@ class _Run:
             }
         )
 
-    def skip(self, stage: str, reason: str, kind: str = "dependency"):
-        self.skips.append({"stage": stage, "kind": kind, "reason": reason})
+    def skip(self, stage: str, reason: str, kind: str, details: Optional[dict] = None):
+        rec = {"stage": stage, "kind": kind, "reason": reason}
+        if details:
+            rec["details"] = details
+        self.skips.append(rec)
 
-    def stage(self, check_id: str, claim: str, inputs: dict, fn) -> Optional[dict]:
-        """Run one stage; convert failures to records. Returns computed dict
-        on success, None when the stage failed or was skipped."""
-        if self.out_of_budget():
-            self.skip(check_id, "time budget exhausted", kind="budget")
-            return None
-        t0 = time.perf_counter()
-        try:
-            computed, passed = fn()
-        except CapacityExceeded as exc:
-            self.skip(check_id, str(exc), kind="capacity")
-            self.timings[check_id] = round(time.perf_counter() - t0, 6)
-            return None
-        except (ArccoverError, AssertionError) as exc:
-            self.record(check_id, claim, inputs, {"error": str(exc)}, False)
-            self.timings[check_id] = round(time.perf_counter() - t0, 6)
-            return None
-        self.timings[check_id] = round(time.perf_counter() - t0, 6)
-        self.record(check_id, claim, inputs, computed, passed)
-        return computed if passed else None
+    def run_stages(self, depth: int) -> None:
+        """Run, in table order, every stage that the phase depth, n and the
+        passed stages allow; failures and caps become records."""
+        for st in STAGES:
+            if (
+                PHASES.index(st.phase) > depth
+                or st.only_n not in (None, self.n)
+                or not all(dep in self.products for dep in st.needs)
+            ):
+                continue
+            if self.out_of_budget():
+                self.skip(st.id, "time budget exhausted", "budget")
+                continue
+            t0 = time.perf_counter()
+            try:
+                computed, passed, product = st.body(self)
+            except CapacityExceeded as exc:
+                self.skip(st.id, str(exc), "capacity", exc.details)
+            except (ArccoverError, AssertionError) as exc:
+                self.record(st.id, st.claim, st.inputs(self), {"error": str(exc)}, False)
+            else:
+                self.record(st.id, st.claim, st.inputs(self), computed, passed)
+                if passed:
+                    self.products[st.id] = product
+            self.timings[st.id] = round(time.perf_counter() - t0, 6)
 
     def certificate(self) -> Certificate:
         passed = sum(1 for c in self.checks if c["passed"])
         payload = {
-            "format": "arccover-certificate/1",
+            "format": "arccover-certificate/2",
             "version": __version__,
             "job": self.spec.echo(),
             "checks": self.checks,
@@ -238,7 +301,6 @@ class _Run:
             "gaps": list(GAP_STATEMENTS),
             "environment": {
                 "package_version": __version__,
-                "seed": self.spec.seed,
                 "vertex_cap": self.spec.vertex_cap,
                 "enum_cap": self.spec.enum_cap,
             },
@@ -247,18 +309,15 @@ class _Run:
         return Certificate(payload)
 
 
-PHASES = ("construct", "decompose", "graph", "full")
-
-
 def run_job(spec: JobSpec, phase: str = "full") -> Certificate:
     """Execute the pipeline for one job and certify the results.
 
-    Stage order: input validation, cycle-class partition, the defining
+    Stage order (the STAGES table): cycle-class partition, the defining
     identities of the twisted swap, the kernel witness element, Schreier
     kernel generators, block decomposition (d and exact orders), the n=4
     prediction and explicit-tuple cross-checks, coset graph construction
     (capped), 2-arc-transitivity, the quotient down to the complete graph,
-    centralizer structure (capped), exports.
+    centralizer structure (capped); then exports.
 
     `phase` truncates the pipeline: "construct" stops after the witness
     checks, "decompose" after the block structure, "graph" after the graph
@@ -269,491 +328,389 @@ def run_job(spec: JobSpec, phase: str = "full") -> Certificate:
     """
     if phase not in PHASES:
         raise ValidationError(f"unknown phase {phase!r}; choose from {', '.join(PHASES)}")
-    depth = PHASES.index(phase)
-    run = _Run(spec)
-
+    started = time.perf_counter()
     group = resolve_group(spec.group, spec.catalog)
     x = parse_cycles(spec.x, group.degree)
     y = parse_cycles(spec.y, group.degree)
     job = CoverJob(n=spec.n, group=group, x=x, y=y, group_name=spec.group)
-    problems = job.problems()
-    if problems:
-        raise ValidationError("; ".join(problems))
+    job.validate()
 
     data = build_cover_group(job)
-    n = spec.n
-    t_order = group.order()
+    run = _Run(spec, data, started)
     run.record(
         "job-valid",
         "n >= 4; x and y lie in T with |x| = 2 and |y| an odd prime; "
         "<x, y> = T; and T is nonabelian simple",
         spec.echo(),
         {
-            "group_order": t_order,
+            "group_order": group.order(),
             "x_order": 2,
             "y_order": y.order(),
             "entry_mode": "table" if data.ctx.index_mode else "object",
         },
         True,
     )
-
-    h_elems = data.h_elements()
-    _stage_class_partition(run, data)
-    _stage_twist_identities(run, data, h_elems)
-    _stage_kernel_witness(run, data)
-    if depth < 1:
-        return run.certificate()
-
-    kgens = _stage_kernel_generators(run, data)
-    structure = None
-    if kgens is not None:
-        structure = _stage_block_structure(run, data, kgens)
-    if n == 4 and structure is not None:
-        _stage_block_prediction(run, data, structure)
-        _stage_tuple_generators(run, data, structure)
-    if depth < 2:
-        return run.certificate()
-
-    graph = None
-    if structure is not None:
-        graph = _stage_graph_build(run, data, structure, h_elems)
-    _stage_two_arc_transitive(run, data, h_elems)
-    if depth >= 3 and graph is not None and structure is not None:
-        _stage_cover_quotient(run, data, structure, graph)
-        _stage_centralizer(run, data, structure, graph)
+    run.run_stages(PHASES.index(phase))
+    graph = run.products.get("graph-build")
     if graph is not None and spec.out_dir and spec.formats:
         _write_exports(run, graph)
     return run.certificate()
 
 
 # ---------------------------------------------------------------------------
-# stages
+# stage bodies, each (run) -> (computed, passed, product)
 # ---------------------------------------------------------------------------
 
 
-def _stage_class_partition(run: _Run, data: CoverGroupData) -> Optional[dict]:
-    n = data.ctx.n
-    claim = (
+def _class_partition(run: _Run):
+    n, data = run.n, run.data
+    classes = cycle_classes(n)
+    cycles = n_cycles(n)
+    size = math.factorial(n - 2)
+    sizes_ok = sorted(classes) == list(range(1, n)) and all(
+        len(v) == size for v in classes.values()
+    )
+    total = sum(len(v) for v in classes.values())
+    partition_ok = total == math.factorial(n - 1)
+
+    # transitive on a class of |L| elements == regular
+    l_tops = [p.sigma for p in data.l_gens]
+    l_count = len(closure(l_tops, Permutation.identity(n)))
+    regular = l_count == size
+    for positions in classes.values():
+        reached = orbit(cycles[positions[0]], l_tops, lambda a, s: a.conjugate(s))
+        if {a.key() for a in reached} != {cycles[p].key() for p in positions}:
+            regular = False
+
+    delta = data.delta
+    reflected = all(
+        sorted(
+            data.ctx.cycle_index[cycles[p].conjugate(delta).key()]
+            for p in classes[k]
+        )
+        == list(classes[n - k])
+        for k in classes
+    )
+    ok = sizes_ok and partition_ok and regular and reflected
+    return {
+        "classes": n - 1,
+        "class_size": size,
+        "partition": partition_ok,
+        "regular": regular,
+        "reflected": reflected,
+    }, ok, None
+
+
+def _twist_identities(run: _Run):
+    data = run.data
+    g = data.g
+    g2_trivial = (g * g).is_identity()
+    l_elems = data.l_elements()
+    commutes = all((g * z).key() == (z * g).key() for z in l_elems)
+    inter = conj_intersection(run.h_elems, g)
+    inter_keys = {z.key() for z in inter}
+    l_keys = {z.key() for z in l_elems}
+    inter_ok = inter_keys == l_keys and len(inter) == math.factorial(run.n - 2)
+    ok = g2_trivial and commutes and inter_ok
+    return {
+        "g_squared_trivial": g2_trivial,
+        "commuting_pairs_checked": len(l_elems),
+        "intersection_order": len(inter),
+        "intersection_is_fixed_subgroup": inter_keys == l_keys,
+    }, ok, None
+
+
+def _kernel_witness(run: _Run):
+    n, data = run.n, run.data
+    ctx, job = data.ctx, data.job
+    s = kernel_witness(data)
+    x, y = job.x, job.y
+    long_cycle = "(" + ",".join(str(i) for i in range(1, n + 1)) + ")"
+    alpha = parse_cycles(long_cycle, n)
+    s_alpha = ctx.entry_perm(s.f[ctx.cycle_index[alpha.key()]])
+    s_alpha_inv = ctx.entry_perm(s.f[ctx.cycle_index[alpha.inverse().key()]])
+    front_ok = s_alpha == y * y * x
+    back_ok = s_alpha_inv == y.inverse() * y.inverse() * x
+    pair_order = group_order([s_alpha, s_alpha_inv], job.group.degree)
+    generates = pair_order == job.group.order()
+    computed = {
+        "top_part_trivial": True,
+        "entry_at_long_cycle": s_alpha.cycle_string(),
+        "entry_at_inverse_cycle": s_alpha_inv.cycle_string(),
+        "front_matches_yyx": front_ok,
+        "back_matches_y_inv": back_ok,
+        "entry_pair_generates_order": pair_order,
+    }
+    ok = front_ok and back_ok and generates
+    if n == 7:
+        beta = parse_cycles("(1,4,2,5,3,6,7)", 7)
+        trivial = s.f[ctx.cycle_index[beta.key()]] == ctx.identity_entry
+        computed["interleaved_cycle_entry_trivial"] = trivial
+        ok = ok and trivial
+    return computed, ok, None
+
+
+def _kernel_generators(run: _Run):
+    data = run.data
+    kgens = schreier_kernel_generators(
+        data.y_gens,
+        lambda w: w.sigma,
+        data.ctx.identity_element(),
+        image_cap=run.spec.enum_cap,
+    )
+    return {
+        "generator_count": len(kgens),
+        "component_count": data.ctx.k,
+        "image_order": math.factorial(run.n),
+    }, True, kgens
+
+
+def _decompose(run: _Run, gens: list):
+    ctx = run.data.ctx
+    if ctx.index_mode:
+        return subdirect_decompose(gens, table=ctx.table)
+    return subdirect_decompose(gens, group=run.data.job.group)
+
+
+def _block_structure(run: _Run):
+    n = run.n
+    structure = _decompose(run, run.products["kernel-generators"])
+    d = structure.block_count
+    report = BlockReport.build(n, d)
+    order_m = run.data.job.group.order() ** d
+    order_y = order_m * math.factorial(n)
+    computed = {
+        "d": d,
+        "block_sizes": sorted(len(b) for b in structure.blocks),
+        "order_m": str(order_m),
+        "order_y": str(order_y),
+        "order_y_digits": len(str(order_y)),
+        "component_count": structure.k,
+        "divides_component_count": report.divides,
+    }
+    if n == 4:
+        pos_of, _ = _k4_maps()
+        computed["blocks_positional"] = sorted(
+            sorted(pos_of[j] + 1 for j in blk) for blk in structure.blocks
+        )
+    if report.lower_bound is not None:
+        computed["lower_bound"] = report.lower_bound
+        computed["bound_ok"] = report.bound_ok
+    ok = report.divides and (report.bound_ok is not False)
+    return computed, ok, structure
+
+
+def _block_prediction(run: _Run):
+    job = run.data.job
+    phi_invert = inverting_automorphism(job.group, job.x, job.y)
+    computed: dict = {"fix_x_invert_y_exists": phi_invert is not None}
+    if phi_invert is None:
+        predicted = 6
+        computed["cross_words_exists"] = None
+    else:
+        phi_cross = cross_automorphism(job.group, job.x, job.y)
+        computed["cross_words_exists"] = phi_cross is not None
+        predicted = 1 if phi_cross is not None else 3
+    d = run.products["block-structure"].block_count
+    computed["predicted_d"] = predicted
+    computed["computed_d"] = d
+    return computed, predicted == d, None
+
+
+def _tuple_generators(run: _Run):
+    tuples = k4_tuple_data(run.data)
+    alt = _decompose(run, [tuples.t1, tuples.t2, tuples.t3])
+    same = structures_equal(alt, run.products["block-structure"])
+    positional = [
+        [p.cycle_string() for p in row] for row in tuples.tuples_in_positions()
+    ]
+    return {
+        "structures_equal": same,
+        "tuple_d": alt.block_count,
+        "tuples_positional": positional,
+    }, same, None
+
+
+def _expected_vertices(run: _Run) -> int:
+    """|Y|/|H| = |T|^d · n."""
+    d = run.products["block-structure"].block_count
+    return run.data.job.group.order() ** d * run.n
+
+
+def _graph_build(run: _Run):
+    n = run.n
+    expected = _expected_vertices(run)
+    cap = run.spec.vertex_cap
+    if expected > cap:
+        raise CapacityExceeded(f"expected {expected} vertices exceeds the cap {cap}")
+    graph = build_coset_graph(run.h_elems, run.data.g, vertex_cap=cap)
+    conn = verify_connected(graph, expected * math.factorial(n - 1), graph.subgroup_order)
+    # coset graphs are vertex-transitive, so one BFS root gives the girth
+    inv = graph_invariants(graph.adjacency, girth_roots=(0,))
+    ok = conn["ok"] and inv["valency"] == n - 1 and inv["components"] == 1
+    return {
+        "vertices": graph.order,
+        "expected_vertices": expected,
+        "valency": inv["valency"],
+        "connected": inv["components"] == 1,
+        "coset_count_matches": conn["ok"],
+        "girth": inv["girth"],
+    }, ok, graph
+
+
+def _two_arc_transitive(run: _Run):
+    data = run.data
+    result = two_arc_transitive(run.h_elems, data.g, data.h_gens)
+    ok = result["two_transitive"] and result["index"] == run.n - 1
+    computed = {"neighbor_count": result["index"], "two_transitive": result["two_transitive"]}
+    return computed, ok, None
+
+
+def _m_generators(run: _Run) -> list[WreathElement]:
+    """The kernel subgroup's generating rows as base-only wreath elements."""
+    ctx = run.data.ctx
+    ident = Permutation.identity(ctx.n)
+    rows = run.products["block-structure"].generators
+    return [WreathElement(ctx, tuple(row), ident) for row in rows]
+
+
+def _cover_quotient(run: _Run):
+    n = run.n
+    cert = quotient_graph(run.products["graph-build"], _m_generators(run))
+    d = run.products["block-structure"].block_count
+    ok = (
+        cert.quotient_is_complete
+        and cert.quotient_order == n
+        and cert.locally_bijective
+        and cert.fibre_size == run.data.job.group.order() ** d
+    )
+    return {
+        "quotient_order": cert.quotient_order,
+        "quotient_valency": cert.quotient_valency,
+        "fibre_size": cert.fibre_size,
+        "locally_bijective": cert.locally_bijective,
+        "complete": cert.quotient_is_complete,
+    }, ok, None
+
+
+def _centralizer(run: _Run):
+    data = run.data
+    d = run.products["block-structure"].block_count
+    order_y = data.job.group.order() ** d * math.factorial(run.n)
+    if order_y > CENTRALIZER_ENUM_LIMIT:
+        raise CapacityExceeded(
+            f"group order {order_y} exceeds the element-enumeration limit "
+            f"{CENTRALIZER_ENUM_LIMIT}"
+        )
+    elements = closure(data.y_gens, data.ctx.identity_element(), cap=order_y + 1)
+    cz = centralizer_elements(elements, _m_generators(run))
+    computed: dict = {"group_order": order_y, "centralizer_order": len(cz)}
+    try:
+        cert = quotient_graph(run.products["graph-build"], cz)
+    except ValidationError as exc:
+        computed["quotient"] = None
+        computed["quotient_note"] = str(exc)
+        return computed, True, None
+    inv = graph_invariants(cert.quotient_adjacency)
+    computed["quotient"] = {
+        "order": cert.quotient_order,
+        "valency": inv["valency"],
+        "girth": inv["girth"],
+        "fibre_size": cert.fibre_size,
+        "locally_bijective": cert.locally_bijective,
+    }
+    return computed, True, None
+
+
+def _n_input(run: _Run) -> dict:
+    return {"n": run.n}
+
+
+STAGES = (
+    Stage(
+        "class-partition", "construct", (),
         "the class sets O_1..O_(n-1) partition the (n-1)! full cycles with "
         "|O_k| = (n-2)!; the subgroup fixing 1 and 2 acts regularly on every "
-        "class; conjugation by (1,2) maps O_k onto O_(n-k)"
-    )
-
-    def body():
-        classes = cycle_classes(n)
-        cycles = n_cycles(n)
-        size = math.factorial(n - 2)
-        sizes_ok = sorted(classes) == list(range(1, n)) and all(
-            len(v) == size for v in classes.values()
-        )
-        total = sum(len(v) for v in classes.values())
-        partition_ok = total == math.factorial(n - 1)
-
-        # transitive on a class of |L| elements == regular
-        l_tops = [p.sigma for p in data.l_gens]
-        l_count = len(closure(l_tops, Permutation.identity(n)))
-        regular = l_count == size
-        for k, positions in classes.items():
-            rep = cycles[positions[0]]
-            orbit_keys = {rep.key()}
-            frontier = [rep]
-            while frontier:
-                new_frontier = []
-                for a in frontier:
-                    for s in l_tops:
-                        b = a.conjugate(s)
-                        if b.key() not in orbit_keys:
-                            orbit_keys.add(b.key())
-                            new_frontier.append(b)
-                frontier = new_frontier
-            if orbit_keys != {cycles[p].key() for p in positions}:
-                regular = False
-
-        delta = data.delta
-        reflected = all(
-            sorted(
-                data.ctx.cycle_index[cycles[p].conjugate(delta).key()]
-                for p in classes[k]
-            )
-            == list(classes[n - k])
-            for k in classes
-        )
-        ok = sizes_ok and partition_ok and regular and reflected
-        return {
-            "classes": n - 1,
-            "class_size": size,
-            "partition": partition_ok,
-            "regular": regular,
-            "reflected": reflected,
-        }, ok
-
-    return run.stage("class-partition", claim, {"n": n}, body)
-
-
-def _stage_twist_identities(
-    run: _Run, data: CoverGroupData, h_elems: list
-) -> Optional[dict]:
-    n = data.ctx.n
-    claim = (
+        "class; conjugation by (1,2) maps O_k onto O_(n-k)",
+        _n_input, _class_partition,
+    ),
+    Stage(
+        "twist-identities", "construct", (),
         "g^2 = 1; g commutes elementwise with the embedded copy of Sym{3..n}; "
-        "and H ∩ H^g equals that copy, of order (n-2)!"
-    )
-
-    def body():
-        g = data.g
-        g2_trivial = (g * g).is_identity()
-        l_elems = data.l_elements()
-        commutes = all((g * z).key() == (z * g).key() for z in l_elems)
-        from .groups import conj_intersection
-
-        inter = conj_intersection(h_elems, g)
-        inter_keys = {z.key() for z in inter}
-        l_keys = {z.key() for z in l_elems}
-        inter_ok = inter_keys == l_keys and len(inter) == math.factorial(n - 2)
-        ok = g2_trivial and commutes and inter_ok
-        return {
-            "g_squared_trivial": g2_trivial,
-            "commuting_pairs_checked": len(l_elems),
-            "intersection_order": len(inter),
-            "intersection_is_fixed_subgroup": inter_keys == l_keys,
-        }, ok
-
-    return run.stage("twist-identities", claim, {"n": n}, body)
-
-
-def _stage_kernel_witness(run: _Run, data: CoverGroupData) -> Optional[dict]:
-    n = data.ctx.n
-    job = data.job
-    claim = (
+        "and H ∩ H^g equals that copy, of order (n-2)!",
+        _n_input, _twist_identities,
+    ),
+    Stage(
+        "kernel-witness", "construct", (),
         "s = (g·(2,3))^3 has trivial top part; its entries at (1,2,...,n) and "
         "its inverse cycle are y^2·x and y^-2·x; those two entries generate T; "
-        "and at n = 7 the entry at (1,4,2,5,3,6,7) is trivial"
-    )
-
-    def body():
-        ctx = data.ctx
-        s = kernel_witness(data)
-        x, y = job.x, job.y
-        long_cycle = "(" + ",".join(str(i) for i in range(1, n + 1)) + ")"
-        alpha = parse_cycles(long_cycle, n)
-        s_alpha = ctx.entry_perm(s.f[ctx.cycle_index[alpha.key()]])
-        s_alpha_inv = ctx.entry_perm(s.f[ctx.cycle_index[alpha.inverse().key()]])
-        front_ok = s_alpha == y * y * x
-        back_ok = s_alpha_inv == y.inverse() * y.inverse() * x
-        pair_order = group_order([s_alpha, s_alpha_inv], job.group.degree)
-        generates = pair_order == job.group.order()
-        computed = {
-            "top_part_trivial": True,
-            "entry_at_long_cycle": s_alpha.cycle_string(),
-            "entry_at_inverse_cycle": s_alpha_inv.cycle_string(),
-            "front_matches_yyx": front_ok,
-            "back_matches_y_inv": back_ok,
-            "entry_pair_generates_order": pair_order,
-        }
-        ok = front_ok and back_ok and generates
-        if n == 7:
-            beta = parse_cycles("(1,4,2,5,3,6,7)", 7)
-            trivial = s.f[ctx.cycle_index[beta.key()]] == ctx.identity_entry
-            computed["interleaved_cycle_entry_trivial"] = trivial
-            ok = ok and trivial
-        return computed, ok
-
-    return run.stage("kernel-witness", claim, {"n": n}, body)
-
-
-def _stage_kernel_generators(run: _Run, data: CoverGroupData) -> Optional[list]:
-    n = data.ctx.n
-    claim = (
+        "and at n = 7 the entry at (1,4,2,5,3,6,7) is trivial",
+        _n_input, _kernel_witness,
+    ),
+    Stage(
+        "kernel-generators", "decompose", (),
         "the Schreier generators of the kernel of the projection onto the top "
-        "symmetric group all have trivial top part"
-    )
-    holder: dict = {}
-
-    def body():
-        kgens = schreier_kernel_generators(
-            data.y_gens,
-            lambda w: w.sigma,
-            data.ctx.identity_element(),
-            image_cap=run.spec.enum_cap,
-        )
-        holder["kgens"] = kgens
-        return {
-            "generator_count": len(kgens),
-            "component_count": data.ctx.k,
-            "image_order": math.factorial(n),
-        }, True
-
-    out = run.stage("kernel-generators", claim, {"n": n}, body)
-    return holder.get("kgens") if out is not None else None
-
-
-def _stage_block_structure(
-    run: _Run, data: CoverGroupData, kgens: list
-) -> Optional[SubdirectStructure]:
-    n = data.ctx.n
-    t_order = data.job.group.order()
-    claim = (
+        "symmetric group all have trivial top part",
+        _n_input, _kernel_generators,
+    ),
+    Stage(
+        "block-structure", "decompose", ("kernel-generators",),
         "the kernel projects onto every component of T^(n-1)! and splits into "
         "d full diagonal blocks linked by verified automorphisms, so "
-        "|M| = |T|^d and |Y| = |T|^d · n!"
-    )
-    holder: dict = {}
-
-    def body():
-        if data.ctx.index_mode:
-            structure = subdirect_decompose(kgens, table=data.ctx.table)
-        else:
-            structure = subdirect_decompose(kgens, group=data.job.group)
-        holder["structure"] = structure
-        d = structure.block_count
-        report = BlockReport.build(n, d)
-        order_m = t_order**d
-        order_y = order_m * math.factorial(n)
-        rng = random.Random(run.spec.seed)
-        sample_ok = all(
-            link.is_multiplicative_sample(rng)
-            for link in structure.links
-            if link is not None
-        )
-        computed = {
-            "d": d,
-            "block_sizes": sorted(len(b) for b in structure.blocks),
-            "order_m": str(order_m),
-            "order_y": str(order_y),
-            "order_y_digits": len(str(order_y)),
-            "component_count": structure.k,
-            "divides_component_count": report.divides,
-            "link_sample_multiplicative": sample_ok,
-        }
-        if n == 4:
-            computed["blocks_positional"] = _positional_blocks(structure)
-        if report.lower_bound is not None:
-            computed["lower_bound"] = report.lower_bound
-            computed["bound_ok"] = report.bound_ok
-        ok = report.divides and sample_ok and (report.bound_ok is not False)
-        return computed, ok
-
-    out = run.stage("block-structure", claim, {"n": n, "group_order": t_order}, body)
-    return holder.get("structure") if out is not None else None
-
-
-def _positional_blocks(structure: SubdirectStructure) -> list[list[int]]:
-    """Blocks of canonical component indices, restated as 1-based positions."""
-    pos_of = _position_of_canonical()
-    return sorted(sorted(pos_of[j] + 1 for j in blk) for blk in structure.blocks)
-
-
-def _position_of_canonical() -> tuple[int, ...]:
-    from .wreath import _k4_maps
-
-    pos_of, _ = _k4_maps()
-    return pos_of
-
-
-def _stage_block_prediction(
-    run: _Run, data: CoverGroupData, structure: SubdirectStructure
-) -> Optional[dict]:
-    job = data.job
-    claim = (
+        "|M| = |T|^d and |Y| = |T|^d · n!",
+        lambda run: {"n": run.n, "group_order": run.data.job.group.order()},
+        _block_structure,
+    ),
+    Stage(
+        "block-count-prediction", "decompose", ("block-structure",),
         "at n = 4 the block count predicted from automorphism existence "
         "(an automorphism fixing x and inverting y; one crossing the three "
-        "distinguished words) equals the computed d"
-    )
-
-    def body():
-        table = data.ctx.table
-        phi_invert = inverting_automorphism(job.group, job.x, job.y, table)
-        computed: dict = {"fix_x_invert_y_exists": phi_invert is not None}
-        if phi_invert is None:
-            predicted = 6
-            computed["cross_words_exists"] = None
-        else:
-            phi_cross = cross_automorphism(job.group, job.x, job.y, table)
-            computed["cross_words_exists"] = phi_cross is not None
-            predicted = 1 if phi_cross is not None else 3
-        check = k4_block_count(job.group, job.x, job.y, table)
-        computed["predicted_d"] = predicted
-        computed["computed_d"] = structure.block_count
-        return computed, predicted == check == structure.block_count
-
-    return run.stage(
-        "block-count-prediction", claim, {"group": job.group_name}, body
-    )
-
-
-def _stage_tuple_generators(
-    run: _Run, data: CoverGroupData, structure: SubdirectStructure
-) -> Optional[dict]:
-    claim = (
+        "distinguished words) equals the computed d",
+        lambda run: {"group": run.data.job.group_name}, _block_prediction,
+        only_n=4,
+    ),
+    Stage(
+        "tuple-generators", "decompose", ("block-structure",),
         "the three explicit base-only products t1, t2, t3 generate the same "
-        "subgroup of T^6, with the same blocks, as the Schreier kernel"
-    )
-
-    def body():
-        tuples = k4_tuple_data(data)
-        if data.ctx.index_mode:
-            alt = subdirect_decompose(
-                [tuples.t1, tuples.t2, tuples.t3], table=data.ctx.table
-            )
-        else:
-            alt = subdirect_decompose(
-                [tuples.t1, tuples.t2, tuples.t3], group=data.job.group
-            )
-        same = structures_equal(alt, structure)
-        positional = [
-            [p.cycle_string() for p in row] for row in tuples.tuples_in_positions()
-        ]
-        return {
-            "structures_equal": same,
-            "tuple_d": alt.block_count,
-            "tuples_positional": positional,
-        }, same
-
-    return run.stage("tuple-generators", claim, {"n": 4}, body)
-
-
-def _stage_graph_build(
-    run: _Run, data: CoverGroupData, structure: SubdirectStructure, h_elems: list
-):
-    n = data.ctx.n
-    t_order = data.job.group.order()
-    expected = t_order ** structure.block_count * math.factorial(n) // math.factorial(n - 1)
-    claim = (
+        "subgroup of T^6, with the same blocks, as the Schreier kernel",
+        _n_input, _tuple_generators, only_n=4,
+    ),
+    Stage(
+        "graph-build", "graph", ("block-structure",),
         "the coset graph on the cosets of H is simple, (n-1)-regular, and "
-        "connected with exactly |Y|/|H| vertices"
-    )
-    if expected > run.spec.vertex_cap:
-        run.skip(
-            "graph-build",
-            f"expected {expected} vertices exceeds the cap {run.spec.vertex_cap}",
-            kind="capacity",
-        )
-        return None
-    holder: dict = {}
-
-    def body():
-        graph = build_coset_graph(h_elems, data.g, vertex_cap=run.spec.vertex_cap)
-        holder["graph"] = graph
-        conn = verify_connected(graph, expected * math.factorial(n - 1), graph.subgroup_order)
-        # coset graphs are vertex-transitive, so one BFS root gives the girth
-        inv = graph_invariants(graph.adjacency, girth_roots=(0,))
-        ok = conn["ok"] and inv["valency"] == n - 1 and inv["components"] == 1
-        return {
-            "vertices": graph.order,
-            "expected_vertices": expected,
-            "valency": inv["valency"],
-            "connected": inv["components"] == 1,
-            "coset_count_matches": conn["ok"],
-            "girth": inv["girth"],
-        }, ok
-
-    out = run.stage("graph-build", claim, {"n": n, "expected_vertices": expected}, body)
-    return holder.get("graph") if out is not None else None
-
-
-def _stage_two_arc_transitive(
-    run: _Run, data: CoverGroupData, h_elems: list
-) -> Optional[dict]:
-    n = data.ctx.n
-    claim = (
+        "connected with exactly |Y|/|H| vertices",
+        lambda run: {"n": run.n, "expected_vertices": _expected_vertices(run)},
+        _graph_build,
+    ),
+    Stage(
+        "two-arc-transitive", "graph", (),
         "the vertex stabilizer H acts 2-transitively on the n-1 neighboring "
-        "cosets, so the constructed group acts 2-arc-transitively on the graph"
-    )
-
-    def body():
-        result = two_arc_transitive(h_elems, data.g, data.h_gens)
-        ok = result["two_transitive"] and result["index"] == n - 1
-        return {"neighbor_count": result["index"], "two_transitive": result["two_transitive"]}, ok
-
-    return run.stage("two-arc-transitive", claim, {"n": n}, body)
-
-
-def _m_generators(data: CoverGroupData, structure: SubdirectStructure) -> list[WreathElement]:
-    """The kernel subgroup's generating rows as base-only wreath elements."""
-    ident = Permutation.identity(data.ctx.n)
-    return [WreathElement(data.ctx, tuple(row), ident) for row in structure.generators]
-
-
-def _stage_cover_quotient(
-    run: _Run, data: CoverGroupData, structure: SubdirectStructure, graph
-) -> Optional[dict]:
-    n = data.ctx.n
-    claim = (
+        "cosets, so the constructed group acts 2-arc-transitively on the graph",
+        _n_input, _two_arc_transitive,
+    ),
+    Stage(
+        "cover-quotient", "full", ("block-structure", "graph-build"),
         "the kernel subgroup M acts with all vertex orbits of size |M| and no "
         "intra-orbit edges; the quotient is the complete graph on n vertices "
-        "and the quotient map is a bijection on every neighborhood"
-    )
-
-    def body():
-        cert = quotient_graph(graph, _m_generators(data, structure))
-        order_m = data.job.group.order() ** structure.block_count
-        ok = (
-            cert.quotient_is_complete
-            and cert.quotient_order == n
-            and cert.locally_bijective
-            and cert.fibre_size == order_m
-        )
-        return {
-            "quotient_order": cert.quotient_order,
-            "quotient_valency": cert.quotient_valency,
-            "fibre_size": cert.fibre_size,
-            "locally_bijective": cert.locally_bijective,
-            "complete": cert.quotient_is_complete,
-        }, ok
-
-    return run.stage("cover-quotient", claim, {"n": n}, body)
-
-
-def _stage_centralizer(
-    run: _Run, data: CoverGroupData, structure: SubdirectStructure, graph
-) -> Optional[dict]:
-    n = data.ctx.n
-    order_y = data.job.group.order() ** structure.block_count * math.factorial(n)
-    if order_y > CENTRALIZER_ENUM_LIMIT:
-        run.skip(
-            "centralizer-structure",
-            f"group order {order_y} exceeds the element-enumeration limit "
-            f"{CENTRALIZER_ENUM_LIMIT}",
-            kind="capacity",
-        )
-        return None
-    claim = (
+        "and the quotient map is a bijection on every neighborhood",
+        _n_input, _cover_quotient,
+    ),
+    Stage(
+        "centralizer-structure", "full", ("block-structure", "graph-build"),
         "the centralizer of the kernel subgroup M in the whole group is "
         "computed by elementwise commutation; when it acts freely with no "
-        "intra-orbit edges, the graph quotient by it is recorded"
-    )
-
-    def body():
-        elements = closure(data.y_gens, data.ctx.identity_element(), cap=order_y + 1)
-        mg = _m_generators(data, structure)
-        cz = centralizer_elements(elements, mg)
-        computed: dict = {"group_order": order_y, "centralizer_order": len(cz)}
-        try:
-            cert = quotient_graph(graph, cz)
-        except ValidationError as exc:
-            computed["quotient"] = None
-            computed["quotient_note"] = str(exc)
-            return computed, True
-        inv = graph_invariants(cert.quotient_adjacency)
-        computed["quotient"] = {
-            "order": cert.quotient_order,
-            "valency": inv["valency"],
-            "girth": inv["girth"],
-            "fibre_size": cert.fibre_size,
-            "locally_bijective": cert.locally_bijective,
-        }
-        return computed, True
-
-    return run.stage("centralizer-structure", claim, {"n": n}, body)
+        "intra-orbit edges, the graph quotient by it is recorded",
+        _n_input, _centralizer,
+    ),
+)
 
 
 def _write_exports(run: _Run, graph) -> None:
     out_dir = Path(run.spec.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    suffix = {"edge-list": "edges", "adjacency-text": "adj"}
     for fmt in run.spec.formats:
         data = export_graph(graph.adjacency, fmt)
-        name = f"{run.spec.job_name()}.{suffix.get(fmt, fmt)}.txt"
+        name = f"{run.spec.job_name()}.{EXPORT_SUFFIX[fmt]}.txt"
         (out_dir / name).write_bytes(data)
         run.artifacts.append(name)
 
@@ -840,18 +797,10 @@ class SuiteResult:
         return "\n".join(lines) + "\n"
 
 
-def _run_job_payload(spec_dict: dict) -> dict:
-    """Top-level worker for process pools: JobSpec dict in, payload out."""
-    if "formats" in spec_dict:
-        spec_dict = dict(spec_dict, formats=tuple(spec_dict["formats"]))
-    return run_job(JobSpec(**spec_dict)).payload
-
-
 def run_suite(
     name: str,
     out_dir: Optional[str] = None,
     catalog: Optional[str] = None,
-    seed: int = 0,
     parallel: bool = False,
     baselines_path: Optional[str] = None,
 ) -> SuiteResult:
@@ -862,17 +811,13 @@ def run_suite(
     key must match exactly.
     """
     specs = [
-        replace(s, out_dir=out_dir, catalog=catalog, seed=seed)
-        for s in _suite_specs(name)
+        replace(s, out_dir=out_dir, catalog=catalog) for s in _suite_specs(name)
     ]
     if parallel and len(specs) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=min(4, len(specs))) as pool:
-            payloads = list(
-                pool.map(_run_job_payload, [s.__dict__.copy() for s in specs])
-            )
-        certificates = [Certificate(p) for p in payloads]
+            certificates = list(pool.map(run_job, specs))
     else:
         certificates = [run_job(s) for s in specs]
 

@@ -73,22 +73,6 @@ class SubdirectStructure:
                 return False
         return all(self.group.contains(entries[blk[0]]) for blk in self.blocks)
 
-    def export_text(self) -> str:
-        """Block partition plus generator images under each linking map."""
-        lines = [f"components: {self.k}", f"blocks: {self.block_count}"]
-        for blk in self.blocks:
-            lines.append("block " + " ".join(str(j) for j in blk))
-        gens = (
-            self.table.group.generators if self.table is not None else self.group.generators
-        )
-        for j in range(self.k):
-            link = self.links[j]
-            if link is None:
-                continue
-            images = ", ".join(link.apply(t).cycle_string() for t in gens)
-            lines.append(f"link {self.base_of[j]} -> {j}: {images}")
-        return "\n".join(lines) + "\n"
-
 
 def _entry_tuple(z, k: int) -> tuple:
     from .wreath import WreathElement
@@ -297,10 +281,7 @@ def structures_equal(a: SubdirectStructure, b: SubdirectStructure) -> bool:
 
 
 def _phi_route(
-    group: PermGroup,
-    sources: list[Permutation],
-    targets: list[Permutation],
-    table: Optional[TableGroup],
+    group: PermGroup, sources: list[Permutation], targets: list[Permutation]
 ) -> Optional[AutomorphismMap]:
     """Existence of an automorphism with the given images, by the best route.
 
@@ -315,8 +296,7 @@ def _phi_route(
         if len(found) > 1:
             raise InternalCheckError("conjugator is not unique")
         shortcut = AutomorphismMap(conjugator=found[0]) if found else None
-    if table is None and group.order() <= 4000:
-        table = TableGroup(group)
+    table = group.table()
     if table is not None:
         phi = extend_to_automorphism(
             table, [table.idx(s) for s in sources], [table.idx(t) for t in targets]
@@ -333,14 +313,14 @@ def _phi_route(
 
 
 def inverting_automorphism(
-    group: PermGroup, x: Permutation, y: Permutation, table: Optional[TableGroup] = None
+    group: PermGroup, x: Permutation, y: Permutation
 ) -> Optional[AutomorphismMap]:
     """An automorphism of T fixing x and inverting y, if one exists."""
-    return _phi_route(group, [x, y], [x, y.inverse()], table)
+    return _phi_route(group, [x, y], [x, y.inverse()])
 
 
 def cross_automorphism(
-    group: PermGroup, x: Permutation, y: Permutation, table: Optional[TableGroup] = None
+    group: PermGroup, x: Permutation, y: Permutation
 ) -> Optional[AutomorphismMap]:
     """An automorphism with yxy -> y^2x, y^2x -> yxy, xy^2 -> y^-2x, if any.
 
@@ -352,16 +332,14 @@ def cross_automorphism(
     targets = [y * y * x, y * x * y, yi * yi * x]
     if group_order(sources, group.degree) != group.order():
         raise ValidationError("criterion sources do not generate T")
-    return _phi_route(group, sources, targets, table)
+    return _phi_route(group, sources, targets)
 
 
-def k4_block_count(
-    group: PermGroup, x: Permutation, y: Permutation, table: Optional[TableGroup] = None
-) -> int:
+def k4_block_count(group: PermGroup, x: Permutation, y: Permutation) -> int:
     """Predicted block count at n = 4: 1, 3, or 6 by the automorphism criteria."""
-    if inverting_automorphism(group, x, y, table) is None:
+    if inverting_automorphism(group, x, y) is None:
         return 6
-    if cross_automorphism(group, x, y, table) is None:
+    if cross_automorphism(group, x, y) is None:
         return 3
     return 1
 

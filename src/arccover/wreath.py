@@ -184,15 +184,6 @@ class WreathElement:
         entries = ", ".join(self.ctx.entry_perm(e).cycle_string() for e in self.f)
         return f"WreathElement([{entries}], {self.sigma.cycle_string()})"
 
-    def order(self) -> int:
-        power = self
-        identity = self.ctx.identity_element()
-        for m in range(1, 10_000_000):
-            if power == identity:
-                return m
-            power = power * self
-        raise ValidationError("order search exceeded bound")
-
 
 # ---------------------------------------------------------------------------
 # construction jobs
@@ -214,7 +205,7 @@ class CoverJob:
     y: Permutation
     group_name: str = "T"
 
-    def problems(self, table: Optional[TableGroup] = None) -> list[str]:
+    def problems(self) -> list[str]:
         out = []
         if self.n < 4:
             out.append(f"n must be at least 4, got {self.n}")
@@ -230,13 +221,12 @@ class CoverJob:
             out.append("x is not an element of T")
         if not self.group.contains(self.y):
             out.append("y is not an element of T")
-        t_order = self.group.order()
-        if group_order([self.x, self.y], deg) != t_order:
+        if group_order([self.x, self.y], deg) != self.group.order():
             out.append("<x, y> is a proper subgroup of T")
         if is_natural_alternating(self.group):
             pass  # alternating of degree >= 5 in natural action: simple
-        elif t_order <= 4000:
-            if not is_nonabelian_simple(table or TableGroup(self.group)):
+        elif (table := self.group.table()) is not None:
+            if not is_nonabelian_simple(table):
                 out.append("T is not nonabelian simple")
         else:
             out.append(
@@ -245,8 +235,8 @@ class CoverJob:
             )
         return out
 
-    def validate(self, table: Optional[TableGroup] = None) -> None:
-        problems = self.problems(table)
+    def validate(self) -> None:
+        problems = self.problems()
         if problems:
             raise ValidationError("; ".join(problems))
 
@@ -290,11 +280,6 @@ class CoverGroupData:
     h_top_gens: tuple[Permutation, ...]
     delta: Permutation  # the swap (1,2)
 
-    def h_order(self) -> int:
-        import math
-
-        return math.factorial(self.ctx.n - 1)
-
     def h_elements(self) -> list[WreathElement]:
         return closure(self.h_gens, self.ctx.identity_element())
 
@@ -302,16 +287,14 @@ class CoverGroupData:
         return closure(self.l_gens, self.ctx.identity_element())
 
 
-def build_cover_group(job: CoverJob, table: Optional[TableGroup] = None) -> CoverGroupData:
+def build_cover_group(job: CoverJob) -> CoverGroupData:
     """Materialize the construction for a validated job.
 
-    If T is enumerable and no table is passed, one is built; otherwise the
-    context falls back to object entries.
+    Entries are table indices when T has a multiplication table, and
+    Permutations otherwise.
     """
     n = job.n
-    if table is None and job.group.order() <= 4000:
-        table = TableGroup(job.group)
-    ctx = WreathContext(n, job.group, table)
+    ctx = WreathContext(n, job.group, job.group.table())
     f = class_assignment(ctx, job.x, job.y)
     delta = parse_cycles("(1,2)", n)
     g = ctx.from_assignment(f, delta)
@@ -396,27 +379,6 @@ def to_positions(values: Sequence) -> tuple:
         raise ValidationError("positional order is defined for 6 components")
     _, canon_of = _k4_maps()
     return tuple(values[canon_of[p]] for p in range(6))
-
-
-def from_positions(values: Sequence) -> tuple:
-    if len(values) != 6:
-        raise ValidationError("positional order is defined for 6 components")
-    pos_of, _ = _k4_maps()
-    return tuple(values[pos_of[c]] for c in range(6))
-
-
-def position_action(sigma: Permutation) -> Permutation:
-    """The permutation of the six positions induced by conjugation by sigma."""
-    if sigma.degree != 4:
-        raise ValidationError("position action is defined for degree 4")
-    idx = n_cycle_index(4)
-    pos_of, canon_of = _k4_maps()
-    cycles = n_cycles(4)
-    images = [0] * 6
-    for pos in range(6):
-        alpha = cycles[canon_of[pos]]
-        images[pos] = pos_of[idx[alpha.conjugate(sigma).key()]] + 1
-    return Permutation(images)
 
 
 @dataclass(frozen=True)

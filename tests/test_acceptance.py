@@ -42,6 +42,16 @@ JOB3 = JobSpec(n=4, group="A11", x="(1,2)(3,6)", y="(1,2,3,4,5,6,7,8,9,10,11)")
 SEED = 90210
 
 
+def assert_multiplicative(phi):
+    """phi(a*b) = phi(a)*phi(b) over every pair of elements of its table."""
+    t = phi.table
+    for a in range(t.size):
+        for b in range(t.size):
+            assert phi.apply_index(t.multiply(a, b)) == t.multiply(
+                phi.apply_index(a), phi.apply_index(b)
+            )
+
+
 def timed(fn, *args, **kwargs):
     t0 = time.perf_counter()
     out = fn(*args, **kwargs)
@@ -378,9 +388,8 @@ def test_criterion_09_property_suites(extended_suite):
         m1, m2, m12 = ctx.comp_map(s1), ctx.comp_map(s2), ctx.comp_map(s1 * s2)
         assert all(m12[i] == m2[m1[i]] for i in range(ctx.k))
 
-    # automorphism maps multiply like automorphisms (sampled)
-    phi = inverting_automorphism(group, x, y)
-    assert phi.is_multiplicative_sample(random.Random(SEED), samples=300)
+    # automorphism maps multiply like automorphisms, on all 3600 pairs of A5
+    assert_multiplicative(inverting_automorphism(group, x, y))
 
     # linking maps satisfy the equivalence axioms on a 3-block structure
     y2 = parse_cycles("(1,5,3)", 5)
@@ -399,7 +408,7 @@ def test_criterion_09_property_suites(extended_suite):
             assert structure.base_of[j] == base and link is not None
             for row in structure.generators:
                 assert row[j] == link.apply_index(row[base])
-            assert link.is_multiplicative_sample(random.Random(SEED), samples=200)
+            assert_multiplicative(link)
 
     # graph symmetry and irreflexivity for every graph built here
     graph = build_coset_graph(data.h_elements(), data.g)

@@ -1,0 +1,95 @@
+"""The public library surface and the package's import hygiene."""
+
+import ast
+import re
+from pathlib import Path
+
+import arccover
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "arccover"
+
+# the names the README's Library section documents, in its order
+LIBRARY = [
+    "JobSpec", "run_job", "run_suite", "Certificate",
+    "ArccoverError", "ValidationError", "CapacityExceeded",
+    "Permutation", "parse_cycles", "resolve_group",
+    "closure", "group_order", "StabilizerChain",
+    "CoverJob", "WreathContext", "build_cover_group",
+    "subdirect_decompose", "build_coset_graph", "quotient_graph",
+]
+
+
+def test_all_is_the_documented_library():
+    assert sorted(arccover.__all__) == sorted(["__version__", *LIBRARY])
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library", 1)[1].split("\n## ", 1)[0]
+    bullets = re.findall(r"^- (.*?):", section, flags=re.M)
+    assert [name for b in bullets for name in re.findall(r"`(\w+)`", b)] == LIBRARY
+
+
+def test_every_public_name_imports():
+    namespace: dict = {}
+    exec("from arccover import *", namespace)
+    for name in arccover.__all__:
+        assert namespace[name] is getattr(arccover, name)
+
+
+def _annotation_names(tree: ast.AST) -> set[str]:
+    """Names used inside string annotations such as Optional["TableGroup"]."""
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            annotations.append(node.returns)
+        elif isinstance(node, ast.arg) and node.annotation:
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    names = set()
+    for ann in annotations:
+        for node in ast.walk(ann):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                inner = ast.parse(node.value, mode="eval")
+                names.update(n.id for n in ast.walk(inner) if isinstance(n, ast.Name))
+    return names
+
+
+def _exported_names(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports but never reads, as "file:line name"."""
+    tree = ast.parse(path.read_text())
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used |= _annotation_names(tree) | _exported_names(tree)
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports_in_the_package():
+    unused = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in _unused_imports(path)]
+    assert unused == []
+
+
+def test_unused_import_detector_flags_a_dead_import(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        '"""Mentions json and path in a docstring."""\n'
+        "import json\nimport math\nfrom os import path, sep\nfrom typing import Optional\n"
+        "__all__ = ['sep']\n"
+        "def f(a: Optional['Decimal']) -> 'Optional[int]':\n    return math.pi\n"
+    )
+    assert _unused_imports(module) == ["mod.py:2 json", "mod.py:4 path"]

@@ -80,7 +80,7 @@ def test_construct_verb_emits_certificate(capsys):
     code, out, err = run_cli(["construct", *JOB1_FLAGS], capsys)
     assert code == 0
     payload = json.loads(out)
-    assert payload["format"] == "arccover-certificate/1"
+    assert payload["format"] == "arccover-certificate/2"
     assert [c["id"] for c in payload["checks"]] == [
         "job-valid", "class-partition", "twist-identities", "kernel-witness",
     ]
@@ -126,21 +126,31 @@ def test_quotient_verb_full_run_with_outputs(tmp_path, capsys):
     assert on_disk["summary"]["all_passed"] is True
 
 
-def test_failing_check_exits_one(tmp_path, capsys, monkeypatch):
+def test_failing_check_exits_one(capsys, monkeypatch):
     import arccover.report as report
 
-    original = report._stage_two_arc_transitive
+    def broken(h_elements, g, h_gens=None):
+        return {"index": 3, "two_transitive": False}
 
-    def broken(run, data, h_elems):
-        run.record("two-arc-transitive", "forced failure", {}, {"forced": True}, False)
-        return None
-
-    monkeypatch.setattr(report, "_stage_two_arc_transitive", broken)
+    monkeypatch.setattr(report, "two_arc_transitive", broken)
     code, out, _ = run_cli(["graph", *JOB1_FLAGS], capsys)
     assert code == 1
     payload = json.loads(out)
     assert payload["summary"]["all_passed"] is False
-    monkeypatch.setattr(report, "_stage_two_arc_transitive", original)
+    failed = [c["id"] for c in payload["checks"] if not c["passed"]]
+    assert failed == ["two-arc-transitive"]
+
+
+def test_capacity_skip_records_progress(capsys):
+    code, out, _ = run_cli(["decompose", *JOB1_FLAGS, "--enum-cap", "10"], capsys)
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["skips"] == [{
+        "stage": "kernel-generators",
+        "kind": "capacity",
+        "reason": "quotient enumeration exceeded cap 10",
+        "details": {"discovered": 11},
+    }]
 
 
 def test_version_flag(capsys):
@@ -170,6 +180,23 @@ def test_user_catalog_file(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["valid"] is False
     assert any("simple" in p for p in payload["problems"])
+
+
+def test_malformed_catalog_file_rejected(tmp_path, capsys):
+    catalog = tmp_path / "groups.json"
+    catalog.write_text("{not json")
+    code, out, _ = run_cli(["construct", *JOB1_FLAGS, "--catalog", str(catalog)], capsys)
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["rejected"] is True
+    assert f"cannot read catalog file {catalog}" in payload["reason"]
+
+
+def test_missing_catalog_file_rejected(tmp_path, capsys):
+    catalog = tmp_path / "absent.json"
+    code, out, _ = run_cli(["validate", *JOB1_FLAGS, "--catalog", str(catalog)], capsys)
+    assert code == 2
+    assert f"cannot read catalog file {catalog}" in json.loads(out)["reason"]
 
 
 # ---------------------------------------------------------------------------

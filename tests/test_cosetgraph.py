@@ -13,7 +13,6 @@ from arccover.cosetgraph import (
     export_graph,
     graph_girth,
     graph_invariants,
-    is_petersen,
     quotient_graph,
     two_arc_transitive,
     verify_connected,
@@ -26,6 +25,17 @@ from arccover.wreath import CoverJob, WreathElement, build_cover_group
 
 def P(text, degree):
     return parse_cycles(text, degree)
+
+
+def is_petersen(adjacency):
+    """The unique 3-regular girth-5 graph on 10 vertices."""
+    inv = graph_invariants(adjacency)
+    return (
+        inv["order"] == 10
+        and inv["valency"] == 3
+        and inv["components"] == 1
+        and inv["girth"] == 5
+    )
 
 
 def sym_fixing_last(n):

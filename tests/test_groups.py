@@ -18,7 +18,6 @@ from arccover.groups import (
     is_2_transitive,
     is_natural_alternating,
     is_nonabelian_simple,
-    is_regular,
     orbit,
     right_transversal,
     schreier_kernel_generators,
@@ -92,14 +91,6 @@ def test_group_order_of_generating_pairs():
 # ---------------------------------------------------------------------------
 # action predicates
 # ---------------------------------------------------------------------------
-
-
-def test_is_regular():
-    z5 = closure([P("(1,2,3,4,5)", 5)], Permutation.identity(5))
-    act = lambda pt, g: g.apply(pt)
-    assert is_regular(z5, list(range(1, 6)), act)
-    a5 = list(resolve_group("A5").elements())
-    assert not is_regular(a5, list(range(1, 6)), act)
 
 
 def test_is_2_transitive():
@@ -195,15 +186,12 @@ def test_table_cap():
         TableGroup(s8)
 
 
-def test_generates_and_small_subset():
+def test_generates():
     t = TableGroup(resolve_group("A5"))
     x = t.idx(P("(1,2)(3,4)", 5))
     y = t.idx(P("(1,2,3,4,5)", 5))
     assert t.generates([x, y])
     assert not t.generates([x])
-    subset = t.small_generating_subset(list(range(60)))
-    assert t.generates(subset)
-    assert len(subset) <= 3
 
 
 def test_conjugacy_classes_of_a5():
@@ -244,8 +232,11 @@ def test_extend_to_automorphism_inverting():
     assert phi is not None
     assert phi.apply(y) == y.inverse()
     assert phi.apply(x) == x
-    rng = random.Random(5)
-    assert phi.is_multiplicative_sample(rng)
+    assert all(
+        phi.apply_index(t.multiply(a, b)) == t.multiply(phi.apply_index(a), phi.apply_index(b))
+        for a in range(t.size)
+        for b in range(t.size)
+    )
 
 
 def test_extend_to_automorphism_nonexistent():

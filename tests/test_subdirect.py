@@ -188,21 +188,6 @@ def test_structures_equal_and_tuple_route():
     assert not structures_equal(s, s3)
 
 
-def test_export_text_shape():
-    _, s = kernel_structure(Y2)
-    text = s.export_text()
-    lines = text.splitlines()
-    assert lines[0] == "components: 6"
-    assert lines[1] == "blocks: 3"
-    assert sum(1 for ln in lines if ln.startswith("block ")) == 3
-    assert sum(1 for ln in lines if ln.startswith("link ")) == 3
-
-
-# ---------------------------------------------------------------------------
-# the automorphism criteria at n = 4
-# ---------------------------------------------------------------------------
-
-
 def test_inverting_automorphism_witnesses():
     found = conjugating_permutations([X, Y1], [X, Y1.inverse()], 5)
     assert [c.cycle_string() for c in found] == ["(1,4)(2,3)"]
