@@ -37,6 +37,16 @@ def catalog_entries(extra_path: str | Path | None = None) -> dict[str, dict]:
         for name, entry in raw.items():
             if not isinstance(entry, dict) or "degree" not in entry or "generators" not in entry:
                 raise ValidationError(f"catalog entry {name!r} needs 'degree' and 'generators'")
+            degree, gens = entry["degree"], entry["generators"]
+            # permutation keys hold one byte per point
+            if isinstance(degree, bool) or not isinstance(degree, int) or not 1 <= degree <= 255:
+                raise ValidationError(
+                    f"catalog entry {name!r}: 'degree' must be an integer in 1..255"
+                )
+            if not isinstance(gens, list) or not all(isinstance(g, str) for g in gens):
+                raise ValidationError(
+                    f"catalog entry {name!r}: 'generators' must be a list of cycle strings"
+                )
             entries[name] = entry
     return entries
 
@@ -47,4 +57,4 @@ def resolve_group(name: str, extra_path: str | Path | None = None) -> PermGroup:
         known = ", ".join(sorted(entries))
         raise ValidationError(f"unknown group {name!r}; known: {known}")
     entry = entries[name]
-    return PermGroup.from_cycle_strings(entry["generators"], int(entry["degree"]))
+    return PermGroup.from_cycle_strings(entry["generators"], entry["degree"])

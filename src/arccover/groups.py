@@ -9,7 +9,6 @@ enumeration, small groups may additionally carry a full multiplication table.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -384,9 +383,11 @@ def schreier_kernel_generators(
 class TableGroup:
     """A small group held as an explicit element list with index tables.
 
-    Elements are indexed in BFS order from the identity (index 0). The flat
-    `mult` array holds index products, `inv` the index inverses; these are the
-    workhorse for wreath base arithmetic and automorphism propagation.
+    Elements are indexed in BFS order from the identity (index 0). `mult` is
+    the int32 array of index products, `mult[a, b]` = index of a*b, and
+    `mult_flat` a flat view of the same buffer for scalar reads; `inv` holds
+    the index inverses. These are the workhorse for wreath base arithmetic and
+    automorphism propagation.
     """
 
     def __init__(self, group: PermGroup, cap: int = TABLE_CAP):
@@ -395,25 +396,51 @@ class TableGroup:
             raise CapacityExceeded("group too large for a multiplication table")
         self.group = group
         self.elements = elems
-        self.size = len(elems)
-        self.index = {p.key(): i for i, p in enumerate(elems)}
+        size = self.size = len(elems)
         self.elem_bytes = tuple(p.key() for p in elems)
-        deg = group.degree
-        # images matrix: rows = elements, columns = points (0-based values)
-        mat = np.array([p.images for p in elems], dtype=np.int32) - 1
-        lookup = {p.key(): i for i, p in enumerate(elems)}
-        mult = np.empty((self.size, self.size), dtype=np.int32)
-        # row a of the table: (a*b)(i) = b(a(i)), vectorized over all b
-        for a in range(self.size):
-            products = (mat[:, mat[a]] + 1).astype(np.uint8)  # shape (size, degree)
-            mult[a] = [lookup[p.tobytes()] for p in products]
-        self.mult_flat = array("i", mult.reshape(-1).tolist())
-        self.mult = mult
-        self.inv = array("i", [0] * self.size)
-        for a in range(self.size):
-            self.inv[a] = int(np.where(mult[a] == 0)[0][0])
-        self.order_of = tuple(p.order() for p in elems)
+        self.index = {k: i for i, k in enumerate(self.elem_bytes)}
         self.gen_indices = tuple(self.index[g.key()] for g in group.generators)
+        # images matrix: rows = elements, columns = points (0-based values)
+        mat = np.array([p.images for p in elems], dtype=np.intp) - 1
+        # per generator s: right[a] = idx(a*s), left[b] = idx(s*b), where
+        # (a*b)(i) = b(a(i)); these are the only products looked up
+        maps = [
+            (self._lookup(mat[s][mat]).tolist(), self._lookup(mat[:, mat[s]]))
+            for s in self.gen_indices
+        ]
+        # by associativity (a*s)*b = a*(s*b): row a*s is row a read through
+        # left; BFS over right multiplication reaches every row from row 0
+        mult = np.empty((size, size), dtype=np.int32)
+        mult[0] = np.arange(size)
+        filled = [False] * size
+        filled[0] = True
+        rows = [0]
+        for a in rows:
+            for right, left in maps:
+                t = right[a]
+                if not filled[t]:
+                    filled[t] = True
+                    np.take(mult[a], left, out=mult[t])
+                    rows.append(t)
+        if len(rows) != size:
+            raise InternalCheckError(
+                f"multiplication table: {size - len(rows)} rows unreached"
+            )
+        self.mult = mult
+        self.mult_flat = memoryview(mult.reshape(-1))
+        inv_rows, inv = np.nonzero(mult == 0)
+        if not np.array_equal(inv_rows, np.arange(size)):
+            raise InternalCheckError("multiplication table: identity not once per row")
+        self.inv = tuple(inv.tolist())
+        self.order_of = tuple(p.order() for p in elems)
+
+    def _lookup(self, images: np.ndarray) -> np.ndarray:
+        """Indices of the elements whose 0-based image rows are given."""
+        keys = (images + 1).astype(np.uint8)
+        try:
+            return np.array([self.index[r.tobytes()] for r in keys], dtype=np.intp)
+        except KeyError:
+            raise InternalCheckError("a product of two elements is not in the element list")
 
     def idx(self, p: Permutation) -> int:
         try:

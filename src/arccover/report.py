@@ -98,9 +98,15 @@ class JobSpec:
         for name in ("catalog", "out_dir", "label"):
             if getattr(self, name) is not None and not isinstance(getattr(self, name), str):
                 raise ValidationError(f"job field {name!r} must be a string")
+        for name in ("vertex_cap", "enum_cap"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"job field {name!r} must be at least 1")
         budget = self.time_budget
-        if budget is not None and not (_is_int(budget) or isinstance(budget, float)):
-            raise ValidationError("job field 'time_budget' must be a number")
+        if budget is not None:
+            if not (_is_int(budget) or isinstance(budget, float)):
+                raise ValidationError("job field 'time_budget' must be a number")
+            if not budget >= 0:  # also rejects NaN
+                raise ValidationError("job field 'time_budget' must be at least 0")
         if not isinstance(self.formats, (list, tuple)):
             raise ValidationError("job field 'formats' must be a list of format names")
         object.__setattr__(self, "formats", tuple(self.formats))

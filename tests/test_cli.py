@@ -96,6 +96,15 @@ def test_decompose_verb_reports_d(capsys):
     assert "graph-build" not in by_id
 
 
+@pytest.mark.parametrize("flag,value", [("--vertex-cap", "-5"), ("--enum-cap", "0")])
+def test_cap_below_one_rejected_before_work(capsys, flag, value):
+    code, out, _ = run_cli(["graph", *JOB1_FLAGS, flag, value], capsys)
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["rejected"] is True
+    assert "must be at least 1" in payload["reason"]
+
+
 def test_graph_verb_capacity_exit(capsys):
     code, out, _ = run_cli(["graph", *JOB1_FLAGS, "--vertex-cap", "100"], capsys)
     assert code == 3
@@ -197,6 +206,29 @@ def test_missing_catalog_file_rejected(tmp_path, capsys):
     code, out, _ = run_cli(["validate", *JOB1_FLAGS, "--catalog", str(catalog)], capsys)
     assert code == 2
     assert f"cannot read catalog file {catalog}" in json.loads(out)["reason"]
+
+
+@pytest.mark.parametrize(
+    "entry,fragment",
+    [
+        ({"degree": "five", "generators": ["(1,2,3)"]}, "'degree' must be an integer in 1..255"),
+        ({"degree": True, "generators": ["(1,2,3)"]}, "'degree' must be an integer in 1..255"),
+        ({"degree": 0, "generators": []}, "'degree' must be an integer in 1..255"),
+        ({"degree": 300, "generators": ["(1,2,3)"]}, "'degree' must be an integer in 1..255"),
+        ({"degree": 5, "generators": [12]}, "'generators' must be a list of cycle strings"),
+        ({"degree": 5, "generators": "(1,2,3)"}, "'generators' must be a list of cycle strings"),
+    ],
+)
+def test_malformed_catalog_entry_rejected(tmp_path, capsys, entry, fragment):
+    catalog = tmp_path / "groups.json"
+    catalog.write_text(json.dumps({"X": entry}))
+    code, out, _ = run_cli(
+        ["validate", "--n", "4", "--group", "X", "--x", "(1,2)", "--y", "(1,2,3)",
+         "--catalog", str(catalog)],
+        capsys,
+    )
+    assert code == 2
+    assert f"catalog entry 'X': {fragment}" in json.loads(out)["reason"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,10 @@
 """Group engine: chains and orders, actions, kernels, tables, automorphisms."""
 
-import random
-
+import numpy as np
 import pytest
 
 from arccover.catalog import resolve_group
-from arccover.errors import CapacityExceeded, ValidationError
+from arccover.errors import CapacityExceeded, InternalCheckError, ValidationError
 from arccover.groups import (
     PermGroup,
     TableGroup,
@@ -167,17 +166,41 @@ def test_schreier_kernel_image_cap():
 
 
 def test_table_group_matches_permutation_arithmetic():
-    t = TableGroup(resolve_group("A5"))
-    assert t.size == 60
-    rng = random.Random(99)
-    for _ in range(200):
-        a = rng.randrange(60)
-        b = rng.randrange(60)
-        assert t.elem(t.multiply(a, b)) == t.elem(a) * t.elem(b)
-        assert t.multiply(a, t.invert(a)) == 0
-    assert t.elem(0).is_identity()
-    for i in (1, 7, 33):
-        assert t.order_of[i] == t.elem(i).order()
+    groups = [
+        (resolve_group("A5"), 60),
+        (resolve_group("A6"), 360),
+        (resolve_group("PSL27"), 168),
+        (group("(1,2)", "(1,2,3,4)", degree=4), 24),  # S4
+        (group("(1,2,3,4,5,6,7)", degree=7), 7),  # Z7, one generator
+        (PermGroup([], degree=3), 1),  # trivial: a 1x1 table
+    ]
+    for g, size in groups:
+        t = TableGroup(g)
+        assert t.size == size
+        assert t.mult.shape == (size, size)
+        # one |T|^2 buffer: the flat view reads the 2-D table's memory
+        assert np.shares_memory(t.mult_flat, t.mult)
+        assert t.elem(0).is_identity()
+        elems = t.elements
+        for a in range(size):
+            for b in range(size):
+                assert t.elem(t.multiply(a, b)) == elems[a] * elems[b]
+            assert t.multiply(a, t.invert(a)) == 0
+            assert t.order_of[a] == elems[a].order()
+
+
+def test_table_build_rejects_an_inconsistent_element_list():
+    # products leaving the list: half of A5
+    half = resolve_group("A5")
+    half._elements = half.elements()[:30]
+    with pytest.raises(InternalCheckError, match="not in the element list"):
+        TableGroup(half)
+    # closed under the generators' products but not generated by them: the
+    # odd permutations of S5 listed for A5 are never reached from row 0
+    a5 = resolve_group("A5")
+    a5._elements = group("(1,2)", "(1,2,3,4,5)", degree=5).elements()
+    with pytest.raises(InternalCheckError, match="60 rows unreached"):
+        TableGroup(a5)
 
 
 def test_table_cap():

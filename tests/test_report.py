@@ -56,6 +56,17 @@ def test_job_file_roundtrip(tmp_path):
          "unknown export format"),
         ({"n": 4, "group": "A5", "x": "(1,2)", "y": "(1,2,3)", "seed": 0},
          "unknown job file keys: seed"),
+        ({"n": 4, "group": "A5", "x": "(1,2)", "y": "(1,2,3)", "vertex_cap": -5},
+         "'vertex_cap' must be at least 1"),
+        ({"n": 4, "group": "A5", "x": "(1,2)", "y": "(1,2,3)", "vertex_cap": 0},
+         "'vertex_cap' must be at least 1"),
+        ({"n": 4, "group": "A5", "x": "(1,2)", "y": "(1,2,3)", "enum_cap": 0},
+         "'enum_cap' must be at least 1"),
+        ({"n": 4, "group": "A5", "x": "(1,2)", "y": "(1,2,3)", "time_budget": -0.5},
+         "'time_budget' must be at least 0"),
+        ({"n": 4, "group": "A5", "x": "(1,2)", "y": "(1,2,3)",
+          "time_budget": float("nan")},
+         "'time_budget' must be at least 0"),
     ],
 )
 def test_job_file_rejections(tmp_path, raw, fragment):
