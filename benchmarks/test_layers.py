@@ -3,16 +3,22 @@
     python -m pytest benchmarks --benchmark-only
 
 Each benchmark times one layer on its own: the multiplication-table build of
-an enumerable T (A7 and PSL(2,13), generated as in perfbench/jobs.py) and an
+an enumerable T (A7 and PSL(2,13), generated as in perfbench/jobs.py), an
 index-mode wreath product at n = 7, which reads the table through
-`TableGroup.mult_flat` once per cycle position (k = 360).
+`TableGroup.mult_flat` once per cycle position (k = 360), and, on the
+240-vertex cover of K4 of example-1 (n = 4, A5, (1,2)(3,4), (1,2,3,4,5)), the
+coset-graph BFS, the quotient by the kernel M and the canonical coset
+representative.
 """
 
 import pytest
 
-from arccover.groups import PermGroup, TableGroup
-from arccover.perm import parse_cycles
-from arccover.wreath import WreathContext
+from arccover.catalog import resolve_group
+from arccover.cosetgraph import build_coset_graph, quotient_graph
+from arccover.groups import PermGroup, TableGroup, schreier_kernel_generators
+from arccover.perm import Permutation, parse_cycles
+from arccover.subdirect import subdirect_decompose
+from arccover.wreath import CoverJob, WreathContext, WreathElement, build_cover_group
 
 GROUPS = {
     "A7": (7, ["(1,2,3)", "(1,2,3,4,5,6,7)"]),
@@ -40,3 +46,40 @@ def test_wreath_product_index_mode_n7(benchmark):
     w = benchmark(u.__mul__, v)
     assert w.sigma == u.sigma * v.sigma
     assert w.f[0] == table.multiply(u.f[0], v.f[ctx.comp_map(u.sigma)[0]])
+
+
+@pytest.fixture(scope="module")
+def example1():
+    """The cover group data, its 240-vertex coset graph and generators of M."""
+    job = CoverJob(n=4, group=resolve_group("A5"), x=parse_cycles("(1,2)(3,4)", 5),
+                   y=parse_cycles("(1,2,3,4,5)", 5))
+    data = build_cover_group(job)
+    kgens = schreier_kernel_generators(
+        data.y_gens, lambda w: w.sigma, data.ctx.identity_element()
+    )
+    rows = subdirect_decompose(kgens, table=data.ctx.table).generators
+    ident = Permutation.identity(4)
+    m_gens = [WreathElement(data.ctx, tuple(row), ident) for row in rows]
+    return data, build_coset_graph(data.h_elements(), data.g), m_gens
+
+
+def test_build_coset_graph_example1(benchmark, example1):
+    data, _, _ = example1
+    graph = benchmark(build_coset_graph, data.h_elements(), data.g)
+    assert graph.order == 240
+
+
+def test_quotient_by_m_example1(benchmark, example1):
+    _, graph, m_gens = example1
+    cert = benchmark(quotient_graph, graph, m_gens)
+    assert cert.quotient_order == 4 and cert.quotient_is_complete
+
+
+def test_canonical_rep_example1(benchmark, example1):
+    """The representative of g·w for each of the 240 vertex representatives w,
+    with the per-top cache warm, as in the BFS and the quotient."""
+    data, graph, _ = example1
+    canon = graph.canon
+    sample = [data.g * w for w in graph.reps]
+    reps = benchmark(lambda: [canon.rep(u) for u in sample])
+    assert {r.key() for r in reps} <= graph.index.keys()

@@ -3,9 +3,11 @@
 The graph Cos(Y, H, HgH) has the right cosets of H as vertices, with Hx ~ Hy
 iff y x^-1 in HgH. It is built by BFS from the trivial coset: the neighbors
 of Hw are H(g h w) for h ranging over a right transversal of H ∩ H^g in H.
-Cosets are identified by a canonical key: the minimum of the serialized keys
-of h*w over h in H. Vertices are renumbered by sorted key after the BFS, so
-vertex ids do not depend on discovery order.
+Every coset Hw is identified by one canonical representative, the element of
+Hw with the least serialized key (`_Canonicalizer.rep`); the same primitive
+names the vertex of a product in the quotient and the coset of H ∩ H^g in the
+2-arc-transitivity check. Vertices are renumbered by sorted representative key
+after the BFS, so vertex ids do not depend on discovery order.
 """
 
 from __future__ import annotations
@@ -16,87 +18,78 @@ from typing import Optional, Sequence
 from .errors import CapacityExceeded, InternalCheckError, ValidationError
 from .groups import conj_intersection, is_2_transitive, right_transversal
 from .perm import Permutation
+from .wreath import WreathElement
 
 VERTEX_CAP_DEFAULT = 2_000_000
 
 
 class _Canonicalizer:
-    """Canonical coset keys, with a fast path for embedded top-only subgroups.
+    """Canonical coset representatives, with a fast path for top-only subgroups.
 
-    Generic path: minimum of (h*w).key() over all h in H. When every H element
+    Generic path: the h*w of least key over all h in H. When every H element
     is a wreath element with trivial base part, the candidates h*w share no top
     part, keys sort by top part first, and the minimum is attained at a single
-    precomputed h per top value of w — one reindex, no group arithmetic.
+    h per top value of w: its top and position map are cached per top value,
+    so a representative costs one reindex and no group arithmetic.
     """
 
     def __init__(self, h_elements: Sequence):
         self.h_elements = list(h_elements)
-        self.fast = False
+        self._tops = None
         first = self.h_elements[0]
-        from .wreath import WreathElement
-
         if isinstance(first, WreathElement):
-            ctx = first.ctx
-            ident = ctx.identity_entry
+            ident = first.ctx.identity_entry
             if all(
                 isinstance(h, WreathElement) and all(e == ident for e in h.f)
                 for h in self.h_elements
             ):
-                self.fast = True
-                self.ctx = ctx
+                self.ctx = first.ctx
                 self._tops = [h.sigma for h in self.h_elements]
-                self._by_sigma: dict[tuple, tuple[bytes, tuple[int, ...]]] = {}
+                # top images -> (least top, its position map), or () when the
+                # minimizing h is the identity: w is then its own representative,
+                # and () keeps that case apart from a miss (None)
+                self._by_sigma: dict[tuple, tuple] = {}
 
-    def key(self, w) -> bytes:
-        if not self.fast:
-            return min((h * w).key() for h in self.h_elements)
-        ctx = self.ctx
+    def rep(self, w):
+        """The element of Hw with the least key."""
+        if self._tops is None:
+            return min((h * w for h in self.h_elements), key=lambda u: u.key())
         sig = w.sigma
         entry = self._by_sigma.get(sig.images)
         if entry is None:
             best = min(self._tops, key=lambda t: (t * sig).images)
-            entry = (bytes((best * sig).images), ctx.comp_map(best))
+            entry = () if best.is_identity() else (best * sig, self.ctx.comp_map(best))
             self._by_sigma[sig.images] = entry
-        sigma_bytes, amap = entry
+        if not entry:
+            return w
+        top, amap = entry
         f = w.f
-        if ctx.index_mode:
-            eb = ctx.table.elem_bytes
-            return sigma_bytes + b"".join([eb[f[m]] for m in amap])
-        return sigma_bytes + b"".join([f[m].key() for m in amap])
-
-    def representative(self, w):
-        """The element of Hw whose key is canonical."""
-        if not self.fast:
-            return min((h * w for h in self.h_elements), key=lambda u: u.key())
-        best = min(self._tops, key=lambda t: (t * w.sigma).images)
-        h = self.ctx.embed_top(best)
-        return h * w
+        return WreathElement(self.ctx, tuple([f[m] for m in amap]), top)
 
 
 @dataclass
 class CosetGraph:
-    """An undirected regular graph on canonical coset keys."""
+    """An undirected regular graph on canonical coset representatives."""
 
     adjacency: list[tuple[int, ...]]
-    keys: list[bytes]
     reps: list
+    index: dict[bytes, int]  # representative key -> vertex, in sorted key order
     valency: int
     subgroup_order: int
     canon: _Canonicalizer
-    meta: dict
 
     @property
     def order(self) -> int:
         return len(self.adjacency)
 
     def index_of_key(self, key: bytes) -> int:
-        idx = self.meta["_key_index"].get(key)
+        idx = self.index.get(key)
         if idx is None:
             raise ValidationError("key does not name a vertex of this graph")
         return idx
 
     def vertex_of(self, w) -> int:
-        return self.index_of_key(self.canon.key(w))
+        return self.index_of_key(self.canon.rep(w).key())
 
 
 def build_coset_graph(
@@ -122,10 +115,9 @@ def build_coset_graph(
     valency = len(seeds)
 
     canon = _Canonicalizer(h_elements)
-    identity = h_elements[0] * h_elements[0].inverse()
-    start_key = canon.key(identity)
-    key_index: dict[bytes, int] = {start_key: 0}
-    reps = [canon.representative(identity)]
+    start = canon.rep(h_elements[0] * h_elements[0].inverse())
+    key_index: dict[bytes, int] = {start.key(): 0}
+    reps = [start]
     adjacency: list[Optional[tuple[int, ...]]] = [None]
     frontier = [0]
     while frontier:
@@ -134,8 +126,8 @@ def build_coset_graph(
             w = reps[v]
             nbrs = []
             for p in seeds:
-                u = p * w
-                uk = canon.key(u)
+                u = canon.rep(p * w)
+                uk = u.key()
                 idx = key_index.get(uk)
                 if idx is None:
                     idx = len(reps)
@@ -146,7 +138,7 @@ def build_coset_graph(
                             frontier=len(next_frontier),
                         )
                     key_index[uk] = idx
-                    reps.append(canon.representative(u))
+                    reps.append(u)
                     adjacency.append(None)
                     next_frontier.append(idx)
                 nbrs.append(idx)
@@ -155,13 +147,15 @@ def build_coset_graph(
             adjacency[v] = tuple(nbrs)
         frontier = next_frontier
 
-    # renumber vertices by sorted canonical key
+    # renumber vertices by sorted canonical key; the discovery-order dict is
+    # dropped before the sorted one is built, so the two never coexist
     order = len(reps)
     sorted_keys = sorted(key_index)
-    rank = {k: i for i, k in enumerate(sorted_keys)}
     remap = [0] * order
-    for k, old in key_index.items():
-        remap[old] = rank[k]
+    for i, k in enumerate(sorted_keys):
+        remap[key_index[k]] = i
+    del key_index
+    index = dict(zip(sorted_keys, range(order)))
     new_adj: list[tuple[int, ...]] = [()] * order
     new_reps = [None] * order
     for old in range(order):
@@ -169,12 +163,11 @@ def build_coset_graph(
         new_reps[remap[old]] = reps[old]
     graph = CosetGraph(
         adjacency=new_adj,
-        keys=sorted_keys,
         reps=new_reps,
+        index=index,
         valency=valency,
         subgroup_order=len(h_elements),
         canon=canon,
-        meta={"_key_index": {k: i for i, k in enumerate(sorted_keys)}},
     )
     _check_symmetric(graph.adjacency)
     return graph
@@ -189,37 +182,6 @@ def _check_symmetric(adjacency: Sequence[Sequence[int]]) -> None:
                 raise InternalCheckError(f"edge {v}->{u} has no reverse")
 
 
-def verify_connected(graph: CosetGraph, group_order: int, subgroup_order: int) -> dict:
-    """Compare reached vertices against the independent coset count |Y|/|H|."""
-    if group_order % subgroup_order:
-        raise ValidationError("subgroup order does not divide group order")
-    expected = group_order // subgroup_order
-    reached = _component_size(graph.adjacency, 0)
-    return {
-        "expected_cosets": expected,
-        "built_vertices": graph.order,
-        "reached_from_start": reached,
-        "ok": graph.order == expected and reached == expected,
-    }
-
-
-def _component_size(adjacency: Sequence[Sequence[int]], start: int) -> int:
-    seen = bytearray(len(adjacency))
-    seen[start] = 1
-    frontier = [start]
-    count = 1
-    while frontier:
-        new_frontier = []
-        for v in frontier:
-            for u in adjacency[v]:
-                if not seen[u]:
-                    seen[u] = 1
-                    count += 1
-                    new_frontier.append(u)
-        frontier = new_frontier
-    return count
-
-
 def two_arc_transitive(h_elements: Sequence, g, h_gens: Optional[Sequence] = None) -> dict:
     """Whether the coset graph is 2-arc-transitive under its defining group.
 
@@ -229,18 +191,11 @@ def two_arc_transitive(h_elements: Sequence, g, h_gens: Optional[Sequence] = Non
     kernel = conj_intersection(h_elements, g)
     transversal = right_transversal(kernel, h_elements)
     index = len(transversal)
-    coset_key_to_pos: dict[bytes, int] = {}
-    for pos, rep in enumerate(transversal):
-        coset_key_to_pos[min((z * rep).key() for z in kernel)] = pos
-
-    def coset_pos(w) -> int:
-        return coset_key_to_pos[min((z * w).key() for z in kernel)]
-
+    canon = _Canonicalizer(kernel)
+    pos_of = {canon.rep(t).key(): pos for pos, t in enumerate(transversal)}
     action_gens = []
     for h in h_gens if h_gens is not None else h_elements:
-        images = [0] * index
-        for pos, rep in enumerate(transversal):
-            images[pos] = coset_pos(rep * h) + 1
+        images = [pos_of[canon.rep(t * h).key()] + 1 for t in transversal]
         action_gens.append(Permutation(images))
     ok = is_2_transitive(action_gens, index)
     return {"index": index, "two_transitive": ok}

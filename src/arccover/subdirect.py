@@ -203,23 +203,25 @@ def _decompose_object(rows: list[tuple], k: int, group: PermGroup) -> SubdirectS
             "object-mode decomposition requires a natural alternating group; "
             "enumerate T and pass a table instead"
         )
+    # the shortest generating prefix of each column's rows: one element
+    # generates a cyclic group, never T, so prefixes start at two rows; the
+    # whole column generates T iff such a prefix exists and the rest lies in T
+    prefix: list[int] = []
     for j in range(k):
-        if group_order([row[j] for row in rows], degree) != t_order:
+        column = [row[j] for row in rows]
+        length = next(
+            (m for m in range(2, len(rows) + 1)
+             if group_order(column[:m], degree) == t_order),
+            None,
+        )
+        if length is None or not all(map(group.contains, column[length:])):
             raise ValidationError(f"component {j} projection generates a proper subgroup")
+        prefix.append(length)
 
     fingerprints = [
         tuple(sorted(row[j].order() for row in rows)) for j in range(k)
     ]
 
-    def rows_generating(j: int) -> list[int]:
-        chosen: list[int] = []
-        for r in range(len(rows)):
-            chosen.append(r)
-            if group_order([rows[i][j] for i in chosen], degree) == t_order:
-                return chosen
-        raise InternalCheckError("column stopped generating between two checks")
-
-    base_rows: dict[int, list[int]] = {}
     base_of = list(range(k))
     links: list[Optional[AutomorphismMap]] = [None] * k
     bases: list[int] = []
@@ -228,9 +230,9 @@ def _decompose_object(rows: list[tuple], k: int, group: PermGroup) -> SubdirectS
         for b in bases:
             if fingerprints[b] != fingerprints[j]:
                 continue
-            rows_b = base_rows[b]
+            base_rows = rows[: prefix[b]]
             candidates = conjugating_permutations(
-                [rows[r][b] for r in rows_b], [rows[r][j] for r in rows_b], degree
+                [row[b] for row in base_rows], [row[j] for row in base_rows], degree
             )
             survivors = [
                 c
@@ -246,7 +248,6 @@ def _decompose_object(rows: list[tuple], k: int, group: PermGroup) -> SubdirectS
                 break
         if not linked:
             bases.append(j)
-            base_rows[j] = rows_generating(j)
 
     blocks = _blocks_from(base_of, k)
     return SubdirectStructure(

@@ -105,6 +105,17 @@ def test_cap_below_one_rejected_before_work(capsys, flag, value):
     assert "must be at least 1" in payload["reason"]
 
 
+def test_format_without_out_rejected_before_work(capsys, monkeypatch):
+    import arccover.report as report
+
+    monkeypatch.setattr(report, "build_cover_group", lambda job: pytest.fail("pipeline ran"))
+    code, out, _ = run_cli(["graph", *JOB1_FLAGS, "--format", "edge-list"], capsys)
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["rejected"] is True
+    assert "output directory" in payload["reason"]
+
+
 def test_graph_verb_capacity_exit(capsys):
     code, out, _ = run_cli(["graph", *JOB1_FLAGS, "--vertex-cap", "100"], capsys)
     assert code == 3

@@ -15,7 +15,6 @@ from arccover.cosetgraph import (
     graph_invariants,
     quotient_graph,
     two_arc_transitive,
-    verify_connected,
 )
 from arccover.errors import CapacityExceeded, ValidationError
 from arccover.groups import closure
@@ -72,7 +71,8 @@ def test_complete_graph_on_point_stabilizer():
     assert graph.order == 4
     assert graph.valency == 3
     assert graph.adjacency == [(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)]
-    assert verify_connected(graph, 24, 6)["ok"]
+    assert graph.order == 24 // 6
+    assert graph_invariants(graph.adjacency)["components"] == 1
     stats = two_arc_transitive(h, g)
     assert stats == {"index": 3, "two_transitive": True}
 
@@ -85,7 +85,8 @@ def test_petersen_graph_from_pair_stabilizer():
     graph = build_coset_graph(h, g)
     assert graph.order == 10
     assert is_petersen(graph.adjacency)
-    assert verify_connected(graph, 120, 12)["ok"]
+    assert graph.order == 120 // 12
+    assert graph_invariants(graph.adjacency)["components"] == 1
     assert two_arc_transitive(h, g, h_gens=gens)["two_transitive"]
 
 
@@ -122,7 +123,7 @@ def test_cover_graph_invariants():
     assert graph.order == 240
     assert graph.valency == 3
     assert graph.subgroup_order == 6
-    assert verify_connected(graph, 1440, 6)["ok"]
+    assert graph.order == 1440 // 6
     inv = graph_invariants(graph.adjacency)
     assert inv == {"order": 240, "valency": 3, "components": 1, "girth": 9}
 
@@ -152,19 +153,57 @@ def test_vertex_lookup_constant_on_cosets():
         graph.index_of_key(b"\x00nonsense")
 
 
-def test_fast_and_generic_canonical_keys_agree():
-    data, graph = cover_graph()
-    h_elems = data.h_elements()
-    fast = _Canonicalizer(h_elems)
-    generic = _Canonicalizer(h_elems)
-    generic.fast = False
-    assert fast.fast
+def test_vertex_index_is_sorted_and_names_each_representative():
+    _, graph = cover_graph()
+    assert list(graph.index) == sorted(graph.index)
+    assert len(graph.index) == graph.order
+    for v, w in enumerate(graph.reps):
+        assert graph.index[w.key()] == v
+
+
+def canonical_cases():
+    """(H, sample of group elements w) for the three kinds of H in use: top-only
+    wreath elements over a table (the 240-vertex cover) and over Permutation
+    entries (A11, object mode), and plain permutations (the Petersen H)."""
     rng = random.Random(17)
-    sample = [graph.reps[rng.randrange(graph.order)] for _ in range(30)]
-    sample += [data.g * w for w in sample[:10]]
-    for w in sample:
-        assert fast.key(w) == generic.key(w)
-        assert fast.representative(w).key() == generic.representative(w).key()
+    data, graph = cover_graph()
+    table_sample = [graph.reps[rng.randrange(graph.order)] for _ in range(30)]
+    table_sample += [data.g * w for w in table_sample[:10]]
+
+    a11 = CoverJob(
+        n=4,
+        group=resolve_group("A11"),
+        x=P("(1,2)(3,6)", 11),
+        y=P("(1,2,3,4,5,6,7,8,9,10,11)", 11),
+        group_name="A11",
+    )
+    obj = build_cover_group(a11)
+    assert not obj.ctx.index_mode
+    word = obj.ctx.identity_element()
+    object_sample = []
+    for _ in range(30):
+        word = word * rng.choice(obj.y_gens)
+        object_sample.append(word)
+
+    petersen_h = closure([P("(1,2)", 5), P("(1,2,3)", 5), P("(4,5)", 5)], Permutation.identity(5))
+    s5 = closure([P("(1,2)", 5), P("(1,2,3,4,5)", 5)], Permutation.identity(5))
+    return [
+        (data.h_elements(), table_sample),
+        (obj.h_elements(), object_sample),
+        (petersen_h, s5),
+    ]
+
+
+def test_canonical_representative_is_least_key_in_coset():
+    for h_elems, sample in canonical_cases():
+        canon = _Canonicalizer(h_elems)
+        # wreath-valued H here is top-only, so the cached-top path runs
+        assert (canon._tops is not None) == isinstance(h_elems[0], WreathElement)
+        h_keys = {h.key() for h in h_elems}
+        for w in sample:
+            r = canon.rep(w)
+            assert r.key() == min((h * w).key() for h in h_elems)
+            assert (r * w.inverse()).key() in h_keys
 
 
 def test_vertex_cap_interrupts_search():

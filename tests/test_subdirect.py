@@ -146,6 +146,31 @@ def test_kernel_six_blocks_for_eleven_cycle_object_mode():
     )
 
 
+def test_object_mode_builds_one_chain_per_column(monkeypatch):
+    """Each column's generating prefix is found once: for the six A11 columns,
+    whose first two rows already generate, that is six stabilizer chains."""
+    from arccover import groups
+
+    a11 = resolve_group("A11")
+    job = CoverJob(
+        n=4, group=a11, x=P("(1,2)(3,6)", 11), y=P("(1,2,3,4,5,6,7,8,9,10,11)", 11)
+    )
+    data = build_cover_group(job)
+    kgens = schreier_kernel_generators(
+        data.y_gens, lambda w: w.sigma, data.ctx.identity_element()
+    )
+    a11.order()  # the group's own chain is not part of the count
+    built = []
+    init = groups.StabilizerChain.__init__
+    monkeypatch.setattr(
+        groups.StabilizerChain, "__init__",
+        lambda self, *args: built.append(1) or init(self, *args),
+    )
+    s = subdirect_decompose(kgens, group=a11)
+    assert s.blocks == ((0,), (1,), (2,), (3,), (4,), (5,))
+    assert len(built) == 6
+
+
 def test_blocks_invariant_under_conjugation():
     data, s = kernel_structure(Y2)
     blocks = {frozenset(blk) for blk in s.blocks}
