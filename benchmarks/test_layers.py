@@ -5,10 +5,12 @@
 Each benchmark times one layer on its own: the multiplication-table build of
 an enumerable T (A7 and PSL(2,13), generated as in perfbench/jobs.py), an
 index-mode wreath product at n = 7, which reads the table through
-`TableGroup.mult_flat` once per cycle position (k = 360), and, on the
-240-vertex cover of K4 of example-1 (n = 4, A5, (1,2)(3,4), (1,2,3,4,5)), the
-coset-graph BFS, the quotient by the kernel M and the canonical coset
-representative.
+`TableGroup.mult_flat` once per cycle position (k = 360), the subdirect
+decomposition of a Schreier kernel by each linking route (table propagation
+on the n = 7 A5 kernel, 1004 rows over k = 720; the conjugator search on the
+n = 4 A11 kernel of example-3), and, on the 240-vertex cover of K4 of
+example-1 (n = 4, A5, (1,2)(3,4), (1,2,3,4,5)), the coset-graph BFS, the
+quotient by the kernel M and the canonical coset representative.
 """
 
 import pytest
@@ -37,8 +39,8 @@ def test_table_build(benchmark, name):
 
 def test_wreath_product_index_mode_n7(benchmark):
     a5 = PermGroup.from_cycle_strings(["(1,2)(3,4)", "(1,2,3,4,5)"], 5)
-    table = TableGroup(a5)
-    ctx = WreathContext(7, a5, table)
+    table = a5.table()
+    ctx = WreathContext(7, a5)
     entries = [i % table.size for i in range(ctx.k)]
     u = ctx.from_assignment(entries, parse_cycles("(1,2,3,4,5,6,7)", 7))
     v = ctx.from_assignment(entries[::-1], parse_cycles("(1,2)", 7))
@@ -46,6 +48,28 @@ def test_wreath_product_index_mode_n7(benchmark):
     w = benchmark(u.__mul__, v)
     assert w.sigma == u.sigma * v.sigma
     assert w.f[0] == table.multiply(u.f[0], v.f[ctx.comp_map(u.sigma)[0]])
+
+
+def kernel_rows(n, group, x, y):
+    """The Schreier generators of the kernel of the top projection."""
+    job = CoverJob(n=n, group=group, x=parse_cycles(x, group.degree),
+                   y=parse_cycles(y, group.degree))
+    data = build_cover_group(job)
+    return schreier_kernel_generators(
+        data.y_gens, lambda w: w.sigma, data.ctx.identity_element()
+    )
+
+
+@pytest.mark.parametrize("name, n, x, y, d", [
+    ("A5", 7, "(1,2)(3,4)", "(1,2,3,4,5)", 360),
+    ("A11", 4, "(1,2)(3,6)", "(1,2,3,4,5,6,7,8,9,10,11)", 6),
+], ids=["A5-n7-table", "A11-n4-conjugator"])
+def test_subdirect_decompose(benchmark, name, n, x, y, d):
+    group = resolve_group(name)
+    kgens = kernel_rows(n, group, x, y)
+    structure = benchmark(subdirect_decompose, kgens, group)
+    assert structure.block_count == d
+    assert (group.table() is None) == (name == "A11")
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +81,7 @@ def example1():
     kgens = schreier_kernel_generators(
         data.y_gens, lambda w: w.sigma, data.ctx.identity_element()
     )
-    rows = subdirect_decompose(kgens, table=data.ctx.table).generators
+    rows = subdirect_decompose(kgens, data.ctx.group).generators
     ident = Permutation.identity(4)
     m_gens = [WreathElement(data.ctx, tuple(row), ident) for row in rows]
     return data, build_coset_graph(data.h_elements(), data.g), m_gens

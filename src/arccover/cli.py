@@ -19,13 +19,10 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from ._version import __version__
-from .catalog import resolve_group
 from .cosetgraph import VERTEX_CAP_DEFAULT
 from .errors import CapacityExceeded, ValidationError
 from .groups import ENUM_CAP_DEFAULT
-from .perm import parse_cycles
 from .report import EXPORT_SUFFIX, SUITE_NAMES, JobSpec, run_job, run_suite
-from .wreath import CoverJob
 
 _PHASE_OF_VERB = {
     "construct": "construct",
@@ -87,10 +84,7 @@ def _emit(payload: dict) -> None:
 
 def _run_validate(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    group = resolve_group(spec.group, spec.catalog)
-    x = parse_cycles(spec.x, group.degree)
-    y = parse_cycles(spec.y, group.degree)
-    job = CoverJob(n=spec.n, group=group, x=x, y=y, group_name=spec.group)
+    job = spec.cover_job()
     problems = job.problems()
     if problems:
         _emit({"valid": False, "job": spec.echo(), "problems": problems})
@@ -99,9 +93,9 @@ def _run_validate(args: argparse.Namespace) -> int:
         {
             "valid": True,
             "job": spec.echo(),
-            "group_order": group.order(),
-            "x_order": x.order(),
-            "y_order": y.order(),
+            "group_order": job.group.order(),
+            "x_order": job.x.order(),
+            "y_order": job.y.order(),
         }
     )
     return EXIT_OK

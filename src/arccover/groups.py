@@ -248,7 +248,11 @@ class PermGroup:
         return self._elements
 
     def table(self) -> Optional[TableGroup]:
-        """The multiplication table, built once; None when |T| > TABLE_CAP."""
+        """The multiplication table, built once; None when |T| > TABLE_CAP.
+
+        Whether it exists fixes T's entry format everywhere: table indices
+        with a table, Permutations without one.
+        """
         if self._table is None and self.order() <= TABLE_CAP:
             self._table = TableGroup(self)
         return self._table

@@ -37,10 +37,6 @@ class Permutation:
     def identity(cls, degree: int) -> "Permutation":
         return cls(range(1, degree + 1))
 
-    @classmethod
-    def from_cycles(cls, text: str, degree: int) -> "Permutation":
-        return parse_cycles(text, degree)
-
     # -- basic protocol ----------------------------------------------------
 
     @property

@@ -130,6 +130,17 @@ class JobSpec:
             "enum_cap": self.enum_cap,
         }
 
+    def cover_job(self) -> CoverJob:
+        """The construction inputs: T from the catalog, x and y parsed in it."""
+        group = resolve_group(self.group, self.catalog)
+        return CoverJob(
+            n=self.n,
+            group=group,
+            x=parse_cycles(self.x, group.degree),
+            y=parse_cycles(self.y, group.degree),
+            group_name=self.group,
+        )
+
     @classmethod
     def from_file(cls, path: str) -> "JobSpec":
         try:
@@ -336,10 +347,7 @@ def run_job(spec: JobSpec, phase: str = "full") -> Certificate:
     if spec.formats and not spec.out_dir:
         raise ValidationError("export formats need an output directory (--out or 'out_dir')")
     started = time.perf_counter()
-    group = resolve_group(spec.group, spec.catalog)
-    x = parse_cycles(spec.x, group.degree)
-    y = parse_cycles(spec.y, group.degree)
-    job = CoverJob(n=spec.n, group=group, x=x, y=y, group_name=spec.group)
+    job = spec.cover_job()
     job.validate()
 
     data = build_cover_group(job)
@@ -350,9 +358,9 @@ def run_job(spec: JobSpec, phase: str = "full") -> Certificate:
         "<x, y> = T; and T is nonabelian simple",
         spec.echo(),
         {
-            "group_order": group.order(),
+            "group_order": job.group.order(),
             "x_order": 2,
-            "y_order": y.order(),
+            "y_order": job.y.order(),
             "entry_mode": "table" if data.ctx.index_mode else "object",
         },
         True,
@@ -472,16 +480,9 @@ def _kernel_generators(run: _Run):
     }, True, kgens
 
 
-def _decompose(run: _Run, gens: list):
-    ctx = run.data.ctx
-    if ctx.index_mode:
-        return subdirect_decompose(gens, table=ctx.table)
-    return subdirect_decompose(gens, group=run.data.job.group)
-
-
 def _block_structure(run: _Run):
     n = run.n
-    structure = _decompose(run, run.products["kernel-generators"])
+    structure = subdirect_decompose(run.products["kernel-generators"], run.data.job.group)
     d = structure.block_count
     report = BlockReport.build(n, d)
     order_m = run.data.job.group.order() ** d
@@ -526,7 +527,7 @@ def _block_prediction(run: _Run):
 
 def _tuple_generators(run: _Run):
     tuples = k4_tuple_data(run.data)
-    alt = _decompose(run, [tuples.t1, tuples.t2, tuples.t3])
+    alt = subdirect_decompose([tuples.t1, tuples.t2, tuples.t3], run.data.job.group)
     same = structures_equal(alt, run.products["block-structure"])
     positional = [
         [p.cycle_string() for p in row] for row in tuples.tuples_in_positions()

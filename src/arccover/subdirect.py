@@ -6,10 +6,16 @@ blocks, each block carries linking automorphisms from a base component, and
 M = { z : z_j = link_j(z_base) within each block }. This module computes that
 structure exactly from a generating set, plus the specific automorphism
 criteria that predict the block count for the n = 4 construction.
+
+Entries of T come in one format, the one `WreathContext` uses: indices into
+`PermGroup.table()` when T has a table (|T| <= TABLE_CAP), Permutations
+otherwise. The same fact picks the linking route: propagation through the
+table, or else the conjugator search, which needs T natural alternating.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -37,227 +43,174 @@ class SubdirectStructure:
     blocks: tuple[tuple[int, ...], ...]
     links: tuple[Optional[AutomorphismMap], ...]  # None exactly at block bases
     base_of: tuple[int, ...]  # component -> base component of its block
-    generators: tuple[tuple, ...]  # the generating rows this was computed from
-    table: Optional[TableGroup] = None
-    group: Optional[PermGroup] = None
+    generators: tuple[tuple, ...]  # the distinct generating rows, in input order
+    group: PermGroup
 
     @property
     def block_count(self) -> int:
         return len(self.blocks)
 
     def order(self) -> int:
-        t_order = self.table.size if self.table is not None else self.group.order()
-        return t_order ** self.block_count
+        return self.group.order() ** self.block_count
 
     def contains(self, z) -> bool:
         """Membership: within each block every entry follows its linking map."""
-        entries = _entry_tuple(z, self.k)
-        if self.table is not None:
-            entries = tuple(
-                self.table.idx(e) if isinstance(e, Permutation) else e for e in entries
-            )
-            for j in range(self.k):
-                base = self.base_of[j]
-                link = self.links[j]
-                expect = entries[base] if link is None else link.apply_index(entries[base])
-                if entries[j] != expect:
-                    return False
-            return True
-        for j in range(self.k):
-            if not isinstance(entries[j], Permutation):
-                raise ValidationError("object-mode membership needs Permutation entries")
-            base = self.base_of[j]
-            link = self.links[j]
-            expect = entries[base] if link is None else link.apply(entries[base])
-            if entries[j] != expect:
+        _, row = _entry_rows([z], self.group, self.k)
+        for j, (base, link) in enumerate(zip(self.base_of, self.links)):
+            expect = row[:, base] if link is None else _image(link, row[:, base])
+            if not np.array_equal(row[:, j], expect):
                 return False
-        return all(self.group.contains(entries[blk[0]]) for blk in self.blocks)
+        return True
 
 
-def _entry_tuple(z, k: int) -> tuple:
+def _entry_rows(
+    gens: Sequence, group: PermGroup, k: Optional[int] = None
+) -> tuple[list[tuple], np.ndarray]:
+    """The distinct rows of `gens`, in input order, and their entry matrix.
+
+    A row is a WreathElement with trivial top part or a plain tuple, all of
+    one length (k, if given). Entries must be elements of T in its entry
+    format: int indices 0..|T|-1 with a table (a bool is not an int here),
+    held as int32; Permutations lying in T without one, as an object matrix.
+    Anything else is a ValidationError.
+    """
     from .wreath import WreathElement
 
-    if isinstance(z, WreathElement):
-        if not z.sigma.is_identity():
-            raise ValidationError("element has a nontrivial top part")
-        entries = z.f
-    else:
-        entries = tuple(z)
-    if len(entries) != k:
-        raise ValidationError(f"expected {k} components, got {len(entries)}")
-    return tuple(entries)
+    rows = []
+    for z in gens:
+        if isinstance(z, WreathElement):
+            if not z.sigma.is_identity():
+                raise ValidationError("element has a nontrivial top part")
+            z = z.f
+        rows.append(tuple(z))
+    widths = set(map(len, rows))
+    if len(widths) != 1 or 0 in widths or (k is not None and widths != {k}):
+        want = "one positive length" if k is None else f"length {k}"
+        raise ValidationError(f"rows must have {want}, got lengths {sorted(widths)}")
+    table = group.table()
+    kind = int if table is not None else Permutation
+    found = set(map(type, itertools.chain.from_iterable(rows)))
+    if found != {kind}:
+        want = "int table indices" if table is not None else "Permutations"
+        got = ", ".join(sorted(t.__name__ for t in found - {kind}))
+        raise ValidationError(f"entries of T must be {want}, got {got}")
+    rows = list(dict.fromkeys(rows))
+    if table is None:
+        matrix = np.array(rows, dtype=object)
+        if not all(map(group.contains, matrix.flat)):
+            raise ValidationError("an entry is not an element of T")
+        return rows, matrix
+    matrix = np.array(rows)
+    if matrix.min() < 0 or matrix.max() >= table.size:
+        raise ValidationError(f"entries of T must be table indices 0..{table.size - 1}")
+    return rows, matrix.astype(np.int32)
 
 
-def _generator_rows(gens: Sequence) -> list[tuple]:
-    from .wreath import WreathElement
-
-    if not gens:
-        raise ValidationError("need at least one generator")
-    g0 = gens[0]
-    width = len(g0.f) if isinstance(g0, WreathElement) else len(tuple(g0))
-    return [_entry_tuple(g, width) for g in gens]
+def _image(phi: AutomorphismMap, column: np.ndarray) -> np.ndarray:
+    """phi applied to a column of entries, in the column's format."""
+    if phi.lookup is not None:
+        return phi.lookup_array()[column]
+    return np.frompyfunc(phi.apply, 1, 1)(column)
 
 
-def subdirect_decompose(
-    gens: Sequence,
-    table: Optional[TableGroup] = None,
-    group: Optional[PermGroup] = None,
-) -> SubdirectStructure:
+def subdirect_decompose(gens: Sequence, group: PermGroup) -> SubdirectStructure:
     """Block structure of the subgroup of T^k generated by `gens`.
 
-    Rows may be WreathElements with trivial top part or plain k-tuples over T
-    (indices when a table is given, Permutations otherwise). Every component
-    projection must generate T. Components are linked iff the (unique)
-    automorphism matching their generator columns exists; linking is verified
-    on every generator row before being accepted.
+    Rows are WreathElements with trivial top part or plain k-tuples, with
+    entries in T's entry format (module docstring). Components are scanned in
+    order: each is linked to the first earlier block base whose generating
+    prefix of rows extends to an automorphism mapping the base's whole column
+    onto it, and otherwise becomes a base itself, which must generate T. A
+    linked column needs no check: it is the image of a generating column.
     """
-    if (table is None) == (group is None):
-        raise ValidationError("pass exactly one of table=, group=")
-    rows = _generator_rows(gens)
-    k = len(rows[0])
-    if table is not None:
-        rows = [
-            tuple(table.idx(e) if isinstance(e, Permutation) else int(e) for e in row)
-            for row in rows
-        ]
-        return _decompose_table(rows, k, table)
-    return _decompose_object(rows, k, group)
-
-
-def _decompose_table(rows: list[tuple], k: int, table: TableGroup) -> SubdirectStructure:
-    matrix = np.unique(np.array(rows, dtype=np.int32), axis=0)
-    n_rows = matrix.shape[0]
-    orders = np.array(table.order_of, dtype=np.int32)
-
-    for j in range(k):
-        if not table.generates(set(matrix[:, j].tolist())):
-            raise ValidationError(f"component {j} projection generates a proper subgroup")
+    table = group.table()
+    if table is None and not is_natural_alternating(group):
+        raise ValidationError(
+            "without a multiplication table (|T| > TABLE_CAP) the decomposition "
+            "needs T to be a natural alternating group"
+        )
+    rows, matrix = _entry_rows(gens, group)
+    k = matrix.shape[1]
 
     # invariant under any entrywise automorphism: the sorted order profile of
     # the column, refined by the profile of products with the first row
-    sorted_orders = np.sort(orders[matrix], axis=0)
-    prod = table.mult[matrix, matrix[0]]
-    sorted_prod_orders = np.sort(orders[prod], axis=0)
+    if table is not None:
+        order_of = np.array(table.order_of, dtype=np.int32)
+        orders = order_of[matrix]
+        prod_orders = order_of[table.mult[matrix, matrix[0]]]
+    else:
+        order_of = np.frompyfunc(Permutation.order, 1, 1)
+        orders = order_of(matrix).astype(np.int32)
+        prod_orders = order_of(matrix * matrix[0]).astype(np.int32)
     fingerprints = [
-        sorted_orders[:, j].tobytes() + sorted_prod_orders[:, j].tobytes()
-        for j in range(k)
+        a.tobytes() + b.tobytes()
+        for a, b in zip(np.sort(orders, axis=0).T, np.sort(prod_orders, axis=0).T)
     ]
-
-    base_rows: dict[int, list[int]] = {}
-
-    def rows_generating(j: int) -> list[int]:
-        chosen: list[int] = []
-        vals: list[int] = []
-        for r in range(n_rows):
-            v = int(matrix[r, j])
-            if v in vals:
-                continue
-            chosen.append(r)
-            vals.append(v)
-            if table.generates(vals):
-                return chosen
-        raise InternalCheckError("column stopped generating between two checks")
 
     base_of = list(range(k))
     links: list[Optional[AutomorphismMap]] = [None] * k
-    bases: list[int] = []
+    prefixes: dict[int, list[int]] = {}  # block base -> its generating rows
     for j in range(k):
-        linked = False
-        for b in bases:
+        column = matrix[:, j]
+        for b, prefix in prefixes.items():
             if fingerprints[b] != fingerprints[j]:
                 continue
-            rows_b = base_rows[b]
-            phi = extend_to_automorphism(
-                table,
-                [int(matrix[r, b]) for r in rows_b],
-                [int(matrix[r, j]) for r in rows_b],
+            phi = _automorphism(
+                table, group.degree, matrix[prefix, b].tolist(), column[prefix].tolist()
             )
-            if phi is None:
-                continue
-            if np.array_equal(phi.lookup_array()[matrix[:, b]], matrix[:, j]):
+            if phi is not None and np.array_equal(_image(phi, matrix[:, b]), column):
                 base_of[j] = b
                 links[j] = phi
-                linked = True
                 break
-        if not linked:
-            bases.append(j)
-            base_rows[j] = rows_generating(j)
+        else:
+            prefixes[j] = _generating_prefix(column.tolist(), group)
+            if not prefixes[j]:
+                raise ValidationError(f"component {j} projection generates a proper subgroup")
 
-    blocks = _blocks_from(base_of, k)
     return SubdirectStructure(
         k=k,
-        blocks=blocks,
-        links=tuple(links),
-        base_of=tuple(base_of),
-        generators=tuple(map(tuple, matrix.tolist())),
-        table=table,
-    )
-
-
-def _decompose_object(rows: list[tuple], k: int, group: PermGroup) -> SubdirectStructure:
-    rows = list(dict.fromkeys(rows))
-    degree = group.degree
-    t_order = group.order()
-    if not is_natural_alternating(group):
-        raise ValidationError(
-            "object-mode decomposition requires a natural alternating group; "
-            "enumerate T and pass a table instead"
-        )
-    # the shortest generating prefix of each column's rows: one element
-    # generates a cyclic group, never T, so prefixes start at two rows; the
-    # whole column generates T iff such a prefix exists and the rest lies in T
-    prefix: list[int] = []
-    for j in range(k):
-        column = [row[j] for row in rows]
-        length = next(
-            (m for m in range(2, len(rows) + 1)
-             if group_order(column[:m], degree) == t_order),
-            None,
-        )
-        if length is None or not all(map(group.contains, column[length:])):
-            raise ValidationError(f"component {j} projection generates a proper subgroup")
-        prefix.append(length)
-
-    fingerprints = [
-        tuple(sorted(row[j].order() for row in rows)) for j in range(k)
-    ]
-
-    base_of = list(range(k))
-    links: list[Optional[AutomorphismMap]] = [None] * k
-    bases: list[int] = []
-    for j in range(k):
-        linked = False
-        for b in bases:
-            if fingerprints[b] != fingerprints[j]:
-                continue
-            base_rows = rows[: prefix[b]]
-            candidates = conjugating_permutations(
-                [row[b] for row in base_rows], [row[j] for row in base_rows], degree
-            )
-            survivors = [
-                c
-                for c in candidates
-                if all(row[b].conjugate(c) == row[j] for row in rows)
-            ]
-            if len(survivors) > 1:
-                raise InternalCheckError("linking map is not unique")
-            if survivors:
-                base_of[j] = b
-                links[j] = AutomorphismMap(conjugator=survivors[0])
-                linked = True
-                break
-        if not linked:
-            bases.append(j)
-
-    blocks = _blocks_from(base_of, k)
-    return SubdirectStructure(
-        k=k,
-        blocks=blocks,
+        blocks=_blocks_from(base_of, k),
         links=tuple(links),
         base_of=tuple(base_of),
         generators=tuple(rows),
         group=group,
     )
+
+
+def _generating_prefix(column: list, group: PermGroup) -> list[int]:
+    """Rows holding the first distinct entries of a column, up to the first
+    that generate T together (one element never does); [] if none do."""
+    table = group.table()
+    chosen: list[int] = []
+    values: list = []
+    for r, v in enumerate(column):
+        if v in values:
+            continue
+        chosen.append(r)
+        values.append(v)
+        if len(values) > 1 and (
+            table.generates(values) if table is not None
+            else group_order(values, group.degree) == group.order()
+        ):
+            return chosen
+    return []
+
+
+def _automorphism(
+    table: Optional[TableGroup], degree: int, sources: list, targets: list
+) -> Optional[AutomorphismMap]:
+    """The unique automorphism of T with sources[i] -> targets[i], or None.
+
+    The sources generate T. With a table they are indices and the images
+    propagate through it; without one they are Permutations of a natural
+    alternating T, whose automorphisms are the conjugations by Sym(degree).
+    """
+    if table is not None:
+        return extend_to_automorphism(table, sources, targets)
+    found = conjugating_permutations(sources, targets, degree)
+    if len(found) > 1:
+        raise InternalCheckError("conjugator is not unique")
+    return AutomorphismMap(conjugator=found[0]) if found else None
 
 
 def _blocks_from(base_of: Sequence[int], k: int) -> tuple[tuple[int, ...], ...]:
@@ -284,33 +237,28 @@ def structures_equal(a: SubdirectStructure, b: SubdirectStructure) -> bool:
 def _phi_route(
     group: PermGroup, sources: list[Permutation], targets: list[Permutation]
 ) -> Optional[AutomorphismMap]:
-    """Existence of an automorphism with the given images, by the best route.
+    """Existence of an automorphism with the given images, by every route.
 
     Natural alternating groups go through the conjugator search (exact for
-    degree != 6); enumerable groups through table propagation; when both
+    degree != 6); groups with a table through table propagation; when both
     apply the routes must agree.
     """
-    shortcut = None
-    have_shortcut = is_natural_alternating(group)
-    if have_shortcut:
-        found = conjugating_permutations(sources, targets, group.degree)
-        if len(found) > 1:
-            raise InternalCheckError("conjugator is not unique")
-        shortcut = AutomorphismMap(conjugator=found[0]) if found else None
     table = group.table()
-    if table is not None:
-        phi = extend_to_automorphism(
-            table, [table.idx(s) for s in sources], [table.idx(t) for t in targets]
+    natural = is_natural_alternating(group)
+    if table is None and not natural:
+        raise ValidationError(
+            "cannot decide automorphism existence: group is too large to enumerate "
+            "and not natural alternating"
         )
-        if have_shortcut and (phi is None) != (shortcut is None):
-            raise InternalCheckError("automorphism routes disagree")
-        return phi
-    if have_shortcut:
+    shortcut = _automorphism(None, group.degree, sources, targets) if natural else None
+    if table is None:
         return shortcut
-    raise ValidationError(
-        "cannot decide automorphism existence: group is too large to enumerate "
-        "and not natural alternating"
+    phi = _automorphism(
+        table, group.degree, [table.idx(s) for s in sources], [table.idx(t) for t in targets]
     )
+    if natural and (phi is None) != (shortcut is None):
+        raise InternalCheckError("automorphism routes disagree")
+    return phi
 
 
 def inverting_automorphism(

@@ -22,7 +22,6 @@ from typing import Optional, Sequence, Union
 from .errors import ValidationError
 from .groups import (
     PermGroup,
-    TableGroup,
     closure,
     group_order,
     is_natural_alternating,
@@ -42,12 +41,12 @@ def _is_odd_prime(m: int) -> bool:
 class WreathContext:
     """Shared data for wreath elements at a fixed n over a fixed group T.
 
-    Two storage modes for assignment entries: index mode (T enumerated with a
-    multiplication table; entries are ints) and object mode (entries are
-    Permutations; used when T is too large to enumerate).
+    Assignment entries are indices into `group.table()` when T has a table
+    (index mode) and Permutations when it has none (object mode, for T too
+    large to enumerate); the table alone decides.
     """
 
-    def __init__(self, n: int, group: PermGroup, table: Optional[TableGroup] = None):
+    def __init__(self, n: int, group: PermGroup):
         if not 3 <= n <= MATERIALIZE_LIMIT:
             raise ValidationError(
                 f"wreath elements materialize only for 3 <= n <= {MATERIALIZE_LIMIT}, got {n}"
@@ -57,12 +56,11 @@ class WreathContext:
         self.k = len(self.cycles)
         self.cycle_index = n_cycle_index(n)
         self.group = group
-        self.table = table
+        self.table = group.table()
         self._comp_maps: dict[tuple[int, ...], tuple[int, ...]] = {}
-        if table is not None:
-            self.identity_entry: Union[int, Permutation] = 0
-        else:
-            self.identity_entry = group.identity
+        self.identity_entry: Union[int, Permutation] = (
+            0 if self.table is not None else group.identity
+        )
 
     @property
     def index_mode(self) -> bool:
@@ -110,8 +108,6 @@ class WreathContext:
         entries = tuple(entries)
         if len(entries) != self.k:
             raise ValidationError(f"assignment must have {self.k} entries")
-        if self.index_mode and entries and isinstance(entries[0], Permutation):
-            entries = tuple(self.table.idx(p) for p in entries)
         return WreathElement(self, entries, sigma)
 
 
@@ -294,7 +290,7 @@ def build_cover_group(job: CoverJob) -> CoverGroupData:
     Permutations otherwise.
     """
     n = job.n
-    ctx = WreathContext(n, job.group, job.group.table())
+    ctx = WreathContext(n, job.group)
     f = class_assignment(ctx, job.x, job.y)
     delta = parse_cycles("(1,2)", n)
     g = ctx.from_assignment(f, delta)

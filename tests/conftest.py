@@ -1,6 +1,11 @@
-"""Shared pytest wiring: a visible pass/fail line for every acceptance criterion."""
+"""Shared pytest wiring: a visible pass/fail line for every acceptance criterion,
+and a fixture that forces a group onto the route without a table."""
 
 import re
+
+import pytest
+
+from arccover.groups import PermGroup
 
 _CRITERION = re.compile(r"test_criterion_0*(\d+)")
 _results: dict[int, bool] = {}
@@ -25,3 +30,16 @@ def pytest_terminal_summary(terminalreporter):
     for num in sorted(_results):
         state = "PASS" if _results[num] else "FAIL"
         terminalreporter.write_line(f"  criterion {num}: {state}")
+
+
+@pytest.fixture
+def conjugator_route():
+    """Make a fresh copy of a group whose `table()` is None: its wreath entries
+    are Permutations and its decompositions use the conjugator search."""
+
+    def fresh(group: PermGroup) -> PermGroup:
+        copy = PermGroup(group.generators, group.degree)
+        copy.table = lambda: None
+        return copy
+
+    return fresh

@@ -270,11 +270,9 @@ def test_criterion_06_tuple_cross_check(job1_run):
     kgens = schreier_kernel_generators(
         data.y_gens, lambda w: w.sigma, data.ctx.identity_element()
     )
-    schreier = subdirect_decompose(kgens, table=data.ctx.table)
+    schreier = subdirect_decompose(kgens, group)
     tuples = k4_tuple_data(data)
-    explicit = subdirect_decompose(
-        [tuples.t1, tuples.t2, tuples.t3], table=data.ctx.table
-    )
+    explicit = subdirect_decompose([tuples.t1, tuples.t2, tuples.t3], group)
     assert structures_equal(schreier, explicit)
 
     yi = y.inverse()
@@ -318,7 +316,7 @@ def test_criterion_07_prediction_battery():
         kgens = schreier_kernel_generators(
             data.y_gens, lambda w: w.sigma, data.ctx.identity_element()
         )
-        structure = subdirect_decompose(kgens, table=data.ctx.table)
+        structure = subdirect_decompose(kgens, group)
         assert predicted == structure.block_count == frozen_d, (name, x_text, y_text)
     assert time.perf_counter() - t0 < 120.0
 
@@ -397,7 +395,7 @@ def test_criterion_09_property_suites(extended_suite):
     kgens = schreier_kernel_generators(
         data2.y_gens, lambda w: w.sigma, data2.ctx.identity_element()
     )
-    structure = subdirect_decompose(kgens, table=data2.ctx.table)
+    structure = subdirect_decompose(kgens, group)
     flattened = sorted(c for blk in structure.blocks for c in blk)
     assert flattened == list(range(structure.k))  # blocks partition components
     for blk in structure.blocks:
@@ -414,7 +412,7 @@ def test_criterion_09_property_suites(extended_suite):
     graph = build_coset_graph(data.h_elements(), data.g)
     m_rows = subdirect_decompose(
         schreier_kernel_generators(data.y_gens, lambda v: v.sigma, ident),
-        table=ctx.table,
+        group,
     ).generators
     from arccover.wreath import WreathElement
 

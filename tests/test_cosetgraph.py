@@ -235,7 +235,7 @@ def kernel_gens(data):
     kgens = schreier_kernel_generators(
         data.y_gens, lambda w: w.sigma, data.ctx.identity_element()
     )
-    structure = subdirect_decompose(kgens, table=data.ctx.table)
+    structure = subdirect_decompose(kgens, data.ctx.group)
     ident = Permutation.identity(data.ctx.n)
     return [WreathElement(data.ctx, tuple(row), ident) for row in structure.generators]
 

@@ -38,11 +38,7 @@ def kernel_structure(y, n=4, group=A5, x=X):
     kgens = schreier_kernel_generators(
         data.y_gens, lambda w: w.sigma, data.ctx.identity_element()
     )
-    if data.ctx.index_mode:
-        structure = subdirect_decompose(kgens, table=data.ctx.table)
-    else:
-        structure = subdirect_decompose(kgens, group=group)
-    return data, structure
+    return data, subdirect_decompose(kgens, group)
 
 
 def positional_blocks(data, structure):
@@ -55,47 +51,81 @@ def positional_blocks(data, structure):
 
 
 # ---------------------------------------------------------------------------
-# decomposition on handmade rows
+# decomposition on handmade rows, by both routes
 # ---------------------------------------------------------------------------
 
 
-def test_full_diagonal_is_one_block():
-    rows = [(X, X), (Y1, Y1)]
-    s = subdirect_decompose(rows, group=A5)
-    assert s.block_count == 1
-    assert s.blocks == ((0, 1),)
-    assert s.order() == 60
-    assert s.contains((Y1, Y1))
-    assert not s.contains((Y1, Y1.inverse()))
+@pytest.fixture
+def routes(conjugator_route):
+    """A5 by table propagation and a fresh A5 by the conjugator search, each
+    with a converter of Permutation rows into its entry format."""
+    table = A5.table()
+    return (
+        (A5, lambda *row: tuple(table.idx(p) for p in row)),
+        (conjugator_route(A5), lambda *row: row),
+    )
 
 
-def test_twisted_diagonal_single_block():
-    rows = [(X, X), (Y1, Y1.inverse())]
-    s = subdirect_decompose(rows, group=A5)
-    assert s.block_count == 1
-    link = s.links[1] if s.links[0] is None else s.links[0]
-    assert link.apply(X) == X and link.apply(Y1) == Y1.inverse()
-    assert s.contains((X * Y1, link.apply(X * Y1)))
-    assert not s.contains((X * Y1, X * Y1))
+def test_full_diagonal_is_one_block(routes):
+    for group, e in routes:
+        s = subdirect_decompose([e(X, X), e(Y1, Y1)], group)
+        assert s.block_count == 1
+        assert s.blocks == ((0, 1),)
+        assert s.order() == 60
+        assert s.contains(e(Y1, Y1))
+        assert not s.contains(e(Y1, Y1.inverse()))
 
 
-def test_independent_components_are_singletons():
-    rows = [(X, E), (Y1, E), (E, X), (E, Y1)]
-    s = subdirect_decompose(rows, group=A5)
-    assert s.blocks == ((0,), (1,))
-    assert s.order() == 3600
-    assert s.contains((Y1, X * Y1))  # anything coordinatewise in T
+def test_twisted_diagonal_single_block(routes):
+    for group, e in routes:
+        s = subdirect_decompose([e(X, X), e(Y1, Y1.inverse())], group)
+        assert s.block_count == 1
+        link = s.links[1] if s.links[0] is None else s.links[0]
+        assert link.apply(X) == X and link.apply(Y1) == Y1.inverse()
+        assert s.contains(e(X * Y1, link.apply(X * Y1)))
+        assert not s.contains(e(X * Y1, X * Y1))
 
 
-def test_non_subdirect_rows_rejected():
-    rows = [(X, X), (Y1, E)]
-    with pytest.raises(ValidationError, match="component 1 projection"):
-        subdirect_decompose(rows, group=A5)
+def test_independent_components_are_singletons(routes):
+    for group, e in routes:
+        s = subdirect_decompose([e(X, E), e(Y1, E), e(E, X), e(E, Y1)], group)
+        assert s.blocks == ((0,), (1,))
+        assert s.order() == 3600
+        assert s.contains(e(Y1, X * Y1))  # anything coordinatewise in T
+        # the first two rows are diagonal, the third is not: a link is
+        # accepted only if it holds on every row
+        s = subdirect_decompose([e(X, X), e(Y1, Y1), e(X * Y1, Y1 * X)], group)
+        assert s.blocks == ((0,), (1,))
 
 
-def test_exactly_one_backend_required():
-    with pytest.raises(ValidationError, match="exactly one"):
-        subdirect_decompose([(X, X)])
+def test_non_subdirect_rows_rejected(routes):
+    for group, e in routes:
+        with pytest.raises(ValidationError, match="component 1 projection"):
+            subdirect_decompose([e(X, X), e(Y1, E)], group)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(1, 1), (2, 60)],  # past the last index
+        [(1, 1), (2, -1)],  # would read element 59
+        [(1, 1), (2, 2.7)],  # would be truncated to 2
+        [(1, 1), (2, "3")],
+        [(1, 1), (2, True)],
+    ],
+)
+def test_malformed_table_entries_rejected(rows):
+    with pytest.raises(ValidationError, match="entries of T"):
+        subdirect_decompose(rows, A5)
+
+
+def test_entries_must_match_the_route(conjugator_route):
+    with pytest.raises(ValidationError, match="int table indices, got Permutation"):
+        subdirect_decompose([(X, X), (Y1, Y1)], A5)
+    with pytest.raises(ValidationError, match="Permutations, got int"):
+        subdirect_decompose([(1, 1), (2, 2)], conjugator_route(A5))
+    with pytest.raises(ValidationError, match="not an element of T"):
+        subdirect_decompose([(X, X), (Y1, P("(1,2)"))], conjugator_route(A5))
 
 
 def test_membership_rejects_twisted_elements():
@@ -146,11 +176,22 @@ def test_kernel_six_blocks_for_eleven_cycle_object_mode():
     )
 
 
-def test_object_mode_builds_one_chain_per_column(monkeypatch):
-    """Each column's generating prefix is found once: for the six A11 columns,
-    whose first two rows already generate, that is six stabilizer chains."""
+def count_chains(monkeypatch):
+    """A list that gains an entry for every StabilizerChain built from now on."""
     from arccover import groups
 
+    built = []
+    init = groups.StabilizerChain.__init__
+    monkeypatch.setattr(
+        groups.StabilizerChain, "__init__",
+        lambda self, *args: built.append(1) or init(self, *args),
+    )
+    return built
+
+
+def test_object_mode_builds_one_chain_per_column(monkeypatch):
+    """Each block base's generating prefix is found once: the six A11 columns
+    are six bases whose first two rows already generate, so six chains."""
     a11 = resolve_group("A11")
     job = CoverJob(
         n=4, group=a11, x=P("(1,2)(3,6)", 11), y=P("(1,2,3,4,5,6,7,8,9,10,11)", 11)
@@ -160,15 +201,57 @@ def test_object_mode_builds_one_chain_per_column(monkeypatch):
         data.y_gens, lambda w: w.sigma, data.ctx.identity_element()
     )
     a11.order()  # the group's own chain is not part of the count
-    built = []
-    init = groups.StabilizerChain.__init__
-    monkeypatch.setattr(
-        groups.StabilizerChain, "__init__",
-        lambda self, *args: built.append(1) or init(self, *args),
-    )
-    s = subdirect_decompose(kgens, group=a11)
+    built = count_chains(monkeypatch)
+    s = subdirect_decompose(kgens, a11)
     assert s.blocks == ((0,), (1,), (2,), (3,), (4,), (5,))
     assert len(built) == 6
+
+
+@pytest.mark.parametrize("y, d", [(Y1, 1), (Y2, 3)])
+def test_conjugator_route_builds_one_chain_per_block_base(monkeypatch, conjugator_route, y, d):
+    """Only block bases need a generation check: d stabilizer chains, where
+    checking every column built one per column (6)."""
+    group = conjugator_route(A5)
+    data = build_cover_group(CoverJob(n=4, group=group, x=X, y=y))
+    assert not data.ctx.index_mode
+    kgens = schreier_kernel_generators(
+        data.y_gens, lambda w: w.sigma, data.ctx.identity_element()
+    )
+    group.order()  # the group's own chain is not part of the count
+    built = count_chains(monkeypatch)
+    s = subdirect_decompose(kgens, group)
+    assert s.block_count == d
+    assert len(built) == d
+
+
+@pytest.mark.parametrize(
+    "name, x, y",
+    [("A5", "(1,2)(3,4)", "(1,5,3)"), ("A7", "(1,2)(3,4)", "(1,2,3,4,5,6,7)")],
+)
+def test_routes_agree_on_n4_kernels(conjugator_route, name, x, y):
+    """Table propagation and the conjugator search find the same blocks, and
+    their links agree on every generator row."""
+    structures = []
+    for group in (resolve_group(name), conjugator_route(resolve_group(name))):
+        job = CoverJob(n=4, group=group, x=P(x, group.degree), y=P(y, group.degree))
+        data = build_cover_group(job)
+        kgens = schreier_kernel_generators(
+            data.y_gens, lambda w: w.sigma, data.ctx.identity_element()
+        )
+        structures.append((data.ctx, subdirect_decompose(kgens, group)))
+    (ctx_t, by_table), (_, by_conjugator) = structures
+    assert by_table.blocks == by_conjugator.blocks
+    assert by_table.base_of == by_conjugator.base_of
+    rows = [tuple(map(ctx_t.entry_perm, row)) for row in by_table.generators]
+    assert rows == list(by_conjugator.generators)
+    for j, (phi, psi) in enumerate(zip(by_table.links, by_conjugator.links)):
+        assert (phi is None) == (psi is None)
+        if phi is None:
+            continue
+        assert psi.conjugator is not None and phi.lookup is not None
+        for row in rows:
+            base = row[by_table.base_of[j]]
+            assert phi.apply(base) == psi.apply(base) == row[j]
 
 
 def test_blocks_invariant_under_conjugation():
@@ -204,9 +287,7 @@ def test_linking_relation_consistency_sampled():
 def test_structures_equal_and_tuple_route():
     data, s = kernel_structure(Y1)
     tuples = k4_tuple_data(data)
-    alt = subdirect_decompose(
-        [tuples.t1, tuples.t2, tuples.t3], table=data.ctx.table
-    )
+    alt = subdirect_decompose([tuples.t1, tuples.t2, tuples.t3], A5)
     assert structures_equal(alt, s)
     assert structures_equal(s, s)
     _, s3 = kernel_structure(Y2)

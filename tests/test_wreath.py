@@ -85,9 +85,9 @@ def test_group_laws_random_sample():
         assert w.inverse().inverse().key() == w.key()
 
 
-def test_index_and_object_modes_agree():
+def test_index_and_object_modes_agree(conjugator_route):
     ctx_idx = data_for().ctx
-    ctx_obj = WreathContext(4, A5, table=None)
+    ctx_obj = WreathContext(4, conjugator_route(A5))
     assert ctx_idx.index_mode and not ctx_obj.index_mode
 
     def clone(w):
