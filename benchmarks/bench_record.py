@@ -1,0 +1,150 @@
+"""Record a before/after benchmark of two checkouts in BENCH_<tag>.json.
+
+    python benchmarks/bench_record.py --parent ../parent --change . --tag voltage_graph
+
+Both checkouts are measured with their own code; the workloads and the run
+length are those of the change's BENCHMARK.json. The record holds:
+
+- perfbench: the result line of `python3 perfbench/run.py --workload W
+  --seed S --seconds SEC` for each workload, alternating parent and change
+  runs over PAIRS seeds 0, 1, ... (even pairs run the parent first, odd
+  pairs the change first), with per-metric medians, quartiles and the
+  number of pairs the change wins;
+- traced: one `--trace 1` result line per workload and checkout, with the
+  per-module metrics;
+- in_process: wall time and peak RSS (ru_maxrss) of one fresh process
+  running the `extended-build` job, and of one running the whole
+  `extended` suite, per checkout;
+- layers: the median of each layer microbenchmark in the checkout's own
+  `benchmarks/` (pytest-benchmark), in seconds.
+
+Every number comes from a child process, one at a time.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+PAIRS = 10
+
+IN_PROCESS = """
+import json, resource, sys, time
+from arccover.report import _suite_specs, run_job, run_suite
+t0 = time.perf_counter()
+if sys.argv[1] == "suite":
+    ok = run_suite("extended").ok
+else:
+    spec = [s for s in _suite_specs("extended") if s.label == "extended-build"][0]
+    ok = run_job(spec).ok
+print(json.dumps({"wall_s": round(time.perf_counter() - t0, 3), "ok": ok,
+                  "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}))
+"""
+
+
+def _env(checkout: Path) -> dict:
+    return {**os.environ, "PYTHONPATH": str(checkout / "src")}
+
+
+def _last_json(text: str) -> dict:
+    return json.loads(text.strip().splitlines()[-1])
+
+
+def perfbench(checkout: Path, workload: str, seed: int, seconds: int, trace: int = 0) -> dict:
+    out = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=checkout, capture_output=True, text=True, check=False,
+    )
+    return _last_json(out.stdout)
+
+
+def in_process(checkout: Path, what: str) -> dict:
+    out = subprocess.run(
+        [sys.executable, "-c", IN_PROCESS, what],
+        cwd=checkout, env=_env(checkout), capture_output=True, text=True, check=True,
+    )
+    return _last_json(out.stdout)
+
+
+def layers(checkout: Path) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "layers.json"
+        subprocess.run(
+            [sys.executable, "-m", "pytest", "benchmarks", "--benchmark-only", "-q",
+             "-p", "no:cacheprovider", f"--benchmark-json={path}"],
+            cwd=checkout, env=_env(checkout), capture_output=True, check=True,
+        )
+        data = json.loads(path.read_text())
+    return {b["name"]: round(b["stats"]["median"], 7) for b in data["benchmarks"]}
+
+
+def summarize(pairs: list[dict]) -> dict:
+    """Medians, quartiles and change wins per end-to-end metric."""
+    out = {}
+    for metric in pairs[0]["parent"]["metrics"]:
+        before = [p["parent"]["metrics"][metric]["value"] for p in pairs]
+        after = [p["change"]["metrics"][metric]["value"] for p in pairs]
+        q1, _, q3 = statistics.quantiles(before, n=4)
+        out[metric] = {
+            "parent_median": round(statistics.median(before), 4),
+            "change_median": round(statistics.median(after), 4),
+            "parent_iqr": round(q3 - q1, 4),
+            "change_lower_in": sum(a < b for a, b in zip(after, before)),
+            "pairs": len(pairs),
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--parent", type=Path, required=True)
+    ap.add_argument("--change", type=Path, required=True)
+    ap.add_argument("--tag", required=True)
+    args = ap.parse_args(argv)
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    bench = json.loads((sides["change"] / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+    workloads = [w["name"] for w in bench["workloads"]]
+
+    record: dict = {
+        "tag": args.tag,
+        "machine": {"python": platform.python_version(), "cpus": os.cpu_count(),
+                    "platform": platform.platform()},
+        "seconds": seconds,
+        "perfbench": {},
+    }
+    for workload in workloads:
+        pairs = []
+        for seed in range(PAIRS):
+            order = ("parent", "change") if seed % 2 == 0 else ("change", "parent")
+            pair = {"seed": seed, "first": order[0]}
+            for side in order:
+                pair[side] = perfbench(sides[side], workload, seed, seconds)
+            pairs.append(pair)
+            print(workload, seed, {s: pair[s]["metrics"] for s in order}, file=sys.stderr)
+        record["perfbench"][workload] = {"summary": summarize(pairs), "runs": pairs}
+    record["traced"] = {
+        side: {w: perfbench(path, w, 0, seconds, trace=1) for w in workloads}
+        for side, path in sides.items()
+    }
+    record["in_process"] = {
+        side: {what: in_process(path, what) for what in ("extended-build", "suite")}
+        for side, path in sides.items()
+    }
+    record["layers_median_s"] = {side: layers(path) for side, path in sides.items()}
+    out = sides["change"] / f"BENCH_{args.tag}.json"
+    out.write_text(json.dumps(record, indent=2) + "\n")
+    print(out)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

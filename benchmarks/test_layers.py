@@ -9,8 +9,9 @@ index-mode wreath product at n = 7, which reads the table through
 decomposition of a Schreier kernel by each linking route (table propagation
 on the n = 7 A5 kernel, 1004 rows over k = 720; the conjugator search on the
 n = 4 A11 kernel of example-3), and, on the 240-vertex cover of K4 of
-example-1 (n = 4, A5, (1,2)(3,4), (1,2,3,4,5)), the coset-graph BFS, the
-quotient by the kernel M and the canonical coset representative.
+example-1 (n = 4, A5, (1,2)(3,4), (1,2,3,4,5)) and the 4368-vertex
+PSL(2,13) cover of perfbench's cover-k4, the derived-graph build and the
+quotient by the kernel M on vertex arrays.
 """
 
 import pytest
@@ -72,38 +73,45 @@ def test_subdirect_decompose(benchmark, name, n, x, y, d):
     assert (group.table() is None) == (name == "A11")
 
 
-@pytest.fixture(scope="module")
-def example1():
-    """The cover group data, its 240-vertex coset graph and generators of M."""
-    job = CoverJob(n=4, group=resolve_group("A5"), x=parse_cycles("(1,2)(3,4)", 5),
-                   y=parse_cycles("(1,2,3,4,5)", 5))
+def cover(group, x, y):
+    """The cover group data, its block structure and the generators of M."""
+    job = CoverJob(n=4, group=group, x=parse_cycles(x, group.degree),
+                   y=parse_cycles(y, group.degree))
     data = build_cover_group(job)
     kgens = schreier_kernel_generators(
         data.y_gens, lambda w: w.sigma, data.ctx.identity_element()
     )
-    rows = subdirect_decompose(kgens, data.ctx.group).generators
+    structure = subdirect_decompose(kgens, group)
     ident = Permutation.identity(4)
-    m_gens = [WreathElement(data.ctx, tuple(row), ident) for row in rows]
-    return data, build_coset_graph(data.h_elements(), data.g), m_gens
+    m_gens = [WreathElement(data.ctx, tuple(row), ident) for row in structure.generators]
+    return data, structure, m_gens
 
 
-def test_build_coset_graph_example1(benchmark, example1):
-    data, _, _ = example1
-    graph = benchmark(build_coset_graph, data.h_elements(), data.g)
-    assert graph.order == 240
+COVERS = {
+    "example1": (lambda: resolve_group("A5"), "(1,2)(3,4)", "(1,2,3,4,5)", 240),
+    "PSL2_13": (lambda: PermGroup.from_cycle_strings(GROUPS["PSL2_13"][1], 14),
+                "(1,14)(2,13)(3,7)(4,5)(8,12)(10,11)", "(1,4,7,10,13,3,6,9,12,2,5,8,11)", 4368),
+}
 
 
-def test_quotient_by_m_example1(benchmark, example1):
-    _, graph, m_gens = example1
-    cert = benchmark(quotient_graph, graph, m_gens)
+@pytest.fixture(scope="module", params=sorted(COVERS))
+def built(request):
+    group, x, y, order = COVERS[request.param]
+    data, structure, m_gens = cover(group(), x, y)
+    return data, structure, m_gens, order
+
+
+def test_build_coset_graph(benchmark, built):
+    """The derived-graph build: voltages, canonical keys and adjacency."""
+    data, structure, _, order = built
+    data.h_elements()  # H is enumerated once per job in the pipeline
+    graph = benchmark(build_coset_graph, data, structure)
+    assert graph.order == order and graph.components == 1
+
+
+def test_quotient_by_m(benchmark, built):
+    """The vertex maps of M's generators and the array quotient by them."""
+    data, structure, m_gens, _ = built
+    graph = build_coset_graph(data, structure)
+    cert = benchmark(lambda: quotient_graph(graph, m_gens))
     assert cert.quotient_order == 4 and cert.quotient_is_complete
-
-
-def test_canonical_rep_example1(benchmark, example1):
-    """The representative of g·w for each of the 240 vertex representatives w,
-    with the per-top cache warm, as in the BFS and the quotient."""
-    data, graph, _ = example1
-    canon = graph.canon
-    sample = [data.g * w for w in graph.reps]
-    reps = benchmark(lambda: [canon.rep(u) for u in sample])
-    assert {r.key() for r in reps} <= graph.index.keys()

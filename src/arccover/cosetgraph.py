@@ -1,13 +1,25 @@
-"""Coset graphs, their verification, and quotients down to complete graphs.
+"""The cover graph as a derived graph of K_n over T^d, and its quotients.
 
 The graph Cos(Y, H, HgH) has the right cosets of H as vertices, with Hx ~ Hy
-iff y x^-1 in HgH. It is built by BFS from the trivial coset: the neighbors
-of Hw are H(g h w) for h ranging over a right transversal of H ∩ H^g in H.
-Every coset Hw is identified by one canonical representative, the element of
-Hw with the least serialized key (`_Canonicalizer.rep`); the same primitive
-names the vertex of a product in the quotient and the coset of H ∩ H^g in the
-2-arc-transitivity check. Vertices are renumbered by sorted representative key
-after the BFS, so vertex ids do not depend on discovery order.
+iff y x^-1 in HgH. H is top-only (the embedded Sym{2..n}) and the kernel M of
+the top projection meets it trivially, so every coset is H·c_i·m for exactly
+one top i = 1^σ and one m in M. The sections are c_1 = 1, c_2 = g and
+c_j = g·(2,j). A neighbour seed p (g times a transversal of H ∩ H^g in H)
+sends H·c_i·m to H·c_j·(v·m), where p·c_i = h·c_j·v with h in H and the
+voltage v in M. So the graph is the derived graph of K_n with n(n-1)
+voltages in M = T^d (Gross–Tucker), built with one gather per dart and block
+base over all |T|^d fibre points and no coset search.
+
+An element m of M is held by its entries at the block bases of the subdirect
+structure (`_Fibre`); the other entries follow through the links. Vertices
+are numbered by the sorted canonical key of their coset, the least serialized
+key of an element of H·c_i·m: the least top of H·c_i first, then the entries,
+compared in `elem_bytes` order.
+
+`quotient_graph` takes the quotient by a subgroup of M or of M's
+centralizer acting on the right, through int vertex maps
+(`CosetGraph.vertex_map`): (i, m) -> (i, m·z) for z in M, and
+(i, m) -> (j, m'·m) for z centralizing M, where H·c_i·z = H·c_j·m'.
 """
 
 from __future__ import annotations
@@ -15,171 +27,196 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import CapacityExceeded, InternalCheckError, ValidationError
 from .groups import conj_intersection, is_2_transitive, right_transversal
-from .perm import Permutation
-from .wreath import WreathElement
+from .perm import Permutation, parse_cycles
+from .subdirect import SubdirectStructure
+from .wreath import CoverGroupData, WreathElement
 
 VERTEX_CAP_DEFAULT = 2_000_000
 
 
-class _Canonicalizer:
-    """Canonical coset representatives, with a fast path for top-only subgroups.
+def _id_type(order: int) -> type:
+    """The int type of vertex ids: int32 halves the graph's arrays."""
+    return np.int32 if order <= np.iinfo(np.int32).max else np.int64
 
-    Generic path: the h*w of least key over all h in H. When every H element
-    is a wreath element with trivial base part, the candidates h*w share no top
-    part, keys sort by top part first, and the minimum is attained at a single
-    h per top value of w: its top and position map are cached per top value,
-    so a representative costs one reindex and no group arithmetic.
+
+class _Fibre:
+    """M = T^d as the fibre points f = sum_t idx(m at base b_t) · |T|^t.
+
+    idx is T's element index (`PermGroup.element_index`: the table index when
+    T has a table); products and links are read as index maps over it.
     """
 
-    def __init__(self, h_elements: Sequence):
-        self.h_elements = list(h_elements)
-        self._tops = None
-        first = self.h_elements[0]
-        if isinstance(first, WreathElement):
-            ident = first.ctx.identity_entry
-            if all(
-                isinstance(h, WreathElement) and all(e == ident for e in h.f)
-                for h in self.h_elements
-            ):
-                self.ctx = first.ctx
-                self._tops = [h.sigma for h in self.h_elements]
-                # top images -> (least top, its position map), or () when the
-                # minimizing h is the identity: w is then its own representative,
-                # and () keeps that case apart from a miss (None)
-                self._by_sigma: dict[tuple, tuple] = {}
+    def __init__(self, structure: SubdirectStructure):
+        self.structure = structure
+        self.group = group = structure.group
+        self.rank = group.key_ranks()  # index -> place in key order
+        self.size = len(self.rank)
+        self.bases = [b for b, link in enumerate(structure.links) if link is None]
+        self.points = self.size ** len(self.bases)
+        digits = np.arange(self.points, dtype=np.int64)
+        self.coords = [(digits // self.size**t) % self.size for t in range(len(self.bases))]
+        # idx(link(t)) for every t; the identity at a block base
+        self.links = [
+            np.arange(self.size) if link is None else link.lookup_array(group)
+            for link in structure.links
+        ]
 
-    def rep(self, w):
-        """The element of Hw with the least key."""
-        if self._tops is None:
-            return min((h * w for h in self.h_elements), key=lambda u: u.key())
-        sig = w.sigma
-        entry = self._by_sigma.get(sig.images)
-        if entry is None:
-            best = min(self._tops, key=lambda t: (t * sig).images)
-            entry = () if best.is_identity() else (best * sig, self.ctx.comp_map(best))
-            self._by_sigma[sig.images] = entry
-        if not entry:
-            return w
-        top, amap = entry
-        f = w.f
-        return WreathElement(self.ctx, tuple([f[m] for m in amap]), top)
+    def apply(self, z: WreathElement, left: bool) -> np.ndarray:
+        """The fibre point of z·m (left) or m·z for every fibre point m; z in M."""
+        out = np.zeros(self.points, dtype=np.int64)
+        for t, (b, coord) in enumerate(zip(self.bases, self.coords)):
+            out += self.group.product_map(z.f[b], left).astype(np.int64)[coord] * self.size**t
+        return out
+
+    def key_columns(self, r: WreathElement) -> list[np.ndarray]:
+        """Per component, the entry ranks of r·m over every fibre point m."""
+        amap = r.ctx.comp_map(r.sigma)
+        base_at = {b: t for t, b in enumerate(self.bases)}
+        cols = []
+        for alpha, beta in enumerate(amap):
+            # (r·m)(alpha) = r(alpha) · m(beta), m(beta) = link_beta(m at its base)
+            ranks = self.rank[self.group.product_map(r.f[alpha], True)[self.links[beta]]]
+            cols.append(ranks[self.coords[base_at[self.structure.base_of[beta]]]])
+        return cols
 
 
-@dataclass
 class CosetGraph:
-    """An undirected regular graph on canonical coset representatives."""
+    """The derived graph: vertex ids of the fibre points and sorted adjacency.
 
-    adjacency: list[tuple[int, ...]]
-    reps: list
-    index: dict[bytes, int]  # representative key -> vertex, in sorted key order
-    valency: int
-    subgroup_order: int
-    canon: _Canonicalizer
+    `vertex[i, f]` is the id of H·c_(i+1)·m for the fibre point f of m, and
+    `adjacency` is an (order × valency) int array of sorted neighbour rows.
+    """
+
+    def __init__(self, data: CoverGroupData, structure: SubdirectStructure, seeds: list):
+        ctx, n, g = data.ctx, data.ctx.n, data.g
+        self.ctx = ctx
+        self.structure = structure
+        self.fibre = _Fibre(structure)
+        self.sections = [ctx.identity_element(), g] + [
+            g * ctx.embed_top(parse_cycles(f"(2,{j})", n)) for j in range(3, n + 1)
+        ]
+        self._section_inverses = [c.inverse() for c in self.sections]
+        self.valency = len(seeds)
+        points = self.fibre.points
+        ids = _id_type(n * points)
+        self.vertex = np.empty((n, points), dtype=ids)
+        for i, c in enumerate(self.sections):
+            # the least top in H·top(c_i) sends 1 to i and the rest in order;
+            # vertex ids follow the keys, which start with that top
+            least = Permutation([i + 1] + [p for p in range(1, n + 1) if p != i + 1])
+            cols = self.fibre.key_columns(ctx.embed_top(least * c.sigma.inverse()) * c)
+            order = np.lexsort(cols[::-1])
+            keys = np.stack(cols)[:, order]
+            if not (keys[:, 1:] != keys[:, :-1]).any(axis=0).all():
+                raise InternalCheckError("two fibre points name one coset")
+            self.vertex[i, order] = i * points + np.arange(points)
+        self.adjacency = np.empty((n * points, self.valency), dtype=ids)
+        for i, c in enumerate(self.sections):
+            tops = []
+            for col, p in enumerate(seeds):
+                j, v = self._split(p * c)
+                tops.append(j)
+                self.adjacency[self.vertex[i], col] = self.vertex[j][self.fibre.apply(v, True)]
+            # neighbours in n-1 distinct tops other than i: no loop, no repeat
+            if i in tops or len(set(tops)) != len(tops):
+                raise InternalCheckError("neighbor cosets collide; H∩H^g is wrong")
+        self.adjacency.sort(axis=1)
+        _check_symmetric(self.adjacency)
+        labels = _orbit_labels(list(self.adjacency.T), self.order)
+        self.components = int(np.count_nonzero(labels == np.arange(self.order)))
 
     @property
     def order(self) -> int:
         return len(self.adjacency)
 
-    def index_of_key(self, key: bytes) -> int:
-        idx = self.index.get(key)
-        if idx is None:
-            raise ValidationError("key does not name a vertex of this graph")
-        return idx
+    def _split(self, w: WreathElement) -> tuple[int, WreathElement]:
+        """(j, v) with H·w = H·c_(j+1)·v and v in M, checked by membership."""
+        top = w.sigma
+        j = top.apply(1) - 1
+        h = self.ctx.embed_top(top * self.sections[j].sigma.inverse())
+        v = self._section_inverses[j] * (h.inverse() * w)
+        if not v.sigma.is_identity() or not self.structure.contains(v):
+            raise InternalCheckError("a voltage does not lie in M")
+        return j, v
 
-    def vertex_of(self, w) -> int:
-        return self.index_of_key(self.canon.rep(w).key())
+    def vertex_map(self, z: WreathElement) -> np.ndarray:
+        """The vertex permutation Hw -> Hwz, for z in M or z centralizing M.
+
+        For z in M it is (i, m) -> (i, m·z). For z centralizing M,
+        H·c_i·m·z = H·c_i·z·m = H·c_j·m'·m with H·c_i·z = H·c_j·m'.
+        Any other z is a ValidationError.
+        """
+        out = np.empty_like(self.vertex, shape=self.order)
+        if z.sigma.is_identity():
+            if not self.structure.contains(z):
+                raise ValidationError("a base-only element outside M")
+            moved = self.fibre.apply(z, False)
+            for ids in self.vertex:
+                out[ids] = ids[moved]
+            return out
+        ident = Permutation.identity(self.ctx.n)
+        for row in self.structure.generators:
+            m = WreathElement(self.ctx, tuple(row), ident)
+            if z * m != m * z:
+                raise ValidationError("element neither lies in M nor centralizes M")
+        for i, c in enumerate(self.sections):
+            j, m = self._split(c * z)
+            out[self.vertex[i]] = self.vertex[j][self.fibre.apply(m, True)]
+        return out
 
 
 def build_coset_graph(
-    h_elements: Sequence,
-    g,
+    data: CoverGroupData,
+    structure: SubdirectStructure,
     vertex_cap: int = VERTEX_CAP_DEFAULT,
 ) -> CosetGraph:
-    """BFS construction of Cos(<H,g>, H, HgH).
+    """Cos(Y, H, HgH) as the derived graph of K_n over M = T^d.
 
-    Requires g^2 in H (so the double coset is symmetric and the graph
-    undirected) and g not in H (no loops). Raises CapacityExceeded with
-    progress counters if more than `vertex_cap` cosets appear.
+    `structure` is M's block structure (from `subdirect_decompose` of the
+    kernel generators). Every voltage must have a trivial top and lie in M,
+    the n·|T|^d canonical keys must be distinct, and the adjacency symmetric,
+    loop-free and (n-1)-regular; otherwise InternalCheckError. Raises
+    CapacityExceeded before enumerating anything when n·|T|^d exceeds
+    `vertex_cap`. `components` counts the connected components; the graph is
+    connected exactly when the voltages generate all of T^d.
     """
-    h_keys = {h.key() for h in h_elements}
-    if g.key() in h_keys:
-        raise ValidationError("g lies in H: every edge would be a loop")
-    if (g * g).key() not in h_keys:
-        raise ValidationError("g^2 must lie in H for an undirected graph")
-
-    kernel = conj_intersection(h_elements, g)
-    transversal = right_transversal(kernel, h_elements)
-    seeds = [g * h for h in transversal]
-    valency = len(seeds)
-
-    canon = _Canonicalizer(h_elements)
-    start = canon.rep(h_elements[0] * h_elements[0].inverse())
-    key_index: dict[bytes, int] = {start.key(): 0}
-    reps = [start]
-    adjacency: list[Optional[tuple[int, ...]]] = [None]
-    frontier = [0]
-    while frontier:
-        next_frontier = []
-        for v in frontier:
-            w = reps[v]
-            nbrs = []
-            for p in seeds:
-                u = canon.rep(p * w)
-                uk = u.key()
-                idx = key_index.get(uk)
-                if idx is None:
-                    idx = len(reps)
-                    if idx >= vertex_cap:
-                        raise CapacityExceeded(
-                            f"coset graph exceeded vertex cap {vertex_cap}",
-                            discovered=idx + 1,
-                            frontier=len(next_frontier),
-                        )
-                    key_index[uk] = idx
-                    reps.append(u)
-                    adjacency.append(None)
-                    next_frontier.append(idx)
-                nbrs.append(idx)
-            if len(set(nbrs)) != valency:
-                raise InternalCheckError("neighbor cosets collide; H∩H^g is wrong")
-            adjacency[v] = tuple(nbrs)
-        frontier = next_frontier
-
-    # renumber vertices by sorted canonical key; the discovery-order dict is
-    # dropped before the sorted one is built, so the two never coexist
-    order = len(reps)
-    sorted_keys = sorted(key_index)
-    remap = [0] * order
-    for i, k in enumerate(sorted_keys):
-        remap[key_index[k]] = i
-    del key_index
-    index = dict(zip(sorted_keys, range(order)))
-    new_adj: list[tuple[int, ...]] = [()] * order
-    new_reps = [None] * order
-    for old in range(order):
-        new_adj[remap[old]] = tuple(sorted(remap[t] for t in adjacency[old]))
-        new_reps[remap[old]] = reps[old]
-    graph = CosetGraph(
-        adjacency=new_adj,
-        reps=new_reps,
-        index=index,
-        valency=valency,
-        subgroup_order=len(h_elements),
-        canon=canon,
-    )
-    _check_symmetric(graph.adjacency)
-    return graph
+    expected = data.ctx.n * structure.order()
+    if expected > vertex_cap:
+        raise CapacityExceeded(f"expected {expected} vertices exceeds the cap {vertex_cap}")
+    h_elements = data.h_elements()
+    kernel = conj_intersection(h_elements, data.g)
+    seeds = [data.g * t for t in right_transversal(kernel, h_elements)[0]]
+    return CosetGraph(data, structure, seeds)
 
 
-def _check_symmetric(adjacency: Sequence[Sequence[int]]) -> None:
-    for v, nbrs in enumerate(adjacency):
-        for u in nbrs:
-            if u == v:
-                raise InternalCheckError(f"loop at vertex {v}")
-            if v not in adjacency[u]:
-                raise InternalCheckError(f"edge {v}->{u} has no reverse")
+def _check_symmetric(adjacency: np.ndarray) -> None:
+    """Every edge v -> u of the adjacency rows also appears as u -> v."""
+    ids = np.arange(len(adjacency), dtype=adjacency.dtype)
+    for heads in adjacency.T:
+        if not (adjacency[heads] == ids[:, None]).any(axis=1).all():
+            raise InternalCheckError("an edge of the coset graph has no reverse")
+
+
+def _orbit_labels(columns: Sequence[np.ndarray], order: int) -> np.ndarray:
+    """The least vertex of each vertex's class under the edges v -> col[v].
+
+    For the columns of a symmetric adjacency the classes are the connected
+    components; for permutations generating a finite group, its orbits
+    (every orbit is strongly connected). Labels are pulled along the edges
+    and then through themselves, until nothing changes.
+    """
+    label = np.arange(order, dtype=_id_type(order))
+    while True:
+        before = label
+        for col in columns:
+            label = np.minimum(label, label[col])
+        label = label[label]
+        if np.array_equal(label, before):
+            return label
 
 
 def two_arc_transitive(h_elements: Sequence, g, h_gens: Optional[Sequence] = None) -> dict:
@@ -188,15 +225,12 @@ def two_arc_transitive(h_elements: Sequence, g, h_gens: Optional[Sequence] = Non
     Criterion: H acts 2-transitively on the cosets of K = H ∩ H^g. The coset
     action is computed for a generating set of H (defaults to all elements).
     """
-    kernel = conj_intersection(h_elements, g)
-    transversal = right_transversal(kernel, h_elements)
+    transversal, pos_of = right_transversal(conj_intersection(h_elements, g), h_elements)
     index = len(transversal)
-    canon = _Canonicalizer(kernel)
-    pos_of = {canon.rep(t).key(): pos for pos, t in enumerate(transversal)}
-    action_gens = []
-    for h in h_gens if h_gens is not None else h_elements:
-        images = [pos_of[canon.rep(t * h).key()] + 1 for t in transversal]
-        action_gens.append(Permutation(images))
+    action_gens = [
+        Permutation([pos_of[(t * h).key()] + 1 for t in transversal])
+        for h in (h_gens if h_gens is not None else h_elements)
+    ]
     ok = is_2_transitive(action_gens, index)
     return {"index": index, "two_transitive": ok}
 
@@ -213,69 +247,44 @@ class CoverCertificate:
     quotient_adjacency: tuple[tuple[int, ...], ...]
 
 
-def quotient_graph(graph: CosetGraph, subgroup_gens: Sequence) -> CoverCertificate:
-    """Quotient by the right action of a subgroup; certifies covering facts.
+def quotient_graph(graph: CosetGraph, elements: Sequence[WreathElement]) -> CoverCertificate:
+    """Quotient by the group generated by `elements`; certifies covering facts.
 
-    The subgroup must act semiregularly with all orbits equal and no edge
-    inside an orbit (as a normal subgroup of the cover group does); otherwise
-    ValidationError. Local bijectivity is checked at every vertex.
+    The elements lie in M or centralize M, and act on the vertex ids through
+    `graph.vertex_map` (otherwise ValidationError). The group must have all
+    orbits of one size and no edge inside an orbit (as a normal subgroup of
+    the cover group does); otherwise ValidationError. Local bijectivity is
+    checked at every vertex. Orbits are numbered by their least vertex.
     """
-    order = graph.order
-    orbit_of = [-1] * order
-    orbit_count = 0
-    sizes = []
-    for start in range(order):
-        if orbit_of[start] != -1:
-            continue
-        orbit_of[start] = orbit_count
-        frontier = [start]
-        size = 1
-        while frontier:
-            new_frontier = []
-            for v in frontier:
-                w = graph.reps[v]
-                for z in subgroup_gens:
-                    u = graph.vertex_of(w * z)
-                    if orbit_of[u] == -1:
-                        orbit_of[u] = orbit_count
-                        size += 1
-                        new_frontier.append(u)
-                    elif orbit_of[u] != orbit_count:
-                        raise InternalCheckError("orbits merged after labeling")
-            frontier = new_frontier
-        sizes.append(size)
-        orbit_count += 1
+    adjacency = graph.adjacency
+    maps = [graph.vertex_map(z) for z in elements]
+    _, orbit_of = np.unique(_orbit_labels(maps, len(adjacency)), return_inverse=True)
+    sizes = np.bincount(orbit_of).tolist()
     if len(set(sizes)) != 1:
         raise ValidationError(f"orbit sizes differ ({sorted(set(sizes))}); not a cover action")
+    seen = orbit_of[adjacency]
+    if (seen == orbit_of[:, None]).any():
+        raise ValidationError(
+            "an edge joins two vertices of one orbit; quotient would have a loop"
+        )
+    seen.sort(axis=1)
+    locally_bijective = bool((seen[:, 1:] != seen[:, :-1]).all())
 
-    quotient_edges: set[tuple[int, int]] = set()
-    locally_bijective = True
-    for v in range(order):
-        mine = orbit_of[v]
-        seen_orbits = set()
-        for u in graph.adjacency[v]:
-            ou = orbit_of[u]
-            if ou == mine:
-                raise ValidationError(
-                    "an edge joins two vertices of one orbit; quotient would have a loop"
-                )
-            seen_orbits.add(ou)
-            quotient_edges.add((min(mine, ou), max(mine, ou)))
-        if len(seen_orbits) != graph.valency:
-            locally_bijective = False
-
-    q_adj: list[list[int]] = [[] for _ in range(orbit_count)]
-    for a, b in sorted(quotient_edges):
+    count = len(sizes)
+    codes = np.unique(np.concatenate([
+        np.unique(np.minimum(orbit_of, col) * count + np.maximum(orbit_of, col))
+        for col in seen.T
+    ]))
+    q_adj: list[list[int]] = [[] for _ in range(count)]
+    for a, b in zip(*(x.tolist() for x in divmod(codes, count))):
         q_adj[a].append(b)
         q_adj[b].append(a)
     q_adj_t = tuple(tuple(sorted(nbrs)) for nbrs in q_adj)
     valencies = {len(nbrs) for nbrs in q_adj_t}
     q_valency = valencies.pop() if len(valencies) == 1 else -1
-    complete = q_valency == orbit_count - 1 and all(
-        len(nbrs) == orbit_count - 1 for nbrs in q_adj_t
-    )
+    complete = q_valency == count - 1 and all(len(nbrs) == count - 1 for nbrs in q_adj_t)
     return CoverCertificate(
-        quotient_order=orbit_count,
+        quotient_order=count,
         quotient_valency=q_valency,
         fibre_size=sizes[0],
         locally_bijective=locally_bijective,
@@ -331,7 +340,8 @@ def graph_girth(
     With `roots` given, only BFS trees at those vertices are examined; the
     result then lies between the girth and the shortest cycle through a root,
     so any single root is exact for a vertex-transitive graph. Default (all
-    vertices) is exact for every graph.
+    vertices) is exact for every graph. Rows may be sequences or numpy
+    arrays; each visited row is read as Python ints.
     """
     best: Optional[int] = None
     order = len(adjacency)
@@ -345,7 +355,7 @@ def graph_girth(
                 break
             new_frontier = []
             for v in frontier:
-                for u in adjacency[v]:
+                for u in map(int, adjacency[v]):
                     if u == parent[v]:
                         continue
                     if u in depth:

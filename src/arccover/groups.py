@@ -216,6 +216,7 @@ class PermGroup:
         self.degree = degree
         self._chain: Optional[StabilizerChain] = None
         self._elements: Optional[tuple[Permutation, ...]] = None
+        self._index: Optional[dict[bytes, int]] = None
         self._table: Optional[TableGroup] = None
 
     @classmethod
@@ -256,6 +257,32 @@ class PermGroup:
         if self._table is None and self.order() <= TABLE_CAP:
             self._table = TableGroup(self)
         return self._table
+
+    def element_index(self) -> dict[bytes, int]:
+        """The element index of each element by key: its position in
+        `elements()`, which is also its table index."""
+        if self._index is None:
+            self._index = {p.key(): i for i, p in enumerate(self.elements())}
+        return self._index
+
+    def key_ranks(self) -> np.ndarray:
+        """The place in key order of each element index."""
+        keys = [p.key() for p in self.elements()]
+        ranks = np.empty(len(keys), dtype=np.int64)
+        ranks[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
+        return ranks
+
+    def product_map(self, e, left: bool) -> np.ndarray:
+        """The element index of e*t (left) or t*e for every element index t.
+
+        `e` is an entry of T: a table index, or a Permutation when there is
+        no table, whose products are then taken one by one.
+        """
+        table = self.table()
+        if table is not None:
+            return table.mult[e] if left else table.mult[:, e]
+        index = self.element_index()
+        return np.array([index[(e * t if left else t * e).key()] for t in self.elements()])
 
     def orbit_of(self, point: int) -> list[int]:
         return orbit(point, self.generators, _point_action)
@@ -312,18 +339,20 @@ def conj_intersection(h_elements: Sequence, g) -> list:
     return out
 
 
-def right_transversal(subgroup_elements: Sequence, group_elements: Sequence) -> list:
-    """Representatives of the right cosets K\\H, in H's listed order."""
-    seen: set[bytes] = set()
-    reps = []
+def right_transversal(
+    subgroup_elements: Sequence, group_elements: Sequence
+) -> tuple[list, dict[bytes, int]]:
+    """Representatives of the right cosets K\\H, in H's listed order, and the
+    position of each element's coset among them, by key."""
+    coset_of: dict[bytes, int] = {}
+    reps: list = []
     for h in group_elements:
-        k = h.key()
-        if k in seen:
+        if h.key() in coset_of:
             continue
-        reps.append(h)
         for s in subgroup_elements:
-            seen.add((s * h).key())
-    return reps
+            coset_of[(s * h).key()] = len(reps)
+        reps.append(h)
+    return reps, coset_of
 
 
 def schreier_kernel_generators(
@@ -402,7 +431,7 @@ class TableGroup:
         self.elements = elems
         size = self.size = len(elems)
         self.elem_bytes = tuple(p.key() for p in elems)
-        self.index = {k: i for i, k in enumerate(self.elem_bytes)}
+        self.index = group.element_index()
         self.gen_indices = tuple(self.index[g.key()] for g in group.generators)
         # images matrix: rows = elements, columns = points (0-based values)
         mat = np.array([p.images for p in elems], dtype=np.intp) - 1
@@ -555,8 +584,12 @@ class AutomorphismMap:
             return t.conjugate(self.conjugator)
         return self.table.elem(self.lookup[self.table.idx(t)])
 
-    def lookup_array(self) -> np.ndarray:
-        return np.asarray(self.lookup, dtype=np.int32)
+    def lookup_array(self, group: PermGroup) -> np.ndarray:
+        """The element index of the image of every element index of T."""
+        if self.lookup is not None:
+            return np.asarray(self.lookup, dtype=np.int32)
+        index = group.element_index()
+        return np.array([index[self.apply(t).key()] for t in group.elements()])
 
 
 def extend_to_automorphism(

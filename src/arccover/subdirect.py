@@ -57,7 +57,7 @@ class SubdirectStructure:
         """Membership: within each block every entry follows its linking map."""
         _, row = _entry_rows([z], self.group, self.k)
         for j, (base, link) in enumerate(zip(self.base_of, self.links)):
-            expect = row[:, base] if link is None else _image(link, row[:, base])
+            expect = row[:, base] if link is None else _image(link, row[:, base], self.group)
             if not np.array_equal(row[:, j], expect):
                 return False
         return True
@@ -106,10 +106,10 @@ def _entry_rows(
     return rows, matrix.astype(np.int32)
 
 
-def _image(phi: AutomorphismMap, column: np.ndarray) -> np.ndarray:
+def _image(phi: AutomorphismMap, column: np.ndarray, group: PermGroup) -> np.ndarray:
     """phi applied to a column of entries, in the column's format."""
     if phi.lookup is not None:
-        return phi.lookup_array()[column]
+        return phi.lookup_array(group)[column]
     return np.frompyfunc(phi.apply, 1, 1)(column)
 
 
@@ -158,7 +158,7 @@ def subdirect_decompose(gens: Sequence, group: PermGroup) -> SubdirectStructure:
             phi = _automorphism(
                 table, group.degree, matrix[prefix, b].tolist(), column[prefix].tolist()
             )
-            if phi is not None and np.array_equal(_image(phi, matrix[:, b]), column):
+            if phi is not None and np.array_equal(_image(phi, matrix[:, b], group), column):
                 base_of[j] = b
                 links[j] = phi
                 break

@@ -1,0 +1,268 @@
+"""Test oracles: the coset-graph BFS and the orbit quotient on group elements.
+
+These are the generic constructions the derived-graph build replaced. The BFS
+builds Cos(<H,g>, H, HgH) from the trivial coset, naming each coset Hw by its
+element of least key (`_Canonicalizer.rep`) and numbering vertices by sorted
+key; the quotient labels orbits by BFS over products w*z. They work for any
+elements with `*`, `.inverse()` and `.key()`: plain Permutations as well as
+wreath elements. `fibre_element` turns a fibre point of the derived graph
+back into its element of M, so the two numberings can be compared.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Optional, Sequence
+
+from arccover.cosetgraph import VERTEX_CAP_DEFAULT, CoverCertificate
+from arccover.errors import CapacityExceeded, InternalCheckError, ValidationError
+from arccover.groups import conj_intersection, right_transversal
+from arccover.perm import Permutation
+from arccover.wreath import WreathElement
+
+
+class _Canonicalizer:
+    """Canonical coset representatives, with a fast path for top-only subgroups.
+
+    Generic path: the h*w of least key over all h in H. When every H element
+    is a wreath element with trivial base part, the candidates h*w share no top
+    part, keys sort by top part first, and the minimum is attained at a single
+    h per top value of w: its top and position map are cached per top value,
+    so a representative costs one reindex and no group arithmetic.
+    """
+
+    def __init__(self, h_elements: Sequence):
+        self.h_elements = list(h_elements)
+        self._tops = None
+        first = self.h_elements[0]
+        if isinstance(first, WreathElement):
+            ident = first.ctx.identity_entry
+            if all(
+                isinstance(h, WreathElement) and all(e == ident for e in h.f)
+                for h in self.h_elements
+            ):
+                self.ctx = first.ctx
+                self._tops = [h.sigma for h in self.h_elements]
+                # top images -> (least top, its position map), or () when the
+                # minimizing h is the identity: w is then its own representative,
+                # and () keeps that case apart from a miss (None)
+                self._by_sigma: dict[tuple, tuple] = {}
+
+    def rep(self, w):
+        """The element of Hw with the least key."""
+        if self._tops is None:
+            return min((h * w for h in self.h_elements), key=lambda u: u.key())
+        sig = w.sigma
+        entry = self._by_sigma.get(sig.images)
+        if entry is None:
+            best = min(self._tops, key=lambda t: (t * sig).images)
+            entry = () if best.is_identity() else (best * sig, self.ctx.comp_map(best))
+            self._by_sigma[sig.images] = entry
+        if not entry:
+            return w
+        top, amap = entry
+        f = w.f
+        return WreathElement(self.ctx, tuple([f[m] for m in amap]), top)
+
+
+@dataclass
+class CosetGraph:
+    """An undirected regular graph on canonical coset representatives."""
+
+    adjacency: list[tuple[int, ...]]
+    reps: list
+    index: dict[bytes, int]  # representative key -> vertex, in sorted key order
+    valency: int
+    subgroup_order: int
+    canon: _Canonicalizer
+
+    @property
+    def order(self) -> int:
+        return len(self.adjacency)
+
+    def index_of_key(self, key: bytes) -> int:
+        idx = self.index.get(key)
+        if idx is None:
+            raise ValidationError("key does not name a vertex of this graph")
+        return idx
+
+    def vertex_of(self, w) -> int:
+        return self.index_of_key(self.canon.rep(w).key())
+
+
+def build_coset_graph(
+    h_elements: Sequence,
+    g,
+    vertex_cap: int = VERTEX_CAP_DEFAULT,
+) -> CosetGraph:
+    """BFS construction of Cos(<H,g>, H, HgH).
+
+    Requires g^2 in H (so the double coset is symmetric and the graph
+    undirected) and g not in H (no loops). Raises CapacityExceeded with
+    progress counters if more than `vertex_cap` cosets appear.
+    """
+    h_keys = {h.key() for h in h_elements}
+    if g.key() in h_keys:
+        raise ValidationError("g lies in H: every edge would be a loop")
+    if (g * g).key() not in h_keys:
+        raise ValidationError("g^2 must lie in H for an undirected graph")
+
+    kernel = conj_intersection(h_elements, g)
+    transversal, _ = right_transversal(kernel, h_elements)
+    seeds = [g * h for h in transversal]
+    valency = len(seeds)
+
+    canon = _Canonicalizer(h_elements)
+    start = canon.rep(h_elements[0] * h_elements[0].inverse())
+    key_index: dict[bytes, int] = {start.key(): 0}
+    reps = [start]
+    adjacency: list[Optional[tuple[int, ...]]] = [None]
+    frontier = [0]
+    while frontier:
+        next_frontier = []
+        for v in frontier:
+            w = reps[v]
+            nbrs = []
+            for p in seeds:
+                u = canon.rep(p * w)
+                uk = u.key()
+                idx = key_index.get(uk)
+                if idx is None:
+                    idx = len(reps)
+                    if idx >= vertex_cap:
+                        raise CapacityExceeded(
+                            f"coset graph exceeded vertex cap {vertex_cap}",
+                            discovered=idx + 1,
+                            frontier=len(next_frontier),
+                        )
+                    key_index[uk] = idx
+                    reps.append(u)
+                    adjacency.append(None)
+                    next_frontier.append(idx)
+                nbrs.append(idx)
+            if len(set(nbrs)) != valency:
+                raise InternalCheckError("neighbor cosets collide; H∩H^g is wrong")
+            adjacency[v] = tuple(nbrs)
+        frontier = next_frontier
+
+    # renumber vertices by sorted canonical key; the discovery-order dict is
+    # dropped before the sorted one is built, so the two never coexist
+    order = len(reps)
+    sorted_keys = sorted(key_index)
+    remap = [0] * order
+    for i, k in enumerate(sorted_keys):
+        remap[key_index[k]] = i
+    del key_index
+    index = dict(zip(sorted_keys, range(order)))
+    new_adj: list[tuple[int, ...]] = [()] * order
+    new_reps = [None] * order
+    for old in range(order):
+        new_adj[remap[old]] = tuple(sorted(remap[t] for t in adjacency[old]))
+        new_reps[remap[old]] = reps[old]
+    graph = CosetGraph(
+        adjacency=new_adj,
+        reps=new_reps,
+        index=index,
+        valency=valency,
+        subgroup_order=len(h_elements),
+        canon=canon,
+    )
+    _check_symmetric(graph.adjacency)
+    return graph
+
+
+def _check_symmetric(adjacency: Sequence[Sequence[int]]) -> None:
+    for v, nbrs in enumerate(adjacency):
+        for u in nbrs:
+            if u == v:
+                raise InternalCheckError(f"loop at vertex {v}")
+            if v not in adjacency[u]:
+                raise InternalCheckError(f"edge {v}->{u} has no reverse")
+
+
+def quotient_graph(graph: CosetGraph, subgroup_gens: Sequence) -> CoverCertificate:
+    """Quotient by the right action of a subgroup; certifies covering facts.
+
+    The subgroup must act semiregularly with all orbits equal and no edge
+    inside an orbit (as a normal subgroup of the cover group does); otherwise
+    ValidationError. Local bijectivity is checked at every vertex.
+    """
+    order = graph.order
+    orbit_of = [-1] * order
+    orbit_count = 0
+    sizes = []
+    for start in range(order):
+        if orbit_of[start] != -1:
+            continue
+        orbit_of[start] = orbit_count
+        frontier = [start]
+        size = 1
+        while frontier:
+            new_frontier = []
+            for v in frontier:
+                w = graph.reps[v]
+                for z in subgroup_gens:
+                    u = graph.vertex_of(w * z)
+                    if orbit_of[u] == -1:
+                        orbit_of[u] = orbit_count
+                        size += 1
+                        new_frontier.append(u)
+                    elif orbit_of[u] != orbit_count:
+                        raise InternalCheckError("orbits merged after labeling")
+            frontier = new_frontier
+        sizes.append(size)
+        orbit_count += 1
+    if len(set(sizes)) != 1:
+        raise ValidationError(f"orbit sizes differ ({sorted(set(sizes))}); not a cover action")
+
+    quotient_edges: set[tuple[int, int]] = set()
+    locally_bijective = True
+    for v in range(order):
+        mine = orbit_of[v]
+        seen_orbits = set()
+        for u in graph.adjacency[v]:
+            ou = orbit_of[u]
+            if ou == mine:
+                raise ValidationError(
+                    "an edge joins two vertices of one orbit; quotient would have a loop"
+                )
+            seen_orbits.add(ou)
+            quotient_edges.add((min(mine, ou), max(mine, ou)))
+        if len(seen_orbits) != graph.valency:
+            locally_bijective = False
+
+    q_adj: list[list[int]] = [[] for _ in range(orbit_count)]
+    for a, b in sorted(quotient_edges):
+        q_adj[a].append(b)
+        q_adj[b].append(a)
+    q_adj_t = tuple(tuple(sorted(nbrs)) for nbrs in q_adj)
+    valencies = {len(nbrs) for nbrs in q_adj_t}
+    q_valency = valencies.pop() if len(valencies) == 1 else -1
+    complete = q_valency == orbit_count - 1 and all(
+        len(nbrs) == orbit_count - 1 for nbrs in q_adj_t
+    )
+    return CoverCertificate(
+        quotient_order=orbit_count,
+        quotient_valency=q_valency,
+        fibre_size=sizes[0],
+        locally_bijective=locally_bijective,
+        quotient_is_complete=complete,
+        quotient_adjacency=q_adj_t,
+    )
+
+
+def fibre_element(graph, f: int) -> WreathElement:
+    """The element m of M at fibre point f of a derived graph."""
+    fibre, structure = graph.fibre, graph.structure
+    table = structure.group.table()
+    at_base = {}
+    for b, coord in zip(fibre.bases, fibre.coords):
+        idx = int(coord[f])
+        at_base[b] = idx if table is not None else structure.group.elements()[idx]
+    entries = []
+    for base, link in zip(structure.base_of, structure.links):
+        e = at_base[base]
+        if link is not None:
+            e = link.apply_index(e) if table is not None else link.apply(e)
+        entries.append(e)
+    return WreathElement(graph.ctx, tuple(entries), Permutation.identity(graph.ctx.n))

@@ -409,18 +409,19 @@ def test_criterion_09_property_suites(extended_suite):
             assert_multiplicative(link)
 
     # graph symmetry and irreflexivity for every graph built here
-    graph = build_coset_graph(data.h_elements(), data.g)
-    m_rows = subdirect_decompose(
+    m_structure = subdirect_decompose(
         schreier_kernel_generators(data.y_gens, lambda v: v.sigma, ident),
         group,
-    ).generators
+    )
+    graph = build_coset_graph(data, m_structure)
     from arccover.wreath import WreathElement
 
     m_gens = [
-        WreathElement(ctx, tuple(row), Permutation.identity(4)) for row in m_rows
+        WreathElement(ctx, tuple(row), Permutation.identity(4))
+        for row in m_structure.generators
     ]
     quotient = quotient_graph(graph, m_gens)
-    adjacencies = [graph.adjacency, quotient.quotient_adjacency]
+    adjacencies = [graph.adjacency.tolist(), quotient.quotient_adjacency]
     result, _ = extended_suite
     for cert in result.certificates:
         rec = cert.check("graph-build")

@@ -1,7 +1,10 @@
 """The public library surface and the package's import hygiene."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import arccover
@@ -93,3 +96,17 @@ def test_unused_import_detector_flags_a_dead_import(tmp_path):
         "def f(a: Optional['Decimal']) -> 'Optional[int]':\n    return math.pi\n"
     )
     assert _unused_imports(module) == ["mod.py:2 json", "mod.py:4 path"]
+
+
+def test_cli_import_pulls_in_no_graph_library():
+    """scipy and networkx are installed but unused: importing either would add
+    its start-up time to every `arccover` process."""
+    code = (
+        "import sys, arccover.cli; "
+        "print(sorted(m for m in ('scipy', 'networkx') if m in sys.modules))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "[]"

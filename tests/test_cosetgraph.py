@@ -1,13 +1,24 @@
-"""Coset graph construction, verification, quotients, and exports."""
+"""Coset graph construction, verification, quotients, and exports.
 
+The derived-graph build and the array quotient are checked against the BFS
+and orbit-quotient oracles of `coset_oracle` (the generic constructions they
+replaced) on example-1, the PSL(2,13) cover of K4, a conjugated pair and the
+route without a table; the oracles themselves are checked on small
+permutation groups.
+"""
+
+import dataclasses
 import random
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+import coset_oracle as oracle
+from arccover import report
 from arccover.catalog import resolve_group
 from arccover.cosetgraph import (
-    _Canonicalizer,
-    CosetGraph,
+    _check_symmetric,
     build_coset_graph,
     centralizer_elements,
     export_graph,
@@ -16,9 +27,11 @@ from arccover.cosetgraph import (
     quotient_graph,
     two_arc_transitive,
 )
-from arccover.errors import CapacityExceeded, ValidationError
-from arccover.groups import closure
+from arccover.errors import CapacityExceeded, InternalCheckError, ValidationError
+from arccover.groups import PermGroup, closure, schreier_kernel_generators
 from arccover.perm import Permutation, parse_cycles
+from arccover.report import JobSpec, run_job
+from arccover.subdirect import subdirect_decompose
 from arccover.wreath import CoverJob, WreathElement, build_cover_group
 
 
@@ -46,28 +59,70 @@ def sym_fixing_last(n):
     return closure(gens, Permutation.identity(n))
 
 
-def cover_graph():
-    """The 240-vertex graph of the standing n = 4, A5, (1,2)(3,4)/(1,2,3,4,5) job."""
-    job = CoverJob(
-        n=4,
-        group=resolve_group("A5"),
-        x=P("(1,2)(3,4)", 5),
-        y=P("(1,2,3,4,5)", 5),
-        group_name="A5",
-    )
+def cover_data(group, x, y):
+    """Cover group data of an n = 4 job and the block structure of its kernel."""
+    job = CoverJob(n=4, group=group, x=P(x, group.degree), y=P(y, group.degree))
     data = build_cover_group(job)
-    return data, build_coset_graph(data.h_elements(), data.g)
+    kgens = schreier_kernel_generators(
+        data.y_gens, lambda w: w.sigma, data.ctx.identity_element()
+    )
+    return data, subdirect_decompose(kgens, group)
+
+
+def example1():
+    """The standing n = 4, A5, (1,2)(3,4)/(1,2,3,4,5) job (d = 1)."""
+    return cover_data(resolve_group("A5"), "(1,2)(3,4)", "(1,2,3,4,5)")
+
+
+def cover_graph():
+    """Example-1's data, block structure and 240-vertex derived graph."""
+    data, structure = example1()
+    return data, structure, build_coset_graph(data, structure)
+
+
+def kernel_gens(data, structure):
+    """Generators of the base-only kernel M, as wreath elements."""
+    ident = Permutation.identity(data.ctx.n)
+    return [WreathElement(data.ctx, tuple(row), ident) for row in structure.generators]
+
+
+# PSL(2,13) on the projective line, with the pair of the 4368-vertex cover
+PSL2_13 = (14, ["(1,2,3,4,5,6,7,8,9,10,11,12,13)", "(1,14)(2,13)(3,7)(4,5)(8,12)(10,11)"])
+PSL2_13_PAIR = ("(1,14)(2,13)(3,7)(4,5)(8,12)(10,11)", "(1,4,7,10,13,3,6,9,12,2,5,8,11)")
+
+
+def assert_matches_oracle(data, structure, centralizer=False):
+    """Same adjacency, vertex numbering and quotient facts as the BFS oracle."""
+    graph = build_coset_graph(data, structure)
+    bfs = oracle.build_coset_graph(data.h_elements(), data.g)
+    assert graph.adjacency.tolist() == [list(nbrs) for nbrs in bfs.adjacency]
+    assert graph.components == 1 and graph.valency == bfs.valency == 3
+    for i, c in enumerate(graph.sections):
+        for f in range(graph.fibre.points):
+            w = c * oracle.fibre_element(graph, f)
+            assert bfs.vertex_of(w) == graph.vertex[i, f]
+    m_gens = kernel_gens(data, structure)
+    groups = [m_gens]
+    if centralizer:
+        elements = closure(data.y_gens, data.ctx.identity_element())
+        groups.append(centralizer_elements(elements, m_gens))
+    for gens in groups:
+        for z in gens:
+            moved = graph.vertex_map(z)
+            assert moved.tolist() == [bfs.vertex_of(w * z) for w in bfs.reps]
+        assert quotient_graph(graph, gens) == oracle.quotient_graph(bfs, gens)
+    return graph
 
 
 # ---------------------------------------------------------------------------
-# permutation-group sanity cases
+# the oracles and 2-arc-transitivity on permutation groups
 # ---------------------------------------------------------------------------
 
 
 def test_complete_graph_on_point_stabilizer():
     h = closure([P("(1,2,3)", 4), P("(1,2)", 4)], Permutation.identity(4))
     g = P("(1,4)", 4)
-    graph = build_coset_graph(h, g)
+    graph = oracle.build_coset_graph(h, g)
     assert graph.order == 4
     assert graph.valency == 3
     assert graph.adjacency == [(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)]
@@ -82,7 +137,7 @@ def test_petersen_graph_from_pair_stabilizer():
     h = closure(gens, Permutation.identity(5))
     assert len(h) == 12
     g = P("(1,4)(2,5)", 5)
-    graph = build_coset_graph(h, g)
+    graph = oracle.build_coset_graph(h, g)
     assert graph.order == 10
     assert is_petersen(graph.adjacency)
     assert graph.order == 120 // 12
@@ -96,7 +151,7 @@ def test_regular_subgroup_action_is_not_two_transitive():
     stats = two_arc_transitive(h, g)
     assert stats["index"] == 4
     assert stats["two_transitive"] is False
-    graph = build_coset_graph(h, g)
+    graph = oracle.build_coset_graph(h, g)
     assert graph.order == 6
     assert graph.valency == 4
 
@@ -104,70 +159,24 @@ def test_regular_subgroup_action_is_not_two_transitive():
 def test_rejects_g_inside_h():
     h = sym_fixing_last(4)
     with pytest.raises(ValidationError, match="lies in H"):
-        build_coset_graph(h, P("(1,2,3)", 4))
+        oracle.build_coset_graph(h, P("(1,2,3)", 4))
 
 
 def test_rejects_g_squared_outside_h():
     h = closure([P("(1,2,3)", 4)], Permutation.identity(4))
     with pytest.raises(ValidationError, match="g\\^2"):
-        build_coset_graph(h, P("(1,2,3,4)", 4))
-
-
-# ---------------------------------------------------------------------------
-# the 240-vertex cover of K4
-# ---------------------------------------------------------------------------
-
-
-def test_cover_graph_invariants():
-    _, graph = cover_graph()
-    assert graph.order == 240
-    assert graph.valency == 3
-    assert graph.subgroup_order == 6
-    assert graph.order == 1440 // 6
-    inv = graph_invariants(graph.adjacency)
-    assert inv == {"order": 240, "valency": 3, "components": 1, "girth": 9}
-
-
-def test_single_root_girth_matches_full_scan():
-    _, graph = cover_graph()
-    assert graph_girth(graph.adjacency, roots=(0,)) == 9
-    assert graph_girth(graph.adjacency) == 9
-
-
-def test_two_arc_transitivity_of_cover():
-    data, _ = cover_graph()
-    stats = two_arc_transitive(data.h_elements(), data.g, h_gens=data.h_gens)
-    assert stats == {"index": 3, "two_transitive": True}
-
-
-def test_vertex_lookup_constant_on_cosets():
-    data, graph = cover_graph()
-    rng = random.Random(5)
-    h_elems = data.h_elements()
-    for _ in range(25):
-        v = rng.randrange(graph.order)
-        w = graph.reps[v]
-        h = rng.choice(h_elems)
-        assert graph.vertex_of(h * w) == v
-    with pytest.raises(ValidationError):
-        graph.index_of_key(b"\x00nonsense")
-
-
-def test_vertex_index_is_sorted_and_names_each_representative():
-    _, graph = cover_graph()
-    assert list(graph.index) == sorted(graph.index)
-    assert len(graph.index) == graph.order
-    for v, w in enumerate(graph.reps):
-        assert graph.index[w.key()] == v
+        oracle.build_coset_graph(h, P("(1,2,3,4)", 4))
 
 
 def canonical_cases():
-    """(H, sample of group elements w) for the three kinds of H in use: top-only
-    wreath elements over a table (the 240-vertex cover) and over Permutation
-    entries (A11, object mode), and plain permutations (the Petersen H)."""
+    """(H, sample of group elements w) for the three kinds of H the oracle
+    meets: top-only wreath elements over a table (the 240-vertex cover) and
+    over Permutation entries (A11, object mode), and plain permutations (the
+    Petersen H)."""
     rng = random.Random(17)
-    data, graph = cover_graph()
-    table_sample = [graph.reps[rng.randrange(graph.order)] for _ in range(30)]
+    data, _ = example1()
+    bfs = oracle.build_coset_graph(data.h_elements(), data.g)
+    table_sample = [bfs.reps[rng.randrange(bfs.order)] for _ in range(30)]
     table_sample += [data.g * w for w in table_sample[:10]]
 
     a11 = CoverJob(
@@ -196,7 +205,7 @@ def canonical_cases():
 
 def test_canonical_representative_is_least_key_in_coset():
     for h_elems, sample in canonical_cases():
-        canon = _Canonicalizer(h_elems)
+        canon = oracle._Canonicalizer(h_elems)
         # wreath-valued H here is top-only, so the cached-top path runs
         assert (canon._tops is not None) == isinstance(h_elems[0], WreathElement)
         h_keys = {h.key() for h in h_elems}
@@ -206,20 +215,160 @@ def test_canonical_representative_is_least_key_in_coset():
             assert (r * w.inverse()).key() in h_keys
 
 
+# ---------------------------------------------------------------------------
+# the 240-vertex cover of K4
+# ---------------------------------------------------------------------------
+
+
+def test_cover_graph_invariants():
+    data, structure, graph = cover_graph()
+    assert graph.order == 240
+    assert graph.valency == 3
+    assert graph.order == 1440 // len(data.h_elements())
+    assert graph.fibre.points == structure.order() == 60
+    inv = graph_invariants(graph.adjacency.tolist())
+    assert inv == {"order": 240, "valency": 3, "components": 1, "girth": 9}
+    assert graph.components == 1
+
+
+def test_single_root_girth_matches_full_scan():
+    _, _, graph = cover_graph()
+    assert graph_girth(graph.adjacency, roots=(0,)) == 9
+    assert graph_girth(graph.adjacency) == 9
+    assert graph_girth(graph.adjacency.tolist()) == 9
+
+
+def test_two_arc_transitivity_of_cover():
+    data, _, _ = cover_graph()
+    stats = two_arc_transitive(data.h_elements(), data.g, h_gens=data.h_gens)
+    assert stats == {"index": 3, "two_transitive": True}
+
+
+def test_vertex_lookup_constant_on_cosets():
+    """H·c_i·m names vertex[i, f] whatever element of the coset is named."""
+    data, _, graph = cover_graph()
+    bfs = oracle.build_coset_graph(data.h_elements(), data.g)
+    rng = random.Random(5)
+    h_elems = data.h_elements()
+    for _ in range(25):
+        i = rng.randrange(4)
+        f = rng.randrange(graph.fibre.points)
+        w = graph.sections[i] * oracle.fibre_element(graph, f)
+        assert bfs.vertex_of(rng.choice(h_elems) * w) == graph.vertex[i, f]
+    with pytest.raises(ValidationError):
+        bfs.index_of_key(b"\x00nonsense")
+
+
+def test_vertex_index_is_sorted_and_names_each_representative():
+    """Every vertex id is used once, and ids follow the sorted canonical keys."""
+    data, _, graph = cover_graph()
+    assert sorted(graph.vertex.reshape(-1).tolist()) == list(range(graph.order))
+    canon = oracle._Canonicalizer(data.h_elements())
+    keys = [None] * graph.order
+    for i, c in enumerate(graph.sections):
+        for f in range(graph.fibre.points):
+            keys[graph.vertex[i, f]] = canon.rep(c * oracle.fibre_element(graph, f)).key()
+    assert keys == sorted(keys) and len(set(keys)) == graph.order
+
+
 def test_vertex_cap_interrupts_search():
-    data, _ = cover_graph()
-    with pytest.raises(CapacityExceeded) as info:
-        build_coset_graph(data.h_elements(), data.g, vertex_cap=50)
-    assert info.value.details["discovered"] >= 50
+    data, structure = example1()
+    with pytest.raises(CapacityExceeded, match="expected 240 vertices exceeds the cap 50"):
+        build_coset_graph(data, structure, vertex_cap=50)
 
 
 def test_adjacency_is_symmetric_and_loop_free():
-    _, graph = cover_graph()
-    for v, nbrs in enumerate(graph.adjacency):
+    _, _, graph = cover_graph()
+    adjacency = graph.adjacency.tolist()
+    for v, nbrs in enumerate(adjacency):
         assert v not in nbrs
         assert len(set(nbrs)) == len(nbrs) == 3
         for u in nbrs:
-            assert v in graph.adjacency[u]
+            assert v in adjacency[u]
+    # the build's own check rejects a directed triangle
+    with pytest.raises(InternalCheckError, match="no reverse"):
+        _check_symmetric(np.array([[1], [2], [0]]))
+
+
+# ---------------------------------------------------------------------------
+# agreement with the BFS and orbit-quotient oracles
+# ---------------------------------------------------------------------------
+
+
+def test_example1_matches_oracle():
+    data, structure = example1()
+    assert_matches_oracle(data, structure, centralizer=True)
+
+
+def test_psl2_13_cover_matches_oracle():
+    degree, gens = PSL2_13
+    group = PermGroup.from_cycle_strings(gens, degree)
+    data, structure = cover_data(group, *PSL2_13_PAIR)
+    assert structure.block_count == 1
+    graph = assert_matches_oracle(data, structure)
+    assert graph.order == 4368
+
+
+def test_conjugated_pair_matches_oracle():
+    """x and y conjugated by an element of T: the same cover, other labels."""
+    a5 = resolve_group("A5")
+    c = P("(1,3,5)", 5)
+    x, y = (P(t, 5).conjugate(c).cycle_string() for t in ("(1,2)(3,4)", "(1,2,3,4,5)"))
+    assert (x, y) != ("(1,2)(3,4)", "(1,2,3,4,5)")
+    data, structure = cover_data(a5, x, y)
+    assert_matches_oracle(data, structure, centralizer=True)
+
+
+def test_route_without_table_matches_oracle(conjugator_route):
+    """Example-1 with T forced onto Permutation entries: the same graph as the
+    oracle, and as the table route, since the keys are the same bytes."""
+    data, structure = cover_data(conjugator_route(resolve_group("A5")), "(1,2)(3,4)", "(1,2,3,4,5)")
+    assert not data.ctx.index_mode
+    graph = assert_matches_oracle(data, structure, centralizer=True)
+    assert np.array_equal(graph.adjacency, cover_graph()[2].adjacency)
+
+
+# ---------------------------------------------------------------------------
+# a failed check is a failing record, not a traceback
+# ---------------------------------------------------------------------------
+
+JOB1 = JobSpec(n=4, group="A5", x="(1,2)(3,4)", y="(1,2,3,4,5)")
+
+
+def graph_record(cert):
+    rec = cert.check("graph-build")
+    assert rec is not None and rec["passed"] is False
+    return rec["computed"]["error"]
+
+
+def test_corrupted_generator_row_fails_graph_build(monkeypatch):
+    """A twisted swap g whose first entry is changed gives voltages outside M."""
+    real = report.build_coset_graph
+
+    def corrupted(data, structure, vertex_cap):
+        f = list(data.g.f)
+        f[0] = 1 if f[0] == 0 else 0
+        g = WreathElement(data.ctx, tuple(f), data.g.sigma)
+        return real(dataclasses.replace(data, g=g), structure, vertex_cap)
+
+    monkeypatch.setattr(report, "build_coset_graph", corrupted)
+    assert graph_record(run_job(JOB1, phase="graph")) == "a voltage does not lie in M"
+
+
+def test_corrupted_voltage_fails_graph_build(monkeypatch):
+    """Links twisted by an inner automorphism put every voltage outside M."""
+    real = report.build_coset_graph
+
+    def corrupted(data, structure, vertex_cap):
+        table = structure.group.table()
+        s = table.gen_indices[0]
+        twist = [table.multiply(table.multiply(table.invert(s), a), s) for a in range(table.size)]
+        links = list(structure.links)
+        links[1] = dataclasses.replace(links[1], lookup=tuple(twist[a] for a in links[1].lookup))
+        return real(data, dataclasses.replace(structure, links=tuple(links)), vertex_cap)
+
+    monkeypatch.setattr(report, "build_coset_graph", corrupted)
+    assert graph_record(run_job(JOB1, phase="graph")) == "a voltage does not lie in M"
 
 
 # ---------------------------------------------------------------------------
@@ -227,22 +376,9 @@ def test_adjacency_is_symmetric_and_loop_free():
 # ---------------------------------------------------------------------------
 
 
-def kernel_gens(data):
-    """Generators of the base-only kernel M, as wreath elements."""
-    from arccover.groups import schreier_kernel_generators
-    from arccover.subdirect import subdirect_decompose
-
-    kgens = schreier_kernel_generators(
-        data.y_gens, lambda w: w.sigma, data.ctx.identity_element()
-    )
-    structure = subdirect_decompose(kgens, data.ctx.group)
-    ident = Permutation.identity(data.ctx.n)
-    return [WreathElement(data.ctx, tuple(row), ident) for row in structure.generators]
-
-
 def test_quotient_by_kernel_is_complete_graph():
-    data, graph = cover_graph()
-    cert = quotient_graph(graph, kernel_gens(data))
+    data, structure, graph = cover_graph()
+    cert = quotient_graph(graph, kernel_gens(data, structure))
     assert cert.quotient_order == 4
     assert cert.quotient_valency == 3
     assert cert.fibre_size == 60
@@ -252,10 +388,10 @@ def test_quotient_by_kernel_is_complete_graph():
 
 
 def test_quotient_by_centralizer_is_petersen():
-    data, graph = cover_graph()
+    data, structure, graph = cover_graph()
     elements = closure(data.y_gens, data.ctx.identity_element(), cap=1441)
     assert len(elements) == 1440
-    cent = centralizer_elements(elements, kernel_gens(data))
+    cent = centralizer_elements(elements, kernel_gens(data, structure))
     assert len(cent) == 24
     cert = quotient_graph(graph, cent)
     assert cert.quotient_order == 10
@@ -265,18 +401,32 @@ def test_quotient_by_centralizer_is_petersen():
     assert is_petersen(cert.quotient_adjacency)
 
 
+def test_vertex_map_rejects_elements_outside_m_and_its_centralizer():
+    data, _, graph = cover_graph()
+    with pytest.raises(ValidationError, match="outside M"):
+        graph.vertex_map(data.ctx.from_assignment([1, 0, 0, 0, 0, 0]))
+    with pytest.raises(ValidationError, match="centralizes"):
+        graph.vertex_map(data.g)
+
+
+# K4 with elements given as their own vertex maps
+K4 = SimpleNamespace(
+    adjacency=np.array([(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)]),
+    vertex_map=lambda z: z,
+)
+
+
 def test_quotient_rejects_unequal_orbits():
-    h = sym_fixing_last(4)
-    graph = build_coset_graph(h, P("(1,4)", 4))
-    with pytest.raises(ValidationError, match="orbit sizes differ"):
-        quotient_graph(graph, [P("(1,4)", 4)])
+    with pytest.raises(ValidationError, match=r"^orbit sizes differ \(\[1, 2\]\); not a cover action$"):
+        quotient_graph(K4, [np.array([1, 0, 2, 3])])
 
 
 def test_quotient_rejects_edges_inside_orbits():
-    h = sym_fixing_last(4)
-    graph = build_coset_graph(h, P("(1,4)", 4))
-    with pytest.raises(ValidationError, match="loop"):
-        quotient_graph(graph, [P("(1,4)(2,3)", 4)])
+    with pytest.raises(
+        ValidationError,
+        match="^an edge joins two vertices of one orbit; quotient would have a loop$",
+    ):
+        quotient_graph(K4, [np.array([1, 0, 3, 2])])
 
 
 # ---------------------------------------------------------------------------

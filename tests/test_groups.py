@@ -6,6 +6,7 @@ import pytest
 from arccover.catalog import resolve_group
 from arccover.errors import CapacityExceeded, InternalCheckError, ValidationError
 from arccover.groups import (
+    AutomorphismMap,
     PermGroup,
     TableGroup,
     closure,
@@ -128,14 +129,15 @@ def test_conj_intersection_oracle():
 def test_right_transversal_partitions():
     h = _sym234_in_s4()
     k = conj_intersection(h, P("(1,2)", 4))
-    reps = right_transversal(k, h)
+    reps, coset_of = right_transversal(k, h)
     assert len(reps) == len(h) // len(k) == 3
     seen = set()
-    for r in reps:
+    for pos, r in enumerate(reps):
         coset = {(z * r).key() for z in k}
         assert not coset & seen
+        assert all(coset_of[key] == pos for key in coset)
         seen |= coset
-    assert seen == {e.key() for e in h}
+    assert seen == {e.key() for e in h} == set(coset_of)
 
 
 def test_schreier_kernel_generators_sign_map():
@@ -236,6 +238,33 @@ def test_simplicity_flags():
 # ---------------------------------------------------------------------------
 # automorphisms
 # ---------------------------------------------------------------------------
+
+
+def test_index_maps_agree_with_and_without_a_table(conjugator_route):
+    a5 = resolve_group("A5")
+    t = a5.table()
+    bare = conjugator_route(a5)
+    assert bare.table() is None
+    # one element index on both routes: positions in elements()
+    assert bare.element_index() == t.index == a5.element_index()
+    ranks = a5.key_ranks()
+    assert sorted(range(60), key=ranks.__getitem__) == sorted(
+        range(60), key=t.elem_bytes.__getitem__
+    )
+    assert np.array_equal(bare.key_ranks(), ranks)
+    for e in (0, 1, 17, 59):
+        for left in (True, False):
+            got = a5.product_map(e, left)
+            assert np.array_equal(bare.product_map(t.elem(e), left), got)
+            want = [t.multiply(e, b) if left else t.multiply(b, e) for b in range(60)]
+            assert got.tolist() == want
+    # conjugation by an odd permutation, held both ways
+    b = P("(1,2)", 5)
+    images = [t.idx(x.conjugate(b)) for x in t.elements]
+    by_table = extend_to_automorphism(t, list(t.gen_indices), [images[i] for i in t.gen_indices])
+    by_conjugator = AutomorphismMap(conjugator=b)
+    assert by_table.lookup_array(a5).tolist() == images
+    assert by_conjugator.lookup_array(bare).tolist() == images
 
 
 def test_extend_to_automorphism_identity():
