@@ -5,23 +5,33 @@
 Each benchmark times one layer on its own: the multiplication-table build of
 an enumerable T (A7 and PSL(2,13), generated as in perfbench/jobs.py), an
 index-mode wreath product at n = 7, which reads the table through
-`TableGroup.mult_flat` once per cycle position (k = 360), the subdirect
-decomposition of a Schreier kernel by each linking route (table propagation
-on the n = 7 A5 kernel, 1004 rows over k = 720; the conjugator search on the
-n = 4 A11 kernel of example-3), and, on the 240-vertex cover of K4 of
+`TableGroup.mult_flat` once per cycle position (k = 360), the Schreier rows
+of the kernel of the top projection (the n = 7 A5 kernel, 1004 uint8 rows
+over k = 720 from 5040 tops; the n = 4 A11 kernel of example-3 in object
+mode), the subdirect decomposition of those rows by each linking route
+(table propagation on the A5 kernel; the conjugator search on the A11
+kernel), and, on the 240-vertex cover of K4 of
 example-1 (n = 4, A5, (1,2)(3,4), (1,2,3,4,5)) and the 4368-vertex
 PSL(2,13) cover of perfbench's cover-k4, the derived-graph build and the
 quotient by the kernel M on vertex arrays.
 """
 
+import math
+
 import pytest
 
 from arccover.catalog import resolve_group
 from arccover.cosetgraph import build_coset_graph, quotient_graph
-from arccover.groups import PermGroup, TableGroup, schreier_kernel_generators
+from arccover.groups import PermGroup, TableGroup
 from arccover.perm import Permutation, parse_cycles
 from arccover.subdirect import subdirect_decompose
-from arccover.wreath import CoverJob, WreathContext, WreathElement, build_cover_group
+from arccover.wreath import (
+    CoverJob,
+    WreathContext,
+    WreathElement,
+    build_cover_group,
+    schreier_rows,
+)
 
 GROUPS = {
     "A7": (7, ["(1,2,3)", "(1,2,3,4,5,6,7)"]),
@@ -51,14 +61,23 @@ def test_wreath_product_index_mode_n7(benchmark):
     assert w.f[0] == table.multiply(u.f[0], v.f[ctx.comp_map(u.sigma)[0]])
 
 
-def kernel_rows(n, group, x, y):
-    """The Schreier generators of the kernel of the top projection."""
+def cover_data(n, group, x, y):
     job = CoverJob(n=n, group=group, x=parse_cycles(x, group.degree),
                    y=parse_cycles(y, group.degree))
-    data = build_cover_group(job)
-    return schreier_kernel_generators(
-        data.y_gens, lambda w: w.sigma, data.ctx.identity_element()
-    )
+    return build_cover_group(job)
+
+
+@pytest.mark.parametrize("name, n, x, y, count", [
+    ("A5", 7, "(1,2)(3,4)", "(1,2,3,4,5)", 1004),
+    ("A11", 4, "(1,2)(3,6)", "(1,2,3,4,5,6,7,8,9,10,11)", 7),
+], ids=["A5-n7-table", "A11-n4-object"])
+def test_schreier_rows(benchmark, name, n, x, y, count):
+    """The Schreier rows of the kernel of the top projection, over all n! tops."""
+    group = resolve_group(name)
+    data = cover_data(n, group, x, y)
+    rows, tops = benchmark(schreier_rows, data)
+    assert len(rows) == count and tops == math.factorial(n)
+    assert (rows.dtype == object) == (name == "A11")
 
 
 @pytest.mark.parametrize("name, n, x, y, d", [
@@ -67,7 +86,7 @@ def kernel_rows(n, group, x, y):
 ], ids=["A5-n7-table", "A11-n4-conjugator"])
 def test_subdirect_decompose(benchmark, name, n, x, y, d):
     group = resolve_group(name)
-    kgens = kernel_rows(n, group, x, y)
+    kgens = schreier_rows(cover_data(n, group, x, y))[0]
     structure = benchmark(subdirect_decompose, kgens, group)
     assert structure.block_count == d
     assert (group.table() is None) == (name == "A11")
@@ -78,9 +97,7 @@ def cover(group, x, y):
     job = CoverJob(n=4, group=group, x=parse_cycles(x, group.degree),
                    y=parse_cycles(y, group.degree))
     data = build_cover_group(job)
-    kgens = schreier_kernel_generators(
-        data.y_gens, lambda w: w.sigma, data.ctx.identity_element()
-    )
+    kgens = schreier_rows(data)[0]
     structure = subdirect_decompose(kgens, group)
     ident = Permutation.identity(4)
     m_gens = [WreathElement(data.ctx, tuple(row), ident) for row in structure.generators]

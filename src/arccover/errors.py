@@ -20,12 +20,22 @@ class CapacityExceeded(ArccoverError):
 
     Recoverable by design: callers may retry with a larger cap or record the
     stage as skipped. `details` holds progress counters at the moment of the
-    stop (e.g. elements discovered, frontier size).
+    stop (e.g. elements discovered, frontier size). `kind` names the skip
+    kind a job records for it.
     """
+
+    kind = "capacity"
 
     def __init__(self, message: str, **details):
         super().__init__(message)
         self.details = dict(details)
+
+
+class BudgetExhausted(CapacityExceeded):
+    """A job's time budget ran out inside a stage; `details` holds how far
+    the stage got."""
+
+    kind = "budget"
 
 
 class InternalCheckError(ArccoverError):

@@ -355,59 +355,6 @@ def right_transversal(
     return reps, coset_of
 
 
-def schreier_kernel_generators(
-    generators: Sequence, project: Callable, identity, image_cap: int = 100_000
-) -> list:
-    """Generators of the kernel of a homomorphism, by the Schreier method.
-
-    `project(w)` maps a group element to its image (a Permutation); the
-    image group is enumerated by BFS (capacity-limited), one coset
-    representative per image element, and the kernel is generated by the
-    elements u_c * s * u_{project(u_c * s)}^-1 over all representatives u_c
-    and generators s. Output is deduplicated by key, identity dropped, and
-    every element is checked to project trivially.
-    """
-    id_image = project(identity)
-    transversal = {id_image.key(): identity}
-    rep_inverses: dict[bytes, object] = {}
-    identity_key = identity.key()
-    out = []
-    seen: set[bytes] = set()
-    frontier = [identity]
-    while frontier:
-        new_frontier = []
-        for u in frontier:
-            for s in generators:
-                w = u * s
-                c = project(w).key()
-                rep = transversal.get(c)
-                if rep is None:
-                    # w is the representative of its coset: this pair's
-                    # Schreier generator is w * w^-1, skipped as the identity
-                    transversal[c] = w
-                    new_frontier.append(w)
-                    if len(transversal) > image_cap:
-                        raise CapacityExceeded(
-                            f"quotient enumeration exceeded cap {image_cap}",
-                            discovered=len(transversal),
-                        )
-                    continue
-                rep_inv = rep_inverses.get(c)
-                if rep_inv is None:
-                    rep_inv = rep.inverse()
-                    rep_inverses[c] = rep_inv
-                z = w * rep_inv
-                k = z.key()
-                if k in seen or k == identity_key:
-                    continue
-                seen.add(k)
-                if not project(z).is_identity():
-                    raise InternalCheckError("Schreier output does not project trivially")
-                out.append(z)
-        frontier = new_frontier
-    return out
-
-
 # ---------------------------------------------------------------------------
 # enumerated groups with multiplication tables
 # ---------------------------------------------------------------------------
@@ -512,47 +459,49 @@ class TableGroup:
         return len(self.generated_indices(sources)) == self.size
 
 
-def conjugacy_class_reps(table: TableGroup) -> list[int]:
-    """One index per conjugacy class, smallest index first."""
+def conjugacy_classes(table: TableGroup) -> list[list[int]]:
+    """The conjugacy classes as index lists, ordered by their least index
+    (the identity's class first), each in BFS order from that index."""
     seen: set[int] = set()
-    reps = []
+    classes = []
     for a in range(table.size):
         if a in seen:
             continue
-        reps.append(a)
-        for c in orbit(
+        cls = orbit(
             a,
             table.gen_indices,
             lambda p, s: table.multiply(table.multiply(table.invert(s), p), s),
-        ):
-            seen.add(c)
-    return reps
+        )
+        seen.update(cls)
+        classes.append(cls)
+    return classes
 
 
-def normal_closure_is_whole(table: TableGroup, a: int) -> bool:
-    """True iff the normal closure of element index `a` is the whole group."""
-    conj_class = orbit(
-        a,
-        table.gen_indices,
-        lambda p, s: table.multiply(table.multiply(table.invert(s), p), s),
-    )
-    return len(table.generated_indices(conj_class)) == table.size
+def class_sizes_force_simple(sizes: Sequence[int], order: int) -> bool:
+    """True when no union of conjugacy classes that contains the identity's
+    class (sizes[0]), other than that class and the whole group, has an
+    order dividing `order`. Every normal subgroup is such a union, so the
+    group is then simple; False decides nothing."""
+    sums = 1  # bit t: some set of non-identity classes holds t elements
+    for size in sizes[1:]:
+        sums |= sums << size
+    return not any(sums >> (d - 1) & 1 for d in range(2, order) if order % d == 0)
 
 
 def is_nonabelian_simple(table: TableGroup) -> bool:
-    """Exact simplicity check: every nontrivial class normally generates G."""
+    """Exact simplicity check: by class sizes alone when they leave no room
+    for a proper normal subgroup, else every nontrivial class must generate
+    G (the subgroup it generates is its normal closure)."""
     gens = table.gen_indices
     nonabelian = any(
         table.multiply(a, b) != table.multiply(b, a) for a in gens for b in gens
     )
     if not nonabelian:
         return False
-    for rep in conjugacy_class_reps(table):
-        if rep == 0:
-            continue
-        if not normal_closure_is_whole(table, rep):
-            return False
-    return True
+    classes = conjugacy_classes(table)
+    if class_sizes_force_simple([len(c) for c in classes], table.size):
+        return True
+    return all(table.generates(c) for c in classes[1:])
 
 
 # ---------------------------------------------------------------------------

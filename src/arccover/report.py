@@ -37,7 +37,6 @@ from .groups import (
     conj_intersection,
     group_order,
     orbit,
-    schreier_kernel_generators,
 )
 from .perm import Permutation, cycle_classes, n_cycles, parse_cycles
 from .subdirect import (
@@ -55,6 +54,7 @@ from .wreath import (
     build_cover_group,
     k4_tuple_data,
     kernel_witness,
+    schreier_rows,
 )
 
 # largest |Y| that the centralizer stage will enumerate element by element
@@ -290,8 +290,8 @@ class _Run:
             t0 = time.perf_counter()
             try:
                 computed, passed, product = st.body(self)
-            except CapacityExceeded as exc:
-                self.skip(st.id, str(exc), "capacity", exc.details)
+            except CapacityExceeded as exc:  # BudgetExhausted too, of kind "budget"
+                self.skip(st.id, str(exc), exc.kind, exc.details)
             except (ArccoverError, AssertionError) as exc:
                 self.record(st.id, st.claim, st.inputs(self), {"error": str(exc)}, False)
             else:
@@ -467,18 +467,12 @@ def _kernel_witness(run: _Run):
 
 
 def _kernel_generators(run: _Run):
-    data = run.data
-    kgens = schreier_kernel_generators(
-        data.y_gens,
-        lambda w: w.sigma,
-        data.ctx.identity_element(),
-        image_cap=run.spec.enum_cap,
-    )
+    rows, tops = schreier_rows(run.data, run.spec.enum_cap, run.out_of_budget)
     return {
-        "generator_count": len(kgens),
-        "component_count": data.ctx.k,
-        "image_order": math.factorial(run.n),
-    }, True, kgens
+        "generator_count": len(rows),
+        "component_count": run.data.ctx.k,
+        "image_order": tops,
+    }, tops == math.factorial(run.n), rows
 
 
 def _block_structure(run: _Run):

@@ -68,39 +68,49 @@ def _entry_rows(
 ) -> tuple[list[tuple], np.ndarray]:
     """The distinct rows of `gens`, in input order, and their entry matrix.
 
-    A row is a WreathElement with trivial top part or a plain tuple, all of
-    one length (k, if given). Entries must be elements of T in its entry
-    format: int indices 0..|T|-1 with a table (a bool is not an int here),
-    held as int32; Permutations lying in T without one, as an object matrix.
-    Anything else is a ValidationError.
+    `gens` is a 2-D integer matrix of rows, as `schreier_rows` returns with
+    a table, or a sequence of rows: WreathElements with trivial top part or
+    plain tuples, all of one length (k, if given). Entries must be elements
+    of T in its entry format: int indices 0..|T|-1 with a table (a bool is
+    not an int here), held as int32; Permutations lying in T without one, as
+    an object matrix. Anything else is a ValidationError.
     """
     from .wreath import WreathElement
 
-    rows = []
-    for z in gens:
-        if isinstance(z, WreathElement):
-            if not z.sigma.is_identity():
-                raise ValidationError("element has a nontrivial top part")
-            z = z.f
-        rows.append(tuple(z))
-    widths = set(map(len, rows))
+    if isinstance(gens, np.ndarray) and gens.ndim == 2 and gens.dtype.kind in "iu":
+        rows = None  # one width, int entries by its dtype
+        widths = {gens.shape[1]} if len(gens) else set()
+        found = {int}
+    else:
+        rows = []
+        for z in gens:
+            if isinstance(z, WreathElement):
+                if not z.sigma.is_identity():
+                    raise ValidationError("element has a nontrivial top part")
+                z = z.f
+            rows.append(tuple(z))
+        widths = set(map(len, rows))
+        found = set(map(type, itertools.chain.from_iterable(rows)))
     if len(widths) != 1 or 0 in widths or (k is not None and widths != {k}):
         want = "one positive length" if k is None else f"length {k}"
         raise ValidationError(f"rows must have {want}, got lengths {sorted(widths)}")
     table = group.table()
     kind = int if table is not None else Permutation
-    found = set(map(type, itertools.chain.from_iterable(rows)))
     if found != {kind}:
         want = "int table indices" if table is not None else "Permutations"
         got = ", ".join(sorted(t.__name__ for t in found - {kind}))
         raise ValidationError(f"entries of T must be {want}, got {got}")
-    rows = list(dict.fromkeys(rows))
+    if rows is None:
+        _, first = np.unique(gens, axis=0, return_index=True)
+        matrix = gens[np.sort(first)]
+        rows = list(map(tuple, matrix.tolist()))
+    else:
+        rows = list(dict.fromkeys(rows))
+        matrix = np.array(rows, dtype=object if table is None else None)
     if table is None:
-        matrix = np.array(rows, dtype=object)
         if not all(map(group.contains, matrix.flat)):
             raise ValidationError("an entry is not an element of T")
         return rows, matrix
-    matrix = np.array(rows)
     if matrix.min() < 0 or matrix.max() >= table.size:
         raise ValidationError(f"entries of T must be table indices 0..{table.size - 1}")
     return rows, matrix.astype(np.int32)
@@ -116,8 +126,9 @@ def _image(phi: AutomorphismMap, column: np.ndarray, group: PermGroup) -> np.nda
 def subdirect_decompose(gens: Sequence, group: PermGroup) -> SubdirectStructure:
     """Block structure of the subgroup of T^k generated by `gens`.
 
-    Rows are WreathElements with trivial top part or plain k-tuples, with
-    entries in T's entry format (module docstring). Components are scanned in
+    Rows are an integer matrix (`schreier_rows`' output with a table),
+    WreathElements with trivial top part or plain k-tuples, with entries in
+    T's entry format (module docstring). Components are scanned in
     order: each is linked to the first earlier block base whose generating
     prefix of rows extends to an automorphism mapping the base's whole column
     onto it, and otherwise becomes a base itself, which must generate T. A

@@ -15,12 +15,16 @@ each cycle's class index.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
-from .errors import ValidationError
+import numpy as np
+
+from .errors import BudgetExhausted, CapacityExceeded, InternalCheckError, ValidationError
 from .groups import (
+    ENUM_CAP_DEFAULT,
     PermGroup,
     closure,
     group_order,
@@ -334,10 +338,134 @@ def kernel_witness(data: CoverGroupData) -> WreathElement:
     gs = data.g * swap23
     s = gs * gs * gs
     if not s.sigma.is_identity():
-        from .errors import InternalCheckError
-
         raise InternalCheckError("kernel witness has a nontrivial top part")
     return s
+
+
+def schreier_rows(
+    data: CoverGroupData,
+    image_cap: int = ENUM_CAP_DEFAULT,
+    out_of_budget: Callable[[], bool] = lambda: False,
+) -> tuple[np.ndarray, int]:
+    """Schreier generators of the kernel of the top projection Y -> Sym(n),
+    as the rows of an entry matrix, and the number of tops reached.
+
+    A BFS over the tops of Y, frontier by frontier, tries each representative
+    u against each generator s of `data.y_gens` in turn. A top met for the
+    first time makes u*s its representative; every other pair gives the
+    kernel element u*s*rep(u*s)^-1. Its two factors share a top, so its row
+    is entrywise: f_us(a) * f_rep(a)^-1. Only g has a nontrivial base, so a
+    product by an H generator copies u's row, and one by g gathers g's base
+    through u's comp map, held for the current frontier only. Rows come in
+    discovery order, without repeats or the identity row. Their entries are
+    table indices in the smallest unsigned dtype holding |T| - 1, or
+    Permutations in an object matrix when T has no table.
+
+    Raises CapacityExceeded once more than `image_cap` tops are reached, and
+    BudgetExhausted when `out_of_budget()` holds between two frontiers.
+    """
+    ctx = data.ctx
+    n, k = ctx.n, ctx.k
+    if ctx.index_mode:
+        size = ctx.table.size
+        dtype = np.min_scalar_type(size - 1)
+        # a flat view of the table, read at a*|T| + b with the smallest
+        # index dtype that reaches |T|^2 - 1 (a copy would add |T|^2 bytes)
+        flat = ctx.table.mult.reshape(-1)
+        at = np.min_scalar_type(size * size - 1).type
+        inv = np.array(ctx.table.inv, dtype=dtype)
+
+        def product(a, b):
+            return np.take(flat, a.astype(at) * at(size) + b).astype(dtype)
+
+        def inverse(a):
+            return np.take(inv, a)
+
+        row_key = np.ndarray.tobytes
+    else:
+        dtype = object
+        product = np.multiply  # elementwise Permutation products
+        inverse = np.frompyfunc(Permutation.inverse, 1, 1)
+        row_key = tuple
+
+    # per generator: its top's 0-based images, its comp map, and its base
+    # as an entry row when that is not trivial
+    gens = []
+    for s in data.y_gens:
+        base = None
+        if any(e != ctx.identity_entry for e in s.f):
+            base = np.empty(k, dtype=dtype)
+            base[:] = s.f
+        tops = np.array(s.sigma.images, dtype=np.uint8) - 1
+        gens.append((tops, np.array(ctx.comp_map(s.sigma), dtype=np.int16), base))
+
+    # representatives' base rows, by discovery number: room for n! of them
+    # (the tops lie in Sym(n)) or for the cap, which stops the BFS before a
+    # row past it is stored
+    reps = np.empty((min(math.factorial(n), max(image_cap, 1)), k), dtype=dtype)
+    reps[0] = ctx.identity_entry
+    transversal = {bytes(range(n)): 0}  # top -> its representative's number
+    seen = {row_key(reps[0])}
+    kept: list[np.ndarray] = []
+    start = 0  # number of the frontier's first representative
+    tops = np.arange(n, dtype=np.uint8)[None]
+    comps = np.arange(k, dtype=np.int16)[None]
+    chunk = max(1, (1 << 20) // k)  # pairs per batch of Schreier rows
+
+    def moved_rows(u, j):
+        """Base rows of u*s_j for frontier positions u and generator numbers j."""
+        out = reps[start + u]
+        for jj, (_, _, base) in enumerate(gens):
+            if base is not None:
+                hit = j == jj
+                out[hit] = product(out[hit], base[comps[u[hit]]])
+        return out
+
+    while len(tops):
+        # pair p = u * len(gens) + j is frontier position u times generator j
+        moved = np.stack([t[tops] for t, _, _ in gens], axis=1).reshape(-1, n)
+        keys = moved.tobytes()
+        fresh, pairs, pair_reps = [], [], []
+        for p in range(len(moved)):
+            key = keys[p * n:(p + 1) * n]
+            rep = transversal.get(key)
+            if rep is None:
+                transversal[key] = len(transversal)
+                if len(transversal) > image_cap:
+                    raise CapacityExceeded(
+                        f"quotient enumeration exceeded cap {image_cap}",
+                        discovered=len(transversal),
+                    )
+                fresh.append(p)
+            else:
+                pairs.append(p)
+                pair_reps.append(rep)
+        stored = start + len(tops)  # number of the first new representative
+        u, j = np.divmod(np.array(fresh, dtype=np.intp), len(gens))
+        reps[stored:stored + len(fresh)] = moved_rows(u, j)
+        new_comps = np.empty((len(fresh), k), dtype=np.int16)
+        for jj, (_, comp, _) in enumerate(gens):
+            hit = j == jj
+            new_comps[hit] = comp[comps[u[hit]]]
+        for lo in range(0, len(pairs), chunk):
+            u, j = np.divmod(np.array(pairs[lo:lo + chunk], dtype=np.intp), len(gens))
+            rows = product(moved_rows(u, j), inverse(reps[pair_reps[lo:lo + chunk]]))
+            new = []
+            for i, row in enumerate(rows):
+                key = row_key(row)
+                if key not in seen:
+                    seen.add(key)
+                    new.append(i)
+            kept.append(rows[new])
+        start, tops, comps = stored, moved[fresh], new_comps
+        if len(tops) and out_of_budget():
+            raise BudgetExhausted(
+                "time budget exhausted",
+                tops_reached=len(transversal),
+                rows_kept=sum(map(len, kept)),
+            )
+    rows = np.concatenate(kept) if kept else np.empty((0, k), dtype=dtype)
+    return rows, len(transversal)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +546,5 @@ def k4_tuple_data(data: CoverGroupData) -> K4TupleData:
     t3 = s2 * s1 * s3
     for t in (t1, t2, t3):
         if not t.sigma.is_identity():
-            from .errors import InternalCheckError
-
             raise InternalCheckError("tuple generator has a nontrivial top part")
     return K4TupleData(s1=s1, s2=s2, s3=s3, t1=t1, t2=t2, t3=t3)

@@ -18,7 +18,6 @@ from arccover.groups import (
     closure,
     conj_intersection,
     group_order,
-    schreier_kernel_generators,
 )
 from arccover.perm import Permutation, cycle_classes, n_cycles, parse_cycles
 from arccover.report import GAP_STATEMENTS, JobSpec, run_job, run_suite
@@ -33,6 +32,7 @@ from arccover.wreath import (
     build_cover_group,
     k4_tuple_data,
     kernel_witness,
+    schreier_rows,
 )
 
 JOB1 = JobSpec(n=4, group="A5", x="(1,2)(3,4)", y="(1,2,3,4,5)")
@@ -267,9 +267,7 @@ def test_criterion_06_tuple_cross_check(job1_run):
     x = parse_cycles("(1,2)(3,4)", 5)
     y = parse_cycles("(1,2,3,4,5)", 5)
     data = build_cover_group(CoverJob(n=4, group=group, x=x, y=y, group_name="A5"))
-    kgens = schreier_kernel_generators(
-        data.y_gens, lambda w: w.sigma, data.ctx.identity_element()
-    )
+    kgens = schreier_rows(data)[0]
     schreier = subdirect_decompose(kgens, group)
     tuples = k4_tuple_data(data)
     explicit = subdirect_decompose([tuples.t1, tuples.t2, tuples.t3], group)
@@ -313,9 +311,7 @@ def test_criterion_07_prediction_battery():
         assert job.problems() == []
         predicted = k4_block_count(group, x, y)
         data = build_cover_group(job)
-        kgens = schreier_kernel_generators(
-            data.y_gens, lambda w: w.sigma, data.ctx.identity_element()
-        )
+        kgens = schreier_rows(data)[0]
         structure = subdirect_decompose(kgens, group)
         assert predicted == structure.block_count == frozen_d, (name, x_text, y_text)
     assert time.perf_counter() - t0 < 120.0
@@ -392,9 +388,7 @@ def test_criterion_09_property_suites(extended_suite):
     # linking maps satisfy the equivalence axioms on a 3-block structure
     y2 = parse_cycles("(1,5,3)", 5)
     data2 = build_cover_group(CoverJob(n=4, group=group, x=x, y=y2, group_name="A5"))
-    kgens = schreier_kernel_generators(
-        data2.y_gens, lambda w: w.sigma, data2.ctx.identity_element()
-    )
+    kgens = schreier_rows(data2)[0]
     structure = subdirect_decompose(kgens, group)
     flattened = sorted(c for blk in structure.blocks for c in blk)
     assert flattened == list(range(structure.k))  # blocks partition components
@@ -410,7 +404,7 @@ def test_criterion_09_property_suites(extended_suite):
 
     # graph symmetry and irreflexivity for every graph built here
     m_structure = subdirect_decompose(
-        schreier_kernel_generators(data.y_gens, lambda v: v.sigma, ident),
+        schreier_rows(data)[0],
         group,
     )
     graph = build_coset_graph(data, m_structure)

@@ -28,11 +28,11 @@ from arccover.cosetgraph import (
     two_arc_transitive,
 )
 from arccover.errors import CapacityExceeded, InternalCheckError, ValidationError
-from arccover.groups import PermGroup, closure, schreier_kernel_generators
+from arccover.groups import PermGroup, closure
 from arccover.perm import Permutation, parse_cycles
 from arccover.report import JobSpec, run_job
 from arccover.subdirect import subdirect_decompose
-from arccover.wreath import CoverJob, WreathElement, build_cover_group
+from arccover.wreath import CoverJob, WreathElement, build_cover_group, schreier_rows
 
 
 def P(text, degree):
@@ -63,9 +63,7 @@ def cover_data(group, x, y):
     """Cover group data of an n = 4 job and the block structure of its kernel."""
     job = CoverJob(n=4, group=group, x=P(x, group.degree), y=P(y, group.degree))
     data = build_cover_group(job)
-    kgens = schreier_kernel_generators(
-        data.y_gens, lambda w: w.sigma, data.ctx.identity_element()
-    )
+    kgens = schreier_rows(data)[0]
     return data, subdirect_decompose(kgens, group)
 
 

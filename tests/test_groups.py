@@ -9,9 +9,10 @@ from arccover.groups import (
     AutomorphismMap,
     PermGroup,
     TableGroup,
+    class_sizes_force_simple,
     closure,
     conj_intersection,
-    conjugacy_class_reps,
+    conjugacy_classes,
     conjugating_permutations,
     extend_to_automorphism,
     group_order,
@@ -20,7 +21,6 @@ from arccover.groups import (
     is_nonabelian_simple,
     orbit,
     right_transversal,
-    schreier_kernel_generators,
 )
 from arccover.perm import Permutation, parse_cycles
 
@@ -140,28 +140,6 @@ def test_right_transversal_partitions():
     assert seen == {e.key() for e in h} == set(coset_of)
 
 
-def test_schreier_kernel_generators_sign_map():
-    # kernel of the parity map S4 -> S2 is A4
-    gens = [P("(1,2)", 4), P("(1,2,3,4)", 4)]
-    swap = P("(1,2)", 2)
-
-    def project(p):
-        odd = sum(len(c) - 1 for c in p.cycles()) % 2
-        return swap if odd else Permutation.identity(2)
-
-    kgens = schreier_kernel_generators(gens, project, Permutation.identity(4))
-    assert all(project(z).is_identity() for z in kgens)
-    assert len(closure(kgens, Permutation.identity(4))) == 12
-
-
-def test_schreier_kernel_image_cap():
-    gens = [P("(1,2)", 5), P("(1,2,3,4,5)", 5)]
-    with pytest.raises(CapacityExceeded):
-        schreier_kernel_generators(
-            gens, lambda p: p, Permutation.identity(5), image_cap=10
-        )
-
-
 # ---------------------------------------------------------------------------
 # enumerated tables
 # ---------------------------------------------------------------------------
@@ -221,9 +199,14 @@ def test_generates():
 
 def test_conjugacy_classes_of_a5():
     t = TableGroup(resolve_group("A5"))
-    reps = conjugacy_class_reps(t)
+    classes = conjugacy_classes(t)
+    reps = [c[0] for c in classes]
     assert len(reps) == 5
+    assert reps == sorted(reps) and reps[0] == 0
+    assert all(c[0] == min(c) for c in classes)
     assert sorted(t.order_of[r] for r in reps) == [1, 2, 3, 5, 5]
+    assert sorted(map(len, classes)) == [1, 12, 12, 15, 20]
+    assert sorted(i for c in classes for i in c) == list(range(60))
 
 
 def test_simplicity_flags():
@@ -233,6 +216,39 @@ def test_simplicity_flags():
     assert not is_nonabelian_simple(TableGroup(s4))
     z7 = group("(1,2,3,4,5,6,7)", degree=7)
     assert not is_nonabelian_simple(TableGroup(z7))
+
+
+@pytest.mark.parametrize("g, simple", [
+    (resolve_group("A5"), True),
+    (resolve_group("A6"), True),
+    (resolve_group("A7"), True),
+    (resolve_group("PSL27"), True),
+    (group("(1,2,3,4,5,6,7,8,9,10,11,12,13)",
+           "(1,14)(2,13)(3,7)(4,5)(8,12)(10,11)", degree=14), True),  # PSL(2,13)
+    (group("(1,2)", "(1,2,3,4)", degree=4), False),  # S4
+    (group("(1,2)", "(1,2,3,4,5)", degree=5), False),  # S5 > A5
+    (group("(1,2,3)(4,5,6)", "(1,4)(2,5)(3,6)", degree=6), False),  # Z3 x Z2
+], ids=["A5", "A6", "A7", "PSL27", "PSL2_13", "S4", "S5", "Z6"])
+def test_simplicity_by_class_sizes_agrees_with_normal_closures(g, simple):
+    """Where class sizes decide, they agree with generating every class."""
+    t = g.table()
+    classes = conjugacy_classes(t)
+    by_closures = all(t.generates(c) for c in classes[1:])
+    by_sizes = class_sizes_force_simple([len(c) for c in classes], t.size)
+    assert by_closures == simple
+    assert by_sizes == simple  # no non-simple group here passes the sizes
+    assert is_nonabelian_simple(t) == simple
+
+
+def test_class_sizes_leave_room_for_a_normal_subgroup():
+    # S4: 1 + 3 = |V4| divides 24, so the sizes cannot decide
+    assert not class_sizes_force_simple([1, 3, 6, 6, 8], 24)
+    # A5: no union of 12, 12, 15, 20 plus 1 divides 60
+    assert class_sizes_force_simple([1, 12, 12, 15, 20], 60)
+    # singleton classes: every divisor of the order is a union's size, and a
+    # prime order has none below it (Z7 is simple, if abelian)
+    assert not class_sizes_force_simple([1] * 6, 6)
+    assert class_sizes_force_simple([1] * 7, 7)
 
 
 # ---------------------------------------------------------------------------

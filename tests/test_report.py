@@ -1,9 +1,12 @@
 """Pipeline certificates, phases, suites, and regression baselines."""
 
 import json
+import math
+from types import SimpleNamespace
 
 import pytest
 
+from arccover import report
 from arccover.errors import ValidationError
 from arccover.report import (
     GAP_STATEMENTS,
@@ -171,6 +174,57 @@ def test_budget_skips_are_not_capacity():
     assert check_ids(cert) == ["job-valid"]
     assert all(rec["kind"] == "budget" for rec in cert.payload["skips"])
     assert not cert.capacity_blocked()
+
+
+def test_budget_runs_out_between_schreier_frontiers(monkeypatch):
+    """A clock that stands still until the Schreier BFS starts and then moves
+    one second per reading: with a 4.5 s budget the fifth check between
+    frontiers stops the stage, and the skip says how far it got."""
+    clock = {"now": 0.0, "step": 0.0}
+
+    def perf_counter():
+        clock["now"] += clock["step"]
+        return clock["now"]
+
+    real = report.schreier_rows
+    progress = []
+
+    def schreier_rows(data, image_cap, out_of_budget):
+        clock["step"] = 1.0
+
+        def counted():
+            progress.append(out_of_budget())
+            return progress[-1]
+
+        return real(data, image_cap, counted)
+
+    monkeypatch.setattr(report, "time", SimpleNamespace(perf_counter=perf_counter))
+    monkeypatch.setattr(report, "schreier_rows", schreier_rows)
+    spec = JobSpec(n=5, group="A5", x="(1,2)(3,4)", y="(1,2,3,4,5)", time_budget=4.5)
+    cert = run_job(spec, "decompose")
+    assert progress == [False] * 4 + [True]
+    assert check_ids(cert) == ["job-valid", "class-partition", "twist-identities", "kernel-witness"]
+    assert cert.ok and not cert.capacity_blocked()
+    assert cert.payload["skips"] == [{
+        "stage": "kernel-generators",
+        "kind": "budget",
+        "reason": "time budget exhausted",
+        "details": {"tops_reached": 82, "rows_kept": 5},
+    }]
+
+
+def test_image_order_is_certified_from_the_tops(monkeypatch):
+    """The stage fails, and the decomposition is left out, unless the BFS
+    reached all n! tops."""
+    real = report.schreier_rows
+    monkeypatch.setattr(report, "schreier_rows", lambda *args: (real(*args)[0], 23))
+    cert = run_job(JOB1, "decompose")
+    rec = cert.check("kernel-generators")
+    assert rec["passed"] is False and rec["computed"]["image_order"] == 23
+    assert cert.check("block-structure") is None
+    monkeypatch.setattr(report, "schreier_rows", real)
+    rec = run_job(JOB1, "decompose").check("kernel-generators")
+    assert rec["passed"] and rec["computed"]["image_order"] == math.factorial(4) == 24
 
 
 def test_exports_written_with_out_dir(tmp_path):

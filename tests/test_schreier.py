@@ -1,0 +1,171 @@
+"""Schreier generators of the kernel of the top projection: the array rows of
+`schreier_rows` against the one-element-at-a-time oracle of `schreier_oracle`
+(the generic routine they replaced), plus the oracle's own checks."""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import schreier_oracle as oracle
+from arccover.catalog import resolve_group
+from arccover.errors import BudgetExhausted, CapacityExceeded
+from arccover.groups import PermGroup, closure
+from arccover.perm import Permutation, parse_cycles
+from arccover.wreath import CoverJob, build_cover_group, schreier_rows
+
+
+def P(text, degree):
+    return parse_cycles(text, degree)
+
+
+def cover(group, n, x, y):
+    job = CoverJob(n=n, group=group, x=P(x, group.degree), y=P(y, group.degree))
+    return build_cover_group(job)
+
+
+def oracle_rows(data):
+    kgens = oracle.schreier_kernel_generators(
+        data.y_gens, lambda w: w.sigma, data.ctx.identity_element()
+    )
+    assert all(z.sigma.is_identity() for z in kgens)
+    return [z.f for z in kgens]
+
+
+# ---------------------------------------------------------------------------
+# the oracle on a kernel outside the construction
+# ---------------------------------------------------------------------------
+
+
+def test_schreier_kernel_generators_sign_map():
+    # kernel of the parity map S4 -> S2 is A4
+    gens = [P("(1,2)", 4), P("(1,2,3,4)", 4)]
+    swap = P("(1,2)", 2)
+
+    def project(p):
+        odd = sum(len(c) - 1 for c in p.cycles()) % 2
+        return swap if odd else Permutation.identity(2)
+
+    kgens = oracle.schreier_kernel_generators(gens, project, Permutation.identity(4))
+    assert all(project(z).is_identity() for z in kgens)
+    assert len(closure(kgens, Permutation.identity(4))) == 12
+
+
+def test_schreier_kernel_image_cap():
+    gens = [P("(1,2)", 5), P("(1,2,3,4,5)", 5)]
+    with pytest.raises(CapacityExceeded):
+        oracle.schreier_kernel_generators(
+            gens, lambda p: p, Permutation.identity(5), image_cap=10
+        )
+
+
+# ---------------------------------------------------------------------------
+# array rows against the oracle
+# ---------------------------------------------------------------------------
+
+A5 = ("A5", "(1,2)(3,4)", "(1,2,3,4,5)")
+# the same pair conjugated by (1,2,3): an automorphism of A5 moves every entry
+A5_CONJUGATED = ("A5", "(1,4)(2,3)", "(1,4,5,2,3)")
+PSL27 = ("PSL27", "(1,8)(2,7)(3,4)(5,6)", "(1,2,3,4,5,6,7)")
+A11 = ("A11", "(1,2)(3,6)", "(1,2,3,4,5,6,7,8,9,10,11)")
+PSL2_13 = PermGroup.from_cycle_strings(
+    ["(1,2,3,4,5,6,7,8,9,10,11,12,13)", "(1,14)(2,13)(3,7)(4,5)(8,12)(10,11)"], 14
+)
+
+
+@pytest.mark.parametrize("job, n, dtype", [
+    (A5, 4, np.uint8),
+    (A5, 5, np.uint8),
+    (A5, 6, np.uint8),
+    (A5, 7, np.uint8),
+    (A5_CONJUGATED, 4, np.uint8),
+    (A5_CONJUGATED, 5, np.uint8),
+    (PSL27, 4, np.uint8),
+    (A11, 4, object),
+], ids=["A5-n4", "A5-n5", "A5-n6", "A5-n7", "A5-conjugated-n4", "A5-conjugated-n5",
+        "PSL27-n4", "A11-n4-object"])
+def test_rows_match_oracle(job, n, dtype):
+    """The same rows in the same order, over all n! tops."""
+    name, x, y = job
+    data = cover(resolve_group(name), n, x, y)
+    rows, tops = schreier_rows(data)
+    assert tops == math.factorial(n)
+    assert rows.dtype == dtype and rows.shape[1] == data.ctx.k
+    assert list(map(tuple, rows)) == oracle_rows(data)
+
+
+def test_conjugated_pair_moves_rows_by_the_automorphism():
+    """Conjugating x and y by c in T conjugates every kernel row entrywise."""
+    group = resolve_group("A5")
+    table = group.table()
+    rows, _ = schreier_rows(cover(group, 5, *A5[1:]))
+    moved, _ = schreier_rows(cover(group, 5, *A5_CONJUGATED[1:]))
+    c = P("(1,2,3)", 5)
+    conj = np.array([table.idx(t.conjugate(c)) for t in table.elements])
+    assert np.array_equal(conj[rows], moved)
+
+
+def test_rows_of_a_table_above_256_elements_match_oracle():
+    data = cover(PSL2_13, 4, "(1,14)(2,13)(3,7)(4,5)(8,12)(10,11)",
+                 "(1,4,7,10,13,3,6,9,12,2,5,8,11)")
+    rows, tops = schreier_rows(data)
+    assert rows.dtype == np.uint16 and tops == 24
+    assert list(map(tuple, rows.tolist())) == oracle_rows(data)
+
+
+def test_object_rows_match_the_table_rows(conjugator_route):
+    """A5 without its table gives the table rows as Permutations."""
+    group = resolve_group("A5")
+    by_table, _ = schreier_rows(cover(group, 5, *A5[1:]))
+    by_object, _ = schreier_rows(cover(conjugator_route(group), 5, *A5[1:]))
+    assert by_object.dtype == object
+    elems = group.table().elements
+    assert [[elems[i] for i in row] for row in by_table.tolist()] == by_object.tolist()
+
+
+# ---------------------------------------------------------------------------
+# caps and budgets
+# ---------------------------------------------------------------------------
+
+
+def test_image_cap_stops_before_storing_past_it():
+    data = cover(resolve_group("A5"), 7, *A5[1:])
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityExceeded) as info:
+            schreier_rows(data, image_cap=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == "quotient enumeration exceeded cap 10"
+    assert info.value.details == {"discovered": 11}
+    # all 5040 representatives' rows of 720 entries would take 3.6 MB
+    assert peak < 1_000_000
+
+
+def test_budget_is_checked_between_frontiers():
+    """The budget stops the BFS after a whole frontier and says how far it
+    got: more tops and no fewer rows at each later frontier."""
+    data = cover(resolve_group("A5"), 5, *A5[1:])
+    full, _ = schreier_rows(data)
+    calls = []
+    schreier_rows(data, out_of_budget=lambda: calls.append(1) and False)
+    frontiers = len(calls) + 1
+    progress = []
+    for stop_at in range(1, frontiers):
+        calls = []
+
+        def out_of_budget():
+            calls.append(1)
+            return len(calls) == stop_at
+
+        with pytest.raises(BudgetExhausted) as info:
+            schreier_rows(data, out_of_budget=out_of_budget)
+        assert str(info.value) == "time budget exhausted"
+        assert info.value.kind == "budget"
+        progress.append((info.value.details["tops_reached"], info.value.details["rows_kept"]))
+    tops, kept = zip(*progress)
+    # the last frontier finds no new top, but its pairs still give rows
+    assert list(tops) == sorted(set(tops)) and tops[0] > 1 and tops[-1] <= 120
+    assert list(kept) == sorted(kept) and kept[-1] <= len(full)

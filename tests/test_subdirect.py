@@ -3,21 +3,29 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from arccover.catalog import resolve_group
 from arccover.errors import ValidationError
-from arccover.groups import PermGroup, conjugating_permutations, schreier_kernel_generators
+from arccover.groups import conjugating_permutations
 from arccover.perm import Permutation, parse_cycles
 from arccover.subdirect import (
     BlockReport,
+    _entry_rows,
     cross_automorphism,
     inverting_automorphism,
     k4_block_count,
     structures_equal,
     subdirect_decompose,
 )
-from arccover.wreath import CoverJob, K4_POSITIONS, build_cover_group, k4_tuple_data
+from arccover.wreath import (
+    CoverJob,
+    K4_POSITIONS,
+    build_cover_group,
+    k4_tuple_data,
+    schreier_rows,
+)
 
 
 def P(text, degree=5):
@@ -35,9 +43,7 @@ def kernel_structure(y, n=4, group=A5, x=X):
     """Schreier kernel of the top projection, decomposed over T^(n-1)!."""
     job = CoverJob(n=n, group=group, x=x, y=y, group_name="T")
     data = build_cover_group(job)
-    kgens = schreier_kernel_generators(
-        data.y_gens, lambda w: w.sigma, data.ctx.identity_element()
-    )
+    kgens = schreier_rows(data)[0]
     return data, subdirect_decompose(kgens, group)
 
 
@@ -119,6 +125,41 @@ def test_malformed_table_entries_rejected(rows):
         subdirect_decompose(rows, A5)
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
+def test_integer_matrix_is_taken_as_its_rows(dtype):
+    """A matrix gives the structure of its row tuples, repeats dropped in
+    input order, and Python ints in the generating rows."""
+    table = A5.table()
+    rows = [tuple(table.idx(p) for p in row) for row in [(X, X), (Y1, Y1.inverse())]]
+    matrix = np.array([rows[0], rows[1], rows[0]], dtype=dtype)
+    by_matrix = subdirect_decompose(matrix, A5)
+    by_tuples = subdirect_decompose(rows, A5)
+    assert by_matrix.generators == by_tuples.generators == tuple(rows)
+    assert all(type(e) is int for row in by_matrix.generators for e in row)
+    assert by_matrix.blocks == by_tuples.blocks and structures_equal(by_matrix, by_tuples)
+
+
+@pytest.mark.parametrize("matrix, message", [
+    (np.array([[1, 1], [2, 60]]), "table indices 0..59"),
+    (np.array([[1, 1], [2, -1]]), "table indices 0..59"),
+    (np.zeros((0, 2), dtype=np.uint8), "one positive length, got lengths \\[\\]"),
+    (np.zeros((2, 0), dtype=np.uint8), "one positive length, got lengths \\[0\\]"),
+    (np.array([[1.0, 1.0], [2.0, 3.0]]), "int table indices, got float"),
+    (np.array([[True, True]]), "int table indices, got bool"),
+])
+def test_malformed_matrix_rejected(matrix, message):
+    with pytest.raises(ValidationError, match=message):
+        subdirect_decompose(matrix, A5)
+
+
+def test_matrix_needs_a_table_and_width_k(conjugator_route):
+    matrix = np.array([[1, 1], [2, 2]], dtype=np.uint8)
+    with pytest.raises(ValidationError, match="Permutations, got int"):
+        subdirect_decompose(matrix, conjugator_route(A5))
+    with pytest.raises(ValidationError, match="length 3, got lengths \\[2\\]"):
+        _entry_rows(matrix, A5, 3)
+
+
 def test_entries_must_match_the_route(conjugator_route):
     with pytest.raises(ValidationError, match="int table indices, got Permutation"):
         subdirect_decompose([(X, X), (Y1, Y1)], A5)
@@ -197,9 +238,7 @@ def test_object_mode_builds_one_chain_per_column(monkeypatch):
         n=4, group=a11, x=P("(1,2)(3,6)", 11), y=P("(1,2,3,4,5,6,7,8,9,10,11)", 11)
     )
     data = build_cover_group(job)
-    kgens = schreier_kernel_generators(
-        data.y_gens, lambda w: w.sigma, data.ctx.identity_element()
-    )
+    kgens = schreier_rows(data)[0]
     a11.order()  # the group's own chain is not part of the count
     built = count_chains(monkeypatch)
     s = subdirect_decompose(kgens, a11)
@@ -214,9 +253,7 @@ def test_conjugator_route_builds_one_chain_per_block_base(monkeypatch, conjugato
     group = conjugator_route(A5)
     data = build_cover_group(CoverJob(n=4, group=group, x=X, y=y))
     assert not data.ctx.index_mode
-    kgens = schreier_kernel_generators(
-        data.y_gens, lambda w: w.sigma, data.ctx.identity_element()
-    )
+    kgens = schreier_rows(data)[0]
     group.order()  # the group's own chain is not part of the count
     built = count_chains(monkeypatch)
     s = subdirect_decompose(kgens, group)
@@ -235,9 +272,7 @@ def test_routes_agree_on_n4_kernels(conjugator_route, name, x, y):
     for group in (resolve_group(name), conjugator_route(resolve_group(name))):
         job = CoverJob(n=4, group=group, x=P(x, group.degree), y=P(y, group.degree))
         data = build_cover_group(job)
-        kgens = schreier_kernel_generators(
-            data.y_gens, lambda w: w.sigma, data.ctx.identity_element()
-        )
+        kgens = schreier_rows(data)[0]
         structures.append((data.ctx, subdirect_decompose(kgens, group)))
     (ctx_t, by_table), (_, by_conjugator) = structures
     assert by_table.blocks == by_conjugator.blocks
