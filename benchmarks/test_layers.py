@@ -2,9 +2,11 @@
 
     python -m pytest benchmarks --benchmark-only
 
-Each benchmark times one layer on its own: the multiplication-table build of
-an enumerable T (A7 and PSL(2,13), generated as in perfbench/jobs.py), an
-index-mode wreath product at n = 7, which reads the table through
+Each benchmark times one layer on its own: a `Permutation` product at
+degree 11, the BFS closure of A7 (2520 elements), the order of the subgroup
+of A11 generated by example-3's pair (a stabilizer chain stopped at |A11|),
+the multiplication-table build of an enumerable T (A7 and PSL(2,13),
+generated as in perfbench/jobs.py), an index-mode wreath product at n = 7, which reads the table through
 `TableGroup.mult_flat` once per cycle position (k = 360), the Schreier rows
 of the kernel of the top projection (the n = 7 A5 kernel, 1004 uint8 rows
 over k = 720 from 5040 tops; the n = 4 A11 kernel of example-3 in object
@@ -22,7 +24,7 @@ import pytest
 
 from arccover.catalog import resolve_group
 from arccover.cosetgraph import build_coset_graph, quotient_graph
-from arccover.groups import PermGroup, TableGroup
+from arccover.groups import PermGroup, TableGroup, closure
 from arccover.perm import Permutation, parse_cycles
 from arccover.subdirect import subdirect_decompose
 from arccover.wreath import (
@@ -37,6 +39,29 @@ GROUPS = {
     "A7": (7, ["(1,2,3)", "(1,2,3,4,5,6,7)"]),
     "PSL2_13": (14, ["(1,2,3,4,5,6,7,8,9,10,11,12,13)", "(1,14)(2,13)(3,7)(4,5)(8,12)(10,11)"]),
 }
+
+
+A11_PAIR = ("(1,2)(3,6)", "(1,2,3,4,5,6,7,8,9,10,11)")
+
+
+def test_permutation_product_degree_11(benchmark):
+    a, b = (parse_cycles(t, 11) for t in A11_PAIR)
+    w = benchmark(a.__mul__, b)
+    assert w.apply(1) == b.apply(a.apply(1))
+
+
+def test_closure_a7(benchmark):
+    degree, gens = GROUPS["A7"]
+    perms = [parse_cycles(t, degree) for t in gens]
+    elements = benchmark(closure, perms, Permutation.identity(degree))
+    assert len(elements) == 2520
+
+
+def test_subgroup_order_a11_pair(benchmark):
+    a11 = resolve_group("A11")
+    a11.order()  # the group's own chain, which bounds the subgroup, is built once
+    pair = [parse_cycles(t, 11) for t in A11_PAIR]
+    assert benchmark(a11.subgroup_order, pair) == 19958400
 
 
 @pytest.mark.parametrize("name", sorted(GROUPS))

@@ -25,7 +25,7 @@ centralizer acting on the right, through int vertex maps
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -380,19 +380,36 @@ def centralizer_elements(elements: Sequence, gens: Sequence) -> list:
     return out
 
 
-def export_graph(adjacency: Sequence[Sequence[int]], fmt: str) -> bytes:
+EXPORT_CHUNK_ROWS = 1 << 14
+
+
+def export_chunks(adjacency: np.ndarray, fmt: str) -> Iterator[bytes]:
+    """The export of an (order × valency) int adjacency array in pieces of
+    at most EXPORT_CHUNK_ROWS rows each, so a large graph is never formatted
+    whole; their join is `export_graph(adjacency, fmt)`."""
+    if fmt not in ("edge-list", "adjacency-text"):
+        raise ValidationError(f"unknown export format {fmt!r}")
+    adjacency = np.asarray(adjacency)
+    line = "%d: " + " ".join(["%d"] * adjacency.shape[1]) + "\n"
+    empty = True
+    for start in range(0, len(adjacency), EXPORT_CHUNK_ROWS):
+        rows = adjacency[start:start + EXPORT_CHUNK_ROWS]
+        ids = np.arange(start, start + len(rows))[:, None]
+        if fmt == "edge-list":
+            # row-major order keeps v ascending, then u ascending in the sorted row
+            upper = rows > ids
+            pairs = np.stack([np.broadcast_to(ids, rows.shape)[upper], rows[upper]], axis=1)
+            text = "%d %d\n" * len(pairs) % tuple(pairs.ravel().tolist())
+        else:
+            text = line * len(rows) % tuple(np.hstack([ids, rows]).ravel().tolist())
+        if text:
+            empty = False
+            yield text.encode()
+    if empty:
+        yield b"\n"
+
+
+def export_graph(adjacency: np.ndarray, fmt: str) -> bytes:
     """Deterministic text exports: 'edge-list' ("u v" per line, 0-based,
     u < v, sorted) or 'adjacency-text' ("v: n1 n2 ..." per line)."""
-    if fmt == "edge-list":
-        lines = []
-        for v, nbrs in enumerate(adjacency):
-            for u in nbrs:
-                if v < u:
-                    lines.append(f"{v} {u}")
-        return ("\n".join(lines) + "\n").encode()
-    if fmt == "adjacency-text":
-        lines = [
-            f"{v}: " + " ".join(map(str, nbrs)) for v, nbrs in enumerate(adjacency)
-        ]
-        return ("\n".join(lines) + "\n").encode()
-    raise ValidationError(f"unknown export format {fmt!r}")
+    return b"".join(export_chunks(adjacency, fmt))

@@ -110,18 +110,35 @@ class StabilizerChain:
     through the levels below; failures join the master list and re-verify from
     their own level). Supports exact order and membership for groups far too
     large to enumerate.
+
+    Known-order stop: given a proven upper bound B on |<generators>|, the run
+    ends as soon as the product of the basic orbit lengths |b_i^H_i| reaches
+    B, where H_i is generated by the master generators fixing b_1..b_(i-1).
+    This is exact: H_(i+1) <= (H_i)_(b_i) and no master generator fixes every
+    base point, so the product never exceeds |<generators>| <= B, and equality
+    makes every H_(i+1) = (H_i)_(b_i), a complete base and strong generating
+    set. A product above B means B was no bound (InternalCheckError); a false
+    bound the product meets exactly goes unseen, so B must be proven. When B
+    is never reached, the full bottom-up verification decides the order.
     """
 
-    def __init__(self, generators: Sequence[Permutation], degree: int):
+    def __init__(
+        self,
+        generators: Sequence[Permutation],
+        degree: int,
+        order_bound: Optional[int] = None,
+    ):
         self.degree = degree
         self.base: list[int] = []
         self.master: list[Permutation] = []
         self.transversals: list[dict[int, Permutation]] = []
         self._seen: set[bytes] = set()
+        self._bound = order_bound
         for g in generators:
             if not g.is_identity():
                 self._add_strong_gen(g)
-        self._verify_all()
+        if not self._bound_reached():
+            self._verify_all()
 
     def _add_strong_gen(self, h: Permutation) -> int:
         """Add h to the master list; returns the deepest level whose gens changed."""
@@ -154,14 +171,35 @@ class StabilizerChain:
             g = g * rep.inverse()
         return g
 
+    def _transversal(self, i: int, gens_i: list[Permutation]) -> dict[int, Permutation]:
+        _, transversal = orbit_with_transversal(
+            self.base[i], gens_i, _point_action, Permutation.identity(self.degree)
+        )
+        return transversal
+
+    def _bound_reached(self) -> bool:
+        """True, with every level's transversal built, once the product of
+        the basic orbit lengths equals the order bound (class docstring)."""
+        if self._bound is None:
+            return False
+        level_gens = [self._level_gens(i) for i in range(len(self.base))]
+        product = 1
+        for b, gens_i in zip(self.base, level_gens):
+            product *= len(orbit(b, gens_i, _point_action))
+        if product > self._bound:
+            raise InternalCheckError(
+                f"basic orbit lengths multiply to {product}, above the order bound {self._bound}"
+            )
+        if product < self._bound:
+            return False
+        self.transversals = [self._transversal(i, g) for i, g in enumerate(level_gens)]
+        return True
+
     def _verify_all(self) -> None:
         i = len(self.base) - 1
         while i >= 0:
             gens_i = self._level_gens(i)
-            _, transversal = orbit_with_transversal(
-                self.base[i], gens_i, _point_action, Permutation.identity(self.degree)
-            )
-            self.transversals[i] = transversal
+            transversal = self.transversals[i] = self._transversal(i, gens_i)
             restart_at = None
             for p in list(transversal):
                 u_p = transversal[p]
@@ -179,6 +217,8 @@ class StabilizerChain:
                 # levels deeper than restart_at are untouched and stay verified
                 if restart_at <= i:
                     raise InternalCheckError("sifted residue moved an upper base point")
+                if self._bound_reached():
+                    return
                 i = restart_at
             else:
                 i -= 1
@@ -228,12 +268,23 @@ class PermGroup:
         return Permutation.identity(self.degree)
 
     def chain(self) -> StabilizerChain:
+        """The stabilizer chain, stopped at the order of A_degree when every
+        generator is even, else at that of S_degree."""
         if self._chain is None:
-            self._chain = StabilizerChain(self.generators, self.degree)
+            bound = math.factorial(self.degree)
+            if self.degree > 1 and all(g.is_even() for g in self.generators):
+                bound //= 2
+            self._chain = StabilizerChain(self.generators, self.degree, order_bound=bound)
         return self._chain
 
     def order(self) -> int:
         return self.chain().order()
+
+    def subgroup_order(self, elements: Sequence[Permutation]) -> int:
+        """|<elements>| for elements of this group, whose order bounds it."""
+        if all(g.is_identity() for g in elements):
+            return 1
+        return StabilizerChain(elements, self.degree, order_bound=self.order()).order()
 
     def contains(self, g: Permutation) -> bool:
         return self.chain().contains(g)
@@ -638,8 +689,6 @@ def is_natural_alternating(group: PermGroup) -> bool:
         return False
     if not group.is_transitive():
         return False
-    for g in group.generators:
-        even = sum(len(c) - 1 for c in g.cycles()) % 2 == 0
-        if not even:
-            return False
+    if not all(g.is_even() for g in group.generators):
+        return False
     return group.order() == math.factorial(p) // 2

@@ -34,6 +34,15 @@ class Permutation:
     # -- construction ------------------------------------------------------
 
     @classmethod
+    def _trusted(cls, images: tuple) -> "Permutation":
+        """A Permutation from an images tuple already known to be a bijection
+        (a product or inverse of validated permutations), unchecked."""
+        p = object.__new__(cls)
+        p.images = images
+        p._hash = None
+        return p
+
+    @classmethod
     def identity(cls, degree: int) -> "Permutation":
         return cls(range(1, degree + 1))
 
@@ -66,16 +75,16 @@ class Permutation:
         return self.images[point - 1]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        if self.degree != other.degree:
-            raise ValidationError("degree mismatch in product")
         oth = other.images
-        return Permutation(oth[i - 1] for i in self.images)
+        if len(oth) != len(self.images):
+            raise ValidationError("degree mismatch in product")
+        return Permutation._trusted(tuple([oth[i - 1] for i in self.images]))
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.degree
         for i, j in enumerate(self.images, start=1):
             inv[j - 1] = i
-        return Permutation(inv)
+        return Permutation._trusted(tuple(inv))
 
     def __pow__(self, exponent: int) -> "Permutation":
         if exponent < 0:
@@ -121,6 +130,9 @@ class Permutation:
         if not cycs:
             return "()"
         return "".join("(" + ",".join(map(str, c)) + ")" for c in cycs)
+
+    def is_even(self) -> bool:
+        return sum(len(c) - 1 for c in self.cycles()) % 2 == 0
 
     def order(self) -> int:
         result = 1

@@ -24,7 +24,7 @@ from .cosetgraph import (
     VERTEX_CAP_DEFAULT,
     build_coset_graph,
     centralizer_elements,
-    export_graph,
+    export_chunks,
     graph_girth,
     graph_invariants,
     quotient_graph,
@@ -35,7 +35,6 @@ from .groups import (
     ENUM_CAP_DEFAULT,
     closure,
     conj_intersection,
-    group_order,
     orbit,
 )
 from .perm import Permutation, cycle_classes, n_cycles, parse_cycles
@@ -447,7 +446,7 @@ def _kernel_witness(run: _Run):
     s_alpha_inv = ctx.entry_perm(s.f[ctx.cycle_index[alpha.inverse().key()]])
     front_ok = s_alpha == y * y * x
     back_ok = s_alpha_inv == y.inverse() * y.inverse() * x
-    pair_order = group_order([s_alpha, s_alpha_inv], job.group.degree)
+    pair_order = job.group.subgroup_order([s_alpha, s_alpha_inv])
     generates = pair_order == job.group.order()
     computed = {
         "top_part_trivial": True,
@@ -709,11 +708,10 @@ STAGES = (
 def _write_exports(run: _Run, graph) -> None:
     out_dir = Path(run.spec.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = graph.adjacency.tolist()
     for fmt in run.spec.formats:
-        data = export_graph(rows, fmt)
         name = f"{run.spec.job_name()}.{EXPORT_SUFFIX[fmt]}.txt"
-        (out_dir / name).write_bytes(data)
+        with open(out_dir / name, "wb") as fh:
+            fh.writelines(export_chunks(graph.adjacency, fmt))
         run.artifacts.append(name)
 
 

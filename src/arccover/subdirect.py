@@ -29,7 +29,6 @@ from .groups import (
     TableGroup,
     conjugating_permutations,
     extend_to_automorphism,
-    group_order,
     is_natural_alternating,
 )
 from .perm import Permutation
@@ -201,7 +200,7 @@ def _generating_prefix(column: list, group: PermGroup) -> list[int]:
         values.append(v)
         if len(values) > 1 and (
             table.generates(values) if table is not None
-            else group_order(values, group.degree) == group.order()
+            else group.subgroup_order(values) == group.order()
         ):
             return chosen
     return []
@@ -290,7 +289,7 @@ def cross_automorphism(
     yi = y.inverse()
     sources = [y * x * y, y * y * x, x * y * y]
     targets = [y * y * x, y * x * y, yi * yi * x]
-    if group_order(sources, group.degree) != group.order():
+    if group.subgroup_order(sources) != group.order():
         raise ValidationError("criterion sources do not generate T")
     return _phi_route(group, sources, targets)
 

@@ -27,7 +27,6 @@ from .groups import (
     ENUM_CAP_DEFAULT,
     PermGroup,
     closure,
-    group_order,
     is_natural_alternating,
     is_nonabelian_simple,
 )
@@ -217,11 +216,12 @@ class CoverJob:
             out.append(f"|x| must be 2, got {self.x.order()}")
         if not _is_odd_prime(self.y.order()):
             out.append(f"|y| must be an odd prime, got {self.y.order()}")
-        if not self.group.contains(self.x):
+        x_in, y_in = self.group.contains(self.x), self.group.contains(self.y)
+        if not x_in:
             out.append("x is not an element of T")
-        if not self.group.contains(self.y):
+        if not y_in:
             out.append("y is not an element of T")
-        if group_order([self.x, self.y], deg) != self.group.order():
+        if x_in and y_in and self.group.subgroup_order([self.x, self.y]) != self.group.order():
             out.append("<x, y> is a proper subgroup of T")
         if is_natural_alternating(self.group):
             pass  # alternating of degree >= 5 in natural action: simple

@@ -40,6 +40,17 @@ def test_validate_rejects_bad_order(capsys):
     assert any("odd prime" in p for p in payload["problems"])
 
 
+@pytest.mark.parametrize("y", ["(1,2,3,4,5)", "(1,2,3)"])
+def test_validate_reports_only_membership_for_x_outside_t(capsys, y):
+    """<x, y> = T is checked only for x, y in T: with x = (1,2) the pair
+    generates S5 or S3, neither of them a subgroup of A5."""
+    code, out, _ = run_cli(
+        ["validate", "--n", "4", "--group", "A5", "--x", "(1,2)", "--y", y], capsys
+    )
+    assert code == 2
+    assert json.loads(out)["problems"] == ["x is not an element of T"]
+
+
 def test_validate_rejects_malformed_cycles(capsys):
     code, out, _ = run_cli(
         ["validate", "--n", "4", "--group", "A5", "--x", "(1,2", "--y", "(1,2,3)"],

@@ -20,7 +20,9 @@ from arccover.catalog import resolve_group
 from arccover.cosetgraph import (
     _check_symmetric,
     build_coset_graph,
+    EXPORT_CHUNK_ROWS,
     centralizer_elements,
+    export_chunks,
     export_graph,
     graph_girth,
     graph_invariants,
@@ -460,3 +462,25 @@ def test_exports_are_deterministic_bytes():
     )
     with pytest.raises(ValidationError, match="unknown export format"):
         export_graph(k4, "graphml")
+
+
+def _joined_export(adjacency, fmt):
+    """The exports as one joined string of lines, the format's definition."""
+    if fmt == "edge-list":
+        lines = [f"{v} {u}" for v, nbrs in enumerate(adjacency) for u in nbrs if v < u]
+    else:
+        lines = [f"{v}: " + " ".join(map(str, nbrs)) for v, nbrs in enumerate(adjacency)]
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("fmt", ["edge-list", "adjacency-text"])
+def test_exports_in_chunks_match_the_joined_lines(fmt):
+    """A circulant graph over more than two chunks of rows, and graphs with
+    no edges or no vertices, export the same bytes as the joined lines."""
+    order = 2 * EXPORT_CHUNK_ROWS + 7
+    ids = np.arange(order)[:, None]
+    circulant = np.sort((ids + np.array([-5, -1, 1, 5])) % order, axis=1)
+    assert len(list(export_chunks(circulant, fmt))) == 3
+    edgeless, empty = np.zeros((3, 0), dtype=np.int32), np.zeros((0, 3), dtype=np.int32)
+    for adjacency in (circulant, edgeless, empty):
+        assert export_graph(adjacency, fmt) == _joined_export(adjacency.tolist(), fmt)

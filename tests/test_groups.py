@@ -8,6 +8,7 @@ from arccover.errors import CapacityExceeded, InternalCheckError, ValidationErro
 from arccover.groups import (
     AutomorphismMap,
     PermGroup,
+    StabilizerChain,
     TableGroup,
     class_sizes_force_simple,
     closure,
@@ -86,6 +87,66 @@ def test_group_order_of_generating_pairs():
     assert group_order([P("(1,2)(3,4)", 5), P("(1,2,3,4,5)", 5)], 5) == 60
     assert group_order([P("(1,2)(3,4)", 5), P("(1,5,3)", 5)], 5) == 60
     assert group_order([P("(3,4,5)", 5)], 5) == 3
+
+
+A11_PAIR = ("(1,2)(3,6)", "(1,2,3,4,5,6,7,8,9,10,11)")
+# PSL(2,11) in its transitive action on 11 points (the automorphisms of the
+# biplane of quadratic residues mod 11), order 660
+PSL211_PAIR = ("(3,6)(5,8)(7,9)(10,11)", "(1,2,3,4,5,6,7,8,9,10,11)")
+BOUNDED_CASES = {
+    # name: (generators, degree, order bound, true order)
+    "A7": (("(1,2,3)", "(1,2,3,4,5,6,7)"), 7, 2520, 2520),
+    "A11": (A11_PAIR, 11, 19958400, 19958400),
+    "S5-odd-generator": (("(1,2)", "(1,2,3,4,5)"), 5, 120, 120),
+    "PSL211-in-A11": (PSL211_PAIR, 11, 19958400, 660),
+    "A10-point-stabilizer": (("(2,3,4)", "(3,4,5,6,7,8,9,10,11)"), 11, 19958400, 1814400),
+    "PSL27-degree-8": (("(1,2,3,4,5,6,7)", "(1,8)(2,7)(3,4)(5,6)"), 8, 20160, 168),
+}
+
+
+def _probes(gens, degree):
+    """A fixed mix of members and non-members: words in the generators and
+    a few small cycles."""
+    a, b = gens
+    words = [a * b, b * a * a, a * b * b * a * b, (a * b * b).inverse(), b ** 3 * a]
+    cycles = ["()", "(1,2)", "(1,2,3)", "(1,2)(3,4)", "(2,3,4)", "(1,3,5)(2,4)",
+              "(" + ",".join(map(str, range(1, degree + 1))) + ")"]
+    return words + [P(c, degree) for c in cycles]
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDED_CASES))
+def test_bounded_chain_matches_unbounded(name):
+    """A chain stopped at a proven order bound (or verified in full when the
+    bound is not reached) has the exact order and membership of a full one."""
+    texts, degree, bound, order = BOUNDED_CASES[name]
+    gens = [P(t, degree) for t in texts]
+    bounded = StabilizerChain(gens, degree, order_bound=bound)
+    full = StabilizerChain(gens, degree)
+    assert bounded.order() == full.order() == order
+    probes = _probes(gens, degree)
+    members = [full.contains(p) for p in probes]
+    assert [bounded.contains(p) for p in probes] == members
+    assert True in members and (order == bound or False in members)
+
+
+def test_group_chain_bound_is_alternating_or_symmetric_order():
+    assert group("(1,2)", "(1,2,3,4,5)", degree=5).order() == 120
+    assert group(*A11_PAIR, degree=11).order() == 19958400
+    assert group(*PSL211_PAIR, degree=11).order() == 660
+
+
+def test_subgroup_order_is_bounded_by_the_group():
+    a11 = resolve_group("A11")
+    assert a11.subgroup_order([P(t, 11) for t in A11_PAIR]) == a11.order()
+    assert a11.subgroup_order([P(t, 11) for t in PSL211_PAIR]) == 660
+    assert a11.subgroup_order([Permutation.identity(11)]) == 1
+
+
+def test_bound_below_the_true_order_is_an_internal_error():
+    """The basic orbit lengths of A5 multiply to 5, 20, 60: they pass 59
+    without ever equalling it."""
+    with pytest.raises(InternalCheckError, match="above the order bound"):
+        StabilizerChain([P("(1,2)(3,4)", 5), P("(1,2,3,4,5)", 5)], 5, order_bound=59)
 
 
 # ---------------------------------------------------------------------------

@@ -225,7 +225,7 @@ def count_chains(monkeypatch):
     init = groups.StabilizerChain.__init__
     monkeypatch.setattr(
         groups.StabilizerChain, "__init__",
-        lambda self, *args: built.append(1) or init(self, *args),
+        lambda self, *args, **kwargs: built.append(1) or init(self, *args, **kwargs),
     )
     return built
 
