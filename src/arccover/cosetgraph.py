@@ -4,9 +4,9 @@ The graph Cos(Y, H, HgH) has the right cosets of H as vertices, with Hx ~ Hy
 iff y x^-1 in HgH. H is top-only (the embedded Sym{2..n}) and the kernel M of
 the top projection meets it trivially, so every coset is H·c_i·m for exactly
 one top i = 1^σ and one m in M. The sections are c_1 = 1, c_2 = g and
-c_j = g·(2,j). A neighbour seed p (g times a transversal of H ∩ H^g in H)
-sends H·c_i·m to H·c_j·(v·m), where p·c_i = h·c_j·v with h in H and the
-voltage v in M. So the graph is the derived graph of K_n with n(n-1)
+c_j = g·(2,j). A neighbour seed p (g times a transversal of H ∩ H^g in H,
+both held as tops) sends H·c_i·m to H·c_j·(v·m), where p·c_i = h·c_j·v with
+h in H and the voltage v in M. So the graph is the derived graph of K_n with n(n-1)
 voltages in M = T^d (Gross–Tucker), built with one gather per dart and block
 base over all |T|^d fibre points and no coset search.
 
@@ -30,10 +30,10 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import CapacityExceeded, InternalCheckError, ValidationError
-from .groups import conj_intersection, is_2_transitive, right_transversal
+from .groups import is_2_transitive, right_transversal
 from .perm import Permutation, parse_cycles
 from .subdirect import SubdirectStructure
-from .wreath import CoverGroupData, WreathElement
+from .wreath import CoverGroupData, WreathElement, twist_tops
 
 VERTEX_CAP_DEFAULT = 2_000_000
 
@@ -187,9 +187,8 @@ def build_coset_graph(
     expected = data.ctx.n * structure.order()
     if expected > vertex_cap:
         raise CapacityExceeded(f"expected {expected} vertices exceeds the cap {vertex_cap}")
-    h_elements = data.h_elements()
-    kernel = conj_intersection(h_elements, data.g)
-    seeds = [data.g * t for t in right_transversal(kernel, h_elements)[0]]
+    tops = twist_tops(data)
+    seeds = [data.g * data.ctx.embed_top(t) for t in right_transversal(tops.k, tops.h)[0]]
     return CosetGraph(data, structure, seeds)
 
 
@@ -219,13 +218,16 @@ def _orbit_labels(columns: Sequence[np.ndarray], order: int) -> np.ndarray:
             return label
 
 
-def two_arc_transitive(h_elements: Sequence, g, h_gens: Optional[Sequence] = None) -> dict:
+def two_arc_transitive(
+    h_elements: Sequence, k_elements: Sequence, h_gens: Optional[Sequence] = None
+) -> dict:
     """Whether the coset graph is 2-arc-transitive under its defining group.
 
-    Criterion: H acts 2-transitively on the cosets of K = H ∩ H^g. The coset
-    action is computed for a generating set of H (defaults to all elements).
+    Criterion: H acts 2-transitively on the cosets of K = H ∩ H^g, listed as
+    `k_elements`. The coset action is computed for a generating set of H
+    (defaults to all elements).
     """
-    transversal, pos_of = right_transversal(conj_intersection(h_elements, g), h_elements)
+    transversal, pos_of = right_transversal(k_elements, h_elements)
     index = len(transversal)
     action_gens = [
         Permutation([pos_of[(t * h).key()] + 1 for t in transversal])

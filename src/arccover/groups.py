@@ -132,6 +132,7 @@ class StabilizerChain:
         self.base: list[int] = []
         self.master: list[Permutation] = []
         self.transversals: list[dict[int, Permutation]] = []
+        self._inverses: list[dict[int, Permutation]] = []  # of transversals[i]
         self._seen: set[bytes] = set()
         self._bound = order_bound
         for g in generators:
@@ -153,6 +154,7 @@ class StabilizerChain:
             new_point = min(i for i, j in enumerate(h.images, start=1) if i != j)
             self.base.append(new_point)
             self.transversals.append({})
+            self._inverses.append({})
         return prefix
 
     def _level_gens(self, i: int) -> list[Permutation]:
@@ -165,16 +167,19 @@ class StabilizerChain:
         for j in range(level, len(self.base)):
             if g.is_identity():
                 return g
-            rep = self.transversals[j].get(g.apply(self.base[j]))
-            if rep is None:
+            rep_inv = self._inverses[j].get(g.apply(self.base[j]))
+            if rep_inv is None:
                 return g
-            g = g * rep.inverse()
+            g = g * rep_inv
         return g
 
-    def _transversal(self, i: int, gens_i: list[Permutation]) -> dict[int, Permutation]:
+    def _build_level(self, i: int, gens_i: list[Permutation]) -> dict[int, Permutation]:
+        """Level i's transversal, stored with the inverse of each element."""
         _, transversal = orbit_with_transversal(
             self.base[i], gens_i, _point_action, Permutation.identity(self.degree)
         )
+        self.transversals[i] = transversal
+        self._inverses[i] = {p: u.inverse() for p, u in transversal.items()}
         return transversal
 
     def _bound_reached(self) -> bool:
@@ -192,19 +197,21 @@ class StabilizerChain:
             )
         if product < self._bound:
             return False
-        self.transversals = [self._transversal(i, g) for i, g in enumerate(level_gens)]
+        for i, gens_i in enumerate(level_gens):
+            self._build_level(i, gens_i)
         return True
 
     def _verify_all(self) -> None:
         i = len(self.base) - 1
         while i >= 0:
             gens_i = self._level_gens(i)
-            transversal = self.transversals[i] = self._transversal(i, gens_i)
+            transversal = self._build_level(i, gens_i)
+            inverses = self._inverses[i]
             restart_at = None
             for p in list(transversal):
                 u_p = transversal[p]
                 for s in gens_i:
-                    schreier = u_p * s * transversal[s.apply(p)].inverse()
+                    schreier = u_p * s * inverses[s.apply(p)]
                     residue = self._sift_below(i + 1, schreier)
                     if residue.is_identity() or residue.key() in self._seen:
                         continue
@@ -372,22 +379,6 @@ def is_2_transitive(generators: Sequence[Permutation], degree: int) -> bool:
 # ---------------------------------------------------------------------------
 # subgroup utilities on explicit element lists
 # ---------------------------------------------------------------------------
-
-
-def conj_intersection(h_elements: Sequence, g) -> list:
-    """H ∩ H^g for an explicitly listed subgroup H and a group element g.
-
-    H^g = g^-1 H g; membership is decided by serialized keys, so this works
-    for any element type with `*`, `.inverse()` and `.key()`.
-    """
-    h_keys = {h.key() for h in h_elements}
-    g_inv = g.inverse()
-    out = []
-    for h in h_elements:
-        # h in H^g = g^-1 H g iff g h g^-1 in H
-        if (g * h * g_inv).key() in h_keys:
-            out.append(h)
-    return out
 
 
 def right_transversal(

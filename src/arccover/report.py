@@ -14,6 +14,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Optional
@@ -31,12 +32,7 @@ from .cosetgraph import (
     two_arc_transitive,
 )
 from .errors import ArccoverError, CapacityExceeded, ValidationError
-from .groups import (
-    ENUM_CAP_DEFAULT,
-    closure,
-    conj_intersection,
-    orbit,
-)
+from .groups import ENUM_CAP_DEFAULT, closure, orbit
 from .perm import Permutation, cycle_classes, n_cycles, parse_cycles
 from .subdirect import (
     BlockReport,
@@ -48,12 +44,14 @@ from .subdirect import (
 from .wreath import (
     CoverGroupData,
     CoverJob,
+    TwistTops,
     WreathElement,
     _k4_maps,
     build_cover_group,
     k4_tuple_data,
     kernel_witness,
     schreier_rows,
+    twist_tops,
 )
 
 # largest |Y| that the centralizer stage will enumerate element by element
@@ -244,13 +242,17 @@ class _Run:
         self.spec = spec
         self.data = data
         self.n = data.ctx.n
-        self.h_elems = data.h_elements()
         self.products: dict[str, object] = {}
         self.checks: list[dict] = []
         self.skips: list[dict] = []
         self.timings: dict[str, float] = {}
         self.artifacts: list[str] = []
         self.started = started
+
+    @cached_property
+    def tops(self) -> TwistTops:
+        """H, L and H ∩ H^g as top permutations, built on first use."""
+        return twist_tops(self.data)
 
     def out_of_budget(self) -> bool:
         budget = self.spec.time_budget
@@ -389,11 +391,9 @@ def _class_partition(run: _Run):
     partition_ok = total == math.factorial(n - 1)
 
     # transitive on a class of |L| elements == regular
-    l_tops = [p.sigma for p in data.l_gens]
-    l_count = len(closure(l_tops, Permutation.identity(n)))
-    regular = l_count == size
+    regular = len(run.tops.l) == size
     for positions in classes.values():
-        reached = orbit(cycles[positions[0]], l_tops, lambda a, s: a.conjugate(s))
+        reached = orbit(cycles[positions[0]], data.l_top_gens, lambda a, s: a.conjugate(s))
         if {a.key() for a in reached} != {cycles[p].key() for p in positions}:
             regular = False
 
@@ -417,21 +417,19 @@ def _class_partition(run: _Run):
 
 
 def _twist_identities(run: _Run):
-    data = run.data
-    g = data.g
+    g = run.data.g
     g2_trivial = (g * g).is_identity()
-    l_elems = data.l_elements()
-    commutes = all((g * z).key() == (z * g).key() for z in l_elems)
-    inter = conj_intersection(run.h_elems, g)
-    inter_keys = {z.key() for z in inter}
-    l_keys = {z.key() for z in l_elems}
-    inter_ok = inter_keys == l_keys and len(inter) == math.factorial(run.n - 2)
-    ok = g2_trivial and commutes and inter_ok
+    tops = run.tops
+    fixed = {t.key() for t in tops.k} == {t.key() for t in tops.l}
+    # g·(1,τ) = (f, δτ) and (1,τ)·g = (f∘comp(τ), τδ) with δτ = τδ, as τ
+    # fixes 1 and 2: g commutes with (1,τ) iff f = f[comp(τ)], which is
+    # K's test (twist_tops), so g commutes with L iff K = L
+    ok = g2_trivial and fixed and len(tops.k) == math.factorial(run.n - 2)
     return {
         "g_squared_trivial": g2_trivial,
-        "commuting_pairs_checked": len(l_elems),
-        "intersection_order": len(inter),
-        "intersection_is_fixed_subgroup": inter_keys == l_keys,
+        "commuting_pairs_checked": len(tops.l),
+        "intersection_order": len(tops.k),
+        "intersection_is_fixed_subgroup": fixed,
     }, ok, None
 
 
@@ -559,8 +557,8 @@ def _graph_build(run: _Run):
 
 
 def _two_arc_transitive(run: _Run):
-    data = run.data
-    result = two_arc_transitive(run.h_elems, data.g, data.h_gens)
+    tops = run.tops
+    result = two_arc_transitive(tops.h, tops.k, run.data.h_top_gens)
     ok = result["two_transitive"] and result["index"] == run.n - 1
     computed = {"neighbor_count": result["index"], "two_transitive": result["two_transitive"]}
     return computed, ok, None

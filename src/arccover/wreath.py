@@ -275,16 +275,22 @@ class CoverGroupData:
     job: CoverJob
     g: WreathElement  # the twisted swap (f, (1,2))
     h_gens: tuple[WreathElement, ...]  # Sym{2..n} embedded
-    l_gens: tuple[WreathElement, ...]  # Sym{3..n} embedded
     y_gens: tuple[WreathElement, ...]  # h_gens + (g,)
     h_top_gens: tuple[Permutation, ...]
+    l_top_gens: tuple[Permutation, ...]  # Sym{3..n}
     delta: Permutation  # the swap (1,2)
 
+    # H and L are top-only, and embedding a top is an isomorphism onto them,
+    # so these are the closures of the wreath generators, in the same order
     def h_elements(self) -> list[WreathElement]:
-        return closure(self.h_gens, self.ctx.identity_element())
+        return self._embedded_closure(self.h_top_gens)
 
     def l_elements(self) -> list[WreathElement]:
-        return closure(self.l_gens, self.ctx.identity_element())
+        return self._embedded_closure(self.l_top_gens)
+
+    def _embedded_closure(self, top_gens) -> list[WreathElement]:
+        ident = Permutation.identity(self.ctx.n)
+        return [self.ctx.embed_top(t) for t in closure(top_gens, ident)]
 
 
 def build_cover_group(job: CoverJob) -> CoverGroupData:
@@ -301,15 +307,14 @@ def build_cover_group(job: CoverJob) -> CoverGroupData:
     h_top = _sym_tail_gens(n, start=2)
     l_top = _sym_tail_gens(n, start=3)
     h_gens = tuple(ctx.embed_top(s) for s in h_top)
-    l_gens = tuple(ctx.embed_top(s) for s in l_top)
     return CoverGroupData(
         ctx=ctx,
         job=job,
         g=g,
         h_gens=h_gens,
-        l_gens=l_gens,
         y_gens=h_gens + (g,),
         h_top_gens=h_top,
+        l_top_gens=l_top,
         delta=delta,
     )
 
@@ -324,6 +329,58 @@ def _sym_tail_gens(n: int, start: int) -> tuple[Permutation, ...]:
         return (parse_cycles(long_cycle, n),)
     swap = f"({n - 1},{n})"
     return (parse_cycles(long_cycle, n), parse_cycles(swap, n))
+
+
+class _TopWithComps:
+    """A top with its comp map, for `closure`: comp(u·s) = comp(s)[comp(u)]."""
+
+    __slots__ = ("sigma", "comps")
+
+    def __init__(self, sigma: Permutation, comps: np.ndarray):
+        self.sigma = sigma
+        self.comps = comps
+
+    def __mul__(self, other: "_TopWithComps") -> "_TopWithComps":
+        return _TopWithComps(self.sigma * other.sigma, other.comps[self.comps])
+
+    def key(self) -> bytes:
+        return self.sigma.key()
+
+
+@dataclass(frozen=True)
+class TwistTops:
+    """H, L and K = H ∩ H^g as top permutations; H and L in `closure` order."""
+
+    h: list[Permutation]
+    l: list[Permutation]
+    k: list[Permutation]
+
+
+def twist_tops(data: CoverGroupData) -> TwistTops:
+    """H = Sym{2..n}, L = Sym{3..n} and K = H ∩ H^g, held by their tops.
+
+    H and L are top-only. g = (f, δ) with δ = (1,2), and the top of
+    g·(1,τ)·g^-1 is δτδ, which fixes 1 iff τ fixes 2: only τ in L can lie
+    in K. For τ in L, δτ = τδ, so g·(1,τ)·g^-1 lies in H iff it is (1,τ),
+    iff (f, δτ) = g·(1,τ) = (1,τ)·g = (f∘comp(τ), τδ), iff f = f[comp(τ)]
+    entrywise: one gather per element of L, with L's comp maps composed
+    along its BFS. Entries are compared by equality (table indices or
+    Permutations).
+    """
+    ctx, g = data.ctx, data.g
+    if g.sigma != data.delta:
+        raise InternalCheckError("the twisted swap's top is not (1,2)")
+    ident = Permutation.identity(ctx.n)
+    l_gens = [_TopWithComps(s, np.array(ctx.comp_map(s), dtype=np.int16)) for s in data.l_top_gens]
+    l_elems = closure(l_gens, _TopWithComps(ident, np.arange(ctx.k, dtype=np.int16)))
+    # g's base with each distinct entry replaced by a small int
+    labels: dict = {}
+    f = np.array([labels.setdefault(e, len(labels)) for e in g.f])
+    return TwistTops(
+        h=closure(data.h_top_gens, ident),
+        l=[z.sigma for z in l_elems],
+        k=[z.sigma for z in l_elems if np.array_equal(f[z.comps], f)],
+    )
 
 
 def kernel_witness(data: CoverGroupData) -> WreathElement:

@@ -5,8 +5,10 @@ builds Cos(<H,g>, H, HgH) from the trivial coset, naming each coset Hw by its
 element of least key (`_Canonicalizer.rep`) and numbering vertices by sorted
 key; the quotient labels orbits by BFS over products w*z. They work for any
 elements with `*`, `.inverse()` and `.key()`: plain Permutations as well as
-wreath elements. `fibre_element` turns a fibre point of the derived graph
-back into its element of M, so the two numberings can be compared.
+wreath elements, as does `conj_intersection`, the element-list route to
+H ∩ H^g that `wreath.twist_tops` replaced. `fibre_element` turns a fibre
+point of the derived graph back into its element of M, so the two numberings
+can be compared.
 """
 
 from __future__ import annotations
@@ -16,9 +18,21 @@ from typing import Optional, Sequence
 
 from arccover.cosetgraph import VERTEX_CAP_DEFAULT, CoverCertificate
 from arccover.errors import CapacityExceeded, InternalCheckError, ValidationError
-from arccover.groups import conj_intersection, right_transversal
+from arccover.groups import right_transversal
 from arccover.perm import Permutation
 from arccover.wreath import WreathElement
+
+
+def conj_intersection(h_elements: Sequence, g) -> list:
+    """H ∩ H^g for an explicitly listed subgroup H and a group element g.
+
+    H^g = g^-1 H g; membership is decided by serialized keys, so this works
+    for any element type with `*`, `.inverse()` and `.key()`.
+    """
+    h_keys = {h.key() for h in h_elements}
+    g_inv = g.inverse()
+    # h in H^g = g^-1 H g iff g h g^-1 in H
+    return [h for h in h_elements if (g * h * g_inv).key() in h_keys]
 
 
 class _Canonicalizer:

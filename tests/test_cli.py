@@ -1,8 +1,14 @@
 """The command-line front end: verbs, exit codes, files, and wiring."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arccover.cli import main
 
@@ -160,7 +166,7 @@ def test_quotient_verb_full_run_with_outputs(tmp_path, capsys):
 def test_failing_check_exits_one(capsys, monkeypatch):
     import arccover.report as report
 
-    def broken(h_elements, g, h_gens=None):
+    def broken(h_elements, k_elements, h_gens=None):
         return {"index": 3, "two_transitive": False}
 
     monkeypatch.setattr(report, "two_arc_transitive", broken)
@@ -189,6 +195,50 @@ def test_version_flag(capsys):
         main(["--version"])
     assert info.value.code == 0
     assert "arccover" in capsys.readouterr().out
+
+
+# job files: a valid pair of T with n in -1..10, then a few fields replaced
+# by mistyped or out-of-range values or dropped; construct is fast up to
+# n = 8, so the jobs that stay valid run for real
+PAIRS = st.sampled_from([
+    ("A5", "(1,2)(3,4)", "(1,2,3,4,5)"),
+    ("A5", "(1,2)(3,4)", "(1,5,3)"),
+    ("A7", "(1,2)(3,4)", "(1,2,3,4,5,6,7)"),
+    ("PSL27", "(1,8)(2,7)(3,4)(5,6)", "(1,2,3,4,5,6,7)"),
+    ("A11", "(1,2)(3,6)", "(1,2,3,4,5,6,7,8,9,10,11)"),
+])
+BAD = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.integers(-2, 10**6),
+    st.lists(st.integers(0, 5), max_size=3), st.text(max_size=4),
+    st.sampled_from(["B5", "(1,2", "(1,1)", "(0,1)", "(1,99)", "()", "(1,2)", "edge-list"]),
+)
+FIELDS = ("n", "group", "x", "y", "time_budget", "enum_cap", "vertex_cap",
+          "formats", "label", "colour")
+
+
+@st.composite
+def job_files(draw):
+    group, x, y = draw(PAIRS)
+    job = {"n": draw(st.integers(-1, 10)), "group": group, "x": x, "y": y}
+    job.update(draw(st.dictionaries(st.sampled_from(FIELDS), BAD, max_size=2)))
+    for key in draw(st.sets(st.sampled_from(("n", "group", "x", "y")), max_size=1)):
+        del job[key]
+    return draw(st.sampled_from([job, job, job, [job], job.get("n")]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(job_files())
+def test_fuzzed_job_files_exit_cleanly(raw):
+    """Any job file gives one JSON object on stdout and an exit code in 0..3."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "job.json"
+        path.write_text(json.dumps(raw))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["construct", "--job", str(path)])
+    assert code in (0, 1, 2, 3)
+    assert isinstance(json.loads(out.getvalue()), dict)
+    assert "Traceback" not in err.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,13 @@ from arccover.groups import PermGroup, closure
 from arccover.perm import Permutation, parse_cycles
 from arccover.report import JobSpec, run_job
 from arccover.subdirect import subdirect_decompose
-from arccover.wreath import CoverJob, WreathElement, build_cover_group, schreier_rows
+from arccover.wreath import (
+    CoverJob,
+    WreathElement,
+    build_cover_group,
+    schreier_rows,
+    twist_tops,
+)
 
 
 def P(text, degree):
@@ -128,7 +134,7 @@ def test_complete_graph_on_point_stabilizer():
     assert graph.adjacency == [(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)]
     assert graph.order == 24 // 6
     assert graph_invariants(graph.adjacency)["components"] == 1
-    stats = two_arc_transitive(h, g)
+    stats = two_arc_transitive(h, oracle.conj_intersection(h, g))
     assert stats == {"index": 3, "two_transitive": True}
 
 
@@ -142,13 +148,13 @@ def test_petersen_graph_from_pair_stabilizer():
     assert is_petersen(graph.adjacency)
     assert graph.order == 120 // 12
     assert graph_invariants(graph.adjacency)["components"] == 1
-    assert two_arc_transitive(h, g, h_gens=gens)["two_transitive"]
+    assert two_arc_transitive(h, oracle.conj_intersection(h, g), h_gens=gens)["two_transitive"]
 
 
 def test_regular_subgroup_action_is_not_two_transitive():
     h = closure([P("(1,2,3,4)", 4)], Permutation.identity(4))
     g = P("(1,2)", 4)
-    stats = two_arc_transitive(h, g)
+    stats = two_arc_transitive(h, oracle.conj_intersection(h, g))
     assert stats["index"] == 4
     assert stats["two_transitive"] is False
     graph = oracle.build_coset_graph(h, g)
@@ -240,7 +246,8 @@ def test_single_root_girth_matches_full_scan():
 
 def test_two_arc_transitivity_of_cover():
     data, _, _ = cover_graph()
-    stats = two_arc_transitive(data.h_elements(), data.g, h_gens=data.h_gens)
+    tops = twist_tops(data)
+    stats = two_arc_transitive(tops.h, tops.k, h_gens=data.h_top_gens)
     assert stats == {"index": 3, "two_transitive": True}
 
 

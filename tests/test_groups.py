@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from coset_oracle import conj_intersection
 from arccover.catalog import resolve_group
 from arccover.errors import CapacityExceeded, InternalCheckError, ValidationError
 from arccover.groups import (
@@ -12,7 +13,6 @@ from arccover.groups import (
     TableGroup,
     class_sizes_force_simple,
     closure,
-    conj_intersection,
     conjugacy_classes,
     conjugating_permutations,
     extend_to_automorphism,

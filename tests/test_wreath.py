@@ -1,13 +1,20 @@
 """Wreath elements over the cycle domain and the cover-group construction."""
 
+import dataclasses
+import json
 import math
 import random
 from collections import Counter
 
 import pytest
 
+from coset_oracle import conj_intersection
+from arccover import report
 from arccover.catalog import resolve_group
-from arccover.errors import ValidationError
+from arccover.cli import main
+from arccover.cosetgraph import two_arc_transitive
+from arccover.errors import InternalCheckError, ValidationError
+from arccover.groups import closure
 from arccover.perm import Permutation, cycle_class, parse_cycles
 from arccover.wreath import (
     K4_POSITIONS,
@@ -18,6 +25,7 @@ from arccover.wreath import (
     k4_tuple_data,
     kernel_witness,
     to_positions,
+    twist_tops,
 )
 
 
@@ -165,6 +173,112 @@ def test_twist_identities(n):
         assert (g * z).key() == (z * g).key()
     assert not g.is_identity()  # with g^2 = 1: g has order 2
     assert len(data.h_elements()) == math.factorial(n - 1)
+
+
+# ---------------------------------------------------------------------------
+# H, L and K = H ∩ H^g held as tops
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_h_and_l_elements_are_the_wreath_closures(n):
+    data = data_for(n=n)
+    ctx = data.ctx
+    l_gens = [ctx.embed_top(s) for s in data.l_top_gens]
+    for cheap, gens in ((data.h_elements(), data.h_gens), (data.l_elements(), l_gens)):
+        assert [w.key() for w in cheap] == [w.key() for w in closure(gens, ctx.identity_element())]
+
+
+C = P("(1,2,3)", 5)
+TOPS_CASES = {
+    **{f"A5-n{n}": (n, "A5", X, Y) for n in (4, 5, 6, 7)},
+    "A5-conjugated-n5": (5, "A5", X.conjugate(C), Y.conjugate(C)),
+    "PSL27-n4-table": (4, "PSL27", P("(1,8)(2,7)(3,4)(5,6)", 8), P("(1,2,3,4,5,6,7)", 8)),
+    "A11-n4-object": (4, "A11", P("(1,2)(3,6)", 11), P("(1,2,3,4,5,6,7,8,9,10,11)", 11)),
+}
+
+
+def assert_tops_match_the_wreath_oracle(data):
+    """H, L and K from the tops equal the wreath-element route, and g
+    commutes with exactly the elements of L in K; returns K's tops."""
+    tops = twist_tops(data)
+    g, h_elems, l_elems = data.g, data.h_elements(), data.l_elements()
+    assert tops.h == [w.sigma for w in h_elems]
+    assert tops.l == [w.sigma for w in l_elems]
+    inter = conj_intersection(h_elems, g)
+    assert {t.key() for t in tops.k} == {w.sigma.key() for w in inter}
+    commuting = {w.sigma.key() for w in l_elems if g * w == w * g}
+    assert commuting == {t.key() for t in tops.k}
+    return tops.k
+
+
+@pytest.mark.parametrize("case", sorted(TOPS_CASES))
+def test_twist_tops_match_the_wreath_oracle(case):
+    n, name, x, y = TOPS_CASES[case]
+    group = resolve_group(name)
+    data = build_cover_group(CoverJob(n=n, group=group, x=x, y=y, group_name=name))
+    assert data.ctx.index_mode == (name != "A11")
+    assert len(assert_tops_match_the_wreath_oracle(data)) == math.factorial(n - 2)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_two_arc_transitive_on_tops_matches_the_wreath_route(n):
+    data = data_for(n=n)
+    tops = twist_tops(data)
+    h_elems = data.h_elements()
+    wreath = two_arc_transitive(h_elems, conj_intersection(h_elems, data.g), data.h_gens)
+    assert two_arc_transitive(tops.h, tops.k, data.h_top_gens) == wreath
+    assert wreath == {"index": n - 1, "two_transitive": True}
+
+
+def _broken_twist(data, tops=()):
+    """g with a base that is not constant on class 1: at one cycle of the
+    class and at its conjugates by `tops`, y^2 replaces y, and y^-2 replaces
+    y^-1 at their images under (1,2), so g^2 = 1 still holds but only the
+    elements of L that keep those cycles together commute with g."""
+    ctx, f = data.ctx, list(data.g.f)
+    first = next(i for i, alpha in enumerate(ctx.cycles) if cycle_class(alpha) == 1)
+    for i in {first, *(ctx.comp_map(t)[first] for t in tops)}:
+        j = ctx.comp_map(data.delta)[i]
+        f[i], f[j] = ctx.entry(Y * Y), ctx.entry((Y * Y).inverse())
+    g = ctx.from_assignment(f, data.delta)
+    return dataclasses.replace(data, g=g, y_gens=data.h_gens + (g,))
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_twist_tops_match_the_wreath_oracle_on_broken_twists(n):
+    """K is the identity for one broken cycle, and <(3,4)> for a cycle and
+    its conjugate by (3,4): L is regular on the class."""
+    swap = P("(3,4)", n)
+    assert len(assert_tops_match_the_wreath_oracle(_broken_twist(data_for(n=n)))) == 1
+    k = assert_tops_match_the_wreath_oracle(_broken_twist(data_for(n=n), [swap]))
+    assert sorted(t.key() for t in k) == sorted([swap.key(), Permutation.identity(n).key()])
+
+
+def test_broken_twist_fails_the_twist_identities(capsys, monkeypatch):
+    broken = _broken_twist(data_for(n=5))
+    assert (broken.g * broken.g).is_identity()
+    assert len(twist_tops(broken).k) == 1  # L is regular on the class
+    monkeypatch.setattr(report, "build_cover_group", lambda job: broken)
+    code = main(["construct", "--n", "5", "--group", "A5", "--x", "(1,2)(3,4)",
+                 "--y", "(1,2,3,4,5)"])
+    assert code == 1
+    rec = next(c for c in json.loads(capsys.readouterr().out)["checks"]
+               if c["id"] == "twist-identities")
+    assert rec["passed"] is False
+    assert rec["computed"] == {
+        "g_squared_trivial": True,
+        "commuting_pairs_checked": 6,
+        "intersection_order": 1,
+        "intersection_is_fixed_subgroup": False,
+    }
+
+
+def test_twist_tops_needs_the_swap_as_top():
+    data = data_for(n=5)
+    g = data.g * data.ctx.embed_top(P("(3,4)", 5))
+    with pytest.raises(InternalCheckError, match="top"):
+        twist_tops(dataclasses.replace(data, g=g))
 
 
 def test_kernel_witness_entries():
