@@ -30,7 +30,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import CapacityExceeded, InternalCheckError, ValidationError
-from .groups import is_2_transitive, right_transversal
+from .groups import decimal_string, is_2_transitive, right_transversal
 from .perm import Permutation, parse_cycles
 from .subdirect import SubdirectStructure
 from .wreath import CoverGroupData, WreathElement, twist_tops
@@ -139,7 +139,7 @@ class CosetGraph:
         j = top.apply(1) - 1
         h = self.ctx.embed_top(top * self.sections[j].sigma.inverse())
         v = self._section_inverses[j] * (h.inverse() * w)
-        if not v.sigma.is_identity() or not self.structure.contains(v):
+        if not v.sigma.is_identity() or not self.structure.contains(v.f):
             raise InternalCheckError("a voltage does not lie in M")
         return j, v
 
@@ -152,7 +152,7 @@ class CosetGraph:
         """
         out = np.empty_like(self.vertex, shape=self.order)
         if z.sigma.is_identity():
-            if not self.structure.contains(z):
+            if not self.structure.contains(z.f):
                 raise ValidationError("a base-only element outside M")
             moved = self.fibre.apply(z, False)
             for ids in self.vertex:
@@ -186,7 +186,9 @@ def build_coset_graph(
     """
     expected = data.ctx.n * structure.order()
     if expected > vertex_cap:
-        raise CapacityExceeded(f"expected {expected} vertices exceeds the cap {vertex_cap}")
+        raise CapacityExceeded(
+            f"expected {decimal_string(expected)} vertices exceeds the cap {vertex_cap}"
+        )
     tops = twist_tops(data)
     seeds = [data.g * data.ctx.embed_top(t) for t in right_transversal(tops.k, tops.h)[0]]
     return CosetGraph(data, structure, seeds)
@@ -218,20 +220,17 @@ def _orbit_labels(columns: Sequence[np.ndarray], order: int) -> np.ndarray:
             return label
 
 
-def two_arc_transitive(
-    h_elements: Sequence, k_elements: Sequence, h_gens: Optional[Sequence] = None
-) -> dict:
+def two_arc_transitive(h_elements: Sequence, k_elements: Sequence, h_gens: Sequence) -> dict:
     """Whether the coset graph is 2-arc-transitive under its defining group.
 
     Criterion: H acts 2-transitively on the cosets of K = H ∩ H^g, listed as
-    `k_elements`. The coset action is computed for a generating set of H
-    (defaults to all elements).
+    `k_elements`. The coset action is computed for the generating set
+    `h_gens` of H.
     """
     transversal, pos_of = right_transversal(k_elements, h_elements)
     index = len(transversal)
     action_gens = [
-        Permutation([pos_of[(t * h).key()] + 1 for t in transversal])
-        for h in (h_gens if h_gens is not None else h_elements)
+        Permutation([pos_of[(t * h).key()] + 1 for t in transversal]) for h in h_gens
     ]
     ok = is_2_transitive(action_gens, index)
     return {"index": index, "two_transitive": ok}
@@ -300,40 +299,6 @@ def quotient_graph(graph: CosetGraph, elements: Sequence[WreathElement]) -> Cove
 # ---------------------------------------------------------------------------
 
 
-def graph_invariants(
-    adjacency: Sequence[Sequence[int]], girth_roots: Optional[Sequence[int]] = None
-) -> dict:
-    """Order, valency (or -1 if irregular), component count, exact girth.
-
-    `girth_roots` restricts the girth search to cycles through the given
-    vertices; any single root is exact when the graph is vertex-transitive.
-    """
-    order = len(adjacency)
-    valencies = {len(nbrs) for nbrs in adjacency}
-    valency = valencies.pop() if len(valencies) == 1 else -1
-    components = 0
-    seen = bytearray(order)
-    for v in range(order):
-        if not seen[v]:
-            components += 1
-            seen[v] = 1
-            frontier = [v]
-            while frontier:
-                new_frontier = []
-                for a in frontier:
-                    for b in adjacency[a]:
-                        if not seen[b]:
-                            seen[b] = 1
-                            new_frontier.append(b)
-                frontier = new_frontier
-    return {
-        "order": order,
-        "valency": valency,
-        "components": components,
-        "girth": graph_girth(adjacency, girth_roots),
-    }
-
-
 def graph_girth(
     adjacency: Sequence[Sequence[int]], roots: Optional[Sequence[int]] = None
 ) -> Optional[int]:
@@ -386,9 +351,11 @@ EXPORT_CHUNK_ROWS = 1 << 14
 
 
 def export_chunks(adjacency: np.ndarray, fmt: str) -> Iterator[bytes]:
-    """The export of an (order × valency) int adjacency array in pieces of
-    at most EXPORT_CHUNK_ROWS rows each, so a large graph is never formatted
-    whole; their join is `export_graph(adjacency, fmt)`."""
+    """The deterministic text export of an (order × valency) int adjacency
+    array: 'edge-list' ("u v" per line, 0-based, u < v, sorted) or
+    'adjacency-text' ("v: n1 n2 ..." per line). It comes in pieces of at
+    most EXPORT_CHUNK_ROWS rows each, so a large graph is never formatted
+    whole."""
     if fmt not in ("edge-list", "adjacency-text"):
         raise ValidationError(f"unknown export format {fmt!r}")
     adjacency = np.asarray(adjacency)
@@ -409,9 +376,3 @@ def export_chunks(adjacency: np.ndarray, fmt: str) -> Iterator[bytes]:
             yield text.encode()
     if empty:
         yield b"\n"
-
-
-def export_graph(adjacency: np.ndarray, fmt: str) -> bytes:
-    """Deterministic text exports: 'edge-list' ("u v" per line, 0-based,
-    u < v, sorted) or 'adjacency-text' ("v: n1 n2 ..." per line)."""
-    return b"".join(export_chunks(adjacency, fmt))

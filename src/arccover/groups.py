@@ -8,6 +8,7 @@ enumeration, small groups may additionally carry a full multiplication table.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
@@ -355,6 +356,12 @@ def group_order(generators: Sequence[Permutation], degree: int) -> int:
     return StabilizerChain(generators, degree).order()
 
 
+def decimal_string(value: int) -> str:
+    """str(value) without the interpreter's limit on the digits of an int
+    (4300 by default; 60^2520 has 4481)."""
+    return str(decimal.Decimal(value))
+
+
 # ---------------------------------------------------------------------------
 # action predicates
 # ---------------------------------------------------------------------------
@@ -564,11 +571,6 @@ class AutomorphismMap:
     table: Optional[TableGroup] = None
     lookup: Optional[tuple[int, ...]] = None
     conjugator: Optional[Permutation] = None
-
-    def apply_index(self, i: int) -> int:
-        if self.lookup is None:
-            raise InternalCheckError("not a table-backed automorphism")
-        return self.lookup[i]
 
     def apply(self, t: Permutation) -> Permutation:
         if self.conjugator is not None:

@@ -27,13 +27,12 @@ from .cosetgraph import (
     centralizer_elements,
     export_chunks,
     graph_girth,
-    graph_invariants,
     quotient_graph,
     two_arc_transitive,
 )
 from .errors import ArccoverError, CapacityExceeded, ValidationError
-from .groups import ENUM_CAP_DEFAULT, closure, orbit
-from .perm import Permutation, cycle_classes, n_cycles, parse_cycles
+from .groups import ENUM_CAP_DEFAULT, closure, decimal_string, orbit
+from .perm import Permutation, cycle_classes, parse_cycles
 from .subdirect import (
     BlockReport,
     cross_automorphism,
@@ -381,8 +380,8 @@ def run_job(spec: JobSpec, phase: str = "full") -> Certificate:
 
 def _class_partition(run: _Run):
     n, data = run.n, run.data
+    comp_map = data.ctx.comp_map
     classes = cycle_classes(n)
-    cycles = n_cycles(n)
     size = math.factorial(n - 2)
     sizes_ok = sorted(classes) == list(range(1, n)) and all(
         len(v) == size for v in classes.values()
@@ -390,21 +389,17 @@ def _class_partition(run: _Run):
     total = sum(len(v) for v in classes.values())
     partition_ok = total == math.factorial(n - 1)
 
-    # transitive on a class of |L| elements == regular
+    # transitive on a class of |L| elements == regular; L and (1,2) act on
+    # the cycle positions through their comp maps
     regular = len(run.tops.l) == size
+    l_maps = [comp_map(s) for s in data.l_top_gens]
     for positions in classes.values():
-        reached = orbit(cycles[positions[0]], data.l_top_gens, lambda a, s: a.conjugate(s))
-        if {a.key() for a in reached} != {cycles[p].key() for p in positions}:
+        if set(orbit(positions[0], l_maps, lambda p, m: m[p])) != set(positions):
             regular = False
 
-    delta = data.delta
+    reflect = comp_map(data.delta)
     reflected = all(
-        sorted(
-            data.ctx.cycle_index[cycles[p].conjugate(delta).key()]
-            for p in classes[k]
-        )
-        == list(classes[n - k])
-        for k in classes
+        sorted(reflect[p] for p in classes[k]) == list(classes[n - k]) for k in classes
     )
     ok = sizes_ok and partition_ok and regular and reflected
     return {
@@ -478,13 +473,13 @@ def _block_structure(run: _Run):
     d = structure.block_count
     report = BlockReport.build(n, d)
     order_m = run.data.job.group.order() ** d
-    order_y = order_m * math.factorial(n)
+    order_y = decimal_string(order_m * math.factorial(n))
     computed = {
         "d": d,
         "block_sizes": sorted(len(b) for b in structure.blocks),
-        "order_m": str(order_m),
-        "order_y": str(order_y),
-        "order_y_digits": len(str(order_y)),
+        "order_m": decimal_string(order_m),
+        "order_y": order_y,
+        "order_y_digits": len(order_y),
         "component_count": structure.k,
         "divides_component_count": report.divides,
     }
@@ -518,8 +513,9 @@ def _block_prediction(run: _Run):
 
 
 def _tuple_generators(run: _Run):
-    tuples = k4_tuple_data(run.data)
-    alt = subdirect_decompose([tuples.t1, tuples.t2, tuples.t3], run.data.job.group)
+    tuples = k4_tuple_data(run.data)  # checks that their tops are trivial
+    rows = [t.f for t in (tuples.t1, tuples.t2, tuples.t3)]
+    alt = subdirect_decompose(rows, run.data.job.group)
     same = structures_equal(alt, run.products["block-structure"])
     positional = [
         [p.cycle_string() for p in row] for row in tuples.tuples_in_positions()
@@ -609,11 +605,10 @@ def _centralizer(run: _Run):
         computed["quotient"] = None
         computed["quotient_note"] = str(exc)
         return computed, True, None
-    inv = graph_invariants(cert.quotient_adjacency)
     computed["quotient"] = {
         "order": cert.quotient_order,
-        "valency": inv["valency"],
-        "girth": inv["girth"],
+        "valency": cert.quotient_valency,
+        "girth": graph_girth(cert.quotient_adjacency),
         "fibre_size": cert.fibre_size,
         "locally_bijective": cert.locally_bijective,
     }

@@ -52,9 +52,10 @@ class SubdirectStructure:
     def order(self) -> int:
         return self.group.order() ** self.block_count
 
-    def contains(self, z) -> bool:
-        """Membership: within each block every entry follows its linking map."""
-        _, row = _entry_rows([z], self.group, self.k)
+    def contains(self, row: Sequence) -> bool:
+        """Membership of a row of k entries: within each block every entry
+        follows its linking map."""
+        _, row = _entry_rows([row], self.group, self.k)
         for j, (base, link) in enumerate(zip(self.base_of, self.links)):
             expect = row[:, base] if link is None else _image(link, row[:, base], self.group)
             if not np.array_equal(row[:, j], expect):
@@ -68,26 +69,17 @@ def _entry_rows(
     """The distinct rows of `gens`, in input order, and their entry matrix.
 
     `gens` is a 2-D integer matrix of rows, as `schreier_rows` returns with
-    a table, or a sequence of rows: WreathElements with trivial top part or
-    plain tuples, all of one length (k, if given). Entries must be elements
-    of T in its entry format: int indices 0..|T|-1 with a table (a bool is
-    not an int here), held as int32; Permutations lying in T without one, as
-    an object matrix. Anything else is a ValidationError.
+    a table, or a sequence of rows, all of one length (k, if given). Entries
+    must be elements of T in its entry format: int indices 0..|T|-1 with a
+    table (a bool is not an int here), held as int32; Permutations lying in
+    T without one, as an object matrix. Anything else is a ValidationError.
     """
-    from .wreath import WreathElement
-
     if isinstance(gens, np.ndarray) and gens.ndim == 2 and gens.dtype.kind in "iu":
         rows = None  # one width, int entries by its dtype
         widths = {gens.shape[1]} if len(gens) else set()
         found = {int}
     else:
-        rows = []
-        for z in gens:
-            if isinstance(z, WreathElement):
-                if not z.sigma.is_identity():
-                    raise ValidationError("element has a nontrivial top part")
-                z = z.f
-            rows.append(tuple(z))
+        rows = [tuple(z) for z in gens]
         widths = set(map(len, rows))
         found = set(map(type, itertools.chain.from_iterable(rows)))
     if len(widths) != 1 or 0 in widths or (k is not None and widths != {k}):
@@ -125,13 +117,13 @@ def _image(phi: AutomorphismMap, column: np.ndarray, group: PermGroup) -> np.nda
 def subdirect_decompose(gens: Sequence, group: PermGroup) -> SubdirectStructure:
     """Block structure of the subgroup of T^k generated by `gens`.
 
-    Rows are an integer matrix (`schreier_rows`' output with a table),
-    WreathElements with trivial top part or plain k-tuples, with entries in
-    T's entry format (module docstring). Components are scanned in
-    order: each is linked to the first earlier block base whose generating
-    prefix of rows extends to an automorphism mapping the base's whole column
-    onto it, and otherwise becomes a base itself, which must generate T. A
-    linked column needs no check: it is the image of a generating column.
+    Rows are an integer matrix (`schreier_rows`' output with a table) or
+    k-tuples, with entries in T's entry format (module docstring).
+    Components are scanned in order: each is linked to the first earlier
+    block base whose generating prefix of rows extends to an automorphism
+    mapping the base's whole column onto it, and otherwise becomes a base
+    itself, which must generate T. A linked column needs no check: it is the
+    image of a generating column.
     """
     table = group.table()
     if table is None and not is_natural_alternating(group):
@@ -292,15 +284,6 @@ def cross_automorphism(
     if group.subgroup_order(sources) != group.order():
         raise ValidationError("criterion sources do not generate T")
     return _phi_route(group, sources, targets)
-
-
-def k4_block_count(group: PermGroup, x: Permutation, y: Permutation) -> int:
-    """Predicted block count at n = 4: 1, 3, or 6 by the automorphism criteria."""
-    if inverting_automorphism(group, x, y) is None:
-        return 6
-    if cross_automorphism(group, x, y) is None:
-        return 3
-    return 1
 
 
 # ---------------------------------------------------------------------------

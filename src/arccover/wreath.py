@@ -58,6 +58,7 @@ class WreathContext:
         self.cycles = n_cycles(n)
         self.k = len(self.cycles)
         self.cycle_index = n_cycle_index(n)
+        self._cycle_images = np.array([c.images for c in self.cycles], dtype=np.uint8)
         self.group = group
         self.table = group.table()
         self._comp_maps: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -76,22 +77,19 @@ class WreathContext:
         return self.table.elem(e) if self.table is not None else e
 
     def comp_map(self, sigma: Permutation) -> tuple[int, ...]:
-        """Positions under conjugation: comp_map(s)[i] = index of cycles[i]^s."""
-        key = sigma.images
-        cached = self._comp_maps.get(key)
+        """Positions under conjugation: comp_map(s)[i] = index of cycles[i]^s.
+
+        cycles[i]^s sends s(p) to s(cycles[i](p)), so the images of all the
+        conjugates are one gather of the cycles' image matrix.
+        """
+        cached = self._comp_maps.get(sigma.images)
         if cached is None:
-            # comp maps compose/invert like permutations of the positions, so
-            # reuse the inverse's map when it is already known
-            inv_cached = self._comp_maps.get(sigma.inverse().images)
-            if inv_cached is not None:
-                out = [0] * self.k
-                for i, m in enumerate(inv_cached):
-                    out[m] = i
-                cached = tuple(out)
-            else:
-                idx = self.cycle_index
-                cached = tuple(idx[c.conjugate(sigma).key()] for c in self.cycles)
-            self._comp_maps[key] = cached
+            s = np.array(sigma.images, dtype=np.uint8)
+            conj = np.empty_like(self._cycle_images)
+            conj[:, s - 1] = s[self._cycle_images - 1]
+            keys, n, idx = conj.tobytes(), self.n, self.cycle_index
+            cached = tuple(idx[keys[i * n:(i + 1) * n]] for i in range(self.k))
+            self._comp_maps[sigma.images] = cached
         return cached
 
     def identity_element(self) -> "WreathElement":
@@ -134,15 +132,7 @@ class WreathElement:
             f = tuple([mf[a * size + f2[m]] for a, m in zip(self.f, amap)])
         else:
             f = tuple([a * f2[m] for a, m in zip(self.f, amap)])
-        sigma = self.sigma * other.sigma
-        cache = ctx._comp_maps
-        if sigma.images not in cache:
-            # the product's comp map is the composition of the factors' maps;
-            # prefill while both are at hand to avoid rebuilding from scratch
-            amap2 = cache.get(other.sigma.images)
-            if amap2 is not None:
-                cache[sigma.images] = tuple([amap2[m] for m in amap])
-        return WreathElement(ctx, f, sigma)
+        return WreathElement(ctx, f, self.sigma * other.sigma)
 
     def inverse(self) -> "WreathElement":
         ctx = self.ctx
@@ -280,17 +270,11 @@ class CoverGroupData:
     l_top_gens: tuple[Permutation, ...]  # Sym{3..n}
     delta: Permutation  # the swap (1,2)
 
-    # H and L are top-only, and embedding a top is an isomorphism onto them,
-    # so these are the closures of the wreath generators, in the same order
     def h_elements(self) -> list[WreathElement]:
-        return self._embedded_closure(self.h_top_gens)
-
-    def l_elements(self) -> list[WreathElement]:
-        return self._embedded_closure(self.l_top_gens)
-
-    def _embedded_closure(self, top_gens) -> list[WreathElement]:
+        """H as wreath elements: H is top-only, and embedding a top is an
+        isomorphism onto it, so this is the closure of `h_gens`, in order."""
         ident = Permutation.identity(self.ctx.n)
-        return [self.ctx.embed_top(t) for t in closure(top_gens, ident)]
+        return [self.ctx.embed_top(t) for t in closure(self.h_top_gens, ident)]
 
 
 def build_cover_group(job: CoverJob) -> CoverGroupData:

@@ -6,9 +6,10 @@ element of least key (`_Canonicalizer.rep`) and numbering vertices by sorted
 key; the quotient labels orbits by BFS over products w*z. They work for any
 elements with `*`, `.inverse()` and `.key()`: plain Permutations as well as
 wreath elements, as does `conj_intersection`, the element-list route to
-H ∩ H^g that `wreath.twist_tops` replaced. `fibre_element` turns a fibre
-point of the derived graph back into its element of M, so the two numberings
-can be compared.
+H ∩ H^g that `wreath.twist_tops` replaced, over the wreath elements of H
+(`CoverGroupData.h_elements`) and L (`l_elements`). `fibre_element` turns a
+fibre point of the derived graph back into its element of M, so the two
+numberings can be compared.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Optional, Sequence
 
 from arccover.cosetgraph import VERTEX_CAP_DEFAULT, CoverCertificate
 from arccover.errors import CapacityExceeded, InternalCheckError, ValidationError
-from arccover.groups import right_transversal
+from arccover.groups import closure, right_transversal
 from arccover.perm import Permutation
 from arccover.wreath import WreathElement
 
@@ -33,6 +34,12 @@ def conj_intersection(h_elements: Sequence, g) -> list:
     g_inv = g.inverse()
     # h in H^g = g^-1 H g iff g h g^-1 in H
     return [h for h in h_elements if (g * h * g_inv).key() in h_keys]
+
+
+def l_elements(data) -> list[WreathElement]:
+    """L = Sym{3..n} as wreath elements: the closure of its embedded tops."""
+    ctx = data.ctx
+    return closure([ctx.embed_top(s) for s in data.l_top_gens], ctx.identity_element())
 
 
 class _Canonicalizer:
@@ -277,6 +284,6 @@ def fibre_element(graph, f: int) -> WreathElement:
     for base, link in zip(structure.base_of, structure.links):
         e = at_base[base]
         if link is not None:
-            e = link.apply_index(e) if table is not None else link.apply(e)
+            e = link.lookup[e] if table is not None else link.apply(e)
         entries.append(e)
     return WreathElement(graph.ctx, tuple(entries), Permutation.identity(graph.ctx.n))

@@ -12,18 +12,13 @@ import time
 
 import pytest
 
-from coset_oracle import conj_intersection
+from coset_oracle import conj_intersection, l_elements
 from arccover.catalog import resolve_group
 from arccover.cosetgraph import build_coset_graph, quotient_graph, two_arc_transitive
 from arccover.groups import closure, group_order
 from arccover.perm import Permutation, cycle_classes, n_cycles, parse_cycles
 from arccover.report import GAP_STATEMENTS, JobSpec, run_job, run_suite
-from arccover.subdirect import (
-    inverting_automorphism,
-    k4_block_count,
-    structures_equal,
-    subdirect_decompose,
-)
+from arccover.subdirect import inverting_automorphism, structures_equal, subdirect_decompose
 from arccover.wreath import (
     CoverJob,
     build_cover_group,
@@ -44,9 +39,7 @@ def assert_multiplicative(phi):
     t = phi.table
     for a in range(t.size):
         for b in range(t.size):
-            assert phi.apply_index(t.multiply(a, b)) == t.multiply(
-                phi.apply_index(a), phi.apply_index(b)
-            )
+            assert phi.lookup[t.multiply(a, b)] == t.multiply(phi.lookup[a], phi.lookup[b])
 
 
 def timed(fn, *args, **kwargs):
@@ -200,12 +193,12 @@ def test_criterion_04_class_partition_sweep():
             l_gens.append(parse_cycles("(" + ",".join(map(str, tail)) + ")", n))
         if len(tail) >= 3:
             l_gens.append(parse_cycles(f"({n - 1},{n})", n))
-        l_elements = closure(l_gens, Permutation.identity(n))
-        assert len(l_elements) == size
+        l_tops = closure(l_gens, Permutation.identity(n))
+        assert len(l_tops) == size
         for k in sorted(classes):
             cls_keys = {c.key() for c in classes[k]}
             first = classes[k][0]
-            orbit = {(first.conjugate(z)).key() for z in l_elements}
+            orbit = {(first.conjugate(z)).key() for z in l_tops}
             assert orbit == cls_keys  # transitive, and |L| = |class| forces free
 
         # conjugation by (1,2) swaps class k with class n-k
@@ -232,7 +225,7 @@ def test_criterion_05_twist_identities_sweep():
         )
         g = data.g
         assert (g * g).is_identity()
-        l_elems = data.l_elements()
+        l_elems = l_elements(data)
         assert all((g * z).key() == (z * g).key() for z in l_elems)
         h_elems = data.h_elements()
         intersection = conj_intersection(h_elems, g)
@@ -267,7 +260,7 @@ def test_criterion_06_tuple_cross_check(job1_run):
     kgens = schreier_rows(data)[0]
     schreier = subdirect_decompose(kgens, group)
     tuples = k4_tuple_data(data)
-    explicit = subdirect_decompose([tuples.t1, tuples.t2, tuples.t3], group)
+    explicit = subdirect_decompose([t.f for t in (tuples.t1, tuples.t2, tuples.t3)], group)
     assert structures_equal(schreier, explicit)
 
     yi = y.inverse()
@@ -306,11 +299,10 @@ def test_criterion_07_prediction_battery():
         y = parse_cycles(y_text, group.degree)
         job = CoverJob(n=4, group=group, x=x, y=y, group_name=name)
         assert job.problems() == []
-        predicted = k4_block_count(group, x, y)
-        data = build_cover_group(job)
-        kgens = schreier_rows(data)[0]
-        structure = subdirect_decompose(kgens, group)
-        assert predicted == structure.block_count == frozen_d, (name, x_text, y_text)
+        cert = run_job(JobSpec(n=4, group=name, x=x_text, y=y_text), phase="decompose")
+        rec = cert.check("block-count-prediction")
+        predicted, computed = rec["computed"]["predicted_d"], rec["computed"]["computed_d"]
+        assert rec["passed"] and predicted == computed == frozen_d, (name, x_text, y_text)
     assert time.perf_counter() - t0 < 120.0
 
 
@@ -396,7 +388,7 @@ def test_criterion_09_property_suites(extended_suite):
             link = structure.links[j]
             assert structure.base_of[j] == base and link is not None
             for row in structure.generators:
-                assert row[j] == link.apply_index(row[base])
+                assert row[j] == link.lookup[row[base]]
             assert_multiplicative(link)
 
     # graph symmetry and irreflexivity for every graph built here

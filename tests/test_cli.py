@@ -166,7 +166,7 @@ def test_quotient_verb_full_run_with_outputs(tmp_path, capsys):
 def test_failing_check_exits_one(capsys, monkeypatch):
     import arccover.report as report
 
-    def broken(h_elements, k_elements, h_gens=None):
+    def broken(h_elements, k_elements, h_gens):
         return {"index": 3, "two_transitive": False}
 
     monkeypatch.setattr(report, "two_arc_transitive", broken)
@@ -236,6 +236,42 @@ def test_fuzzed_job_files_exit_cleanly(raw):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["construct", "--job", str(path)])
+    assert code in (0, 1, 2, 3)
+    assert isinstance(json.loads(out.getvalue()), dict)
+    assert "Traceback" not in err.getvalue()
+
+
+# flags: a pair of T with --x or --y possibly malformed, --n, the two caps
+# and --format drawn with or without --out, for validate and construct
+CYCLES = st.sampled_from(["(1,2", "(0,1)", "(1,1)", "(1,99)", "()", "", "x", "(1,2)(3,4)",
+                          "(1,5,3)"])
+
+
+@st.composite
+def flag_lists(draw):
+    group, x, y = draw(PAIRS)
+    argv = [draw(st.sampled_from(["validate", "construct"])),
+            "--n", str(draw(st.integers(-1, 9))), "--group", group,
+            "--x", draw(st.one_of(st.just(x), CYCLES)),
+            "--y", draw(st.one_of(st.just(y), CYCLES))]
+    for flag in ("--vertex-cap", "--enum-cap"):
+        if draw(st.booleans()):
+            argv += [flag, str(draw(st.integers(-2, 10**7)))]
+    for fmt in draw(st.lists(st.sampled_from(["edge-list", "adjacency-text"]), max_size=2)):
+        argv += ["--format", fmt]
+    return argv, draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(flag_lists())
+def test_fuzzed_flags_exit_cleanly(case):
+    """Any such command line gives one JSON object on stdout and an exit code
+    in 0..3, with --out or without it."""
+    argv, with_out = case
+    with tempfile.TemporaryDirectory() as tmp:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + (["--out", tmp] if with_out else []))
     assert code in (0, 1, 2, 3)
     assert isinstance(json.loads(out.getvalue()), dict)
     assert "Traceback" not in err.getvalue()

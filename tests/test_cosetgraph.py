@@ -23,9 +23,7 @@ from arccover.cosetgraph import (
     EXPORT_CHUNK_ROWS,
     centralizer_elements,
     export_chunks,
-    export_graph,
     graph_girth,
-    graph_invariants,
     quotient_graph,
     two_arc_transitive,
 )
@@ -47,15 +45,25 @@ def P(text, degree):
     return parse_cycles(text, degree)
 
 
+def nx_graph(adjacency):
+    """The networkx graph of adjacency rows (networkx is a test-only oracle)."""
+    nx = pytest.importorskip("networkx")
+    return nx.from_dict_of_lists({v: list(map(int, nbrs)) for v, nbrs in enumerate(adjacency)})
+
+
 def is_petersen(adjacency):
-    """The unique 3-regular girth-5 graph on 10 vertices."""
-    inv = graph_invariants(adjacency)
-    return (
-        inv["order"] == 10
-        and inv["valency"] == 3
-        and inv["components"] == 1
-        and inv["girth"] == 5
-    )
+    nx = pytest.importorskip("networkx")
+    return nx.is_isomorphic(nx_graph(adjacency), nx.petersen_graph())
+
+
+def assert_networkx_agrees(graph):
+    """Connectivity and girth of a derived graph agree with networkx:
+    `components` and the single-root `graph_girth` that graph-build records."""
+    nx = pytest.importorskip("networkx")
+    g = nx_graph(graph.adjacency)
+    assert g.number_of_nodes() == graph.order
+    assert nx.number_connected_components(g) == graph.components == 1
+    assert nx.girth(g) == graph_girth(graph.adjacency, roots=(0,))
 
 
 def sym_fixing_last(n):
@@ -133,8 +141,8 @@ def test_complete_graph_on_point_stabilizer():
     assert graph.valency == 3
     assert graph.adjacency == [(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)]
     assert graph.order == 24 // 6
-    assert graph_invariants(graph.adjacency)["components"] == 1
-    stats = two_arc_transitive(h, oracle.conj_intersection(h, g))
+    assert pytest.importorskip("networkx").is_connected(nx_graph(graph.adjacency))
+    stats = two_arc_transitive(h, oracle.conj_intersection(h, g), h)
     assert stats == {"index": 3, "two_transitive": True}
 
 
@@ -147,14 +155,13 @@ def test_petersen_graph_from_pair_stabilizer():
     assert graph.order == 10
     assert is_petersen(graph.adjacency)
     assert graph.order == 120 // 12
-    assert graph_invariants(graph.adjacency)["components"] == 1
     assert two_arc_transitive(h, oracle.conj_intersection(h, g), h_gens=gens)["two_transitive"]
 
 
 def test_regular_subgroup_action_is_not_two_transitive():
     h = closure([P("(1,2,3,4)", 4)], Permutation.identity(4))
     g = P("(1,2)", 4)
-    stats = two_arc_transitive(h, oracle.conj_intersection(h, g))
+    stats = two_arc_transitive(h, oracle.conj_intersection(h, g), h)
     assert stats["index"] == 4
     assert stats["two_transitive"] is False
     graph = oracle.build_coset_graph(h, g)
@@ -232,9 +239,9 @@ def test_cover_graph_invariants():
     assert graph.valency == 3
     assert graph.order == 1440 // len(data.h_elements())
     assert graph.fibre.points == structure.order() == 60
-    inv = graph_invariants(graph.adjacency.tolist())
-    assert inv == {"order": 240, "valency": 3, "components": 1, "girth": 9}
-    assert graph.components == 1
+    assert graph.adjacency.shape == (240, 3)
+    assert graph_girth(graph.adjacency, roots=(0,)) == 9
+    assert_networkx_agrees(graph)
 
 
 def test_single_root_girth_matches_full_scan():
@@ -314,6 +321,7 @@ def test_psl2_13_cover_matches_oracle():
     assert structure.block_count == 1
     graph = assert_matches_oracle(data, structure)
     assert graph.order == 4368
+    assert_networkx_agrees(graph)
 
 
 def test_conjugated_pair_matches_oracle():
@@ -460,15 +468,19 @@ def test_is_petersen_negatives():
     assert not is_petersen(ring10)
 
 
+def export_bytes(adjacency, fmt):
+    return b"".join(export_chunks(adjacency, fmt))
+
+
 def test_exports_are_deterministic_bytes():
     k4 = [(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)]
-    assert export_graph(k4, "edge-list") == b"0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
+    assert export_bytes(k4, "edge-list") == b"0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
     assert (
-        export_graph(k4, "adjacency-text")
+        export_bytes(k4, "adjacency-text")
         == b"0: 1 2 3\n1: 0 2 3\n2: 0 1 3\n3: 0 1 2\n"
     )
     with pytest.raises(ValidationError, match="unknown export format"):
-        export_graph(k4, "graphml")
+        export_bytes(k4, "graphml")
 
 
 def _joined_export(adjacency, fmt):
@@ -490,4 +502,4 @@ def test_exports_in_chunks_match_the_joined_lines(fmt):
     assert len(list(export_chunks(circulant, fmt))) == 3
     edgeless, empty = np.zeros((3, 0), dtype=np.int32), np.zeros((0, 3), dtype=np.int32)
     for adjacency in (circulant, edgeless, empty):
-        assert export_graph(adjacency, fmt) == _joined_export(adjacency.tolist(), fmt)
+        assert export_bytes(adjacency, fmt) == _joined_export(adjacency.tolist(), fmt)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from coset_oracle import conj_intersection
-from arccover.catalog import resolve_group
+from arccover.catalog import BUILTIN_CATALOG, resolve_group
 from arccover.errors import CapacityExceeded, InternalCheckError, ValidationError
 from arccover.groups import (
     AutomorphismMap,
@@ -350,7 +350,7 @@ def test_extend_to_automorphism_identity():
     y = t.idx(P("(1,2,3,4,5)", 5))
     phi = extend_to_automorphism(t, [x, y], [x, y])
     assert phi is not None
-    assert all(phi.apply_index(i) == i for i in range(60))
+    assert phi.lookup == tuple(range(60))
 
 
 def test_extend_to_automorphism_inverting():
@@ -362,7 +362,7 @@ def test_extend_to_automorphism_inverting():
     assert phi.apply(y) == y.inverse()
     assert phi.apply(x) == x
     assert all(
-        phi.apply_index(t.multiply(a, b)) == t.multiply(phi.apply_index(a), phi.apply_index(b))
+        phi.lookup[t.multiply(a, b)] == t.multiply(phi.lookup[a], phi.lookup[b])
         for a in range(t.size)
         for b in range(t.size)
     )
@@ -403,3 +403,40 @@ def test_conjugating_permutations_unique():
 def test_conjugating_permutations_requires_transitivity():
     with pytest.raises(ValidationError):
         conjugating_permutations([P("(1,2,3)", 5)], [P("(1,3,2)", 5)], 5)
+
+
+# ---------------------------------------------------------------------------
+# sympy's Schreier–Sims as an independent oracle
+# ---------------------------------------------------------------------------
+
+# PSL(2,13) on the projective line, the T of the 4368-vertex cover of K4
+PSL2_13 = (["(1,2,3,4,5,6,7,8,9,10,11,12,13)", "(1,14)(2,13)(3,7)(4,5)(8,12)(10,11)"], 14)
+
+
+def sympy_order(perms, degree):
+    """|<perms>| computed by sympy, on the points shifted to 0..degree-1."""
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    gens = [combinatorics.Permutation([i - 1 for i in p.images], size=degree) for p in perms]
+    return combinatorics.PermutationGroup(gens).order()
+
+
+@pytest.mark.parametrize("name", [*BUILTIN_CATALOG, "PSL2_13"])
+def test_group_orders_match_sympy(name):
+    grp = PermGroup.from_cycle_strings(*PSL2_13) if name == "PSL2_13" else resolve_group(name)
+    assert grp.order() == sympy_order(grp.generators, grp.degree)
+
+
+@pytest.mark.parametrize("name, x, y", [
+    # the catalog-mix pairs, each generating T
+    ("A5", "(1,2)(3,4)", "(1,2,3,4,5)"),
+    ("A11", "(1,2)(3,6)", "(1,2,3,4,5,6,7,8,9,10,11)"),
+    ("A7", "(1,2)(3,4)", "(1,2,3,4,5,6,7)"),
+    ("PSL27", "(1,8)(2,7)(3,4)(5,6)", "(1,2,3,4,5,6,7)"),
+    # pairs generating proper subgroups: A4 in A7, A5 in A11
+    ("A7", "(1,2)(3,4)", "(1,2,3)"),
+    ("A11", "(1,2)(3,4)", "(1,2,3,4,5)"),
+])
+def test_pair_subgroup_orders_match_sympy(name, x, y):
+    grp = resolve_group(name)
+    pair = [P(x, grp.degree), P(y, grp.degree)]
+    assert grp.subgroup_order(pair) == sympy_order(pair, grp.degree)

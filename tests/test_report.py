@@ -2,11 +2,14 @@
 
 import json
 import math
+from decimal import Decimal
 from types import SimpleNamespace
 
 import pytest
 
 from arccover import report
+from arccover.catalog import resolve_group
+from arccover.cosetgraph import VERTEX_CAP_DEFAULT
 from arccover.errors import ValidationError
 from arccover.report import (
     GAP_STATEMENTS,
@@ -166,6 +169,39 @@ def test_capacity_skip_keeps_certificate_green():
     assert cert.check("cover-quotient") is None
     blocks = cert.check("block-structure")["computed"]
     assert blocks["d"] == 3 and blocks["order_y"] == "5184000"
+
+
+def test_orders_beyond_the_int_digit_limit(monkeypatch):
+    """d = 2520 with |T| = 60, as A5 certifies at n = 8: |M| = 60^2520 has
+    4481 digits, more than str(int) converts by default. A stub structure
+    drives block-structure and the graph-build capacity skip without an
+    n = 8 run: both stages certify and the certificate serializes."""
+    a5, n, d = resolve_group("A5"), 8, 2520
+    structure = SimpleNamespace(
+        block_count=d,
+        k=math.factorial(n - 1),
+        blocks=tuple((2 * b, 2 * b + 1) for b in range(d)),
+        order=lambda: a5.order() ** d,
+    )
+    monkeypatch.setattr(report, "subdirect_decompose", lambda rows, group: structure)
+    monkeypatch.setattr(report, "STAGES", tuple(
+        st for st in report.STAGES if st.id in ("block-structure", "graph-build")
+    ))
+    data = SimpleNamespace(ctx=SimpleNamespace(n=n), job=SimpleNamespace(group=a5))
+    run = report._Run(JobSpec(n=n, group="A5", x="(1,2)(3,4)", y="(1,2,3,4,5)"), data, 0.0)
+    run.products["kernel-generators"] = None
+    run.run_stages(report.PHASES.index("graph"))
+    cert = run.certificate()
+    assert json.loads(cert.core_bytes())["summary"]["all_passed"]
+    blocks = cert.check("block-structure")["computed"]
+    assert Decimal(blocks["order_m"]) == 60**d
+    assert Decimal(blocks["order_y"]) == 60**d * math.factorial(n)
+    assert blocks["order_y_digits"] == len(blocks["order_y"]) == 4486
+    assert blocks["bound_ok"] is True
+    skip = cert.skipped("graph-build")
+    assert skip["kind"] == "capacity" and cert.capacity_blocked()
+    expected, cap = skip["reason"].removeprefix("expected ").split(" vertices exceeds the cap ")
+    assert Decimal(expected) == n * 60**d and cap == str(VERTEX_CAP_DEFAULT)
 
 
 def test_budget_skips_are_not_capacity():

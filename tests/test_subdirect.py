@@ -10,12 +10,12 @@ from arccover.catalog import resolve_group
 from arccover.errors import ValidationError
 from arccover.groups import conjugating_permutations
 from arccover.perm import Permutation, parse_cycles
+from arccover.report import JobSpec, run_job
 from arccover.subdirect import (
     BlockReport,
     _entry_rows,
     cross_automorphism,
     inverting_automorphism,
-    k4_block_count,
     structures_equal,
     subdirect_decompose,
 )
@@ -170,11 +170,14 @@ def test_entries_must_match_the_route(conjugator_route):
 
 
 def test_membership_rejects_twisted_elements():
-    _, s = kernel_structure(Y2)
+    """Membership reads rows only, so a twisted element must be turned away
+    by its top before its row is read (`CosetGraph._split` and `vertex_map`
+    do): at y = (1,5,3) the base row of g = (f, (1,2)) itself lies in M."""
+    data, s = kernel_structure(Y2)
     for gen in s.generators:
         assert s.contains(gen)
-    data, _ = kernel_structure(Y2)
-    with pytest.raises(ValidationError, match="top part"):
+    assert s.contains(data.g.f)
+    with pytest.raises(TypeError):
         s.contains(data.g)
 
 
@@ -299,7 +302,7 @@ def test_blocks_invariant_under_conjugation():
         for m in s.generators:
             conj = w_inv * data.ctx.from_assignment(list(m)) * w
             assert conj.sigma.is_identity()
-            assert s.contains(conj)
+            assert s.contains(conj.f)
 
 
 def test_linking_relation_consistency_sampled():
@@ -310,7 +313,7 @@ def test_linking_relation_consistency_sampled():
         z = data.ctx.identity_element()
         for _ in range(rng.randrange(1, 8)):
             z = z * rng.choice(gens)
-        assert s.contains(z)
+        assert z.sigma.is_identity() and s.contains(z.f)
         entries = [data.ctx.entry_perm(e) for e in z.f]
         for j in range(s.k):
             base = s.base_of[j]
@@ -322,7 +325,7 @@ def test_linking_relation_consistency_sampled():
 def test_structures_equal_and_tuple_route():
     data, s = kernel_structure(Y1)
     tuples = k4_tuple_data(data)
-    alt = subdirect_decompose([tuples.t1, tuples.t2, tuples.t3], A5)
+    alt = subdirect_decompose([t.f for t in (tuples.t1, tuples.t2, tuples.t3)], A5)
     assert structures_equal(alt, s)
     assert structures_equal(s, s)
     _, s3 = kernel_structure(Y2)
@@ -352,21 +355,26 @@ def test_cross_automorphism_witness_and_absence():
 
 
 def test_predicted_block_counts():
-    assert k4_block_count(A5, X, Y1) == 1
-    assert k4_block_count(A5, X, Y2) == 3
+    """The criteria behind the n = 4 prediction: both automorphisms exist for
+    d = 1, the crossing one fails for d = 3, the inverting one for d = 6."""
+    assert inverting_automorphism(A5, X, Y1) is not None
+    assert cross_automorphism(A5, X, Y1) is not None
+    assert inverting_automorphism(A5, X, Y2) is not None
+    assert cross_automorphism(A5, X, Y2) is None
     a11 = resolve_group("A11")
     assert (
-        k4_block_count(
-            a11, P("(1,2)(3,6)", 11), P("(1,2,3,4,5,6,7,8,9,10,11)", 11)
-        )
-        == 6
+        inverting_automorphism(a11, P("(1,2)(3,6)", 11), P("(1,2,3,4,5,6,7,8,9,10,11)", 11))
+        is None
     )
 
 
 def test_predictions_match_computed_block_counts():
+    """The block-count-prediction stage predicts the d of the decomposition."""
     for y, want in ((Y1, 1), (Y2, 3)):
-        _, s = kernel_structure(y)
-        assert s.block_count == want == k4_block_count(A5, X, y)
+        spec = JobSpec(n=4, group="A5", x=X.cycle_string(), y=y.cycle_string())
+        rec = run_job(spec, "decompose").check("block-count-prediction")
+        assert rec["passed"]
+        assert rec["computed"]["predicted_d"] == kernel_structure(y)[1].block_count == want
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Wreath elements over the cycle domain and the cover-group construction."""
 
 import dataclasses
+import itertools
 import json
 import math
 import random
@@ -8,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from coset_oracle import conj_intersection
+from coset_oracle import conj_intersection, l_elements
 from arccover import report
 from arccover.catalog import resolve_group
 from arccover.cli import main
@@ -51,12 +52,23 @@ def data_for(n=4, y=Y):
 # ---------------------------------------------------------------------------
 
 
+def _tops(n, sample=None):
+    """Every top of degree n, or `sample` of them drawn at random."""
+    if sample is None:
+        return [Permutation(list(p)) for p in itertools.permutations(range(1, n + 1))]
+    rng = random.Random(n)
+    return [Permutation(rng.sample(range(1, n + 1), n)) for _ in range(sample)]
+
+
 def test_comp_map_is_conjugation_indexing():
-    ctx = data_for().ctx
-    sigma = P("(2,3,4)", 4)
-    amap = ctx.comp_map(sigma)
-    for i, alpha in enumerate(ctx.cycles):
-        assert ctx.cycles[amap[i]] == alpha.conjugate(sigma)
+    """comp_map(s)[i] is the position of cycles[i]^s = s^-1·cycles[i]·s:
+    checked for every top in Sym(n) for n = 4..6, and for sampled tops at
+    n = 7 and 8."""
+    for n, sample in ((4, None), (5, None), (6, None), (7, 30), (8, 3)):
+        ctx = WreathContext(n, A5)
+        for sigma in _tops(n, sample):
+            want = [ctx.cycle_index[c.conjugate(sigma).key()] for c in ctx.cycles]
+            assert list(ctx.comp_map(sigma)) == want
 
 
 def test_comp_map_composes():
@@ -169,7 +181,7 @@ def test_twist_identities(n):
     data = data_for(n=n)
     g = data.g
     assert (g * g).is_identity()
-    for z in data.l_elements():
+    for z in l_elements(data):
         assert (g * z).key() == (z * g).key()
     assert not g.is_identity()  # with g^2 = 1: g has order 2
     assert len(data.h_elements()) == math.factorial(n - 1)
@@ -182,11 +194,12 @@ def test_twist_identities(n):
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_h_and_l_elements_are_the_wreath_closures(n):
+    """H's wreath elements and L's tops come in the order of the closures of
+    their embedded generators."""
     data = data_for(n=n)
-    ctx = data.ctx
-    l_gens = [ctx.embed_top(s) for s in data.l_top_gens]
-    for cheap, gens in ((data.h_elements(), data.h_gens), (data.l_elements(), l_gens)):
-        assert [w.key() for w in cheap] == [w.key() for w in closure(gens, ctx.identity_element())]
+    h_elems = closure(data.h_gens, data.ctx.identity_element())
+    assert [w.key() for w in data.h_elements()] == [w.key() for w in h_elems]
+    assert twist_tops(data).l == [w.sigma for w in l_elements(data)]
 
 
 C = P("(1,2,3)", 5)
@@ -202,7 +215,7 @@ def assert_tops_match_the_wreath_oracle(data):
     """H, L and K from the tops equal the wreath-element route, and g
     commutes with exactly the elements of L in K; returns K's tops."""
     tops = twist_tops(data)
-    g, h_elems, l_elems = data.g, data.h_elements(), data.l_elements()
+    g, h_elems, l_elems = data.g, data.h_elements(), l_elements(data)
     assert tops.h == [w.sigma for w in h_elems]
     assert tops.l == [w.sigma for w in l_elems]
     inter = conj_intersection(h_elems, g)
