@@ -13,8 +13,9 @@ length are those of the change's BENCHMARK.json. The record holds:
 - traced: one `--trace 1` result line per workload and checkout, with the
   per-module metrics;
 - in_process: wall time and peak RSS (ru_maxrss) of one fresh process
-  running the `extended-build` job, and of one running the whole
-  `extended` suite, per checkout;
+  running the `extended-build` job, of one running the whole `extended`
+  suite, and of one running the n = 8 `decompose` job (A5, (1,2)(3,4),
+  (1,2,3,4,5)) with its d, per checkout;
 - layers: the median of each layer microbenchmark in the checkout's own
   `benchmarks/` (pytest-benchmark), in seconds.
 
@@ -37,15 +38,21 @@ PAIRS = 10
 
 IN_PROCESS = """
 import json, resource, sys, time
-from arccover.report import _suite_specs, run_job, run_suite
+from arccover.report import JobSpec, _suite_specs, run_job, run_suite
 t0 = time.perf_counter()
+facts = {}
 if sys.argv[1] == "suite":
     ok = run_suite("extended").ok
+elif sys.argv[1] == "n8-decompose":
+    cert = run_job(JobSpec(n=8, group="A5", x="(1,2)(3,4)", y="(1,2,3,4,5)"), "decompose")
+    ok = cert.ok
+    facts["d"] = cert.check("block-structure")["computed"]["d"]
 else:
     spec = [s for s in _suite_specs("extended") if s.label == "extended-build"][0]
     ok = run_job(spec).ok
 print(json.dumps({"wall_s": round(time.perf_counter() - t0, 3), "ok": ok,
-                  "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)}))
+                  "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+                  **facts}))
 """
 
 
@@ -136,7 +143,8 @@ def main(argv=None) -> int:
         for side, path in sides.items()
     }
     record["in_process"] = {
-        side: {what: in_process(path, what) for what in ("extended-build", "suite")}
+        side: {what: in_process(path, what)
+               for what in ("extended-build", "suite", "n8-decompose")}
         for side, path in sides.items()
     }
     record["layers_median_s"] = {side: layers(path) for side, path in sides.items()}

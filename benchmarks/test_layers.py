@@ -135,7 +135,7 @@ def cover(group, x, y):
     kgens = schreier_rows(data)[0]
     structure = subdirect_decompose(kgens, group)
     ident = Permutation.identity(4)
-    m_gens = [WreathElement(data.ctx, tuple(row), ident) for row in structure.generators]
+    m_gens = [WreathElement(data.ctx, tuple(row), ident) for row in structure.generators.tolist()]
     return data, structure, m_gens
 
 

@@ -129,8 +129,17 @@ def _run_suite_verb(args: argparse.Namespace) -> int:
     return EXIT_OK if result.ok else EXIT_CHECK_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors are rejections like any other: `main` prints them as
+    one JSON object and exits 2 (usage still goes to stderr)."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="arccover",
         description="2-arc-transitive covers of complete graphs: construction, "
         "decomposition, and certificates",
@@ -160,8 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.verb == "validate":
             return _run_validate(args)
         if args.verb == "suite":

@@ -159,7 +159,7 @@ class CosetGraph:
                 out[ids] = ids[moved]
             return out
         ident = Permutation.identity(self.ctx.n)
-        for row in self.structure.generators:
+        for row in self.structure.generators.tolist():
             m = WreathElement(self.ctx, tuple(row), ident)
             if z * m != m * z:
                 raise ValidationError("element neither lies in M nor centralizes M")

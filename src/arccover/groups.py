@@ -486,26 +486,8 @@ class TableGroup:
     def invert(self, a: int) -> int:
         return self.inv[a]
 
-    def generated_indices(self, sources: Sequence[int]) -> set[int]:
-        """Index set of the subgroup generated by the given element indices."""
-        seen = {0}
-        frontier = [0]
-        size = self.size
-        mf = self.mult_flat
-        while frontier:
-            new_frontier = []
-            for a in frontier:
-                base = a * size
-                for s in sources:
-                    b = mf[base + s]
-                    if b not in seen:
-                        seen.add(b)
-                        new_frontier.append(b)
-            frontier = new_frontier
-        return seen
-
     def generates(self, sources: Sequence[int]) -> bool:
-        return len(self.generated_indices(sources)) == self.size
+        return bool(generating_rows(self, [list(sources)])[0])
 
 
 def conjugacy_classes(table: TableGroup) -> list[list[int]]:
@@ -585,43 +567,83 @@ class AutomorphismMap:
         return np.array([index[self.apply(t).key()] for t in group.elements()])
 
 
+def _propagate(
+    table: TableGroup, sources: np.ndarray, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The maps forced along the Cayley graph, one per row of `sources`.
+
+    Row p starts from phi(1) = 1 and sets phi(a·s) = phi(a)·t for each source
+    s = sources[p, i] with target t = targets[p, i], by BFS over all rows at
+    once: each step follows every edge out of the elements first reached in
+    the step before. Returns the images, -1 outside <sources[p]>, and per
+    row whether every edge out of a reached element agreed.
+    """
+    sources = np.asarray(sources, dtype=np.intp)
+    targets = np.asarray(targets, dtype=np.intp)
+    count, size = len(sources), table.size
+    flat = table.mult.reshape(-1)
+    images = np.full(count * size, -1, dtype=np.intp)  # row p, element a at p·|T| + a
+    images[::size] = 0
+    consistent = np.ones(count, dtype=bool)
+    rows, elems = np.arange(count), np.zeros(count, dtype=np.intp)
+    reached = np.zeros(count * size, dtype=bool)
+    while len(rows):
+        at = rows * size
+        phi = images[at + elems] * size
+        elems *= size
+        for s, t in zip(sources.T, targets.T):
+            slot = at + flat[elems + s[rows]]
+            forced = flat[phi + t[rows]]
+            new = images[slot] < 0
+            images[slot[new]] = forced[new]
+            reached[slot[new]] = True
+            consistent[rows[images[slot] != forced]] = False
+        rows, elems = np.divmod(np.flatnonzero(reached), size)
+        reached[:] = False
+    return images.reshape(count, size), consistent
+
+
+def generating_rows(table: TableGroup, sources: np.ndarray) -> np.ndarray:
+    """Per row of element indices, whether they generate T."""
+    images, _ = _propagate(table, sources, sources)
+    return (images >= 0).all(axis=1)
+
+
+def automorphism_lookups(
+    table: TableGroup, sources: np.ndarray, targets: np.ndarray
+) -> np.ndarray:
+    """Row p: the lookup of the unique automorphism of T with
+    sources[p, i] -> targets[p, i] for every i, or a row of -1 if none.
+
+    Every row of sources must generate T. The image of every element is then
+    forced by propagation from phi(identity) = identity; edge consistency on
+    all |T| * width edges plus bijectivity is equivalent to full
+    multiplicativity. A consistent row that leaves an element unreached
+    proves that its sources do not generate T: ValidationError. (An
+    inconsistent row has no homomorphism from <sources> at all, so it is a
+    row of -1 whether or not its sources generate.)
+    """
+    images, consistent = _propagate(table, sources, targets)
+    if (consistent & (images < 0).any(axis=1)).any():
+        raise ValidationError("sources do not generate the group")
+    bijective = (np.sort(images, axis=1) == np.arange(table.size)).all(axis=1)
+    images[~(consistent & bijective)] = -1
+    return images
+
+
 def extend_to_automorphism(
     table: TableGroup, sources: Sequence[int], targets: Sequence[int]
 ) -> Optional[AutomorphismMap]:
     """The unique automorphism of T with sources[j] -> targets[j], or None.
 
-    Requires `sources` to generate T (ValidationError otherwise). The image
-    of every element is forced by propagation along the Cayley graph from
-    phi(identity) = identity; edge consistency on all |T| * len(sources)
-    edges plus bijectivity is equivalent to full multiplicativity.
+    Requires `sources` to generate T (`automorphism_lookups`).
     """
     if len(sources) != len(targets):
         raise ValidationError("sources and targets must have equal length")
-    if not table.generates(sources):
-        raise ValidationError("sources do not generate the group")
-    size = table.size
-    mf = table.mult_flat
-    lookup = [-1] * size
-    lookup[0] = 0
-    frontier = [0]
-    while frontier:
-        new_frontier = []
-        for a in frontier:
-            fa = lookup[a]
-            base = a * size
-            fbase = fa * size
-            for s, t in zip(sources, targets):
-                b = mf[base + s]
-                fb = mf[fbase + t]
-                if lookup[b] == -1:
-                    lookup[b] = fb
-                    new_frontier.append(b)
-                elif lookup[b] != fb:
-                    return None
-        frontier = new_frontier
-    if -1 in lookup or len(set(lookup)) != size:
+    lookup = automorphism_lookups(table, [list(sources)], [list(targets)])[0]
+    if lookup[0] < 0:
         return None
-    return AutomorphismMap(table=table, lookup=tuple(lookup))
+    return AutomorphismMap(table=table, lookup=tuple(lookup.tolist()))
 
 
 def conjugating_permutations(

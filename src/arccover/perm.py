@@ -220,18 +220,18 @@ def n_cycle_index(n: int) -> dict[bytes, int]:
 def cycle_class(alpha: Permutation) -> int:
     """The class index k in 1..n-1 with 1^(alpha^k) = 2.
 
-    Requires alpha to be a full cycle on all of 1..degree.
+    Requires alpha to be a full cycle on all of 1..degree: the walk from 1
+    along alpha must meet every point before it returns to 1.
     """
     n = alpha.degree
-    point = 1
-    for k in range(1, n):
+    walk = [1]
+    point = alpha.apply(1)
+    while point != 1:
+        walk.append(point)
         point = alpha.apply(point)
-        if point == 2:
-            # confirm alpha really is an n-cycle before trusting k
-            if len(alpha.cycles()) != 1 or len(alpha.cycles()[0]) != n:
-                raise ValidationError(f"not a full cycle: {alpha.cycle_string()}")
-            return k
-    raise ValidationError(f"not a full cycle: {alpha.cycle_string()}")
+    if n < 2 or len(walk) != n:
+        raise ValidationError(f"not a full cycle: {alpha.cycle_string()}")
+    return walk.index(2)
 
 
 def cycle_classes(n: int) -> dict[int, list[int]]:

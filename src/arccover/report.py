@@ -469,7 +469,9 @@ def _kernel_generators(run: _Run):
 
 def _block_structure(run: _Run):
     n = run.n
-    structure = subdirect_decompose(run.products["kernel-generators"], run.data.job.group)
+    structure = subdirect_decompose(
+        run.products["kernel-generators"], run.data.job.group, run.out_of_budget
+    )
     d = structure.block_count
     report = BlockReport.build(n, d)
     order_m = run.data.job.group.order() ** d
@@ -561,10 +563,11 @@ def _two_arc_transitive(run: _Run):
 
 
 def _m_generators(run: _Run) -> list[WreathElement]:
-    """The kernel subgroup's generating rows as base-only wreath elements."""
+    """The kernel subgroup's generating rows as base-only wreath elements,
+    with Python entries (a uint8 entry would overflow an index product)."""
     ctx = run.data.ctx
     ident = Permutation.identity(ctx.n)
-    rows = run.products["block-structure"].generators
+    rows = run.products["block-structure"].generators.tolist()
     return [WreathElement(ctx, tuple(row), ident) for row in rows]
 
 

@@ -18,23 +18,25 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import InternalCheckError, ValidationError
+from .errors import BudgetExhausted, InternalCheckError, ValidationError
 from .groups import (
     AutomorphismMap,
     PermGroup,
     TableGroup,
+    automorphism_lookups,
     conjugating_permutations,
     extend_to_automorphism,
+    generating_rows,
     is_natural_alternating,
 )
 from .perm import Permutation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubdirectStructure:
     """Blocks and linking maps of a subdirect subgroup of T^k."""
 
@@ -42,7 +44,7 @@ class SubdirectStructure:
     blocks: tuple[tuple[int, ...], ...]
     links: tuple[Optional[AutomorphismMap], ...]  # None exactly at block bases
     base_of: tuple[int, ...]  # component -> base component of its block
-    generators: tuple[tuple, ...]  # the distinct generating rows, in input order
+    generators: np.ndarray  # the distinct generating rows, in input order (`_entry_rows`)
     group: PermGroup
 
     @property
@@ -53,29 +55,33 @@ class SubdirectStructure:
         return self.group.order() ** self.block_count
 
     def contains(self, row: Sequence) -> bool:
-        """Membership of a row of k entries: within each block every entry
-        follows its linking map."""
-        _, row = _entry_rows([row], self.group, self.k)
-        for j, (base, link) in enumerate(zip(self.base_of, self.links)):
-            expect = row[:, base] if link is None else _image(link, row[:, base], self.group)
-            if not np.array_equal(row[:, j], expect):
-                return False
-        return True
+        """Membership of a row of k entries, a sequence or a row of an entry
+        matrix: within each block every entry follows its linking map."""
+        rows = row[None] if isinstance(row, np.ndarray) else [row]
+        return self._holds(_entry_rows(rows, self.group, self.k))
+
+    def _holds(self, matrix: np.ndarray) -> bool:
+        """Every row of an entry matrix lies in the subgroup."""
+        return all(
+            link is None or np.array_equal(_image(link, matrix[:, base], self.group), matrix[:, j])
+            for j, (base, link) in enumerate(zip(self.base_of, self.links))
+        )
 
 
-def _entry_rows(
-    gens: Sequence, group: PermGroup, k: Optional[int] = None
-) -> tuple[list[tuple], np.ndarray]:
-    """The distinct rows of `gens`, in input order, and their entry matrix.
+def _entry_rows(gens: Sequence, group: PermGroup, k: Optional[int] = None) -> np.ndarray:
+    """The distinct rows of `gens`, in input order, as T's entry matrix.
 
     `gens` is a 2-D integer matrix of rows, as `schreier_rows` returns with
     a table, or a sequence of rows, all of one length (k, if given). Entries
     must be elements of T in its entry format: int indices 0..|T|-1 with a
-    table (a bool is not an int here), held as int32; Permutations lying in
-    T without one, as an object matrix. Anything else is a ValidationError.
+    table (a bool is not an int here), held in the smallest unsigned dtype
+    that reaches |T| - 1; Permutations lying in T without one, as an object
+    matrix. Anything else is a ValidationError. A matrix of distinct rows in
+    that dtype comes back as itself.
     """
+    matrix = None
     if isinstance(gens, np.ndarray) and gens.ndim == 2 and gens.dtype.kind in "iu":
-        rows = None  # one width, int entries by its dtype
+        matrix = gens  # one width, int entries by its dtype
         widths = {gens.shape[1]} if len(gens) else set()
         found = {int}
     else:
@@ -91,20 +97,30 @@ def _entry_rows(
         want = "int table indices" if table is not None else "Permutations"
         got = ", ".join(sorted(t.__name__ for t in found - {kind}))
         raise ValidationError(f"entries of T must be {want}, got {got}")
-    if rows is None:
-        _, first = np.unique(gens, axis=0, return_index=True)
-        matrix = gens[np.sort(first)]
-        rows = list(map(tuple, matrix.tolist()))
-    else:
-        rows = list(dict.fromkeys(rows))
-        matrix = np.array(rows, dtype=object if table is None else None)
     if table is None:
+        matrix = np.array(list(dict.fromkeys(rows)), dtype=object)
         if not all(map(group.contains, matrix.flat)):
             raise ValidationError("an entry is not an element of T")
-        return rows, matrix
+        return matrix
+    if matrix is None:
+        matrix = np.array(rows)
     if matrix.min() < 0 or matrix.max() >= table.size:
         raise ValidationError(f"entries of T must be table indices 0..{table.size - 1}")
-    return rows, matrix.astype(np.int32)
+    matrix = matrix.astype(np.min_scalar_type(table.size - 1), copy=False)
+    first = _first_rows(matrix)
+    return matrix if len(first) == len(matrix) else matrix[first]
+
+
+def _first_rows(matrix: np.ndarray) -> list[int]:
+    """Positions of the first occurrence of each distinct row, in order."""
+    seen: set[bytes] = set()
+    out = []
+    for i, row in enumerate(matrix):
+        key = row.tobytes()
+        if key not in seen:
+            seen.add(key)
+            out.append(i)
+    return out
 
 
 def _image(phi: AutomorphismMap, column: np.ndarray, group: PermGroup) -> np.ndarray:
@@ -114,16 +130,74 @@ def _image(phi: AutomorphismMap, column: np.ndarray, group: PermGroup) -> np.nda
     return np.frompyfunc(phi.apply, 1, 1)(column)
 
 
-def subdirect_decompose(gens: Sequence, group: PermGroup) -> SubdirectStructure:
+def _fingerprints(columns: np.ndarray, group: PermGroup) -> list[bytes]:
+    """Per column (a row of `columns`), how often each pair (|e|, |e·e0|)
+    occurs over its entries e, with e0 its entry in row 0, as bytes.
+
+    An entrywise automorphism keeps element orders, so a column and its
+    image have one fingerprint. The counts determine both sorted profiles
+    of orders, of the entries and of their products with e0, so no column
+    that those profiles would let link is kept apart. With a table, each
+    entry's pair is one gather from a code table over the distinct e0.
+    """
+    table = group.table()
+    if table is None:
+        order = np.frompyfunc(Permutation.order, 1, 1)
+        both = np.stack([order(columns), order(columns * columns[:, :1])]).astype(np.int64)
+        values, ids = np.unique(both, return_inverse=True)
+        ids = ids.reshape(both.shape)
+        entry_codes = ids[0] * len(values) + ids[1]
+
+        def pair_codes(cols: slice) -> np.ndarray:
+            return entry_codes[cols]
+    else:
+        values, order_id = np.unique(table.order_of, return_inverse=True)
+        firsts, first_of = np.unique(columns[:, 0], return_inverse=True)
+        # code of entry e in a column whose e0 is firsts[f], at f·|T| + e
+        table_codes = (
+            order_id * len(values) + order_id[table.mult[:, firsts].T]
+        ).reshape(-1)
+        offsets = first_of * table.size
+
+        def pair_codes(cols: slice) -> np.ndarray:
+            return table_codes[columns[cols] + offsets[cols, None]]
+
+    kinds = len(values) ** 2
+    k, rows = columns.shape
+    width = max(1, (1 << 17) // rows)  # columns per block: about 2^17 entries, in cache
+    out = []
+    for lo in range(0, k, width):
+        block = pair_codes(slice(lo, lo + width))
+        block = block + np.arange(len(block))[:, None] * kinds  # one bin range per column
+        hist = np.bincount(block.ravel(), minlength=len(block) * kinds)
+        out += [h.tobytes() for h in hist.reshape(-1, kinds)]
+    return out
+
+
+def subdirect_decompose(
+    gens: Sequence, group: PermGroup, out_of_budget: Callable[[], bool] = lambda: False
+) -> SubdirectStructure:
     """Block structure of the subgroup of T^k generated by `gens`.
 
     Rows are an integer matrix (`schreier_rows`' output with a table) or
     k-tuples, with entries in T's entry format (module docstring).
     Components are scanned in order: each is linked to the first earlier
-    block base whose generating prefix of rows extends to an automorphism
-    mapping the base's whole column onto it, and otherwise becomes a base
-    itself, which must generate T. A linked column needs no check: it is the
-    image of a generating column.
+    block base of its fingerprint (`_fingerprints`) whose generating prefix
+    of rows extends to an automorphism mapping the base's whole column onto
+    it, and otherwise becomes a base itself, which must generate T. A linked
+    column needs no check: it is the image of a generating column.
+
+    Columns of one fingerprint form a bucket, and buckets never link to each
+    other, so the scan runs in rounds over all buckets at once: each
+    bucket's first undecided column is a base, its later columns are all
+    tested against that base, and the ones that fail go on to the next
+    round. That is the order in which the scan tries bases, so it links the
+    same columns. A column that does not generate T never links, so the
+    first such base is the least such column. The columns are read from one
+    column-major copy of the rows.
+
+    Raises BudgetExhausted, with the number of columns decided, once
+    `out_of_budget()` holds before a round.
     """
     table = group.table()
     if table is None and not is_natural_alternating(group):
@@ -131,58 +205,127 @@ def subdirect_decompose(gens: Sequence, group: PermGroup) -> SubdirectStructure:
             "without a multiplication table (|T| > TABLE_CAP) the decomposition "
             "needs T to be a natural alternating group"
         )
-    rows, matrix = _entry_rows(gens, group)
+    matrix = _entry_rows(gens, group)
     k = matrix.shape[1]
-
-    # invariant under any entrywise automorphism: the sorted order profile of
-    # the column, refined by the profile of products with the first row
-    if table is not None:
-        order_of = np.array(table.order_of, dtype=np.int32)
-        orders = order_of[matrix]
-        prod_orders = order_of[table.mult[matrix, matrix[0]]]
-    else:
-        order_of = np.frompyfunc(Permutation.order, 1, 1)
-        orders = order_of(matrix).astype(np.int32)
-        prod_orders = order_of(matrix * matrix[0]).astype(np.int32)
-    fingerprints = [
-        a.tobytes() + b.tobytes()
-        for a, b in zip(np.sort(orders, axis=0).T, np.sort(prod_orders, axis=0).T)
-    ]
+    # column-major copy, 512 rows at a time: several times faster than one
+    # transposing copy of a large byte matrix
+    columns = np.empty((k, len(matrix)), dtype=matrix.dtype)
+    for lo in range(0, len(matrix), 512):
+        columns[:, lo:lo + 512] = matrix[lo:lo + 512].T
+    buckets: dict[bytes, list[int]] = {}
+    for j, key in enumerate(_fingerprints(columns, group)):
+        buckets.setdefault(key, []).append(j)
 
     base_of = list(range(k))
     links: list[Optional[AutomorphismMap]] = [None] * k
     prefixes: dict[int, list[int]] = {}  # block base -> its generating rows
-    for j in range(k):
-        column = matrix[:, j]
-        for b, prefix in prefixes.items():
-            if fingerprints[b] != fingerprints[j]:
-                continue
-            phi = _automorphism(
-                table, group.degree, matrix[prefix, b].tolist(), column[prefix].tolist()
-            )
-            if phi is not None and np.array_equal(_image(phi, matrix[:, b], group), column):
+    proper: list[int] = []  # bases whose column generates a proper subgroup
+    pending = list(buckets.values())  # per bucket, its undecided columns
+    decided = 0
+    while pending:
+        if out_of_budget():
+            raise BudgetExhausted("time budget exhausted", columns_scanned=decided)
+        bases = [cols[0] for cols in pending]
+        prefixes.update(_prefixes(columns, bases, group))
+        proper += [b for b in bases if not prefixes[b]]
+        decided += len(bases)
+        pending = [cols for cols in pending if prefixes[cols[0]]]
+        pairs = [(cols[0], j) for cols in pending for j in cols[1:]]
+        for (b, j), phi in zip(pairs, _links(columns, pairs, prefixes, group)):
+            if phi is not None:
                 base_of[j] = b
                 links[j] = phi
-                break
-        else:
-            prefixes[j] = _generating_prefix(column.tolist(), group)
-            if not prefixes[j]:
-                raise ValidationError(f"component {j} projection generates a proper subgroup")
+                decided += 1
+        pending = [rest for cols in pending if (rest := [j for j in cols[1:] if links[j] is None])]
+    if proper:
+        raise ValidationError(f"component {min(proper)} projection generates a proper subgroup")
 
+    generators = matrix.view()
+    generators.flags.writeable = False
     return SubdirectStructure(
         k=k,
         blocks=_blocks_from(base_of, k),
         links=tuple(links),
         base_of=tuple(base_of),
-        generators=tuple(rows),
+        generators=generators,
         group=group,
     )
 
 
-def _generating_prefix(column: list, group: PermGroup) -> list[int]:
-    """Rows holding the first distinct entries of a column, up to the first
-    that generate T together (one element never does); [] if none do."""
+def _prefixes(columns: np.ndarray, bases: list[int], group: PermGroup) -> dict[int, list[int]]:
+    """Each base column's generating prefix: the rows of its first distinct
+    entries, up to the first that generate T ([] if none do). With a table,
+    the columns grow their prefixes together: each round adds every
+    column's next distinct entry and tests all the new prefixes at once;
+    without one, `_generating_prefix` searches column by column."""
     table = group.table()
+    if table is None:
+        return {b: _generating_prefix(columns[b].tolist(), group) for b in bases}
+    out: dict[int, list[int]] = {}
+    todo = np.array(bases)
+    chosen = np.zeros((len(bases), 1), dtype=np.intp)  # per column, its prefix rows
+    while len(todo):
+        cols = columns[todo]
+        fresh = np.ones(cols.shape, dtype=bool)
+        for rows in chosen.T:
+            fresh &= cols != np.take_along_axis(cols, rows[:, None], axis=1)
+        more = fresh.any(axis=1)  # a column out of new entries generates nothing
+        out.update((b, []) for b in todo[~more].tolist())
+        todo = todo[more]
+        chosen = np.column_stack([chosen[more], fresh.argmax(axis=1)[more]])
+        done = generating_rows(table, np.take_along_axis(columns[todo], chosen, axis=1))
+        out.update(zip(todo[done].tolist(), chosen[done].tolist()))
+        todo, chosen = todo[~done], chosen[~done]
+    return out
+
+
+def _links(
+    columns: np.ndarray,
+    pairs: list[tuple[int, int]],
+    prefixes: dict[int, list[int]],
+    group: PermGroup,
+) -> list[Optional[AutomorphismMap]]:
+    """Per pair (b, j): the automorphism sending b's generating prefix of
+    rows to column j's entries there, if it maps column b onto column j.
+
+    With a table all pairs propagate at once (`automorphism_lookups`), each
+    prefix padded by repeating its rows; without one, each pair runs the
+    conjugator search.
+    """
+    table = group.table()
+    if table is None:
+        out: list[Optional[AutomorphismMap]] = []
+        for b, j in pairs:
+            rows = prefixes[b]
+            phi = _automorphism(None, group.degree, columns[b, rows].tolist(), columns[j, rows].tolist())
+            if phi is not None and not np.array_equal(_image(phi, columns[b], group), columns[j]):
+                phi = None
+            out.append(phi)
+        return out
+    if not pairs:
+        return []
+    width = max(len(prefixes[b]) for b, _ in pairs)
+    rows = np.array([(prefixes[b] * width)[:width] for b, _ in pairs])
+    b, j = np.array(pairs).T
+    lookups = automorphism_lookups(
+        table, np.take_along_axis(columns[b], rows, axis=1), np.take_along_axis(columns[j], rows, axis=1)
+    )
+    ok = lookups[:, 0] >= 0
+    chunk = max(1, (1 << 17) // columns.shape[1])
+    for lo in range(0, len(pairs), chunk):
+        part = slice(lo, lo + chunk)
+        images = np.take_along_axis(lookups[part], columns[b[part]], axis=1)
+        ok[part] &= (images == columns[j[part]]).all(axis=1)
+    return [
+        AutomorphismMap(table=table, lookup=tuple(lookup)) if good else None
+        for lookup, good in zip(lookups.tolist(), ok.tolist())
+    ]
+
+
+def _generating_prefix(column: list, group: PermGroup) -> list[int]:
+    """Rows holding the first distinct entries of a column of Permutations,
+    up to the first that generate T together (one element never does); []
+    if none do. (`_prefixes` finds the same rows with a table.)"""
     chosen: list[int] = []
     values: list = []
     for r, v in enumerate(column):
@@ -190,10 +333,7 @@ def _generating_prefix(column: list, group: PermGroup) -> list[int]:
             continue
         chosen.append(r)
         values.append(v)
-        if len(values) > 1 and (
-            table.generates(values) if table is not None
-            else group.subgroup_order(values) == group.order()
-        ):
+        if len(values) > 1 and group.subgroup_order(values) == group.order():
             return chosen
     return []
 
@@ -226,9 +366,7 @@ def structures_equal(a: SubdirectStructure, b: SubdirectStructure) -> bool:
     """Same blocks and the same subgroup (mutual generator membership)."""
     if a.k != b.k or a.blocks != b.blocks:
         return False
-    return all(b.contains(g) for g in a.generators) and all(
-        a.contains(g) for g in b.generators
-    )
+    return b._holds(a.generators) and a._holds(b.generators)
 
 
 # ---------------------------------------------------------------------------

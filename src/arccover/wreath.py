@@ -383,6 +383,36 @@ def kernel_witness(data: CoverGroupData) -> WreathElement:
     return s
 
 
+def _pair_classes(ctx: WreathContext) -> np.ndarray:
+    """The class of every cycle after conjugation by a top σ, as a function
+    of the pair (p, q) = (σ^-1(1), σ^-1(2)) of 0-based points, in row p·n + q.
+
+    The class of β = α^σ is the k with 1^(β^k) = 2, i.e. with p^(α^k) = q:
+    the number of steps from p to q along α.
+    """
+    n, k = ctx.n, ctx.k
+    images = ctx._cycle_images.astype(np.intp) - 1
+    cycles = np.arange(k)
+    place = np.empty((k, n), dtype=np.intp)  # place[i, p]: steps from 0 to p along cycles[i]
+    point = np.zeros(k, dtype=np.intp)
+    for step in range(n):
+        place[cycles, point] = step
+        point = images[cycles, point]
+    steps = (place[:, None, :] - place[:, :, None]) % n
+    return np.ascontiguousarray(steps.reshape(k, n * n).T, dtype=np.uint8)
+
+
+def _lehmer_ranks(tops: np.ndarray) -> np.ndarray:
+    """The rank of each row of 0-based images in the lexicographic order of
+    Sym(n): 0 for the identity, n! - 1 for the reversal."""
+    n = tops.shape[1]
+    ranks = np.zeros(len(tops), dtype=np.intp)
+    for i in range(n - 1):
+        ranks *= n - i
+        ranks += (tops[:, i + 1:] < tops[:, i, None]).sum(axis=1)
+    return ranks
+
+
 def schreier_rows(
     data: CoverGroupData,
     image_cap: int = ENUM_CAP_DEFAULT,
@@ -395,12 +425,17 @@ def schreier_rows(
     u against each generator s of `data.y_gens` in turn. A top met for the
     first time makes u*s its representative; every other pair gives the
     kernel element u*s*rep(u*s)^-1. Its two factors share a top, so its row
-    is entrywise: f_us(a) * f_rep(a)^-1. Only g has a nontrivial base, so a
-    product by an H generator copies u's row, and one by g gathers g's base
-    through u's comp map, held for the current frontier only. Rows come in
-    discovery order, without repeats or the identity row. Their entries are
-    table indices in the smallest unsigned dtype holding |T| - 1, or
-    Permutations in an object matrix when T has no table.
+    is entrywise: f_us(a) * f_rep(a)^-1. Rows come in discovery order,
+    without repeats or the identity row. Their entries are table indices in
+    the smallest unsigned dtype holding |T| - 1, or Permutations in an
+    object matrix when T has no table.
+
+    The row of u*s is u's row times s's base read through u's comp map.
+    Every generator's base is constant on each class of cycles (only g's is
+    not trivial: `class_assignment`), and the class of a cycle conjugated by
+    u's top σ depends only on σ^-1(1) and σ^-1(2) (`_pair_classes`), so that
+    read is one of n^2 rows per generator, picked by two points of σ. Tops
+    are numbered by their ranks in Sym(n).
 
     Raises CapacityExceeded once more than `image_cap` tops are reached, and
     BudgetExhausted when `out_of_budget()` holds between two frontiers.
@@ -410,14 +445,15 @@ def schreier_rows(
     if ctx.index_mode:
         size = ctx.table.size
         dtype = np.min_scalar_type(size - 1)
-        # a flat view of the table, read at a*|T| + b with the smallest
-        # index dtype that reaches |T|^2 - 1 (a copy would add |T|^2 bytes)
+        # a flat view of the table, read at a·|T| + b (a copy would add
+        # |T|^2 entries)
         flat = ctx.table.mult.reshape(-1)
-        at = np.min_scalar_type(size * size - 1).type
         inv = np.array(ctx.table.inv, dtype=dtype)
 
         def product(a, b):
-            return np.take(flat, a.astype(at) * at(size) + b).astype(dtype)
+            at = np.multiply(a, size, dtype=np.intp)
+            at += b
+            return flat.take(at).astype(dtype)
 
         def inverse(a):
             return np.take(inv, a)
@@ -429,68 +465,74 @@ def schreier_rows(
         inverse = np.frompyfunc(Permutation.inverse, 1, 1)
         row_key = tuple
 
-    # per generator: its top's 0-based images, its comp map, and its base
-    # as an entry row when that is not trivial
+    # per generator: its top's 0-based images, and its base read through
+    # each pair's classes when that base is not trivial
+    classes = _pair_classes(ctx)
     gens = []
     for s in data.y_gens:
-        base = None
+        read = None
         if any(e != ctx.identity_entry for e in s.f):
             base = np.empty(k, dtype=dtype)
             base[:] = s.f
-        tops = np.array(s.sigma.images, dtype=np.uint8) - 1
-        gens.append((tops, np.array(ctx.comp_map(s.sigma), dtype=np.int16), base))
+            by_class = np.empty(n, dtype=dtype)
+            by_class[:] = ctx.identity_entry
+            by_class[classes[1]] = base  # (p, q) = (0, 1) at the identity top
+            if not np.array_equal(by_class[classes[1]], base):
+                raise InternalCheckError("a generator's base is not constant on cycle classes")
+            read = by_class[classes]
+        gens.append((np.array(s.sigma.images, dtype=np.uint8) - 1, read))
 
     # representatives' base rows, by discovery number: room for n! of them
     # (the tops lie in Sym(n)) or for the cap, which stops the BFS before a
     # row past it is stored
     reps = np.empty((min(math.factorial(n), max(image_cap, 1)), k), dtype=dtype)
     reps[0] = ctx.identity_entry
-    transversal = {bytes(range(n)): 0}  # top -> its representative's number
+    number = np.full(math.factorial(n), -1, dtype=np.int32)  # top rank -> its number
+    number[0] = 0
+    count = 1
     seen = {row_key(reps[0])}
     kept: list[np.ndarray] = []
     start = 0  # number of the frontier's first representative
     tops = np.arange(n, dtype=np.uint8)[None]
-    comps = np.arange(k, dtype=np.int16)[None]
-    chunk = max(1, (1 << 20) // k)  # pairs per batch of Schreier rows
+    chunk = max(1, (1 << 17) // k)  # pairs per batch: its int index array fits in cache
 
     def moved_rows(u, j):
         """Base rows of u*s_j for frontier positions u and generator numbers j."""
         out = reps[start + u]
-        for jj, (_, _, base) in enumerate(gens):
-            if base is not None:
+        for jj, (_, read) in enumerate(gens):
+            if read is not None:
                 hit = j == jj
-                out[hit] = product(out[hit], base[comps[u[hit]]])
+                out[hit] = product(out[hit], read[pq[u[hit]]])
         return out
 
     while len(tops):
+        # per frontier top σ: its row σ^-1(1)·n + σ^-1(2) of the class reads
+        pq = np.argmax(tops == 0, axis=1) * n + np.argmax(tops == 1, axis=1)
         # pair p = u * len(gens) + j is frontier position u times generator j
-        moved = np.stack([t[tops] for t, _, _ in gens], axis=1).reshape(-1, n)
-        keys = moved.tobytes()
-        fresh, pairs, pair_reps = [], [], []
-        for p in range(len(moved)):
-            key = keys[p * n:(p + 1) * n]
-            rep = transversal.get(key)
-            if rep is None:
-                transversal[key] = len(transversal)
-                if len(transversal) > image_cap:
-                    raise CapacityExceeded(
-                        f"quotient enumeration exceeded cap {image_cap}",
-                        discovered=len(transversal),
-                    )
-                fresh.append(p)
-            else:
-                pairs.append(p)
-                pair_reps.append(rep)
-        stored = start + len(tops)  # number of the first new representative
-        u, j = np.divmod(np.array(fresh, dtype=np.intp), len(gens))
-        reps[stored:stored + len(fresh)] = moved_rows(u, j)
-        new_comps = np.empty((len(fresh), k), dtype=np.int16)
-        for jj, (_, comp, _) in enumerate(gens):
-            hit = j == jj
-            new_comps[hit] = comp[comps[u[hit]]]
+        moved_tops = np.stack([t[tops] for t, _ in gens], axis=1).reshape(-1, n)
+        ranks = _lehmer_ranks(moved_tops)
+        unknown = np.flatnonzero(number[ranks] < 0)
+        _, first = np.unique(ranks[unknown], return_index=True)
+        fresh = unknown[np.sort(first)]
+        if count + len(fresh) > image_cap:
+            raise CapacityExceeded(
+                f"quotient enumeration exceeded cap {image_cap}",
+                discovered=max(count, image_cap) + 1,
+            )
+        number[ranks[fresh]] = np.arange(count, count + len(fresh))
+        for lo in range(0, len(fresh), chunk):
+            u, j = np.divmod(fresh[lo:lo + chunk], len(gens))
+            reps[count + lo:count + lo + len(u)] = moved_rows(u, j)
+        is_pair = np.ones(len(moved_tops), dtype=bool)
+        is_pair[fresh] = False
+        pairs = np.flatnonzero(is_pair)
         for lo in range(0, len(pairs), chunk):
-            u, j = np.divmod(np.array(pairs[lo:lo + chunk], dtype=np.intp), len(gens))
-            rows = product(moved_rows(u, j), inverse(reps[pair_reps[lo:lo + chunk]]))
+            p = pairs[lo:lo + chunk]
+            u, j = np.divmod(p, len(gens))
+            moved, rep = moved_rows(u, j), reps[number[ranks[p]]]
+            # equal rows give the identity row, which is never kept
+            differ = (moved != rep).any(axis=1)
+            rows = product(moved[differ], inverse(rep[differ]))
             new = []
             for i, row in enumerate(rows):
                 key = row_key(row)
@@ -498,15 +540,15 @@ def schreier_rows(
                     seen.add(key)
                     new.append(i)
             kept.append(rows[new])
-        start, tops, comps = stored, moved[fresh], new_comps
+        start, count, tops = count, count + len(fresh), moved_tops[fresh]
         if len(tops) and out_of_budget():
             raise BudgetExhausted(
                 "time budget exhausted",
-                tops_reached=len(transversal),
+                tops_reached=count,
                 rows_kept=sum(map(len, kept)),
             )
     rows = np.concatenate(kept) if kept else np.empty((0, k), dtype=dtype)
-    return rows, len(transversal)
+    return rows, count
 
 
 # ---------------------------------------------------------------------------

@@ -401,7 +401,7 @@ def test_criterion_09_property_suites(extended_suite):
 
     m_gens = [
         WreathElement(ctx, tuple(row), Permutation.identity(4))
-        for row in m_structure.generators
+        for row in m_structure.generators.tolist()
     ]
     quotient = quotient_graph(graph, m_gens)
     adjacencies = [graph.adjacency.tolist(), quotient.quotient_adjacency]

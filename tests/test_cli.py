@@ -190,6 +190,23 @@ def test_capacity_skip_records_progress(capsys):
     }]
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["validate", "--n", "abc", *JOB1_FLAGS[2:]], "argument --n: invalid int value: 'abc'"),
+    (["quotient", *JOB1_FLAGS, "--format", "graphml"],
+     "argument --format: invalid choice: 'graphml'"),
+    (["decompose", *JOB1_FLAGS, "--colour", "red"], "unrecognized arguments: --colour red"),
+    ([], "the following arguments are required: verb"),
+])
+def test_argument_errors_are_rejections(capsys, argv, reason):
+    """argparse's rejections print the one JSON object every rejection
+    prints, exit 2, and keep the usage on stderr."""
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["rejected"] is True and payload["reason"].startswith(reason)
+    assert err.startswith("usage: arccover")
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--version"])
@@ -242,22 +259,25 @@ def test_fuzzed_job_files_exit_cleanly(raw):
 
 
 # flags: a pair of T with --x or --y possibly malformed, --n, the two caps
-# and --format drawn with or without --out, for validate and construct
+# and --format drawn with or without --out, for validate and construct;
+# --n, the caps and --format also draw values argparse itself rejects
 CYCLES = st.sampled_from(["(1,2", "(0,1)", "(1,1)", "(1,99)", "()", "", "x", "(1,2)(3,4)",
                           "(1,5,3)"])
+NOT_INTS = st.sampled_from(["abc", "4.5", "", "1e3", "--"])
 
 
 @st.composite
 def flag_lists(draw):
     group, x, y = draw(PAIRS)
     argv = [draw(st.sampled_from(["validate", "construct"])),
-            "--n", str(draw(st.integers(-1, 9))), "--group", group,
+            "--n", draw(st.one_of(st.integers(-1, 9).map(str), NOT_INTS)), "--group", group,
             "--x", draw(st.one_of(st.just(x), CYCLES)),
             "--y", draw(st.one_of(st.just(y), CYCLES))]
     for flag in ("--vertex-cap", "--enum-cap"):
         if draw(st.booleans()):
-            argv += [flag, str(draw(st.integers(-2, 10**7)))]
-    for fmt in draw(st.lists(st.sampled_from(["edge-list", "adjacency-text"]), max_size=2)):
+            argv += [flag, draw(st.one_of(st.integers(-2, 10**7).map(str), NOT_INTS))]
+    formats = st.sampled_from(["edge-list", "adjacency-text", "graphml"])
+    for fmt in draw(st.lists(formats, max_size=2)):
         argv += ["--format", fmt]
     return argv, draw(st.booleans())
 

@@ -97,7 +97,7 @@ def cover_graph():
 def kernel_gens(data, structure):
     """Generators of the base-only kernel M, as wreath elements."""
     ident = Permutation.identity(data.ctx.n)
-    return [WreathElement(data.ctx, tuple(row), ident) for row in structure.generators]
+    return [WreathElement(data.ctx, tuple(row), ident) for row in structure.generators.tolist()]
 
 
 # PSL(2,13) on the projective line, with the pair of the 4368-vertex cover
@@ -414,6 +414,32 @@ def test_quotient_by_centralizer_is_petersen():
     assert cert.locally_bijective
     assert not cert.quotient_is_complete
     assert is_petersen(cert.quotient_adjacency)
+
+
+@pytest.mark.parametrize("name, dtype", [("A5", np.uint8), ("PSL2_13", np.uint16)])
+def test_generator_rows_become_elements_with_int_entries(name, dtype):
+    """M's generating rows are a uint8 (A5) or uint16 (PSL(2,13)) matrix.
+    `_m_generators` and `vertex_map` widen them to Python ints, so an index
+    product a·|T| + b does not wrap: the product of two generators has the
+    table's entries, and its vertex map composes theirs."""
+    if name == "A5":
+        data, structure = example1()
+    else:
+        degree, gens = PSL2_13
+        data, structure = cover_data(PermGroup.from_cycle_strings(gens, degree), *PSL2_13_PAIR)
+    rows = structure.generators
+    assert rows.dtype == dtype
+    run = SimpleNamespace(data=data, products={"block-structure": structure})
+    m_gens = report._m_generators(run)
+    assert [list(m.f) for m in m_gens] == rows.tolist()
+    assert all(type(e) is int for m in m_gens for e in m.f)
+    z = m_gens[0] * m_gens[1]
+    table = structure.group.table()
+    assert list(z.f) == table.mult[rows[0], rows[1]].tolist()
+    assert int(rows.max()) * table.size > np.iinfo(dtype).max  # the product would wrap
+    graph = build_coset_graph(data, structure)
+    first, second = (graph.vertex_map(m) for m in m_gens[:2])
+    assert np.array_equal(graph.vertex_map(z), second[first])
 
 
 def test_vertex_map_rejects_elements_outside_m_and_its_centralizer():

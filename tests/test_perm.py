@@ -124,6 +124,10 @@ def test_cycle_class_values():
         cycle_class(P("(1,2)(3,4)", 4))
     with pytest.raises(ValidationError):
         cycle_class(P("(1,3)(2,4)", 4))
+    # a cycle through 1 and 2 that misses a point, and one that misses 2
+    for text in ("(1,2,3)", "(1,3,4)"):
+        with pytest.raises(ValidationError, match="not a full cycle"):
+            cycle_class(P(text, 4))
 
 
 def test_class_partition_sizes():

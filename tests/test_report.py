@@ -183,7 +183,9 @@ def test_orders_beyond_the_int_digit_limit(monkeypatch):
         blocks=tuple((2 * b, 2 * b + 1) for b in range(d)),
         order=lambda: a5.order() ** d,
     )
-    monkeypatch.setattr(report, "subdirect_decompose", lambda rows, group: structure)
+    monkeypatch.setattr(
+        report, "subdirect_decompose", lambda rows, group, out_of_budget: structure
+    )
     monkeypatch.setattr(report, "STAGES", tuple(
         st for st in report.STAGES if st.id in ("block-structure", "graph-build")
     ))

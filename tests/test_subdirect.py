@@ -6,8 +6,10 @@ import random
 import numpy as np
 import pytest
 
+import subdirect_oracle as oracle
+from arccover import report
 from arccover.catalog import resolve_group
-from arccover.errors import ValidationError
+from arccover.errors import BudgetExhausted, ValidationError
 from arccover.groups import conjugating_permutations
 from arccover.perm import Permutation, parse_cycles
 from arccover.report import JobSpec, run_job
@@ -127,16 +129,28 @@ def test_malformed_table_entries_rejected(rows):
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
 def test_integer_matrix_is_taken_as_its_rows(dtype):
-    """A matrix gives the structure of its row tuples, repeats dropped in
-    input order, and Python ints in the generating rows."""
+    """A matrix gives the structure of its rows, repeats dropped in input
+    order, as the row tuples do; the generating rows are a read-only matrix
+    in the smallest unsigned dtype holding |T| - 1, uint8 for A5."""
     table = A5.table()
     rows = [tuple(table.idx(p) for p in row) for row in [(X, X), (Y1, Y1.inverse())]]
     matrix = np.array([rows[0], rows[1], rows[0]], dtype=dtype)
     by_matrix = subdirect_decompose(matrix, A5)
     by_tuples = subdirect_decompose(rows, A5)
-    assert by_matrix.generators == by_tuples.generators == tuple(rows)
-    assert all(type(e) is int for row in by_matrix.generators for e in row)
+    for s in (by_matrix, by_tuples):
+        assert s.generators.dtype == np.uint8 and not s.generators.flags.writeable
+        assert s.generators.tolist() == [list(row) for row in rows]
     assert by_matrix.blocks == by_tuples.blocks and structures_equal(by_matrix, by_tuples)
+
+
+def test_distinct_rows_are_kept_without_a_copy():
+    """Rows that are already distinct and uint8 come back as the same
+    memory, and the caller's matrix stays writeable."""
+    data, _ = kernel_structure(Y1)
+    rows = schreier_rows(data)[0]
+    s = subdirect_decompose(rows, A5)
+    assert np.shares_memory(s.generators, rows) and rows.flags.writeable
+    assert s.generators.shape == rows.shape
 
 
 @pytest.mark.parametrize("matrix, message", [
@@ -179,6 +193,96 @@ def test_membership_rejects_twisted_elements():
     assert s.contains(data.g.f)
     with pytest.raises(TypeError):
         s.contains(data.g)
+
+
+# ---------------------------------------------------------------------------
+# the batched scan against the column-by-column oracle
+# ---------------------------------------------------------------------------
+
+
+def oracle_blocks(base_of):
+    return tuple(
+        tuple(j for j, b in enumerate(base_of) if b == base) for base in sorted(set(base_of))
+    )
+
+
+def assert_matches_scan(matrix, group):
+    s = subdirect_decompose(matrix, group)
+    base_of, lookups = oracle.decompose(matrix, group.table())
+    assert s.base_of == tuple(base_of)
+    assert s.blocks == oracle_blocks(base_of)
+    assert [None if phi is None else phi.lookup for phi in s.links] == lookups
+    return s
+
+
+@pytest.mark.parametrize("name, n, x, y", [
+    ("A5", 5, "(1,2)(3,4)", "(1,2,3,4,5)"),
+    ("A5", 6, "(1,2)(3,4)", "(1,2,3,4,5)"),
+    ("A5", 7, "(1,2)(3,4)", "(1,2,3,4,5)"),
+    ("PSL27", 5, "(1,8)(2,7)(3,4)(5,6)", "(1,2,3,4,5,6,7)"),
+], ids=["A5-n5", "A5-n6", "A5-n7", "PSL27-n5"])
+def test_kernel_decomposition_matches_the_column_scan(name, n, x, y):
+    """Fingerprint buckets, batched prefixes and batched propagation give the
+    blocks, bases and link lookups of the one-column-at-a-time scan."""
+    group = resolve_group(name)
+    data = build_cover_group(CoverJob(n=n, group=group, x=P(x, group.degree), y=P(y, group.degree)))
+    assert_matches_scan(schreier_rows(data)[0], group)
+
+
+def twin_columns():
+    """Columns c, c', phi(c), phi(c') of one fingerprint: c' is c with two
+    rows (not row 0) swapped, so it is no image of c, and phi is conjugation
+    by (1,2), an outer automorphism of A5."""
+    table = A5.table()
+    rng = random.Random(7)
+    c = [rng.randrange(60) for _ in range(8)]
+    twin = list(c)
+    twin[2], twin[5] = twin[5], twin[2]
+    b = P("(1,2)")
+    phi = [table.idx(t.conjugate(b)) for t in table.elements]
+    return np.array([c, twin, [phi[e] for e in c], [phi[e] for e in twin]], dtype=np.uint8).T
+
+
+def test_a_bucket_takes_a_second_round():
+    """Column 1 fails the first base of its bucket and becomes the next one;
+    columns 2 and 3 link to 0 and 1, as the scan links them."""
+    s = assert_matches_scan(twin_columns(), A5)
+    assert s.base_of == (0, 1, 0, 1)
+
+
+def test_budget_is_checked_before_each_round():
+    """A budget that runs out before the second round stops the scan with
+    the columns decided so far: base 0 and its link 2."""
+    checks = []
+
+    def out_of_budget():
+        checks.append(1)
+        return len(checks) == 2
+
+    with pytest.raises(BudgetExhausted, match="time budget exhausted") as info:
+        subdirect_decompose(twin_columns(), A5, out_of_budget)
+    assert info.value.details == {"columns_scanned": 2}
+
+
+def test_block_structure_stage_passes_the_job_budget(monkeypatch):
+    """block-structure hands the run's budget to the scan, and a budget stop
+    there is a budget skip that says how far the scan got."""
+    real = report.subdirect_decompose
+    passed = []
+
+    def spent(rows, group, out_of_budget):
+        passed.append(out_of_budget)
+        return real(rows, group, lambda: True)
+
+    monkeypatch.setattr(report, "subdirect_decompose", spent)
+    cert = run_job(JobSpec(n=5, group="A5", x="(1,2)(3,4)", y="(1,2,3,4,5)"), "decompose")
+    assert passed[0].__func__ is report._Run.out_of_budget
+    assert cert.skipped("block-structure") == {
+        "stage": "block-structure",
+        "kind": "budget",
+        "reason": "time budget exhausted",
+        "details": {"columns_scanned": 0},
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +384,8 @@ def test_routes_agree_on_n4_kernels(conjugator_route, name, x, y):
     (ctx_t, by_table), (_, by_conjugator) = structures
     assert by_table.blocks == by_conjugator.blocks
     assert by_table.base_of == by_conjugator.base_of
-    rows = [tuple(map(ctx_t.entry_perm, row)) for row in by_table.generators]
-    assert rows == list(by_conjugator.generators)
+    rows = [tuple(map(ctx_t.entry_perm, row)) for row in by_table.generators.tolist()]
+    assert rows == list(map(tuple, by_conjugator.generators.tolist()))
     for j, (phi, psi) in enumerate(zip(by_table.links, by_conjugator.links)):
         assert (phi is None) == (psi is None)
         if phi is None:
@@ -300,7 +404,7 @@ def test_blocks_invariant_under_conjugation():
         assert {frozenset(amap[c] for c in blk) for blk in blocks} == blocks
         w_inv = w.inverse()
         for m in s.generators:
-            conj = w_inv * data.ctx.from_assignment(list(m)) * w
+            conj = w_inv * data.ctx.from_assignment(m.tolist()) * w
             assert conj.sigma.is_identity()
             assert s.contains(conj.f)
 
@@ -308,7 +412,7 @@ def test_blocks_invariant_under_conjugation():
 def test_linking_relation_consistency_sampled():
     data, s = kernel_structure(Y2)
     rng = random.Random(2024)
-    gens = [data.ctx.from_assignment(list(m)) for m in s.generators]
+    gens = [data.ctx.from_assignment(m) for m in s.generators.tolist()]
     for _ in range(100):
         z = data.ctx.identity_element()
         for _ in range(rng.randrange(1, 8)):

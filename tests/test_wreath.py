@@ -7,6 +7,7 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from coset_oracle import conj_intersection, l_elements
@@ -21,6 +22,8 @@ from arccover.wreath import (
     K4_POSITIONS,
     CoverJob,
     WreathContext,
+    _lehmer_ranks,
+    _pair_classes,
     build_cover_group,
     class_assignment,
     k4_tuple_data,
@@ -392,3 +395,26 @@ def test_k4_positions_are_the_six_cycles():
 def test_tuple_data_requires_n4():
     with pytest.raises(ValidationError):
         k4_tuple_data(data_for(n=5))
+
+
+# ---------------------------------------------------------------------------
+# the top arithmetic of the Schreier rows
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_pair_classes_are_the_classes_of_conjugated_cycles(n):
+    """Row σ^-1(1)·n + σ^-1(2) (0-based) of `_pair_classes` holds the class
+    of cycles[i]^σ for every i, for every top σ in Sym(n)."""
+    ctx = WreathContext(n, resolve_group("A5"))
+    classes = _pair_classes(ctx)
+    for images in itertools.permutations(range(1, n + 1)):
+        sigma = Permutation(images)
+        p, q = images.index(1), images.index(2)
+        comp = ctx.comp_map(sigma)
+        assert classes[p * n + q].tolist() == [cycle_class(ctx.cycles[c]) for c in comp]
+
+
+def test_lehmer_ranks_number_sym_n_in_lex_order():
+    tops = np.array(list(itertools.permutations(range(5))), dtype=np.uint8)
+    assert _lehmer_ranks(tops).tolist() == list(range(120))
