@@ -189,8 +189,8 @@ def build_coset_graph(
         raise CapacityExceeded(
             f"expected {decimal_string(expected)} vertices exceeds the cap {vertex_cap}"
         )
-    tops = twist_tops(data)
-    seeds = [data.g * data.ctx.embed_top(t) for t in right_transversal(tops.k, tops.h)[0]]
+    k_tops = twist_tops(data).k
+    seeds = [data.g * data.ctx.embed_top(t) for t in right_transversal(k_tops, data.h_tops())[0]]
     return CosetGraph(data, structure, seeds)
 
 

@@ -1,7 +1,10 @@
 """Group engine: orders, closures, orbits, transversals, automorphism extension.
 
-Everything here is deterministic: BFS in generator order with FIFO frontiers,
-dict insertion order, no randomness. Groups are given by permutation
+Everything here is deterministic: BFS in generator order with FIFO frontiers
+and dict insertion order. The one random source is the stabilizer chain's
+sifting of product-replacement elements, and it is seeded; no certified fact
+depends on it, as the chain's order and membership are exact whatever
+elements were sifted (`StabilizerChain`). Groups are given by permutation
 generators; large groups are handled through a stabilizer chain without
 enumeration, small groups may additionally carry a full multiplication table.
 """
@@ -10,6 +13,7 @@ from __future__ import annotations
 
 import decimal
 import math
+import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -75,42 +79,23 @@ def orbit(point, generators: Sequence, action: Callable) -> list:
     return out
 
 
-def orbit_with_transversal(point, generators: Sequence, action: Callable, identity):
-    """Orbit plus coset representatives u_q with action(point, u_q) = q."""
-    reps = {point: identity}
-    out = [point]
-    frontier = [point]
-    while frontier:
-        new_frontier = []
-        for p in frontier:
-            for g in generators:
-                q = action(p, g)
-                if q not in reps:
-                    reps[q] = reps[p] * g
-                    out.append(q)
-                    new_frontier.append(q)
-        frontier = new_frontier
-    return out, reps
-
-
 def _point_action(point: int, g: Permutation) -> int:
     return g.apply(point)
 
 
 # ---------------------------------------------------------------------------
-# stabilizer chain (deterministic Schreier-Sims with sifting)
+# stabilizer chain (Schreier-Sims with seeded sifting)
 # ---------------------------------------------------------------------------
 
 
 class StabilizerChain:
     """Base-and-strong-generating-set structure for a permutation group.
 
-    Deterministic Schreier-Sims: one master list of strong generators, level i
-    uses the master generators fixing the first i base points, levels are
-    verified bottom-up (every Schreier generator must sift to the identity
-    through the levels below; failures join the master list and re-verify from
-    their own level). Supports exact order and membership for groups far too
-    large to enumerate.
+    Schreier-Sims: one master list of strong generators, level i uses the
+    master generators fixing the first i base points, and every level's
+    transversal is kept a whole orbit: a new strong generator extends the
+    orbits of the levels it joins and no other. Supports exact order and
+    membership for groups far too large to enumerate.
 
     Known-order stop: given a proven upper bound B on |<generators>|, the run
     ends as soon as the product of the basic orbit lengths |b_i^H_i| reaches
@@ -119,9 +104,21 @@ class StabilizerChain:
     base point, so the product never exceeds |<generators>| <= B, and equality
     makes every H_(i+1) = (H_i)_(b_i), a complete base and strong generating
     set. A product above B means B was no bound (InternalCheckError); a false
-    bound the product meets exactly goes unseen, so B must be proven. When B
-    is never reached, the full bottom-up verification decides the order.
+    bound the product meets exactly goes unseen, so B must be proven.
+
+    With a bound, elements of the group drawn by a fixed-seed product
+    replacement are sifted first, each non-trivial residue joining the
+    master list. The argument above holds whatever elements were sifted, so
+    the seed can change only the base and the time taken, not the order or
+    membership. After SIFT_PATIENCE residues in a row sift to the identity
+    (or with no bound), every Schreier generator is verified bottom-up: it
+    must sift to the identity through the levels below, and a failure joins
+    the master list and re-verifies from its own level. That decides the
+    order when B is never reached.
     """
+
+    SIFT_SEED = 0
+    SIFT_PATIENCE = 16  # consecutive trivial residues before the full verification
 
     def __init__(
         self,
@@ -134,18 +131,20 @@ class StabilizerChain:
         self.master: list[Permutation] = []
         self.transversals: list[dict[int, Permutation]] = []
         self._inverses: list[dict[int, Permutation]] = []  # of transversals[i]
-        self._seen: set[bytes] = set()
+        self._gens: list[list[Permutation]] = []  # per level, in master order
         self._bound = order_bound
         for g in generators:
             if not g.is_identity():
                 self._add_strong_gen(g)
+        if self._bound is not None:
+            self._sift_random()
         if not self._bound_reached():
             self._verify_all()
 
     def _add_strong_gen(self, h: Permutation) -> int:
-        """Add h to the master list; returns the deepest level whose gens changed."""
+        """Add h to the master list and to the levels whose base prefix it
+        fixes, extending their orbits; returns the deepest such level."""
         self.master.append(h)
-        self._seen.add(h.key())
         prefix = 0
         for b in self.base:
             if h.apply(b) != b:
@@ -153,16 +152,33 @@ class StabilizerChain:
             prefix += 1
         if prefix == len(self.base):
             new_point = min(i for i, j in enumerate(h.images, start=1) if i != j)
+            ident = Permutation.identity(self.degree)
             self.base.append(new_point)
-            self.transversals.append({})
-            self._inverses.append({})
+            self.transversals.append({new_point: ident})
+            self._inverses.append({new_point: ident})
+            self._gens.append([])
+        for i in range(prefix + 1):
+            self._gens[i].append(h)
+            self._extend_level(i, h)
         return prefix
 
-    def _level_gens(self, i: int) -> list[Permutation]:
-        prefix = self.base[:i]
-        return [
-            g for g in self.master if all(g.apply(b) == b for b in prefix)
-        ]
+    def _extend_level(self, i: int, h: Permutation) -> None:
+        """Grow level i's orbit, closed under its generators before h joined
+        them, to the orbit under all of them: BFS from the images under h."""
+        transversal, gens = self.transversals[i], self._gens[i]
+        new = []
+        for p, u in list(transversal.items()):
+            q = h.apply(p)
+            if q not in transversal:
+                transversal[q] = u * h
+                new.append(q)
+        for p in new:  # grows while it is read: the BFS frontier
+            for s in gens:
+                q = s.apply(p)
+                if q not in transversal:
+                    transversal[q] = transversal[p] * s
+                    new.append(q)
+        self._inverses[i].update((q, transversal[q].inverse()) for q in new)
 
     def _sift_below(self, level: int, g: Permutation) -> Permutation:
         for j in range(level, len(self.base)):
@@ -174,39 +190,44 @@ class StabilizerChain:
             g = g * rep_inv
         return g
 
-    def _build_level(self, i: int, gens_i: list[Permutation]) -> dict[int, Permutation]:
-        """Level i's transversal, stored with the inverse of each element."""
-        _, transversal = orbit_with_transversal(
-            self.base[i], gens_i, _point_action, Permutation.identity(self.degree)
-        )
-        self.transversals[i] = transversal
-        self._inverses[i] = {p: u.inverse() for p, u in transversal.items()}
-        return transversal
-
     def _bound_reached(self) -> bool:
-        """True, with every level's transversal built, once the product of
-        the basic orbit lengths equals the order bound (class docstring)."""
+        """True once the product of the basic orbit lengths equals the order
+        bound (class docstring)."""
         if self._bound is None:
             return False
-        level_gens = [self._level_gens(i) for i in range(len(self.base))]
-        product = 1
-        for b, gens_i in zip(self.base, level_gens):
-            product *= len(orbit(b, gens_i, _point_action))
+        product = self.order()
         if product > self._bound:
             raise InternalCheckError(
                 f"basic orbit lengths multiply to {product}, above the order bound {self._bound}"
             )
-        if product < self._bound:
-            return False
-        for i, gens_i in enumerate(level_gens):
-            self._build_level(i, gens_i)
-        return True
+        return product == self._bound
+
+    def _sift_random(self) -> None:
+        """Sift product-replacement elements until the bound is reached or
+        SIFT_PATIENCE of them in a row leave no residue."""
+        gens = self.master
+        if not gens:
+            return
+        rng = random.Random(self.SIFT_SEED)
+        slots = [gens[i % len(gens)] for i in range(max(10, len(gens)))]
+        acc = Permutation.identity(self.degree)
+        trivial = 0
+        while trivial < self.SIFT_PATIENCE and not self._bound_reached():
+            i, j = rng.sample(range(len(slots)), 2)
+            slots[i] = slots[i] * slots[j]
+            acc = acc * slots[i]
+            residue = self._sift_below(0, acc)
+            if residue.is_identity():
+                trivial += 1
+            else:
+                trivial = 0
+                self._add_strong_gen(residue)
 
     def _verify_all(self) -> None:
         i = len(self.base) - 1
         while i >= 0:
-            gens_i = self._level_gens(i)
-            transversal = self._build_level(i, gens_i)
+            gens_i = self._gens[i]
+            transversal = self.transversals[i]
             inverses = self._inverses[i]
             restart_at = None
             for p in list(transversal):
@@ -214,7 +235,7 @@ class StabilizerChain:
                 for s in gens_i:
                     schreier = u_p * s * inverses[s.apply(p)]
                     residue = self._sift_below(i + 1, schreier)
-                    if residue.is_identity() or residue.key() in self._seen:
+                    if residue.is_identity():
                         continue
                     restart_at = self._add_strong_gen(residue)
                     break
@@ -409,14 +430,32 @@ def right_transversal(
 # ---------------------------------------------------------------------------
 
 
+def _orders(mat: np.ndarray) -> np.ndarray:
+    """The order of each row of 0-based images: the lcm of the first return
+    times of its points, from at most `degree` gathers."""
+    count, degree = mat.shape
+    returns = np.zeros((count, degree), dtype=np.int64)
+    images = mat
+    for step in range(1, degree + 1):
+        back = (images == np.arange(degree)) & (returns == 0)
+        returns[back] = step
+        if returns.all():
+            break
+        images = np.take_along_axis(mat, images, axis=1)
+    return np.lcm.reduce(returns, axis=1)
+
+
 class TableGroup:
     """A small group held as an explicit element list with index tables.
 
     Elements are indexed in BFS order from the identity (index 0). `mult` is
-    the int32 array of index products, `mult[a, b]` = index of a*b, and
-    `mult_flat` a flat view of the same buffer for scalar reads; `inv` holds
-    the index inverses. These are the workhorse for wreath base arithmetic and
-    automorphism propagation.
+    the array of index products, `mult[a, b]` = index of a*b, in the smallest
+    unsigned dtype holding |T| - 1 (uint8 up to |T| = 256, uint16 up to
+    TABLE_CAP), and `mult_flat` a flat view of the same buffer for scalar
+    reads; `inv` holds the index inverses and `order_of` the element orders.
+    These are the workhorse for wreath base arithmetic and automorphism
+    propagation. Arithmetic on indices read from `mult` widens them first
+    (to intp), as a·|T| overflows the narrow dtype.
     """
 
     def __init__(self, group: PermGroup, cap: int = TABLE_CAP):
@@ -439,7 +478,7 @@ class TableGroup:
         ]
         # by associativity (a*s)*b = a*(s*b): row a*s is row a read through
         # left; BFS over right multiplication reaches every row from row 0
-        mult = np.empty((size, size), dtype=np.int32)
+        mult = np.empty((size, size), dtype=np.min_scalar_type(size - 1))
         mult[0] = np.arange(size)
         filled = [False] * size
         filled[0] = True
@@ -449,7 +488,7 @@ class TableGroup:
                 t = right[a]
                 if not filled[t]:
                     filled[t] = True
-                    np.take(mult[a], left, out=mult[t])
+                    mult[a].take(left, out=mult[t])
                     rows.append(t)
         if len(rows) != size:
             raise InternalCheckError(
@@ -457,11 +496,12 @@ class TableGroup:
             )
         self.mult = mult
         self.mult_flat = memoryview(mult.reshape(-1))
-        inv_rows, inv = np.nonzero(mult == 0)
-        if not np.array_equal(inv_rows, np.arange(size)):
-            raise InternalCheckError("multiplication table: identity not once per row")
+        # a row's argsort is its inverse's images
+        inv = self._lookup(np.argsort(mat, axis=1))
+        if not (mult[np.arange(size), inv] == 0).all():
+            raise InternalCheckError("multiplication table: an inverse is not one")
         self.inv = tuple(inv.tolist())
-        self.order_of = tuple(p.order() for p in elems)
+        self.order_of = tuple(_orders(mat).tolist())
 
     def _lookup(self, images: np.ndarray) -> np.ndarray:
         """Indices of the elements whose 0-based image rows are given."""

@@ -250,7 +250,7 @@ class _Run:
 
     @cached_property
     def tops(self) -> TwistTops:
-        """H, L and H ∩ H^g as top permutations, built on first use."""
+        """L and H ∩ H^g as top permutations, built on first use."""
         return twist_tops(self.data)
 
     def out_of_budget(self) -> bool:
@@ -555,8 +555,7 @@ def _graph_build(run: _Run):
 
 
 def _two_arc_transitive(run: _Run):
-    tops = run.tops
-    result = two_arc_transitive(tops.h, tops.k, run.data.h_top_gens)
+    result = two_arc_transitive(run.data.h_tops(), run.tops.k, run.data.h_top_gens)
     ok = result["two_transitive"] and result["index"] == run.n - 1
     computed = {"neighbor_count": result["index"], "two_transitive": result["two_transitive"]}
     return computed, ok, None

@@ -270,11 +270,15 @@ class CoverGroupData:
     l_top_gens: tuple[Permutation, ...]  # Sym{3..n}
     delta: Permutation  # the swap (1,2)
 
+    def h_tops(self) -> list[Permutation]:
+        """H = Sym{2..n} as top permutations, in `closure` order. Only the
+        graph stages read H; `twist_tops` needs L alone."""
+        return closure(self.h_top_gens, Permutation.identity(self.ctx.n))
+
     def h_elements(self) -> list[WreathElement]:
         """H as wreath elements: H is top-only, and embedding a top is an
         isomorphism onto it, so this is the closure of `h_gens`, in order."""
-        ident = Permutation.identity(self.ctx.n)
-        return [self.ctx.embed_top(t) for t in closure(self.h_top_gens, ident)]
+        return [self.ctx.embed_top(t) for t in self.h_tops()]
 
 
 def build_cover_group(job: CoverJob) -> CoverGroupData:
@@ -333,15 +337,14 @@ class _TopWithComps:
 
 @dataclass(frozen=True)
 class TwistTops:
-    """H, L and K = H ∩ H^g as top permutations; H and L in `closure` order."""
+    """L and K = H ∩ H^g as top permutations; L in `closure` order."""
 
-    h: list[Permutation]
     l: list[Permutation]
     k: list[Permutation]
 
 
 def twist_tops(data: CoverGroupData) -> TwistTops:
-    """H = Sym{2..n}, L = Sym{3..n} and K = H ∩ H^g, held by their tops.
+    """L = Sym{3..n} and K = H ∩ H^g, with H = Sym{2..n}, held by their tops.
 
     H and L are top-only. g = (f, δ) with δ = (1,2), and the top of
     g·(1,τ)·g^-1 is δτδ, which fixes 1 iff τ fixes 2: only τ in L can lie
@@ -361,7 +364,6 @@ def twist_tops(data: CoverGroupData) -> TwistTops:
     labels: dict = {}
     f = np.array([labels.setdefault(e, len(labels)) for e in g.f])
     return TwistTops(
-        h=closure(data.h_top_gens, ident),
         l=[z.sigma for z in l_elems],
         k=[z.sigma for z in l_elems if np.array_equal(f[z.comps], f)],
     )
@@ -427,8 +429,9 @@ def schreier_rows(
     kernel element u*s*rep(u*s)^-1. Its two factors share a top, so its row
     is entrywise: f_us(a) * f_rep(a)^-1. Rows come in discovery order,
     without repeats or the identity row. Their entries are table indices in
-    the smallest unsigned dtype holding |T| - 1, or Permutations in an
-    object matrix when T has no table.
+    the table's dtype (the smallest unsigned one holding |T| - 1), or
+    Permutations in an object matrix when T has no table. Each kept row is
+    held once, as the bytes (or tuple) keying a dict in discovery order.
 
     The row of u*s is u's row times s's base read through u's comp map.
     Every generator's base is constant on each class of cycles (only g's is
@@ -444,16 +447,16 @@ def schreier_rows(
     n, k = ctx.n, ctx.k
     if ctx.index_mode:
         size = ctx.table.size
-        dtype = np.min_scalar_type(size - 1)
         # a flat view of the table, read at a·|T| + b (a copy would add
-        # |T|^2 entries)
+        # |T|^2 entries); rows take its dtype
         flat = ctx.table.mult.reshape(-1)
+        dtype = flat.dtype
         inv = np.array(ctx.table.inv, dtype=dtype)
 
         def product(a, b):
             at = np.multiply(a, size, dtype=np.intp)
             at += b
-            return flat.take(at).astype(dtype)
+            return flat.take(at)
 
         def inverse(a):
             return np.take(inv, a)
@@ -490,8 +493,7 @@ def schreier_rows(
     number = np.full(math.factorial(n), -1, dtype=np.int32)  # top rank -> its number
     number[0] = 0
     count = 1
-    seen = {row_key(reps[0])}
-    kept: list[np.ndarray] = []
+    kept: dict = {}  # the kept rows, once each, as keys in discovery order
     start = 0  # number of the frontier's first representative
     tops = np.arange(n, dtype=np.uint8)[None]
     chunk = max(1, (1 << 17) // k)  # pairs per batch: its int index array fits in cache
@@ -533,22 +535,18 @@ def schreier_rows(
             # equal rows give the identity row, which is never kept
             differ = (moved != rep).any(axis=1)
             rows = product(moved[differ], inverse(rep[differ]))
-            new = []
-            for i, row in enumerate(rows):
-                key = row_key(row)
-                if key not in seen:
-                    seen.add(key)
-                    new.append(i)
-            kept.append(rows[new])
+            kept.update(dict.fromkeys(map(row_key, rows)))
         start, count, tops = count, count + len(fresh), moved_tops[fresh]
         if len(tops) and out_of_budget():
             raise BudgetExhausted(
-                "time budget exhausted",
-                tops_reached=count,
-                rows_kept=sum(map(len, kept)),
+                "time budget exhausted", tops_reached=count, rows_kept=len(kept)
             )
-    rows = np.concatenate(kept) if kept else np.empty((0, k), dtype=dtype)
-    return rows, count
+    del reps
+    if dtype is object:
+        rows = np.array(list(kept), dtype=object)
+    else:
+        rows = np.frombuffer(bytearray().join(kept), dtype=dtype)  # writeable
+    return rows.reshape(-1, k), count
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Group engine: chains and orders, actions, kernels, tables, automorphisms."""
 
+import copy
+import random
+
 import numpy as np
 import pytest
 
 from coset_oracle import conj_intersection
+from table_oracle import int32_table
 from arccover.catalog import BUILTIN_CATALOG, resolve_group
 from arccover.errors import CapacityExceeded, InternalCheckError, ValidationError
 from arccover.groups import (
@@ -11,11 +15,13 @@ from arccover.groups import (
     PermGroup,
     StabilizerChain,
     TableGroup,
+    automorphism_lookups,
     class_sizes_force_simple,
     closure,
     conjugacy_classes,
     conjugating_permutations,
     extend_to_automorphism,
+    generating_rows,
     group_order,
     is_2_transitive,
     is_natural_alternating,
@@ -24,6 +30,7 @@ from arccover.groups import (
     right_transversal,
 )
 from arccover.perm import Permutation, parse_cycles
+from arccover.wreath import CoverJob, build_cover_group, schreier_rows
 
 
 def P(text, degree):
@@ -149,6 +156,41 @@ def test_bound_below_the_true_order_is_an_internal_error():
         StabilizerChain([P("(1,2)(3,4)", 5), P("(1,2,3,4,5)", 5)], 5, order_bound=59)
 
 
+@pytest.mark.parametrize("texts, degree, bound", [
+    # |A7| - 1 = 2519 = 11 · 229 and |A11| - 1 = 19958399 = 113 · 347 · 509:
+    # no product of orbit lengths of at most 7 (or 11) points equals them
+    (("(1,2,3)", "(1,2,3,4,5,6,7)"), 7, 2519),
+    (A11_PAIR, 11, 19958399),
+])
+def test_sifting_to_a_false_bound_is_an_internal_error(texts, degree, bound):
+    with pytest.raises(InternalCheckError, match="above the order bound"):
+        StabilizerChain([P(t, degree) for t in texts], degree, order_bound=bound)
+
+
+def test_seeded_chain_builds_the_same_base_every_run():
+    gens = [P(t, 11) for t in A11_PAIR]
+    runs = [StabilizerChain(gens, 11, order_bound=19958400) for _ in range(2)]
+    assert runs[0].base == runs[1].base
+    assert [g.key() for g in runs[0].master] == [g.key() for g in runs[1].master]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_the_sifting_seed_changes_no_order_or_membership(monkeypatch, seed):
+    cases = [(A11_PAIR, 11, 19958400), (PSL211_PAIR, 11, 19958400),
+             (("(1,2,3)", "(1,2,3,4,5,6,7)"), 7, 2520)]
+    want = []
+    for texts, degree, bound in cases:
+        gens = [P(t, degree) for t in texts]
+        chain = StabilizerChain(gens, degree, order_bound=bound)
+        want.append((chain.order(), [chain.contains(p) for p in _probes(gens, degree)]))
+    monkeypatch.setattr(StabilizerChain, "SIFT_SEED", seed)
+    for (texts, degree, bound), (order, members) in zip(cases, want):
+        gens = [P(t, degree) for t in texts]
+        chain = StabilizerChain(gens, degree, order_bound=bound)
+        assert chain.order() == order
+        assert [chain.contains(p) for p in _probes(gens, degree)] == members
+
+
 # ---------------------------------------------------------------------------
 # action predicates
 # ---------------------------------------------------------------------------
@@ -248,6 +290,60 @@ def test_table_cap():
     s8 = group("(1,2)", "(1,2,3,4,5,6,7,8)", degree=8)
     with pytest.raises(CapacityExceeded):
         TableGroup(s8)
+
+
+@pytest.mark.parametrize("name, dtype", [
+    ("A5", np.uint8), ("PSL27", np.uint8),
+    ("A6", np.uint16),  # |T| = 360: the first catalog group past uint8
+    ("A7", np.uint16), ("PSL2_13", np.uint16),
+])
+def test_compact_table_matches_the_int32_oracle(name, dtype):
+    grp = PermGroup.from_cycle_strings(*PSL2_13) if name == "PSL2_13" else resolve_group(name)
+    t = TableGroup(grp)
+    mult, inv, order_of = int32_table(grp)
+    assert t.mult.dtype == dtype
+    assert np.array_equal(t.mult, mult)
+    assert t.inv == inv
+    assert t.order_of == order_of
+
+
+def _int32_copy(table: TableGroup) -> TableGroup:
+    wide = copy.copy(table)
+    wide.mult = table.mult.astype(np.int32)
+    wide.mult_flat = memoryview(wide.mult.reshape(-1))
+    return wide
+
+
+@pytest.mark.parametrize("name, n, x, y", [
+    ("A5", 5, "(1,2)(3,4)", "(1,2,3,4,5)"),
+    ("PSL27", 4, "(1,8)(2,7)(3,4)(5,6)", "(1,2,3,4,5,6,7)"),
+])
+def test_table_consumers_agree_with_an_int32_table(name, n, x, y):
+    """No consumer of `mult` computes in its narrow dtype: automorphism
+    propagation, generation and the Schreier rows give what an int32 copy
+    of the same table gives."""
+    grp = resolve_group(name)
+    t = grp.table()
+    wide = _int32_copy(t)
+    rng = random.Random(7)
+    pairs = np.array([[rng.randrange(t.size) for _ in range(2)] for _ in range(200)])
+    generates = generating_rows(t, pairs)
+    assert np.array_equal(generating_rows(wide, pairs), generates)
+    assert generates.any() and not generates.all()
+    # a generating pair onto its conjugates (automorphisms) and onto random pairs
+    sources = np.repeat(pairs[generates][:1], 2 * 60, axis=0)
+    conj = [[t.idx(t.elem(s).conjugate(t.elem(c))) for s in sources[0]] for c in range(60)]
+    targets = np.vstack([conj, pairs[:60]])
+    lookups = automorphism_lookups(t, sources, targets)
+    assert np.array_equal(automorphism_lookups(wide, sources, targets), lookups)
+    assert (lookups[:60] >= 0).all() and (lookups[60:] < 0).any()
+    job = CoverJob(n=n, group=grp, x=P(x, grp.degree), y=P(y, grp.degree))
+    rows, tops = schreier_rows(build_cover_group(job))
+    wide_data = build_cover_group(job)
+    wide_data.ctx.table = wide
+    wide_rows, wide_tops = schreier_rows(wide_data)
+    assert rows.dtype == np.uint8 and wide_rows.dtype == np.int32
+    assert np.array_equal(rows, wide_rows) and tops == wide_tops
 
 
 def test_generates():
@@ -413,11 +509,20 @@ def test_conjugating_permutations_requires_transitivity():
 PSL2_13 = (["(1,2,3,4,5,6,7,8,9,10,11,12,13)", "(1,14)(2,13)(3,7)(4,5)(8,12)(10,11)"], 14)
 
 
-def sympy_order(perms, degree):
-    """|<perms>| computed by sympy, on the points shifted to 0..degree-1."""
+def to_sympy(p, degree):
+    """p as a sympy permutation, on the points shifted to 0..degree-1."""
     combinatorics = pytest.importorskip("sympy.combinatorics")
-    gens = [combinatorics.Permutation([i - 1 for i in p.images], size=degree) for p in perms]
-    return combinatorics.PermutationGroup(gens).order()
+    return combinatorics.Permutation([i - 1 for i in p.images], size=degree)
+
+
+def sympy_group(perms, degree):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    return combinatorics.PermutationGroup([to_sympy(p, degree) for p in perms])
+
+
+def sympy_order(perms, degree):
+    """|<perms>| computed by sympy."""
+    return sympy_group(perms, degree).order()
 
 
 @pytest.mark.parametrize("name", [*BUILTIN_CATALOG, "PSL2_13"])
@@ -440,3 +545,48 @@ def test_pair_subgroup_orders_match_sympy(name, x, y):
     grp = resolve_group(name)
     pair = [P(x, grp.degree), P(y, grp.degree)]
     assert grp.subgroup_order(pair) == sympy_order(pair, grp.degree)
+
+
+def _chain_runs(monkeypatch) -> list[int]:
+    """Count the chains that fall back to the full verification."""
+    runs = []
+    verify = StabilizerChain._verify_all
+
+    def counted(self):
+        runs.append(1)
+        verify(self)
+
+    monkeypatch.setattr(StabilizerChain, "_verify_all", counted)
+    return runs
+
+
+CHAIN_CASES = {
+    # name: (generators, degree, order bound, whether sifting reaches it)
+    "A11": (A11_PAIR, 11, 19958400, True),
+    "A7": (("(1,2,3)", "(1,2,3,4,5,6,7)"), 7, 2520, True),
+    # the bound `subgroup_order` takes: the group's own order
+    "PSL2_13-by-its-order": (tuple(PSL2_13[0]), 14, 1092, True),
+    # generating sets that never reach it: the verification decides
+    "A7-dihedral": (("(1,2,3,4,5,6,7)", "(2,7)(3,6)(4,5)"), 7, 2520, False),
+    # `chain()`'s bound for PSL(2,7) of degree 8 is |A8|
+    "PSL27-under-A8": (("(1,2,3,4,5,6,7)", "(1,8)(2,7)(3,4)(5,6)"), 8, 20160, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_CASES))
+def test_seeded_chain_matches_sympy(monkeypatch, name):
+    texts, degree, bound, reaches = CHAIN_CASES[name]
+    gens = [P(t, degree) for t in texts]
+    runs = _chain_runs(monkeypatch)
+    chain = StabilizerChain(gens, degree, order_bound=bound)
+    assert (not runs) == reaches
+    assert chain.order() == sympy_order(gens, degree)
+    assert (chain.order() == bound) == reaches
+    oracle = sympy_group(gens, degree)
+    for p in _probes(gens, degree):
+        assert chain.contains(p) == oracle.contains(to_sympy(p, degree))
+
+
+def test_subgroup_order_of_psl2_13_matches_sympy():
+    grp = PermGroup.from_cycle_strings(*PSL2_13)
+    assert grp.subgroup_order(list(grp.generators)) == sympy_order(grp.generators, 14)

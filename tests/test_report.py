@@ -19,6 +19,7 @@ from arccover.report import (
     run_job,
     run_suite,
 )
+from arccover.wreath import CoverGroupData
 
 JOB1 = JobSpec(n=4, group="A5", x="(1,2)(3,4)", y="(1,2,3,4,5)")
 JOB2 = JobSpec(n=4, group="A5", x="(1,2)(3,4)", y="(1,5,3)", vertex_cap=10_000)
@@ -119,6 +120,23 @@ def test_phase_truncation():
     assert graph == decompose + ["graph-build", "two-arc-transitive"]
     full = check_ids(run_job(JOB1))
     assert full == graph + ["cover-quotient", "centralizer-structure"]
+
+
+def test_h_is_built_only_at_graph_depth(monkeypatch):
+    """H = Sym{2..n} is read by the graph stages alone: a decompose job
+    never enumerates it, and a graph job does."""
+    built = []
+    h_tops = CoverGroupData.h_tops
+
+    def counted(self):
+        built.append(self.ctx.n)
+        return h_tops(self)
+
+    monkeypatch.setattr(CoverGroupData, "h_tops", counted)
+    assert run_job(JobSpec(n=5, group="A5", x="(1,2)(3,4)", y="(1,2,3,4,5)"), "decompose").ok
+    assert built == []
+    assert run_job(JOB1, phase="graph").ok
+    assert built and set(built) == {4}
 
 
 def test_full_certificate_shape_and_values():
