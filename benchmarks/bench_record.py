@@ -12,14 +12,19 @@ length are those of the change's BENCHMARK.json. The record holds:
   number of pairs the change wins;
 - traced: one `--trace 1` result line per workload and checkout, with the
   per-module metrics;
-- in_process: wall time and peak RSS (ru_maxrss) of one fresh process
+- in_process: wall time and peak RSS (ru_maxrss) of a fresh process
   running the `extended-build` job, of one running the whole `extended`
   suite, and of one running the n = 8 `decompose` job (A5, (1,2)(3,4),
-  (1,2,3,4,5)) with its d, per checkout;
+  (1,2,3,4,5)) with its d, per checkout: the medians of ROUNDS runs, with
+  the runs;
 - layers: the median of each layer microbenchmark in the checkout's own
-  `benchmarks/` (pytest-benchmark), in seconds.
+  `benchmarks/` (pytest-benchmark), in seconds, and its median over ROUNDS
+  runs of the whole set.
 
-Every number comes from a child process, one at a time.
+Every number comes from a child process, one at a time. In_process and
+layers alternate the checkouts run by run (the parent first in even rounds,
+the change first in odd ones), so a drift of the machine's speed reaches
+both sides alike instead of reading as a change.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ import tempfile
 from pathlib import Path
 
 PAIRS = 10
+ROUNDS = 3
 
 IN_PROCESS = """
 import json, resource, sys, time
@@ -93,6 +99,31 @@ def layers(checkout: Path) -> dict:
     return {b["name"]: round(b["stats"]["median"], 7) for b in data["benchmarks"]}
 
 
+def alternate(sides: dict, measure) -> dict:
+    """Per side, the results of `measure(checkout)` over ROUNDS rounds that
+    take the sides in turns, the first side alternating by round."""
+    runs: dict = {side: [] for side in sides}
+    for r in range(ROUNDS):
+        for side in list(sides)[:: 1 if r % 2 == 0 else -1]:
+            runs[side].append(measure(sides[side]))
+    return runs
+
+
+def medians(runs: list[dict]) -> dict:
+    """Per key of the runs' results: the median of a number, else the value
+    of the first run (a pass flag is all the runs')."""
+    out = {}
+    for key, first in runs[0].items():
+        values = [run[key] for run in runs]
+        if isinstance(first, bool):
+            out[key] = all(values)
+        elif isinstance(first, (int, float)):
+            out[key] = statistics.median(values)
+        else:
+            out[key] = first
+    return out
+
+
 def summarize(pairs: list[dict]) -> dict:
     """Medians, quartiles and change wins per end-to-end metric."""
     out = {}
@@ -142,12 +173,13 @@ def main(argv=None) -> int:
         side: {w: perfbench(path, w, 0, seconds, trace=1) for w in workloads}
         for side, path in sides.items()
     }
-    record["in_process"] = {
-        side: {what: in_process(path, what)
-               for what in ("extended-build", "suite", "n8-decompose")}
-        for side, path in sides.items()
-    }
-    record["layers_median_s"] = {side: layers(path) for side, path in sides.items()}
+    record["in_process"] = {side: {} for side in sides}
+    for what in ("extended-build", "suite", "n8-decompose"):
+        runs = alternate(sides, lambda path: in_process(path, what))
+        for side in sides:
+            record["in_process"][side][what] = {**medians(runs[side]), "runs": runs[side]}
+    runs = alternate(sides, layers)
+    record["layers_median_s"] = {side: medians(runs[side]) for side in sides}
     out = sides["change"] / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(record, indent=2) + "\n")
     print(out)

@@ -248,6 +248,16 @@ class CoverCertificate:
     quotient_adjacency: tuple[tuple[int, ...], ...]
 
 
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values in increasing order, by a sort in place and a
+    mask: in numpy 2 a plain `np.unique` imports `numpy.ma`, a start-up cost
+    of its own, to test for a masked array."""
+    values.sort()
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
 def quotient_graph(graph: CosetGraph, elements: Sequence[WreathElement]) -> CoverCertificate:
     """Quotient by the group generated by `elements`; certifies covering facts.
 
@@ -272,8 +282,8 @@ def quotient_graph(graph: CosetGraph, elements: Sequence[WreathElement]) -> Cove
     locally_bijective = bool((seen[:, 1:] != seen[:, :-1]).all())
 
     count = len(sizes)
-    codes = np.unique(np.concatenate([
-        np.unique(np.minimum(orbit_of, col) * count + np.maximum(orbit_of, col))
+    codes = _sorted_distinct(np.concatenate([
+        _sorted_distinct(np.minimum(orbit_of, col) * count + np.maximum(orbit_of, col))
         for col in seen.T
     ]))
     q_adj: list[list[int]] = [[] for _ in range(count)]

@@ -84,6 +84,67 @@ def _point_action(point: int, g: Permutation) -> int:
 
 
 # ---------------------------------------------------------------------------
+# distinct rows of an entry matrix
+# ---------------------------------------------------------------------------
+
+
+def row_hash(row: np.ndarray) -> int:
+    """The hash `DistinctRows` files a row under: of its bytes, or of its
+    entries in an object row (whose bytes are pointers)."""
+    return hash(tuple(row)) if row.dtype == object else hash(row.tobytes())
+
+
+def _same_row(a: np.ndarray, b: np.ndarray) -> bool:
+    if a.dtype == object:
+        return bool((a == b).all())
+    return a.tobytes() == b.tobytes()
+
+
+class DistinctRows:
+    """Distinct rows of one width and dtype, numbered in the order they were
+    first added, held in one matrix grown in place by a quarter as needed.
+
+    A row is looked up by `row_hash`, and rows sharing a hash are told apart
+    by comparing them, so no copy of a row is kept as its key. The matrix
+    grows without numpy's reference check, which a profiler's reference to
+    the bound `resize` would fail; that is safe because no view of it leaves
+    the class before `matrix()` (`take` copies).
+    """
+
+    def __init__(self, width: int, dtype):
+        self._matrix = np.empty((16, width), dtype=dtype)
+        self._ids: dict[int, list[int]] = {}  # hash -> ids of the rows with it
+        self.count = 0
+
+    def add(self, row: np.ndarray) -> int:
+        """The number of `row`, which is the next one if the row is new."""
+        same = self._ids.setdefault(row_hash(row), [])
+        for i in same:
+            if _same_row(self._matrix[i], row):
+                return i
+        if self.count == len(self._matrix):
+            # in place (no second buffer); the new rows are zero-filled
+            self._matrix.resize(
+                (self.count + self.count // 4, self._matrix.shape[1]), refcheck=False
+            )
+        self._matrix[self.count] = row
+        same.append(self.count)
+        self.count += 1
+        return self.count - 1
+
+    def take(self, ids: np.ndarray) -> np.ndarray:
+        """A copy of the rows numbered `ids`, in that order."""
+        return self._matrix[ids]
+
+    def matrix(self) -> np.ndarray:
+        """The rows in order, as an owned and writeable matrix; no row can be
+        added afterwards."""
+        matrix, self._matrix = self._matrix, None
+        matrix.resize((self.count, matrix.shape[1]), refcheck=False)
+        return matrix
+
+
+# ---------------------------------------------------------------------------
 # stabilizer chain (Schreier-Sims with seeded sifting)
 # ---------------------------------------------------------------------------
 

@@ -32,8 +32,12 @@ from .groups import (
     extend_to_automorphism,
     generating_rows,
     is_natural_alternating,
+    row_hash,
 )
 from .perm import Permutation
+
+# entries per batch of an integer temporary: a few hundred kB at most
+_BATCH_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,14 +116,20 @@ def _entry_rows(gens: Sequence, group: PermGroup, k: Optional[int] = None) -> np
 
 
 def _first_rows(matrix: np.ndarray) -> list[int]:
-    """Positions of the first occurrence of each distinct row, in order."""
-    seen: set[bytes] = set()
+    """Positions of the first occurrence of each distinct row, in order.
+    Rows are filed by `row_hash` and compared only when their hashes meet,
+    so no row is copied."""
+    seen: dict[int, list[int]] = {}  # hash -> positions of the rows kept with it
     out = []
     for i, row in enumerate(matrix):
-        key = row.tobytes()
-        if key not in seen:
-            seen.add(key)
-            out.append(i)
+        same = seen.get(h := row_hash(row))
+        if same is None:
+            seen[h] = [i]
+        elif any(np.array_equal(matrix[r], row) for r in same):
+            continue
+        else:
+            same.append(i)
+        out.append(i)
     return out
 
 
@@ -138,7 +148,9 @@ def _fingerprints(columns: np.ndarray, group: PermGroup) -> list[bytes]:
     image have one fingerprint. The counts determine both sorted profiles
     of orders, of the entries and of their products with e0, so no column
     that those profiles would let link is kept apart. With a table, each
-    entry's pair is one gather from a code table over the distinct e0.
+    entry's pair is one gather from a code table over the distinct e0, in
+    the smallest unsigned dtype, and columns are counted in blocks of
+    `_BATCH_ENTRIES` entries.
     """
     table = group.table()
     if table is None:
@@ -156,21 +168,24 @@ def _fingerprints(columns: np.ndarray, group: PermGroup) -> list[bytes]:
         # code of entry e in a column whose e0 is firsts[f], at f·|T| + e
         table_codes = (
             order_id * len(values) + order_id[table.mult[:, firsts].T]
-        ).reshape(-1)
+        ).astype(np.min_scalar_type(len(values) ** 2 - 1)).reshape(-1)
         offsets = first_of * table.size
 
         def pair_codes(cols: slice) -> np.ndarray:
-            return table_codes[columns[cols] + offsets[cols, None]]
+            return table_codes.take(columns[cols] + offsets[cols, None])
 
     kinds = len(values) ** 2
     k, rows = columns.shape
-    width = max(1, (1 << 17) // rows)  # columns per block: about 2^17 entries, in cache
+    width = max(1, _BATCH_ENTRIES // rows)  # columns per block
+    count_dtype = np.min_scalar_type(rows)
+    bins = np.arange(width, dtype=np.intp)[:, None] * kinds  # one bin range per column
     out = []
     for lo in range(0, k, width):
         block = pair_codes(slice(lo, lo + width))
-        block = block + np.arange(len(block))[:, None] * kinds  # one bin range per column
-        hist = np.bincount(block.ravel(), minlength=len(block) * kinds)
-        out += [h.tobytes() for h in hist.reshape(-1, kinds)]
+        block = block + bins[:len(block)]
+        hist = np.bincount(block.reshape(-1), minlength=len(block) * kinds)
+        del block  # not alive beside the next block's index array
+        out += [h.tobytes() for h in hist.astype(count_dtype).reshape(-1, kinds)]
     return out
 
 
@@ -256,8 +271,9 @@ def _prefixes(columns: np.ndarray, bases: list[int], group: PermGroup) -> dict[i
     """Each base column's generating prefix: the rows of its first distinct
     entries, up to the first that generate T ([] if none do). With a table,
     the columns grow their prefixes together: each round adds every
-    column's next distinct entry and tests all the new prefixes at once;
-    without one, `_generating_prefix` searches column by column."""
+    column's next distinct entry (`_next_fresh`) and tests all the new
+    prefixes at once; without one, `_generating_prefix` searches column by
+    column."""
     table = group.table()
     if table is None:
         return {b: _generating_prefix(columns[b].tolist(), group) for b in bases}
@@ -265,17 +281,35 @@ def _prefixes(columns: np.ndarray, bases: list[int], group: PermGroup) -> dict[i
     todo = np.array(bases)
     chosen = np.zeros((len(bases), 1), dtype=np.intp)  # per column, its prefix rows
     while len(todo):
-        cols = columns[todo]
-        fresh = np.ones(cols.shape, dtype=bool)
-        for rows in chosen.T:
-            fresh &= cols != np.take_along_axis(cols, rows[:, None], axis=1)
-        more = fresh.any(axis=1)  # a column out of new entries generates nothing
+        fresh = _next_fresh(columns, todo, chosen)
+        more = fresh >= 0  # a column out of new entries generates nothing
         out.update((b, []) for b in todo[~more].tolist())
         todo = todo[more]
-        chosen = np.column_stack([chosen[more], fresh.argmax(axis=1)[more]])
-        done = generating_rows(table, np.take_along_axis(columns[todo], chosen, axis=1))
+        chosen = np.column_stack([chosen[more], fresh[more]])
+        done = generating_rows(table, columns[todo[:, None], chosen])
         out.update(zip(todo[done].tolist(), chosen[done].tolist()))
         todo, chosen = todo[~done], chosen[~done]
+    return out
+
+
+def _next_fresh(columns: np.ndarray, todo: np.ndarray, chosen: np.ndarray) -> np.ndarray:
+    """Per column todo[i], the first row whose entry is none of the column's
+    entries at rows chosen[i], or -1 if there is none. The columns are read
+    in windows of rows of about `_BATCH_ENTRIES` entries in all, and a
+    column leaves at the first window that holds its row."""
+    seen = columns[todo[:, None], chosen]
+    out = np.full(len(todo), -1, dtype=np.intp)
+    left = np.arange(len(todo))  # positions still searching
+    lo, rows = 0, columns.shape[1]
+    while len(left) and lo < rows:
+        hi = min(rows, lo + max(1, _BATCH_ENTRIES // len(left)))
+        window = columns[todo[left], lo:hi]
+        fresh = np.ones(window.shape, dtype=bool)
+        for entries in seen[left].T:
+            fresh &= window != entries[:, None]
+        hit = fresh.any(axis=1)
+        out[left[hit]] = lo + fresh[hit].argmax(axis=1)
+        left, lo = left[~hit], hi
     return out
 
 
@@ -288,9 +322,11 @@ def _links(
     """Per pair (b, j): the automorphism sending b's generating prefix of
     rows to column j's entries there, if it maps column b onto column j.
 
-    With a table all pairs propagate at once (`automorphism_lookups`), each
-    prefix padded by repeating its rows; without one, each pair runs the
-    conjugator search.
+    With a table the pairs propagate in batches (`automorphism_lookups`),
+    each prefix padded by repeating its rows, and the consistent ones are
+    checked on whole columns, with the lookups narrowed to the columns'
+    dtype; both batches hold about `_BATCH_ENTRIES` integer entries. Without
+    one, each pair runs the conjugator search.
     """
     table = group.table()
     if table is None:
@@ -307,18 +343,29 @@ def _links(
     width = max(len(prefixes[b]) for b, _ in pairs)
     rows = np.array([(prefixes[b] * width)[:width] for b, _ in pairs])
     b, j = np.array(pairs).T
-    lookups = automorphism_lookups(
-        table, np.take_along_axis(columns[b], rows, axis=1), np.take_along_axis(columns[j], rows, axis=1)
-    )
-    ok = lookups[:, 0] >= 0
-    chunk = max(1, (1 << 17) // columns.shape[1])
-    for lo in range(0, len(pairs), chunk):
-        part = slice(lo, lo + chunk)
+    # the lookups in the columns' dtype; a row of -1 (no automorphism)
+    # wraps, and is read only as not ok
+    lookups = np.empty((len(pairs), table.size), dtype=columns.dtype)
+    ok = np.empty(len(pairs), dtype=bool)
+    # `automorphism_lookups` holds two intp entries per pair and element of
+    # T: the images and their sorted copy
+    per = max(1, _BATCH_ENTRIES // (2 * table.size))
+    for lo in range(0, len(pairs), per):
+        part = slice(lo, lo + per)
+        found = automorphism_lookups(
+            table, columns[b[part, None], rows[part]], columns[j[part, None], rows[part]]
+        )
+        ok[part] = found[:, 0] >= 0
+        lookups[part] = found
+    consistent = np.flatnonzero(ok)
+    chunk = max(1, _BATCH_ENTRIES // columns.shape[1])
+    for lo in range(0, len(consistent), chunk):
+        part = consistent[lo:lo + chunk]
         images = np.take_along_axis(lookups[part], columns[b[part]], axis=1)
-        ok[part] &= (images == columns[j[part]]).all(axis=1)
+        ok[part] = (images == columns[j[part]]).all(axis=1)
     return [
-        AutomorphismMap(table=table, lookup=tuple(lookup)) if good else None
-        for lookup, good in zip(lookups.tolist(), ok.tolist())
+        AutomorphismMap(table=table, lookup=tuple(lookup.tolist())) if good else None
+        for lookup, good in zip(lookups, ok.tolist())
     ]
 
 

@@ -25,6 +25,7 @@ import numpy as np
 from .errors import BudgetExhausted, CapacityExceeded, InternalCheckError, ValidationError
 from .groups import (
     ENUM_CAP_DEFAULT,
+    DistinctRows,
     PermGroup,
     closure,
     is_natural_alternating,
@@ -430,8 +431,7 @@ def schreier_rows(
     is entrywise: f_us(a) * f_rep(a)^-1. Rows come in discovery order,
     without repeats or the identity row. Their entries are table indices in
     the table's dtype (the smallest unsigned one holding |T| - 1), or
-    Permutations in an object matrix when T has no table. Each kept row is
-    held once, as the bytes (or tuple) keying a dict in discovery order.
+    Permutations in an object matrix when T has no table.
 
     The row of u*s is u's row times s's base read through u's comp map.
     Every generator's base is constant on each class of cycles (only g's is
@@ -439,6 +439,13 @@ def schreier_rows(
     u's top σ depends only on σ^-1(1) and σ^-1(2) (`_pair_classes`), so that
     read is one of n^2 rows per generator, picked by two points of σ. Tops
     are numbered by their ranks in Sym(n).
+
+    Few of the n! tops have distinct rows, so base rows are held once each
+    (`DistinctRows`) and a top holds the number of its row. A moved row is
+    then a function of u's row number, s and, when s's base is not trivial,
+    u's two points; a kernel row is a function of the pair of row numbers.
+    Each is computed once per frontier, in pair order, and the kept rows are
+    written straight into the output matrix.
 
     Raises CapacityExceeded once more than `image_cap` tops are reached, and
     BudgetExhausted when `out_of_budget()` holds between two frontiers.
@@ -460,13 +467,10 @@ def schreier_rows(
 
         def inverse(a):
             return np.take(inv, a)
-
-        row_key = np.ndarray.tobytes
     else:
         dtype = object
         product = np.multiply  # elementwise Permutation products
         inverse = np.frompyfunc(Permutation.inverse, 1, 1)
-        row_key = tuple
 
     # per generator: its top's 0-based images, and its base read through
     # each pair's classes when that base is not trivial
@@ -485,35 +489,33 @@ def schreier_rows(
             read = by_class[classes]
         gens.append((np.array(s.sigma.images, dtype=np.uint8) - 1, read))
 
-    # representatives' base rows, by discovery number: room for n! of them
-    # (the tops lie in Sym(n)) or for the cap, which stops the BFS before a
-    # row past it is stored
-    reps = np.empty((min(math.factorial(n), max(image_cap, 1)), k), dtype=dtype)
-    reps[0] = ctx.identity_entry
-    number = np.full(math.factorial(n), -1, dtype=np.int32)  # top rank -> its number
-    number[0] = 0
+    base_rows = DistinctRows(k, dtype)  # every distinct row of a representative or u*s
+    identity = np.empty(k, dtype=dtype)
+    identity[:] = ctx.identity_entry
+    base_rows.add(identity)
+    row_of = np.full(math.factorial(n), -1, dtype=np.int32)  # top rank -> its row number
+    row_of[0] = 0
+    kept = DistinctRows(k, dtype)
     count = 1
-    kept: dict = {}  # the kept rows, once each, as keys in discovery order
-    start = 0  # number of the frontier's first representative
     tops = np.arange(n, dtype=np.uint8)[None]
-    chunk = max(1, (1 << 17) // k)  # pairs per batch: its int index array fits in cache
+    ids = np.zeros(1, dtype=np.int32)  # the frontier's row numbers
+    chunk = max(1, (1 << 15) // k)  # rows per batch: its int index array fits in cache
 
-    def moved_rows(u, j):
-        """Base rows of u*s_j for frontier positions u and generator numbers j."""
-        out = reps[start + u]
-        for jj, (_, read) in enumerate(gens):
-            if read is not None:
-                hit = j == jj
-                out[hit] = product(out[hit], read[pq[u[hit]]])
+    def add_products(left: np.ndarray, right: Callable, into: DistinctRows) -> np.ndarray:
+        """The numbers in `into` of the rows base_rows[left] · right(slice),
+        computed in batches."""
+        out = np.empty(len(left), dtype=np.int32)
+        for lo in range(0, len(left), chunk):
+            part = slice(lo, lo + chunk)
+            rows = product(base_rows.take(left[part]), right(part))
+            out[part] = [into.add(row) for row in rows]
         return out
 
     while len(tops):
-        # per frontier top σ: its row σ^-1(1)·n + σ^-1(2) of the class reads
-        pq = np.argmax(tops == 0, axis=1) * n + np.argmax(tops == 1, axis=1)
         # pair p = u * len(gens) + j is frontier position u times generator j
         moved_tops = np.stack([t[tops] for t, _ in gens], axis=1).reshape(-1, n)
         ranks = _lehmer_ranks(moved_tops)
-        unknown = np.flatnonzero(number[ranks] < 0)
+        unknown = np.flatnonzero(row_of[ranks] < 0)
         _, first = np.unique(ranks[unknown], return_index=True)
         fresh = unknown[np.sort(first)]
         if count + len(fresh) > image_cap:
@@ -521,32 +523,35 @@ def schreier_rows(
                 f"quotient enumeration exceeded cap {image_cap}",
                 discovered=max(count, image_cap) + 1,
             )
-        number[ranks[fresh]] = np.arange(count, count + len(fresh))
-        for lo in range(0, len(fresh), chunk):
-            u, j = np.divmod(fresh[lo:lo + chunk], len(gens))
-            reps[count + lo:count + lo + len(u)] = moved_rows(u, j)
-        is_pair = np.ones(len(moved_tops), dtype=bool)
+        # the row number of u*s_j: u's own under a trivial base of s_j, else
+        # one product per distinct pair of u's row number and u's read row
+        # σ^-1(1)·n + σ^-1(2)
+        moved = np.repeat(ids[:, None], len(gens), axis=1)
+        pq = np.argmax(tops == 0, axis=1) * n + np.argmax(tops == 1, axis=1)
+        for j, (_, read) in enumerate(gens):
+            if read is not None:
+                codes, back = np.unique(ids.astype(np.intp) * n * n + pq, return_inverse=True)
+                numbers, points = np.divmod(codes, n * n)
+                moved[:, j] = add_products(numbers, lambda part: read[points[part]], base_rows)[back]
+        moved = moved.reshape(-1)
+        row_of[ranks[fresh]] = moved[fresh]
+        is_pair = np.ones(len(moved), dtype=bool)
         is_pair[fresh] = False
-        pairs = np.flatnonzero(is_pair)
-        for lo in range(0, len(pairs), chunk):
-            p = pairs[lo:lo + chunk]
-            u, j = np.divmod(p, len(gens))
-            moved, rep = moved_rows(u, j), reps[number[ranks[p]]]
-            # equal rows give the identity row, which is never kept
-            differ = (moved != rep).any(axis=1)
-            rows = product(moved[differ], inverse(rep[differ]))
-            kept.update(dict.fromkeys(map(row_key, rows)))
-        start, count, tops = count, count + len(fresh), moved_tops[fresh]
+        # equal row numbers give the identity row, which is never kept
+        left, right = moved[is_pair], row_of[ranks[is_pair]]
+        differ = left != right
+        left, right = left[differ], right[differ]
+        _, first = np.unique(left.astype(np.int64) << 32 | right, return_index=True)
+        first.sort()
+        left, right = left[first], right[first]
+        add_products(left, lambda part: inverse(base_rows.take(right[part])), kept)
+        count += len(fresh)
+        tops, ids = moved_tops[fresh], moved[fresh]
         if len(tops) and out_of_budget():
             raise BudgetExhausted(
-                "time budget exhausted", tops_reached=count, rows_kept=len(kept)
+                "time budget exhausted", tops_reached=count, rows_kept=kept.count
             )
-    del reps
-    if dtype is object:
-        rows = np.array(list(kept), dtype=object)
-    else:
-        rows = np.frombuffer(bytearray().join(kept), dtype=dtype)  # writeable
-    return rows.reshape(-1, k), count
+    return kept.matrix(), count
 
 
 # ---------------------------------------------------------------------------

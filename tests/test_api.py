@@ -110,3 +110,22 @@ def test_cli_import_pulls_in_no_graph_library():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_quotient_run_leaves_numpy_ma_unimported(tmp_path):
+    """A plain `np.unique` imports `numpy.ma` in numpy 2; no stage of a
+    `quotient` run needs it."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from arccover.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['quotient', '--n', '4', '--group', 'A5', '--x', '(1,2)(3,4)',\n"
+        "                 '--y', '(1,2,3,4,5)', '--out', sys.argv[1]])\n"
+        "print(code, 'numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert out.stdout.split() == ["0", "False"]

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import schreier_oracle as oracle
+from arccover import groups
 from arccover.catalog import resolve_group
 from arccover.errors import BudgetExhausted, CapacityExceeded
-from arccover.groups import PermGroup, closure
+from arccover.groups import DistinctRows, PermGroup, closure
 from arccover.perm import Permutation, parse_cycles
 from arccover.wreath import CoverJob, build_cover_group, schreier_rows
 
@@ -68,6 +69,7 @@ A5 = ("A5", "(1,2)(3,4)", "(1,2,3,4,5)")
 # the same pair conjugated by (1,2,3): an automorphism of A5 moves every entry
 A5_CONJUGATED = ("A5", "(1,4)(2,3)", "(1,4,5,2,3)")
 PSL27 = ("PSL27", "(1,8)(2,7)(3,4)(5,6)", "(1,2,3,4,5,6,7)")
+A7 = ("A7", "(1,2)(3,4)", "(1,2,3,4,5,6,7)")
 A11 = ("A11", "(1,2)(3,6)", "(1,2,3,4,5,6,7,8,9,10,11)")
 PSL2_13 = PermGroup.from_cycle_strings(
     ["(1,2,3,4,5,6,7,8,9,10,11,12,13)", "(1,14)(2,13)(3,7)(4,5)(8,12)(10,11)"], 14
@@ -82,9 +84,11 @@ PSL2_13 = PermGroup.from_cycle_strings(
     (A5_CONJUGATED, 4, np.uint8),
     (A5_CONJUGATED, 5, np.uint8),
     (PSL27, 4, np.uint8),
+    (PSL27, 6, np.uint8),
+    (A7, 5, np.uint16),
     (A11, 4, object),
 ], ids=["A5-n4", "A5-n5", "A5-n6", "A5-n7", "A5-conjugated-n4", "A5-conjugated-n5",
-        "PSL27-n4", "A11-n4-object"])
+        "PSL27-n4", "PSL27-n6", "A7-n5", "A11-n4-object"])
 def test_rows_match_oracle(job, n, dtype):
     """The same rows in the same order, over all n! tops."""
     name, x, y = job
@@ -124,6 +128,36 @@ def test_object_rows_match_the_table_rows(conjugator_route):
     assert [[elems[i] for i in row] for row in by_table.tolist()] == by_object.tolist()
 
 
+@pytest.mark.parametrize("job, n", [(A5, 6), (A7, 5), (A11, 4)],
+                         ids=["A5-n6", "A7-n5-uint16", "A11-n4-object"])
+def test_rows_survive_a_hash_that_always_collides(monkeypatch, job, n):
+    """Rows are filed by `row_hash` and told apart by comparison: with every
+    row under one hash, the same distinct rows come back in the same order."""
+    name, x, y = job
+    data = cover(resolve_group(name), n, x, y)
+    rows, tops = schreier_rows(data)
+    monkeypatch.setattr(groups, "row_hash", lambda row: 0)
+    collided, collided_tops = schreier_rows(data)
+    assert collided.dtype == rows.dtype and collided_tops == tops
+    assert collided.tolist() == rows.tolist()
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, object])
+def test_distinct_rows_number_rows_in_order_of_first_addition(dtype):
+    """Past several in-place growths, every row keeps its number and its
+    entries, whichever dtype holds them."""
+    rng = np.random.default_rng(0)
+    values = rng.integers(0, 5, size=(300, 3))
+    store = DistinctRows(3, dtype)
+    numbers = [store.add(np.array(row, dtype=dtype)) for row in values]
+    firsts = list(dict.fromkeys(map(tuple, values.tolist())))
+    assert numbers == [firsts.index(row) for row in map(tuple, values.tolist())]
+    assert store.take(np.array([2, 0])).tolist() == [list(firsts[2]), list(firsts[0])]
+    matrix = store.matrix()
+    assert matrix.dtype == dtype and matrix.flags.writeable and matrix.flags.owndata
+    assert list(map(tuple, matrix.tolist())) == firsts
+
+
 # ---------------------------------------------------------------------------
 # caps and budgets
 # ---------------------------------------------------------------------------
@@ -142,6 +176,20 @@ def test_image_cap_stops_before_storing_past_it():
     assert info.value.details == {"discovered": 11}
     # all 5040 representatives' rows of 720 entries would take 3.6 MB
     assert peak < 1_000_000
+
+
+def test_rows_at_n7_peak_below_two_megabytes():
+    """The 1004 kept rows of 720 entries take 0.72 MB; the representatives'
+    rows are held once each, not once per top (n! of them: 3.6 MB)."""
+    data = cover(resolve_group("A5"), 7, *A5[1:])
+    tracemalloc.start()
+    try:
+        rows, _ = schreier_rows(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (1004, 720)
+    assert peak < 2_000_000
 
 
 def test_budget_is_checked_between_frontiers():

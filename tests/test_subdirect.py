@@ -2,12 +2,13 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import subdirect_oracle as oracle
-from arccover import report
+from arccover import report, subdirect
 from arccover.catalog import resolve_group
 from arccover.errors import BudgetExhausted, ValidationError
 from arccover.groups import conjugating_permutations
@@ -16,6 +17,7 @@ from arccover.report import JobSpec, run_job
 from arccover.subdirect import (
     BlockReport,
     _entry_rows,
+    _first_rows,
     cross_automorphism,
     inverting_automorphism,
     structures_equal,
@@ -151,6 +153,35 @@ def test_distinct_rows_are_kept_without_a_copy():
     s = subdirect_decompose(rows, A5)
     assert np.shares_memory(s.generators, rows) and rows.flags.writeable
     assert s.generators.shape == rows.shape
+
+
+@pytest.mark.parametrize("collide", [False, True], ids=["row-hash", "one-hash"])
+def test_first_rows_are_found_by_hash_and_comparison(monkeypatch, collide):
+    """Repeated rows are dropped and the first of each kept, in order, also
+    when every row is filed under one hash and told apart by comparison."""
+    data, _ = kernel_structure(Y1, n=5)
+    rows = schreier_rows(data)[0]
+    repeated = np.concatenate([rows[:10], rows[5:], rows[::-1], rows[:3]])
+    if collide:
+        monkeypatch.setattr(subdirect, "row_hash", lambda row: 0)
+    assert _first_rows(repeated) == list(range(10)) + list(range(15, 5 + len(rows)))
+    assert np.array_equal(_entry_rows(repeated, A5), rows)
+
+
+def test_decomposition_at_n7_peaks_below_one_and_a_half_megabytes():
+    """The column-major copy of the 1004 x 720 rows takes 0.72 MB; no row is
+    copied as a key, no round copies the base columns, and the integer
+    temporaries are held to a fixed number of entries."""
+    data, _ = kernel_structure(Y1, n=7)
+    rows = schreier_rows(data)[0]
+    tracemalloc.start()
+    try:
+        s = subdirect_decompose(rows, A5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert s.block_count == 360
+    assert peak < 1_500_000
 
 
 @pytest.mark.parametrize("matrix, message", [
