@@ -7,7 +7,9 @@ degree 11, the BFS closure of A7 (2520 elements), the order of the subgroup
 of A11 generated by example-3's pair (a stabilizer chain stopped at |A11|),
 the multiplication-table build of an enumerable T (A7 and PSL(2,13),
 generated as in perfbench/jobs.py), an index-mode wreath product at n = 7, which reads the table through
-`TableGroup.mult_flat` once per cycle position (k = 360), L and
+`TableGroup.mult_flat` once per cycle position (k = 360), the cover
+group's set-up at n = 7 and 8 (`build_cover_group`, A5: the full-cycle
+domain built afresh, g's base by class and H's generators), L and
 H ∩ H^g as tops at n = 7 (`twist_tops`, A5), the Schreier rows
 of the kernel of the top projection (the n = 7 A5 kernel, 1004 uint8 rows
 over k = 720 from 5040 tops; the n = 4 A11 kernel of example-3 in object
@@ -32,6 +34,7 @@ from arccover.wreath import (
     CoverJob,
     WreathContext,
     WreathElement,
+    _cycle_domain,
     build_cover_group,
     schreier_rows,
     twist_tops,
@@ -92,6 +95,19 @@ def cover_data(n, group, x, y):
     job = CoverJob(n=n, group=group, x=parse_cycles(x, group.degree),
                    y=parse_cycles(y, group.degree))
     return build_cover_group(job)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_build_cover_group(benchmark, n):
+    """The set-up of one job, with the full-cycle domain's per-process
+    cache emptied before every round and T's table already built."""
+    group = resolve_group("A5")
+    group.table()
+    job = CoverJob(n=n, group=group, x=parse_cycles("(1,2)(3,4)", 5),
+                   y=parse_cycles("(1,2,3,4,5)", 5))
+    data = benchmark.pedantic(build_cover_group, args=(job,),
+                              setup=_cycle_domain.cache_clear, rounds=20)
+    assert data.ctx.k == math.factorial(n - 1)
 
 
 def test_twist_tops_n7(benchmark):

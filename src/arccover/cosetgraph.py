@@ -33,7 +33,7 @@ from .errors import CapacityExceeded, InternalCheckError, ValidationError
 from .groups import decimal_string, is_2_transitive, right_transversal
 from .perm import Permutation, parse_cycles
 from .subdirect import SubdirectStructure
-from .wreath import CoverGroupData, WreathElement, twist_tops
+from .wreath import CoverGroupData, WreathElement
 
 VERTEX_CAP_DEFAULT = 2_000_000
 
@@ -189,8 +189,8 @@ def build_coset_graph(
         raise CapacityExceeded(
             f"expected {decimal_string(expected)} vertices exceeds the cap {vertex_cap}"
         )
-    k_tops = twist_tops(data).k
-    seeds = [data.g * data.ctx.embed_top(t) for t in right_transversal(k_tops, data.h_tops())[0]]
+    transversal = right_transversal(data.tops.k, data.h_tops())[0]
+    seeds = [data.g * data.ctx.embed_top(t) for t in transversal]
     return CosetGraph(data, structure, seeds)
 
 

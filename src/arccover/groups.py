@@ -676,21 +676,21 @@ def _propagate(
     Row p starts from phi(1) = 1 and sets phi(a·s) = phi(a)·t for each source
     s = sources[p, i] with target t = targets[p, i], by BFS over all rows at
     once: each step follows every edge out of the elements first reached in
-    the step before. Returns the images, -1 outside <sources[p]>, and per
-    row whether every edge out of a reached element agreed.
+    the step before. Returns the int32 images, -1 outside <sources[p]>, and
+    per row whether every edge out of a reached element agreed.
     """
     sources = np.asarray(sources, dtype=np.intp)
     targets = np.asarray(targets, dtype=np.intp)
     count, size = len(sources), table.size
     flat = table.mult.reshape(-1)
-    images = np.full(count * size, -1, dtype=np.intp)  # row p, element a at p·|T| + a
+    images = np.full(count * size, -1, dtype=np.int32)  # row p, element a at p·|T| + a
     images[::size] = 0
     consistent = np.ones(count, dtype=bool)
     rows, elems = np.arange(count), np.zeros(count, dtype=np.intp)
     reached = np.zeros(count * size, dtype=bool)
     while len(rows):
         at = rows * size
-        phi = images[at + elems] * size
+        phi = np.multiply(images[at + elems], size, dtype=np.intp)
         elems *= size
         for s, t in zip(sources.T, targets.T):
             slot = at + flat[elems + s[rows]]
@@ -718,17 +718,18 @@ def automorphism_lookups(
 
     Every row of sources must generate T. The image of every element is then
     forced by propagation from phi(identity) = identity; edge consistency on
-    all |T| * width edges plus bijectivity is equivalent to full
-    multiplicativity. A consistent row that leaves an element unreached
+    all |T| * width edges makes phi a homomorphism, and it is bijective iff
+    its kernel is trivial: iff the identity (index 0) is the image of one
+    element only. A consistent row that leaves an element unreached
     proves that its sources do not generate T: ValidationError. (An
     inconsistent row has no homomorphism from <sources> at all, so it is a
-    row of -1 whether or not its sources generate.)
+    row of -1 whether or not its sources generate.) Rows are int32.
     """
     images, consistent = _propagate(table, sources, targets)
     if (consistent & (images < 0).any(axis=1)).any():
         raise ValidationError("sources do not generate the group")
-    bijective = (np.sort(images, axis=1) == np.arange(table.size)).all(axis=1)
-    images[~(consistent & bijective)] = -1
+    injective = np.count_nonzero(images == 0, axis=1) == 1
+    images[~(consistent & injective)] = -1
     return images
 
 

@@ -1,4 +1,4 @@
-"""Exact permutation arithmetic on {1..k} and the combinatorics of full cycles.
+"""Exact permutation arithmetic on {1..k}, and cycle notation.
 
 Composition is the right action throughout: i^(p*q) = (i^p)^q, i.e. p acts
 first. Conjugation p^s = s^-1 * p * s relabels points by s.
@@ -6,9 +6,7 @@ first. Conjugation p^s = s^-1 * p * s relabels points by s.
 
 from __future__ import annotations
 
-import itertools
 import re
-from functools import lru_cache
 from math import gcd
 
 from .errors import ParseError, ValidationError
@@ -190,53 +188,3 @@ def parse_cycles(text: str, degree: int) -> Permutation:
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             images[a - 1] = b
     return Permutation(images)
-
-
-@lru_cache(maxsize=None)
-def n_cycles(n: int) -> tuple[Permutation, ...]:
-    """All (n-1)! cycles (1, i2, ..., in) of degree n, in canonical order.
-
-    Canonical order = lexicographic on the tail (i2, ..., in). This ordering
-    defines component indexing for every module downstream.
-    """
-    if n < 3:
-        raise ValidationError(f"need n >= 3 for the full-cycle domain, got {n}")
-    out = []
-    for tail in itertools.permutations(range(2, n + 1)):
-        cyc = (1,) + tail
-        images = [0] * n
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            images[a - 1] = b
-        out.append(Permutation(images))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def n_cycle_index(n: int) -> dict[bytes, int]:
-    """Serialized key -> position in the canonical full-cycle ordering."""
-    return {c.key(): i for i, c in enumerate(n_cycles(n))}
-
-
-def cycle_class(alpha: Permutation) -> int:
-    """The class index k in 1..n-1 with 1^(alpha^k) = 2.
-
-    Requires alpha to be a full cycle on all of 1..degree: the walk from 1
-    along alpha must meet every point before it returns to 1.
-    """
-    n = alpha.degree
-    walk = [1]
-    point = alpha.apply(1)
-    while point != 1:
-        walk.append(point)
-        point = alpha.apply(point)
-    if n < 2 or len(walk) != n:
-        raise ValidationError(f"not a full cycle: {alpha.cycle_string()}")
-    return walk.index(2)
-
-
-def cycle_classes(n: int) -> dict[int, list[int]]:
-    """Partition of canonical cycle positions by class index: k -> positions."""
-    out: dict[int, list[int]] = {k: [] for k in range(1, n)}
-    for i, alpha in enumerate(n_cycles(n)):
-        out[cycle_class(alpha)].append(i)
-    return out

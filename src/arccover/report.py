@@ -14,7 +14,6 @@ import json
 import math
 import time
 from dataclasses import dataclass, replace
-from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Optional
@@ -32,7 +31,7 @@ from .cosetgraph import (
 )
 from .errors import ArccoverError, CapacityExceeded, ValidationError
 from .groups import ENUM_CAP_DEFAULT, closure, decimal_string, orbit
-from .perm import Permutation, cycle_classes, parse_cycles
+from .perm import Permutation, parse_cycles
 from .subdirect import (
     BlockReport,
     cross_automorphism,
@@ -43,14 +42,12 @@ from .subdirect import (
 from .wreath import (
     CoverGroupData,
     CoverJob,
-    TwistTops,
     WreathElement,
     _k4_maps,
     build_cover_group,
     k4_tuple_data,
     kernel_witness,
     schreier_rows,
-    twist_tops,
 )
 
 # largest |Y| that the centralizer stage will enumerate element by element
@@ -248,11 +245,6 @@ class _Run:
         self.artifacts: list[str] = []
         self.started = started
 
-    @cached_property
-    def tops(self) -> TwistTops:
-        """L and H ∩ H^g as top permutations, built on first use."""
-        return twist_tops(self.data)
-
     def out_of_budget(self) -> bool:
         budget = self.spec.time_budget
         return budget is not None and time.perf_counter() - self.started > budget
@@ -381,7 +373,9 @@ def run_job(spec: JobSpec, phase: str = "full") -> Certificate:
 def _class_partition(run: _Run):
     n, data = run.n, run.data
     comp_map = data.ctx.comp_map
-    classes = cycle_classes(n)
+    classes: dict[int, list[int]] = {}  # class -> the positions of its cycles
+    for i, c in enumerate(data.ctx.place[:, 1].tolist()):
+        classes.setdefault(c, []).append(i)
     size = math.factorial(n - 2)
     sizes_ok = sorted(classes) == list(range(1, n)) and all(
         len(v) == size for v in classes.values()
@@ -391,7 +385,7 @@ def _class_partition(run: _Run):
 
     # transitive on a class of |L| elements == regular; L and (1,2) act on
     # the cycle positions through their comp maps
-    regular = len(run.tops.l) == size
+    regular = len(data.tops.l) == size
     l_maps = [comp_map(s) for s in data.l_top_gens]
     for positions in classes.values():
         if set(orbit(positions[0], l_maps, lambda p, m: m[p])) != set(positions):
@@ -414,7 +408,7 @@ def _class_partition(run: _Run):
 def _twist_identities(run: _Run):
     g = run.data.g
     g2_trivial = (g * g).is_identity()
-    tops = run.tops
+    tops = run.data.tops
     fixed = {t.key() for t in tops.k} == {t.key() for t in tops.l}
     # g·(1,τ) = (f, δτ) and (1,τ)·g = (f∘comp(τ), τδ) with δτ = τδ, as τ
     # fixes 1 and 2: g commutes with (1,τ) iff f = f[comp(τ)], which is
@@ -435,8 +429,8 @@ def _kernel_witness(run: _Run):
     x, y = job.x, job.y
     long_cycle = "(" + ",".join(str(i) for i in range(1, n + 1)) + ")"
     alpha = parse_cycles(long_cycle, n)
-    s_alpha = ctx.entry_perm(s.f[ctx.cycle_index[alpha.key()]])
-    s_alpha_inv = ctx.entry_perm(s.f[ctx.cycle_index[alpha.inverse().key()]])
+    s_alpha = ctx.entry_perm(s.f[ctx.position(alpha)])
+    s_alpha_inv = ctx.entry_perm(s.f[ctx.position(alpha.inverse())])
     front_ok = s_alpha == y * y * x
     back_ok = s_alpha_inv == y.inverse() * y.inverse() * x
     pair_order = job.group.subgroup_order([s_alpha, s_alpha_inv])
@@ -452,7 +446,7 @@ def _kernel_witness(run: _Run):
     ok = front_ok and back_ok and generates
     if n == 7:
         beta = parse_cycles("(1,4,2,5,3,6,7)", 7)
-        trivial = s.f[ctx.cycle_index[beta.key()]] == ctx.identity_entry
+        trivial = s.f[ctx.position(beta)] == ctx.identity_entry
         computed["interleaved_cycle_entry_trivial"] = trivial
         ok = ok and trivial
     return computed, ok, None
@@ -555,7 +549,8 @@ def _graph_build(run: _Run):
 
 
 def _two_arc_transitive(run: _Run):
-    result = two_arc_transitive(run.data.h_tops(), run.tops.k, run.data.h_top_gens)
+    data = run.data
+    result = two_arc_transitive(data.h_tops(), data.tops.k, data.h_top_gens)
     ok = result["two_transitive"] and result["index"] == run.n - 1
     computed = {"neighbor_count": result["index"], "two_transitive": result["two_transitive"]}
     return computed, ok, None

@@ -347,9 +347,8 @@ def _links(
     # wraps, and is read only as not ok
     lookups = np.empty((len(pairs), table.size), dtype=columns.dtype)
     ok = np.empty(len(pairs), dtype=bool)
-    # `automorphism_lookups` holds two intp entries per pair and element of
-    # T: the images and their sorted copy
-    per = max(1, _BATCH_ENTRIES // (2 * table.size))
+    # `automorphism_lookups` holds one int32 image per pair and element of T
+    per = max(1, _BATCH_ENTRIES // table.size)
     for lo in range(0, len(pairs), per):
         part = slice(lo, lo + per)
         found = automorphism_lookups(

@@ -15,9 +15,10 @@ each cycle's class index.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -31,7 +32,7 @@ from .groups import (
     is_natural_alternating,
     is_nonabelian_simple,
 )
-from .perm import Permutation, cycle_class, n_cycle_index, n_cycles, parse_cycles
+from .perm import Permutation, parse_cycles
 
 MATERIALIZE_LIMIT = 8  # largest n for which wreath elements may be built
 
@@ -42,8 +43,27 @@ def _is_odd_prime(m: int) -> bool:
     return all(m % d for d in range(3, int(m**0.5) + 1, 2))
 
 
+@lru_cache(maxsize=None)
+def _cycle_domain(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The full cycles of degree n as read-only (walk, place) arrays; see
+    `WreathContext`."""
+    walk = np.array([(0,) + tail for tail in itertools.permutations(range(1, n))], dtype=np.uint8)
+    place = np.empty_like(walk)
+    place[np.arange(len(walk))[:, None], walk] = np.arange(n, dtype=np.uint8)
+    walk.flags.writeable = place.flags.writeable = False
+    return walk, place
+
+
 class WreathContext:
     """Shared data for wreath elements at a fixed n over a fixed group T.
+
+    The k = (n-1)! full cycles (1, i2, ..., in) are held once per n as two
+    k × n uint8 arrays of 0-based points. `walk[i, j]` is the point j steps
+    from 1 along cycle i, and `place`, its inverse, counts the steps from 1
+    to each point: place[i, walk[i, j]] = j. Cycles are indexed in the lex
+    order of their walks, that is of their tails (i2, ..., in); a cycle's
+    index is the rank of its walk (`position`), and its class, the number
+    of steps from 1 to 2, is place[:, 1].
 
     Assignment entries are indices into `group.table()` when T has a table
     (index mode) and Permutations when it has none (object mode, for T too
@@ -56,10 +76,8 @@ class WreathContext:
                 f"wreath elements materialize only for 3 <= n <= {MATERIALIZE_LIMIT}, got {n}"
             )
         self.n = n
-        self.cycles = n_cycles(n)
-        self.k = len(self.cycles)
-        self.cycle_index = n_cycle_index(n)
-        self._cycle_images = np.array([c.images for c in self.cycles], dtype=np.uint8)
+        self.walk, self.place = _cycle_domain(n)
+        self.k = len(self.walk)
         self.group = group
         self.table = group.table()
         self._comp_maps: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -77,19 +95,30 @@ class WreathContext:
     def entry_perm(self, e: Union[int, Permutation]) -> Permutation:
         return self.table.elem(e) if self.table is not None else e
 
-    def comp_map(self, sigma: Permutation) -> tuple[int, ...]:
-        """Positions under conjugation: comp_map(s)[i] = index of cycles[i]^s.
+    def position(self, alpha: Permutation) -> int:
+        """The index of the full cycle alpha: the rank of its walk from 1,
+        which is its one cycle in `Permutation.cycles`. Raises
+        ValidationError if alpha is not a full cycle of degree n."""
+        cycles = alpha.cycles()
+        if alpha.degree != self.n or len(cycles) != 1 or len(cycles[0]) != self.n:
+            raise ValidationError(f"not a full cycle of degree {self.n}: {alpha.cycle_string()}")
+        return int(_lehmer_ranks(np.array(cycles) - 1)[0])
 
-        cycles[i]^s sends s(p) to s(cycles[i](p)), so the images of all the
-        conjugates are one gather of the cycles' image matrix.
+    def comp_map(self, sigma: Permutation) -> tuple[int, ...]:
+        """Positions under conjugation: comp_map(s)[i] is the index of
+        cycle i's conjugate s^-1·α·s.
+
+        That conjugate sends s(p) to s(α(p)), so its walk from 1 is α's walk
+        from s^-1(1) with every point moved by s: each walk rotated to start
+        at s^-1(1), gathered through s's images, and numbered by rank.
         """
         cached = self._comp_maps.get(sigma.images)
         if cached is None:
-            s = np.array(sigma.images, dtype=np.uint8)
-            conj = np.empty_like(self._cycle_images)
-            conj[:, s - 1] = s[self._cycle_images - 1]
-            keys, n, idx = conj.tobytes(), self.n, self.cycle_index
-            cached = tuple(idx[keys[i * n:(i + 1) * n]] for i in range(self.k))
+            n = self.n
+            s = np.array(sigma.images, dtype=np.uint8) - 1
+            turns = (self.place[:, sigma.images.index(1), None] + np.arange(n)) % n
+            conj = s[np.take_along_axis(self.walk, turns, axis=1)]
+            cached = tuple(_lehmer_ranks(conj).tolist())
             self._comp_maps[sigma.images] = cached
         return cached
 
@@ -240,22 +269,10 @@ def class_assignment(ctx: WreathContext, x: Permutation, y: Permutation) -> tupl
     classes are unassigned.
     """
     n = ctx.n
-    ex = ctx.entry(x)
-    ey = ctx.entry(y)
-    ey_inv = ctx.entry(y.inverse())
-    eid = ctx.identity_entry
-    out = []
-    for alpha in ctx.cycles:
-        k = cycle_class(alpha)
-        if k == 1:
-            out.append(ey)
-        elif k == n - 1:
-            out.append(ey_inv)
-        elif k in (2, n - 2):
-            out.append(ex)
-        else:
-            out.append(eid)
-    return tuple(out)
+    by_class = [ctx.identity_entry] * n
+    by_class[2] = by_class[n - 2] = ctx.entry(x)
+    by_class[1], by_class[n - 1] = ctx.entry(y), ctx.entry(y.inverse())
+    return tuple(by_class[c] for c in ctx.place[:, 1].tolist())
 
 
 @dataclass(frozen=True)
@@ -271,10 +288,18 @@ class CoverGroupData:
     l_top_gens: tuple[Permutation, ...]  # Sym{3..n}
     delta: Permutation  # the swap (1,2)
 
+    @cached_property
+    def tops(self) -> "TwistTops":
+        """L and K = H ∩ H^g as tops (`twist_tops`), built on first use."""
+        return twist_tops(self)
+
     def h_tops(self) -> list[Permutation]:
-        """H = Sym{2..n} as top permutations, in `closure` order. Only the
-        graph stages read H; `twist_tops` needs L alone."""
-        return closure(self.h_top_gens, Permutation.identity(self.ctx.n))
+        """H = Sym{2..n} as top permutations, in `closure` order, closed on
+        the first call and then held, as `tops` is. Only the graph stages
+        read H; `twist_tops` needs L alone."""
+        if "_h_tops" not in self.__dict__:
+            self.__dict__["_h_tops"] = closure(self.h_top_gens, Permutation.identity(self.ctx.n))
+        return self.__dict__["_h_tops"]
 
     def h_elements(self) -> list[WreathElement]:
         """H as wreath elements: H is top-only, and embedding a top is an
@@ -391,18 +416,12 @@ def _pair_classes(ctx: WreathContext) -> np.ndarray:
     of the pair (p, q) = (σ^-1(1), σ^-1(2)) of 0-based points, in row p·n + q.
 
     The class of β = α^σ is the k with 1^(β^k) = 2, i.e. with p^(α^k) = q:
-    the number of steps from p to q along α.
+    the number of steps from p to q along α, (place[α, q] - place[α, p]) mod n.
     """
-    n, k = ctx.n, ctx.k
-    images = ctx._cycle_images.astype(np.intp) - 1
-    cycles = np.arange(k)
-    place = np.empty((k, n), dtype=np.intp)  # place[i, p]: steps from 0 to p along cycles[i]
-    point = np.zeros(k, dtype=np.intp)
-    for step in range(n):
-        place[cycles, point] = step
-        point = images[cycles, point]
+    n = ctx.n
+    place = ctx.place.astype(np.intp)
     steps = (place[:, None, :] - place[:, :, None]) % n
-    return np.ascontiguousarray(steps.reshape(k, n * n).T, dtype=np.uint8)
+    return np.ascontiguousarray(steps.reshape(ctx.k, n * n).T, dtype=np.uint8)
 
 
 def _lehmer_ranks(tops: np.ndarray) -> np.ndarray:
@@ -572,15 +591,15 @@ K4_POSITIONS: tuple[str, ...] = (
 
 @lru_cache(maxsize=None)
 def _k4_maps() -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(canonical index -> position, position -> canonical index), 0-based."""
-    idx = n_cycle_index(4)
+    """(canonical index -> position, position -> canonical index), 0-based.
+    A cycle's canonical index is the rank of its walk from 1, which its
+    cycle notation spells out (`WreathContext.position`)."""
+    walks = np.array([parse_cycles(text, 4).cycles()[0] for text in K4_POSITIONS]) - 1
+    canon_of = tuple(_lehmer_ranks(walks).tolist())
     pos_of = [0] * 6
-    for pos, text in enumerate(K4_POSITIONS):
-        pos_of[idx[parse_cycles(text, 4).key()]] = pos
-    canon_of = [0] * 6
-    for canon, pos in enumerate(pos_of):
-        canon_of[pos] = canon
-    return tuple(pos_of), tuple(canon_of)
+    for pos, canon in enumerate(canon_of):
+        pos_of[canon] = pos
+    return tuple(pos_of), canon_of
 
 
 def to_positions(values: Sequence) -> tuple:

@@ -13,14 +13,16 @@ import time
 import pytest
 
 from coset_oracle import conj_intersection, l_elements
+from cycle_oracle import cycle_class, full_cycles
 from arccover.catalog import resolve_group
 from arccover.cosetgraph import build_coset_graph, quotient_graph, two_arc_transitive
 from arccover.groups import closure, group_order
-from arccover.perm import Permutation, cycle_classes, n_cycles, parse_cycles
+from arccover.perm import Permutation, parse_cycles
 from arccover.report import GAP_STATEMENTS, JobSpec, run_job, run_suite
 from arccover.subdirect import inverting_automorphism, structures_equal, subdirect_decompose
 from arccover.wreath import (
     CoverJob,
+    WreathContext,
     build_cover_group,
     k4_tuple_data,
     kernel_witness,
@@ -173,9 +175,14 @@ def test_criterion_03_large_group_structural_only(job3_run):
 
 def test_criterion_04_class_partition_sweep():
     t0 = time.perf_counter()
+    group = resolve_group("A5")
     for n in range(4, 9):
-        class_positions = cycle_classes(n)
-        cycles = n_cycles(n)
+        class_positions: dict[int, list[int]] = {}
+        for i, k in enumerate(WreathContext(n, group).place[:, 1].tolist()):
+            class_positions.setdefault(k, []).append(i)
+        cycles = full_cycles(n)
+        assert all(cycle_class(cycles[i]) == k
+                   for k, positions in class_positions.items() for i in positions)
         assert sorted(class_positions) == list(range(1, n))
         union = [i for k in sorted(class_positions) for i in class_positions[k]]
         assert sorted(union) == list(range(math.factorial(n - 1)))
@@ -235,14 +242,14 @@ def test_criterion_05_twist_identities_sweep():
         s = kernel_witness(data)
         ctx = data.ctx
         alpha = parse_cycles("(" + ",".join(map(str, range(1, n + 1))) + ")", n)
-        s_alpha = ctx.entry_perm(s.f[ctx.cycle_index[alpha.key()]])
-        s_alpha_inv = ctx.entry_perm(s.f[ctx.cycle_index[alpha.inverse().key()]])
+        s_alpha = ctx.entry_perm(s.f[full_cycles(n).index(alpha)])
+        s_alpha_inv = ctx.entry_perm(s.f[full_cycles(n).index(alpha.inverse())])
         assert s_alpha == y * y * x
         assert s_alpha_inv == y.inverse() * y.inverse() * x
         assert group_order([s_alpha, s_alpha_inv], 5) == 60
         if n == 7:
             beta = parse_cycles("(1,4,2,5,3,6,7)", 7)
-            assert s.f[ctx.cycle_index[beta.key()]] == ctx.identity_entry
+            assert s.f[full_cycles(7).index(beta)] == ctx.identity_entry
     assert time.perf_counter() - t0 < 30.0
 
 
@@ -366,7 +373,7 @@ def test_criterion_09_property_suites(extended_suite):
     assert len(s4) == 24
     for _ in range(200):
         s1, s2 = rng.choice(s4), rng.choice(s4)
-        for alpha in ctx.cycles:
+        for alpha in full_cycles(4):
             assert alpha.conjugate(s1 * s2) == alpha.conjugate(s1).conjugate(s2)
         m1, m2, m12 = ctx.comp_map(s1), ctx.comp_map(s2), ctx.comp_map(s1 * s2)
         assert all(m12[i] == m2[m1[i]] for i in range(ctx.k))

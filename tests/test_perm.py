@@ -1,19 +1,20 @@
-"""Permutation arithmetic, cycle notation, and the full-cycle domain."""
+"""Permutation arithmetic, cycle notation, and the full-cycle domain
+(`WreathContext.walk` and `place`) against its oracle."""
 
 import math
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 
+from cycle_oracle import cycle_class, full_cycles
+from arccover.catalog import resolve_group
 from arccover.errors import ParseError, ValidationError
-from arccover.perm import (
-    Permutation,
-    cycle_class,
-    cycle_classes,
-    n_cycle_index,
-    n_cycles,
-    parse_cycles,
-)
+from arccover.perm import Permutation, parse_cycles
+from arccover.wreath import WreathContext
+
+A5 = resolve_group("A5")
 
 
 def P(text, degree):
@@ -97,9 +98,9 @@ def test_associativity_random_triples():
 
 
 def test_n_cycles_canonical_order():
-    cycles4 = n_cycles(4)
-    assert len(cycles4) == 6
-    assert [c.cycle_string() for c in cycles4] == [
+    """The context's walks list the full cycles in the oracle's order, lex
+    on the tail, and `position` numbers them in it."""
+    assert [c.cycle_string() for c in full_cycles(4)] == [
         "(1,2,3,4)",
         "(1,2,4,3)",
         "(1,3,2,4)",
@@ -107,40 +108,57 @@ def test_n_cycles_canonical_order():
         "(1,4,2,3)",
         "(1,4,3,2)",
     ]
-    assert len(n_cycles(3)) == 2
-    assert len(n_cycles(7)) == 720
+    for n in range(3, 9):
+        ctx = WreathContext(n, A5)
+        cycles = full_cycles(n)
+        assert ctx.k == len(cycles) == math.factorial(n - 1)
+        assert (ctx.walk + 1).tolist() == [list(c.cycles()[0]) for c in cycles]
+        assert [ctx.position(c) for c in cycles] == list(range(ctx.k))
+        # place is the inverse of walk
+        rows = np.arange(ctx.k)[:, None]
+        assert (ctx.place[rows, ctx.walk] == np.arange(n)).all()
     with pytest.raises(ValidationError):
-        n_cycles(2)
-    # index map agrees with the listing
-    idx = n_cycle_index(4)
-    assert [idx[c.key()] for c in cycles4] == list(range(6))
+        WreathContext(2, A5)
 
 
 def test_cycle_class_values():
-    assert cycle_class(P("(1,2,3,4)", 4)) == 1
-    assert cycle_class(P("(1,3,2,4)", 4)) == 2
-    assert cycle_class(P("(1,4,3,2)", 4)) == 3
-    with pytest.raises(ValidationError):
-        cycle_class(P("(1,2)(3,4)", 4))
-    with pytest.raises(ValidationError):
-        cycle_class(P("(1,3)(2,4)", 4))
-    # a cycle through 1 and 2 that misses a point, and one that misses 2
-    for text in ("(1,2,3)", "(1,3,4)"):
+    """A cycle's class, place[:, 1], is the oracle's walk from 1 to 2, and
+    `position` rejects every permutation that is not a full cycle of
+    degree n."""
+    ctx = WreathContext(4, A5)
+    classes = ctx.place[:, 1]
+    assert classes[ctx.position(P("(1,2,3,4)", 4))] == 1
+    assert classes[ctx.position(P("(1,3,2,4)", 4))] == 2
+    assert classes[ctx.position(P("(1,4,3,2)", 4))] == 3
+    for n in range(3, 9):
+        ctx = WreathContext(n, A5)
+        assert ctx.place[:, 1].tolist() == [cycle_class(c) for c in full_cycles(n)]
+    ctx = WreathContext(4, A5)
+    # two 2-cycles, a cycle through 1 and 2 that misses a point, one that
+    # misses 2, the identity, and full cycles of the wrong degree
+    for text in ("(1,2)(3,4)", "(1,3)(2,4)", "(1,2,3)", "(1,3,4)", "()"):
         with pytest.raises(ValidationError, match="not a full cycle"):
-            cycle_class(P(text, 4))
+            ctx.position(P(text, 4))
+    for alpha in (P("(1,2,3,4,5)", 5), P("(1,2,3)", 3)):
+        with pytest.raises(ValidationError, match="not a full cycle"):
+            ctx.position(alpha)
 
 
 def test_class_partition_sizes():
     for n in range(4, 9):
-        classes = cycle_classes(n)
+        classes = Counter(WreathContext(n, A5).place[:, 1].tolist())
         assert sorted(classes) == list(range(1, n))
         for k in range(1, n):
-            assert len(classes[k]) == math.factorial(n - 2)
+            assert classes[k] == math.factorial(n - 2)
 
 
 def test_class_reflection_under_swap():
-    # conjugating by (1,2) sends class k to class n-k
+    """Conjugating by (1,2) sends class k to class n-k: in the oracle, and
+    through the context's comp map."""
     for n in range(4, 8):
         delta = parse_cycles("(1,2)", n)
-        for alpha in n_cycles(n):
+        ctx = WreathContext(n, A5)
+        classes, reflect = ctx.place[:, 1], ctx.comp_map(delta)
+        for i, alpha in enumerate(full_cycles(n)):
             assert cycle_class(alpha.conjugate(delta)) == n - cycle_class(alpha)
+            assert classes[reflect[i]] == n - classes[i]

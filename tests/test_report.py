@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from arccover import report
+from arccover import report, wreath
 from arccover.catalog import resolve_group
 from arccover.cosetgraph import VERTEX_CAP_DEFAULT
 from arccover.errors import ValidationError
@@ -137,6 +137,24 @@ def test_h_is_built_only_at_graph_depth(monkeypatch):
     assert built == []
     assert run_job(JOB1, phase="graph").ok
     assert built and set(built) == {4}
+
+
+def test_tops_and_h_are_computed_once_per_job(monkeypatch):
+    """One `quotient` run of example-1 closes L = Sym{3,4} once (so it runs
+    `twist_tops` once) and H = Sym{2..4} once: `two-arc-transitive` and the
+    graph build read both from the cover data."""
+    calls = {"l_closure": 0, "h_closure": 0}
+    h_gens = wreath._sym_tail_gens(4, start=2)
+    closure = wreath.closure
+
+    def counted(gens, identity, *args, **kwargs):
+        calls["l_closure"] += isinstance(identity, wreath._TopWithComps)
+        calls["h_closure"] += tuple(gens) == h_gens
+        return closure(gens, identity, *args, **kwargs)
+
+    monkeypatch.setattr(wreath, "closure", counted)
+    assert run_job(JOB1, phase="full").ok
+    assert calls == {"l_closure": 1, "h_closure": 1}
 
 
 def test_full_certificate_shape_and_values():

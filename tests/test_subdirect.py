@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import subdirect_oracle as oracle
+from cycle_oracle import full_cycles
 from arccover import report, subdirect
 from arccover.catalog import resolve_group
 from arccover.errors import BudgetExhausted, ValidationError
@@ -53,9 +54,7 @@ def kernel_structure(y, n=4, group=A5, x=X):
 
 def positional_blocks(data, structure):
     """Blocks as 1-based position sets in the fixed 4-cycle position order."""
-    comp_of_position = [
-        data.ctx.cycle_index[P(text, 4).key()] for text in K4_POSITIONS
-    ]
+    comp_of_position = [full_cycles(4).index(P(text, 4)) for text in K4_POSITIONS]
     position_of_comp = {c: p + 1 for p, c in enumerate(comp_of_position)}
     return {frozenset(position_of_comp[c] for c in blk) for blk in structure.blocks}
 

@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 
 from coset_oracle import conj_intersection, l_elements
+from cycle_oracle import conjugation_map, cycle_class, full_cycles
 from arccover import report
 from arccover.catalog import resolve_group
 from arccover.cli import main
 from arccover.cosetgraph import two_arc_transitive
 from arccover.errors import InternalCheckError, ValidationError
 from arccover.groups import closure
-from arccover.perm import Permutation, cycle_class, parse_cycles
+from arccover.perm import Permutation, parse_cycles
 from arccover.wreath import (
     K4_POSITIONS,
     CoverJob,
@@ -64,14 +65,13 @@ def _tops(n, sample=None):
 
 
 def test_comp_map_is_conjugation_indexing():
-    """comp_map(s)[i] is the position of cycles[i]^s = s^-1·cycles[i]·s:
-    checked for every top in Sym(n) for n = 4..6, and for sampled tops at
-    n = 7 and 8."""
-    for n, sample in ((4, None), (5, None), (6, None), (7, 30), (8, 3)):
+    """comp_map(s)[i] is the index of cycle i's conjugate s^-1·α·s, found
+    by the oracle's keys: checked for every top in Sym(n) for n = 3..6, and
+    for sampled tops at n = 7 and 8."""
+    for n, sample in ((3, None), (4, None), (5, None), (6, None), (7, 30), (8, 3)):
         ctx = WreathContext(n, A5)
         for sigma in _tops(n, sample):
-            want = [ctx.cycle_index[c.conjugate(sigma).key()] for c in ctx.cycles]
-            assert list(ctx.comp_map(sigma)) == want
+            assert list(ctx.comp_map(sigma)) == conjugation_map(n, sigma)
 
 
 def test_comp_map_composes():
@@ -152,7 +152,7 @@ def test_assignment_by_class_n4():
     ctx = data_for().ctx
     f = class_assignment(ctx, X, Y)
     ex, ey, eyi = ctx.entry(X), ctx.entry(Y), ctx.entry(Y.inverse())
-    by_class = {cycle_class(alpha): f[i] for i, alpha in enumerate(ctx.cycles)}
+    by_class = {cycle_class(alpha): f[i] for i, alpha in enumerate(full_cycles(4))}
     assert by_class == {1: ey, 2: ex, 3: eyi}
     assert to_positions([ctx.entry_perm(e) for e in f]) == (
         Y, Y.inverse(), Y, Y.inverse(), X, X,
@@ -253,7 +253,7 @@ def _broken_twist(data, tops=()):
     y^-1 at their images under (1,2), so g^2 = 1 still holds but only the
     elements of L that keep those cycles together commute with g."""
     ctx, f = data.ctx, list(data.g.f)
-    first = next(i for i, alpha in enumerate(ctx.cycles) if cycle_class(alpha) == 1)
+    first = next(i for i, alpha in enumerate(full_cycles(ctx.n)) if cycle_class(alpha) == 1)
     for i in {first, *(ctx.comp_map(t)[first] for t in tops)}:
         j = ctx.comp_map(data.delta)[i]
         f[i], f[j] = ctx.entry(Y * Y), ctx.entry((Y * Y).inverse())
@@ -303,8 +303,8 @@ def test_kernel_witness_entries():
     ctx = data.ctx
     assert s.sigma.is_identity()
     alpha = P("(1,2,3,4,5)", 5)
-    got_front = ctx.entry_perm(s.f[ctx.cycle_index[alpha.key()]])
-    got_back = ctx.entry_perm(s.f[ctx.cycle_index[alpha.inverse().key()]])
+    got_front = ctx.entry_perm(s.f[full_cycles(5).index(alpha)])
+    got_back = ctx.entry_perm(s.f[full_cycles(5).index(alpha.inverse())])
     assert got_front == Y * Y * X
     assert got_back == Y.inverse() * Y.inverse() * X
     assert got_front.cycle_string() == "(1,4,2,3,5)"
@@ -316,7 +316,7 @@ def test_kernel_witness_interleaved_entry_vanishes_at_n7():
     s = kernel_witness(data)
     ctx = data.ctx
     beta = P("(1,4,2,5,3,6,7)", 7)
-    assert s.f[ctx.cycle_index[beta.key()]] == ctx.identity_entry
+    assert s.f[full_cycles(7).index(beta)] == ctx.identity_entry
 
 
 # ---------------------------------------------------------------------------
@@ -387,9 +387,11 @@ def test_k4_tuple_involutions_square_to_identity():
 
 
 def test_k4_positions_are_the_six_cycles():
-    ctx = data_for().ctx
     keys = {P(text, 4).key() for text in K4_POSITIONS}
-    assert keys == {alpha.key() for alpha in ctx.cycles}
+    assert keys == {alpha.key() for alpha in full_cycles(4)}
+    # to_positions reads canonical index i at the position of cycle i
+    cycles = full_cycles(4)
+    assert to_positions(cycles) == tuple(P(text, 4) for text in K4_POSITIONS)
 
 
 def test_tuple_data_requires_n4():
@@ -402,17 +404,17 @@ def test_tuple_data_requires_n4():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_pair_classes_are_the_classes_of_conjugated_cycles(n):
     """Row σ^-1(1)·n + σ^-1(2) (0-based) of `_pair_classes` holds the class
-    of cycles[i]^σ for every i, for every top σ in Sym(n)."""
+    of σ^-1·α·σ for every cycle α, by the oracle's walk: for every top σ
+    in Sym(n) for n <= 6, and for sampled tops at n = 7 and 8."""
     ctx = WreathContext(n, resolve_group("A5"))
     classes = _pair_classes(ctx)
-    for images in itertools.permutations(range(1, n + 1)):
-        sigma = Permutation(images)
-        p, q = images.index(1), images.index(2)
-        comp = ctx.comp_map(sigma)
-        assert classes[p * n + q].tolist() == [cycle_class(ctx.cycles[c]) for c in comp]
+    for sigma in _tops(n, {7: 30, 8: 3}.get(n)):
+        p, q = sigma.images.index(1), sigma.images.index(2)
+        want = [cycle_class(alpha.conjugate(sigma)) for alpha in full_cycles(n)]
+        assert classes[p * n + q].tolist() == want
 
 
 def test_lehmer_ranks_number_sym_n_in_lex_order():
