@@ -6,9 +6,9 @@ Each benchmark times one layer on its own: a `Permutation` product at
 degree 11, the BFS closure of A7 (2520 elements), the order of the subgroup
 of A11 generated by example-3's pair (a stabilizer chain stopped at |A11|),
 the multiplication-table build of an enumerable T (A7 and PSL(2,13),
-generated as in perfbench/jobs.py), an index-mode wreath product at n = 7, which reads the table through
-`TableGroup.mult_flat` once per cycle position (k = 360), the cover
-group's set-up at n = 7 and 8 (`build_cover_group`, A5: the full-cycle
+generated as in perfbench/jobs.py), a wreath product at n = 7 with
+table entries, one gather through the flat table over its k = 720 cycle
+positions (`WreathContext.product`), the cover group's set-up at n = 7 and 8 (`build_cover_group`, A5: the full-cycle
 domain built afresh, g's base by class and H's generators), L and
 H ∩ H^g as tops at n = 7 (`twist_tops`, A5), the Schreier rows
 of the kernel of the top projection (the n = 7 A5 kernel, 1004 uint8 rows
@@ -18,7 +18,11 @@ mode), the subdirect decomposition of those rows by each linking route
 kernel), and, on the 240-vertex cover of K4 of
 example-1 (n = 4, A5, (1,2)(3,4), (1,2,3,4,5)) and the 4368-vertex
 PSL(2,13) cover of perfbench's cover-k4, the derived-graph build and the
-quotient by the kernel M on vertex arrays.
+quotient by the kernel M on vertex arrays. Two layers are example-1's
+alone: the closure of Y = <H, g> (1440 elements, one wreath product and
+key per element and generator) and the elements of Y that centralize M
+(`centralizer_elements`, one stacked test per generator of M), which
+together make its centralizer stage.
 """
 
 import math
@@ -26,14 +30,13 @@ import math
 import pytest
 
 from arccover.catalog import resolve_group
-from arccover.cosetgraph import build_coset_graph, quotient_graph
+from arccover.cosetgraph import build_coset_graph, centralizer_elements, quotient_graph
 from arccover.groups import PermGroup, TableGroup, closure
 from arccover.perm import Permutation, parse_cycles
 from arccover.subdirect import subdirect_decompose
 from arccover.wreath import (
     CoverJob,
     WreathContext,
-    WreathElement,
     _cycle_domain,
     build_cover_group,
     schreier_rows,
@@ -150,8 +153,7 @@ def cover(group, x, y):
     data = build_cover_group(job)
     kgens = schreier_rows(data)[0]
     structure = subdirect_decompose(kgens, group)
-    ident = Permutation.identity(4)
-    m_gens = [WreathElement(data.ctx, tuple(row), ident) for row in structure.generators.tolist()]
+    m_gens = [data.ctx.from_assignment(row) for row in structure.generators]
     return data, structure, m_gens
 
 
@@ -182,3 +184,26 @@ def test_quotient_by_m(benchmark, built):
     graph = build_coset_graph(data, structure)
     cert = benchmark(lambda: quotient_graph(graph, m_gens))
     assert cert.quotient_order == 4 and cert.quotient_is_complete
+
+
+@pytest.fixture(scope="module")
+def example1():
+    """Example-1's cover data and the generators of its M."""
+    group, x, y, _ = COVERS["example1"]
+    data, _, m_gens = cover(group(), x, y)
+    return data, m_gens
+
+
+def test_closure_of_y_example1(benchmark, example1):
+    """Y = <H, g> by BFS over wreath elements, as the centralizer stage
+    enumerates it."""
+    data, _ = example1
+    elements = benchmark(closure, data.y_gens, data.ctx.identity_element())
+    assert len(elements) == 1440
+
+
+def test_centralizer_elements_example1(benchmark, example1):
+    """The 24 elements of Y that commute with every generator of M."""
+    data, m_gens = example1
+    elements = closure(data.y_gens, data.ctx.identity_element())
+    assert len(benchmark(centralizer_elements, elements, m_gens)) == 24

@@ -14,7 +14,7 @@ An element m of M is held by its entries at the block bases of the subdirect
 structure (`_Fibre`); the other entries follow through the links. Vertices
 are numbered by the sorted canonical key of their coset, the least serialized
 key of an element of H·c_i·m: the least top of H·c_i first, then the entries,
-compared in `elem_bytes` order.
+compared in the order of their Permutation keys (`PermGroup.key_ranks`).
 
 `quotient_graph` takes the quotient by a subgroup of M or of M's
 centralizer acting on the right, through int vertex maps
@@ -87,8 +87,9 @@ class _Fibre:
 class CosetGraph:
     """The derived graph: vertex ids of the fibre points and sorted adjacency.
 
-    `vertex[i, f]` is the id of H·c_(i+1)·m for the fibre point f of m, and
-    `adjacency` is an (order × valency) int array of sorted neighbour rows.
+    `vertex[i, f]` is the id of H·c_(i+1)·m for the fibre point f of m,
+    `adjacency` is an (order × valency) int array of sorted neighbour rows,
+    and `m_gens` holds M's generating rows as base-only elements.
     """
 
     def __init__(self, data: CoverGroupData, structure: SubdirectStructure, seeds: list):
@@ -96,6 +97,7 @@ class CosetGraph:
         self.ctx = ctx
         self.structure = structure
         self.fibre = _Fibre(structure)
+        self.m_gens = [ctx.from_assignment(row) for row in structure.generators]
         self.sections = [ctx.identity_element(), g] + [
             g * ctx.embed_top(parse_cycles(f"(2,{j})", n)) for j in range(3, n + 1)
         ]
@@ -158,11 +160,10 @@ class CosetGraph:
             for ids in self.vertex:
                 out[ids] = ids[moved]
             return out
-        ident = Permutation.identity(self.ctx.n)
-        for row in self.structure.generators.tolist():
-            m = WreathElement(self.ctx, tuple(row), ident)
-            if z * m != m * z:
-                raise ValidationError("element neither lies in M nor centralizes M")
+        # commuting is symmetric: z centralizes M iff every generator of M
+        # commutes with z, tested for all of them at once
+        if len(centralizer_elements(self.m_gens, [z])) != len(self.m_gens):
+            raise ValidationError("element neither lies in M nor centralizes M")
         for i, c in enumerate(self.sections):
             j, m = self._split(c * z)
             out[self.vertex[i]] = self.vertex[j][self.fibre.apply(m, True)]
@@ -348,13 +349,25 @@ def graph_girth(
     return best
 
 
-def centralizer_elements(elements: Sequence, gens: Sequence) -> list:
-    """Members of an enumerated group commuting with every generator."""
-    out = []
-    for u in elements:
-        if all((u * z).key() == (z * u).key() for z in gens):
-            out.append(u)
-    return out
+def centralizer_elements(elements: Sequence[WreathElement], gens: Sequence) -> list:
+    """The elements that commute with every generator, in order.
+
+    u·z = (f_u·f_z[comp(σ_u)], σ_u·σ_z) and z·u = (f_z·f_u[comp(σ_z)],
+    σ_z·σ_u), so z commutes with u iff the tops commute and the two bases
+    agree: every element is tested at once, with one gather of u's base and
+    one of the stacked bases of the elements per generator.
+    """
+    ctx = elements[0].ctx
+    bases = np.stack([z.f for z in elements])
+    comps = np.stack([ctx.comp_map(z.sigma) for z in elements])
+    tops = np.array([z.sigma.images for z in elements]) - 1
+    keep = np.ones(len(elements), dtype=bool)
+    for u in gens:
+        s = np.array(u.sigma.images) - 1
+        keep &= (tops[:, s] == s[tops]).all(axis=1)
+        left = ctx.product(np.broadcast_to(u.f, bases.shape), bases[:, ctx.comp_map(u.sigma)])
+        keep &= (left == ctx.product(bases, u.f[comps])).all(axis=1)
+    return [z for z, ok in zip(elements, keep.tolist()) if ok]
 
 
 EXPORT_CHUNK_ROWS = 1 << 14

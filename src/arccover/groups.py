@@ -512,21 +512,17 @@ class TableGroup:
     Elements are indexed in BFS order from the identity (index 0). `mult` is
     the array of index products, `mult[a, b]` = index of a*b, in the smallest
     unsigned dtype holding |T| - 1 (uint8 up to |T| = 256, uint16 up to
-    TABLE_CAP), and `mult_flat` a flat view of the same buffer for scalar
-    reads; `inv` holds the index inverses and `order_of` the element orders.
-    These are the workhorse for wreath base arithmetic and automorphism
-    propagation. Arithmetic on indices read from `mult` widens them first
-    (to intp), as a·|T| overflows the narrow dtype.
+    TABLE_CAP); `inv` holds the index inverses and `order_of` the element
+    orders. These are the workhorse for wreath base arithmetic and
+    automorphism propagation. Arithmetic on indices read from `mult` widens
+    them first (to intp), as a·|T| overflows the narrow dtype.
     """
 
     def __init__(self, group: PermGroup, cap: int = TABLE_CAP):
-        elems = group.elements(cap)
-        if len(elems) > cap:
-            raise CapacityExceeded("group too large for a multiplication table")
+        elems = group.elements(cap)  # CapacityExceeded past the cap
         self.group = group
         self.elements = elems
         size = self.size = len(elems)
-        self.elem_bytes = tuple(p.key() for p in elems)
         self.index = group.element_index()
         self.gen_indices = tuple(self.index[g.key()] for g in group.generators)
         # images matrix: rows = elements, columns = points (0-based values)
@@ -556,7 +552,6 @@ class TableGroup:
                 f"multiplication table: {size - len(rows)} rows unreached"
             )
         self.mult = mult
-        self.mult_flat = memoryview(mult.reshape(-1))
         # a row's argsort is its inverse's images
         inv = self._lookup(np.argsort(mat, axis=1))
         if not (mult[np.arange(size), inv] == 0).all():
@@ -582,7 +577,7 @@ class TableGroup:
         return self.elements[i]
 
     def multiply(self, a: int, b: int) -> int:
-        return self.mult_flat[a * self.size + b]
+        return self.mult.item(a, b)
 
     def invert(self, a: int) -> int:
         return self.inv[a]

@@ -18,6 +18,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Optional
 
+import numpy as np
+
 from ._version import __version__
 from .catalog import resolve_group
 from .cosetgraph import (
@@ -31,7 +33,7 @@ from .cosetgraph import (
 )
 from .errors import ArccoverError, CapacityExceeded, ValidationError
 from .groups import ENUM_CAP_DEFAULT, closure, decimal_string, orbit
-from .perm import Permutation, parse_cycles
+from .perm import parse_cycles
 from .subdirect import (
     BlockReport,
     cross_automorphism,
@@ -42,7 +44,6 @@ from .subdirect import (
 from .wreath import (
     CoverGroupData,
     CoverJob,
-    WreathElement,
     _k4_maps,
     build_cover_group,
     k4_tuple_data,
@@ -354,7 +355,7 @@ def run_job(spec: JobSpec, phase: str = "full") -> Certificate:
             "group_order": job.group.order(),
             "x_order": 2,
             "y_order": job.y.order(),
-            "entry_mode": "table" if data.ctx.index_mode else "object",
+            "entry_mode": "table" if data.ctx.table is not None else "object",
         },
         True,
     )
@@ -446,7 +447,7 @@ def _kernel_witness(run: _Run):
     ok = front_ok and back_ok and generates
     if n == 7:
         beta = parse_cycles("(1,4,2,5,3,6,7)", 7)
-        trivial = s.f[ctx.position(beta)] == ctx.identity_entry
+        trivial = bool(s.f[ctx.position(beta)] == ctx.identity_entry)
         computed["interleaved_cycle_entry_trivial"] = trivial
         ok = ok and trivial
     return computed, ok, None
@@ -510,7 +511,7 @@ def _block_prediction(run: _Run):
 
 def _tuple_generators(run: _Run):
     tuples = k4_tuple_data(run.data)  # checks that their tops are trivial
-    rows = [t.f for t in (tuples.t1, tuples.t2, tuples.t3)]
+    rows = np.stack([t.f for t in (tuples.t1, tuples.t2, tuples.t3)])
     alt = subdirect_decompose(rows, run.data.job.group)
     same = structures_equal(alt, run.products["block-structure"])
     positional = [
@@ -556,18 +557,10 @@ def _two_arc_transitive(run: _Run):
     return computed, ok, None
 
 
-def _m_generators(run: _Run) -> list[WreathElement]:
-    """The kernel subgroup's generating rows as base-only wreath elements,
-    with Python entries (a uint8 entry would overflow an index product)."""
-    ctx = run.data.ctx
-    ident = Permutation.identity(ctx.n)
-    rows = run.products["block-structure"].generators.tolist()
-    return [WreathElement(ctx, tuple(row), ident) for row in rows]
-
-
 def _cover_quotient(run: _Run):
     n = run.n
-    cert = quotient_graph(run.products["graph-build"], _m_generators(run))
+    graph = run.products["graph-build"]
+    cert = quotient_graph(graph, graph.m_gens)
     d = run.products["block-structure"].block_count
     ok = (
         cert.quotient_is_complete
@@ -593,11 +586,12 @@ def _centralizer(run: _Run):
             f"group order {order_y} exceeds the element-enumeration limit "
             f"{CENTRALIZER_ENUM_LIMIT}"
         )
+    graph = run.products["graph-build"]
     elements = closure(data.y_gens, data.ctx.identity_element(), cap=order_y + 1)
-    cz = centralizer_elements(elements, _m_generators(run))
+    cz = centralizer_elements(elements, graph.m_gens)
     computed: dict = {"group_order": order_y, "centralizer_order": len(cz)}
     try:
-        cert = quotient_graph(run.products["graph-build"], cz)
+        cert = quotient_graph(graph, cz)
     except ValidationError as exc:
         computed["quotient"] = None
         computed["quotient_note"] = str(exc)

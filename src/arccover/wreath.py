@@ -65,9 +65,11 @@ class WreathContext:
     index is the rank of its walk (`position`), and its class, the number
     of steps from 1 to 2, is place[:, 1].
 
-    Assignment entries are indices into `group.table()` when T has a table
-    (index mode) and Permutations when it has none (object mode, for T too
-    large to enumerate); the table alone decides.
+    A base is a row of T's entries, one per cycle, in `dtype`: indices into
+    `group.table()` in the table's dtype when T has a table, and
+    Permutations in an object row when it has none (T too large to
+    enumerate); the table alone decides. T's entry arithmetic on such rows
+    (`product`, `inverse`, `row_bytes`) lives here and nowhere else.
     """
 
     def __init__(self, n: int, group: PermGroup):
@@ -80,20 +82,51 @@ class WreathContext:
         self.k = len(self.walk)
         self.group = group
         self.table = group.table()
-        self._comp_maps: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self.identity_entry: Union[int, Permutation] = (
-            0 if self.table is not None else group.identity
-        )
-
-    @property
-    def index_mode(self) -> bool:
-        return self.table is not None
+        self._comp_maps: dict[tuple[int, ...], np.ndarray] = {}
+        if self.table is None:
+            self.dtype, self.identity_entry = np.dtype(object), group.identity
+        else:
+            self.dtype, self.identity_entry = self.table.mult.dtype, 0
+            # the table read flat at a·|T| + b (a copy would add |T|^2 entries)
+            self._flat = self.table.mult.reshape(-1)
+            self._inv = np.array(self.table.inv, dtype=self.dtype)
+        self.identity_row = self.row([self.identity_entry] * self.k)
 
     def entry(self, t: Permutation) -> Union[int, Permutation]:
         return self.table.idx(t) if self.table is not None else t
 
     def entry_perm(self, e: Union[int, Permutation]) -> Permutation:
         return self.table.elem(e) if self.table is not None else e
+
+    def row(self, entries: Sequence) -> np.ndarray:
+        """A read-only row of entries in T's entry dtype."""
+        row = np.array(entries, dtype=self.dtype)
+        row.setflags(write=False)
+        return row
+
+    def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The entrywise product a·b of two entry arrays of one shape: one
+        take from the flat table at a·|T| + b, widened to intp first, as
+        a·|T| overflows the table's dtype; Permutation products without a
+        table."""
+        if self.table is None:
+            return np.multiply(a, b)
+        at = np.multiply(a, self.table.size, dtype=np.intp)
+        at += b
+        return self._flat.take(at)
+
+    def inverse(self, a: np.ndarray) -> np.ndarray:
+        """The entrywise inverse of an entry array."""
+        if self.table is None:
+            return np.frompyfunc(Permutation.inverse, 1, 1)(a)
+        return self._inv.take(a)
+
+    def row_bytes(self, row: np.ndarray) -> bytes:
+        """A row's serialization: its bytes, or its entries' keys in order
+        in an object row (whose bytes are pointers)."""
+        if self.table is None:
+            return b"".join([e.key() for e in row])
+        return row.tobytes()
 
     def position(self, alpha: Permutation) -> int:
         """The index of the full cycle alpha: the rank of its walk from 1,
@@ -104,9 +137,9 @@ class WreathContext:
             raise ValidationError(f"not a full cycle of degree {self.n}: {alpha.cycle_string()}")
         return int(_lehmer_ranks(np.array(cycles) - 1)[0])
 
-    def comp_map(self, sigma: Permutation) -> tuple[int, ...]:
-        """Positions under conjugation: comp_map(s)[i] is the index of
-        cycle i's conjugate s^-1·α·s.
+    def comp_map(self, sigma: Permutation) -> np.ndarray:
+        """Positions under conjugation, as a read-only intp array:
+        comp_map(s)[i] is the index of cycle i's conjugate s^-1·α·s.
 
         That conjugate sends s(p) to s(α(p)), so its walk from 1 is α's walk
         from s^-1(1) with every point moved by s: each walk rotated to start
@@ -117,87 +150,60 @@ class WreathContext:
             n = self.n
             s = np.array(sigma.images, dtype=np.uint8) - 1
             turns = (self.place[:, sigma.images.index(1), None] + np.arange(n)) % n
-            conj = s[np.take_along_axis(self.walk, turns, axis=1)]
-            cached = tuple(_lehmer_ranks(conj).tolist())
+            cached = _lehmer_ranks(s[np.take_along_axis(self.walk, turns, axis=1)])
+            cached.setflags(write=False)
             self._comp_maps[sigma.images] = cached
         return cached
 
     def identity_element(self) -> "WreathElement":
-        return WreathElement(
-            self, (self.identity_entry,) * self.k, Permutation.identity(self.n)
-        )
+        return WreathElement(self, self.identity_row, Permutation.identity(self.n))
 
     def embed_top(self, sigma: Permutation) -> "WreathElement":
         """The element (trivial assignment, sigma)."""
         if sigma.degree != self.n:
             raise ValidationError("top permutation degree must equal n")
-        return WreathElement(self, (self.identity_entry,) * self.k, sigma)
+        return WreathElement(self, self.identity_row, sigma)
 
     def from_assignment(self, entries: Sequence, sigma: Optional[Permutation] = None) -> "WreathElement":
-        if sigma is None:
-            sigma = Permutation.identity(self.n)
-        entries = tuple(entries)
         if len(entries) != self.k:
             raise ValidationError(f"assignment must have {self.k} entries")
-        return WreathElement(self, entries, sigma)
+        return WreathElement(self, self.row(entries), sigma or Permutation.identity(self.n))
 
 
 class WreathElement:
-    """An element (f, sigma) of the wreath product over the cycle domain."""
+    """An element (f, sigma) of the wreath product over the cycle domain;
+    f is a read-only row in the context's entry dtype (`WreathContext.row`)."""
 
     __slots__ = ("ctx", "f", "sigma")
 
-    def __init__(self, ctx: WreathContext, f: tuple, sigma: Permutation):
+    def __init__(self, ctx: WreathContext, f: np.ndarray, sigma: Permutation):
+        f.setflags(write=False)
         self.ctx = ctx
         self.f = f
         self.sigma = sigma
 
     def __mul__(self, other: "WreathElement") -> "WreathElement":
         ctx = self.ctx
-        amap = ctx.comp_map(self.sigma)
-        f2 = other.f
-        if ctx.index_mode:
-            mf = ctx.table.mult_flat
-            size = ctx.table.size
-            f = tuple([mf[a * size + f2[m]] for a, m in zip(self.f, amap)])
-        else:
-            f = tuple([a * f2[m] for a, m in zip(self.f, amap)])
+        f = ctx.product(self.f, other.f[ctx.comp_map(self.sigma)])
         return WreathElement(ctx, f, self.sigma * other.sigma)
 
     def inverse(self) -> "WreathElement":
         ctx = self.ctx
         sigma_inv = self.sigma.inverse()
-        amap = ctx.comp_map(sigma_inv)
-        f1 = self.f
-        if ctx.index_mode:
-            inv = ctx.table.inv
-            f = tuple([inv[f1[m]] for m in amap])
-        else:
-            f = tuple([f1[m].inverse() for m in amap])
-        return WreathElement(ctx, f, sigma_inv)
+        return WreathElement(ctx, ctx.inverse(self.f[ctx.comp_map(sigma_inv)]), sigma_inv)
 
     def is_identity(self) -> bool:
-        return self.sigma.is_identity() and all(
-            e == self.ctx.identity_entry for e in self.f
-        )
+        return self.sigma.is_identity() and np.array_equal(self.f, self.ctx.identity_row)
 
     def key(self) -> bytes:
-        """Serialization: top images first, then the entry keys in order."""
-        ctx = self.ctx
-        if ctx.index_mode:
-            eb = ctx.table.elem_bytes
-            return bytes(self.sigma.images) + b"".join([eb[e] for e in self.f])
-        return bytes(self.sigma.images) + b"".join([e.key() for e in self.f])
+        """Serialization: top images first, then the row's (`row_bytes`)."""
+        return bytes(self.sigma.images) + self.ctx.row_bytes(self.f)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, WreathElement)
-            and self.sigma == other.sigma
-            and self.f == other.f
-        )
+        return isinstance(other, WreathElement) and self.key() == other.key()
 
     def __hash__(self) -> int:
-        return hash((self.f, self.sigma.images))
+        return hash(self.key())
 
     def __repr__(self) -> str:
         entries = ", ".join(self.ctx.entry_perm(e).cycle_string() for e in self.f)
@@ -261,8 +267,8 @@ class CoverJob:
             raise ValidationError("; ".join(problems))
 
 
-def class_assignment(ctx: WreathContext, x: Permutation, y: Permutation) -> tuple:
-    """Assignment entries by class index: y on 1, y^-1 on n-1, x on 2 and n-2.
+def class_assignment(ctx: WreathContext, x: Permutation, y: Permutation) -> np.ndarray:
+    """The base row by class index: y on 1, y^-1 on n-1, x on 2 and n-2.
 
     All other classes get the identity. For n = 4 the x-classes coincide
     (2 = n-2); for n = 5 class 2 and 3 both map to x; from n = 7 on most
@@ -272,7 +278,7 @@ def class_assignment(ctx: WreathContext, x: Permutation, y: Permutation) -> tupl
     by_class = [ctx.identity_entry] * n
     by_class[2] = by_class[n - 2] = ctx.entry(x)
     by_class[1], by_class[n - 1] = ctx.entry(y), ctx.entry(y.inverse())
-    return tuple(by_class[c] for c in ctx.place[:, 1].tolist())
+    return ctx.row(by_class)[ctx.place[:, 1]]
 
 
 @dataclass(frozen=True)
@@ -308,11 +314,8 @@ class CoverGroupData:
 
 
 def build_cover_group(job: CoverJob) -> CoverGroupData:
-    """Materialize the construction for a validated job.
-
-    Entries are table indices when T has a multiplication table, and
-    Permutations otherwise.
-    """
+    """Materialize the construction for a validated job, with bases in
+    the context's entry format (`WreathContext`)."""
     n = job.n
     ctx = WreathContext(n, job.group)
     f = class_assignment(ctx, job.x, job.y)
@@ -377,8 +380,7 @@ def twist_tops(data: CoverGroupData) -> TwistTops:
     in K. For τ in L, δτ = τδ, so g·(1,τ)·g^-1 lies in H iff it is (1,τ),
     iff (f, δτ) = g·(1,τ) = (1,τ)·g = (f∘comp(τ), τδ), iff f = f[comp(τ)]
     entrywise: one gather per element of L, with L's comp maps composed
-    along its BFS. Entries are compared by equality (table indices or
-    Permutations).
+    along its BFS.
     """
     ctx, g = data.ctx, data.g
     if g.sigma != data.delta:
@@ -386,12 +388,9 @@ def twist_tops(data: CoverGroupData) -> TwistTops:
     ident = Permutation.identity(ctx.n)
     l_gens = [_TopWithComps(s, np.array(ctx.comp_map(s), dtype=np.int16)) for s in data.l_top_gens]
     l_elems = closure(l_gens, _TopWithComps(ident, np.arange(ctx.k, dtype=np.int16)))
-    # g's base with each distinct entry replaced by a small int
-    labels: dict = {}
-    f = np.array([labels.setdefault(e, len(labels)) for e in g.f])
     return TwistTops(
         l=[z.sigma for z in l_elems],
-        k=[z.sigma for z in l_elems if np.array_equal(f[z.comps], f)],
+        k=[z.sigma for z in l_elems if np.array_equal(g.f[z.comps], g.f)],
     )
 
 
@@ -419,9 +418,11 @@ def _pair_classes(ctx: WreathContext) -> np.ndarray:
     the number of steps from p to q along α, (place[α, q] - place[α, p]) mod n.
     """
     n = ctx.n
-    place = ctx.place.astype(np.intp)
-    steps = (place[:, None, :] - place[:, :, None]) % n
-    return np.ascontiguousarray(steps.reshape(ctx.k, n * n).T, dtype=np.uint8)
+    place = np.ascontiguousarray(ctx.place.T)  # so that the rows come out contiguous
+    # in uint8 throughout: n + place[q] - place[p] lies in 1..2n-1
+    steps = (place + n)[None, :, :] - place[:, None, :]
+    steps %= n
+    return steps.reshape(n * n, ctx.k)
 
 
 def _lehmer_ranks(tops: np.ndarray) -> np.ndarray:
@@ -448,9 +449,8 @@ def schreier_rows(
     first time makes u*s its representative; every other pair gives the
     kernel element u*s*rep(u*s)^-1. Its two factors share a top, so its row
     is entrywise: f_us(a) * f_rep(a)^-1. Rows come in discovery order,
-    without repeats or the identity row. Their entries are table indices in
-    the table's dtype (the smallest unsigned one holding |T| - 1), or
-    Permutations in an object matrix when T has no table.
+    without repeats or the identity row, in T's entry dtype
+    (`WreathContext`), and their products are the context's.
 
     The row of u*s is u's row times s's base read through u's comp map.
     Every generator's base is constant on each class of cycles (only g's is
@@ -471,50 +471,25 @@ def schreier_rows(
     """
     ctx = data.ctx
     n, k = ctx.n, ctx.k
-    if ctx.index_mode:
-        size = ctx.table.size
-        # a flat view of the table, read at a·|T| + b (a copy would add
-        # |T|^2 entries); rows take its dtype
-        flat = ctx.table.mult.reshape(-1)
-        dtype = flat.dtype
-        inv = np.array(ctx.table.inv, dtype=dtype)
-
-        def product(a, b):
-            at = np.multiply(a, size, dtype=np.intp)
-            at += b
-            return flat.take(at)
-
-        def inverse(a):
-            return np.take(inv, a)
-    else:
-        dtype = object
-        product = np.multiply  # elementwise Permutation products
-        inverse = np.frompyfunc(Permutation.inverse, 1, 1)
-
     # per generator: its top's 0-based images, and its base read through
     # each pair's classes when that base is not trivial
     classes = _pair_classes(ctx)
     gens = []
     for s in data.y_gens:
         read = None
-        if any(e != ctx.identity_entry for e in s.f):
-            base = np.empty(k, dtype=dtype)
-            base[:] = s.f
-            by_class = np.empty(n, dtype=dtype)
-            by_class[:] = ctx.identity_entry
-            by_class[classes[1]] = base  # (p, q) = (0, 1) at the identity top
-            if not np.array_equal(by_class[classes[1]], base):
+        if not np.array_equal(s.f, ctx.identity_row):
+            by_class = np.full(n, ctx.identity_entry, dtype=ctx.dtype)
+            by_class[classes[1]] = s.f  # (p, q) = (0, 1) at the identity top
+            if not np.array_equal(by_class[classes[1]], s.f):
                 raise InternalCheckError("a generator's base is not constant on cycle classes")
             read = by_class[classes]
         gens.append((np.array(s.sigma.images, dtype=np.uint8) - 1, read))
 
-    base_rows = DistinctRows(k, dtype)  # every distinct row of a representative or u*s
-    identity = np.empty(k, dtype=dtype)
-    identity[:] = ctx.identity_entry
-    base_rows.add(identity)
+    base_rows = DistinctRows(k, ctx.dtype)  # every distinct row of a representative or u*s
+    base_rows.add(ctx.identity_row)
     row_of = np.full(math.factorial(n), -1, dtype=np.int32)  # top rank -> its row number
     row_of[0] = 0
-    kept = DistinctRows(k, dtype)
+    kept = DistinctRows(k, ctx.dtype)
     count = 1
     tops = np.arange(n, dtype=np.uint8)[None]
     ids = np.zeros(1, dtype=np.int32)  # the frontier's row numbers
@@ -526,7 +501,7 @@ def schreier_rows(
         out = np.empty(len(left), dtype=np.int32)
         for lo in range(0, len(left), chunk):
             part = slice(lo, lo + chunk)
-            rows = product(base_rows.take(left[part]), right(part))
+            rows = ctx.product(base_rows.take(left[part]), right(part))
             out[part] = [into.add(row) for row in rows]
         return out
 
@@ -563,7 +538,7 @@ def schreier_rows(
         _, first = np.unique(left.astype(np.int64) << 32 | right, return_index=True)
         first.sort()
         left, right = left[first], right[first]
-        add_products(left, lambda part: inverse(base_rows.take(right[part])), kept)
+        add_products(left, lambda part: ctx.inverse(base_rows.take(right[part])), kept)
         count += len(fresh)
         tops, ids = moved_tops[fresh], moved[fresh]
         if len(tops) and out_of_budget():
@@ -622,11 +597,8 @@ class K4TupleData:
     t3: WreathElement
 
     def tuples_in_positions(self) -> tuple[tuple, tuple, tuple]:
-        out = []
-        for t in (self.t1, self.t2, self.t3):
-            ctx = t.ctx
-            out.append(to_positions(tuple(ctx.entry_perm(e) for e in t.f)))
-        return tuple(out)
+        tuples = (self.t1, self.t2, self.t3)
+        return tuple(to_positions([t.ctx.entry_perm(e) for e in t.f]) for t in tuples)
 
 
 def k4_tuple_data(data: CoverGroupData) -> K4TupleData:

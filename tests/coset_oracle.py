@@ -2,14 +2,17 @@
 
 These are the generic constructions the derived-graph build replaced. The BFS
 builds Cos(<H,g>, H, HgH) from the trivial coset, naming each coset Hw by its
-element of least key (`_Canonicalizer.rep`) and numbering vertices by sorted
-key; the quotient labels orbits by BFS over products w*z. They work for any
-elements with `*`, `.inverse()` and `.key()`: plain Permutations as well as
-wreath elements, as does `conj_intersection`, the element-list route to
-H ∩ H^g that `wreath.twist_tops` replaced, over the wreath elements of H
-(`CoverGroupData.h_elements`) and L (`l_elements`). `fibre_element` turns a
-fibre point of the derived graph back into its element of M, so the two
-numberings can be compared.
+element of least canonical key (`canonical_key`, `_Canonicalizer.rep`) and
+numbering vertices by sorted canonical key; the quotient labels orbits by BFS
+over products w*z. They work for any elements with `*`, `.inverse()` and
+`.key()`: plain Permutations as well as wreath elements, as does
+`conj_intersection`, the element-list route to H ∩ H^g that
+`wreath.twist_tops` replaced, over the wreath elements of H
+(`CoverGroupData.h_elements`) and L (`l_elements`), and
+`centralizer_elements`, the one-element-at-a-time commutation test that
+`cosetgraph.centralizer_elements` replaced. `fibre_element` turns a fibre
+point of the derived graph back into its element of M, so the two numberings
+can be compared.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from typing import Optional, Sequence
 from arccover.cosetgraph import VERTEX_CAP_DEFAULT, CoverCertificate
 from arccover.errors import CapacityExceeded, InternalCheckError, ValidationError
 from arccover.groups import closure, right_transversal
-from arccover.perm import Permutation
 from arccover.wreath import WreathElement
 
 
@@ -34,6 +36,21 @@ def conj_intersection(h_elements: Sequence, g) -> list:
     g_inv = g.inverse()
     # h in H^g = g^-1 H g iff g h g^-1 in H
     return [h for h in h_elements if (g * h * g_inv).key() in h_keys]
+
+
+def canonical_key(w) -> bytes:
+    """The key cosets are named and vertices numbered by: a Permutation's
+    own, or a wreath element's top images followed by its entries'
+    Permutation keys in cycle order."""
+    if isinstance(w, WreathElement):
+        return bytes(w.sigma.images) + b"".join(w.ctx.entry_perm(e).key() for e in w.f.tolist())
+    return w.key()
+
+
+def centralizer_elements(elements: Sequence, gens: Sequence) -> list:
+    """Members of an enumerated group commuting with every generator, by two
+    products per element and generator."""
+    return [u for u in elements if all((u * z).key() == (z * u).key() for z in gens)]
 
 
 def l_elements(data) -> list[WreathElement]:
@@ -59,7 +76,7 @@ class _Canonicalizer:
         if isinstance(first, WreathElement):
             ident = first.ctx.identity_entry
             if all(
-                isinstance(h, WreathElement) and all(e == ident for e in h.f)
+                isinstance(h, WreathElement) and all(e == ident for e in h.f.tolist())
                 for h in self.h_elements
             ):
                 self.ctx = first.ctx
@@ -72,7 +89,7 @@ class _Canonicalizer:
     def rep(self, w):
         """The element of Hw with the least key."""
         if self._tops is None:
-            return min((h * w for h in self.h_elements), key=lambda u: u.key())
+            return min((h * w for h in self.h_elements), key=canonical_key)
         sig = w.sigma
         entry = self._by_sigma.get(sig.images)
         if entry is None:
@@ -82,8 +99,8 @@ class _Canonicalizer:
         if not entry:
             return w
         top, amap = entry
-        f = w.f
-        return WreathElement(self.ctx, tuple([f[m] for m in amap]), top)
+        f = w.f.tolist()
+        return self.ctx.from_assignment([f[m] for m in amap.tolist()], top)
 
 
 @dataclass
@@ -92,7 +109,7 @@ class CosetGraph:
 
     adjacency: list[tuple[int, ...]]
     reps: list
-    index: dict[bytes, int]  # representative key -> vertex, in sorted key order
+    index: dict[bytes, int]  # representative's canonical key -> vertex, in sorted order
     valency: int
     subgroup_order: int
     canon: _Canonicalizer
@@ -108,7 +125,7 @@ class CosetGraph:
         return idx
 
     def vertex_of(self, w) -> int:
-        return self.index_of_key(self.canon.rep(w).key())
+        return self.index_of_key(canonical_key(self.canon.rep(w)))
 
 
 def build_coset_graph(
@@ -135,7 +152,7 @@ def build_coset_graph(
 
     canon = _Canonicalizer(h_elements)
     start = canon.rep(h_elements[0] * h_elements[0].inverse())
-    key_index: dict[bytes, int] = {start.key(): 0}
+    key_index: dict[bytes, int] = {canonical_key(start): 0}
     reps = [start]
     adjacency: list[Optional[tuple[int, ...]]] = [None]
     frontier = [0]
@@ -146,7 +163,7 @@ def build_coset_graph(
             nbrs = []
             for p in seeds:
                 u = canon.rep(p * w)
-                uk = u.key()
+                uk = canonical_key(u)
                 idx = key_index.get(uk)
                 if idx is None:
                     idx = len(reps)
@@ -286,4 +303,4 @@ def fibre_element(graph, f: int) -> WreathElement:
         if link is not None:
             e = link.lookup[e] if table is not None else link.apply(e)
         entries.append(e)
-    return WreathElement(graph.ctx, tuple(entries), Permutation.identity(graph.ctx.n))
+    return graph.ctx.from_assignment(entries)

@@ -267,7 +267,7 @@ def test_criterion_06_tuple_cross_check(job1_run):
     kgens = schreier_rows(data)[0]
     schreier = subdirect_decompose(kgens, group)
     tuples = k4_tuple_data(data)
-    explicit = subdirect_decompose([t.f for t in (tuples.t1, tuples.t2, tuples.t3)], group)
+    explicit = subdirect_decompose([t.f.tolist() for t in (tuples.t1, tuples.t2, tuples.t3)], group)
     assert structures_equal(schreier, explicit)
 
     yi = y.inverse()
@@ -404,12 +404,7 @@ def test_criterion_09_property_suites(extended_suite):
         group,
     )
     graph = build_coset_graph(data, m_structure)
-    from arccover.wreath import WreathElement
-
-    m_gens = [
-        WreathElement(ctx, tuple(row), Permutation.identity(4))
-        for row in m_structure.generators.tolist()
-    ]
+    m_gens = [ctx.from_assignment(row) for row in m_structure.generators]
     quotient = quotient_graph(graph, m_gens)
     adjacencies = [graph.adjacency.tolist(), quotient.quotient_adjacency]
     result, _ = extended_suite

@@ -96,8 +96,7 @@ def cover_graph():
 
 def kernel_gens(data, structure):
     """Generators of the base-only kernel M, as wreath elements."""
-    ident = Permutation.identity(data.ctx.n)
-    return [WreathElement(data.ctx, tuple(row), ident) for row in structure.generators.tolist()]
+    return [data.ctx.from_assignment(row) for row in structure.generators]
 
 
 # PSL(2,13) on the projective line, with the pair of the 4368-vertex cover
@@ -200,7 +199,7 @@ def canonical_cases():
         group_name="A11",
     )
     obj = build_cover_group(a11)
-    assert not obj.ctx.index_mode
+    assert obj.ctx.table is None
     word = obj.ctx.identity_element()
     object_sample = []
     for _ in range(30):
@@ -224,7 +223,7 @@ def test_canonical_representative_is_least_key_in_coset():
         h_keys = {h.key() for h in h_elems}
         for w in sample:
             r = canon.rep(w)
-            assert r.key() == min((h * w).key() for h in h_elems)
+            assert oracle.canonical_key(r) == min(oracle.canonical_key(h * w) for h in h_elems)
             assert (r * w.inverse()).key() in h_keys
 
 
@@ -281,7 +280,7 @@ def test_vertex_index_is_sorted_and_names_each_representative():
     keys = [None] * graph.order
     for i, c in enumerate(graph.sections):
         for f in range(graph.fibre.points):
-            keys[graph.vertex[i, f]] = canon.rep(c * oracle.fibre_element(graph, f)).key()
+            keys[graph.vertex[i, f]] = oracle.canonical_key(canon.rep(c * oracle.fibre_element(graph, f)))
     assert keys == sorted(keys) and len(set(keys)) == graph.order
 
 
@@ -336,9 +335,10 @@ def test_conjugated_pair_matches_oracle():
 
 def test_route_without_table_matches_oracle(conjugator_route):
     """Example-1 with T forced onto Permutation entries: the same graph as the
-    oracle, and as the table route, since the keys are the same bytes."""
+    oracle, and as the table route, since the canonical keys are the same
+    bytes."""
     data, structure = cover_data(conjugator_route(resolve_group("A5")), "(1,2)(3,4)", "(1,2,3,4,5)")
-    assert not data.ctx.index_mode
+    assert data.ctx.table is None
     graph = assert_matches_oracle(data, structure, centralizer=True)
     assert np.array_equal(graph.adjacency, cover_graph()[2].adjacency)
 
@@ -361,9 +361,9 @@ def test_corrupted_generator_row_fails_graph_build(monkeypatch):
     real = report.build_coset_graph
 
     def corrupted(data, structure, vertex_cap):
-        f = list(data.g.f)
+        f = data.g.f.tolist()
         f[0] = 1 if f[0] == 0 else 0
-        g = WreathElement(data.ctx, tuple(f), data.g.sigma)
+        g = data.ctx.from_assignment(f, data.g.sigma)
         return real(dataclasses.replace(data, g=g), structure, vertex_cap)
 
     monkeypatch.setattr(report, "build_coset_graph", corrupted)
@@ -416,12 +416,53 @@ def test_quotient_by_centralizer_is_petersen():
     assert is_petersen(cert.quotient_adjacency)
 
 
+def centralizer_case(seed):
+    """Y's elements and M's generators of example-1 (seed 0) or of its pair
+    conjugated by a seeded element of A5."""
+    a5 = resolve_group("A5")
+    c = random.Random(seed).choice(a5.elements()) if seed else Permutation.identity(5)
+    x, y = (P(t, 5).conjugate(c).cycle_string() for t in ("(1,2)(3,4)", "(1,2,3,4,5)"))
+    data, structure = cover_data(a5, x, y)
+    return data, closure(data.y_gens, data.ctx.identity_element()), kernel_gens(data, structure)
+
+
+@pytest.mark.parametrize("seed", [0, 3], ids=["example1", "conjugated"])
+def test_centralizer_elements_match_the_oracle(seed):
+    """The stacked test keeps what the one-element-at-a-time oracle keeps,
+    in order, for M's generators (trivial tops), for g (neither part
+    trivial) and for H's (trivial bases), and a mutated entry of one M
+    generator changes the answer for both."""
+    data, elements, m_gens = centralizer_case(seed)
+    assert len(elements) == 1440
+
+    def keys(zs):
+        return [z.key() for z in zs]
+
+    got = centralizer_elements(elements, m_gens)
+    assert len(got) == 24
+    assert keys(got) == keys(oracle.centralizer_elements(elements, m_gens))
+    by_g = centralizer_elements(elements, [data.g])
+    assert data.g in by_g and len(by_g) < len(elements)
+    assert keys(by_g) == keys(oracle.centralizer_elements(elements, [data.g]))
+    # trivial bases agree with every top-only element: the tops decide
+    by_h = centralizer_elements(elements, data.h_gens)
+    assert keys(by_h) == keys(oracle.centralizer_elements(elements, data.h_gens))
+    row = m_gens[-1].f.copy()
+    row[-1] = (row[-1] + 1) % data.ctx.table.size
+    mutated = m_gens[:-1] + [data.ctx.from_assignment(row)]
+    changed = centralizer_elements(elements, mutated)
+    assert keys(changed) != keys(got)
+    assert keys(changed) == keys(oracle.centralizer_elements(elements, mutated))
+
+
 @pytest.mark.parametrize("name, dtype", [("A5", np.uint8), ("PSL2_13", np.uint16)])
 def test_generator_rows_become_elements_with_int_entries(name, dtype):
-    """M's generating rows are a uint8 (A5) or uint16 (PSL(2,13)) matrix.
-    `_m_generators` and `vertex_map` widen them to Python ints, so an index
-    product a·|T| + b does not wrap: the product of two generators has the
-    table's entries, and its vertex map composes theirs."""
+    """M's generating rows are a uint8 (A5) or uint16 (PSL(2,13)) matrix,
+    and the graph holds them as read-only bases in that dtype, which is the
+    table's (`CosetGraph.m_gens`). The index a·|T| + b of a product would
+    wrap in it, and `WreathContext.product` forms it in intp, so the product
+    of two generators has the table's entries, and its vertex map composes
+    theirs."""
     if name == "A5":
         data, structure = example1()
     else:
@@ -429,15 +470,15 @@ def test_generator_rows_become_elements_with_int_entries(name, dtype):
         data, structure = cover_data(PermGroup.from_cycle_strings(gens, degree), *PSL2_13_PAIR)
     rows = structure.generators
     assert rows.dtype == dtype
-    run = SimpleNamespace(data=data, products={"block-structure": structure})
-    m_gens = report._m_generators(run)
-    assert [list(m.f) for m in m_gens] == rows.tolist()
-    assert all(type(e) is int for m in m_gens for e in m.f)
+    graph = build_coset_graph(data, structure)
+    m_gens = graph.m_gens
+    assert all(m.f.dtype == dtype and not m.f.flags.writeable for m in m_gens)
+    assert np.array_equal(np.stack([m.f for m in m_gens]), rows)
     z = m_gens[0] * m_gens[1]
     table = structure.group.table()
-    assert list(z.f) == table.mult[rows[0], rows[1]].tolist()
+    assert z.f.dtype == dtype
+    assert z.f.tolist() == table.mult[rows[0], rows[1]].tolist()
     assert int(rows.max()) * table.size > np.iinfo(dtype).max  # the product would wrap
-    graph = build_coset_graph(data, structure)
     first, second = (graph.vertex_map(m) for m in m_gens[:2])
     assert np.array_equal(graph.vertex_map(z), second[first])
 

@@ -31,7 +31,7 @@ def oracle_rows(data):
         data.y_gens, lambda w: w.sigma, data.ctx.identity_element()
     )
     assert all(z.sigma.is_identity() for z in kgens)
-    return [z.f for z in kgens]
+    return [tuple(z.f.tolist()) for z in kgens]
 
 
 # ---------------------------------------------------------------------------

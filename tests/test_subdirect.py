@@ -345,7 +345,7 @@ def test_kernel_six_blocks_for_eleven_cycle_object_mode():
     data, s = kernel_structure(
         P("(1,2,3,4,5,6,7,8,9,10,11)", 11), group=a11, x=P("(1,2)(3,6)", 11)
     )
-    assert not data.ctx.index_mode
+    assert data.ctx.table is None
     assert s.blocks == ((0,), (1,), (2,), (3,), (4,), (5,))
     assert s.order() == a11.order() ** 6
     assert (
@@ -389,7 +389,7 @@ def test_conjugator_route_builds_one_chain_per_block_base(monkeypatch, conjugato
     checking every column built one per column (6)."""
     group = conjugator_route(A5)
     data = build_cover_group(CoverJob(n=4, group=group, x=X, y=y))
-    assert not data.ctx.index_mode
+    assert data.ctx.table is None
     kgens = schreier_rows(data)[0]
     group.order()  # the group's own chain is not part of the count
     built = count_chains(monkeypatch)
@@ -459,7 +459,7 @@ def test_linking_relation_consistency_sampled():
 def test_structures_equal_and_tuple_route():
     data, s = kernel_structure(Y1)
     tuples = k4_tuple_data(data)
-    alt = subdirect_decompose([t.f for t in (tuples.t1, tuples.t2, tuples.t3)], A5)
+    alt = subdirect_decompose([t.f.tolist() for t in (tuples.t1, tuples.t2, tuples.t3)], A5)
     assert structures_equal(alt, s)
     assert structures_equal(s, s)
     _, s3 = kernel_structure(Y2)

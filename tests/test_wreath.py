@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -111,7 +112,7 @@ def test_group_laws_random_sample():
 def test_index_and_object_modes_agree(conjugator_route):
     ctx_idx = data_for().ctx
     ctx_obj = WreathContext(4, conjugator_route(A5))
-    assert ctx_idx.index_mode and not ctx_obj.index_mode
+    assert ctx_idx.table is not None and ctx_obj.table is None
 
     def clone(w):
         return ctx_obj.from_assignment(
@@ -122,8 +123,47 @@ def test_index_and_object_modes_agree(conjugator_route):
     elems = _random_elements(data_for(), rng, 20)
     for _ in range(60):
         a, b = rng.choice(elems), rng.choice(elems)
-        assert (clone(a) * clone(b)).key() == (a * b).key()
-        assert clone(a).inverse().key() == a.inverse().key()
+        assert (clone(a) * clone(b)).key() == clone(a * b).key()
+        assert clone(a).inverse().key() == clone(a.inverse()).key()
+
+
+@pytest.mark.parametrize("name, dtype", [
+    ("A5", np.uint8), ("A7", np.uint16), ("A5-object", object),
+])
+def test_entry_arithmetic_matches_permutation_products(name, dtype, conjugator_route):
+    """The context's entrywise product, inverse and row serialization, on
+    rows and on a matrix, against one Permutation product at a time."""
+    group = resolve_group(name.split("-")[0])
+    if name.endswith("object"):
+        group = conjugator_route(group)
+    ctx = WreathContext(5, group)
+    assert ctx.dtype == dtype
+    elems = group.elements()
+    rng = random.Random(5)
+    picks = [[rng.randrange(len(elems)) for _ in range(ctx.k)] for _ in range(6)]
+    a, b = (np.array([[ctx.entry(elems[i]) for i in row] for row in half], dtype=dtype)
+            for half in (picks[:3], picks[3:]))
+    for x, y in [(a, b), (a[0], b[0])]:
+        prod, inv = ctx.product(x, y), ctx.inverse(x)
+        assert prod.dtype == inv.dtype == dtype and prod.shape == inv.shape == x.shape
+        for e, f, p, q in zip(x.flat, y.flat, prod.flat, inv.flat):
+            assert ctx.entry_perm(p) == ctx.entry_perm(e) * ctx.entry_perm(f)
+            assert ctx.entry_perm(q) == ctx.entry_perm(e).inverse()
+    row = ctx.row(a[0])
+    assert row.dtype == dtype and not row.flags.writeable
+    assert ctx.row_bytes(row) == ctx.row_bytes(ctx.row(a[0].tolist()))
+    assert ctx.row_bytes(row) != ctx.row_bytes(ctx.row(b[0]))
+    assert all(ctx.entry_perm(e).is_identity() for e in ctx.identity_row)
+
+
+def test_elements_hold_read_only_rows():
+    data = data_for()
+    for w in (data.g, data.h_gens[0], data.g * data.h_gens[0], data.g.inverse(),
+              data.ctx.identity_element()):
+        assert isinstance(w.f, np.ndarray) and not w.f.flags.writeable
+        assert w.f.dtype == data.ctx.dtype == np.uint8 and w.f.shape == (6,)
+        with pytest.raises(ValueError):
+            w.f[0] = 1
 
 
 def test_context_size_limit():
@@ -233,7 +273,7 @@ def test_twist_tops_match_the_wreath_oracle(case):
     n, name, x, y = TOPS_CASES[case]
     group = resolve_group(name)
     data = build_cover_group(CoverJob(n=n, group=group, x=x, y=y, group_name=name))
-    assert data.ctx.index_mode == (name != "A11")
+    assert (data.ctx.table is not None) == (name != "A11")
     assert len(assert_tops_match_the_wreath_oracle(data)) == math.factorial(n - 2)
 
 
@@ -415,6 +455,21 @@ def test_pair_classes_are_the_classes_of_conjugated_cycles(n):
         p, q = sigma.images.index(1), sigma.images.index(2)
         want = [cycle_class(alpha.conjugate(sigma)) for alpha in full_cycles(n)]
         assert classes[p * n + q].tolist() == want
+
+
+def test_pair_classes_at_n8_peak_below_half_a_megabyte():
+    """The 64 × 5040 table takes 0.32 MB; it is built in uint8 throughout,
+    with no k × n × n integer temporary (5.5 MB in intp)."""
+    ctx = WreathContext(8, resolve_group("A5"))
+    tracemalloc.start()
+    try:
+        classes = _pair_classes(ctx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert classes.dtype == np.uint8 and classes.shape == (64, 5040)
+    assert classes.flags.c_contiguous
+    assert peak < 500_000
 
 
 def test_lehmer_ranks_number_sym_n_in_lex_order():
