@@ -14,9 +14,10 @@ length are those of the change's BENCHMARK.json. The record holds:
   per-module metrics;
 - in_process: wall time and peak RSS (ru_maxrss) of a fresh process
   running the `extended-build` job, of one running the whole `extended`
-  suite, and of one running the n = 8 `decompose` job (A5, (1,2)(3,4),
-  (1,2,3,4,5)) with its d, per checkout: the medians of ROUNDS runs, with
-  the runs;
+  suite, of one running the n = 8 `decompose` job (A5, (1,2)(3,4),
+  (1,2,3,4,5)) and of one running the n = 7 `decompose` job over A11, which
+  has no table ((1,2)(3,6), (1,...,11)), the last two with their d, per
+  checkout: the medians of ROUNDS runs, with the runs;
 - layers: the median of each layer microbenchmark in the checkout's own
   `benchmarks/` (pytest-benchmark), in seconds, and its median over ROUNDS
   runs of the whole set.
@@ -49,8 +50,11 @@ t0 = time.perf_counter()
 facts = {}
 if sys.argv[1] == "suite":
     ok = run_suite("extended").ok
-elif sys.argv[1] == "n8-decompose":
-    cert = run_job(JobSpec(n=8, group="A5", x="(1,2)(3,4)", y="(1,2,3,4,5)"), "decompose")
+elif sys.argv[1] in ("n8-decompose", "a11-n7-decompose"):
+    spec = (JobSpec(n=8, group="A5", x="(1,2)(3,4)", y="(1,2,3,4,5)")
+            if sys.argv[1] == "n8-decompose" else
+            JobSpec(n=7, group="A11", x="(1,2)(3,6)", y="(1,2,3,4,5,6,7,8,9,10,11)"))
+    cert = run_job(spec, "decompose")
     ok = cert.ok
     facts["d"] = cert.check("block-structure")["computed"]["d"]
 else:
@@ -174,7 +178,7 @@ def main(argv=None) -> int:
         for side, path in sides.items()
     }
     record["in_process"] = {side: {} for side in sides}
-    for what in ("extended-build", "suite", "n8-decompose"):
+    for what in ("extended-build", "suite", "n8-decompose", "a11-n7-decompose"):
         runs = alternate(sides, lambda path: in_process(path, what))
         for side in sides:
             record["in_process"][side][what] = {**medians(runs[side]), "runs": runs[side]}

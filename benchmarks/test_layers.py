@@ -8,14 +8,15 @@ of A11 generated by example-3's pair (a stabilizer chain stopped at |A11|),
 the multiplication-table build of an enumerable T (A7 and PSL(2,13),
 generated as in perfbench/jobs.py), a wreath product at n = 7 with
 table entries, one gather through the flat table over its k = 720 cycle
-positions (`WreathContext.product`), the cover group's set-up at n = 7 and 8 (`build_cover_group`, A5: the full-cycle
+positions (`TableGroup.product`), the cover group's set-up at n = 7 and 8 (`build_cover_group`, A5: the full-cycle
 domain built afresh, g's base by class and H's generators), L and
 H ∩ H^g as tops at n = 7 (`twist_tops`, A5), the Schreier rows
 of the kernel of the top projection (the n = 7 A5 kernel, 1004 uint8 rows
-over k = 720 from 5040 tops; the n = 4 A11 kernel of example-3 in object
-mode), the subdirect decomposition of those rows by each linking route
-(table propagation on the A5 kernel; the conjugator search on the A11
-kernel), and, on the 240-vertex cover of K4 of
+over k = 720 from 5040 tops; the n = 4 A11 kernel of example-3, uint32 ids
+of A11's entry pool), the subdirect decomposition of those rows by each
+linking route (table propagation on the A5 kernel; the conjugator search on
+the A11 kernel), both A11 layers at n = 6 over a fresh entry pool (130 rows
+over k = 120, d = 120), and, on the 240-vertex cover of K4 of
 example-1 (n = 4, A5, (1,2)(3,4), (1,2,3,4,5)) and the 4368-vertex
 PSL(2,13) cover of perfbench's cover-k4, the derived-graph build and the
 quotient by the kernel M on vertex arrays. Two layers are example-1's
@@ -27,6 +28,7 @@ together make its centralizer stage.
 
 import math
 
+import numpy as np
 import pytest
 
 from arccover.catalog import resolve_group
@@ -124,14 +126,14 @@ def test_twist_tops_n7(benchmark):
 @pytest.mark.parametrize("name, n, x, y, count", [
     ("A5", 7, "(1,2)(3,4)", "(1,2,3,4,5)", 1004),
     ("A11", 4, "(1,2)(3,6)", "(1,2,3,4,5,6,7,8,9,10,11)", 7),
-], ids=["A5-n7-table", "A11-n4-object"])
+], ids=["A5-n7-table", "A11-n4-pool"])
 def test_schreier_rows(benchmark, name, n, x, y, count):
     """The Schreier rows of the kernel of the top projection, over all n! tops."""
     group = resolve_group(name)
     data = cover_data(n, group, x, y)
     rows, tops = benchmark(schreier_rows, data)
     assert len(rows) == count and tops == math.factorial(n)
-    assert (rows.dtype == object) == (name == "A11")
+    assert (rows.dtype == np.uint32) == (name == "A11")
 
 
 @pytest.mark.parametrize("name, n, x, y, d", [
@@ -144,6 +146,22 @@ def test_subdirect_decompose(benchmark, name, n, x, y, d):
     structure = benchmark(subdirect_decompose, kgens, group)
     assert structure.block_count == d
     assert (group.table() is None) == (name == "A11")
+
+
+def test_a11_n6_rows_and_decomposition(benchmark):
+    """The n = 6 A11 kernel's Schreier rows and their decomposition, each
+    round on a fresh group, so that its entry pool starts from the
+    construction's entries alone and every product is composed anew."""
+
+    def fresh():
+        return (cover_data(6, resolve_group("A11"), *A11_PAIR),), {}
+
+    def layer(data):
+        rows = schreier_rows(data)[0]
+        return rows, subdirect_decompose(rows, data.job.group)
+
+    rows, structure = benchmark.pedantic(layer, setup=fresh, rounds=5)
+    assert rows.shape == (130, 120) and structure.block_count == 120
 
 
 def cover(group, x, y):

@@ -365,8 +365,8 @@ def centralizer_elements(elements: Sequence[WreathElement], gens: Sequence) -> l
     for u in gens:
         s = np.array(u.sigma.images) - 1
         keep &= (tops[:, s] == s[tops]).all(axis=1)
-        left = ctx.product(np.broadcast_to(u.f, bases.shape), bases[:, ctx.comp_map(u.sigma)])
-        keep &= (left == ctx.product(bases, u.f[comps])).all(axis=1)
+        left = ctx.entries.product(u.f, bases[:, ctx.comp_map(u.sigma)])
+        keep &= (left == ctx.entries.product(bases, u.f[comps])).all(axis=1)
     return [z for z, ok in zip(elements, keep.tolist()) if ok]
 
 

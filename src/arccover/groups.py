@@ -5,8 +5,9 @@ and dict insertion order. The one random source is the stabilizer chain's
 sifting of product-replacement elements, and it is seeded; no certified fact
 depends on it, as the chain's order and membership are exact whatever
 elements were sifted (`StabilizerChain`). Groups are given by permutation
-generators; large groups are handled through a stabilizer chain without
-enumeration, small groups may additionally carry a full multiplication table.
+generators and handled through a stabilizer chain without enumeration; small
+groups also carry a multiplication table. Either way T's entries are integer
+ids (`PermGroup.entries`): table indices, or ids of the group's `EntryPool`.
 """
 
 from __future__ import annotations
@@ -89,15 +90,8 @@ def _point_action(point: int, g: Permutation) -> int:
 
 
 def row_hash(row: np.ndarray) -> int:
-    """The hash `DistinctRows` files a row under: of its bytes, or of its
-    entries in an object row (whose bytes are pointers)."""
-    return hash(tuple(row)) if row.dtype == object else hash(row.tobytes())
-
-
-def _same_row(a: np.ndarray, b: np.ndarray) -> bool:
-    if a.dtype == object:
-        return bool((a == b).all())
-    return a.tobytes() == b.tobytes()
+    """The hash `DistinctRows` files a row under: of its bytes."""
+    return hash(row.tobytes())
 
 
 class DistinctRows:
@@ -105,10 +99,10 @@ class DistinctRows:
     first added, held in one matrix grown in place by a quarter as needed.
 
     A row is looked up by `row_hash`, and rows sharing a hash are told apart
-    by comparing them, so no copy of a row is kept as its key. The matrix
-    grows without numpy's reference check, which a profiler's reference to
-    the bound `resize` would fail; that is safe because no view of it leaves
-    the class before `matrix()` (`take` copies).
+    by comparing their bytes, so no copy of a row is kept as its key. The
+    matrix grows without numpy's reference check, which a profiler's
+    reference to the bound `resize` would fail; that is safe because no view
+    of it leaves the class before `matrix()` (`take` copies).
     """
 
     def __init__(self, width: int, dtype):
@@ -116,19 +110,25 @@ class DistinctRows:
         self._ids: dict[int, list[int]] = {}  # hash -> ids of the rows with it
         self.count = 0
 
+    def find(self, row: np.ndarray) -> int:
+        """The number of `row`, or -1 if it was never added."""
+        for i in self._ids.get(row_hash(row), ()):
+            if self._matrix[i].tobytes() == row.tobytes():
+                return i
+        return -1
+
     def add(self, row: np.ndarray) -> int:
         """The number of `row`, which is the next one if the row is new."""
-        same = self._ids.setdefault(row_hash(row), [])
-        for i in same:
-            if _same_row(self._matrix[i], row):
-                return i
+        i = self.find(row)
+        if i >= 0:
+            return i
         if self.count == len(self._matrix):
             # in place (no second buffer); the new rows are zero-filled
             self._matrix.resize(
                 (self.count + self.count // 4, self._matrix.shape[1]), refcheck=False
             )
         self._matrix[self.count] = row
-        same.append(self.count)
+        self._ids.setdefault(row_hash(row), []).append(self.count)
         self.count += 1
         return self.count - 1
 
@@ -348,6 +348,7 @@ class PermGroup:
         self._elements: Optional[tuple[Permutation, ...]] = None
         self._index: Optional[dict[bytes, int]] = None
         self._table: Optional[TableGroup] = None
+        self._pool: Optional[EntryPool] = None
 
     @classmethod
     def from_cycle_strings(cls, texts: Sequence[str], degree: int) -> "PermGroup":
@@ -390,14 +391,20 @@ class PermGroup:
         return self._elements
 
     def table(self) -> Optional[TableGroup]:
-        """The multiplication table, built once; None when |T| > TABLE_CAP.
-
-        Whether it exists fixes T's entry format everywhere: table indices
-        with a table, Permutations without one.
-        """
+        """The multiplication table, built once; None when |T| > TABLE_CAP."""
         if self._table is None and self.order() <= TABLE_CAP:
             self._table = TableGroup(self)
         return self._table
+
+    def entries(self) -> "TableGroup | EntryPool":
+        """T's entries, integer ids with the identity 0: the table's, or
+        else those of the group's one pool (`EntryPool`)."""
+        table = self.table()
+        if table is not None:
+            return table
+        if self._pool is None:
+            self._pool = EntryPool(self)
+        return self._pool
 
     def element_index(self) -> dict[bytes, int]:
         """The element index of each element by key: its position in
@@ -416,12 +423,13 @@ class PermGroup:
     def product_map(self, e, left: bool) -> np.ndarray:
         """The element index of e*t (left) or t*e for every element index t.
 
-        `e` is an entry of T: a table index, or a Permutation when there is
-        no table, whose products are then taken one by one.
+        `e` is an entry id (`entries`): a table index, or a pool id when
+        there is no table, whose products are then taken one by one.
         """
         table = self.table()
         if table is not None:
             return table.mult[e] if left else table.mult[:, e]
+        e = self.entries().elem(e)
         index = self.element_index()
         return np.array([index[(e * t if left else t * e).key()] for t in self.elements()])
 
@@ -512,10 +520,11 @@ class TableGroup:
     Elements are indexed in BFS order from the identity (index 0). `mult` is
     the array of index products, `mult[a, b]` = index of a*b, in the smallest
     unsigned dtype holding |T| - 1 (uint8 up to |T| = 256, uint16 up to
-    TABLE_CAP); `inv` holds the index inverses and `order_of` the element
-    orders. These are the workhorse for wreath base arithmetic and
-    automorphism propagation. Arithmetic on indices read from `mult` widens
-    them first (to intp), as a·|T| overflows the narrow dtype.
+    TABLE_CAP), the entry `dtype`; the arrays `inv` and `order_of` hold the
+    index inverses and the element orders. With `product` and `inverse`,
+    the entry arithmetic `EntryPool` shares, they are the workhorse for wreath
+    base arithmetic and automorphism propagation. Arithmetic on indices read
+    from `mult` widens them first (to intp), as a·|T| overflows the dtype.
     """
 
     def __init__(self, group: PermGroup, cap: int = TABLE_CAP):
@@ -552,12 +561,13 @@ class TableGroup:
                 f"multiplication table: {size - len(rows)} rows unreached"
             )
         self.mult = mult
+        self.dtype = mult.dtype
         # a row's argsort is its inverse's images
         inv = self._lookup(np.argsort(mat, axis=1))
         if not (mult[np.arange(size), inv] == 0).all():
             raise InternalCheckError("multiplication table: an inverse is not one")
-        self.inv = tuple(inv.tolist())
-        self.order_of = tuple(_orders(mat).tolist())
+        self.inv = inv.astype(mult.dtype)
+        self.order_of = _orders(mat)
 
     def _lookup(self, images: np.ndarray) -> np.ndarray:
         """Indices of the elements whose 0-based image rows are given."""
@@ -580,10 +590,108 @@ class TableGroup:
         return self.mult.item(a, b)
 
     def invert(self, a: int) -> int:
-        return self.inv[a]
+        return self.inv.item(a)
+
+    def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The entrywise product a·b of two index arrays, broadcast: one take
+        from the table read flat (a view) at a·|T| + b, widened to intp
+        first, as a·|T| overflows the table's dtype."""
+        at = np.multiply(a, self.size, dtype=np.intp)
+        at = np.add(at, b, out=at if at.shape == np.shape(b) else None)  # in place unless b broadcasts
+        return self.mult.reshape(-1).take(at)
+
+    def inverse(self, a: np.ndarray) -> np.ndarray:
+        return self.inv.take(a)
 
     def generates(self, sources: Sequence[int]) -> bool:
         return bool(generating_rows(self, [list(sources)])[0])
+
+
+class EntryPool:
+    """The entries of a T without a table: its elements in the order they
+    were met, numbered by uint32 ids, the identity first (id 0).
+
+    Each element is held once, as a uint8 row of its 0-based images
+    (`DistinctRows`). `idx` is the only way in for an outside element and
+    checks its membership when it is new; products, inverses and conjugates
+    of entries lie in T and are interned unchecked. `product` composes each
+    distinct pair of ids once and files it under the code a·2^32 + b in a
+    sorted pair cache; `inv` and `order_of` are computed once per id.
+    """
+
+    dtype = np.dtype(np.uint32)
+
+    def __init__(self, group: PermGroup):
+        self.group = group
+        self._rows = DistinctRows(group.degree, np.uint8)
+        self._rows.add(np.arange(group.degree, dtype=np.uint8))
+        # sorted pair codes and the product of each, from code 0: 1·1 = 1
+        self._pairs = np.zeros(1, dtype=np.uint64)
+        self._pair_ids = np.zeros(1, dtype=self.dtype)
+        self._inv, self._order = np.empty(0, dtype=self.dtype), np.empty(0, dtype=np.int64)
+
+    @property
+    def size(self) -> int:
+        return self._rows.count
+
+    def _intern(self, rows: np.ndarray) -> np.ndarray:
+        return np.array([self._rows.add(r) for r in rows.astype(np.uint8)], dtype=self.dtype)
+
+    def _per_id(self, cache: np.ndarray, compute: Callable) -> np.ndarray:
+        """`cache` extended by `compute` over the rows of the ids it lacks."""
+        while len(cache) < self.size:
+            cache = np.concatenate([cache, compute(self._rows.take(np.arange(len(cache), self.size)))])
+        return cache
+
+    def idx(self, p: Permutation) -> int:
+        row = np.array(p.images, dtype=np.uint8) - 1
+        i = self._rows.find(row) if p.degree == self.group.degree else -1
+        if i < 0 and not self.group.contains(p):
+            raise ValidationError(f"element {p.cycle_string()} not in this group")
+        return i if i >= 0 else self._rows.add(row)
+
+    def elem(self, i: int) -> Permutation:
+        return Permutation((self._rows.take(i) + 1).tolist())
+
+    def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The entrywise product a·b of two id arrays, broadcast."""
+        codes = np.asarray(a, dtype=np.uint64) << 32 | np.asarray(b, dtype=np.uint64)
+        pairs, back = np.unique(codes.reshape(-1), return_inverse=True)
+        at = np.searchsorted(self._pairs, pairs, side="right") - 1  # the last code <= each
+        new = pairs[self._pairs[at] != pairs]
+        if len(new):
+            # (a·b)(i) = b(a(i)): b's row read at a's images
+            first = self._rows.take(new >> 32).astype(np.intp)
+            ids = self._intern(np.take_along_axis(self._rows.take(new & 0xFFFFFFFF), first, axis=1))
+            where = np.searchsorted(self._pairs, new)
+            self._pairs = np.insert(self._pairs, where, new)
+            self._pair_ids = np.insert(self._pair_ids, where, ids)
+            at = np.searchsorted(self._pairs, pairs)
+        return self._pair_ids[at][back].reshape(codes.shape)
+
+    def inverse(self, a: np.ndarray) -> np.ndarray:
+        return self.inv.take(a)
+
+    @property
+    def inv(self) -> np.ndarray:
+        """The inverse of every id so far: a row's argsort is its inverse's images."""
+        self._inv = self._per_id(self._inv, lambda rows: self._intern(np.argsort(rows, axis=1)))
+        return self._inv
+
+    @property
+    def order_of(self) -> np.ndarray:
+        """The order of every id so far; read it after a product, as the
+        pool grows while one is formed."""
+        self._order = self._per_id(self._order, lambda rows: _orders(rows.astype(np.intp)))
+        return self._order
+
+    def conjugate(self, a: np.ndarray, c: Permutation) -> np.ndarray:
+        """The ids of t^c = c^-1·t·c for the ids a of t, one per distinct id."""
+        distinct, back = np.unique(a, return_inverse=True)
+        s = np.array(c.images, dtype=np.intp) - 1
+        rows = np.empty((len(distinct), len(s)), dtype=np.uint8)
+        rows[:, s] = s[self._rows.take(distinct)]  # t^c sends c(i) to c(t(i))
+        return self._intern(rows)[back.reshape(np.shape(a))]
 
 
 def conjugacy_classes(table: TableGroup) -> list[list[int]]:

@@ -355,7 +355,7 @@ def run_job(spec: JobSpec, phase: str = "full") -> Certificate:
             "group_order": job.group.order(),
             "x_order": 2,
             "y_order": job.y.order(),
-            "entry_mode": "table" if data.ctx.table is not None else "object",
+            "entry_mode": "table" if job.group.table() is not None else "object",
         },
         True,
     )
@@ -430,8 +430,8 @@ def _kernel_witness(run: _Run):
     x, y = job.x, job.y
     long_cycle = "(" + ",".join(str(i) for i in range(1, n + 1)) + ")"
     alpha = parse_cycles(long_cycle, n)
-    s_alpha = ctx.entry_perm(s.f[ctx.position(alpha)])
-    s_alpha_inv = ctx.entry_perm(s.f[ctx.position(alpha.inverse())])
+    s_alpha = ctx.entries.elem(s.f[ctx.position(alpha)])
+    s_alpha_inv = ctx.entries.elem(s.f[ctx.position(alpha.inverse())])
     front_ok = s_alpha == y * y * x
     back_ok = s_alpha_inv == y.inverse() * y.inverse() * x
     pair_order = job.group.subgroup_order([s_alpha, s_alpha_inv])
@@ -447,7 +447,7 @@ def _kernel_witness(run: _Run):
     ok = front_ok and back_ok and generates
     if n == 7:
         beta = parse_cycles("(1,4,2,5,3,6,7)", 7)
-        trivial = bool(s.f[ctx.position(beta)] == ctx.identity_entry)
+        trivial = bool(s.f[ctx.position(beta)] == 0)
         computed["interleaved_cycle_entry_trivial"] = trivial
         ok = ok and trivial
     return computed, ok, None

@@ -7,10 +7,11 @@ M = { z : z_j = link_j(z_base) within each block }. This module computes that
 structure exactly from a generating set, plus the specific automorphism
 criteria that predict the block count for the n = 4 construction.
 
-Entries of T come in one format, the one `WreathContext` uses: indices into
-`PermGroup.table()` when T has a table (|T| <= TABLE_CAP), Permutations
-otherwise. The same fact picks the linking route: propagation through the
-table, or else the conjugator search, which needs T natural alternating.
+Entries of T are the integer ids `WreathContext` uses (`PermGroup.entries`):
+table indices when T has a table (|T| <= TABLE_CAP), entry-pool ids
+otherwise. Whether there is a table picks the algorithms only: generation
+and links by propagation through the table, or else by subgroup order and
+the conjugator search, which needs T natural alternating.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .errors import BudgetExhausted, InternalCheckError, ValidationError
 from .groups import (
     AutomorphismMap,
     PermGroup,
-    TableGroup,
     automorphism_lookups,
     conjugating_permutations,
     extend_to_automorphism,
@@ -59,8 +59,8 @@ class SubdirectStructure:
         return self.group.order() ** self.block_count
 
     def contains(self, row: Sequence) -> bool:
-        """Membership of a row of k entries, a sequence or a row of an entry
-        matrix: within each block every entry follows its linking map."""
+        """Membership of a row of k entry ids, a sequence or a row of an
+        entry matrix: within each block every entry follows its linking map."""
         rows = row[None] if isinstance(row, np.ndarray) else [row]
         return self._holds(_entry_rows(rows, self.group, self.k))
 
@@ -75,13 +75,11 @@ class SubdirectStructure:
 def _entry_rows(gens: Sequence, group: PermGroup, k: Optional[int] = None) -> np.ndarray:
     """The distinct rows of `gens`, in input order, as T's entry matrix.
 
-    `gens` is a 2-D integer matrix of rows, as `schreier_rows` returns with
-    a table, or a sequence of rows, all of one length (k, if given). Entries
-    must be elements of T in its entry format: int indices 0..|T|-1 with a
-    table (a bool is not an int here), held in the smallest unsigned dtype
-    that reaches |T| - 1; Permutations lying in T without one, as an object
-    matrix. Anything else is a ValidationError. A matrix of distinct rows in
-    that dtype comes back as itself.
+    `gens` is a 2-D integer matrix of rows, as `schreier_rows` returns, or a
+    sequence of rows, all of one length (k, if given). Entries must be int
+    entry ids 0..size-1 (`PermGroup.entries`; a bool is not an int here),
+    held in the entries' dtype; anything else is a ValidationError. A
+    matrix of distinct rows in that dtype comes back as itself.
     """
     matrix = None
     if isinstance(gens, np.ndarray) and gens.ndim == 2 and gens.dtype.kind in "iu":
@@ -95,22 +93,16 @@ def _entry_rows(gens: Sequence, group: PermGroup, k: Optional[int] = None) -> np
     if len(widths) != 1 or 0 in widths or (k is not None and widths != {k}):
         want = "one positive length" if k is None else f"length {k}"
         raise ValidationError(f"rows must have {want}, got lengths {sorted(widths)}")
-    table = group.table()
-    kind = int if table is not None else Permutation
-    if found != {kind}:
-        want = "int table indices" if table is not None else "Permutations"
-        got = ", ".join(sorted(t.__name__ for t in found - {kind}))
-        raise ValidationError(f"entries of T must be {want}, got {got}")
-    if table is None:
-        matrix = np.array(list(dict.fromkeys(rows)), dtype=object)
-        if not all(map(group.contains, matrix.flat)):
-            raise ValidationError("an entry is not an element of T")
-        return matrix
+    entries = group.entries()
+    ids = "table indices" if group.table() is not None else "pool ids"
+    if found != {int}:
+        got = ", ".join(sorted(t.__name__ for t in found - {int}))
+        raise ValidationError(f"entries of T must be int {ids}, got {got}")
     if matrix is None:
         matrix = np.array(rows)
-    if matrix.min() < 0 or matrix.max() >= table.size:
-        raise ValidationError(f"entries of T must be table indices 0..{table.size - 1}")
-    matrix = matrix.astype(np.min_scalar_type(table.size - 1), copy=False)
+    if matrix.min() < 0 or matrix.max() >= entries.size:
+        raise ValidationError(f"entries of T must be {ids} 0..{entries.size - 1}")
+    matrix = matrix.astype(entries.dtype, copy=False)
     first = _first_rows(matrix)
     return matrix if len(first) == len(matrix) else matrix[first]
 
@@ -134,10 +126,10 @@ def _first_rows(matrix: np.ndarray) -> list[int]:
 
 
 def _image(phi: AutomorphismMap, column: np.ndarray, group: PermGroup) -> np.ndarray:
-    """phi applied to a column of entries, in the column's format."""
+    """phi applied to a column of entry ids: a lookup, or a pool conjugation."""
     if phi.lookup is not None:
         return phi.lookup_array(group)[column]
-    return np.frompyfunc(phi.apply, 1, 1)(column)
+    return group.entries().conjugate(column, phi.conjugator)
 
 
 def _fingerprints(columns: np.ndarray, group: PermGroup) -> list[bytes]:
@@ -147,41 +139,29 @@ def _fingerprints(columns: np.ndarray, group: PermGroup) -> list[bytes]:
     An entrywise automorphism keeps element orders, so a column and its
     image have one fingerprint. The counts determine both sorted profiles
     of orders, of the entries and of their products with e0, so no column
-    that those profiles would let link is kept apart. With a table, each
-    entry's pair is one gather from a code table over the distinct e0, in
-    the smallest unsigned dtype, and columns are counted in blocks of
-    `_BATCH_ENTRIES` entries.
+    that those profiles would let link is kept apart. Each entry's pair is
+    one gather from a code table over the distinct e0 and the ids up to the
+    largest in `columns`, which bounds what a pool grows by, in the smallest
+    unsigned dtype; columns are counted in blocks of `_BATCH_ENTRIES` entries.
     """
-    table = group.table()
-    if table is None:
-        order = np.frompyfunc(Permutation.order, 1, 1)
-        both = np.stack([order(columns), order(columns * columns[:, :1])]).astype(np.int64)
-        values, ids = np.unique(both, return_inverse=True)
-        ids = ids.reshape(both.shape)
-        entry_codes = ids[0] * len(values) + ids[1]
-
-        def pair_codes(cols: slice) -> np.ndarray:
-            return entry_codes[cols]
-    else:
-        values, order_id = np.unique(table.order_of, return_inverse=True)
-        firsts, first_of = np.unique(columns[:, 0], return_inverse=True)
-        # code of entry e in a column whose e0 is firsts[f], at f·|T| + e
-        table_codes = (
-            order_id * len(values) + order_id[table.mult[:, firsts].T]
-        ).astype(np.min_scalar_type(len(values) ** 2 - 1)).reshape(-1)
-        offsets = first_of * table.size
-
-        def pair_codes(cols: slice) -> np.ndarray:
-            return table_codes.take(columns[cols] + offsets[cols, None])
-
+    entries = group.entries()
+    size = int(columns.max()) + 1
+    firsts, first_of = np.unique(columns[:, 0], return_inverse=True)
+    products = entries.product(np.arange(size)[:, None], firsts)
+    # after the product: a pool grows while it is formed
+    values, order_id = np.unique(entries.order_of, return_inverse=True)
     kinds = len(values) ** 2
+    order_id = order_id.astype(np.min_scalar_type(kinds - 1))
+    # code of entry e in a column whose e0 is firsts[f], at f·size + e
+    table_codes = (order_id[:size] * len(values) + order_id[products.T]).reshape(-1)
+    offsets = first_of * size
     k, rows = columns.shape
     width = max(1, _BATCH_ENTRIES // rows)  # columns per block
     count_dtype = np.min_scalar_type(rows)
     bins = np.arange(width, dtype=np.intp)[:, None] * kinds  # one bin range per column
     out = []
     for lo in range(0, k, width):
-        block = pair_codes(slice(lo, lo + width))
+        block = table_codes.take(columns[lo:lo + width] + offsets[lo:lo + width, None])
         block = block + bins[:len(block)]
         hist = np.bincount(block.reshape(-1), minlength=len(block) * kinds)
         del block  # not alive beside the next block's index array
@@ -194,8 +174,8 @@ def subdirect_decompose(
 ) -> SubdirectStructure:
     """Block structure of the subgroup of T^k generated by `gens`.
 
-    Rows are an integer matrix (`schreier_rows`' output with a table) or
-    k-tuples, with entries in T's entry format (module docstring).
+    Rows are an integer matrix (`schreier_rows`' output) or k-tuples of
+    entry ids (module docstring).
     Components are scanned in order: each is linked to the first earlier
     block base of its fingerprint (`_fingerprints`) whose generating prefix
     of rows extends to an automorphism mapping the base's whole column onto
@@ -269,14 +249,11 @@ def subdirect_decompose(
 
 def _prefixes(columns: np.ndarray, bases: list[int], group: PermGroup) -> dict[int, list[int]]:
     """Each base column's generating prefix: the rows of its first distinct
-    entries, up to the first that generate T ([] if none do). With a table,
-    the columns grow their prefixes together: each round adds every
-    column's next distinct entry (`_next_fresh`) and tests all the new
-    prefixes at once; without one, `_generating_prefix` searches column by
-    column."""
-    table = group.table()
-    if table is None:
-        return {b: _generating_prefix(columns[b].tolist(), group) for b in bases}
+    entries, up to the first that generate T ([] if none do). The columns
+    grow their prefixes together: each round adds every column's next
+    distinct entry (`_next_fresh`) and tests all the new prefixes at once,
+    by propagation through the table, or else by their subgroup orders."""
+    table, elem = group.table(), group.entries().elem
     out: dict[int, list[int]] = {}
     todo = np.array(bases)
     chosen = np.zeros((len(bases), 1), dtype=np.intp)  # per column, its prefix rows
@@ -286,7 +263,12 @@ def _prefixes(columns: np.ndarray, bases: list[int], group: PermGroup) -> dict[i
         out.update((b, []) for b in todo[~more].tolist())
         todo = todo[more]
         chosen = np.column_stack([chosen[more], fresh[more]])
-        done = generating_rows(table, columns[todo[:, None], chosen])
+        sources = columns[todo[:, None], chosen]
+        if table is not None:
+            done = generating_rows(table, sources)
+        else:
+            done = np.array([group.subgroup_order(list(map(elem, row))) == group.order()
+                             for row in sources.tolist()], dtype=bool)
         out.update(zip(todo[done].tolist(), chosen[done].tolist()))
         todo, chosen = todo[~done], chosen[~done]
     return out
@@ -326,14 +308,15 @@ def _links(
     each prefix padded by repeating its rows, and the consistent ones are
     checked on whole columns, with the lookups narrowed to the columns'
     dtype; both batches hold about `_BATCH_ENTRIES` integer entries. Without
-    one, each pair runs the conjugator search.
+    one, each pair runs the conjugator search on its prefix's entries.
     """
     table = group.table()
     if table is None:
+        elem = group.entries().elem
         out: list[Optional[AutomorphismMap]] = []
         for b, j in pairs:
             rows = prefixes[b]
-            phi = _automorphism(None, group.degree, columns[b, rows].tolist(), columns[j, rows].tolist())
+            phi = _conjugation(group.degree, *(list(map(elem, columns[c, rows])) for c in (b, j)))
             if phi is not None and not np.array_equal(_image(phi, columns[b], group), columns[j]):
                 phi = None
             out.append(phi)
@@ -368,33 +351,11 @@ def _links(
     ]
 
 
-def _generating_prefix(column: list, group: PermGroup) -> list[int]:
-    """Rows holding the first distinct entries of a column of Permutations,
-    up to the first that generate T together (one element never does); []
-    if none do. (`_prefixes` finds the same rows with a table.)"""
-    chosen: list[int] = []
-    values: list = []
-    for r, v in enumerate(column):
-        if v in values:
-            continue
-        chosen.append(r)
-        values.append(v)
-        if len(values) > 1 and group.subgroup_order(values) == group.order():
-            return chosen
-    return []
-
-
-def _automorphism(
-    table: Optional[TableGroup], degree: int, sources: list, targets: list
+def _conjugation(
+    degree: int, sources: list[Permutation], targets: list[Permutation]
 ) -> Optional[AutomorphismMap]:
-    """The unique automorphism of T with sources[i] -> targets[i], or None.
-
-    The sources generate T. With a table they are indices and the images
-    propagate through it; without one they are Permutations of a natural
-    alternating T, whose automorphisms are the conjugations by Sym(degree).
-    """
-    if table is not None:
-        return extend_to_automorphism(table, sources, targets)
+    """The unique automorphism of a natural alternating T with sources[i] ->
+    targets[i], for sources generating T: a conjugation by Sym(degree)."""
     found = conjugating_permutations(sources, targets, degree)
     if len(found) > 1:
         raise InternalCheckError("conjugator is not unique")
@@ -436,12 +397,10 @@ def _phi_route(
             "cannot decide automorphism existence: group is too large to enumerate "
             "and not natural alternating"
         )
-    shortcut = _automorphism(None, group.degree, sources, targets) if natural else None
+    shortcut = _conjugation(group.degree, sources, targets) if natural else None
     if table is None:
         return shortcut
-    phi = _automorphism(
-        table, group.degree, [table.idx(s) for s in sources], [table.idx(t) for t in targets]
-    )
+    phi = extend_to_automorphism(table, list(map(table.idx, sources)), list(map(table.idx, targets)))
     if natural and (phi is None) != (shortcut is None):
         raise InternalCheckError("automorphism routes disagree")
     return phi

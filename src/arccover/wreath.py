@@ -1,9 +1,9 @@
 """The wreath-product construction over the domain of full cycles.
 
 Elements are pairs (f, sigma): sigma permutes {1..n}, and f assigns an element
-of the transformation group T to every n-cycle (1, i2, ..., in), indexed in
-the canonical lex order. Multiplication twists by the conjugation action of
-sigma on the cycle domain:
+of T, as its entry id (`PermGroup.entries`), to every n-cycle (1, i2, ..., in),
+indexed in the canonical lex order. Multiplication twists by the conjugation
+action of sigma on the cycle domain:
 
     (f1, s1) * (f2, s2) = (alpha -> f1(alpha) * f2(alpha^s1), s1*s2)
     (f, s)^-1           = (alpha -> f(alpha^(s^-1))^-1,        s^-1)
@@ -19,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -65,11 +65,10 @@ class WreathContext:
     index is the rank of its walk (`position`), and its class, the number
     of steps from 1 to 2, is place[:, 1].
 
-    A base is a row of T's entries, one per cycle, in `dtype`: indices into
-    `group.table()` in the table's dtype when T has a table, and
-    Permutations in an object row when it has none (T too large to
-    enumerate); the table alone decides. T's entry arithmetic on such rows
-    (`product`, `inverse`, `row_bytes`) lives here and nowhere else.
+    A base is a row of T's entry ids, one per cycle, in `dtype`, and
+    `entries` is T's entry arithmetic (`PermGroup.entries`): table indices
+    when T has a table, ids of its pool when it has none (T too large to
+    enumerate). The identity is 0 in both.
     """
 
     def __init__(self, n: int, group: PermGroup):
@@ -80,53 +79,16 @@ class WreathContext:
         self.n = n
         self.walk, self.place = _cycle_domain(n)
         self.k = len(self.walk)
-        self.group = group
-        self.table = group.table()
+        self.entries = group.entries()
+        self.dtype = self.entries.dtype
         self._comp_maps: dict[tuple[int, ...], np.ndarray] = {}
-        if self.table is None:
-            self.dtype, self.identity_entry = np.dtype(object), group.identity
-        else:
-            self.dtype, self.identity_entry = self.table.mult.dtype, 0
-            # the table read flat at a·|T| + b (a copy would add |T|^2 entries)
-            self._flat = self.table.mult.reshape(-1)
-            self._inv = np.array(self.table.inv, dtype=self.dtype)
-        self.identity_row = self.row([self.identity_entry] * self.k)
-
-    def entry(self, t: Permutation) -> Union[int, Permutation]:
-        return self.table.idx(t) if self.table is not None else t
-
-    def entry_perm(self, e: Union[int, Permutation]) -> Permutation:
-        return self.table.elem(e) if self.table is not None else e
+        self.identity_row = self.row(np.zeros(self.k))
 
     def row(self, entries: Sequence) -> np.ndarray:
-        """A read-only row of entries in T's entry dtype."""
+        """A read-only row of entry ids in T's entry dtype."""
         row = np.array(entries, dtype=self.dtype)
         row.setflags(write=False)
         return row
-
-    def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """The entrywise product a·b of two entry arrays of one shape: one
-        take from the flat table at a·|T| + b, widened to intp first, as
-        a·|T| overflows the table's dtype; Permutation products without a
-        table."""
-        if self.table is None:
-            return np.multiply(a, b)
-        at = np.multiply(a, self.table.size, dtype=np.intp)
-        at += b
-        return self._flat.take(at)
-
-    def inverse(self, a: np.ndarray) -> np.ndarray:
-        """The entrywise inverse of an entry array."""
-        if self.table is None:
-            return np.frompyfunc(Permutation.inverse, 1, 1)(a)
-        return self._inv.take(a)
-
-    def row_bytes(self, row: np.ndarray) -> bytes:
-        """A row's serialization: its bytes, or its entries' keys in order
-        in an object row (whose bytes are pointers)."""
-        if self.table is None:
-            return b"".join([e.key() for e in row])
-        return row.tobytes()
 
     def position(self, alpha: Permutation) -> int:
         """The index of the full cycle alpha: the rank of its walk from 1,
@@ -184,20 +146,20 @@ class WreathElement:
 
     def __mul__(self, other: "WreathElement") -> "WreathElement":
         ctx = self.ctx
-        f = ctx.product(self.f, other.f[ctx.comp_map(self.sigma)])
+        f = ctx.entries.product(self.f, other.f[ctx.comp_map(self.sigma)])
         return WreathElement(ctx, f, self.sigma * other.sigma)
 
     def inverse(self) -> "WreathElement":
         ctx = self.ctx
         sigma_inv = self.sigma.inverse()
-        return WreathElement(ctx, ctx.inverse(self.f[ctx.comp_map(sigma_inv)]), sigma_inv)
+        return WreathElement(ctx, ctx.entries.inverse(self.f[ctx.comp_map(sigma_inv)]), sigma_inv)
 
     def is_identity(self) -> bool:
         return self.sigma.is_identity() and np.array_equal(self.f, self.ctx.identity_row)
 
     def key(self) -> bytes:
-        """Serialization: top images first, then the row's (`row_bytes`)."""
-        return bytes(self.sigma.images) + self.ctx.row_bytes(self.f)
+        """Serialization: top images first, then the row's bytes."""
+        return bytes(self.sigma.images) + self.f.tobytes()
 
     def __eq__(self, other) -> bool:
         return isinstance(other, WreathElement) and self.key() == other.key()
@@ -206,7 +168,7 @@ class WreathElement:
         return hash(self.key())
 
     def __repr__(self) -> str:
-        entries = ", ".join(self.ctx.entry_perm(e).cycle_string() for e in self.f)
+        entries = ", ".join(self.ctx.entries.elem(e).cycle_string() for e in self.f)
         return f"WreathElement([{entries}], {self.sigma.cycle_string()})"
 
 
@@ -274,10 +236,10 @@ def class_assignment(ctx: WreathContext, x: Permutation, y: Permutation) -> np.n
     (2 = n-2); for n = 5 class 2 and 3 both map to x; from n = 7 on most
     classes are unassigned.
     """
-    n = ctx.n
-    by_class = [ctx.identity_entry] * n
-    by_class[2] = by_class[n - 2] = ctx.entry(x)
-    by_class[1], by_class[n - 1] = ctx.entry(y), ctx.entry(y.inverse())
+    n, idx = ctx.n, ctx.entries.idx
+    by_class = [0] * n
+    by_class[2] = by_class[n - 2] = idx(x)
+    by_class[1], by_class[n - 1] = idx(y), idx(y.inverse())
     return ctx.row(by_class)[ctx.place[:, 1]]
 
 
@@ -449,8 +411,8 @@ def schreier_rows(
     first time makes u*s its representative; every other pair gives the
     kernel element u*s*rep(u*s)^-1. Its two factors share a top, so its row
     is entrywise: f_us(a) * f_rep(a)^-1. Rows come in discovery order,
-    without repeats or the identity row, in T's entry dtype
-    (`WreathContext`), and their products are the context's.
+    without repeats or the identity row, in T's entry dtype, and their
+    products are T's entry arithmetic (`WreathContext.entries`).
 
     The row of u*s is u's row times s's base read through u's comp map.
     Every generator's base is constant on each class of cycles (only g's is
@@ -478,7 +440,7 @@ def schreier_rows(
     for s in data.y_gens:
         read = None
         if not np.array_equal(s.f, ctx.identity_row):
-            by_class = np.full(n, ctx.identity_entry, dtype=ctx.dtype)
+            by_class = np.zeros(n, dtype=ctx.dtype)
             by_class[classes[1]] = s.f  # (p, q) = (0, 1) at the identity top
             if not np.array_equal(by_class[classes[1]], s.f):
                 raise InternalCheckError("a generator's base is not constant on cycle classes")
@@ -501,7 +463,7 @@ def schreier_rows(
         out = np.empty(len(left), dtype=np.int32)
         for lo in range(0, len(left), chunk):
             part = slice(lo, lo + chunk)
-            rows = ctx.product(base_rows.take(left[part]), right(part))
+            rows = ctx.entries.product(base_rows.take(left[part]), right(part))
             out[part] = [into.add(row) for row in rows]
         return out
 
@@ -538,7 +500,7 @@ def schreier_rows(
         _, first = np.unique(left.astype(np.int64) << 32 | right, return_index=True)
         first.sort()
         left, right = left[first], right[first]
-        add_products(left, lambda part: ctx.inverse(base_rows.take(right[part])), kept)
+        add_products(left, lambda part: ctx.entries.inverse(base_rows.take(right[part])), kept)
         count += len(fresh)
         tops, ids = moved_tops[fresh], moved[fresh]
         if len(tops) and out_of_budget():
@@ -598,7 +560,7 @@ class K4TupleData:
 
     def tuples_in_positions(self) -> tuple[tuple, tuple, tuple]:
         tuples = (self.t1, self.t2, self.t3)
-        return tuple(to_positions([t.ctx.entry_perm(e) for e in t.f]) for t in tuples)
+        return tuple(to_positions([t.ctx.entries.elem(e) for e in t.f]) for t in tuples)
 
 
 def k4_tuple_data(data: CoverGroupData) -> K4TupleData:

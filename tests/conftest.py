@@ -35,7 +35,7 @@ def pytest_terminal_summary(terminalreporter):
 @pytest.fixture
 def conjugator_route():
     """Make a fresh copy of a group whose `table()` is None: its wreath entries
-    are Permutations and its decompositions use the conjugator search."""
+    are ids of its entry pool and its decompositions use the conjugator search."""
 
     def fresh(group: PermGroup) -> PermGroup:
         copy = PermGroup(group.generators, group.degree)

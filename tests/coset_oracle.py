@@ -43,7 +43,7 @@ def canonical_key(w) -> bytes:
     own, or a wreath element's top images followed by its entries'
     Permutation keys in cycle order."""
     if isinstance(w, WreathElement):
-        return bytes(w.sigma.images) + b"".join(w.ctx.entry_perm(e).key() for e in w.f.tolist())
+        return bytes(w.sigma.images) + b"".join(w.ctx.entries.elem(e).key() for e in w.f.tolist())
     return w.key()
 
 
@@ -74,9 +74,9 @@ class _Canonicalizer:
         self._tops = None
         first = self.h_elements[0]
         if isinstance(first, WreathElement):
-            ident = first.ctx.identity_entry
+            # a trivial base: every entry is the identity, id 0 in both formats
             if all(
-                isinstance(h, WreathElement) and all(e == ident for e in h.f.tolist())
+                isinstance(h, WreathElement) and all(e == 0 for e in h.f.tolist())
                 for h in self.h_elements
             ):
                 self.ctx = first.ctx
@@ -290,17 +290,13 @@ def quotient_graph(graph: CosetGraph, subgroup_gens: Sequence) -> CoverCertifica
 
 
 def fibre_element(graph, f: int) -> WreathElement:
-    """The element m of M at fibre point f of a derived graph."""
+    """The element m of M at fibre point f of a derived graph: its entries
+    as Permutations, through the element index and the links, then as ids."""
     fibre, structure = graph.fibre, graph.structure
-    table = structure.group.table()
-    at_base = {}
-    for b, coord in zip(fibre.bases, fibre.coords):
-        idx = int(coord[f])
-        at_base[b] = idx if table is not None else structure.group.elements()[idx]
+    group = structure.group
+    at_base = {b: group.elements()[int(coord[f])] for b, coord in zip(fibre.bases, fibre.coords)}
     entries = []
     for base, link in zip(structure.base_of, structure.links):
         e = at_base[base]
-        if link is not None:
-            e = link.lookup[e] if table is not None else link.apply(e)
-        entries.append(e)
-    return graph.ctx.from_assignment(entries)
+        entries.append(e if link is None else link.apply(e))
+    return graph.ctx.from_assignment(list(map(group.entries().idx, entries)))

@@ -87,6 +87,19 @@ def test_no_unused_imports_in_the_package():
     assert unused == []
 
 
+def test_package_holds_no_object_arrays():
+    """T's entries are integer ids in both formats (`PermGroup.entries`): no
+    object array or per-element ufunc is left in the package."""
+    hits = [
+        f"{path.name}:{line} {needle}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, text in enumerate(path.read_text().splitlines(), start=1)
+        for needle in ("dtype=object", "frompyfunc", "== object")
+        if needle in text
+    ]
+    assert hits == []
+
+
 def test_unused_import_detector_flags_a_dead_import(tmp_path):
     module = tmp_path / "mod.py"
     module.write_text(

@@ -28,7 +28,7 @@ from arccover.cosetgraph import (
     two_arc_transitive,
 )
 from arccover.errors import CapacityExceeded, InternalCheckError, ValidationError
-from arccover.groups import PermGroup, closure
+from arccover.groups import EntryPool, PermGroup, closure
 from arccover.perm import Permutation, parse_cycles
 from arccover.report import JobSpec, run_job
 from arccover.subdirect import subdirect_decompose
@@ -183,7 +183,7 @@ def test_rejects_g_squared_outside_h():
 def canonical_cases():
     """(H, sample of group elements w) for the three kinds of H the oracle
     meets: top-only wreath elements over a table (the 240-vertex cover) and
-    over Permutation entries (A11, object mode), and plain permutations (the
+    over an entry pool (A11, object mode), and plain permutations (the
     Petersen H)."""
     rng = random.Random(17)
     data, _ = example1()
@@ -199,7 +199,7 @@ def canonical_cases():
         group_name="A11",
     )
     obj = build_cover_group(a11)
-    assert obj.ctx.table is None
+    assert isinstance(obj.ctx.entries, EntryPool)
     word = obj.ctx.identity_element()
     object_sample = []
     for _ in range(30):
@@ -334,11 +334,11 @@ def test_conjugated_pair_matches_oracle():
 
 
 def test_route_without_table_matches_oracle(conjugator_route):
-    """Example-1 with T forced onto Permutation entries: the same graph as the
+    """Example-1 with T forced onto its entry pool: the same graph as the
     oracle, and as the table route, since the canonical keys are the same
     bytes."""
     data, structure = cover_data(conjugator_route(resolve_group("A5")), "(1,2)(3,4)", "(1,2,3,4,5)")
-    assert data.ctx.table is None
+    assert isinstance(data.ctx.entries, EntryPool)
     graph = assert_matches_oracle(data, structure, centralizer=True)
     assert np.array_equal(graph.adjacency, cover_graph()[2].adjacency)
 
@@ -448,7 +448,7 @@ def test_centralizer_elements_match_the_oracle(seed):
     by_h = centralizer_elements(elements, data.h_gens)
     assert keys(by_h) == keys(oracle.centralizer_elements(elements, data.h_gens))
     row = m_gens[-1].f.copy()
-    row[-1] = (row[-1] + 1) % data.ctx.table.size
+    row[-1] = (row[-1] + 1) % data.ctx.entries.size
     mutated = m_gens[:-1] + [data.ctx.from_assignment(row)]
     changed = centralizer_elements(elements, mutated)
     assert keys(changed) != keys(got)

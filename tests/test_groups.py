@@ -13,6 +13,7 @@ from arccover.catalog import BUILTIN_CATALOG, resolve_group
 from arccover.errors import CapacityExceeded, InternalCheckError, ValidationError
 from arccover.groups import (
     AutomorphismMap,
+    EntryPool,
     PermGroup,
     StabilizerChain,
     TableGroup,
@@ -304,13 +305,15 @@ def test_compact_table_matches_the_int32_oracle(name, dtype):
     mult, inv, order_of = int32_table(grp)
     assert t.mult.dtype == dtype
     assert np.array_equal(t.mult, mult)
-    assert t.inv == inv
-    assert t.order_of == order_of
+    assert np.array_equal(t.inv, inv) and t.inv.dtype == dtype
+    assert np.array_equal(t.order_of, order_of)
 
 
 def _int32_copy(table: TableGroup) -> TableGroup:
     wide = copy.copy(table)
     wide.mult = table.mult.astype(np.int32)
+    wide.inv = table.inv.astype(np.int32)
+    wide.dtype = wide.mult.dtype
     return wide
 
 
@@ -413,6 +416,52 @@ def test_class_sizes_leave_room_for_a_normal_subgroup():
 # ---------------------------------------------------------------------------
 
 
+def test_entry_pool_agrees_with_the_table(conjugator_route):
+    """A5 forced off its table: on random id arrays, broadcast against each
+    other, the pool's product, inverse and orders are the table's, read
+    through `elem`; every id keeps its element as the pool grows, and no
+    element gets two ids."""
+    a5 = resolve_group("A5")
+    t = a5.table()
+    pool = conjugator_route(a5).entries()
+    assert isinstance(pool, EntryPool) and pool.dtype == np.uint32
+    assert pool.size == 1 and pool.elem(0).is_identity()
+    rng = np.random.default_rng(3)
+    for p in a5.generators:
+        pool.idx(p)
+    met: list[Permutation] = []
+
+    def index(ids):
+        return np.vectorize(lambda i: t.idx(pool.elem(i)), otypes=[np.intp])(ids)
+
+    shapes = [((7,), (7,)), ((3, 4), (4,)), ((5, 1), (1, 6)), ((), (2, 3)), ((40,), ()),
+              ((8, 8), (8, 8))]
+    for shape_a, shape_b in shapes * 3:
+        a = rng.integers(0, pool.size, size=shape_a).astype(np.uint32)
+        b = rng.integers(0, pool.size, size=shape_b).astype(np.uint32)
+        met = [pool.elem(i) for i in range(pool.size)]
+        prod = pool.product(a, b)
+        assert prod.dtype == np.uint32 and prod.shape == np.broadcast_shapes(shape_a, shape_b)
+        assert np.array_equal(index(prod), t.mult[index(a), index(b)])
+        inv = pool.inverse(a)
+        assert inv.dtype == np.uint32 and inv.shape == a.shape
+        assert np.array_equal(index(inv), t.inv[index(a)])
+        assert np.array_equal(pool.order_of[a], t.order_of[index(a)])
+        assert [pool.elem(i) for i in range(len(met))] == met
+        assert [pool.idx(p) for p in met] == list(range(len(met)))
+    everything = [pool.elem(i) for i in range(pool.size)]
+    assert len(set(everything)) == pool.size > 30
+    assert np.array_equal(pool.order_of, [p.order() for p in everything])
+
+
+def test_pool_takes_in_no_element_outside_the_group(conjugator_route):
+    pool = conjugator_route(resolve_group("A5")).entries()
+    for outside in (P("(1,2)", 5), P("(1,2,3)", 6)):
+        with pytest.raises(ValidationError, match="not in this group"):
+            pool.idx(outside)
+    assert pool.size == 1
+
+
 def test_index_maps_agree_with_and_without_a_table(conjugator_route):
     a5 = resolve_group("A5")
     t = a5.table()
@@ -428,7 +477,7 @@ def test_index_maps_agree_with_and_without_a_table(conjugator_route):
     for e in (0, 1, 17, 59):
         for left in (True, False):
             got = a5.product_map(e, left)
-            assert np.array_equal(bare.product_map(t.elem(e), left), got)
+            assert np.array_equal(bare.product_map(bare.entries().idx(t.elem(e)), left), got)
             want = [t.multiply(e, b) if left else t.multiply(b, e) for b in range(60)]
             assert got.tolist() == want
     # conjugation by an odd permutation, held both ways

@@ -12,7 +12,7 @@ from cycle_oracle import full_cycles
 from arccover import report, subdirect
 from arccover.catalog import resolve_group
 from arccover.errors import BudgetExhausted, ValidationError
-from arccover.groups import conjugating_permutations
+from arccover.groups import EntryPool, PermGroup, conjugating_permutations
 from arccover.perm import Permutation, parse_cycles
 from arccover.report import JobSpec, run_job
 from arccover.subdirect import (
@@ -67,12 +67,12 @@ def positional_blocks(data, structure):
 @pytest.fixture
 def routes(conjugator_route):
     """A5 by table propagation and a fresh A5 by the conjugator search, each
-    with a converter of Permutation rows into its entry format."""
-    table = A5.table()
-    return (
-        (A5, lambda *row: tuple(table.idx(p) for p in row)),
-        (conjugator_route(A5), lambda *row: row),
-    )
+    with a converter of Permutation rows into its entry ids."""
+    out = []
+    for group in (A5, conjugator_route(A5)):
+        idx = group.entries().idx
+        out.append((group, lambda *row, idx=idx: tuple(map(idx, row))))
+    return out
 
 
 def test_full_diagonal_is_one_block(routes):
@@ -196,21 +196,27 @@ def test_malformed_matrix_rejected(matrix, message):
         subdirect_decompose(matrix, A5)
 
 
-def test_matrix_needs_a_table_and_width_k(conjugator_route):
+def test_matrix_needs_ids_of_the_pool_and_width_k(conjugator_route):
+    """Without a table, ids name the pool's entries: a fresh pool holds the
+    identity alone, so id 1 is not yet an entry."""
     matrix = np.array([[1, 1], [2, 2]], dtype=np.uint8)
-    with pytest.raises(ValidationError, match="Permutations, got int"):
+    with pytest.raises(ValidationError, match="pool ids 0..0"):
         subdirect_decompose(matrix, conjugator_route(A5))
     with pytest.raises(ValidationError, match="length 3, got lengths \\[2\\]"):
         _entry_rows(matrix, A5, 3)
 
 
 def test_entries_must_match_the_route(conjugator_route):
-    with pytest.raises(ValidationError, match="int table indices, got Permutation"):
-        subdirect_decompose([(X, X), (Y1, Y1)], A5)
-    with pytest.raises(ValidationError, match="Permutations, got int"):
-        subdirect_decompose([(1, 1), (2, 2)], conjugator_route(A5))
-    with pytest.raises(ValidationError, match="not an element of T"):
-        subdirect_decompose([(X, X), (Y1, P("(1,2)"))], conjugator_route(A5))
+    """Both routes take int entry ids only; a pool's ids are those it holds."""
+    bare = conjugator_route(A5)
+    for group, ids in ((A5, "table indices"), (bare, "pool ids")):
+        with pytest.raises(ValidationError, match=f"int {ids}, got Permutation"):
+            subdirect_decompose([(X, X), (Y1, Y1)], group)
+    with pytest.raises(ValidationError, match="pool ids 0..0"):
+        subdirect_decompose([(1, 1), (2, 2)], bare)
+    # an element reaches the pool through `idx` only, which checks it
+    with pytest.raises(ValidationError, match="not in this group"):
+        bare.entries().idx(P("(1,2)"))
 
 
 def test_membership_rejects_twisted_elements():
@@ -345,13 +351,29 @@ def test_kernel_six_blocks_for_eleven_cycle_object_mode():
     data, s = kernel_structure(
         P("(1,2,3,4,5,6,7,8,9,10,11)", 11), group=a11, x=P("(1,2)(3,6)", 11)
     )
-    assert data.ctx.table is None
+    assert isinstance(data.ctx.entries, EntryPool)
     assert s.blocks == ((0,), (1,), (2,), (3,), (4,), (5,))
     assert s.order() == a11.order() ** 6
     assert (
         str(s.order() * math.factorial(4))
         == "1516930124240321338403568205430784000000000000"
     )
+
+
+def test_pool_route_checks_no_membership_after_the_construction(monkeypatch):
+    """Every entry reaches the pool once, through `idx` at the construction:
+    the kernel rows and their decomposition (24 columns, 35 rows at n = 5)
+    check no membership."""
+    a11 = resolve_group("A11")
+    job = CoverJob(n=5, group=a11, x=P("(1,2)(3,6)", 11), y=P("(1,2,3,4,5,6,7,8,9,10,11)", 11))
+    data = build_cover_group(job)
+    calls = []
+    contains = PermGroup.contains
+    monkeypatch.setattr(PermGroup, "contains", lambda self, g: calls.append(g) or contains(self, g))
+    rows = schreier_rows(data)[0]
+    s = subdirect_decompose(rows, a11)
+    assert rows.shape == (35, 24) and s.block_count == 24
+    assert calls == []
 
 
 def count_chains(monkeypatch):
@@ -389,7 +411,7 @@ def test_conjugator_route_builds_one_chain_per_block_base(monkeypatch, conjugato
     checking every column built one per column (6)."""
     group = conjugator_route(A5)
     data = build_cover_group(CoverJob(n=4, group=group, x=X, y=y))
-    assert data.ctx.table is None
+    assert isinstance(data.ctx.entries, EntryPool)
     kgens = schreier_rows(data)[0]
     group.order()  # the group's own chain is not part of the count
     built = count_chains(monkeypatch)
@@ -411,11 +433,11 @@ def test_routes_agree_on_n4_kernels(conjugator_route, name, x, y):
         data = build_cover_group(job)
         kgens = schreier_rows(data)[0]
         structures.append((data.ctx, subdirect_decompose(kgens, group)))
-    (ctx_t, by_table), (_, by_conjugator) = structures
+    (ctx_t, by_table), (ctx_c, by_conjugator) = structures
     assert by_table.blocks == by_conjugator.blocks
     assert by_table.base_of == by_conjugator.base_of
-    rows = [tuple(map(ctx_t.entry_perm, row)) for row in by_table.generators.tolist()]
-    assert rows == list(map(tuple, by_conjugator.generators.tolist()))
+    rows = [tuple(map(ctx_t.entries.elem, row)) for row in by_table.generators.tolist()]
+    assert rows == [tuple(map(ctx_c.entries.elem, row)) for row in by_conjugator.generators.tolist()]
     for j, (phi, psi) in enumerate(zip(by_table.links, by_conjugator.links)):
         assert (phi is None) == (psi is None)
         if phi is None:
@@ -448,7 +470,7 @@ def test_linking_relation_consistency_sampled():
         for _ in range(rng.randrange(1, 8)):
             z = z * rng.choice(gens)
         assert z.sigma.is_identity() and s.contains(z.f)
-        entries = [data.ctx.entry_perm(e) for e in z.f]
+        entries = [data.ctx.entries.elem(e) for e in z.f]
         for j in range(s.k):
             base = s.base_of[j]
             link = s.links[j]

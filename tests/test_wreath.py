@@ -18,7 +18,7 @@ from arccover.catalog import resolve_group
 from arccover.cli import main
 from arccover.cosetgraph import two_arc_transitive
 from arccover.errors import InternalCheckError, ValidationError
-from arccover.groups import closure
+from arccover.groups import EntryPool, closure
 from arccover.perm import Permutation, parse_cycles
 from arccover.wreath import (
     K4_POSITIONS,
@@ -110,13 +110,15 @@ def test_group_laws_random_sample():
 
 
 def test_index_and_object_modes_agree(conjugator_route):
+    """The table route and A5's entry pool give one group law: products and
+    inverses of clones are clones, and clones of distinct elements differ."""
     ctx_idx = data_for().ctx
     ctx_obj = WreathContext(4, conjugator_route(A5))
-    assert ctx_idx.table is not None and ctx_obj.table is None
+    assert isinstance(ctx_obj.entries, EntryPool) and not isinstance(ctx_idx.entries, EntryPool)
 
     def clone(w):
         return ctx_obj.from_assignment(
-            [ctx_idx.entry_perm(e) for e in w.f], w.sigma
+            [ctx_obj.entries.idx(ctx_idx.entries.elem(e)) for e in w.f], w.sigma
         )
 
     rng = random.Random(77)
@@ -125,35 +127,38 @@ def test_index_and_object_modes_agree(conjugator_route):
         a, b = rng.choice(elems), rng.choice(elems)
         assert (clone(a) * clone(b)).key() == clone(a * b).key()
         assert clone(a).inverse().key() == clone(a.inverse()).key()
+        assert (clone(a).key() == clone(b).key()) == (a.key() == b.key())
 
 
 @pytest.mark.parametrize("name, dtype", [
-    ("A5", np.uint8), ("A7", np.uint16), ("A5-object", object),
+    ("A5", np.uint8), ("A7", np.uint16), ("A5-pool", np.uint32),
 ])
 def test_entry_arithmetic_matches_permutation_products(name, dtype, conjugator_route):
-    """The context's entrywise product, inverse and row serialization, on
-    rows and on a matrix, against one Permutation product at a time."""
+    """T's entrywise product and inverse and the row serialization, on rows
+    and on a matrix, against one Permutation product at a time."""
     group = resolve_group(name.split("-")[0])
-    if name.endswith("object"):
+    if name.endswith("pool"):
         group = conjugator_route(group)
     ctx = WreathContext(5, group)
     assert ctx.dtype == dtype
     elems = group.elements()
     rng = random.Random(5)
     picks = [[rng.randrange(len(elems)) for _ in range(ctx.k)] for _ in range(6)]
-    a, b = (np.array([[ctx.entry(elems[i]) for i in row] for row in half], dtype=dtype)
+    a, b = (np.array([[ctx.entries.idx(elems[i]) for i in row] for row in half], dtype=dtype)
             for half in (picks[:3], picks[3:]))
     for x, y in [(a, b), (a[0], b[0])]:
-        prod, inv = ctx.product(x, y), ctx.inverse(x)
+        prod, inv = ctx.entries.product(x, y), ctx.entries.inverse(x)
         assert prod.dtype == inv.dtype == dtype and prod.shape == inv.shape == x.shape
         for e, f, p, q in zip(x.flat, y.flat, prod.flat, inv.flat):
-            assert ctx.entry_perm(p) == ctx.entry_perm(e) * ctx.entry_perm(f)
-            assert ctx.entry_perm(q) == ctx.entry_perm(e).inverse()
+            assert ctx.entries.elem(p) == ctx.entries.elem(e) * ctx.entries.elem(f)
+            assert ctx.entries.elem(q) == ctx.entries.elem(e).inverse()
     row = ctx.row(a[0])
     assert row.dtype == dtype and not row.flags.writeable
-    assert ctx.row_bytes(row) == ctx.row_bytes(ctx.row(a[0].tolist()))
-    assert ctx.row_bytes(row) != ctx.row_bytes(ctx.row(b[0]))
-    assert all(ctx.entry_perm(e).is_identity() for e in ctx.identity_row)
+    sigma = Permutation.identity(5)
+    key = ctx.from_assignment(row, sigma).key()
+    assert key == ctx.from_assignment(a[0].tolist(), sigma).key()
+    assert key != ctx.from_assignment(b[0], sigma).key()
+    assert all(ctx.entries.elem(e).is_identity() for e in ctx.identity_row)
 
 
 def test_elements_hold_read_only_rows():
@@ -180,7 +185,7 @@ def test_embed_top_degree_check():
 def test_from_assignment_length_check():
     ctx = data_for().ctx
     with pytest.raises(ValidationError):
-        ctx.from_assignment([ctx.identity_entry] * 5)
+        ctx.from_assignment([0] * 5)
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +196,10 @@ def test_from_assignment_length_check():
 def test_assignment_by_class_n4():
     ctx = data_for().ctx
     f = class_assignment(ctx, X, Y)
-    ex, ey, eyi = ctx.entry(X), ctx.entry(Y), ctx.entry(Y.inverse())
+    ex, ey, eyi = ctx.entries.idx(X), ctx.entries.idx(Y), ctx.entries.idx(Y.inverse())
     by_class = {cycle_class(alpha): f[i] for i, alpha in enumerate(full_cycles(4))}
     assert by_class == {1: ey, 2: ex, 3: eyi}
-    assert to_positions([ctx.entry_perm(e) for e in f]) == (
+    assert to_positions([ctx.entries.elem(e) for e in f]) == (
         Y, Y.inverse(), Y, Y.inverse(), X, X,
     )
 
@@ -210,10 +215,10 @@ def test_assignment_entry_counts(n, expected):
     ctx = build_cover_group(job(n=n)).ctx
     f = class_assignment(ctx, X, Y)
     label = {
-        ctx.entry(Y): "y",
-        ctx.entry(Y.inverse()): "y_inv",
-        ctx.entry(X): "x",
-        ctx.identity_entry: "id",
+        ctx.entries.idx(Y): "y",
+        ctx.entries.idx(Y.inverse()): "y_inv",
+        ctx.entries.idx(X): "x",
+        0: "id",
     }
     counts = Counter(label[e] for e in f)
     assert {k: counts.get(k, 0) for k in expected} == expected
@@ -273,7 +278,7 @@ def test_twist_tops_match_the_wreath_oracle(case):
     n, name, x, y = TOPS_CASES[case]
     group = resolve_group(name)
     data = build_cover_group(CoverJob(n=n, group=group, x=x, y=y, group_name=name))
-    assert (data.ctx.table is not None) == (name != "A11")
+    assert isinstance(data.ctx.entries, EntryPool) == (name == "A11")
     assert len(assert_tops_match_the_wreath_oracle(data)) == math.factorial(n - 2)
 
 
@@ -296,7 +301,7 @@ def _broken_twist(data, tops=()):
     first = next(i for i, alpha in enumerate(full_cycles(ctx.n)) if cycle_class(alpha) == 1)
     for i in {first, *(ctx.comp_map(t)[first] for t in tops)}:
         j = ctx.comp_map(data.delta)[i]
-        f[i], f[j] = ctx.entry(Y * Y), ctx.entry((Y * Y).inverse())
+        f[i], f[j] = ctx.entries.idx(Y * Y), ctx.entries.idx((Y * Y).inverse())
     g = ctx.from_assignment(f, data.delta)
     return dataclasses.replace(data, g=g, y_gens=data.h_gens + (g,))
 
@@ -343,8 +348,8 @@ def test_kernel_witness_entries():
     ctx = data.ctx
     assert s.sigma.is_identity()
     alpha = P("(1,2,3,4,5)", 5)
-    got_front = ctx.entry_perm(s.f[full_cycles(5).index(alpha)])
-    got_back = ctx.entry_perm(s.f[full_cycles(5).index(alpha.inverse())])
+    got_front = ctx.entries.elem(s.f[full_cycles(5).index(alpha)])
+    got_back = ctx.entries.elem(s.f[full_cycles(5).index(alpha.inverse())])
     assert got_front == Y * Y * X
     assert got_back == Y.inverse() * Y.inverse() * X
     assert got_front.cycle_string() == "(1,4,2,3,5)"
@@ -356,7 +361,7 @@ def test_kernel_witness_interleaved_entry_vanishes_at_n7():
     s = kernel_witness(data)
     ctx = data.ctx
     beta = P("(1,4,2,5,3,6,7)", 7)
-    assert s.f[full_cycles(7).index(beta)] == ctx.identity_entry
+    assert s.f[full_cycles(7).index(beta)] == 0
 
 
 # ---------------------------------------------------------------------------
