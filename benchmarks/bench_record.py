@@ -22,6 +22,11 @@ length are those of the change's BENCHMARK.json. The record holds:
   `benchmarks/` (pytest-benchmark), in seconds, and its median over ROUNDS
   runs of the whole set.
 
+The record is written after each section (each perfbench workload, the
+traced runs, each in-process job and the layers) and reads
+`"complete": false` until the last one is in, so a failure late in the
+run keeps what was measured before it.
+
 Every number comes from a child process, one at a time. In_process and
 layers alternate the checkouts run by run (the parent first in even rounds,
 the change first in odd ones), so a drift of the machine's speed reaches
@@ -156,13 +161,19 @@ def main(argv=None) -> int:
     seconds = bench["run_seconds"]
     workloads = [w["name"] for w in bench["workloads"]]
 
+    out = sides["change"] / f"BENCH_{args.tag}.json"
     record: dict = {
         "tag": args.tag,
+        "complete": False,
         "machine": {"python": platform.python_version(), "cpus": os.cpu_count(),
                     "platform": platform.platform()},
         "seconds": seconds,
         "perfbench": {},
     }
+
+    def save() -> None:
+        out.write_text(json.dumps(record, indent=2) + "\n")
+
     for workload in workloads:
         pairs = []
         for seed in range(PAIRS):
@@ -173,19 +184,22 @@ def main(argv=None) -> int:
             pairs.append(pair)
             print(workload, seed, {s: pair[s]["metrics"] for s in order}, file=sys.stderr)
         record["perfbench"][workload] = {"summary": summarize(pairs), "runs": pairs}
+        save()
     record["traced"] = {
         side: {w: perfbench(path, w, 0, seconds, trace=1) for w in workloads}
         for side, path in sides.items()
     }
+    save()
     record["in_process"] = {side: {} for side in sides}
     for what in ("extended-build", "suite", "n8-decompose", "a11-n7-decompose"):
         runs = alternate(sides, lambda path: in_process(path, what))
         for side in sides:
             record["in_process"][side][what] = {**medians(runs[side]), "runs": runs[side]}
+        save()
     runs = alternate(sides, layers)
     record["layers_median_s"] = {side: medians(runs[side]) for side in sides}
-    out = sides["change"] / f"BENCH_{args.tag}.json"
-    out.write_text(json.dumps(record, indent=2) + "\n")
+    record["complete"] = True
+    save()
     print(out)
     return 0
 

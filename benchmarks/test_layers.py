@@ -17,9 +17,10 @@ of A11's entry pool), the subdirect decomposition of those rows by each
 linking route (table propagation on the A5 kernel; the conjugator search on
 the A11 kernel), both A11 layers at n = 6 over a fresh entry pool (130 rows
 over k = 120, d = 120), and, on the 240-vertex cover of K4 of
-example-1 (n = 4, A5, (1,2)(3,4), (1,2,3,4,5)) and the 4368-vertex
-PSL(2,13) cover of perfbench's cover-k4, the derived-graph build and the
-quotient by the kernel M on vertex arrays. Two layers are example-1's
+example-1 (n = 4, A5, (1,2)(3,4), (1,2,3,4,5)), the same cover with A5
+without its table (T on its entry pool) and the 4368-vertex PSL(2,13)
+cover of perfbench's cover-k4, the derived-graph build and the quotient by
+the kernel M on vertex arrays. Two layers are example-1's
 alone: the closure of Y = <H, g> (1440 elements, one wreath product and
 key per element and generator) and the elements of Y that centralize M
 (`centralizer_elements`, one stacked test per generator of M), which
@@ -175,8 +176,16 @@ def cover(group, x, y):
     return data, structure, m_gens
 
 
+def without_table(group):
+    """A fresh copy of `group` whose `table()` is None: T on its entry pool."""
+    bare = PermGroup(group.generators, group.degree)
+    bare.table = lambda: None
+    return bare
+
+
 COVERS = {
     "example1": (lambda: resolve_group("A5"), "(1,2)(3,4)", "(1,2,3,4,5)", 240),
+    "example1-pool": (lambda: without_table(resolve_group("A5")), "(1,2)(3,4)", "(1,2,3,4,5)", 240),
     "PSL2_13": (lambda: PermGroup.from_cycle_strings(GROUPS["PSL2_13"][1], 14),
                 "(1,14)(2,13)(3,7)(4,5)(8,12)(10,11)", "(1,4,7,10,13,3,6,9,12,2,5,8,11)", 4368),
 }

@@ -6,7 +6,8 @@ quotient (full pipeline including cover quotients), suite (named job
 collections with regression baselines).
 
 Exit codes: 0 every requested check passed; 1 a check failed; 2 the job was
-rejected during validation; 3 a capacity cap blocked a requested stage.
+rejected during validation, or its output could not be written; 3 a
+capacity cap blocked a requested stage.
 """
 
 from __future__ import annotations
@@ -182,6 +183,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CapacityExceeded as exc:
         _emit({"capacity_exceeded": True, "reason": str(exc)})
         return EXIT_CAPACITY
+    except OSError as exc:  # an output path that cannot be written
+        _emit({"rejected": True, "reason": f"cannot write output: {exc}"})
+        return EXIT_REJECTED
 
 
 if __name__ == "__main__":

@@ -10,11 +10,12 @@ h in H and the voltage v in M. So the graph is the derived graph of K_n with n(n
 voltages in M = T^d (Gross–Tucker), built with one gather per dart and block
 base over all |T|^d fibre points and no coset search.
 
-An element m of M is held by its entries at the block bases of the subdirect
-structure (`_Fibre`); the other entries follow through the links. Vertices
-are numbered by the sorted canonical key of their coset, the least serialized
-key of an element of H·c_i·m: the least top of H·c_i first, then the entries,
-compared in the order of their Permutation keys (`PermGroup.key_ranks`).
+An element m of M is held by its entry ids (`PermGroup.entries`) at the
+block bases of the subdirect structure (`_Fibre`); the other entries follow
+through the links. Vertices are numbered by the sorted canonical key of their
+coset, the least serialized key of an element of H·c_i·m: the least top of
+H·c_i first, then the entries, compared in the order of their Permutation
+keys.
 
 `quotient_graph` takes the quotient by a subgroup of M or of M's
 centralizer acting on the right, through int vertex maps
@@ -30,7 +31,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import CapacityExceeded, InternalCheckError, ValidationError
-from .groups import decimal_string, is_2_transitive, right_transversal
+from .groups import EntryPool, decimal_string, is_2_transitive, right_transversal
 from .perm import Permutation, parse_cycles
 from .subdirect import SubdirectStructure
 from .wreath import CoverGroupData, WreathElement
@@ -44,32 +45,40 @@ def _id_type(order: int) -> type:
 
 
 class _Fibre:
-    """M = T^d as the fibre points f = sum_t idx(m at base b_t) · |T|^t.
+    """M = T^d as the fibre points f = sum_t (m at base b_t) · |T|^t.
 
-    idx is T's element index (`PermGroup.element_index`: the table index when
-    T has a table); products and links are read as index maps over it.
+    Entries are T's entry ids (`PermGroup.entries`), 0..|T|-1: a pool first
+    takes in every element of T. Products, links and key order are read as
+    maps over all the ids at once.
     """
 
     def __init__(self, structure: SubdirectStructure):
         self.structure = structure
-        self.group = group = structure.group
-        self.rank = group.key_ranks()  # index -> place in key order
-        self.size = len(self.rank)
+        self.entries = entries = structure.group.entries()
+        if isinstance(entries, EntryPool):
+            entries.fill()
+        self.size = entries.size
+        self.ids = np.arange(self.size)
+        # id -> place of its element's Permutation key in key order
+        keys = [entries.elem(i).key() for i in range(self.size)]
+        self.rank = np.empty(self.size, dtype=np.int64)
+        self.rank[sorted(range(self.size), key=keys.__getitem__)] = self.ids
         self.bases = [b for b, link in enumerate(structure.links) if link is None]
         self.points = self.size ** len(self.bases)
         digits = np.arange(self.points, dtype=np.int64)
         self.coords = [(digits // self.size**t) % self.size for t in range(len(self.bases))]
-        # idx(link(t)) for every t; the identity at a block base
+        # link(t) for every id t; the identity at a block base
         self.links = [
-            np.arange(self.size) if link is None else link.lookup_array(group)
-            for link in structure.links
+            self.ids if link is None else link.image(self.ids, entries) for link in structure.links
         ]
 
     def apply(self, z: WreathElement, left: bool) -> np.ndarray:
         """The fibre point of z·m (left) or m·z for every fibre point m; z in M."""
         out = np.zeros(self.points, dtype=np.int64)
         for t, (b, coord) in enumerate(zip(self.bases, self.coords)):
-            out += self.group.product_map(z.f[b], left).astype(np.int64)[coord] * self.size**t
+            e = z.f[b]
+            products = self.entries.product(e, self.ids) if left else self.entries.product(self.ids, e)
+            out += products.astype(np.int64)[coord] * self.size**t
         return out
 
     def key_columns(self, r: WreathElement) -> list[np.ndarray]:
@@ -79,7 +88,7 @@ class _Fibre:
         cols = []
         for alpha, beta in enumerate(amap):
             # (r·m)(alpha) = r(alpha) · m(beta), m(beta) = link_beta(m at its base)
-            ranks = self.rank[self.group.product_map(r.f[alpha], True)[self.links[beta]]]
+            ranks = self.rank[self.entries.product(r.f[alpha], self.links[beta])]
             cols.append(ranks[self.coords[base_at[self.structure.base_of[beta]]]])
         return cols
 

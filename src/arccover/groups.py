@@ -346,7 +346,6 @@ class PermGroup:
         self.degree = degree
         self._chain: Optional[StabilizerChain] = None
         self._elements: Optional[tuple[Permutation, ...]] = None
-        self._index: Optional[dict[bytes, int]] = None
         self._table: Optional[TableGroup] = None
         self._pool: Optional[EntryPool] = None
 
@@ -405,33 +404,6 @@ class PermGroup:
         if self._pool is None:
             self._pool = EntryPool(self)
         return self._pool
-
-    def element_index(self) -> dict[bytes, int]:
-        """The element index of each element by key: its position in
-        `elements()`, which is also its table index."""
-        if self._index is None:
-            self._index = {p.key(): i for i, p in enumerate(self.elements())}
-        return self._index
-
-    def key_ranks(self) -> np.ndarray:
-        """The place in key order of each element index."""
-        keys = [p.key() for p in self.elements()]
-        ranks = np.empty(len(keys), dtype=np.int64)
-        ranks[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
-        return ranks
-
-    def product_map(self, e, left: bool) -> np.ndarray:
-        """The element index of e*t (left) or t*e for every element index t.
-
-        `e` is an entry id (`entries`): a table index, or a pool id when
-        there is no table, whose products are then taken one by one.
-        """
-        table = self.table()
-        if table is not None:
-            return table.mult[e] if left else table.mult[:, e]
-        e = self.entries().elem(e)
-        index = self.element_index()
-        return np.array([index[(e * t if left else t * e).key()] for t in self.elements()])
 
     def orbit_of(self, point: int) -> list[int]:
         return orbit(point, self.generators, _point_action)
@@ -532,7 +504,7 @@ class TableGroup:
         self.group = group
         self.elements = elems
         size = self.size = len(elems)
-        self.index = group.element_index()
+        self.index = {p.key(): i for i, p in enumerate(elems)}
         self.gen_indices = tuple(self.index[g.key()] for g in group.generators)
         # images matrix: rows = elements, columns = points (0-based values)
         mat = np.array([p.images for p in elems], dtype=np.intp) - 1
@@ -653,6 +625,11 @@ class EntryPool:
     def elem(self, i: int) -> Permutation:
         return Permutation((self._rows.take(i) + 1).tolist())
 
+    def fill(self) -> None:
+        """Intern every element of T, unchecked, as they are products of its
+        generators (`PermGroup.elements`); the ids are then 0..|T|-1."""
+        self._intern(np.array([p.images for p in self.group.elements()]) - 1)
+
     def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """The entrywise product a·b of two id arrays, broadcast."""
         codes = np.asarray(a, dtype=np.uint64) << 32 | np.asarray(b, dtype=np.uint64)
@@ -744,31 +721,26 @@ def is_nonabelian_simple(table: TableGroup) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AutomorphismMap:
-    """An automorphism of a group T, in one of two exact representations.
+    """An automorphism of a group T over its entry ids (`PermGroup.entries`),
+    in one of two exact representations.
 
-    Table-backed: `lookup[i]` is the image index of element i over a
-    TableGroup enumeration. Conjugation-backed: the map is t -> t^conjugator
-    for a Permutation normalizing T (used for natural alternating groups,
-    where every automorphism is induced this way).
+    With a table: `lookup[i]` is the id of the image of id i, a read-only
+    array in the entries' dtype. On an entry pool: the map t -> t^conjugator
+    for a Permutation normalizing T (natural alternating groups, where every
+    automorphism is induced this way).
     """
 
-    table: Optional[TableGroup] = None
-    lookup: Optional[tuple[int, ...]] = None
+    lookup: Optional[np.ndarray] = None
     conjugator: Optional[Permutation] = None
 
-    def apply(self, t: Permutation) -> Permutation:
-        if self.conjugator is not None:
-            return t.conjugate(self.conjugator)
-        return self.table.elem(self.lookup[self.table.idx(t)])
-
-    def lookup_array(self, group: PermGroup) -> np.ndarray:
-        """The element index of the image of every element index of T."""
+    def image(self, ids: np.ndarray, entries: "TableGroup | EntryPool") -> np.ndarray:
+        """The ids of the images of the entry ids `ids`: one lookup, or a
+        pool conjugation."""
         if self.lookup is not None:
-            return np.asarray(self.lookup, dtype=np.int32)
-        index = group.element_index()
-        return np.array([index[self.apply(t).key()] for t in group.elements()])
+            return self.lookup.take(ids)
+        return entries.conjugate(ids, self.conjugator)
 
 
 def _propagate(
@@ -848,7 +820,9 @@ def extend_to_automorphism(
     lookup = automorphism_lookups(table, [list(sources)], [list(targets)])[0]
     if lookup[0] < 0:
         return None
-    return AutomorphismMap(table=table, lookup=tuple(lookup.tolist()))
+    lookup = lookup.astype(table.dtype)
+    lookup.flags.writeable = False
+    return AutomorphismMap(lookup=lookup)
 
 
 def conjugating_permutations(

@@ -92,6 +92,9 @@ class JobSpec:
         for name in ("catalog", "out_dir", "label"):
             if getattr(self, name) is not None and not isinstance(getattr(self, name), str):
                 raise ValidationError(f"job field {name!r} must be a string")
+        label = self.label
+        if label is not None and (label in (".", "..") or any(c in label for c in "/\\\0")):
+            raise ValidationError(f"job field 'label' must be a plain file name, got {label!r}")
         for name in ("vertex_cap", "enum_cap"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"job field {name!r} must be at least 1")

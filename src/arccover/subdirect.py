@@ -66,8 +66,9 @@ class SubdirectStructure:
 
     def _holds(self, matrix: np.ndarray) -> bool:
         """Every row of an entry matrix lies in the subgroup."""
+        entries = self.group.entries()
         return all(
-            link is None or np.array_equal(_image(link, matrix[:, base], self.group), matrix[:, j])
+            link is None or np.array_equal(link.image(matrix[:, base], entries), matrix[:, j])
             for j, (base, link) in enumerate(zip(self.base_of, self.links))
         )
 
@@ -123,13 +124,6 @@ def _first_rows(matrix: np.ndarray) -> list[int]:
             same.append(i)
         out.append(i)
     return out
-
-
-def _image(phi: AutomorphismMap, column: np.ndarray, group: PermGroup) -> np.ndarray:
-    """phi applied to a column of entry ids: a lookup, or a pool conjugation."""
-    if phi.lookup is not None:
-        return phi.lookup_array(group)[column]
-    return group.entries().conjugate(column, phi.conjugator)
 
 
 def _fingerprints(columns: np.ndarray, group: PermGroup) -> list[bytes]:
@@ -310,14 +304,13 @@ def _links(
     dtype; both batches hold about `_BATCH_ENTRIES` integer entries. Without
     one, each pair runs the conjugator search on its prefix's entries.
     """
-    table = group.table()
+    table, entries = group.table(), group.entries()
     if table is None:
-        elem = group.entries().elem
         out: list[Optional[AutomorphismMap]] = []
         for b, j in pairs:
             rows = prefixes[b]
-            phi = _conjugation(group.degree, *(list(map(elem, columns[c, rows])) for c in (b, j)))
-            if phi is not None and not np.array_equal(_image(phi, columns[b], group), columns[j]):
+            phi = _conjugation(group.degree, *(list(map(entries.elem, columns[c, rows])) for c in (b, j)))
+            if phi is not None and not np.array_equal(phi.image(columns[b], entries), columns[j]):
                 phi = None
             out.append(phi)
         return out
@@ -345,10 +338,10 @@ def _links(
         part = consistent[lo:lo + chunk]
         images = np.take_along_axis(lookups[part], columns[b[part]], axis=1)
         ok[part] = (images == columns[j[part]]).all(axis=1)
-    return [
-        AutomorphismMap(table=table, lookup=tuple(lookup.tolist())) if good else None
-        for lookup, good in zip(lookups, ok.tolist())
-    ]
+    linked = lookups[ok]  # a copy of the linked rows: no link holds the failed pairs
+    linked.flags.writeable = False
+    kept = iter(linked)
+    return [AutomorphismMap(lookup=next(kept)) if good else None for good in ok.tolist()]
 
 
 def _conjugation(

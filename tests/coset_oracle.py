@@ -290,13 +290,13 @@ def quotient_graph(graph: CosetGraph, subgroup_gens: Sequence) -> CoverCertifica
 
 
 def fibre_element(graph, f: int) -> WreathElement:
-    """The element m of M at fibre point f of a derived graph: its entries
-    as Permutations, through the element index and the links, then as ids."""
+    """The element m of M at fibre point f of a derived graph: its entry ids
+    at the block bases are f's digits, and the others follow by the links."""
     fibre, structure = graph.fibre, graph.structure
-    group = structure.group
-    at_base = {b: group.elements()[int(coord[f])] for b, coord in zip(fibre.bases, fibre.coords)}
-    entries = []
+    entries = structure.group.entries()
+    at_base = {b: int(coord[f]) for b, coord in zip(fibre.bases, fibre.coords)}
+    row = []
     for base, link in zip(structure.base_of, structure.links):
         e = at_base[base]
-        entries.append(e if link is None else link.apply(e))
-    return graph.ctx.from_assignment(list(map(group.entries().idx, entries)))
+        row.append(e if link is None else int(link.image(e, entries)))
+    return graph.ctx.from_assignment(row)

@@ -16,7 +16,7 @@ from arccover.groups import PermGroup
 def int32_table(group: PermGroup) -> tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]:
     """(mult, inv, order_of) of the group's elements in `elements()` order."""
     elems = group.elements()
-    index = group.element_index()
+    index = {p.key(): i for i, p in enumerate(elems)}
     size = len(elems)
 
     def lookup(images: np.ndarray) -> np.ndarray:

@@ -163,6 +163,38 @@ def test_quotient_verb_full_run_with_outputs(tmp_path, capsys):
     assert on_disk["summary"]["all_passed"] is True
 
 
+@pytest.mark.parametrize("label", ["a/b", "a\\b", "nul\0", ".", ".."])
+def test_label_that_is_no_file_name_rejected(tmp_path, capsys, label):
+    """A label names the output files, so it must be a plain file name: one
+    JSON rejection and exit 2, not a traceback from opening the export."""
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({
+        "n": 4, "group": "A5", "x": "(1,2)(3,4)", "y": "(1,2,3,4,5)", "label": label,
+        "out_dir": str(tmp_path / "results"), "formats": ["edge-list"],
+    }))
+    code, out, err = run_cli(["quotient", "--job", str(job)], capsys)
+    assert code == 2
+    assert json.loads(out) == {
+        "rejected": True, "reason": f"job field 'label' must be a plain file name, got {label!r}"
+    }
+    assert "Traceback" not in err
+    assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("verb", ["construct", "quotient", "suite"])
+def test_unwritable_out_is_a_rejection(tmp_path, capsys, verb):
+    """--out under a regular file: one JSON rejection and exit 2."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = ["suite", "examples"] if verb == "suite" else [verb, *JOB1_FLAGS]
+    code, out, err = run_cli([*argv, "--out", str(blocker / "results")], capsys)
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["rejected"] is True
+    assert payload["reason"].startswith("cannot write output: ")
+    assert "Traceback" not in err
+
+
 def test_failing_check_exits_one(capsys, monkeypatch):
     import arccover.report as report
 

@@ -343,6 +343,24 @@ def test_route_without_table_matches_oracle(conjugator_route):
     assert np.array_equal(graph.adjacency, cover_graph()[2].adjacency)
 
 
+def test_route_without_table_reads_t_through_its_entry_ids(conjugator_route, monkeypatch):
+    """On the entry pool the graph reads T as maps over the pool's ids: the
+    build leaves the pool holding exactly T's 60 elements, and the build and
+    its quotient multiply fewer than 400 Permutations (about 3,400 when
+    every product map was formed one Permutation product at a time)."""
+    data, structure = cover_data(conjugator_route(resolve_group("A5")), "(1,2)(3,4)", "(1,2,3,4,5)")
+    products = []
+    real = Permutation.__mul__
+    monkeypatch.setattr(Permutation, "__mul__", lambda a, b: products.append(1) or real(a, b))
+    graph = build_coset_graph(data, structure)
+    assert data.ctx.entries.size == 60
+    cert = quotient_graph(graph, kernel_gens(data, structure))
+    assert len(products) < 400
+    table_route = cover_graph()
+    assert np.array_equal(graph.adjacency, table_route[2].adjacency)
+    assert cert == quotient_graph(table_route[2], kernel_gens(*table_route[:2]))
+
+
 # ---------------------------------------------------------------------------
 # a failed check is a failing record, not a traceback
 # ---------------------------------------------------------------------------
@@ -377,9 +395,9 @@ def test_corrupted_voltage_fails_graph_build(monkeypatch):
     def corrupted(data, structure, vertex_cap):
         table = structure.group.table()
         s = table.gen_indices[0]
-        twist = [table.multiply(table.multiply(table.invert(s), a), s) for a in range(table.size)]
+        twist = table.mult[table.mult[table.invert(s)], s]  # a -> s^-1·a·s
         links = list(structure.links)
-        links[1] = dataclasses.replace(links[1], lookup=tuple(twist[a] for a in links[1].lookup))
+        links[1] = dataclasses.replace(links[1], lookup=twist[links[1].lookup])
         return real(data, dataclasses.replace(structure, links=tuple(links)), vertex_cap)
 
     monkeypatch.setattr(report, "build_coset_graph", corrupted)

@@ -10,6 +10,7 @@ import pytest
 from coset_oracle import conj_intersection
 from table_oracle import int32_table
 from arccover.catalog import BUILTIN_CATALOG, resolve_group
+from arccover.cosetgraph import _Fibre
 from arccover.errors import CapacityExceeded, InternalCheckError, ValidationError
 from arccover.groups import (
     AutomorphismMap,
@@ -32,6 +33,7 @@ from arccover.groups import (
     right_transversal,
 )
 from arccover.perm import Permutation, parse_cycles
+from arccover.subdirect import subdirect_decompose
 from arccover.wreath import CoverJob, build_cover_group, schreier_rows
 
 
@@ -463,30 +465,44 @@ def test_pool_takes_in_no_element_outside_the_group(conjugator_route):
 
 
 def test_index_maps_agree_with_and_without_a_table(conjugator_route):
+    """`_Fibre` reads T's products, links and key order as maps over the
+    entry ids. On the entry pool, which then holds all of T, they are the
+    table's maps with every id relabelled through its element."""
     a5 = resolve_group("A5")
     t = a5.table()
-    bare = conjugator_route(a5)
-    assert bare.table() is None
-    # one element index on both routes: positions in elements()
-    assert bare.element_index() == t.index == a5.element_index()
-    ranks = a5.key_ranks()
-    assert sorted(range(60), key=ranks.__getitem__) == sorted(
+    fibres = []
+    for group in (a5, conjugator_route(a5)):
+        job = CoverJob(n=4, group=group, x=P("(1,2)(3,4)", 5), y=P("(1,2,3,4,5)", 5))
+        data = build_cover_group(job)
+        fibres.append((data, _Fibre(subdirect_decompose(schreier_rows(data)[0], group))))
+    (data, fibre), (bare_data, bare) = fibres
+    pool = bare.entries
+    assert isinstance(pool, EntryPool) and pool.size == bare.size == 60
+    to_pool = np.array([pool.idx(p) for p in t.elements])  # table id -> pool id
+    assert sorted(to_pool.tolist()) == list(range(60))
+    # key order is the order of the elements' Permutation keys
+    assert sorted(range(60), key=fibre.rank.__getitem__) == sorted(
         range(60), key=lambda i: t.elem(i).key()
     )
-    assert np.array_equal(bare.key_ranks(), ranks)
-    for e in (0, 1, 17, 59):
+    assert np.array_equal(bare.rank[to_pool], fibre.rank)
+    assert len(fibre.links) == len(bare.links) == 6
+    for link, bare_link in zip(fibre.links, bare.links):
+        assert np.array_equal(bare_link[to_pool], to_pool[link])
+    # products: the fibre point (d = 1: the id at the base) of z·m and m·z
+    assert fibre.bases == bare.bases == [0]
+    for row in fibre.structure.generators[:3]:
+        z, bare_z = data.ctx.from_assignment(row), bare_data.ctx.from_assignment(to_pool[row])
         for left in (True, False):
-            got = a5.product_map(e, left)
-            assert np.array_equal(bare.product_map(bare.entries().idx(t.elem(e)), left), got)
-            want = [t.multiply(e, b) if left else t.multiply(b, e) for b in range(60)]
+            got = fibre.apply(z, left)
+            want = [t.multiply(row[0], b) if left else t.multiply(b, row[0]) for b in range(60)]
             assert got.tolist() == want
+            assert np.array_equal(bare.apply(bare_z, left)[to_pool], to_pool[got])
     # conjugation by an odd permutation, held both ways
     b = P("(1,2)", 5)
     images = [t.idx(x.conjugate(b)) for x in t.elements]
     by_table = extend_to_automorphism(t, list(t.gen_indices), [images[i] for i in t.gen_indices])
-    by_conjugator = AutomorphismMap(conjugator=b)
-    assert by_table.lookup_array(a5).tolist() == images
-    assert by_conjugator.lookup_array(bare).tolist() == images
+    assert by_table.image(np.arange(60), t).tolist() == images
+    assert np.array_equal(AutomorphismMap(conjugator=b).image(to_pool, pool), to_pool[images])
 
 
 def test_extend_to_automorphism_identity():
@@ -495,7 +511,7 @@ def test_extend_to_automorphism_identity():
     y = t.idx(P("(1,2,3,4,5)", 5))
     phi = extend_to_automorphism(t, [x, y], [x, y])
     assert phi is not None
-    assert phi.lookup == tuple(range(60))
+    assert phi.lookup.tolist() == list(range(60))
 
 
 def test_extend_to_automorphism_inverting():
@@ -504,13 +520,9 @@ def test_extend_to_automorphism_inverting():
     y = P("(1,2,3,4,5)", 5)
     phi = extend_to_automorphism(t, [t.idx(x), t.idx(y)], [t.idx(x), t.idx(y.inverse())])
     assert phi is not None
-    assert phi.apply(y) == y.inverse()
-    assert phi.apply(x) == x
-    assert all(
-        phi.lookup[t.multiply(a, b)] == t.multiply(phi.lookup[a], phi.lookup[b])
-        for a in range(t.size)
-        for b in range(t.size)
-    )
+    assert t.elem(phi.image(t.idx(y), t)) == y.inverse()
+    assert t.elem(phi.image(t.idx(x), t)) == x
+    assert np.array_equal(phi.image(t.mult, t), t.mult[phi.lookup[:, None], phi.lookup])
 
 
 def test_extend_to_automorphism_nonexistent():

@@ -12,7 +12,7 @@ from cycle_oracle import full_cycles
 from arccover import report, subdirect
 from arccover.catalog import resolve_group
 from arccover.errors import BudgetExhausted, ValidationError
-from arccover.groups import EntryPool, PermGroup, conjugating_permutations
+from arccover.groups import EntryPool, PermGroup, conjugating_permutations, extend_to_automorphism
 from arccover.perm import Permutation, parse_cycles
 from arccover.report import JobSpec, run_job
 from arccover.subdirect import (
@@ -42,6 +42,12 @@ X = P("(1,2)(3,4)")
 Y1 = P("(1,2,3,4,5)")
 Y2 = P("(1,5,3)")
 E = Permutation.identity(5)
+
+
+def image(phi, t, group):
+    """phi applied to an element t of T, through t's entry id."""
+    entries = group.entries()
+    return entries.elem(phi.image(entries.idx(t), entries))
 
 
 def kernel_structure(y, n=4, group=A5, x=X):
@@ -90,8 +96,8 @@ def test_twisted_diagonal_single_block(routes):
         s = subdirect_decompose([e(X, X), e(Y1, Y1.inverse())], group)
         assert s.block_count == 1
         link = s.links[1] if s.links[0] is None else s.links[0]
-        assert link.apply(X) == X and link.apply(Y1) == Y1.inverse()
-        assert s.contains(e(X * Y1, link.apply(X * Y1)))
+        assert image(link, X, group) == X and image(link, Y1, group) == Y1.inverse()
+        assert s.contains(e(X * Y1, image(link, X * Y1, group)))
         assert not s.contains(e(X * Y1, X * Y1))
 
 
@@ -247,7 +253,7 @@ def assert_matches_scan(matrix, group):
     base_of, lookups = oracle.decompose(matrix, group.table())
     assert s.base_of == tuple(base_of)
     assert s.blocks == oracle_blocks(base_of)
-    assert [None if phi is None else phi.lookup for phi in s.links] == lookups
+    assert [None if phi is None else tuple(phi.lookup.tolist()) for phi in s.links] == lookups
     return s
 
 
@@ -445,7 +451,40 @@ def test_routes_agree_on_n4_kernels(conjugator_route, name, x, y):
         assert psi.conjugator is not None and phi.lookup is not None
         for row in rows:
             base = row[by_table.base_of[j]]
-            assert phi.apply(base) == psi.apply(base) == row[j]
+            assert image(phi, base, by_table.group) == image(psi, base, by_conjugator.group) == row[j]
+
+
+def test_links_are_read_only_lookups_or_conjugations(conjugator_route):
+    """A table link, from `subdirect_decompose` or `extend_to_automorphism`,
+    is one read-only lookup array over the entry ids, in the table's dtype,
+    and `image` reads it; the links of one decomposition round share a copy
+    of the rows that linked, and nothing more. A pool link's `image` is the
+    conjugation of each element."""
+    _, s = kernel_structure(Y1, n=5)
+    table = A5.table()
+    links = [phi for phi in s.links if phi is not None]
+    assert len(links) == s.k - s.block_count == 12
+    rounds = {id(phi.lookup.base): phi.lookup.base for phi in links}
+    assert sum(map(len, rounds.values())) == len(links)
+    gens = list(table.gen_indices)
+    links += [inverting_automorphism(A5, X, Y1), extend_to_automorphism(table, gens, gens)]
+    ids = np.arange(table.size)
+    for phi in links:
+        lookup = phi.lookup
+        assert isinstance(lookup, np.ndarray) and lookup.shape == (60,) and lookup.dtype == table.dtype
+        assert not lookup.flags.writeable
+        assert np.array_equal(phi.image(ids, table), lookup)
+        assert np.array_equal(phi.image(ids.reshape(6, 10), table), lookup.reshape(6, 10))
+        assert np.array_equal(phi.image(table.mult, table), table.mult[lookup[:, None], lookup])
+    group = conjugator_route(A5)
+    _, bare = kernel_structure(Y1, n=5, group=group)
+    pool = group.entries()
+    assert sum(phi is not None for phi in bare.links) == 12
+    for phi in filter(None, bare.links):
+        assert phi.lookup is None
+        ids = np.arange(pool.size)
+        images = phi.image(ids, pool)
+        assert [pool.elem(i) for i in images] == [pool.elem(i).conjugate(phi.conjugator) for i in ids]
 
 
 def test_blocks_invariant_under_conjugation():
@@ -474,7 +513,7 @@ def test_linking_relation_consistency_sampled():
         for j in range(s.k):
             base = s.base_of[j]
             link = s.links[j]
-            expect = entries[base] if link is None else link.apply(entries[base])
+            expect = entries[base] if link is None else image(link, entries[base], A5)
             assert entries[j] == expect
 
 
@@ -494,7 +533,7 @@ def test_inverting_automorphism_witnesses():
     found2 = conjugating_permutations([X, Y2], [X, Y2.inverse()], 5)
     assert [c.cycle_string() for c in found2] == ["(1,3)(2,4)"]
     phi = inverting_automorphism(A5, X, Y1)
-    assert phi.apply(X) == X and phi.apply(Y1) == Y1.inverse()
+    assert image(phi, X, A5) == X and image(phi, Y1, A5) == Y1.inverse()
 
 
 def test_cross_automorphism_witness_and_absence():
@@ -506,7 +545,7 @@ def test_cross_automorphism_witness_and_absence():
     phi = cross_automorphism(A5, X, Y1)
     b = P("(1,4)(3,5)")
     for t in (X, Y1):
-        assert phi.apply(t) == t.conjugate(b)
+        assert image(phi, t, A5) == t.conjugate(b)
     assert cross_automorphism(A5, X, Y2) is None
 
 
