@@ -14,10 +14,9 @@ length are those of the change's BENCHMARK.json. The record holds:
   per-module metrics;
 - in_process: wall time and peak RSS (ru_maxrss) of a fresh process
   running the `extended-build` job, of one running the whole `extended`
-  suite, of one running the n = 8 `decompose` job (A5, (1,2)(3,4),
-  (1,2,3,4,5)) and of one running the n = 7 `decompose` job over A11, which
-  has no table ((1,2)(3,6), (1,...,11)), the last two with their d, per
-  checkout: the medians of ROUNDS runs, with the runs;
+  suite, and of one per `decompose` job of DECOMPOSE, with its d: A5 at
+  n = 8, A11 at n = 7 and A7 at n = 4 to 7, the last five on the entry
+  pool, per checkout: the medians of ROUNDS runs, with the runs;
 - layers: the median of each layer microbenchmark in the checkout's own
   `benchmarks/` (pytest-benchmark), in seconds, and its median over ROUNDS
   runs of the whole set.
@@ -48,6 +47,13 @@ from pathlib import Path
 PAIRS = 10
 ROUNDS = 3
 
+A7_PAIR = ("A7", "(1,2)(3,4)", "(1,2,3,4,5,6,7)")
+DECOMPOSE = {
+    "n8-decompose": (8, "A5", "(1,2)(3,4)", "(1,2,3,4,5)"),
+    "a11-n7-decompose": (7, "A11", "(1,2)(3,6)", "(1,2,3,4,5,6,7,8,9,10,11)"),
+    **{f"a7-n{n}-decompose": (n, *A7_PAIR) for n in (4, 5, 6, 7)},
+}
+
 IN_PROCESS = """
 import json, resource, sys, time
 from arccover.report import JobSpec, _suite_specs, run_job, run_suite
@@ -55,11 +61,9 @@ t0 = time.perf_counter()
 facts = {}
 if sys.argv[1] == "suite":
     ok = run_suite("extended").ok
-elif sys.argv[1] in ("n8-decompose", "a11-n7-decompose"):
-    spec = (JobSpec(n=8, group="A5", x="(1,2)(3,4)", y="(1,2,3,4,5)")
-            if sys.argv[1] == "n8-decompose" else
-            JobSpec(n=7, group="A11", x="(1,2)(3,6)", y="(1,2,3,4,5,6,7,8,9,10,11)"))
-    cert = run_job(spec, "decompose")
+elif sys.argv[1] == "decompose":
+    n, group, x, y = json.loads(sys.argv[2])
+    cert = run_job(JobSpec(n=n, group=group, x=x, y=y), "decompose")
     ok = cert.ok
     facts["d"] = cert.check("block-structure")["computed"]["d"]
 else:
@@ -89,8 +93,9 @@ def perfbench(checkout: Path, workload: str, seed: int, seconds: int, trace: int
 
 
 def in_process(checkout: Path, what: str) -> dict:
+    args = ["decompose", json.dumps(DECOMPOSE[what])] if what in DECOMPOSE else [what]
     out = subprocess.run(
-        [sys.executable, "-c", IN_PROCESS, what],
+        [sys.executable, "-c", IN_PROCESS, *args],
         cwd=checkout, env=_env(checkout), capture_output=True, text=True, check=True,
     )
     return _last_json(out.stdout)
@@ -191,7 +196,7 @@ def main(argv=None) -> int:
     }
     save()
     record["in_process"] = {side: {} for side in sides}
-    for what in ("extended-build", "suite", "n8-decompose", "a11-n7-decompose"):
+    for what in ("extended-build", "suite", *DECOMPOSE):
         runs = alternate(sides, lambda path: in_process(path, what))
         for side in sides:
             record["in_process"][side][what] = {**medians(runs[side]), "runs": runs[side]}

@@ -16,7 +16,9 @@ over k = 720 from 5040 tops; the n = 4 A11 kernel of example-3, uint32 ids
 of A11's entry pool), the subdirect decomposition of those rows by each
 linking route (table propagation on the A5 kernel; the conjugator search on
 the A11 kernel), both A11 layers at n = 6 over a fresh entry pool (130 rows
-over k = 120, d = 120), and, on the 240-vertex cover of K4 of
+over k = 120, d = 120), the decomposition of the n = 6 A7 kernel (k = 120,
+d = 60) on A7's entry pool and through a `TableGroup` built for it, and, on
+the 240-vertex cover of K4 of
 example-1 (n = 4, A5, (1,2)(3,4), (1,2,3,4,5)), the same cover with A5
 without its table (T on its entry pool) and the 4368-vertex PSL(2,13)
 cover of perfbench's cover-k4, the derived-graph build and the quotient by
@@ -163,6 +165,19 @@ def test_a11_n6_rows_and_decomposition(benchmark):
 
     rows, structure = benchmark.pedantic(layer, setup=fresh, rounds=5)
     assert rows.shape == (130, 120) and structure.block_count == 120
+
+
+@pytest.mark.parametrize("route", ["pool", "table"])
+def test_a7_n6_decomposition(benchmark, route):
+    """A7 runs on its entry pool; the table route is what it would cost with
+    its 2520 x 2520 table, built before timing. Both routes are set
+    explicitly, so that the layer times the same route in any checkout."""
+    group = resolve_group("A7")
+    table = TableGroup(group) if route == "table" else None
+    group.table = lambda: table
+    kgens = schreier_rows(cover_data(6, group, "(1,2)(3,4)", "(1,2,3,4,5,6,7)"))[0]
+    structure = benchmark(subdirect_decompose, kgens, group)
+    assert structure.block_count == 60 and kgens.dtype == group.entries().dtype
 
 
 def cover(group, x, y):

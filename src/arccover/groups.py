@@ -6,8 +6,10 @@ sifting of product-replacement elements, and it is seeded; no certified fact
 depends on it, as the chain's order and membership are exact whatever
 elements were sifted (`StabilizerChain`). Groups are given by permutation
 generators and handled through a stabilizer chain without enumeration; small
-groups also carry a multiplication table. Either way T's entries are integer
-ids (`PermGroup.entries`): table indices, or ids of the group's `EntryPool`.
+groups that are not natural alternating, and A5, also carry a multiplication
+table. Either way T's entries are integer ids (`PermGroup.entries`) in the
+smallest unsigned dtype holding |T| - 1 (`id_dtype`): table indices, or ids
+of the group's `EntryPool`.
 """
 
 from __future__ import annotations
@@ -347,6 +349,7 @@ class PermGroup:
         self._chain: Optional[StabilizerChain] = None
         self._elements: Optional[tuple[Permutation, ...]] = None
         self._table: Optional[TableGroup] = None
+        self._tabled: Optional[bool] = None  # whether `table()` builds one
         self._pool: Optional[EntryPool] = None
 
     @classmethod
@@ -390,8 +393,16 @@ class PermGroup:
         return self._elements
 
     def table(self) -> Optional[TableGroup]:
-        """The multiplication table, built once; None when |T| > TABLE_CAP."""
-        if self._table is None and self.order() <= TABLE_CAP:
+        """The multiplication table, built once, or None: when |T| >
+        TABLE_CAP, and for a natural alternating T whose ids need more than
+        one byte (`id_dtype`; A7 and up), which needs no table for any fact
+        it certifies and runs on its entry pool. Decided once per group."""
+        if self._tabled is None:
+            order = self.order()
+            self._tabled = order <= TABLE_CAP and (
+                id_dtype(order).itemsize == 1 or not is_natural_alternating(self)
+            )
+        if self._table is None and self._tabled:
             self._table = TableGroup(self)
         return self._table
 
@@ -471,6 +482,12 @@ def right_transversal(
 # ---------------------------------------------------------------------------
 
 
+def id_dtype(size: int) -> np.dtype:
+    """The dtype of the entry ids of a T of order `size`, table indices or
+    pool ids alike: the smallest unsigned one holding size - 1."""
+    return np.min_scalar_type(size - 1)
+
+
 def _orders(mat: np.ndarray) -> np.ndarray:
     """The order of each row of 0-based images: the lcm of the first return
     times of its points, from at most `degree` gathers."""
@@ -489,14 +506,18 @@ def _orders(mat: np.ndarray) -> np.ndarray:
 class TableGroup:
     """A small group held as an explicit element list with index tables.
 
+    `PermGroup.table` builds one for A5 and for a T up to TABLE_CAP elements
+    that is not natural alternating; `TableGroup(group)` builds one for any
+    T up to `cap` elements, A7 included.
+
     Elements are indexed in BFS order from the identity (index 0). `mult` is
-    the array of index products, `mult[a, b]` = index of a*b, in the smallest
-    unsigned dtype holding |T| - 1 (uint8 up to |T| = 256, uint16 up to
-    TABLE_CAP), the entry `dtype`; the arrays `inv` and `order_of` hold the
-    index inverses and the element orders. With `product` and `inverse`,
-    the entry arithmetic `EntryPool` shares, they are the workhorse for wreath
-    base arithmetic and automorphism propagation. Arithmetic on indices read
-    from `mult` widens them first (to intp), as a·|T| overflows the dtype.
+    the array of index products, `mult[a, b]` = index of a*b, in the entry
+    `dtype` (`id_dtype`: uint8 up to |T| = 256, uint16 up to TABLE_CAP); the
+    arrays `inv` and `order_of` hold the index inverses and the element
+    orders. With `product` and `inverse`, the entry arithmetic `EntryPool`
+    shares, they are the workhorse for wreath base arithmetic and
+    automorphism propagation. Arithmetic on indices read from `mult` widens
+    them first (to intp), as a·|T| overflows the dtype.
     """
 
     def __init__(self, group: PermGroup, cap: int = TABLE_CAP):
@@ -516,7 +537,7 @@ class TableGroup:
         ]
         # by associativity (a*s)*b = a*(s*b): row a*s is row a read through
         # left; BFS over right multiplication reaches every row from row 0
-        mult = np.empty((size, size), dtype=np.min_scalar_type(size - 1))
+        mult = np.empty((size, size), dtype=id_dtype(size))
         mult[0] = np.arange(size)
         filled = [False] * size
         filled[0] = True
@@ -580,25 +601,30 @@ class TableGroup:
 
 
 class EntryPool:
-    """The entries of a T without a table: its elements in the order they
-    were met, numbered by uint32 ids, the identity first (id 0).
+    """The entries of a T without a table (natural alternating from A7 on, or
+    larger than TABLE_CAP): its elements in the order they were met,
+    numbered by ids in the table's dtype rule (`id_dtype`: uint16 for A7,
+    uint32 for A11), the identity first (id 0).
 
     Each element is held once, as a uint8 row of its 0-based images
     (`DistinctRows`). `idx` is the only way in for an outside element and
     checks its membership when it is new; products, inverses and conjugates
     of entries lie in T and are interned unchecked. `product` composes each
-    distinct pair of ids once and files it under the code a·2^32 + b in a
-    sorted pair cache; `inv` and `order_of` are computed once per id.
+    distinct pair of ids once and files it under the code a·2^w + b, w the
+    ids' width (A7's codes are uint32), in a sorted pair cache; `inv` and
+    `order_of` are computed once per id.
     """
-
-    dtype = np.dtype(np.uint32)
 
     def __init__(self, group: PermGroup):
         self.group = group
+        self.dtype = id_dtype(group.order())
         self._rows = DistinctRows(group.degree, np.uint8)
         self._rows.add(np.arange(group.degree, dtype=np.uint8))
-        # sorted pair codes and the product of each, from code 0: 1·1 = 1
-        self._pairs = np.zeros(1, dtype=np.uint64)
+        # sorted pair codes a·2^w + b, w the ids' width in bits (32 at most:
+        # no pool holds more ids), held in twice that width, and the product
+        # of each, from code 0: 1·1 = 1
+        self._width = min(32, 8 * self.dtype.itemsize)
+        self._pairs = np.zeros(1, dtype=f"u{self._width // 4}")
         self._pair_ids = np.zeros(1, dtype=self.dtype)
         self._inv, self._order = np.empty(0, dtype=self.dtype), np.empty(0, dtype=np.int64)
 
@@ -632,14 +658,15 @@ class EntryPool:
 
     def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """The entrywise product a·b of two id arrays, broadcast."""
-        codes = np.asarray(a, dtype=np.uint64) << 32 | np.asarray(b, dtype=np.uint64)
+        w, code = self._width, self._pairs.dtype
+        codes = np.asarray(a, dtype=code) << w | np.asarray(b, dtype=code)
         pairs, back = np.unique(codes.reshape(-1), return_inverse=True)
         at = np.searchsorted(self._pairs, pairs, side="right") - 1  # the last code <= each
         new = pairs[self._pairs[at] != pairs]
         if len(new):
             # (a·b)(i) = b(a(i)): b's row read at a's images
-            first = self._rows.take(new >> 32).astype(np.intp)
-            ids = self._intern(np.take_along_axis(self._rows.take(new & 0xFFFFFFFF), first, axis=1))
+            first = self._rows.take(new >> w).astype(np.intp)
+            ids = self._intern(np.take_along_axis(self._rows.take(new & (1 << w) - 1), first, axis=1))
             where = np.searchsorted(self._pairs, new)
             self._pairs = np.insert(self._pairs, where, new)
             self._pair_ids = np.insert(self._pair_ids, where, ids)

@@ -358,7 +358,7 @@ def run_job(spec: JobSpec, phase: str = "full") -> Certificate:
             "group_order": job.group.order(),
             "x_order": 2,
             "y_order": job.y.order(),
-            "entry_mode": "table" if job.group.table() is not None else "object",
+            "entry_mode": "table" if job.group.table() is not None else "pool",
         },
         True,
     )

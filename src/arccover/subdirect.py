@@ -8,10 +8,11 @@ structure exactly from a generating set, plus the specific automorphism
 criteria that predict the block count for the n = 4 construction.
 
 Entries of T are the integer ids `WreathContext` uses (`PermGroup.entries`):
-table indices when T has a table (|T| <= TABLE_CAP), entry-pool ids
-otherwise. Whether there is a table picks the algorithms only: generation
-and links by propagation through the table, or else by subgroup order and
-the conjugator search, which needs T natural alternating.
+table indices when T has a table (`PermGroup.table`: A5, or a T up to
+TABLE_CAP that is not natural alternating), entry-pool ids otherwise.
+Whether there is a table picks the algorithms only: generation and links by
+propagation through the table, or else by subgroup order and the conjugator
+search, which needs T natural alternating.
 """
 
 from __future__ import annotations
@@ -191,8 +192,8 @@ def subdirect_decompose(
     table = group.table()
     if table is None and not is_natural_alternating(group):
         raise ValidationError(
-            "without a multiplication table (|T| > TABLE_CAP) the decomposition "
-            "needs T to be a natural alternating group"
+            "T is too large for a multiplication table and not a natural "
+            "alternating group, so its links cannot be decided"
         )
     matrix = _entry_rows(gens, group)
     k = matrix.shape[1]
@@ -208,6 +209,7 @@ def subdirect_decompose(
     base_of = list(range(k))
     links: list[Optional[AutomorphismMap]] = [None] * k
     prefixes: dict[int, list[int]] = {}  # block base -> its generating rows
+    generates: dict[frozenset, bool] = {}  # pool entry-id set -> whether it generates T
     proper: list[int] = []  # bases whose column generates a proper subgroup
     pending = list(buckets.values())  # per bucket, its undecided columns
     decided = 0
@@ -215,7 +217,7 @@ def subdirect_decompose(
         if out_of_budget():
             raise BudgetExhausted("time budget exhausted", columns_scanned=decided)
         bases = [cols[0] for cols in pending]
-        prefixes.update(_prefixes(columns, bases, group))
+        prefixes.update(_prefixes(columns, bases, group, generates))
         proper += [b for b in bases if not prefixes[b]]
         decided += len(bases)
         pending = [cols for cols in pending if prefixes[cols[0]]]
@@ -241,12 +243,16 @@ def subdirect_decompose(
     )
 
 
-def _prefixes(columns: np.ndarray, bases: list[int], group: PermGroup) -> dict[int, list[int]]:
+def _prefixes(
+    columns: np.ndarray, bases: list[int], group: PermGroup, generates: dict[frozenset, bool]
+) -> dict[int, list[int]]:
     """Each base column's generating prefix: the rows of its first distinct
     entries, up to the first that generate T ([] if none do). The columns
     grow their prefixes together: each round adds every column's next
     distinct entry (`_next_fresh`) and tests all the new prefixes at once,
-    by propagation through the table, or else by their subgroup orders."""
+    by propagation through the table, or else by their subgroup orders.
+    A subgroup order is computed once per set of entry ids and kept in
+    `generates`, as the subgroup a set generates depends on the set alone."""
     table, elem = group.table(), group.entries().elem
     out: dict[int, list[int]] = {}
     todo = np.array(bases)
@@ -261,8 +267,11 @@ def _prefixes(columns: np.ndarray, bases: list[int], group: PermGroup) -> dict[i
         if table is not None:
             done = generating_rows(table, sources)
         else:
-            done = np.array([group.subgroup_order(list(map(elem, row))) == group.order()
-                             for row in sources.tolist()], dtype=bool)
+            done = np.empty(len(todo), dtype=bool)
+            for i, row in enumerate(sources.tolist()):
+                if (key := frozenset(row)) not in generates:
+                    generates[key] = group.subgroup_order(list(map(elem, row))) == group.order()
+                done[i] = generates[key]
         out.update(zip(todo[done].tolist(), chosen[done].tolist()))
         todo, chosen = todo[~done], chosen[~done]
     return out

@@ -1,11 +1,12 @@
 """Shared pytest wiring: a visible pass/fail line for every acceptance criterion,
-and a fixture that forces a group onto the route without a table."""
+and fixtures that force a group onto the route without a table or onto the
+table route."""
 
 import re
 
 import pytest
 
-from arccover.groups import PermGroup
+from arccover.groups import PermGroup, TableGroup
 
 _CRITERION = re.compile(r"test_criterion_0*(\d+)")
 _results: dict[int, bool] = {}
@@ -40,6 +41,22 @@ def conjugator_route():
     def fresh(group: PermGroup) -> PermGroup:
         copy = PermGroup(group.generators, group.degree)
         copy.table = lambda: None
+        return copy
+
+    return fresh
+
+
+@pytest.fixture
+def table_route():
+    """Make a fresh copy of a group whose `table()` is its multiplication
+    table, also where `PermGroup.table` would build none (A7): its wreath
+    entries are table indices and its decompositions propagate through the
+    table."""
+
+    def fresh(group: PermGroup) -> PermGroup:
+        copy = PermGroup(group.generators, group.degree)
+        table = TableGroup(copy)
+        copy.table = lambda: table
         return copy
 
     return fresh

@@ -154,7 +154,7 @@ def test_criterion_03_large_group_structural_only(job3_run):
     prediction = cert.check("block-count-prediction")["computed"]
     assert prediction["fix_x_invert_y_exists"] is False
     assert prediction["predicted_d"] == 6 == prediction["computed_d"]
-    assert cert.check("job-valid")["computed"]["entry_mode"] == "object"
+    assert cert.check("job-valid")["computed"]["entry_mode"] == "pool"
     blocks = cert.check("block-structure")["computed"]
     assert blocks["d"] == 6
     exact = 19958400**6 * 24

@@ -290,6 +290,28 @@ def test_table_build_rejects_an_inconsistent_element_list():
         TableGroup(a5)
 
 
+def test_natural_alternating_t_past_one_byte_runs_on_its_pool(monkeypatch):
+    """A7 gets no multiplication table: its n = 4 decomposition leaves none
+    built and its entries are uint16 pool ids, in the dtype its table would
+    have. A5, A6 (not natural alternating) and PSL27 keep their tables. The
+    decision is made once per group."""
+    from arccover import groups
+
+    a7 = resolve_group("A7")
+    decided = []
+    natural = groups.is_natural_alternating
+    monkeypatch.setattr(groups, "is_natural_alternating", lambda g: decided.append(g) or natural(g))
+    data = build_cover_group(CoverJob(n=4, group=a7, x=P("(1,2)(3,4)", 7),
+                                      y=P("(1,2,3,4,5,6,7)", 7)))
+    assert subdirect_decompose(schreier_rows(data)[0], a7).block_count == 3
+    assert a7._table is None and a7.table() is None
+    assert decided == [a7]
+    assert isinstance(data.ctx.entries, EntryPool) and data.ctx.dtype == np.uint16
+    for name, dtype in [("A5", np.uint8), ("A6", np.uint16), ("PSL27", np.uint8)]:
+        table = resolve_group(name).table()
+        assert isinstance(table, TableGroup) and table.dtype == dtype
+
+
 def test_table_cap():
     s8 = group("(1,2)", "(1,2,3,4,5,6,7,8)", degree=8)
     with pytest.raises(CapacityExceeded):
@@ -393,7 +415,7 @@ def test_simplicity_flags():
 ], ids=["A5", "A6", "A7", "PSL27", "PSL2_13", "S4", "S5", "Z6"])
 def test_simplicity_by_class_sizes_agrees_with_normal_closures(g, simple):
     """Where class sizes decide, they agree with generating every class."""
-    t = g.table()
+    t = TableGroup(g)
     classes = conjugacy_classes(t)
     by_closures = all(t.generates(c) for c in classes[1:])
     by_sizes = class_sizes_force_simple([len(c) for c in classes], t.size)
@@ -426,7 +448,7 @@ def test_entry_pool_agrees_with_the_table(conjugator_route):
     a5 = resolve_group("A5")
     t = a5.table()
     pool = conjugator_route(a5).entries()
-    assert isinstance(pool, EntryPool) and pool.dtype == np.uint32
+    assert isinstance(pool, EntryPool) and pool.dtype == t.dtype == np.uint8  # from |T|
     assert pool.size == 1 and pool.elem(0).is_identity()
     rng = np.random.default_rng(3)
     for p in a5.generators:
@@ -439,14 +461,14 @@ def test_entry_pool_agrees_with_the_table(conjugator_route):
     shapes = [((7,), (7,)), ((3, 4), (4,)), ((5, 1), (1, 6)), ((), (2, 3)), ((40,), ()),
               ((8, 8), (8, 8))]
     for shape_a, shape_b in shapes * 3:
-        a = rng.integers(0, pool.size, size=shape_a).astype(np.uint32)
-        b = rng.integers(0, pool.size, size=shape_b).astype(np.uint32)
+        a = rng.integers(0, pool.size, size=shape_a).astype(np.uint8)
+        b = rng.integers(0, pool.size, size=shape_b).astype(np.uint8)
         met = [pool.elem(i) for i in range(pool.size)]
         prod = pool.product(a, b)
-        assert prod.dtype == np.uint32 and prod.shape == np.broadcast_shapes(shape_a, shape_b)
+        assert prod.dtype == np.uint8 and prod.shape == np.broadcast_shapes(shape_a, shape_b)
         assert np.array_equal(index(prod), t.mult[index(a), index(b)])
         inv = pool.inverse(a)
-        assert inv.dtype == np.uint32 and inv.shape == a.shape
+        assert inv.dtype == np.uint8 and inv.shape == a.shape
         assert np.array_equal(index(inv), t.inv[index(a)])
         assert np.array_equal(pool.order_of[a], t.order_of[index(a)])
         assert [pool.elem(i) for i in range(len(met))] == met

@@ -125,7 +125,7 @@ def test_object_rows_match_the_table_rows(conjugator_route):
     bare = conjugator_route(group)
     by_table, _ = schreier_rows(cover(group, 5, *A5[1:]))
     by_pool, _ = schreier_rows(cover(bare, 5, *A5[1:]))
-    assert by_pool.dtype == np.uint32
+    assert by_pool.dtype == np.uint8  # the pool dtype is the table's, from |T|
     elems, elem = group.table().elements, bare.entries().elem
     assert ([[elems[i] for i in row] for row in by_table.tolist()]
             == [list(map(elem, row)) for row in by_pool.tolist()])

@@ -411,6 +411,42 @@ def test_object_mode_builds_one_chain_per_column(monkeypatch):
     assert len(built) == 6
 
 
+def test_pool_tests_each_prefix_set_once(monkeypatch):
+    """A generation test on the pool is one subgroup order per distinct set
+    of prefix entries in a decomposition: A7's n = 5 kernel meets no set
+    twice and builds at most one StabilizerChain for each."""
+    a7 = resolve_group("A7")
+    job = CoverJob(n=5, group=a7, x=P("(1,2)(3,4)", 7), y=P("(1,2,3,4,5,6,7)", 7))
+    kgens = schreier_rows(build_cover_group(job))[0]
+    a7.order()  # the group's own chain is not part of the count
+    tested = []
+    subgroup_order = PermGroup.subgroup_order
+    monkeypatch.setattr(PermGroup, "subgroup_order",
+                        lambda self, elements: tested.append(frozenset(elements))
+                        or subgroup_order(self, elements))
+    built = count_chains(monkeypatch)
+    assert subdirect_decompose(kgens, a7).block_count == 12
+    assert len(set(tested)) == len(tested) > 0
+    assert len(built) <= len(tested)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_a7_pool_certifies_what_its_table_does(monkeypatch, table_route, n):
+    """A7's `decompose` certificate on its entry pool is the one its
+    multiplication table gives, byte for byte, but for `entry_mode`."""
+    spec = JobSpec(n=n, group="A7", x="(1,2)(3,4)", y="(1,2,3,4,5,6,7)")
+    by_pool = run_job(spec, "decompose")
+    monkeypatch.setattr(report, "resolve_group",
+                        lambda name, catalog=None: table_route(resolve_group(name, catalog)))
+    by_table = run_job(spec, "decompose")
+    modes = [cert.check("job-valid")["computed"]["entry_mode"] for cert in (by_pool, by_table)]
+    assert modes == ["pool", "table"]
+    assert by_pool.ok and by_table.ok
+    assert by_pool.core_bytes().replace(b'"entry_mode": "pool"', b'"entry_mode": "table"') == (
+        by_table.core_bytes()
+    )
+
+
 @pytest.mark.parametrize("y, d", [(Y1, 1), (Y2, 3)])
 def test_conjugator_route_builds_one_chain_per_block_base(monkeypatch, conjugator_route, y, d):
     """Only block bases need a generation check: d stabilizer chains, where
@@ -430,11 +466,11 @@ def test_conjugator_route_builds_one_chain_per_block_base(monkeypatch, conjugato
     "name, x, y",
     [("A5", "(1,2)(3,4)", "(1,5,3)"), ("A7", "(1,2)(3,4)", "(1,2,3,4,5,6,7)")],
 )
-def test_routes_agree_on_n4_kernels(conjugator_route, name, x, y):
+def test_routes_agree_on_n4_kernels(table_route, conjugator_route, name, x, y):
     """Table propagation and the conjugator search find the same blocks, and
     their links agree on every generator row."""
     structures = []
-    for group in (resolve_group(name), conjugator_route(resolve_group(name))):
+    for group in (table_route(resolve_group(name)), conjugator_route(resolve_group(name))):
         job = CoverJob(n=4, group=group, x=P(x, group.degree), y=P(y, group.degree))
         data = build_cover_group(job)
         kgens = schreier_rows(data)[0]
