@@ -11,14 +11,16 @@ table entries, one gather through the flat table over its k = 720 cycle
 positions (`TableGroup.product`), the cover group's set-up at n = 7 and 8 (`build_cover_group`, A5: the full-cycle
 domain built afresh, g's base by class and H's generators), L and
 H ∩ H^g as tops at n = 7 (`twist_tops`, A5), the Schreier rows
-of the kernel of the top projection (the n = 7 A5 kernel, 1004 uint8 rows
-over k = 720 from 5040 tops; the n = 4 A11 kernel of example-3, uint32 ids
-of A11's entry pool), the subdirect decomposition of those rows by each
+of the kernel of the top projection (the n = 7 A5 kernel, 1714 uint8 rows
+formed over k = 720 from 5040 tops; the n = 4 A11 kernel of example-3, uint32
+ids of A11's entry pool), the sifting of those rows into the block
+structure (`RowSifter`: A5 at n = 7 and 8 with its table, A7 at n = 6 on
+its entry pool), the subdirect decomposition of every row formed by each
 linking route (table propagation on the A5 kernel; the conjugator search on
-the A11 kernel), both A11 layers at n = 6 over a fresh entry pool (130 rows
-over k = 120, d = 120), the decomposition of the n = 6 A7 kernel (k = 120,
-d = 60) on A7's entry pool and through a `TableGroup` built for it, and, on
-the 240-vertex cover of K4 of
+the A11 kernel), both A11 layers at n = 6 over a fresh entry pool (the rows
+sifted as they are formed: k = 120, d = 120), the decomposition of the n = 6
+A7 kernel (k = 120, d = 60) on A7's entry pool and through a `TableGroup`
+built for it, and, on the 240-vertex cover of K4 of
 example-1 (n = 4, A5, (1,2)(3,4), (1,2,3,4,5)), the same cover with A5
 without its table (T on its entry pool) and the 4368-vertex PSL(2,13)
 cover of perfbench's cover-k4, the derived-graph build and the quotient by
@@ -38,7 +40,7 @@ from arccover.catalog import resolve_group
 from arccover.cosetgraph import build_coset_graph, centralizer_elements, quotient_graph
 from arccover.groups import PermGroup, TableGroup, closure
 from arccover.perm import Permutation, parse_cycles
-from arccover.subdirect import subdirect_decompose
+from arccover.subdirect import RowSifter, subdirect_decompose
 from arccover.wreath import (
     CoverJob,
     WreathContext,
@@ -126,17 +128,59 @@ def test_twist_tops_n7(benchmark):
     assert (len(tops.l), len(tops.k)) == (120, 120)
 
 
+def formed_rows(data):
+    """Every row `schreier_rows` forms, in order, and the tops it reached."""
+    batches = []
+    tops = schreier_rows(data, batches.append)
+    return np.concatenate(batches), tops
+
+
+def sifted(data):
+    """The kernel's block structure, its rows sifted as they are formed."""
+    sifter = RowSifter(data.job.group, data.ctx.k)
+    schreier_rows(data, sifter.add)
+    return sifter.structure()
+
+
 @pytest.mark.parametrize("name, n, x, y, count", [
-    ("A5", 7, "(1,2)(3,4)", "(1,2,3,4,5)", 1004),
-    ("A11", 4, "(1,2)(3,6)", "(1,2,3,4,5,6,7,8,9,10,11)", 7),
+    ("A5", 7, "(1,2)(3,4)", "(1,2,3,4,5)", 1714),
+    ("A11", 4, "(1,2)(3,6)", "(1,2,3,4,5,6,7,8,9,10,11)", 10),
 ], ids=["A5-n7-table", "A11-n4-pool"])
 def test_schreier_rows(benchmark, name, n, x, y, count):
     """The Schreier rows of the kernel of the top projection, over all n! tops."""
     group = resolve_group(name)
     data = cover_data(n, group, x, y)
-    rows, tops = benchmark(schreier_rows, data)
+    rows, tops = benchmark(formed_rows, data)
     assert len(rows) == count and tops == math.factorial(n)
     assert (rows.dtype == np.uint32) == (name == "A11")
+
+
+@pytest.mark.parametrize("name, n, x, y, d, rounds", [
+    ("A5", 7, "(1,2)(3,4)", "(1,2,3,4,5)", 360, 20),
+    ("A5", 8, "(1,2)(3,4)", "(1,2,3,4,5)", 2520, 3),
+    ("A7", 6, "(1,2)(3,4)", "(1,2,3,4,5,6,7)", 60, 5),
+], ids=["A5-n7-table", "A5-n8-table", "A7-n6-pool"])
+def test_sift(benchmark, name, n, x, y, d, rounds):
+    """The Schreier rows sifted into the block structure (`RowSifter`),
+    the BFS that forms them left out; each round on a fresh group, so that
+    a pool's caches start from the rows' entries alone."""
+
+    def fresh():
+        group = resolve_group(name)
+        data = cover_data(n, group, x, y)
+        batches = []
+        schreier_rows(data, batches.append)
+        return (group, data.ctx.k, batches), {}
+
+    def layer(group, k, batches):
+        sifter = RowSifter(group, k)
+        for rows in batches:
+            sifter.add(rows)
+        return sifter.structure()
+
+    structure = benchmark.pedantic(layer, setup=fresh, rounds=rounds)
+    assert structure.block_count == d
+    assert (structure.group.table() is None) == (name == "A7")
 
 
 @pytest.mark.parametrize("name, n, x, y, d", [
@@ -144,27 +188,26 @@ def test_schreier_rows(benchmark, name, n, x, y, count):
     ("A11", 4, "(1,2)(3,6)", "(1,2,3,4,5,6,7,8,9,10,11)", 6),
 ], ids=["A5-n7-table", "A11-n4-conjugator"])
 def test_subdirect_decompose(benchmark, name, n, x, y, d):
+    """The decomposition of every row formed at once, the route `RowSifter`
+    replaces in the pipeline."""
     group = resolve_group(name)
-    kgens = schreier_rows(cover_data(n, group, x, y))[0]
+    kgens = formed_rows(cover_data(n, group, x, y))[0]
     structure = benchmark(subdirect_decompose, kgens, group)
     assert structure.block_count == d
     assert (group.table() is None) == (name == "A11")
 
 
 def test_a11_n6_rows_and_decomposition(benchmark):
-    """The n = 6 A11 kernel's Schreier rows and their decomposition, each
-    round on a fresh group, so that its entry pool starts from the
-    construction's entries alone and every product is composed anew."""
+    """The n = 6 A11 kernel's Schreier rows, sifted into its block structure
+    as they are formed, each round on a fresh group, so that its entry pool
+    starts from the construction's entries alone and every product is
+    composed anew."""
 
     def fresh():
         return (cover_data(6, resolve_group("A11"), *A11_PAIR),), {}
 
-    def layer(data):
-        rows = schreier_rows(data)[0]
-        return rows, subdirect_decompose(rows, data.job.group)
-
-    rows, structure = benchmark.pedantic(layer, setup=fresh, rounds=5)
-    assert rows.shape == (130, 120) and structure.block_count == 120
+    structure = benchmark.pedantic(sifted, setup=fresh, rounds=5)
+    assert structure.k == 120 and structure.block_count == 120
 
 
 @pytest.mark.parametrize("route", ["pool", "table"])
@@ -175,7 +218,7 @@ def test_a7_n6_decomposition(benchmark, route):
     group = resolve_group("A7")
     table = TableGroup(group) if route == "table" else None
     group.table = lambda: table
-    kgens = schreier_rows(cover_data(6, group, "(1,2)(3,4)", "(1,2,3,4,5,6,7)"))[0]
+    kgens = formed_rows(cover_data(6, group, "(1,2)(3,4)", "(1,2,3,4,5,6,7)"))[0]
     structure = benchmark(subdirect_decompose, kgens, group)
     assert structure.block_count == 60 and kgens.dtype == group.entries().dtype
 
@@ -185,8 +228,7 @@ def cover(group, x, y):
     job = CoverJob(n=4, group=group, x=parse_cycles(x, group.degree),
                    y=parse_cycles(y, group.degree))
     data = build_cover_group(job)
-    kgens = schreier_rows(data)[0]
-    structure = subdirect_decompose(kgens, group)
+    structure = sifted(data)
     m_gens = [data.ctx.from_assignment(row) for row in structure.generators]
     return data, structure, m_gens
 

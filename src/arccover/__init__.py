@@ -4,7 +4,6 @@ machine-checkable certificates."""
 
 from ._version import __version__
 from .catalog import resolve_group
-from .cosetgraph import build_coset_graph, quotient_graph
 from .errors import ArccoverError, CapacityExceeded, ValidationError
 from .groups import StabilizerChain, closure, group_order
 from .perm import Permutation, parse_cycles
@@ -34,3 +33,13 @@ __all__ = [
     "run_suite",
     "subdirect_decompose",
 ]
+
+
+def __getattr__(name: str):
+    """`build_coset_graph` and `quotient_graph`, imported on first use, so
+    that a job that builds no graph never loads `cosetgraph`."""
+    if name in ("build_coset_graph", "quotient_graph"):
+        from . import cosetgraph
+
+        return getattr(cosetgraph, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

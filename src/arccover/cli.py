@@ -20,9 +20,8 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from ._version import __version__
-from .cosetgraph import VERTEX_CAP_DEFAULT
 from .errors import CapacityExceeded, ValidationError
-from .groups import ENUM_CAP_DEFAULT
+from .groups import ENUM_CAP_DEFAULT, VERTEX_CAP_DEFAULT
 from .report import EXPORT_SUFFIX, SUITE_NAMES, JobSpec, run_job, run_suite
 
 _PHASE_OF_VERB = {

@@ -31,12 +31,16 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import CapacityExceeded, InternalCheckError, ValidationError
-from .groups import EntryPool, decimal_string, is_2_transitive, right_transversal
+from .groups import (
+    VERTEX_CAP_DEFAULT,
+    EntryPool,
+    decimal_string,
+    is_2_transitive,
+    right_transversal,
+)
 from .perm import Permutation, parse_cycles
 from .subdirect import SubdirectStructure
 from .wreath import CoverGroupData, WreathElement
-
-VERTEX_CAP_DEFAULT = 2_000_000
 
 
 def _id_type(order: int) -> type:
@@ -186,7 +190,7 @@ def build_coset_graph(
 ) -> CosetGraph:
     """Cos(Y, H, HgH) as the derived graph of K_n over M = T^d.
 
-    `structure` is M's block structure (from `subdirect_decompose` of the
+    `structure` is M's block structure (`RowSifter.structure` of the
     kernel generators). Every voltage must have a trivial top and lie in M,
     the n·|T|^d canonical keys must be distinct, and the adjacency symmetric,
     loop-free and (n-1)-regular; otherwise InternalCheckError. Raises

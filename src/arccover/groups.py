@@ -26,6 +26,7 @@ from .errors import CapacityExceeded, InternalCheckError, ValidationError
 from .perm import Permutation, parse_cycles
 
 ENUM_CAP_DEFAULT = 10_000_000
+VERTEX_CAP_DEFAULT = 2_000_000  # largest coset graph a job builds by default
 TABLE_CAP = 4000
 
 
@@ -104,7 +105,7 @@ class DistinctRows:
     by comparing their bytes, so no copy of a row is kept as its key. The
     matrix grows without numpy's reference check, which a profiler's
     reference to the bound `resize` would fail; that is safe because no view
-    of it leaves the class before `matrix()` (`take` copies).
+    of it leaves the class (`take` copies).
     """
 
     def __init__(self, width: int, dtype):
@@ -137,13 +138,6 @@ class DistinctRows:
     def take(self, ids: np.ndarray) -> np.ndarray:
         """A copy of the rows numbered `ids`, in that order."""
         return self._matrix[ids]
-
-    def matrix(self) -> np.ndarray:
-        """The rows in order, as an owned and writeable matrix; no row can be
-        added afterwards."""
-        matrix, self._matrix = self._matrix, None
-        matrix.resize((self.count, matrix.shape[1]), refcheck=False)
-        return matrix
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +606,8 @@ class EntryPool:
     of entries lie in T and are interned unchecked. `product` composes each
     distinct pair of ids once and files it under the code a·2^w + b, w the
     ids' width (A7's codes are uint32), in a sorted pair cache; `inv` and
-    `order_of` are computed once per id.
+    `order_of` are computed once per id, and `conjugate` once per id and
+    conjugator.
     """
 
     def __init__(self, group: PermGroup):
@@ -627,6 +622,8 @@ class EntryPool:
         self._pairs = np.zeros(1, dtype=f"u{self._width // 4}")
         self._pair_ids = np.zeros(1, dtype=self.dtype)
         self._inv, self._order = np.empty(0, dtype=self.dtype), np.empty(0, dtype=np.int64)
+        self._conjugates: dict[tuple[int, ...], np.ndarray] = {}  # conjugator images -> per id
+        self.conjugates_derived = 0
 
     @property
     def size(self) -> int:
@@ -690,12 +687,30 @@ class EntryPool:
         return self._order
 
     def conjugate(self, a: np.ndarray, c: Permutation) -> np.ndarray:
-        """The ids of t^c = c^-1·t·c for the ids a of t, one per distinct id."""
-        distinct, back = np.unique(a, return_inverse=True)
-        s = np.array(c.images, dtype=np.intp) - 1
-        rows = np.empty((len(distinct), len(s)), dtype=np.uint8)
-        rows[:, s] = s[self._rows.take(distinct)]  # t^c sends c(i) to c(t(i))
-        return self._intern(rows)[back.reshape(np.shape(a))]
+        """The ids of t^c = c^-1·t·c for the ids a of t.
+
+        A link's images never change, so each id's conjugate is derived once
+        per conjugator and kept, in an int64 array grown with the pool (-1
+        until derived). The ids a call lacks are derived in increasing
+        order, as a derivation afresh would take them, so the pool numbers
+        their conjugates alike. `conjugates_derived` counts derivations.
+        """
+        a = np.asarray(a)
+        images = self._conjugates.get(c.images, np.empty(0, dtype=np.int64))
+        if len(images) < self.size:
+            images = np.concatenate([images, np.full(self.size - len(images), -1)])
+            self._conjugates[c.images] = images
+        out = images.take(a)
+        missing = out < 0
+        if missing.any():
+            new = np.flatnonzero(np.bincount(a[missing]))  # once each, increasing; no numpy.ma
+            s = np.array(c.images, dtype=np.intp) - 1
+            rows = np.empty((len(new), len(s)), dtype=np.uint8)
+            rows[:, s] = s[self._rows.take(new)]  # t^c sends c(i) to c(t(i))
+            images[new] = self._intern(rows)
+            self.conjugates_derived += len(new)
+            out = images.take(a)
+        return out.astype(self.dtype)
 
 
 def conjugacy_classes(table: TableGroup) -> list[list[int]]:
@@ -768,6 +783,27 @@ class AutomorphismMap:
         if self.lookup is not None:
             return self.lookup.take(ids)
         return entries.conjugate(ids, self.conjugator)
+
+    def key(self):
+        """Equal for equal maps: the lookup's bytes or the conjugator's images."""
+        return self.conjugator.images if self.lookup is None else self.lookup.tobytes()
+
+    def inverse(self) -> "AutomorphismMap":
+        if self.lookup is None:
+            return AutomorphismMap(conjugator=self.conjugator.inverse())
+        lookup = np.empty_like(self.lookup)
+        lookup[self.lookup] = np.arange(len(lookup))
+        lookup.flags.writeable = False
+        return AutomorphismMap(lookup=lookup)
+
+    def after(self, other: "AutomorphismMap") -> "AutomorphismMap":
+        """This map composed after `other`: t -> self(other(t)). With
+        t^c = c^-1·t·c, (t^a)^b = t^(a·b)."""
+        if self.lookup is None:
+            return AutomorphismMap(conjugator=other.conjugator * self.conjugator)
+        lookup = self.lookup.take(other.lookup)
+        lookup.flags.writeable = False
+        return AutomorphismMap(lookup=lookup)
 
 
 def _propagate(

@@ -22,20 +22,12 @@ import numpy as np
 
 from ._version import __version__
 from .catalog import resolve_group
-from .cosetgraph import (
-    VERTEX_CAP_DEFAULT,
-    build_coset_graph,
-    centralizer_elements,
-    export_chunks,
-    graph_girth,
-    quotient_graph,
-    two_arc_transitive,
-)
-from .errors import ArccoverError, CapacityExceeded, ValidationError
-from .groups import ENUM_CAP_DEFAULT, closure, decimal_string, orbit
+from .errors import ArccoverError, BudgetExhausted, CapacityExceeded, ValidationError
+from .groups import ENUM_CAP_DEFAULT, VERTEX_CAP_DEFAULT, closure, decimal_string, orbit
 from .perm import parse_cycles
 from .subdirect import (
     BlockReport,
+    RowSifter,
     cross_automorphism,
     inverting_automorphism,
     structures_equal,
@@ -299,7 +291,7 @@ class _Run:
     def certificate(self) -> Certificate:
         passed = sum(1 for c in self.checks if c["passed"])
         payload = {
-            "format": "arccover-certificate/2",
+            "format": "arccover-certificate/3",
             "version": __version__,
             "job": self.spec.echo(),
             "checks": self.checks,
@@ -327,10 +319,12 @@ def run_job(spec: JobSpec, phase: str = "full") -> Certificate:
 
     Stage order (the STAGES table): cycle-class partition, the defining
     identities of the twisted swap, the kernel witness element, Schreier
-    kernel generators, block decomposition (d and exact orders), the n=4
-    prediction and explicit-tuple cross-checks, coset graph construction
-    (capped), 2-arc-transitivity, the quotient down to the complete graph,
-    centralizer structure (capped); then exports.
+    kernel generators (sifted into the block structure as they are formed),
+    block structure (d and exact orders), the n=4 prediction and
+    explicit-tuple cross-checks, coset graph construction (capped),
+    2-arc-transitivity, the quotient down to the complete graph, centralizer
+    structure (capped); then exports. The graph stages import `cosetgraph`
+    when they run, so a job that builds no graph never loads it.
 
     `phase` truncates the pipeline: "construct" stops after the witness
     checks, "decompose" after the block structure, "graph" after the graph
@@ -457,19 +451,22 @@ def _kernel_witness(run: _Run):
 
 
 def _kernel_generators(run: _Run):
-    rows, tops = schreier_rows(run.data, run.spec.enum_cap, run.out_of_budget)
+    sifter = RowSifter(run.data.job.group, run.data.ctx.k, run.out_of_budget)
+    try:
+        tops = schreier_rows(run.data, sifter.add, run.spec.enum_cap, run.out_of_budget)
+    except BudgetExhausted as exc:
+        exc.details.update(sifter.work())
+        raise
     return {
-        "generator_count": len(rows),
+        **sifter.work(),
         "component_count": run.data.ctx.k,
         "image_order": tops,
-    }, tops == math.factorial(run.n), rows
+    }, tops == math.factorial(run.n), sifter
 
 
 def _block_structure(run: _Run):
     n = run.n
-    structure = subdirect_decompose(
-        run.products["kernel-generators"], run.data.job.group, run.out_of_budget
-    )
+    structure = run.products["kernel-generators"].structure()
     d = structure.block_count
     report = BlockReport.build(n, d)
     order_m = run.data.job.group.order() ** d
@@ -534,6 +531,8 @@ def _expected_vertices(run: _Run) -> int:
 
 
 def _graph_build(run: _Run):
+    from .cosetgraph import build_coset_graph, graph_girth
+
     expected = _expected_vertices(run)
     graph = build_coset_graph(
         run.data, run.products["block-structure"], vertex_cap=run.spec.vertex_cap
@@ -553,6 +552,8 @@ def _graph_build(run: _Run):
 
 
 def _two_arc_transitive(run: _Run):
+    from .cosetgraph import two_arc_transitive
+
     data = run.data
     result = two_arc_transitive(data.h_tops(), data.tops.k, data.h_top_gens)
     ok = result["two_transitive"] and result["index"] == run.n - 1
@@ -561,6 +562,8 @@ def _two_arc_transitive(run: _Run):
 
 
 def _cover_quotient(run: _Run):
+    from .cosetgraph import quotient_graph
+
     n = run.n
     graph = run.products["graph-build"]
     cert = quotient_graph(graph, graph.m_gens)
@@ -581,6 +584,8 @@ def _cover_quotient(run: _Run):
 
 
 def _centralizer(run: _Run):
+    from .cosetgraph import centralizer_elements, graph_girth, quotient_graph
+
     data = run.data
     d = run.products["block-structure"].block_count
     order_y = data.job.group.order() ** d * math.factorial(run.n)
@@ -693,6 +698,8 @@ STAGES = (
 
 
 def _write_exports(run: _Run, graph) -> None:
+    from .cosetgraph import export_chunks
+
     out_dir = Path(run.spec.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for fmt in run.spec.formats:

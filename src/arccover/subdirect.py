@@ -1,11 +1,14 @@
 """Decomposition of subdirect subgroups of T^k into linked diagonal blocks.
 
 A subgroup M <= T^k (T nonabelian simple) that projects onto every component
-is a direct product of full diagonal subgroups: the components split into
-blocks, each block carries linking automorphisms from a base component, and
+is a direct product of full diagonal subgroups (Scott's lemma; Dixon and
+Mortimer, Permutation Groups, 4.3): the components split into blocks, each
+block carries linking automorphisms from a base component, and
 M = { z : z_j = link_j(z_base) within each block }. This module computes that
-structure exactly from a generating set, plus the specific automorphism
-criteria that predict the block count for the n = 4 construction.
+structure exactly from a generating set (`subdirect_decompose`), or from rows
+that come in batches by keeping only those that change it (`RowSifter`),
+plus the specific automorphism criteria that predict the block count for the
+n = 4 construction.
 
 Entries of T are the integer ids `WreathContext` uses (`PermGroup.entries`):
 table indices when T has a table (`PermGroup.table`: A5, or a T up to
@@ -20,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -27,6 +31,7 @@ import numpy as np
 from .errors import BudgetExhausted, InternalCheckError, ValidationError
 from .groups import (
     AutomorphismMap,
+    DistinctRows,
     PermGroup,
     automorphism_lookups,
     conjugating_permutations,
@@ -49,7 +54,7 @@ class SubdirectStructure:
     blocks: tuple[tuple[int, ...], ...]
     links: tuple[Optional[AutomorphismMap], ...]  # None exactly at block bases
     base_of: tuple[int, ...]  # component -> base component of its block
-    generators: np.ndarray  # the distinct generating rows, in input order (`_entry_rows`)
+    generators: np.ndarray  # distinct generating rows in input order, or a sifter's S
     group: PermGroup
 
     @property
@@ -63,21 +68,164 @@ class SubdirectStructure:
         """Membership of a row of k entry ids, a sequence or a row of an
         entry matrix: within each block every entry follows its linking map."""
         rows = row[None] if isinstance(row, np.ndarray) else [row]
-        return self._holds(_entry_rows(rows, self.group, self.k))
+        return bool(self._holds(_entry_rows(rows, self.group, self.k))[0])
 
-    def _holds(self, matrix: np.ndarray) -> bool:
-        """Every row of an entry matrix lies in the subgroup."""
+    @cached_property
+    def _gathers(self) -> list[tuple[AutomorphismMap, np.ndarray, np.ndarray]]:
+        """Per distinct link (by its lookup or conjugator): the components it
+        links and their bases. Where one map links every block, as at
+        n >= 5 with an automorphism fixing x and inverting y, there is one."""
+        by_map: dict = {}
+        for j, (base, link) in enumerate(zip(self.base_of, self.links)):
+            if link is not None:
+                _, bases, members = by_map.setdefault(link.key(), (link, [], []))
+                bases.append(base)
+                members.append(j)
+        return [(link, np.array(b), np.array(m)) for link, b, m in by_map.values()]
+
+    def _holds(self, matrix: np.ndarray) -> np.ndarray:
+        """Per row of an entry matrix, whether it lies in the subgroup: its
+        entries at the bases, gathered through each distinct link at once,
+        equal its entries at the linked components."""
         entries = self.group.entries()
-        return all(
-            link is None or np.array_equal(link.image(matrix[:, base], entries), matrix[:, j])
-            for j, (base, link) in enumerate(zip(self.base_of, self.links))
+        ok = np.ones(len(matrix), dtype=bool)
+        for link, bases, members in self._gathers:
+            images = link.image(matrix.take(bases, axis=1), entries)
+            ok &= (images == matrix.take(members, axis=1)).all(axis=1)
+        return ok
+
+    def refined(self, row: np.ndarray, generators: np.ndarray) -> "SubdirectStructure":
+        """The structure of the subgroup generated by this one and `row`,
+        with `generators` (which generate it) as its generators.
+
+        The larger subgroup's blocks split these: components i and j of a
+        block can only be linked by the one map that links them here,
+        φ_j∘φ_i^-1 (φ the links from the base, the identity at it), and are
+        linked iff it also sends row_i to row_j, that is iff
+        φ_i^-1(row_i) = φ_j^-1(row_j). So each block splits by the value
+        φ_j^-1(row_j); each part's least component is its base, and a
+        component whose base moves from b to c is linked by φ_j∘φ_c^-1.
+        Both maps are unique, so they are the links `_decompose` finds.
+        """
+        entries, size = self.group.entries(), self.group.order()
+        pulled = row.astype(np.int64)  # φ_j^-1(row_j), row_j at the bases
+        for link, _, members in self._gathers:
+            pulled[members] = link.inverse().image(row.take(members), entries)
+        _, first, back = np.unique(
+            np.array(self.base_of) * size + pulled, return_index=True, return_inverse=True
         )
+        base_of = first[back]  # the least component with the same base and value
+        links = list(self.links)
+        inverses: dict[int, AutomorphismMap] = {}
+        for j in np.flatnonzero(base_of != np.array(self.base_of)).tolist():
+            c = int(base_of[j])
+            if c == j:
+                links[j] = None
+            else:
+                if c not in inverses:
+                    inverses[c] = self.links[c].inverse()
+                links[j] = self.links[j].after(inverses[c])
+        return SubdirectStructure(
+            k=self.k,
+            blocks=_blocks_from(base_of.tolist(), self.k),
+            links=tuple(links),
+            base_of=tuple(base_of.tolist()),
+            generators=generators,
+            group=self.group,
+        )
+
+
+class RowSifter:
+    """The block structure of the subgroup M of T^k generated by the rows
+    given in batches (`add`), decomposed from the few rows S that change it.
+
+    Rows join S until S's columns all generate T. That is tested when |S|
+    reaches 2, 4, 8, ... (one entry generates a cyclic group, never T) by
+    decomposing S, stopped at the first base that does not generate (a
+    linked column is the image of its base, so the bases decide); the
+    generating prefixes found are kept, as S grows only at its end. Once S
+    decomposes, <S> is by Scott's lemma the set of rows that satisfy its
+    links: a later row that does (`SubdirectStructure._holds`) lies in <S>
+    and is dropped, and one that does not joins S, whose structure is then
+    refined by it (`SubdirectStructure.refined`), so d only grows. S lies in
+    M and every row given lies in <S>, so <S> = M; blocks, bases (the least
+    component of each block) and links are fixed by M, and they are those
+    of `subdirect_decompose` over all the rows.
+
+    `rows_formed`, `rows_kept` (|S|) and `decompositions` (S's structure
+    found whole, then refined) count the work. A decomposition raises
+    BudgetExhausted once `out_of_budget()` holds before one of its rounds.
+    """
+
+    def __init__(
+        self, group: PermGroup, k: int, out_of_budget: Callable[[], bool] = lambda: False
+    ):
+        _require_links(group)
+        self.group = group
+        self._out_of_budget = out_of_budget
+        self._kept = DistinctRows(k, group.entries().dtype)  # S
+        self._prefixes: dict[int, list[int]] = {}  # column -> its generating prefix in S
+        self._generates: dict[frozenset, bool] = {}  # `_prefixes`' memo on a pool
+        self._test_at = 2
+        self._structure: Optional[SubdirectStructure] = None
+        self.rows_formed = 0
+        self.decompositions = 0
+
+    @property
+    def rows_kept(self) -> int:
+        return self._kept.count
+
+    def work(self) -> dict:
+        return {
+            "rows_formed": self.rows_formed,
+            "rows_kept": self.rows_kept,
+            "decompositions": self.decompositions,
+        }
+
+    def add(self, rows: np.ndarray) -> None:
+        """Sift a batch of rows: an entry matrix of width k in T's entry dtype."""
+        self.rows_formed += len(rows)
+        first = 0
+        while self._structure is None and first < len(rows):
+            self._kept.add(rows[first])
+            first += 1
+            if self._kept.count == self._test_at:
+                self._test_at *= 2
+                self._decompose(whole=False)
+        rest = rows[first:]
+        while self._structure is not None and len(rest):
+            rest = rest[~self._structure._holds(rest)]
+            if len(rest):
+                self._kept.add(rest[0])
+                self._structure = self._structure.refined(rest[0], self._generators())
+                self.decompositions += 1
+                rest = rest[1:]
+
+    def structure(self) -> SubdirectStructure:
+        """M's structure. If S never decomposed, S holds every row given,
+        and its decomposition now names the least column that does not
+        generate T (ValidationError), as `subdirect_decompose` would."""
+        if self._structure is None:
+            self._decompose(whole=True)
+        return self._structure
+
+    def _generators(self) -> np.ndarray:
+        rows = self._kept.take(np.arange(self._kept.count))
+        rows.flags.writeable = False
+        return rows
+
+    def _decompose(self, whole: bool) -> None:
+        self._structure = _decompose(
+            self._generators(), self.group, self._out_of_budget,
+            self._prefixes, self._generates, whole,
+        )
+        self.decompositions += self._structure is not None
 
 
 def _entry_rows(gens: Sequence, group: PermGroup, k: Optional[int] = None) -> np.ndarray:
     """The distinct rows of `gens`, in input order, as T's entry matrix.
 
-    `gens` is a 2-D integer matrix of rows, as `schreier_rows` returns, or a
+    `gens` is a 2-D integer matrix of rows, as `schreier_rows` forms, or a
     sequence of rows, all of one length (k, if given). Entries must be int
     entry ids 0..size-1 (`PermGroup.entries`; a bool is not an int here),
     held in the entries' dtype; anything else is a ValidationError. A
@@ -127,17 +275,17 @@ def _first_rows(matrix: np.ndarray) -> list[int]:
     return out
 
 
-def _fingerprints(columns: np.ndarray, group: PermGroup) -> list[bytes]:
-    """Per column (a row of `columns`), how often each pair (|e|, |e·e0|)
-    occurs over its entries e, with e0 its entry in row 0, as bytes.
+def _fingerprints(columns: np.ndarray, group: PermGroup) -> list[int]:
+    """Per column (a row of `columns`), the hash of its sequence of pairs
+    (|e|, |e·e0|) over its entries e, row by row, with e0 its entry in row 0.
 
-    An entrywise automorphism keeps element orders, so a column and its
-    image have one fingerprint. The counts determine both sorted profiles
-    of orders, of the entries and of their products with e0, so no column
-    that those profiles would let link is kept apart. Each entry's pair is
-    one gather from a code table over the distinct e0 and the ids up to the
+    A link maps a column entrywise by an automorphism, which keeps element
+    orders, so a column and its image have one sequence, and one hash. Two
+    sequences that share a hash only share a bucket, which costs link
+    attempts and changes no link (`_decompose`). Each entry's pair is one
+    gather from a code table over the distinct e0 and the ids up to the
     largest in `columns`, which bounds what a pool grows by, in the smallest
-    unsigned dtype; columns are counted in blocks of `_BATCH_ENTRIES` entries.
+    unsigned dtype; columns are coded in blocks of `_BATCH_ENTRIES` entries.
     """
     entries = group.entries()
     size = int(columns.max()) + 1
@@ -152,25 +300,49 @@ def _fingerprints(columns: np.ndarray, group: PermGroup) -> list[bytes]:
     offsets = first_of * size
     k, rows = columns.shape
     width = max(1, _BATCH_ENTRIES // rows)  # columns per block
-    count_dtype = np.min_scalar_type(rows)
-    bins = np.arange(width, dtype=np.intp)[:, None] * kinds  # one bin range per column
     out = []
     for lo in range(0, k, width):
         block = table_codes.take(columns[lo:lo + width] + offsets[lo:lo + width, None])
-        block = block + bins[:len(block)]
-        hist = np.bincount(block.reshape(-1), minlength=len(block) * kinds)
-        del block  # not alive beside the next block's index array
-        out += [h.tobytes() for h in hist.astype(count_dtype).reshape(-1, kinds)]
+        out += [row_hash(codes) for codes in block]
     return out
 
 
 def subdirect_decompose(
     gens: Sequence, group: PermGroup, out_of_budget: Callable[[], bool] = lambda: False
 ) -> SubdirectStructure:
-    """Block structure of the subgroup of T^k generated by `gens`.
+    """Block structure of the subgroup of T^k generated by `gens`, all of
+    them decomposed at once (`RowSifter` keeps only the rows that change
+    the structure).
 
-    Rows are an integer matrix (`schreier_rows`' output) or k-tuples of
-    entry ids (module docstring).
+    Rows are an integer matrix or k-tuples of entry ids (module docstring);
+    repeats are dropped, and the structure's generators are the distinct
+    rows in input order (`_entry_rows`). Raises BudgetExhausted as
+    `_decompose`.
+    """
+    _require_links(group)
+    return _decompose(_entry_rows(gens, group), group, out_of_budget, {}, {})
+
+
+def _require_links(group: PermGroup) -> None:
+    if group.table() is None and not is_natural_alternating(group):
+        raise ValidationError(
+            "T is too large for a multiplication table and not a natural "
+            "alternating group, so its links cannot be decided"
+        )
+
+
+def _decompose(
+    matrix: np.ndarray,
+    group: PermGroup,
+    out_of_budget: Callable[[], bool],
+    prefixes: dict[int, list[int]],
+    generates: dict[frozenset, bool],
+    whole: bool = True,
+) -> Optional[SubdirectStructure]:
+    """The structure of the distinct rows of an entry matrix. `prefixes`
+    holds the generating prefixes (`_prefixes`) of columns known to
+    generate T, and gains those found; `generates` is `_prefixes`' memo.
+
     Components are scanned in order: each is linked to the first earlier
     block base of its fingerprint (`_fingerprints`) whose generating prefix
     of rows extends to an automorphism mapping the base's whole column onto
@@ -183,33 +355,26 @@ def subdirect_decompose(
     tested against that base, and the ones that fail go on to the next
     round. That is the order in which the scan tries bases, so it links the
     same columns. A column that does not generate T never links, so the
-    first such base is the least such column. The columns are read from one
-    column-major copy of the rows.
+    first such base is the least such column; a ValidationError names it,
+    or, unless `whole`, the scan ends at the first round with such a base
+    and returns None. The columns are read from one column-major copy of
+    the rows.
 
     Raises BudgetExhausted, with the number of columns decided, once
     `out_of_budget()` holds before a round.
     """
-    table = group.table()
-    if table is None and not is_natural_alternating(group):
-        raise ValidationError(
-            "T is too large for a multiplication table and not a natural "
-            "alternating group, so its links cannot be decided"
-        )
-    matrix = _entry_rows(gens, group)
     k = matrix.shape[1]
     # column-major copy, 512 rows at a time: several times faster than one
     # transposing copy of a large byte matrix
     columns = np.empty((k, len(matrix)), dtype=matrix.dtype)
     for lo in range(0, len(matrix), 512):
         columns[:, lo:lo + 512] = matrix[lo:lo + 512].T
-    buckets: dict[bytes, list[int]] = {}
+    buckets: dict[int, list[int]] = {}
     for j, key in enumerate(_fingerprints(columns, group)):
         buckets.setdefault(key, []).append(j)
 
     base_of = list(range(k))
     links: list[Optional[AutomorphismMap]] = [None] * k
-    prefixes: dict[int, list[int]] = {}  # block base -> its generating rows
-    generates: dict[frozenset, bool] = {}  # pool entry-id set -> whether it generates T
     proper: list[int] = []  # bases whose column generates a proper subgroup
     pending = list(buckets.values())  # per bucket, its undecided columns
     decided = 0
@@ -217,10 +382,15 @@ def subdirect_decompose(
         if out_of_budget():
             raise BudgetExhausted("time budget exhausted", columns_scanned=decided)
         bases = [cols[0] for cols in pending]
-        prefixes.update(_prefixes(columns, bases, group, generates))
-        proper += [b for b in bases if not prefixes[b]]
+        found = _prefixes(
+            columns, [b for b in bases if b not in prefixes], group, generates, whole
+        )
+        prefixes.update((b, rows) for b, rows in found.items() if rows)
+        proper += [b for b, rows in found.items() if not rows]
+        if proper and not whole:
+            return None
         decided += len(bases)
-        pending = [cols for cols in pending if prefixes[cols[0]]]
+        pending = [cols for cols in pending if cols[0] in prefixes]
         pairs = [(cols[0], j) for cols in pending for j in cols[1:]]
         for (b, j), phi in zip(pairs, _links(columns, pairs, prefixes, group)):
             if phi is not None:
@@ -244,7 +414,11 @@ def subdirect_decompose(
 
 
 def _prefixes(
-    columns: np.ndarray, bases: list[int], group: PermGroup, generates: dict[frozenset, bool]
+    columns: np.ndarray,
+    bases: list[int],
+    group: PermGroup,
+    generates: dict[frozenset, bool],
+    whole: bool = True,
 ) -> dict[int, list[int]]:
     """Each base column's generating prefix: the rows of its first distinct
     entries, up to the first that generate T ([] if none do). The columns
@@ -252,7 +426,9 @@ def _prefixes(
     distinct entry (`_next_fresh`) and tests all the new prefixes at once,
     by propagation through the table, or else by their subgroup orders.
     A subgroup order is computed once per set of entry ids and kept in
-    `generates`, as the subgroup a set generates depends on the set alone."""
+    `generates`, as the subgroup a set generates depends on the set alone.
+    Unless `whole`, the rounds stop once some column has run out of
+    entries, and the columns still growing are left out."""
     table, elem = group.table(), group.entries().elem
     out: dict[int, list[int]] = {}
     todo = np.array(bases)
@@ -261,6 +437,8 @@ def _prefixes(
         fresh = _next_fresh(columns, todo, chosen)
         more = fresh >= 0  # a column out of new entries generates nothing
         out.update((b, []) for b in todo[~more].tolist())
+        if not whole and not more.all():
+            break
         todo = todo[more]
         chosen = np.column_stack([chosen[more], fresh[more]])
         sources = columns[todo[:, None], chosen]
@@ -375,7 +553,7 @@ def structures_equal(a: SubdirectStructure, b: SubdirectStructure) -> bool:
     """Same blocks and the same subgroup (mutual generator membership)."""
     if a.k != b.k or a.blocks != b.blocks:
         return False
-    return b._holds(a.generators) and a._holds(b.generators)
+    return bool(b._holds(a.generators).all() and a._holds(b.generators).all())
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from .groups import (
     is_nonabelian_simple,
 )
 from .perm import Permutation, parse_cycles
+from .subdirect import _BATCH_ENTRIES
 
 MATERIALIZE_LIMIT = 8  # largest n for which wreath elements may be built
 
@@ -400,19 +401,23 @@ def _lehmer_ranks(tops: np.ndarray) -> np.ndarray:
 
 def schreier_rows(
     data: CoverGroupData,
+    sift: Callable[[np.ndarray], None],
     image_cap: int = ENUM_CAP_DEFAULT,
     out_of_budget: Callable[[], bool] = lambda: False,
-) -> tuple[np.ndarray, int]:
+) -> int:
     """Schreier generators of the kernel of the top projection Y -> Sym(n),
-    as the rows of an entry matrix, and the number of tops reached.
+    handed to `sift` in batches as the rows of entry matrices; returns the
+    number of tops reached.
 
     A BFS over the tops of Y, frontier by frontier, tries each representative
     u against each generator s of `data.y_gens` in turn. A top met for the
     first time makes u*s its representative; every other pair gives the
     kernel element u*s*rep(u*s)^-1. Its two factors share a top, so its row
-    is entrywise: f_us(a) * f_rep(a)^-1. Rows come in discovery order,
-    without repeats or the identity row, in T's entry dtype, and their
-    products are T's entry arithmetic (`WreathContext.entries`).
+    is entrywise: f_us(a) * f_rep(a)^-1. Rows come in discovery order, in
+    T's entry dtype, and their products are T's entry arithmetic
+    (`WreathContext.entries`). No row is kept here: the caller sifts them
+    (`subdirect.RowSifter`), and the distinct rows of all the batches, in
+    order, are the kernel's Schreier generators without the identity.
 
     The row of u*s is u's row times s's base read through u's comp map.
     Every generator's base is constant on each class of cycles (only g's is
@@ -424,12 +429,14 @@ def schreier_rows(
     Few of the n! tops have distinct rows, so base rows are held once each
     (`DistinctRows`) and a top holds the number of its row. A moved row is
     then a function of u's row number, s and, when s's base is not trivial,
-    u's two points; a kernel row is a function of the pair of row numbers.
-    Each is computed once per frontier, in pair order, and the kept rows are
-    written straight into the output matrix.
+    u's two points, computed once per frontier; a kernel row is a function
+    of the pair of row numbers, formed once, in the frontier that first
+    meets the pair and in pair order. Rows are computed in batches of about
+    `_BATCH_ENTRIES` entries; one batch is one call of `sift`.
 
     Raises CapacityExceeded once more than `image_cap` tops are reached, and
-    BudgetExhausted when `out_of_budget()` holds between two frontiers.
+    BudgetExhausted, with the tops reached, when `out_of_budget()` holds
+    between two frontiers.
     """
     ctx = data.ctx
     n, k = ctx.n, ctx.k
@@ -451,21 +458,17 @@ def schreier_rows(
     base_rows.add(ctx.identity_row)
     row_of = np.full(math.factorial(n), -1, dtype=np.int32)  # top rank -> its row number
     row_of[0] = 0
-    kept = DistinctRows(k, ctx.dtype)
     count = 1
     tops = np.arange(n, dtype=np.uint8)[None]
     ids = np.zeros(1, dtype=np.int32)  # the frontier's row numbers
-    chunk = max(1, (1 << 15) // k)  # rows per batch: its int index array fits in cache
+    formed = np.zeros(0, dtype=np.int64)  # sorted codes of the row-number pairs formed so far
+    chunk = max(1, _BATCH_ENTRIES // k)  # rows per batch: its int index array fits in cache
 
-    def add_products(left: np.ndarray, right: Callable, into: DistinctRows) -> np.ndarray:
-        """The numbers in `into` of the rows base_rows[left] · right(slice),
-        computed in batches."""
-        out = np.empty(len(left), dtype=np.int32)
+    def products(left: np.ndarray, right: Callable):
+        """The rows base_rows[left] · right(slice), batch by batch."""
         for lo in range(0, len(left), chunk):
             part = slice(lo, lo + chunk)
-            rows = ctx.entries.product(base_rows.take(left[part]), right(part))
-            out[part] = [into.add(row) for row in rows]
-        return out
+            yield part, ctx.entries.product(base_rows.take(left[part]), right(part))
 
     while len(tops):
         # pair p = u * len(gens) + j is frontier position u times generator j
@@ -488,26 +491,30 @@ def schreier_rows(
             if read is not None:
                 codes, back = np.unique(ids.astype(np.intp) * n * n + pq, return_inverse=True)
                 numbers, points = np.divmod(codes, n * n)
-                moved[:, j] = add_products(numbers, lambda part: read[points[part]], base_rows)[back]
+                found = np.empty(len(numbers), dtype=np.int32)
+                for part, rows in products(numbers, lambda part: read[points[part]]):
+                    found[part] = [base_rows.add(row) for row in rows]
+                moved[:, j] = found[back]
         moved = moved.reshape(-1)
         row_of[ranks[fresh]] = moved[fresh]
         is_pair = np.ones(len(moved), dtype=bool)
         is_pair[fresh] = False
-        # equal row numbers give the identity row, which is never kept
+        # equal row numbers give the identity row, which is never formed
         left, right = moved[is_pair], row_of[ranks[is_pair]]
         differ = left != right
         left, right = left[differ], right[differ]
-        _, first = np.unique(left.astype(np.int64) << 32 | right, return_index=True)
-        first.sort()
+        codes, first = np.unique(left.astype(np.int64) << 32 | right, return_index=True)
+        new = ~np.isin(codes, formed, assume_unique=True)  # else an earlier frontier formed it
+        formed = np.sort(np.concatenate([formed, codes[new]]))
+        first = np.sort(first[new])
         left, right = left[first], right[first]
-        add_products(left, lambda part: ctx.entries.inverse(base_rows.take(right[part])), kept)
+        for _, rows in products(left, lambda part: ctx.entries.inverse(base_rows.take(right[part]))):
+            sift(rows)
         count += len(fresh)
         tops, ids = moved_tops[fresh], moved[fresh]
         if len(tops) and out_of_budget():
-            raise BudgetExhausted(
-                "time budget exhausted", tops_reached=count, rows_kept=kept.count
-            )
-    return kept.matrix(), count
+            raise BudgetExhausted("time budget exhausted", tops_reached=count)
+    return count
 
 
 # ---------------------------------------------------------------------------

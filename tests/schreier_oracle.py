@@ -3,14 +3,29 @@
 This is the generic routine that `arccover.wreath.schreier_rows` replaced. It
 works for any elements with `*`, `.inverse()` and `.key()` and any projection
 onto Permutations, so it also checks kernels that have nothing to do with the
-cover construction.
+cover construction. `all_rows` collects every row `schreier_rows` forms, for
+the routes that read them all.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Sequence
 
+import numpy as np
+
 from arccover.errors import CapacityExceeded, InternalCheckError
+from arccover.groups import ENUM_CAP_DEFAULT
+from arccover.subdirect import _entry_rows
+from arccover.wreath import schreier_rows
+
+
+def all_rows(data, image_cap: int = ENUM_CAP_DEFAULT, out_of_budget: Callable = lambda: False):
+    """The distinct rows of every batch `schreier_rows` forms, in order (the
+    kernel's Schreier generators without the identity, as an entry matrix),
+    and the number of tops it reached."""
+    batches = []
+    tops = schreier_rows(data, batches.append, image_cap, out_of_budget)
+    return _entry_rows(np.concatenate(batches), data.job.group), tops
 
 
 def schreier_kernel_generators(

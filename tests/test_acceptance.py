@@ -14,6 +14,7 @@ import pytest
 
 from coset_oracle import conj_intersection, l_elements
 from cycle_oracle import cycle_class, full_cycles
+from schreier_oracle import all_rows
 from arccover.catalog import resolve_group
 from arccover.cosetgraph import build_coset_graph, quotient_graph, two_arc_transitive
 from arccover.groups import closure, group_order
@@ -26,7 +27,6 @@ from arccover.wreath import (
     build_cover_group,
     k4_tuple_data,
     kernel_witness,
-    schreier_rows,
 )
 
 JOB1 = JobSpec(n=4, group="A5", x="(1,2)(3,4)", y="(1,2,3,4,5)")
@@ -263,7 +263,7 @@ def test_criterion_06_tuple_cross_check(job1_run):
     x = parse_cycles("(1,2)(3,4)", 5)
     y = parse_cycles("(1,2,3,4,5)", 5)
     data = build_cover_group(CoverJob(n=4, group=group, x=x, y=y, group_name="A5"))
-    kgens = schreier_rows(data)[0]
+    kgens = all_rows(data)[0]
     schreier = subdirect_decompose(kgens, group)
     tuples = k4_tuple_data(data)
     explicit = subdirect_decompose([t.f.tolist() for t in (tuples.t1, tuples.t2, tuples.t3)], group)
@@ -383,7 +383,7 @@ def test_criterion_09_property_suites(extended_suite):
     # linking maps satisfy the equivalence axioms on a 3-block structure
     y2 = parse_cycles("(1,5,3)", 5)
     data2 = build_cover_group(CoverJob(n=4, group=group, x=x, y=y2, group_name="A5"))
-    kgens = schreier_rows(data2)[0]
+    kgens = all_rows(data2)[0]
     structure = subdirect_decompose(kgens, group)
     flattened = sorted(c for blk in structure.blocks for c in blk)
     assert flattened == list(range(structure.k))  # blocks partition components
@@ -399,7 +399,7 @@ def test_criterion_09_property_suites(extended_suite):
 
     # graph symmetry and irreflexivity for every graph built here
     m_structure = subdirect_decompose(
-        schreier_rows(data)[0],
+        all_rows(data)[0],
         group,
     )
     graph = build_coset_graph(data, m_structure)

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import arccover
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -142,3 +144,28 @@ def test_quotient_run_leaves_numpy_ma_unimported(tmp_path):
         capture_output=True, text=True, env=env, check=True,
     )
     assert out.stdout.split() == ["0", "False"]
+
+
+@pytest.mark.parametrize("verb, n, group, y", [
+    ("construct", 7, "A5", "(1,2,3,4,5)"),
+    ("decompose", 7, "A5", "(1,2,3,4,5)"),
+    ("decompose", 4, "A7", "(1,2,3,4,5,6,7)"),
+], ids=["construct-A5-n7", "decompose-A5-n7", "decompose-A7-n4-pool"])
+def test_runs_without_a_graph_leave_cosetgraph_unimported(verb, n, group, y):
+    """Only the graph stages import `cosetgraph` (the package resolves
+    `build_coset_graph` and `quotient_graph` on first use), and, as in a
+    `quotient` run, no stage needs `numpy.ma`, with a table or on a pool."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from arccover.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main([{verb!r}, '--n', '{n}', '--group', {group!r}, '--x', '(1,2)(3,4)',\n"
+        f"                 '--y', {y!r}])\n"
+        "print(code, 'arccover.cosetgraph' in sys.modules, 'numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.split() == ["0", "False", "False"]
+    assert arccover.quotient_graph.__module__ == "arccover.cosetgraph"

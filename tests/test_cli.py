@@ -97,7 +97,7 @@ def test_construct_verb_emits_certificate(capsys):
     code, out, err = run_cli(["construct", *JOB1_FLAGS], capsys)
     assert code == 0
     payload = json.loads(out)
-    assert payload["format"] == "arccover-certificate/2"
+    assert payload["format"] == "arccover-certificate/3"
     assert [c["id"] for c in payload["checks"]] == [
         "job-valid", "class-partition", "twist-identities", "kernel-witness",
     ]
@@ -196,12 +196,12 @@ def test_unwritable_out_is_a_rejection(tmp_path, capsys, verb):
 
 
 def test_failing_check_exits_one(capsys, monkeypatch):
-    import arccover.report as report
+    import arccover.cosetgraph as cosetgraph
 
     def broken(h_elements, k_elements, h_gens):
         return {"index": 3, "two_transitive": False}
 
-    monkeypatch.setattr(report, "two_arc_transitive", broken)
+    monkeypatch.setattr(cosetgraph, "two_arc_transitive", broken)
     code, out, _ = run_cli(["graph", *JOB1_FLAGS], capsys)
     assert code == 1
     payload = json.loads(out)

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 import coset_oracle as oracle
-from arccover import report
+from schreier_oracle import all_rows
+from arccover import cosetgraph
 from arccover.catalog import resolve_group
 from arccover.cosetgraph import (
     _check_symmetric,
@@ -36,7 +37,6 @@ from arccover.wreath import (
     CoverJob,
     WreathElement,
     build_cover_group,
-    schreier_rows,
     twist_tops,
 )
 
@@ -79,7 +79,7 @@ def cover_data(group, x, y):
     """Cover group data of an n = 4 job and the block structure of its kernel."""
     job = CoverJob(n=4, group=group, x=P(x, group.degree), y=P(y, group.degree))
     data = build_cover_group(job)
-    kgens = schreier_rows(data)[0]
+    kgens = all_rows(data)[0]
     return data, subdirect_decompose(kgens, group)
 
 
@@ -376,7 +376,7 @@ def graph_record(cert):
 
 def test_corrupted_generator_row_fails_graph_build(monkeypatch):
     """A twisted swap g whose first entry is changed gives voltages outside M."""
-    real = report.build_coset_graph
+    real = cosetgraph.build_coset_graph
 
     def corrupted(data, structure, vertex_cap):
         f = data.g.f.tolist()
@@ -384,13 +384,13 @@ def test_corrupted_generator_row_fails_graph_build(monkeypatch):
         g = data.ctx.from_assignment(f, data.g.sigma)
         return real(dataclasses.replace(data, g=g), structure, vertex_cap)
 
-    monkeypatch.setattr(report, "build_coset_graph", corrupted)
+    monkeypatch.setattr(cosetgraph, "build_coset_graph", corrupted)
     assert graph_record(run_job(JOB1, phase="graph")) == "a voltage does not lie in M"
 
 
 def test_corrupted_voltage_fails_graph_build(monkeypatch):
     """Links twisted by an inner automorphism put every voltage outside M."""
-    real = report.build_coset_graph
+    real = cosetgraph.build_coset_graph
 
     def corrupted(data, structure, vertex_cap):
         table = structure.group.table()
@@ -400,7 +400,7 @@ def test_corrupted_voltage_fails_graph_build(monkeypatch):
         links[1] = dataclasses.replace(links[1], lookup=twist[links[1].lookup])
         return real(data, dataclasses.replace(structure, links=tuple(links)), vertex_cap)
 
-    monkeypatch.setattr(report, "build_coset_graph", corrupted)
+    monkeypatch.setattr(cosetgraph, "build_coset_graph", corrupted)
     assert graph_record(run_job(JOB1, phase="graph")) == "a voltage does not lie in M"
 
 

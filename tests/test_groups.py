@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from coset_oracle import conj_intersection
+from schreier_oracle import all_rows
 from table_oracle import int32_table
 from arccover.catalog import BUILTIN_CATALOG, resolve_group
 from arccover.cosetgraph import _Fibre
@@ -34,7 +35,7 @@ from arccover.groups import (
 )
 from arccover.perm import Permutation, parse_cycles
 from arccover.subdirect import subdirect_decompose
-from arccover.wreath import CoverJob, build_cover_group, schreier_rows
+from arccover.wreath import CoverJob, build_cover_group
 
 
 def P(text, degree):
@@ -303,7 +304,7 @@ def test_natural_alternating_t_past_one_byte_runs_on_its_pool(monkeypatch):
     monkeypatch.setattr(groups, "is_natural_alternating", lambda g: decided.append(g) or natural(g))
     data = build_cover_group(CoverJob(n=4, group=a7, x=P("(1,2)(3,4)", 7),
                                       y=P("(1,2,3,4,5,6,7)", 7)))
-    assert subdirect_decompose(schreier_rows(data)[0], a7).block_count == 3
+    assert subdirect_decompose(all_rows(data)[0], a7).block_count == 3
     assert a7._table is None and a7.table() is None
     assert decided == [a7]
     assert isinstance(data.ctx.entries, EntryPool) and data.ctx.dtype == np.uint16
@@ -365,10 +366,10 @@ def test_table_consumers_agree_with_an_int32_table(name, n, x, y):
     assert np.array_equal(automorphism_lookups(wide, sources, targets), lookups)
     assert (lookups[:60] >= 0).all() and (lookups[60:] < 0).any()
     job = CoverJob(n=n, group=grp, x=P(x, grp.degree), y=P(y, grp.degree))
-    rows, tops = schreier_rows(build_cover_group(job))
+    rows, tops = all_rows(build_cover_group(job))
     wide_group = copy.copy(grp)
     wide_group._table = wide  # the context takes its entry dtype from the table
-    wide_rows, wide_tops = schreier_rows(build_cover_group(dataclasses.replace(job, group=wide_group)))
+    wide_rows, wide_tops = all_rows(build_cover_group(dataclasses.replace(job, group=wide_group)))
     assert rows.dtype == np.uint8 and wide_rows.dtype == np.int32
     assert np.array_equal(rows, wide_rows) and tops == wide_tops
 
@@ -496,7 +497,7 @@ def test_index_maps_agree_with_and_without_a_table(conjugator_route):
     for group in (a5, conjugator_route(a5)):
         job = CoverJob(n=4, group=group, x=P("(1,2)(3,4)", 5), y=P("(1,2,3,4,5)", 5))
         data = build_cover_group(job)
-        fibres.append((data, _Fibre(subdirect_decompose(schreier_rows(data)[0], group))))
+        fibres.append((data, _Fibre(subdirect_decompose(all_rows(data)[0], group))))
     (data, fibre), (bare_data, bare) = fibres
     pool = bare.entries
     assert isinstance(pool, EntryPool) and pool.size == bare.size == 60

@@ -164,7 +164,7 @@ def test_full_certificate_shape_and_values():
         "format", "version", "job", "checks", "skips", "artifacts",
         "summary", "gaps", "environment", "timings",
     ]
-    assert cert.payload["format"] == "arccover-certificate/2"
+    assert cert.payload["format"] == "arccover-certificate/3"
     assert cert.payload["gaps"] == list(GAP_STATEMENTS)
     assert cert.payload["summary"] == {
         "checks": 12, "passed": 12, "failed": 0, "all_passed": True,
@@ -219,15 +219,12 @@ def test_orders_beyond_the_int_digit_limit(monkeypatch):
         blocks=tuple((2 * b, 2 * b + 1) for b in range(d)),
         order=lambda: a5.order() ** d,
     )
-    monkeypatch.setattr(
-        report, "subdirect_decompose", lambda rows, group, out_of_budget: structure
-    )
     monkeypatch.setattr(report, "STAGES", tuple(
         st for st in report.STAGES if st.id in ("block-structure", "graph-build")
     ))
     data = SimpleNamespace(ctx=SimpleNamespace(n=n), job=SimpleNamespace(group=a5))
     run = report._Run(JobSpec(n=n, group="A5", x="(1,2)(3,4)", y="(1,2,3,4,5)"), data, 0.0)
-    run.products["kernel-generators"] = None
+    run.products["kernel-generators"] = SimpleNamespace(structure=lambda: structure)
     run.run_stages(report.PHASES.index("graph"))
     cert = run.certificate()
     assert json.loads(cert.core_bytes())["summary"]["all_passed"]
@@ -251,9 +248,10 @@ def test_budget_skips_are_not_capacity():
 
 
 def test_budget_runs_out_between_schreier_frontiers(monkeypatch):
-    """A clock that stands still until the Schreier BFS starts and then moves
-    one second per reading: with a 4.5 s budget the fifth check between
-    frontiers stops the stage, and the skip says how far it got."""
+    """A clock that moves one second per reading between Schreier frontiers
+    and stands still otherwise: with a 4.5 s budget the fifth check between
+    frontiers stops the stage, and the skip says how far the BFS and the
+    sifting of its rows got."""
     clock = {"now": 0.0, "step": 0.0}
 
     def perf_counter():
@@ -263,14 +261,14 @@ def test_budget_runs_out_between_schreier_frontiers(monkeypatch):
     real = report.schreier_rows
     progress = []
 
-    def schreier_rows(data, image_cap, out_of_budget):
-        clock["step"] = 1.0
-
+    def schreier_rows(data, sift, image_cap, out_of_budget):
         def counted():
+            clock["step"] = 1.0  # the sifter's readings, between these, take no time
             progress.append(out_of_budget())
+            clock["step"] = 0.0
             return progress[-1]
 
-        return real(data, image_cap, counted)
+        return real(data, sift, image_cap, counted)
 
     monkeypatch.setattr(report, "time", SimpleNamespace(perf_counter=perf_counter))
     monkeypatch.setattr(report, "schreier_rows", schreier_rows)
@@ -283,7 +281,7 @@ def test_budget_runs_out_between_schreier_frontiers(monkeypatch):
         "stage": "kernel-generators",
         "kind": "budget",
         "reason": "time budget exhausted",
-        "details": {"tops_reached": 82, "rows_kept": 5},
+        "details": {"tops_reached": 82, "rows_formed": 5, "rows_kept": 4, "decompositions": 3},
     }]
 
 
@@ -291,7 +289,7 @@ def test_image_order_is_certified_from_the_tops(monkeypatch):
     """The stage fails, and the decomposition is left out, unless the BFS
     reached all n! tops."""
     real = report.schreier_rows
-    monkeypatch.setattr(report, "schreier_rows", lambda *args: (real(*args)[0], 23))
+    monkeypatch.setattr(report, "schreier_rows", lambda *args: real(*args) and 23)
     cert = run_job(JOB1, "decompose")
     rec = cert.check("kernel-generators")
     assert rec["passed"] is False and rec["computed"]["image_order"] == 23

@@ -1,6 +1,7 @@
 """Schreier generators of the kernel of the top projection: the array rows of
 `schreier_rows` against the one-element-at-a-time oracle of `schreier_oracle`
-(the generic routine they replaced), plus the oracle's own checks."""
+(the generic routine they replaced), plus the oracle's own checks, and the
+memory and budget of the BFS with its rows sifted (`RowSifter`)."""
 
 import math
 import tracemalloc
@@ -14,6 +15,7 @@ from arccover.catalog import resolve_group
 from arccover.errors import BudgetExhausted, CapacityExceeded
 from arccover.groups import DistinctRows, PermGroup, closure
 from arccover.perm import Permutation, parse_cycles
+from arccover.subdirect import RowSifter
 from arccover.wreath import CoverJob, build_cover_group, schreier_rows
 
 
@@ -93,7 +95,7 @@ def test_rows_match_oracle(job, n, dtype):
     """The same rows in the same order, over all n! tops."""
     name, x, y = job
     data = cover(resolve_group(name), n, x, y)
-    rows, tops = schreier_rows(data)
+    rows, tops = oracle.all_rows(data)
     assert tops == math.factorial(n)
     assert rows.dtype == dtype and rows.shape[1] == data.ctx.k
     assert list(map(tuple, rows)) == oracle_rows(data)
@@ -103,8 +105,8 @@ def test_conjugated_pair_moves_rows_by_the_automorphism():
     """Conjugating x and y by c in T conjugates every kernel row entrywise."""
     group = resolve_group("A5")
     table = group.table()
-    rows, _ = schreier_rows(cover(group, 5, *A5[1:]))
-    moved, _ = schreier_rows(cover(group, 5, *A5_CONJUGATED[1:]))
+    rows, _ = oracle.all_rows(cover(group, 5, *A5[1:]))
+    moved, _ = oracle.all_rows(cover(group, 5, *A5_CONJUGATED[1:]))
     c = P("(1,2,3)", 5)
     conj = np.array([table.idx(t.conjugate(c)) for t in table.elements])
     assert np.array_equal(conj[rows], moved)
@@ -113,7 +115,7 @@ def test_conjugated_pair_moves_rows_by_the_automorphism():
 def test_rows_of_a_table_above_256_elements_match_oracle():
     data = cover(PSL2_13, 4, "(1,14)(2,13)(3,7)(4,5)(8,12)(10,11)",
                  "(1,4,7,10,13,3,6,9,12,2,5,8,11)")
-    rows, tops = schreier_rows(data)
+    rows, tops = oracle.all_rows(data)
     assert rows.dtype == np.uint16 and tops == 24
     assert list(map(tuple, rows.tolist())) == oracle_rows(data)
 
@@ -123,8 +125,8 @@ def test_object_rows_match_the_table_rows(conjugator_route):
     Permutations, row by row."""
     group = resolve_group("A5")
     bare = conjugator_route(group)
-    by_table, _ = schreier_rows(cover(group, 5, *A5[1:]))
-    by_pool, _ = schreier_rows(cover(bare, 5, *A5[1:]))
+    by_table, _ = oracle.all_rows(cover(group, 5, *A5[1:]))
+    by_pool, _ = oracle.all_rows(cover(bare, 5, *A5[1:]))
     assert by_pool.dtype == np.uint8  # the pool dtype is the table's, from |T|
     elems, elem = group.table().elements, bare.entries().elem
     assert ([[elems[i] for i in row] for row in by_table.tolist()]
@@ -138,9 +140,9 @@ def test_rows_survive_a_hash_that_always_collides(monkeypatch, job, n):
     row under one hash, the same distinct rows come back in the same order."""
     name, x, y = job
     data = cover(resolve_group(name), n, x, y)
-    rows, tops = schreier_rows(data)
+    rows, tops = oracle.all_rows(data)
     monkeypatch.setattr(groups, "row_hash", lambda row: 0)
-    collided, collided_tops = schreier_rows(data)
+    collided, collided_tops = oracle.all_rows(data)
     assert collided.dtype == rows.dtype and collided_tops == tops
     assert collided.tolist() == rows.tolist()
 
@@ -156,9 +158,9 @@ def test_distinct_rows_number_rows_in_order_of_first_addition(dtype):
     firsts = list(dict.fromkeys(map(tuple, values.tolist())))
     assert numbers == [firsts.index(row) for row in map(tuple, values.tolist())]
     assert store.take(np.array([2, 0])).tolist() == [list(firsts[2]), list(firsts[0])]
-    matrix = store.matrix()
-    assert matrix.dtype == dtype and matrix.flags.writeable and matrix.flags.owndata
-    assert list(map(tuple, matrix.tolist())) == firsts
+    rows = store.take(np.arange(store.count))
+    assert rows.dtype == dtype and rows.flags.writeable and rows.flags.owndata
+    assert list(map(tuple, rows.tolist())) == firsts
 
 
 # ---------------------------------------------------------------------------
@@ -171,37 +173,44 @@ def test_image_cap_stops_before_storing_past_it():
     tracemalloc.start()
     try:
         with pytest.raises(CapacityExceeded) as info:
-            schreier_rows(data, image_cap=10)
+            schreier_rows(data, lambda rows: None, image_cap=10)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert str(info.value) == "quotient enumeration exceeded cap 10"
     assert info.value.details == {"discovered": 11}
     # all 5040 representatives' rows of 720 entries would take 3.6 MB
-    assert peak < 1_000_000
+    assert peak < 1_250_000
 
 
-def test_rows_at_n7_peak_below_two_megabytes():
-    """The 1004 kept rows of 720 entries take 0.72 MB; the representatives'
-    rows are held once each, not once per top (n! of them: 3.6 MB)."""
+def test_sift_at_n7_peaks_below_one_and_a_quarter_megabytes():
+    """The BFS with its rows sifted and S decomposed keeps no kernel row
+    beyond S (16 rows of 720 entries), and the representatives' rows are
+    held once each, not once per top (n! of them: 3.6 MB). Keeping the 1004
+    distinct rows took the BFS alone to 1.8 MB."""
     data = cover(resolve_group("A5"), 7, *A5[1:])
     tracemalloc.start()
     try:
-        rows, _ = schreier_rows(data)
+        sifter = RowSifter(data.job.group, data.ctx.k)
+        tops = schreier_rows(data, sifter.add)
+        structure = sifter.structure()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert rows.shape == (1004, 720)
-    assert peak < 2_000_000
+    assert tops == 5040 and structure.block_count == 360
+    assert sifter.work() == {"rows_formed": 1714, "rows_kept": 16, "decompositions": 1}
+    assert structure.generators.shape == (16, 720)
+    assert peak < 1_250_000
 
 
 def test_budget_is_checked_between_frontiers():
     """The budget stops the BFS after a whole frontier and says how far it
-    got: more tops and no fewer rows at each later frontier."""
+    got: more tops, and no fewer rows formed or kept, at each later
+    frontier."""
     data = cover(resolve_group("A5"), 5, *A5[1:])
-    full, _ = schreier_rows(data)
+    full = RowSifter(data.job.group, data.ctx.k)
     calls = []
-    schreier_rows(data, out_of_budget=lambda: calls.append(1) and False)
+    schreier_rows(data, full.add, out_of_budget=lambda: calls.append(1) and False)
     frontiers = len(calls) + 1
     progress = []
     for stop_at in range(1, frontiers):
@@ -211,12 +220,16 @@ def test_budget_is_checked_between_frontiers():
             calls.append(1)
             return len(calls) == stop_at
 
+        sifter = RowSifter(data.job.group, data.ctx.k)
         with pytest.raises(BudgetExhausted) as info:
-            schreier_rows(data, out_of_budget=out_of_budget)
+            schreier_rows(data, sifter.add, out_of_budget=out_of_budget)
         assert str(info.value) == "time budget exhausted"
         assert info.value.kind == "budget"
-        progress.append((info.value.details["tops_reached"], info.value.details["rows_kept"]))
-    tops, kept = zip(*progress)
+        assert list(info.value.details) == ["tops_reached"]
+        progress.append((info.value.details["tops_reached"], sifter.rows_formed, sifter.rows_kept))
+    tops, formed, kept = zip(*progress)
     # the last frontier finds no new top, but its pairs still give rows
     assert list(tops) == sorted(set(tops)) and tops[0] > 1 and tops[-1] <= 120
-    assert list(kept) == sorted(kept) and kept[-1] <= len(full)
+    assert list(formed) == sorted(formed) and formed[-1] <= full.rows_formed
+    assert list(kept) == sorted(kept) and kept[-1] <= full.rows_kept
+    assert all(k <= f for k, f in zip(kept, formed))

@@ -9,6 +9,7 @@ import pytest
 
 import subdirect_oracle as oracle
 from cycle_oracle import full_cycles
+from schreier_oracle import all_rows
 from arccover import report, subdirect
 from arccover.catalog import resolve_group
 from arccover.errors import BudgetExhausted, ValidationError
@@ -29,7 +30,6 @@ from arccover.wreath import (
     K4_POSITIONS,
     build_cover_group,
     k4_tuple_data,
-    schreier_rows,
 )
 
 
@@ -54,7 +54,7 @@ def kernel_structure(y, n=4, group=A5, x=X):
     """Schreier kernel of the top projection, decomposed over T^(n-1)!."""
     job = CoverJob(n=n, group=group, x=x, y=y, group_name="T")
     data = build_cover_group(job)
-    kgens = schreier_rows(data)[0]
+    kgens = all_rows(data)[0]
     return data, subdirect_decompose(kgens, group)
 
 
@@ -154,7 +154,7 @@ def test_distinct_rows_are_kept_without_a_copy():
     """Rows that are already distinct and uint8 come back as the same
     memory, and the caller's matrix stays writeable."""
     data, _ = kernel_structure(Y1)
-    rows = schreier_rows(data)[0]
+    rows = all_rows(data)[0]
     s = subdirect_decompose(rows, A5)
     assert np.shares_memory(s.generators, rows) and rows.flags.writeable
     assert s.generators.shape == rows.shape
@@ -165,7 +165,7 @@ def test_first_rows_are_found_by_hash_and_comparison(monkeypatch, collide):
     """Repeated rows are dropped and the first of each kept, in order, also
     when every row is filed under one hash and told apart by comparison."""
     data, _ = kernel_structure(Y1, n=5)
-    rows = schreier_rows(data)[0]
+    rows = all_rows(data)[0]
     repeated = np.concatenate([rows[:10], rows[5:], rows[::-1], rows[:3]])
     if collide:
         monkeypatch.setattr(subdirect, "row_hash", lambda row: 0)
@@ -178,7 +178,7 @@ def test_decomposition_at_n7_peaks_below_one_and_a_half_megabytes():
     copied as a key, no round copies the base columns, and the integer
     temporaries are held to a fixed number of entries."""
     data, _ = kernel_structure(Y1, n=7)
-    rows = schreier_rows(data)[0]
+    rows = all_rows(data)[0]
     tracemalloc.start()
     try:
         s = subdirect_decompose(rows, A5)
@@ -268,18 +268,24 @@ def test_kernel_decomposition_matches_the_column_scan(name, n, x, y):
     blocks, bases and link lookups of the one-column-at-a-time scan."""
     group = resolve_group(name)
     data = build_cover_group(CoverJob(n=n, group=group, x=P(x, group.degree), y=P(y, group.degree)))
-    assert_matches_scan(schreier_rows(data)[0], group)
+    assert_matches_scan(all_rows(data)[0], group)
 
 
 def twin_columns():
-    """Columns c, c', phi(c), phi(c') of one fingerprint: c' is c with two
-    rows (not row 0) swapped, so it is no image of c, and phi is conjugation
-    by (1,2), an outer automorphism of A5."""
+    """Columns c, c', phi(c), phi(c') of one fingerprint: c' is c with its
+    last entry replaced by another of the same order whose product with the
+    entry in row 0 has the same order, so both have one sequence of order
+    pairs, but c' is no image of c, as the entries they share generate A5;
+    phi is conjugation by (1,2), an outer automorphism of A5."""
     table = A5.table()
     rng = random.Random(7)
     c = [rng.randrange(60) for _ in range(8)]
-    twin = list(c)
-    twin[2], twin[5] = twin[5], twin[2]
+    assert table.generates(c[:7])
+
+    def orders(e):
+        return table.order_of[e], table.order_of[table.multiply(e, c[0])]
+
+    twin = c[:7] + [next(e for e in range(60) if e != c[7] and orders(e) == orders(c[7]))]
     b = P("(1,2)")
     phi = [table.idx(t.conjugate(b)) for t in table.elements]
     return np.array([c, twin, [phi[e] for e in c], [phi[e] for e in twin]], dtype=np.uint8).T
@@ -306,24 +312,25 @@ def test_budget_is_checked_before_each_round():
     assert info.value.details == {"columns_scanned": 2}
 
 
-def test_block_structure_stage_passes_the_job_budget(monkeypatch):
-    """block-structure hands the run's budget to the scan, and a budget stop
-    there is a budget skip that says how far the scan got."""
-    real = report.subdirect_decompose
+def test_kernel_generators_stage_passes_the_job_budget(monkeypatch):
+    """kernel-generators hands the run's budget to the scans of the rows it
+    sifts, and a budget stop there is a budget skip that says how far the
+    scan and the sifting got."""
+    real = subdirect._decompose
     passed = []
 
-    def spent(rows, group, out_of_budget):
+    def spent(matrix, group, out_of_budget, *args):
         passed.append(out_of_budget)
-        return real(rows, group, lambda: True)
+        return real(matrix, group, lambda: True, *args)
 
-    monkeypatch.setattr(report, "subdirect_decompose", spent)
+    monkeypatch.setattr(subdirect, "_decompose", spent)
     cert = run_job(JobSpec(n=5, group="A5", x="(1,2)(3,4)", y="(1,2,3,4,5)"), "decompose")
     assert passed[0].__func__ is report._Run.out_of_budget
-    assert cert.skipped("block-structure") == {
-        "stage": "block-structure",
+    assert cert.skipped("kernel-generators") == {
+        "stage": "kernel-generators",
         "kind": "budget",
         "reason": "time budget exhausted",
-        "details": {"columns_scanned": 0},
+        "details": {"columns_scanned": 0, "rows_formed": 5, "rows_kept": 2, "decompositions": 0},
     }
 
 
@@ -376,7 +383,7 @@ def test_pool_route_checks_no_membership_after_the_construction(monkeypatch):
     calls = []
     contains = PermGroup.contains
     monkeypatch.setattr(PermGroup, "contains", lambda self, g: calls.append(g) or contains(self, g))
-    rows = schreier_rows(data)[0]
+    rows = all_rows(data)[0]
     s = subdirect_decompose(rows, a11)
     assert rows.shape == (35, 24) and s.block_count == 24
     assert calls == []
@@ -403,7 +410,7 @@ def test_object_mode_builds_one_chain_per_column(monkeypatch):
         n=4, group=a11, x=P("(1,2)(3,6)", 11), y=P("(1,2,3,4,5,6,7,8,9,10,11)", 11)
     )
     data = build_cover_group(job)
-    kgens = schreier_rows(data)[0]
+    kgens = all_rows(data)[0]
     a11.order()  # the group's own chain is not part of the count
     built = count_chains(monkeypatch)
     s = subdirect_decompose(kgens, a11)
@@ -417,7 +424,7 @@ def test_pool_tests_each_prefix_set_once(monkeypatch):
     twice and builds at most one StabilizerChain for each."""
     a7 = resolve_group("A7")
     job = CoverJob(n=5, group=a7, x=P("(1,2)(3,4)", 7), y=P("(1,2,3,4,5,6,7)", 7))
-    kgens = schreier_rows(build_cover_group(job))[0]
+    kgens = all_rows(build_cover_group(job))[0]
     a7.order()  # the group's own chain is not part of the count
     tested = []
     subgroup_order = PermGroup.subgroup_order
@@ -454,7 +461,7 @@ def test_conjugator_route_builds_one_chain_per_block_base(monkeypatch, conjugato
     group = conjugator_route(A5)
     data = build_cover_group(CoverJob(n=4, group=group, x=X, y=y))
     assert isinstance(data.ctx.entries, EntryPool)
-    kgens = schreier_rows(data)[0]
+    kgens = all_rows(data)[0]
     group.order()  # the group's own chain is not part of the count
     built = count_chains(monkeypatch)
     s = subdirect_decompose(kgens, group)
@@ -473,7 +480,7 @@ def test_routes_agree_on_n4_kernels(table_route, conjugator_route, name, x, y):
     for group in (table_route(resolve_group(name)), conjugator_route(resolve_group(name))):
         job = CoverJob(n=4, group=group, x=P(x, group.degree), y=P(y, group.degree))
         data = build_cover_group(job)
-        kgens = schreier_rows(data)[0]
+        kgens = all_rows(data)[0]
         structures.append((data.ctx, subdirect_decompose(kgens, group)))
     (ctx_t, by_table), (ctx_c, by_conjugator) = structures
     assert by_table.blocks == by_conjugator.blocks
