@@ -28,6 +28,9 @@ from .perm import Permutation, parse_cycles
 ENUM_CAP_DEFAULT = 10_000_000
 VERTEX_CAP_DEFAULT = 2_000_000  # largest coset graph a job builds by default
 TABLE_CAP = 4000
+# entries per batch of an integer temporary, in `wreath` and `subdirect`: a few
+# hundred kB at most
+BATCH_ENTRIES = 1 << 15
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import BudgetExhausted, InternalCheckError, ValidationError
 from .groups import (
+    BATCH_ENTRIES,
     AutomorphismMap,
     DistinctRows,
     PermGroup,
@@ -41,9 +42,6 @@ from .groups import (
     row_hash,
 )
 from .perm import Permutation
-
-# entries per batch of an integer temporary: a few hundred kB at most
-_BATCH_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,11 +137,14 @@ class RowSifter:
     """The block structure of the subgroup M of T^k generated by the rows
     given in batches (`add`), decomposed from the few rows S that change it.
 
-    Rows join S until S's columns all generate T. That is tested when |S|
-    reaches 2, 4, 8, ... (one entry generates a cyclic group, never T) by
-    decomposing S, stopped at the first base that does not generate (a
-    linked column is the image of its base, so the bases decide); the
-    generating prefixes found are kept, as S grows only at its end. Once S
+    Rows join S a whole batch at a time until S's columns all generate T.
+    That is tested after a batch that brings |S| to at least 2 (one entry
+    generates a cyclic group, never T) and then at least twice its size at
+    the last test, by decomposing S, stopped at the first base that does
+    not generate (a linked column is the image of its base, so the bases
+    decide); the generating prefixes found are kept, as S grows only at its
+    end. So a few small batches, as at n = 4, are decomposed once, and the
+    failed tests of a larger k stay few. Once S
     decomposes, <S> is by Scott's lemma the set of rows that satisfy its
     links: a later row that does (`SubdirectStructure._holds`) lies in <S>
     and is dropped, and one that does not joins S, whose structure is then
@@ -185,15 +186,15 @@ class RowSifter:
     def add(self, rows: np.ndarray) -> None:
         """Sift a batch of rows: an entry matrix of width k in T's entry dtype."""
         self.rows_formed += len(rows)
-        first = 0
-        while self._structure is None and first < len(rows):
-            self._kept.add(rows[first])
-            first += 1
-            if self._kept.count == self._test_at:
-                self._test_at *= 2
+        if self._structure is None:
+            for row in rows:
+                self._kept.add(row)
+            if self._kept.count >= self._test_at:
+                self._test_at = 2 * self._kept.count
                 self._decompose(whole=False)
-        rest = rows[first:]
-        while self._structure is not None and len(rest):
+            return
+        rest = rows
+        while len(rest):
             rest = rest[~self._structure._holds(rest)]
             if len(rest):
                 self._kept.add(rest[0])
@@ -285,7 +286,7 @@ def _fingerprints(columns: np.ndarray, group: PermGroup) -> list[int]:
     attempts and changes no link (`_decompose`). Each entry's pair is one
     gather from a code table over the distinct e0 and the ids up to the
     largest in `columns`, which bounds what a pool grows by, in the smallest
-    unsigned dtype; columns are coded in blocks of `_BATCH_ENTRIES` entries.
+    unsigned dtype; columns are coded in blocks of `BATCH_ENTRIES` entries.
     """
     entries = group.entries()
     size = int(columns.max()) + 1
@@ -299,7 +300,7 @@ def _fingerprints(columns: np.ndarray, group: PermGroup) -> list[int]:
     table_codes = (order_id[:size] * len(values) + order_id[products.T]).reshape(-1)
     offsets = first_of * size
     k, rows = columns.shape
-    width = max(1, _BATCH_ENTRIES // rows)  # columns per block
+    width = max(1, BATCH_ENTRIES // rows)  # columns per block
     out = []
     for lo in range(0, k, width):
         block = table_codes.take(columns[lo:lo + width] + offsets[lo:lo + width, None])
@@ -458,14 +459,14 @@ def _prefixes(
 def _next_fresh(columns: np.ndarray, todo: np.ndarray, chosen: np.ndarray) -> np.ndarray:
     """Per column todo[i], the first row whose entry is none of the column's
     entries at rows chosen[i], or -1 if there is none. The columns are read
-    in windows of rows of about `_BATCH_ENTRIES` entries in all, and a
+    in windows of rows of about `BATCH_ENTRIES` entries in all, and a
     column leaves at the first window that holds its row."""
     seen = columns[todo[:, None], chosen]
     out = np.full(len(todo), -1, dtype=np.intp)
     left = np.arange(len(todo))  # positions still searching
     lo, rows = 0, columns.shape[1]
     while len(left) and lo < rows:
-        hi = min(rows, lo + max(1, _BATCH_ENTRIES // len(left)))
+        hi = min(rows, lo + max(1, BATCH_ENTRIES // len(left)))
         window = columns[todo[left], lo:hi]
         fresh = np.ones(window.shape, dtype=bool)
         for entries in seen[left].T:
@@ -488,7 +489,7 @@ def _links(
     With a table the pairs propagate in batches (`automorphism_lookups`),
     each prefix padded by repeating its rows, and the consistent ones are
     checked on whole columns, with the lookups narrowed to the columns'
-    dtype; both batches hold about `_BATCH_ENTRIES` integer entries. Without
+    dtype; both batches hold about `BATCH_ENTRIES` integer entries. Without
     one, each pair runs the conjugator search on its prefix's entries.
     """
     table, entries = group.table(), group.entries()
@@ -511,7 +512,7 @@ def _links(
     lookups = np.empty((len(pairs), table.size), dtype=columns.dtype)
     ok = np.empty(len(pairs), dtype=bool)
     # `automorphism_lookups` holds one int32 image per pair and element of T
-    per = max(1, _BATCH_ENTRIES // table.size)
+    per = max(1, BATCH_ENTRIES // table.size)
     for lo in range(0, len(pairs), per):
         part = slice(lo, lo + per)
         found = automorphism_lookups(
@@ -520,7 +521,7 @@ def _links(
         ok[part] = found[:, 0] >= 0
         lookups[part] = found
     consistent = np.flatnonzero(ok)
-    chunk = max(1, _BATCH_ENTRIES // columns.shape[1])
+    chunk = max(1, BATCH_ENTRIES // columns.shape[1])
     for lo in range(0, len(consistent), chunk):
         part = consistent[lo:lo + chunk]
         images = np.take_along_axis(lookups[part], columns[b[part]], axis=1)

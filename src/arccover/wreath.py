@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import BudgetExhausted, CapacityExceeded, InternalCheckError, ValidationError
 from .groups import (
+    BATCH_ENTRIES,
     ENUM_CAP_DEFAULT,
     DistinctRows,
     PermGroup,
@@ -33,7 +34,6 @@ from .groups import (
     is_nonabelian_simple,
 )
 from .perm import Permutation, parse_cycles
-from .subdirect import _BATCH_ENTRIES
 
 MATERIALIZE_LIMIT = 8  # largest n for which wreath elements may be built
 
@@ -432,7 +432,7 @@ def schreier_rows(
     u's two points, computed once per frontier; a kernel row is a function
     of the pair of row numbers, formed once, in the frontier that first
     meets the pair and in pair order. Rows are computed in batches of about
-    `_BATCH_ENTRIES` entries; one batch is one call of `sift`.
+    `BATCH_ENTRIES` entries; one batch is one call of `sift`.
 
     Raises CapacityExceeded once more than `image_cap` tops are reached, and
     BudgetExhausted, with the tops reached, when `out_of_budget()` holds
@@ -462,7 +462,7 @@ def schreier_rows(
     tops = np.arange(n, dtype=np.uint8)[None]
     ids = np.zeros(1, dtype=np.int32)  # the frontier's row numbers
     formed = np.zeros(0, dtype=np.int64)  # sorted codes of the row-number pairs formed so far
-    chunk = max(1, _BATCH_ENTRIES // k)  # rows per batch: its int index array fits in cache
+    chunk = max(1, BATCH_ENTRIES // k)  # rows per batch: its int index array fits in cache
 
     def products(left: np.ndarray, right: Callable):
         """The rows base_rows[left] · right(slice), batch by batch."""

@@ -281,7 +281,7 @@ def test_budget_runs_out_between_schreier_frontiers(monkeypatch):
         "stage": "kernel-generators",
         "kind": "budget",
         "reason": "time budget exhausted",
-        "details": {"tops_reached": 82, "rows_formed": 5, "rows_kept": 4, "decompositions": 3},
+        "details": {"tops_reached": 82, "rows_formed": 5, "rows_kept": 5, "decompositions": 1},
     }]
 
 

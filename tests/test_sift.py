@@ -82,6 +82,17 @@ def test_sifted_structure_is_the_decomposition_of_every_row(sifted):
     assert structure._holds(rows).all()
 
 
+@pytest.mark.parametrize("sifted", [p for p in JOBS if p[1] == 4], indirect=True,
+                         ids=[i for p, i in zip(JOBS, IDS) if p[1] == 4])
+def test_n4_rows_are_decomposed_once(sifted):
+    """S takes whole batches until it decomposes, so n = 4's few rows, in
+    three small batches, are decomposed once, as when every row formed was
+    decomposed, and later batches are only checked against the links."""
+    _, _, sifter, _ = sifted
+    assert sifter.structure() is not None
+    assert sifter.decompositions == 1 and sifter.rows_kept < sifter.rows_formed
+
+
 @pytest.mark.parametrize("sifted", [p for p in JOBS if p[1] >= 5], indirect=True,
                          ids=[i for p, i in zip(JOBS, IDS) if p[1] >= 5])
 def test_inverse_cycles_share_a_block_linked_by_phi(sifted):
