@@ -461,7 +461,9 @@ def schreier_rows(
     count = 1
     tops = np.arange(n, dtype=np.uint8)[None]
     ids = np.zeros(1, dtype=np.int32)  # the frontier's row numbers
-    formed = np.zeros(0, dtype=np.int64)  # sorted codes of the row-number pairs formed so far
+    # sorted codes of the row-number pairs formed so far, then a sentinel
+    # above every code, so that a search always lands on an entry
+    formed = np.full(1, np.iinfo(np.int64).max)
     chunk = max(1, BATCH_ENTRIES // k)  # rows per batch: its int index array fits in cache
 
     def products(left: np.ndarray, right: Callable):
@@ -504,7 +506,7 @@ def schreier_rows(
         differ = left != right
         left, right = left[differ], right[differ]
         codes, first = np.unique(left.astype(np.int64) << 32 | right, return_index=True)
-        new = ~np.isin(codes, formed, assume_unique=True)  # else an earlier frontier formed it
+        new = formed[np.searchsorted(formed, codes)] != codes  # else an earlier frontier formed it
         formed = np.sort(np.concatenate([formed, codes[new]]))
         first = np.sort(first[new])
         left, right = left[first], right[first]
