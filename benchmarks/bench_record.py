@@ -14,7 +14,8 @@ length are those of the change's BENCHMARK.json. The record holds:
   per-module metrics;
 - in_process: wall time and peak RSS (ru_maxrss) of a fresh process
   running the `extended-build` job, of one running the whole `extended`
-  suite, and of one per `decompose` job of DECOMPOSE, with its d: A5 at
+  suite, of one running perfbench's cover-k4 job (COVER_K4, unconjugated),
+  and of one per `decompose` job of DECOMPOSE, with its d: A5 at
   n = 8, A11 at n = 7 and A7 at n = 4 to 7, the last five on the entry
   pool, per checkout: the medians of ROUNDS runs, with the runs;
 - layers: the median of each layer microbenchmark in the checkout's own
@@ -54,13 +55,30 @@ DECOMPOSE = {
     **{f"a7-n{n}-decompose": (n, *A7_PAIR) for n in (4, 5, 6, 7)},
 }
 
+# perfbench's cover-k4 job before its seeded conjugation: PSL(2,13) from a
+# catalog file, n = 4, `quotient` with both export formats
+PSL2_13 = {"degree": 14, "generators": ["(1,2,3,4,5,6,7,8,9,10,11,12,13)",
+                                        "(1,14)(2,13)(3,7)(4,5)(8,12)(10,11)"]}
+COVER_K4 = {"n": 4, "group": "PSL2_13", "x": "(1,14)(2,13)(3,7)(4,5)(8,12)(10,11)",
+            "y": "(1,4,7,10,13,3,6,9,12,2,5,8,11)", "formats": ["edge-list", "adjacency-text"]}
+
 IN_PROCESS = """
-import json, resource, sys, time
+import json, os, resource, sys, tempfile, time
 from arccover.report import JobSpec, _suite_specs, run_job, run_suite
 t0 = time.perf_counter()
 facts = {}
 if sys.argv[1] == "suite":
     ok = run_suite("extended").ok
+elif sys.argv[1] == "cover-k4":
+    group, fields = json.loads(sys.argv[2])
+    with tempfile.TemporaryDirectory() as tmp:
+        catalog = os.path.join(tmp, "catalog.json")
+        with open(catalog, "w") as f:
+            json.dump(group, f)
+        cert = run_job(JobSpec(**{**fields, "formats": tuple(fields["formats"])},
+                               catalog=catalog, out_dir=tmp))
+        ok = cert.check("graph-build")["passed"]  # the centralizer is capacity-skipped
+        facts["vertices"] = cert.check("graph-build")["computed"]["vertices"]
 elif sys.argv[1] == "decompose":
     n, group, x, y = json.loads(sys.argv[2])
     cert = run_job(JobSpec(n=n, group=group, x=x, y=y), "decompose")
@@ -93,7 +111,12 @@ def perfbench(checkout: Path, workload: str, seed: int, seconds: int, trace: int
 
 
 def in_process(checkout: Path, what: str) -> dict:
-    args = ["decompose", json.dumps(DECOMPOSE[what])] if what in DECOMPOSE else [what]
+    if what in DECOMPOSE:
+        args = ["decompose", json.dumps(DECOMPOSE[what])]
+    elif what == "cover-k4":
+        args = [what, json.dumps([{"PSL2_13": PSL2_13}, COVER_K4])]
+    else:
+        args = [what]
     out = subprocess.run(
         [sys.executable, "-c", IN_PROCESS, *args],
         cwd=checkout, env=_env(checkout), capture_output=True, text=True, check=True,
@@ -196,7 +219,7 @@ def main(argv=None) -> int:
     }
     save()
     record["in_process"] = {side: {} for side in sides}
-    for what in ("extended-build", "suite", *DECOMPOSE):
+    for what in ("extended-build", "suite", "cover-k4", *DECOMPOSE):
         runs = alternate(sides, lambda path: in_process(path, what))
         for side in sides:
             record["in_process"][side][what] = {**medians(runs[side]), "runs": runs[side]}

@@ -5,8 +5,9 @@
 Each benchmark times one layer on its own: a `Permutation` product at
 degree 11, the BFS closure of A7 (2520 elements), the order of the subgroup
 of A11 generated by example-3's pair (a stabilizer chain stopped at |A11|),
-the multiplication-table build of an enumerable T (A7 and PSL(2,13),
-generated as in perfbench/jobs.py), a wreath product at n = 7 with
+the table build of an enumerable T (A7 and PSL(2,13), generated as in
+perfbench/jobs.py, and PSL(2,19), 3420 elements on the projective line,
+near `TABLE_CAP`), a wreath product at n = 7 with
 table entries, one gather through the flat table over its k = 720 cycle
 positions (`TableGroup.product`), the cover group's set-up at n = 7 and 8 (`build_cover_group`, A5: the full-cycle
 domain built afresh, g's base by class and H's generators), L and
@@ -53,6 +54,8 @@ from arccover.wreath import (
 GROUPS = {
     "A7": (7, ["(1,2,3)", "(1,2,3,4,5,6,7)"]),
     "PSL2_13": (14, ["(1,2,3,4,5,6,7,8,9,10,11,12,13)", "(1,14)(2,13)(3,7)(4,5)(8,12)(10,11)"]),
+    "PSL2_19": (20, ["(1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19)",
+                     "(1,20)(2,19)(3,10)(4,7)(5,15)(6,16)(8,9)(11,18)(12,13)(14,17)"]),
 }
 
 

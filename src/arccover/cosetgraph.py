@@ -63,10 +63,10 @@ class _Fibre:
             entries.fill()
         self.size = entries.size
         self.ids = np.arange(self.size)
-        # id -> place of its element's Permutation key in key order
-        keys = [entries.elem(i).key() for i in range(self.size)]
+        # id -> place of its element's Permutation key (its images) in key
+        # order: the image rows sorted by their first column, then the next
         self.rank = np.empty(self.size, dtype=np.int64)
-        self.rank[sorted(range(self.size), key=keys.__getitem__)] = self.ids
+        self.rank[np.lexsort(entries.image_rows(self.ids).T[::-1])] = self.ids
         self.bases = [b for b, link in enumerate(structure.links) if link is None]
         self.points = self.size ** len(self.bases)
         digits = np.arange(self.points, dtype=np.int64)

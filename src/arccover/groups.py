@@ -6,10 +6,12 @@ sifting of product-replacement elements, and it is seeded; no certified fact
 depends on it, as the chain's order and membership are exact whatever
 elements were sifted (`StabilizerChain`). Groups are given by permutation
 generators and handled through a stabilizer chain without enumeration; small
-groups that are not natural alternating, and A5, also carry a multiplication
-table. Either way T's entries are integer ids (`PermGroup.entries`) in the
-smallest unsigned dtype holding |T| - 1 (`id_dtype`): table indices, or ids
-of the group's `EntryPool`.
+groups that are not natural alternating, and A5, are also enumerated as a
+`TableGroup`, which multiplies its ids through the images of a base of T and
+keeps a multiplication table only while they fit in one byte. Either way T's
+entries are integer ids (`PermGroup.entries`) in the smallest unsigned dtype
+holding |T| - 1 (`id_dtype`): table indices, or ids of the group's
+`EntryPool`.
 """
 
 from __future__ import annotations
@@ -390,10 +392,11 @@ class PermGroup:
         return self._elements
 
     def table(self) -> Optional[TableGroup]:
-        """The multiplication table, built once, or None: when |T| >
-        TABLE_CAP, and for a natural alternating T whose ids need more than
-        one byte (`id_dtype`; A7 and up), which needs no table for any fact
-        it certifies and runs on its entry pool. Decided once per group."""
+        """The enumerated group (`TableGroup`), built once, or None: when
+        |T| > TABLE_CAP, and for a natural alternating T whose ids need more
+        than one byte (`id_dtype`; A7 and up), which needs no table for any
+        fact it certifies and runs on its entry pool. Decided once per
+        group."""
         if self._tabled is None:
             order = self.order()
             self._tabled = order <= TABLE_CAP and (
@@ -501,20 +504,32 @@ def _orders(mat: np.ndarray) -> np.ndarray:
 
 
 class TableGroup:
-    """A small group held as an explicit element list with index tables.
+    """A small group held as an explicit element list, numbered by ids.
 
     `PermGroup.table` builds one for A5 and for a T up to TABLE_CAP elements
     that is not natural alternating; `TableGroup(group)` builds one for any
     T up to `cap` elements, A7 included.
 
-    Elements are indexed in BFS order from the identity (index 0). `mult` is
-    the array of index products, `mult[a, b]` = index of a*b, in the entry
-    `dtype` (`id_dtype`: uint8 up to |T| = 256, uint16 up to TABLE_CAP); the
-    arrays `inv` and `order_of` hold the index inverses and the element
-    orders. With `product` and `inverse`, the entry arithmetic `EntryPool`
-    shares, they are the workhorse for wreath base arithmetic and
-    automorphism propagation. Arithmetic on indices read from `mult` widens
-    them first (to intp), as a·|T| overflows the dtype.
+    Elements are numbered in BFS order from the identity (id 0) and held as
+    `images`, the uint8 matrix of their 0-based images (|T| × degree). An
+    element is fixed by its images of a base b_1..b_m of T (the stabilizer
+    chain's), so an id is read off base images level by level (`_levels`):
+    the distinct images of b_1..b_j are ranked, and the rank c of the images
+    of b_1..b_(j-1) (0 for none) and the image of b_j give the slot
+    c·degree + image of level j, which holds the rank of the images of
+    b_1..b_j, or at the last level the id. So level j has at most
+    |T|·degree slots. The product a·b sends b_j to b(a(b_j)), b's row read
+    at a's base images, so it needs no |T|² array. When the ids fit in one
+    byte (|T| <= 256) the products of all pairs are formed so once and kept
+    as the table `mult` (64 KB at most), which a product reads in one take;
+    with two-byte ids `mult` is None.
+
+    Ids are in the entry `dtype` (`id_dtype`: uint8 up to |T| = 256, uint16
+    up to TABLE_CAP); the arrays `inv` and `order_of` hold the ids' inverses
+    and the element orders. With `product` and `inverse`, the entry
+    arithmetic `EntryPool` shares, they are the workhorse for wreath base
+    arithmetic and automorphism propagation. Arithmetic on ids widens them
+    first (to intp), as a·|T| overflows the dtype.
     """
 
     def __init__(self, group: PermGroup, cap: int = TABLE_CAP):
@@ -522,72 +537,112 @@ class TableGroup:
         self.group = group
         self.elements = elems
         size = self.size = len(elems)
-        self.index = {p.key(): i for i, p in enumerate(elems)}
-        self.gen_indices = tuple(self.index[g.key()] for g in group.generators)
-        # images matrix: rows = elements, columns = points (0-based values)
-        mat = np.array([p.images for p in elems], dtype=np.intp) - 1
-        # per generator s: right[a] = idx(a*s), left[b] = idx(s*b), where
-        # (a*b)(i) = b(a(i)); these are the only products looked up
-        maps = [
-            (self._lookup(mat[s][mat]).tolist(), self._lookup(mat[:, mat[s]]))
-            for s in self.gen_indices
-        ]
-        # by associativity (a*s)*b = a*(s*b): row a*s is row a read through
-        # left; BFS over right multiplication reaches every row from row 0
-        mult = np.empty((size, size), dtype=id_dtype(size))
-        mult[0] = np.arange(size)
-        filled = [False] * size
-        filled[0] = True
-        rows = [0]
-        for a in rows:
-            for right, left in maps:
-                t = right[a]
-                if not filled[t]:
-                    filled[t] = True
-                    mult[a].take(left, out=mult[t])
-                    rows.append(t)
-        if len(rows) != size:
+        degree = self.degree = group.degree
+        self.dtype = id_dtype(size)
+        images = self.images = np.array([p.images for p in elems], dtype=np.uint8).reshape(size, degree) - 1
+        self._base = [b - 1 for b in group.chain().base]
+        self._base_images = [np.ascontiguousarray(images[:, b]) for b in self._base]
+        # level j: offset of the prefix before + image of b_j -> offset of the
+        # prefix, a prefix's offset being its rank among the distinct
+        # prefixes times degree; the last level gives the ids instead
+        self._levels = []
+        offset, count = np.zeros(size, dtype=np.intp), 1
+        for column in self._base_images:
+            key = offset + column
+            distinct, rank = np.unique(key, return_inverse=True)
+            level = np.zeros(count * degree, dtype=np.intp)
+            level[distinct] = np.arange(len(distinct)) * degree
+            self._levels.append(level)
+            offset, count = rank * degree, len(distinct)
+        if count != size:
+            raise InternalCheckError(f"multiplication table: {size - count} elements share their base images")
+        if self._levels:
+            self._levels[-1] = np.zeros(len(self._levels[-1]), dtype=self.dtype)
+            self._levels[-1][key] = np.arange(size)
+        gens = np.array([g.images for g in group.generators], dtype=np.uint8).reshape(-1, degree) - 1
+        self.gen_indices = tuple(self._lookup(gens).tolist())
+        # row a·s is s's row read at a's images, (a·s)(i) = s(a(i)); BFS over
+        # right multiplication by the generators must reach every row
+        right = [self._lookup(images[s].take(images)) for s in self.gen_indices]
+        reached, new = np.zeros(size, dtype=bool), np.zeros(size, dtype=bool)
+        reached[0] = True
+        frontier = np.zeros(1, dtype=np.intp)
+        while len(frontier):
+            new[:] = False
+            for r in right:
+                new[r.take(frontier)] = True
+            new &= ~reached
+            reached |= new
+            frontier = np.flatnonzero(new)
+        if not reached.all():
             raise InternalCheckError(
-                f"multiplication table: {size - len(rows)} rows unreached"
+                f"multiplication table: {size - np.count_nonzero(reached)} rows unreached"
             )
-        self.mult = mult
-        self.dtype = mult.dtype
+        ids = np.arange(size)
+        self.mult = self._compose(ids[:, None], ids) if self.dtype.itemsize == 1 else None
         # a row's argsort is its inverse's images
-        inv = self._lookup(np.argsort(mat, axis=1))
-        if not (mult[np.arange(size), inv] == 0).all():
+        self.inv = self._lookup(np.argsort(images, axis=1).astype(np.uint8))
+        if (self.product(ids, self.inv) != 0).any():
             raise InternalCheckError("multiplication table: an inverse is not one")
-        self.inv = inv.astype(mult.dtype)
-        self.order_of = _orders(mat)
+        self.order_of = _orders(images.astype(np.intp))
 
-    def _lookup(self, images: np.ndarray) -> np.ndarray:
-        """Indices of the elements whose 0-based image rows are given."""
-        keys = (images + 1).astype(np.uint8)
-        try:
-            return np.array([self.index[r.tobytes()] for r in keys], dtype=np.intp)
-        except KeyError:
+    def _ids(self, rows: np.ndarray) -> np.ndarray:
+        """The ids whose base images are those of the 0-based image rows;
+        a row outside T gets some id whose row differs from it."""
+        at = np.zeros(rows.shape[:-1], dtype=self.dtype)
+        for b, level in zip(self._base, self._levels):
+            at = level.take(rows[..., b] + at)
+        return at
+
+    def _lookup(self, rows: np.ndarray) -> np.ndarray:
+        """The ids of the elements whose 0-based image rows are given."""
+        ids = self._ids(rows)
+        if not (self.images[ids] == rows).all():
             raise InternalCheckError("a product of two elements is not in the element list")
+        return ids
+
+    def _compose(self, a, b) -> np.ndarray:
+        """The ids of a·b, broadcast: a·b sends each base point b_j to b's
+        image of a(b_j), read from the image matrix flat at b·degree + a(b_j)."""
+        if not self._levels:  # the trivial group: no base
+            return np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=self.dtype)
+        flat, rows = self.images.reshape(-1), np.multiply(b, self.degree, dtype=np.intp)
+        at = 0
+        for column, level in zip(self._base_images, self._levels):
+            at = level.take(flat.take(rows + column.take(a)) + at)
+        return at
 
     def idx(self, p: Permutation) -> int:
-        try:
-            return self.index[p.key()]
-        except KeyError:
-            raise ValidationError(f"element {p.cycle_string()} not in this group")
+        row = np.array(p.images, dtype=np.uint8) - 1
+        if p.degree == self.degree:
+            i = int(self._ids(row))
+            if np.array_equal(self.images[i], row):
+                return i
+        raise ValidationError(f"element {p.cycle_string()} not in this group")
 
     def elem(self, i: int) -> Permutation:
         return self.elements[i]
 
+    def image_rows(self, ids: np.ndarray) -> np.ndarray:
+        """The uint8 rows of 0-based images of the ids."""
+        return self.images.take(ids, axis=0)
+
     def multiply(self, a: int, b: int) -> int:
-        return self.mult.item(a, b)
+        return int(self.product(a, b))
 
     def invert(self, a: int) -> int:
         return self.inv.item(a)
 
     def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """The entrywise product a·b of two index arrays, broadcast: one take
-        from the table read flat (a view) at a·|T| + b, widened to intp
-        first, as a·|T| overflows the table's dtype."""
+        """The entrywise product a·b of two id arrays or scalars, broadcast.
+        With one-byte ids: one take from the table read flat (a view) at
+        a·|T| + b, formed in intp, as a·|T| overflows the table's dtype.
+        Else through the base images (`_compose`)."""
+        if self.mult is None:
+            return self._compose(a, b)
         at = np.multiply(a, self.size, dtype=np.intp)
-        at = np.add(at, b, out=at if at.shape == np.shape(b) else None)  # in place unless b broadcasts
+        # in place unless b broadcasts, or a is a scalar
+        at = np.add(at, b, out=at if at.ndim and at.shape == np.shape(b) else None)
         return self.mult.reshape(-1).take(at)
 
     def inverse(self, a: np.ndarray) -> np.ndarray:
@@ -650,6 +705,10 @@ class EntryPool:
 
     def elem(self, i: int) -> Permutation:
         return Permutation((self._rows.take(i) + 1).tolist())
+
+    def image_rows(self, ids: np.ndarray) -> np.ndarray:
+        """The uint8 rows of 0-based images of the ids."""
+        return self._rows.take(ids)
 
     def fill(self) -> None:
         """Intern every element of T, unchecked, as they are products of its
@@ -719,16 +778,15 @@ class EntryPool:
 def conjugacy_classes(table: TableGroup) -> list[list[int]]:
     """The conjugacy classes as index lists, ordered by their least index
     (the identity's class first), each in BFS order from that index."""
+    ids = np.arange(table.size)
+    # per generator s, the map a -> s^-1·a·s over all ids
+    maps = [table.product(table.product(table.invert(s), ids), s).tolist() for s in table.gen_indices]
     seen: set[int] = set()
     classes = []
     for a in range(table.size):
         if a in seen:
             continue
-        cls = orbit(
-            a,
-            table.gen_indices,
-            lambda p, s: table.multiply(table.multiply(table.invert(s), p), s),
-        )
+        cls = orbit(a, maps, lambda p, m: m[p])
         seen.update(cls)
         classes.append(cls)
     return classes
@@ -823,7 +881,6 @@ def _propagate(
     sources = np.asarray(sources, dtype=np.intp)
     targets = np.asarray(targets, dtype=np.intp)
     count, size = len(sources), table.size
-    flat = table.mult.reshape(-1)
     images = np.full(count * size, -1, dtype=np.int32)  # row p, element a at p·|T| + a
     images[::size] = 0
     consistent = np.ones(count, dtype=bool)
@@ -831,11 +888,10 @@ def _propagate(
     reached = np.zeros(count * size, dtype=bool)
     while len(rows):
         at = rows * size
-        phi = np.multiply(images[at + elems], size, dtype=np.intp)
-        elems *= size
+        phi = images[at + elems]
         for s, t in zip(sources.T, targets.T):
-            slot = at + flat[elems + s[rows]]
-            forced = flat[phi + t[rows]]
+            slot = at + table.product(elems, s[rows])
+            forced = table.product(phi, t[rows])
             new = images[slot] < 0
             images[slot[new]] = forced[new]
             reached[slot[new]] = True

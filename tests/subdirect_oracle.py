@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from table_oracle import int32_table
 from arccover.errors import ValidationError
 from arccover.groups import TableGroup
 
@@ -83,7 +84,7 @@ def decompose(matrix: np.ndarray, table: TableGroup):
     k = matrix.shape[1]
     order_of = np.array(table.order_of, dtype=np.int64)
     orders = np.sort(order_of[matrix], axis=0)
-    products = np.sort(order_of[table.mult[matrix, matrix[0]]], axis=0)
+    products = np.sort(order_of[int32_table(table.group)[0][matrix, matrix[0]]], axis=0)
     fingerprints = [a.tobytes() + b.tobytes() for a, b in zip(orders.T, products.T)]
     base_of = list(range(k))
     lookups: list[Optional[tuple[int, ...]]] = [None] * k

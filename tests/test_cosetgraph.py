@@ -16,9 +16,11 @@ import pytest
 
 import coset_oracle as oracle
 from schreier_oracle import all_rows
+from table_oracle import int32_table
 from arccover import cosetgraph
 from arccover.catalog import resolve_group
 from arccover.cosetgraph import (
+    _Fibre,
     _check_symmetric,
     build_coset_graph,
     EXPORT_CHUNK_ROWS,
@@ -395,7 +397,7 @@ def test_corrupted_voltage_fails_graph_build(monkeypatch):
     def corrupted(data, structure, vertex_cap):
         table = structure.group.table()
         s = table.gen_indices[0]
-        twist = table.mult[table.mult[table.invert(s)], s]  # a -> s^-1·a·s
+        twist = table.product(table.product(table.invert(s), np.arange(table.size)), s)  # a -> s^-1·a·s
         links = list(structure.links)
         links[1] = dataclasses.replace(links[1], lookup=twist[links[1].lookup])
         return real(data, dataclasses.replace(structure, links=tuple(links)), vertex_cap)
@@ -473,6 +475,22 @@ def test_centralizer_elements_match_the_oracle(seed):
     assert keys(changed) == keys(oracle.centralizer_elements(elements, mutated))
 
 
+@pytest.mark.parametrize("name", ["A5", "PSL2_13"])
+def test_fibre_ranks_follow_the_permutation_keys(name):
+    """The fibre's key order, one lexsort over T's image rows, ranks the ids
+    as sorting their elements' Permutation keys does."""
+    if name == "A5":
+        _, structure = example1()
+    else:
+        degree, gens = PSL2_13
+        _, structure = cover_data(PermGroup.from_cycle_strings(gens, degree), *PSL2_13_PAIR)
+    fibre = _Fibre(structure)
+    keys = [fibre.entries.elem(i).key() for i in range(fibre.size)]
+    by_keys = np.empty(fibre.size, dtype=np.int64)
+    by_keys[sorted(range(fibre.size), key=keys.__getitem__)] = np.arange(fibre.size)
+    assert np.array_equal(fibre.rank, by_keys)
+
+
 @pytest.mark.parametrize("name, dtype", [("A5", np.uint8), ("PSL2_13", np.uint16)])
 def test_generator_rows_become_elements_with_int_entries(name, dtype):
     """M's generating rows are a uint8 (A5) or uint16 (PSL(2,13)) matrix,
@@ -495,7 +513,7 @@ def test_generator_rows_become_elements_with_int_entries(name, dtype):
     z = m_gens[0] * m_gens[1]
     table = structure.group.table()
     assert z.f.dtype == dtype
-    assert z.f.tolist() == table.mult[rows[0], rows[1]].tolist()
+    assert z.f.tolist() == int32_table(structure.group)[0][rows[0], rows[1]].tolist()
     assert int(rows.max()) * table.size > np.iinfo(dtype).max  # the product would wrap
     first, second = (graph.vertex_map(m) for m in m_gens[:2])
     assert np.array_equal(graph.vertex_map(z), second[first])

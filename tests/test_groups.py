@@ -14,6 +14,7 @@ from arccover.catalog import BUILTIN_CATALOG, resolve_group
 from arccover.cosetgraph import _Fibre
 from arccover.errors import CapacityExceeded, InternalCheckError, ValidationError
 from arccover.groups import (
+    TABLE_CAP,
     AutomorphismMap,
     EntryPool,
     PermGroup,
@@ -265,15 +266,21 @@ def test_table_group_matches_permutation_arithmetic():
     for g, size in groups:
         t = TableGroup(g)
         assert t.size == size
-        assert t.mult.shape == (size, size)
-        # one |T|^2 buffer: a flat read of the table is a view, not a copy
-        assert np.shares_memory(t.mult.reshape(-1), t.mult)
+        # one-byte ids keep one |T|^2 buffer, and a flat read of it is a
+        # view; two-byte ids (A6) keep none
+        assert (t.mult is None) == (size > 256)
+        if t.mult is not None:
+            assert t.mult.shape == (size, size) and np.shares_memory(t.mult.reshape(-1), t.mult)
         assert t.elem(0).is_identity()
         elems = t.elements
+        ids = np.arange(size)
+        products = t.product(ids[:, None], ids)
+        assert np.array_equal(products, int32_table(g)[0])
         for a in range(size):
             for b in range(size):
-                assert t.elem(t.multiply(a, b)) == elems[a] * elems[b]
+                assert t.elem(products[a, b]) == elems[a] * elems[b]
             assert t.multiply(a, t.invert(a)) == 0
+            assert t.multiply(a, size - 1 - a) == products[a, size - 1 - a]
             assert t.order_of[a] == elems[a].order()
 
 
@@ -283,12 +290,20 @@ def test_table_build_rejects_an_inconsistent_element_list():
     half._elements = half.elements()[:30]
     with pytest.raises(InternalCheckError, match="not in the element list"):
         TableGroup(half)
-    # closed under the generators' products but not generated by them: the
-    # odd permutations of S5 listed for A5 are never reached from row 0
+    # S5 listed for A5: a base of A5 (three points) fixes no element of S5,
+    # so each pair of S5's elements that differ by a transposition of the
+    # last two points shares its base images
     a5 = resolve_group("A5")
     a5._elements = group("(1,2)", "(1,2,3,4,5)", degree=5).elements()
-    with pytest.raises(InternalCheckError, match="60 rows unreached"):
+    with pytest.raises(InternalCheckError, match="60 elements share their base images"):
         TableGroup(a5)
+    # closed under the generators' products but not generated by them: V4
+    # listed for <(1,2)(3,4)>, whose base (point 1) tells V4's elements apart,
+    # has two rows never reached from row 0
+    z2 = group("(1,2)(3,4)", degree=4)
+    z2._elements = group("(1,2)(3,4)", "(1,3)(2,4)", degree=4).elements()
+    with pytest.raises(InternalCheckError, match="2 rows unreached"):
+        TableGroup(z2)
 
 
 def test_natural_alternating_t_past_one_byte_runs_on_its_pool(monkeypatch):
@@ -328,17 +343,87 @@ def test_compact_table_matches_the_int32_oracle(name, dtype):
     grp = PermGroup.from_cycle_strings(*PSL2_13) if name == "PSL2_13" else resolve_group(name)
     t = TableGroup(grp)
     mult, inv, order_of = int32_table(grp)
-    assert t.mult.dtype == dtype
-    assert np.array_equal(t.mult, mult)
+    ids = np.arange(t.size)
+    products = t.product(ids[:, None], ids)
+    assert products.dtype == dtype
+    assert np.array_equal(products, mult)
+    # the table is kept only while the ids fit in one byte
+    assert (t.mult is None) == (dtype == np.uint16)
     assert np.array_equal(t.inv, inv) and t.inv.dtype == dtype
     assert np.array_equal(t.order_of, order_of)
 
 
+# PSL(2,13) and PSL(2,19) on the projective line: z -> z+1 and z -> -1/z,
+# with the points 0..q-1 as 1..q and infinity as q+1. PSL(2,13) is the T of
+# the 4368-vertex cover of K4; PSL(2,19) (3420 elements) is near TABLE_CAP.
+PSL2_13 = (["(1,2,3,4,5,6,7,8,9,10,11,12,13)", "(1,14)(2,13)(3,7)(4,5)(8,12)(10,11)"], 14)
+PSL2_19 = (["(1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19)",
+            "(1,20)(2,19)(3,10)(4,7)(5,15)(6,16)(8,9)(11,18)(12,13)(14,17)"], 20)
+
+
+@pytest.mark.parametrize("name", ["A5", "PSL2_13"])
+def test_product_takes_scalars(name):
+    grp = PermGroup.from_cycle_strings(*PSL2_13) if name == "PSL2_13" else resolve_group(name)
+    t = TableGroup(grp)
+    assert t.product(3, 4) == t.multiply(3, 4) == t.idx(t.elem(3) * t.elem(4))
+    assert t.product(np.array(3), np.array(4)) == t.multiply(3, 4)  # 0-d arrays
+    assert t.product(np.uint16(3), np.arange(5))[4] == t.multiply(3, 4)
+    assert t.product(np.arange(5), 4)[3] == t.multiply(3, 4)
+
+
+@pytest.mark.parametrize("name", ["A6", "A7", "PSL2_13", "PSL2_19"])
+def test_two_byte_table_holds_no_square_array(name):
+    """With two-byte ids no array of T's arithmetic has more than |T|·degree
+    entries: the products are read off the base images."""
+    grp = {"PSL2_13": PSL2_13, "PSL2_19": PSL2_19}.get(name)
+    t = TableGroup(PermGroup.from_cycle_strings(*grp) if grp else resolve_group(name))
+    assert t.dtype == np.uint16 and t.mult is None
+    arrays = [v for v in vars(t).values() if isinstance(v, np.ndarray)]
+    arrays += [a for v in vars(t).values() if isinstance(v, list) for a in v if isinstance(a, np.ndarray)]
+    assert len(arrays) > 3 and all(a.size <= t.size * t.degree for a in arrays)
+    if name == "PSL2_19":
+        assert sum(a.nbytes for a in arrays) < 1 << 20
+
+
+def test_near_cap_table_multiplies_like_permutations():
+    """PSL(2,19), 3420 elements of degree 20, near `TABLE_CAP`: products of
+    seeded random pairs are the Permutation products."""
+    grp = PermGroup.from_cycle_strings(*PSL2_19)
+    t = TableGroup(grp)
+    assert t.size == grp.order() == 3420 <= TABLE_CAP
+    rng = np.random.default_rng(19)
+    a, b = rng.integers(0, t.size, size=(2, 2000))
+    products = t.product(a.astype(t.dtype), b.astype(t.dtype))
+    assert products.dtype == np.uint16
+    assert [t.elem(p) for p in products.tolist()] == [t.elem(i) * t.elem(j) for i, j in zip(a, b)]
+    assert [t.order_of[p] for p in a[:50]] == [t.elem(p).order() for p in a[:50]]
+    assert all(t.multiply(p, t.invert(p)) == 0 for p in a[:50].tolist())
+
+
+@pytest.mark.parametrize("name", ["A5", "PSL2_13"])
+def test_idx_checks_the_whole_row(name):
+    """A permutation outside T that has the base images of an element of T
+    (a transposition of two points off the base, then that element) is
+    rejected, not given that element's id."""
+    grp = PermGroup.from_cycle_strings(*PSL2_13) if name == "PSL2_13" else resolve_group(name)
+    t = TableGroup(grp)
+    base = grp.chain().base
+    i, j = [p for p in range(1, grp.degree + 1) if p not in base][:2]
+    swap = P(f"({i},{j})", grp.degree)
+    for e in t.elements[:20]:
+        assert t.idx(e) == t.elements.index(e)
+        outside = swap * e
+        assert [outside.apply(p) for p in base] == [e.apply(p) for p in base]
+        with pytest.raises(ValidationError, match="not in this group"):
+            t.idx(outside)
+
+
 def _int32_copy(table: TableGroup) -> TableGroup:
+    """The table with its products and inverses widened to int32."""
     wide = copy.copy(table)
-    wide.mult = table.mult.astype(np.int32)
+    wide.product = lambda a, b: table.product(a, b).astype(np.int32)
     wide.inv = table.inv.astype(np.int32)
-    wide.dtype = wide.mult.dtype
+    wide.dtype = wide.inv.dtype
     return wide
 
 
@@ -347,9 +432,9 @@ def _int32_copy(table: TableGroup) -> TableGroup:
     ("PSL27", 4, "(1,8)(2,7)(3,4)(5,6)", "(1,2,3,4,5,6,7)"),
 ])
 def test_table_consumers_agree_with_an_int32_table(name, n, x, y):
-    """No consumer of `mult` computes in its narrow dtype: automorphism
-    propagation, generation and the Schreier rows give what an int32 copy
-    of the same table gives."""
+    """No consumer of the table's products computes in their narrow dtype:
+    automorphism propagation, generation and the Schreier rows give what an
+    int32 copy of the same table gives."""
     grp = resolve_group(name)
     t = grp.table()
     wide = _int32_copy(t)
@@ -448,6 +533,7 @@ def test_entry_pool_agrees_with_the_table(conjugator_route):
     element gets two ids."""
     a5 = resolve_group("A5")
     t = a5.table()
+    mult = int32_table(a5)[0]
     pool = conjugator_route(a5).entries()
     assert isinstance(pool, EntryPool) and pool.dtype == t.dtype == np.uint8  # from |T|
     assert pool.size == 1 and pool.elem(0).is_identity()
@@ -467,7 +553,7 @@ def test_entry_pool_agrees_with_the_table(conjugator_route):
         met = [pool.elem(i) for i in range(pool.size)]
         prod = pool.product(a, b)
         assert prod.dtype == np.uint8 and prod.shape == np.broadcast_shapes(shape_a, shape_b)
-        assert np.array_equal(index(prod), t.mult[index(a), index(b)])
+        assert np.array_equal(index(prod), mult[index(a), index(b)])
         inv = pool.inverse(a)
         assert inv.dtype == np.uint8 and inv.shape == a.shape
         assert np.array_equal(index(inv), t.inv[index(a)])
@@ -545,7 +631,8 @@ def test_extend_to_automorphism_inverting():
     assert phi is not None
     assert t.elem(phi.image(t.idx(y), t)) == y.inverse()
     assert t.elem(phi.image(t.idx(x), t)) == x
-    assert np.array_equal(phi.image(t.mult, t), t.mult[phi.lookup[:, None], phi.lookup])
+    mult = int32_table(t.group)[0]
+    assert np.array_equal(phi.image(mult, t), mult[phi.lookup[:, None], phi.lookup])
 
 
 def test_extend_to_automorphism_nonexistent():
@@ -588,10 +675,6 @@ def test_conjugating_permutations_requires_transitivity():
 # ---------------------------------------------------------------------------
 # sympy's Schreier–Sims as an independent oracle
 # ---------------------------------------------------------------------------
-
-# PSL(2,13) on the projective line, the T of the 4368-vertex cover of K4
-PSL2_13 = (["(1,2,3,4,5,6,7,8,9,10,11,12,13)", "(1,14)(2,13)(3,7)(4,5)(8,12)(10,11)"], 14)
-
 
 def to_sympy(p, degree):
     """p as a sympy permutation, on the points shifted to 0..degree-1."""
