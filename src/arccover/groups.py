@@ -877,10 +877,19 @@ def _propagate(
     once: each step follows every edge out of the elements first reached in
     the step before. Returns the int32 images, -1 outside <sources[p]>, and
     per row whether every edge out of a reached element agreed.
+
+    The products are read from the right-multiplication columns of the
+    distinct sources and targets v, a·v for every element a, formed by one
+    `product` and read flat at a·|V| + the column of v: a few sources and
+    targets, far fewer than |T| (at most 22 distinct ones in the calls of
+    PSL(2,13)'s n = 7 decomposition).
     """
     sources = np.asarray(sources, dtype=np.intp)
     targets = np.asarray(targets, dtype=np.intp)
-    count, size = len(sources), table.size
+    count, size, width = len(sources), table.size, sources.shape[1]
+    values, column = np.unique(np.concatenate([sources, targets], axis=1).ravel(), return_inverse=True)
+    column = column.reshape(count, 2 * width)
+    right = table.product(np.arange(size)[:, None], values).reshape(-1)
     images = np.full(count * size, -1, dtype=np.int32)  # row p, element a at p·|T| + a
     images[::size] = 0
     consistent = np.ones(count, dtype=bool)
@@ -888,10 +897,11 @@ def _propagate(
     reached = np.zeros(count * size, dtype=bool)
     while len(rows):
         at = rows * size
-        phi = images[at + elems]
-        for s, t in zip(sources.T, targets.T):
-            slot = at + table.product(elems, s[rows])
-            forced = table.product(phi, t[rows])
+        phi = np.multiply(images[at + elems], len(values), dtype=np.intp)
+        elems *= len(values)
+        for s, t in zip(column[:, :width].T, column[:, width:].T):
+            slot = at + right[elems + s[rows]]
+            forced = right[phi + t[rows]]
             new = images[slot] < 0
             images[slot[new]] = forced[new]
             reached[slot[new]] = True
