@@ -46,7 +46,8 @@ def _add_job_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--vertex-cap", type=int, default=None,
                      help=f"largest graph to build (default {VERTEX_CAP_DEFAULT})")
     sub.add_argument("--enum-cap", type=int, default=None,
-                     help=f"largest enumeration allowed (default {ENUM_CAP_DEFAULT})")
+                     help="most conjugations the kernel's normal closure may form "
+                          f"(default {ENUM_CAP_DEFAULT})")
     sub.add_argument("--catalog", default=None, help="extra group catalog JSON file")
     sub.add_argument("--out", default=None, help="directory for certificate and exports")
     sub.add_argument("--format", action="append", default=None,

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._version import __version__
 from .catalog import resolve_group
-from .errors import ArccoverError, BudgetExhausted, CapacityExceeded, ValidationError
+from .errors import ArccoverError, CapacityExceeded, ValidationError
 from .groups import ENUM_CAP_DEFAULT, VERTEX_CAP_DEFAULT, closure, decimal_string, orbit
 from .perm import parse_cycles
 from .subdirect import (
@@ -40,7 +40,7 @@ from .wreath import (
     build_cover_group,
     k4_tuple_data,
     kernel_witness,
-    schreier_rows,
+    normal_closure,
 )
 
 # largest |Y| that the centralizer stage will enumerate element by element
@@ -291,7 +291,7 @@ class _Run:
     def certificate(self) -> Certificate:
         passed = sum(1 for c in self.checks if c["passed"])
         payload = {
-            "format": "arccover-certificate/3",
+            "format": "arccover-certificate/4",
             "version": __version__,
             "job": self.spec.echo(),
             "checks": self.checks,
@@ -318,8 +318,9 @@ def run_job(spec: JobSpec, phase: str = "full") -> Certificate:
     """Execute the pipeline for one job and certify the results.
 
     Stage order (the STAGES table): cycle-class partition, the defining
-    identities of the twisted swap, the kernel witness element, Schreier
-    kernel generators (sifted into the block structure as they are formed),
+    identities of the twisted swap, the kernel witness element, the kernel M
+    as the normal closure of the witness (its rows sifted into the block
+    structure as they are formed),
     block structure (d and exact orders), the n=4 prediction and
     explicit-tuple cross-checks, coset graph construction (capped),
     2-arc-transitivity, the quotient down to the complete graph, centralizer
@@ -451,17 +452,15 @@ def _kernel_witness(run: _Run):
 
 
 def _kernel_generators(run: _Run):
-    sifter = RowSifter(run.data.job.group, run.data.ctx.k, run.out_of_budget)
-    try:
-        tops = schreier_rows(run.data, sifter.add, run.spec.enum_cap, run.out_of_budget)
-    except BudgetExhausted as exc:
-        exc.details.update(sifter.work())
-        raise
+    data = run.data
+    sifter = RowSifter(data.job.group, data.ctx.k, run.out_of_budget)
+    conjugations = normal_closure(data, sifter, run.spec.enum_cap, run.out_of_budget)
     return {
-        **sifter.work(),
-        "component_count": run.data.ctx.k,
-        "image_order": tops,
-    }, tops == math.factorial(run.n), sifter
+        "conjugations": conjugations,
+        "rows_kept": sifter.rows_kept,
+        "decompositions": sifter.decompositions,
+        "component_count": data.ctx.k,
+    }, True, sifter
 
 
 def _block_structure(run: _Run):
@@ -640,9 +639,12 @@ STAGES = (
         _n_input, _kernel_witness,
     ),
     Stage(
-        "kernel-generators", "decompose", (),
-        "the Schreier generators of the kernel of the projection onto the top "
-        "symmetric group all have trivial top part",
+        "kernel-generators", "decompose", ("twist-identities", "kernel-witness"),
+        "the lifts g, (2,3), ..., (n-1,n) of the Coxeter generators of Sym(n) "
+        "satisfy every Coxeter relation but (g·(2,3))^3 = s, so the kernel M "
+        "of the projection onto the top symmetric group is the normal closure "
+        "of s in Y and Y/M = Sym(n); the rows kept generate a subgroup that "
+        "holds s and that every generator of Y conjugates into itself",
         _n_input, _kernel_generators,
     ),
     Stage(
@@ -664,7 +666,8 @@ STAGES = (
     Stage(
         "tuple-generators", "decompose", ("block-structure",),
         "the three explicit base-only products t1, t2, t3 generate the same "
-        "subgroup of T^6, with the same blocks, as the Schreier kernel",
+        "subgroup of T^6, with the same blocks, as the normal closure of the "
+        "kernel witness",
         _n_input, _tuple_generators, only_n=4,
     ),
     Stage(

@@ -144,7 +144,9 @@ class RowSifter:
     not generate (a linked column is the image of its base, so the bases
     decide); the generating prefixes found are kept, as S grows only at its
     end. So a few small batches, as at n = 4, are decomposed once, and the
-    failed tests of a larger k stay few. Once S
+    failed tests of a larger k stay few: the kernel's normal closure
+    (`wreath.normal_closure`) gives one batch per pass, and a test after
+    every batch took it 29-68% longer at n = 7 and 8. Once S
     decomposes, <S> is by Scott's lemma the set of rows that satisfy its
     links: a later row that does (`SubdirectStructure._holds`) lies in <S>
     and is dropped, and one that does not joins S, whose structure is then
@@ -153,8 +155,8 @@ class RowSifter:
     component of each block) and links are fixed by M, and they are those
     of `subdirect_decompose` over all the rows.
 
-    `rows_formed`, `rows_kept` (|S|) and `decompositions` (S's structure
-    found whole, then refined) count the work. A decomposition raises
+    `rows_formed` (rows given), `rows_kept` (|S|) and `decompositions` (S's
+    structure found whole, then refined) count the work. A decomposition raises
     BudgetExhausted once `out_of_budget()` holds before one of its rounds.
     """
 
@@ -198,7 +200,7 @@ class RowSifter:
             rest = rest[~self._structure._holds(rest)]
             if len(rest):
                 self._kept.add(rest[0])
-                self._structure = self._structure.refined(rest[0], self._generators())
+                self._structure = self._structure.refined(rest[0], self.rows())
                 self.decompositions += 1
                 rest = rest[1:]
 
@@ -210,14 +212,16 @@ class RowSifter:
             self._decompose(whole=True)
         return self._structure
 
-    def _generators(self) -> np.ndarray:
-        rows = self._kept.take(np.arange(self._kept.count))
+    def rows(self, start: int = 0) -> np.ndarray:
+        """The rows of S from number `start` on, in the order they joined,
+        read-only."""
+        rows = self._kept.take(np.arange(start, self._kept.count))
         rows.flags.writeable = False
         return rows
 
     def _decompose(self, whole: bool) -> None:
         self._structure = _decompose(
-            self._generators(), self.group, self._out_of_budget,
+            self.rows(), self.group, self._out_of_budget,
             self._prefixes, self._generates, whole,
         )
         self.decompositions += self._structure is not None
@@ -226,7 +230,7 @@ class RowSifter:
 def _entry_rows(gens: Sequence, group: PermGroup, k: Optional[int] = None) -> np.ndarray:
     """The distinct rows of `gens`, in input order, as T's entry matrix.
 
-    `gens` is a 2-D integer matrix of rows, as `schreier_rows` forms, or a
+    `gens` is a 2-D integer matrix of rows, as a `RowSifter` keeps, or a
     sequence of rows, all of one length (k, if given). Entries must be int
     entry ids 0..size-1 (`PermGroup.entries`; a bool is not an int here),
     held in the entries' dtype; anything else is a ValidationError. A

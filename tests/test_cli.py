@@ -97,7 +97,7 @@ def test_construct_verb_emits_certificate(capsys):
     code, out, err = run_cli(["construct", *JOB1_FLAGS], capsys)
     assert code == 0
     payload = json.loads(out)
-    assert payload["format"] == "arccover-certificate/3"
+    assert payload["format"] == "arccover-certificate/4"
     assert [c["id"] for c in payload["checks"]] == [
         "job-valid", "class-partition", "twist-identities", "kernel-witness",
     ]
@@ -217,8 +217,8 @@ def test_capacity_skip_records_progress(capsys):
     assert payload["skips"] == [{
         "stage": "kernel-generators",
         "kind": "capacity",
-        "reason": "quotient enumeration exceeded cap 10",
-        "details": {"discovered": 11},
+        "reason": "normal closure exceeded cap 10 conjugations",
+        "details": {"conjugations": 3, "rows_kept": 4, "decompositions": 1},
     }]
 
 

@@ -1,5 +1,6 @@
 """Pipeline certificates, phases, suites, and regression baselines."""
 
+import dataclasses
 import json
 import math
 from decimal import Decimal
@@ -164,7 +165,7 @@ def test_full_certificate_shape_and_values():
         "format", "version", "job", "checks", "skips", "artifacts",
         "summary", "gaps", "environment", "timings",
     ]
-    assert cert.payload["format"] == "arccover-certificate/3"
+    assert cert.payload["format"] == "arccover-certificate/4"
     assert cert.payload["gaps"] == list(GAP_STATEMENTS)
     assert cert.payload["summary"] == {
         "checks": 12, "passed": 12, "failed": 0, "all_passed": True,
@@ -248,55 +249,65 @@ def test_budget_skips_are_not_capacity():
 
 
 def test_budget_runs_out_between_schreier_frontiers(monkeypatch):
-    """A clock that moves one second per reading between Schreier frontiers
-    and stands still otherwise: with a 4.5 s budget the fifth check between
-    frontiers stops the stage, and the skip says how far the BFS and the
-    sifting of its rows got."""
+    """A clock that moves one second per reading between the passes of the
+    kernel's normal closure and stands still otherwise: with a 3.5 s budget
+    the fourth check between passes (n = 7 has four) stops the stage, and
+    the skip says how far the closure and the sifting of its rows got."""
     clock = {"now": 0.0, "step": 0.0}
 
     def perf_counter():
         clock["now"] += clock["step"]
         return clock["now"]
 
-    real = report.schreier_rows
+    real = report.normal_closure
     progress = []
 
-    def schreier_rows(data, sift, image_cap, out_of_budget):
+    def normal_closure(data, sifter, conjugation_cap, out_of_budget):
         def counted():
             clock["step"] = 1.0  # the sifter's readings, between these, take no time
             progress.append(out_of_budget())
             clock["step"] = 0.0
             return progress[-1]
 
-        return real(data, sift, image_cap, counted)
+        return real(data, sifter, conjugation_cap, counted)
 
     monkeypatch.setattr(report, "time", SimpleNamespace(perf_counter=perf_counter))
-    monkeypatch.setattr(report, "schreier_rows", schreier_rows)
-    spec = JobSpec(n=5, group="A5", x="(1,2)(3,4)", y="(1,2,3,4,5)", time_budget=4.5)
+    monkeypatch.setattr(report, "normal_closure", normal_closure)
+    spec = JobSpec(n=7, group="A5", x="(1,2)(3,4)", y="(1,2,3,4,5)", time_budget=3.5)
     cert = run_job(spec, "decompose")
-    assert progress == [False] * 4 + [True]
+    assert progress == [False] * 3 + [True]
     assert check_ids(cert) == ["job-valid", "class-partition", "twist-identities", "kernel-witness"]
     assert cert.ok and not cert.capacity_blocked()
     assert cert.payload["skips"] == [{
         "stage": "kernel-generators",
         "kind": "budget",
         "reason": "time budget exhausted",
-        "details": {"tops_reached": 82, "rows_formed": 5, "rows_kept": 5, "decompositions": 1},
+        "details": {"conjugations": 33, "rows_kept": 20, "decompositions": 1},
     }]
 
 
 def test_image_order_is_certified_from_the_tops(monkeypatch):
-    """The stage fails, and the decomposition is left out, unless the BFS
-    reached all n! tops."""
-    real = report.schreier_rows
-    monkeypatch.setattr(report, "schreier_rows", lambda *args: real(*args) and 23)
-    cert = run_job(JOB1, "decompose")
-    rec = cert.check("kernel-generators")
-    assert rec["passed"] is False and rec["computed"]["image_order"] == 23
-    assert cert.check("block-structure") is None
-    monkeypatch.setattr(report, "schreier_rows", real)
+    """|Y/M| = n! rests on the Coxeter relations of the lifts of Sym(n)'s
+    generators, which twist-identities (g^2 = 1, g commutes with Sym{3..n})
+    and kernel-witness ((g·(2,3))^3 has trivial top) certify: when either
+    fails, kernel-generators does not run and the decomposition is left
+    out."""
+    stages = report.STAGES
+    for dep in ("twist-identities", "kernel-witness"):
+        failing = tuple(
+            dataclasses.replace(st, body=lambda run: ({}, False, None)) if st.id == dep else st
+            for st in stages
+        )
+        monkeypatch.setattr(report, "STAGES", failing)
+        cert = run_job(JOB1, "decompose")
+        assert cert.check(dep)["passed"] is False
+        assert cert.check("kernel-generators") is None
+        assert cert.check("block-structure") is None
+    monkeypatch.setattr(report, "STAGES", stages)
     rec = run_job(JOB1, "decompose").check("kernel-generators")
-    assert rec["passed"] and rec["computed"]["image_order"] == math.factorial(4) == 24
+    assert rec["passed"] and rec["computed"] == {
+        "conjugations": 12, "rows_kept": 4, "decompositions": 1, "component_count": 6,
+    }
 
 
 def test_exports_written_with_out_dir(tmp_path):

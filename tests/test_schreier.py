@@ -1,7 +1,9 @@
 """Schreier generators of the kernel of the top projection: the array rows of
-`schreier_rows` against the one-element-at-a-time oracle of `schreier_oracle`
-(the generic routine they replaced), plus the oracle's own checks, and the
-memory and budget of the BFS with its rows sifted (`RowSifter`)."""
+`schreier_oracle.schreier_rows` against the one-element-at-a-time oracle
+`schreier_kernel_generators` (the generic routine they replaced), plus the
+oracle's own checks; and the memory, cap and budget of the route that the
+pipeline takes to the same kernel, its normal closure (`normal_closure`)
+with its rows sifted (`RowSifter`)."""
 
 import math
 import tracemalloc
@@ -16,7 +18,7 @@ from arccover.errors import BudgetExhausted, CapacityExceeded
 from arccover.groups import DistinctRows, PermGroup, closure
 from arccover.perm import Permutation, parse_cycles
 from arccover.subdirect import RowSifter
-from arccover.wreath import CoverJob, build_cover_group, schreier_rows
+from arccover.wreath import CoverJob, build_cover_group, normal_closure
 
 
 def P(text, degree):
@@ -164,56 +166,60 @@ def test_distinct_rows_number_rows_in_order_of_first_addition(dtype):
 
 
 # ---------------------------------------------------------------------------
-# caps and budgets
+# the normal closure's memory, cap and budget
 # ---------------------------------------------------------------------------
 
 
 def test_image_cap_stops_before_storing_past_it():
+    """The cap bounds the conjugations formed: the closure stops before the
+    pass that would pass it, and says how far it got."""
     data = cover(resolve_group("A5"), 7, *A5[1:])
+    sifter = RowSifter(data.job.group, data.ctx.k)
     tracemalloc.start()
     try:
         with pytest.raises(CapacityExceeded) as info:
-            schreier_rows(data, lambda rows: None, image_cap=10)
+            normal_closure(data, sifter, conjugation_cap=10)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert str(info.value) == "quotient enumeration exceeded cap 10"
-    assert info.value.details == {"discovered": 11}
-    # all 5040 representatives' rows of 720 entries would take 3.6 MB
+    assert str(info.value) == "normal closure exceeded cap 10 conjugations"
+    assert info.value.kind == "capacity"
+    # two passes formed 3 + 6 conjugates; the third would form 9 more
+    assert info.value.details == {"conjugations": 9, "rows_kept": 6, "decompositions": 0}
+    assert sifter.rows_formed == 10
     assert peak < 1_000_000
 
 
 def test_sift_at_n7_peaks_below_one_and_a_quarter_megabytes():
-    """The BFS with its rows sifted and S decomposed keeps no kernel row
-    beyond S (18 rows of 720 entries), and the representatives' rows are
-    held once each, not once per top (n! of them: 3.6 MB). Keeping the 1004
-    distinct rows took the BFS alone to 1.8 MB."""
+    """The normal closure at n = 7 with its rows sifted keeps no row beyond
+    S (20 rows of 720 entries). The Schreier BFS that it replaced formed
+    1714 rows from 5040 tops and kept 18."""
     data = cover(resolve_group("A5"), 7, *A5[1:])
     tracemalloc.start()
     try:
         sifter = RowSifter(data.job.group, data.ctx.k)
-        tops = schreier_rows(data, sifter.add)
+        conjugations = normal_closure(data, sifter)
         structure = sifter.structure()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert tops == 5040 and structure.block_count == 360
-    assert sifter.work() == {"rows_formed": 1714, "rows_kept": 18, "decompositions": 1}
-    assert structure.generators.shape == (18, 720)
+    assert conjugations == 60 and structure.block_count == 360
+    assert sifter.work() == {"rows_formed": 61, "rows_kept": 20, "decompositions": 1}
+    assert structure.generators.shape == (20, 720)
     assert peak < 1_250_000
 
 
 def test_budget_is_checked_between_frontiers():
-    """The budget stops the BFS after a whole frontier and says how far it
-    got: more tops, and no fewer rows formed or kept, at each later
-    frontier."""
-    data = cover(resolve_group("A5"), 5, *A5[1:])
+    """The budget stops the closure after a whole pass that added rows to S
+    and says how far it got: more conjugations, and no fewer rows kept, at
+    each later pass."""
+    data = cover(resolve_group("A5"), 7, *A5[1:])
     full = RowSifter(data.job.group, data.ctx.k)
     calls = []
-    schreier_rows(data, full.add, out_of_budget=lambda: calls.append(1) and False)
-    frontiers = len(calls) + 1
+    total = normal_closure(data, full, out_of_budget=lambda: calls.append(1) and False)
+    assert len(calls) == 4  # the fifth pass adds no row, so no check follows it
     progress = []
-    for stop_at in range(1, frontiers):
+    for stop_at in range(1, len(calls) + 1):
         calls = []
 
         def out_of_budget():
@@ -222,14 +228,13 @@ def test_budget_is_checked_between_frontiers():
 
         sifter = RowSifter(data.job.group, data.ctx.k)
         with pytest.raises(BudgetExhausted) as info:
-            schreier_rows(data, sifter.add, out_of_budget=out_of_budget)
+            normal_closure(data, sifter, out_of_budget=out_of_budget)
         assert str(info.value) == "time budget exhausted"
         assert info.value.kind == "budget"
-        assert list(info.value.details) == ["tops_reached"]
-        progress.append((info.value.details["tops_reached"], sifter.rows_formed, sifter.rows_kept))
-    tops, formed, kept = zip(*progress)
-    # the last frontier finds no new top, but its pairs still give rows
-    assert list(tops) == sorted(set(tops)) and tops[0] > 1 and tops[-1] <= 120
-    assert list(formed) == sorted(formed) and formed[-1] <= full.rows_formed
-    assert list(kept) == sorted(kept) and kept[-1] <= full.rows_kept
-    assert all(k <= f for k, f in zip(kept, formed))
+        details = info.value.details
+        assert list(details) == ["conjugations", "rows_kept", "decompositions"]
+        assert details["rows_kept"] == sifter.rows_kept
+        progress.append((details["conjugations"], details["rows_kept"]))
+    formed, kept = zip(*progress)
+    assert list(formed) == sorted(set(formed)) and formed[-1] < total
+    assert list(kept) == sorted(set(kept)) and kept[-1] == full.rows_kept

@@ -1,18 +1,20 @@
-"""The sifted block structure (`RowSifter`) against the decomposition of every
-Schreier row formed (`subdirect_decompose`, the route that reads them all),
+"""The sifted block structure (`RowSifter`) of the rows of every Schreier
+generator (`schreier_oracle.schreier_rows`, many rows in large batches)
+against their decomposition all at once (`subdirect_decompose`),
 its refinement by a row outside <S>, the inverse-pair blocks at n >= 5, and
 the pool's conjugation cache that its links read."""
 
 import numpy as np
 import pytest
 
+from schreier_oracle import schreier_rows
 from arccover.catalog import resolve_group
 from arccover.cosetgraph import build_coset_graph, quotient_graph
 from arccover.errors import ValidationError
 from arccover.groups import EntryPool
 from arccover.perm import parse_cycles
 from arccover.subdirect import RowSifter, inverting_automorphism, structures_equal, subdirect_decompose
-from arccover.wreath import CoverJob, _lehmer_ranks, build_cover_group, schreier_rows
+from arccover.wreath import CoverJob, _lehmer_ranks, build_cover_group
 
 A5 = ("A5", "(1,2)(3,4)", "(1,2,3,4,5)")
 A5_Y2 = ("A5", "(1,2)(3,4)", "(1,5,3)")

@@ -331,7 +331,7 @@ def test_kernel_generators_stage_passes_the_job_budget(monkeypatch):
         "stage": "kernel-generators",
         "kind": "budget",
         "reason": "time budget exhausted",
-        "details": {"columns_scanned": 0, "rows_formed": 5, "rows_kept": 5, "decompositions": 0},
+        "details": {"columns_scanned": 0, "conjugations": 3, "rows_kept": 3, "decompositions": 0},
     }
 
 

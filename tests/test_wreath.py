@@ -7,12 +7,14 @@ import math
 import random
 import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from coset_oracle import conj_intersection, l_elements
 from cycle_oracle import conjugation_map, cycle_class, full_cycles
+from schreier_oracle import _pair_classes
 from arccover import report
 from arccover.catalog import resolve_group
 from arccover.cli import main
@@ -25,7 +27,6 @@ from arccover.wreath import (
     CoverJob,
     WreathContext,
     _lehmer_ranks,
-    _pair_classes,
     build_cover_group,
     class_assignment,
     k4_tuple_data,
@@ -342,6 +343,21 @@ def test_twist_tops_needs_the_swap_as_top():
         twist_tops(dataclasses.replace(data, g=g))
 
 
+def test_twist_tops_number_positions_up_to_k_minus_one_at_8_factorial():
+    """At k = 8! = 40320, as at n = 9, positions 0..k-1 do not fit in int16,
+    and a numbering there wraps. A stand-in context with k = 8! positions,
+    under n = 5's L = Sym{3,4,5}, whose comp maps fix every position: g's
+    base differs from position to position, so K = L only if every position
+    up to k - 1 is read as itself."""
+    data = data_for(n=5)
+    k = math.factorial(8)
+    ctx = SimpleNamespace(n=5, k=k, comp_map=lambda sigma: np.arange(k))
+    g = SimpleNamespace(sigma=data.delta, f=(np.arange(k) % 251).astype(np.uint8))
+    stand_in = SimpleNamespace(ctx=ctx, g=g, delta=data.delta, l_top_gens=data.l_top_gens)
+    tops = twist_tops(stand_in)
+    assert len(tops.l) == 6 and tops.k == tops.l
+
+
 def test_kernel_witness_entries():
     data = data_for(n=5)
     s = kernel_witness(data)
@@ -445,7 +461,7 @@ def test_tuple_data_requires_n4():
 
 
 # ---------------------------------------------------------------------------
-# the top arithmetic of the Schreier rows
+# the top arithmetic of the Schreier rows (`schreier_oracle`)
 # ---------------------------------------------------------------------------
 
 
