@@ -178,13 +178,6 @@ class RowSifter:
     def rows_kept(self) -> int:
         return self._kept.count
 
-    def work(self) -> dict:
-        return {
-            "rows_formed": self.rows_formed,
-            "rows_kept": self.rows_kept,
-            "decompositions": self.decompositions,
-        }
-
     def add(self, rows: np.ndarray) -> None:
         """Sift a batch of rows: an entry matrix of width k in T's entry dtype."""
         self.rows_formed += len(rows)

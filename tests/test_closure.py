@@ -5,12 +5,12 @@ on."""
 
 import dataclasses
 
-import numpy as np
 import pytest
 
 from schreier_oracle import schreier_rows
 from arccover import report
 from arccover.catalog import resolve_group
+from arccover.groups import PermGroup
 from arccover.perm import parse_cycles
 from arccover.report import JobSpec, run_job
 from arccover.subdirect import RowSifter, structures_equal
@@ -21,14 +21,19 @@ A5_Y2 = ("A5", "(1,2)(3,4)", "(1,5,3)")
 PSL27 = ("PSL27", "(1,8)(2,7)(3,4)(5,6)", "(1,2,3,4,5,6,7)")
 A7 = ("A7", "(1,2)(3,4)", "(1,2,3,4,5,6,7)")
 A11 = ("A11", "(1,2)(3,6)", "(1,2,3,4,5,6,7,8,9,10,11)")
+# two-byte table ids; not in the catalog
+PSL2_13 = ("PSL2_13", "(1,14)(2,13)(3,7)(4,5)(8,12)(10,11)", "(1,4,7,10,13,3,6,9,12,2,5,8,11)")
 
 JOBS = [(job, n) for job in (A5, A5_Y2) for n in (4, 5, 6, 7, 8)]
-JOBS += [(PSL27, 5), (A7, 4), (A7, 5), (A7, 6), (A11, 5)]
+JOBS += [(PSL27, 5), (PSL2_13, 4), (PSL2_13, 5), (A7, 4), (A7, 5), (A7, 6), (A11, 5)]
 
 
 def cover(job, n):
     name, x, y = job
-    group = resolve_group(name)
+    if name == "PSL2_13":
+        group = PermGroup.from_cycle_strings([PSL2_13[2], PSL2_13[1]], 14)
+    else:
+        group = resolve_group(name)
     return build_cover_group(CoverJob(n=n, group=group, x=parse_cycles(x, group.degree),
                                       y=parse_cycles(y, group.degree)))
 
@@ -40,9 +45,7 @@ def link_keys(structure):
 @pytest.mark.parametrize("job, n", JOBS, ids=[f"{job[0]}-{job[2]}-n{n}" for job, n in JOBS])
 def test_closure_structure_is_the_schreier_structure(job, n):
     """The same blocks, bases and links as the rows of every Schreier
-    generator give, and the same subgroup. d alone would not tell the
-    routes apart: the normal closure of s under H's generators alone has
-    the same d on these jobs."""
+    generator give, and the same subgroup: d alone does not fix them."""
     data = cover(job, n)
     closed = RowSifter(data.job.group, data.ctx.k)
     conjugations = normal_closure(data, closed)
@@ -54,18 +57,6 @@ def test_closure_structure_is_the_schreier_structure(job, n):
     assert structures_equal(got, want)
     # every row of S was sifted as s or one of the conjugates formed
     assert closed.rows_formed == conjugations + 1 and closed.rows_kept <= closed.rows_formed
-
-
-def test_conjugates_are_products_in_y():
-    """Each pass conjugates by the generators of Y in Y's own arithmetic:
-    the second row of S is a conjugate y^-1·s·y of the witness, base-only."""
-    data = cover(A5, 5)
-    sifter = RowSifter(data.job.group, data.ctx.k)
-    normal_closure(data, sifter)
-    s = data.ctx.from_assignment(sifter.rows()[0])
-    conjugates = [y.inverse() * s * y for y in data.y_gens]
-    assert all(c.sigma.is_identity() for c in conjugates)
-    assert any(np.array_equal(c.f, sifter.rows()[1]) for c in conjugates)
 
 
 @pytest.mark.parametrize("klass", [1, 2, 3, 4])
