@@ -320,11 +320,10 @@ def run_job(spec: JobSpec, phase: str = "full") -> Certificate:
     Stage order (the STAGES table): cycle-class partition, the defining
     identities of the twisted swap, the kernel witness element, the kernel M
     as the normal closure of the witness (its rows sifted into the block
-    structure as they are formed),
-    block structure (d and exact orders), the n=4 prediction and
-    explicit-tuple cross-checks, coset graph construction (capped),
-    2-arc-transitivity, the quotient down to the complete graph, centralizer
-    structure (capped); then exports. The graph stages import `cosetgraph`
+    structure as they are formed), block structure (d and exact orders),
+    the n=4 prediction and explicit-tuple cross-checks, coset graph
+    construction (capped), 2-arc-transitivity, the quotient down to the
+    complete graph, centralizer structure (capped); then exports. The graph stages import `cosetgraph`
     when they run, so a job that builds no graph never loads it.
 
     `phase` truncates the pipeline: "construct" stops after the witness
