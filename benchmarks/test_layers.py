@@ -5,7 +5,8 @@
 Each benchmark times one layer on its own: a `Permutation` product at
 degree 11, the BFS closure of A7 (2520 elements), the order of the subgroup
 of A11 generated by example-3's pair (a stabilizer chain stopped at |A11|),
-the table build of an enumerable T (A7 and PSL(2,13), generated as in
+the table build of an enumerable T, its elements' BFS over image rows
+included (A7 and PSL(2,13), generated as in
 perfbench/jobs.py, and PSL(2,19), 3420 elements on the projective line,
 near `TABLE_CAP`), a wreath product at n = 7 with
 table entries, one gather through the flat table over its k = 720 cycle
@@ -24,8 +25,10 @@ k = 120, d = 120), the decomposition of the n = 6 A7 kernel (k = 120, d = 60) on
 built for it, and, on the 240-vertex cover of K4 of
 example-1 (n = 4, A5, (1,2)(3,4), (1,2,3,4,5)), the same cover with A5
 without its table (T on its entry pool) and the 4368-vertex PSL(2,13)
-cover of perfbench's cover-k4, the derived-graph build and the quotient by
-the kernel M on vertex arrays. Two layers are example-1's
+cover of perfbench's cover-k4, the derived-graph build, the quotient by
+the kernel M on vertex arrays and both text exports (`export_chunks`);
+the build and the quotient together, in one round, on the 864,000-vertex
+cover of the extended-build job (A5, y = (1,5,3), d = 3). Two layers are example-1's
 alone: the closure of Y = <H, g> (1440 elements, one wreath product and
 key per element and generator) and the elements of Y that centralize M
 (`centralizer_elements`, one stacked test per generator of M), which
@@ -42,7 +45,12 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from schreier_oracle import schreier_rows  # noqa: E402
 from arccover.catalog import resolve_group
-from arccover.cosetgraph import build_coset_graph, centralizer_elements, quotient_graph
+from arccover.cosetgraph import (
+    build_coset_graph,
+    centralizer_elements,
+    export_chunks,
+    quotient_graph,
+)
 from arccover.groups import PermGroup, TableGroup, closure
 from arccover.perm import Permutation, parse_cycles
 from arccover.subdirect import RowSifter, subdirect_decompose
@@ -90,12 +98,11 @@ def test_subgroup_order_a11_pair(benchmark):
 def test_table_build(benchmark, name):
     degree, gens = GROUPS[name]
     group = PermGroup.from_cycle_strings(gens, degree)
-    # enumerate once and build the chain whose base the table reads, so
-    # only the table build is timed
-    group.elements()
+    # build the chain whose base the table reads, so that only the table
+    # build (its rows' BFS included) is timed
     group.chain()
     table = benchmark(TableGroup, group)
-    assert table.size == len(group.elements())
+    assert table.size == group.order()
 
 
 def test_wreath_product_index_mode_n7(benchmark):
@@ -262,6 +269,28 @@ def test_quotient_by_m(benchmark, built):
     graph = build_coset_graph(data, structure)
     cert = benchmark(lambda: quotient_graph(graph, m_gens))
     assert cert.quotient_order == 4 and cert.quotient_is_complete
+
+
+@pytest.mark.parametrize("fmt", ["edge-list", "adjacency-text"])
+def test_export_chunks(benchmark, built, fmt):
+    """The text export of the graph, chunk by chunk, as a job writes it."""
+    data, structure, _, order = built
+    graph = build_coset_graph(data, structure)
+    size = benchmark(lambda: sum(map(len, export_chunks(graph.adjacency, fmt))))
+    assert size > order
+
+
+def test_build_and_quotient_extended_build(benchmark):
+    """The graph build and the quotient by M of the extended-build job's
+    864,000-vertex cover, in one round: the graph stages at the size whose
+    memory they are written for."""
+    data, structure, m_gens = cover(resolve_group("A5"), "(1,2)(3,4)", "(1,5,3)")
+
+    def build_and_quotient():
+        return quotient_graph(build_coset_graph(data, structure), m_gens)
+
+    cert = benchmark.pedantic(build_and_quotient, rounds=1)
+    assert cert.quotient_order == 4 and cert.fibre_size == 60**3 and cert.locally_bijective
 
 
 @pytest.fixture(scope="module")

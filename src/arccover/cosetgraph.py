@@ -21,6 +21,16 @@ keys.
 centralizer acting on the right, through int vertex maps
 (`CosetGraph.vertex_map`): (i, m) -> (i, m·z) for z in M, and
 (i, m) -> (j, m'·m) for z centralizing M, where H·c_i·z = H·c_j·m'.
+
+Arrays are held in the narrowest dtype of what they hold. T's entry ids,
+the fibre's coordinates and key ranks and the key columns are in the entry
+dtype (`id_dtype`: uint8 up to |T| = 256, else uint16). Fibre points,
+vertex ids, `vertex`, `adjacency`, vertex maps, orbit labels and orbit
+numbers are in the vertex ids' dtype (`_id_type`: int32 up to 2^31 - 1
+vertices). The build and the quotient read the adjacency one column at a
+time, so each temporary is one section's or one column's; the only intp
+array is the sort order of one section's keys. An export formats at most
+EXPORT_CHUNK_INTS ints at a time.
 """
 
 from __future__ import annotations
@@ -53,7 +63,8 @@ class _Fibre:
 
     Entries are T's entry ids (`PermGroup.entries`), 0..|T|-1: a pool first
     takes in every element of T. Products, links and key order are read as
-    maps over all the ids at once.
+    maps over all the ids at once. The coordinates and key ranks are in the
+    entry dtype, and fibre points in `dtype`, the vertex ids' rule.
     """
 
     def __init__(self, structure: SubdirectStructure):
@@ -62,15 +73,20 @@ class _Fibre:
         if isinstance(entries, EntryPool):
             entries.fill()
         self.size = entries.size
-        self.ids = np.arange(self.size)
+        self.ids = np.arange(self.size, dtype=entries.dtype)
         # id -> place of its element's Permutation key (its images) in key
         # order: the image rows sorted by their first column, then the next
-        self.rank = np.empty(self.size, dtype=np.int64)
+        self.rank = np.empty(self.size, dtype=entries.dtype)
         self.rank[np.lexsort(entries.image_rows(self.ids).T[::-1])] = self.ids
         self.bases = [b for b, link in enumerate(structure.links) if link is None]
         self.points = self.size ** len(self.bases)
-        digits = np.arange(self.points, dtype=np.int64)
-        self.coords = [(digits // self.size**t) % self.size for t in range(len(self.bases))]
+        self.dtype = _id_type(self.points)
+        # coordinate t of the points in order: each id for |T|^t points in
+        # turn, the run repeated |T|^(d-1-t) times
+        self.coords = [
+            np.tile(np.repeat(self.ids, self.size**t), self.size ** (len(self.bases) - 1 - t))
+            for t in range(len(self.bases))
+        ]
         # link(t) for every id t; the identity at a block base
         self.links = [
             self.ids if link is None else link.image(self.ids, entries) for link in structure.links
@@ -78,11 +94,11 @@ class _Fibre:
 
     def apply(self, z: WreathElement, left: bool) -> np.ndarray:
         """The fibre point of z·m (left) or m·z for every fibre point m; z in M."""
-        out = np.zeros(self.points, dtype=np.int64)
+        out = np.zeros(self.points, dtype=self.dtype)
         for t, (b, coord) in enumerate(zip(self.bases, self.coords)):
             e = z.f[b]
             products = self.entries.product(e, self.ids) if left else self.entries.product(self.ids, e)
-            out += products.astype(np.int64)[coord] * self.size**t
+            out += (products.astype(self.dtype) * self.size**t)[coord]
         return out
 
     def key_columns(self, r: WreathElement) -> list[np.ndarray]:
@@ -120,15 +136,7 @@ class CosetGraph:
         ids = _id_type(n * points)
         self.vertex = np.empty((n, points), dtype=ids)
         for i, c in enumerate(self.sections):
-            # the least top in H·top(c_i) sends 1 to i and the rest in order;
-            # vertex ids follow the keys, which start with that top
-            least = Permutation([i + 1] + [p for p in range(1, n + 1) if p != i + 1])
-            cols = self.fibre.key_columns(ctx.embed_top(least * c.sigma.inverse()) * c)
-            order = np.lexsort(cols[::-1])
-            keys = np.stack(cols)[:, order]
-            if not (keys[:, 1:] != keys[:, :-1]).any(axis=0).all():
-                raise InternalCheckError("two fibre points name one coset")
-            self.vertex[i, order] = i * points + np.arange(points)
+            self._number_section(i, c)
         self.adjacency = np.empty((n * points, self.valency), dtype=ids)
         for i, c in enumerate(self.sections):
             tops = []
@@ -142,11 +150,30 @@ class CosetGraph:
         self.adjacency.sort(axis=1)
         _check_symmetric(self.adjacency)
         labels = _orbit_labels(list(self.adjacency.T), self.order)
-        self.components = int(np.count_nonzero(labels == np.arange(self.order)))
+        self.components = int(np.count_nonzero(labels == np.arange(self.order, dtype=ids)))
 
     @property
     def order(self) -> int:
         return len(self.adjacency)
+
+    def _number_section(self, i: int, c: WreathElement) -> None:
+        """Fill `vertex[i]`: the ids i·|M| on of the fibre points, in the
+        order of their cosets' canonical keys, which must be distinct."""
+        n, points = self.ctx.n, self.fibre.points
+        # the least top in H·top(c_i) sends 1 to i and the rest in order;
+        # vertex ids follow the keys, which start with that top
+        least = Permutation([i + 1] + [p for p in range(1, n + 1) if p != i + 1])
+        cols = self.fibre.key_columns(self.ctx.embed_top(least * c.sigma.inverse()) * c)
+        order = np.lexsort(cols[::-1])
+        # sorted keys are distinct iff each neighbouring pair differs in some
+        # column, compared one column at a time
+        differ = np.zeros(max(points - 1, 0), dtype=bool)
+        for col in cols:
+            keys = col[order]
+            differ |= keys[1:] != keys[:-1]
+        if not differ.all():
+            raise InternalCheckError("two fibre points name one coset")
+        self.vertex[i, order] = np.arange(i * points, (i + 1) * points, dtype=self.vertex.dtype)
 
     def _split(self, w: WreathElement) -> tuple[int, WreathElement]:
         """(j, v) with H·w = H·c_(j+1)·v and v in M, checked by membership."""
@@ -209,10 +236,15 @@ def build_coset_graph(
 
 
 def _check_symmetric(adjacency: np.ndarray) -> None:
-    """Every edge v -> u of the adjacency rows also appears as u -> v."""
+    """Every edge v -> u of the adjacency rows also appears as u -> v: for
+    each column, u's row is searched for v one column at a time."""
     ids = np.arange(len(adjacency), dtype=adjacency.dtype)
+    found, same = np.empty(len(adjacency), dtype=bool), np.empty(len(adjacency), dtype=bool)
     for heads in adjacency.T:
-        if not (adjacency[heads] == ids[:, None]).any(axis=1).all():
+        found[:] = False
+        for back in range(adjacency.shape[1]):
+            found |= np.equal(adjacency[heads, back], ids, out=same)
+        if not found.all():
             raise InternalCheckError("an edge of the coset graph has no reverse")
 
 
@@ -222,15 +254,17 @@ def _orbit_labels(columns: Sequence[np.ndarray], order: int) -> np.ndarray:
     For the columns of a symmetric adjacency the classes are the connected
     components; for permutations generating a finite group, its orbits
     (every orbit is strongly connected). Labels are pulled along the edges
-    and then through themselves, until nothing changes.
+    and then through themselves, in place, until nothing changes. A label
+    only falls, so an unchanged sum is an unchanged array.
     """
     label = np.arange(order, dtype=_id_type(order))
+    total = None
     while True:
-        before = label
         for col in columns:
-            label = np.minimum(label, label[col])
-        label = label[label]
-        if np.array_equal(label, before):
+            np.minimum(label, label[col], out=label)
+        label[:] = label[label]
+        before, total = total, int(label.sum(dtype=np.int64))
+        if total == before:
             return label
 
 
@@ -279,26 +313,36 @@ def quotient_graph(graph: CosetGraph, elements: Sequence[WreathElement]) -> Cove
     `graph.vertex_map` (otherwise ValidationError). The group must have all
     orbits of one size and no edge inside an orbit (as a normal subgroup of
     the cover group does); otherwise ValidationError. Local bijectivity is
-    checked at every vertex. Orbits are numbered by their least vertex.
+    checked at every vertex. Orbits are numbered by their least vertex, in
+    the vertex ids' dtype, and the adjacency is read one column at a time.
     """
     adjacency = graph.adjacency
-    maps = [graph.vertex_map(z) for z in elements]
-    _, orbit_of = np.unique(_orbit_labels(maps, len(adjacency)), return_inverse=True)
-    sizes = np.bincount(orbit_of).tolist()
+    labels = _orbit_labels([graph.vertex_map(z) for z in elements], len(adjacency))
+    # the labels are the orbits' least vertices: number them in increasing order
+    number = np.zeros(len(labels), dtype=labels.dtype)
+    number[labels] = 1
+    np.cumsum(number, out=number)
+    count = int(number[-1]) if len(number) else 0
+    number -= 1
+    orbit_of = number[labels]
+    del labels, number
+    sizes = np.bincount(orbit_of, minlength=count).tolist()
     if len(set(sizes)) != 1:
         raise ValidationError(f"orbit sizes differ ({sorted(set(sizes))}); not a cover action")
-    seen = orbit_of[adjacency]
-    if (seen == orbit_of[:, None]).any():
+    seen = [orbit_of[col] for col in adjacency.T]
+    if any((col == orbit_of).any() for col in seen):
         raise ValidationError(
             "an edge joins two vertices of one orbit; quotient would have a loop"
         )
-    seen.sort(axis=1)
-    locally_bijective = bool((seen[:, 1:] != seen[:, :-1]).all())
+    locally_bijective = all(
+        not (seen[a] == seen[b]).any() for a in range(len(seen)) for b in range(a)
+    )
 
-    count = len(sizes)
+    # an edge {a, b} of the quotient, a < b, as the code a·count + b
+    code = _id_type(count * count)
     codes = _sorted_distinct(np.concatenate([
-        _sorted_distinct(np.minimum(orbit_of, col) * count + np.maximum(orbit_of, col))
-        for col in seen.T
+        _sorted_distinct(np.minimum(orbit_of, col).astype(code) * count + np.maximum(orbit_of, col))
+        for col in seen
     ]))
     q_adj: list[list[int]] = [[] for _ in range(count)]
     for a, b in zip(*(x.tolist() for x in divmod(codes, count))):
@@ -383,22 +427,26 @@ def centralizer_elements(elements: Sequence[WreathElement], gens: Sequence) -> l
     return [z for z, ok in zip(elements, keep.tolist()) if ok]
 
 
-EXPORT_CHUNK_ROWS = 1 << 14
+EXPORT_CHUNK_INTS = 1 << 12
 
 
 def export_chunks(adjacency: np.ndarray, fmt: str) -> Iterator[bytes]:
     """The deterministic text export of an (order × valency) int adjacency
     array: 'edge-list' ("u v" per line, 0-based, u < v, sorted) or
-    'adjacency-text' ("v: n1 n2 ..." per line). It comes in pieces of at
-    most EXPORT_CHUNK_ROWS rows each, so a large graph is never formatted
-    whole."""
+    'adjacency-text' ("v: n1 n2 ..." per line). It comes in pieces of whole
+    rows that format at most EXPORT_CHUNK_INTS ints each (one row at least),
+    so a large graph is never formatted whole."""
     if fmt not in ("edge-list", "adjacency-text"):
         raise ValidationError(f"unknown export format {fmt!r}")
     adjacency = np.asarray(adjacency)
-    line = "%d: " + " ".join(["%d"] * adjacency.shape[1]) + "\n"
+    width = adjacency.shape[1]
+    line = "%d: " + " ".join(["%d"] * width) + "\n"
+    # a row formats at most two ints per neighbour as edges, or itself and
+    # its neighbours as a line
+    step = max(1, EXPORT_CHUNK_INTS // max(1, 2 * width if fmt == "edge-list" else width + 1))
     empty = True
-    for start in range(0, len(adjacency), EXPORT_CHUNK_ROWS):
-        rows = adjacency[start:start + EXPORT_CHUNK_ROWS]
+    for start in range(0, len(adjacency), step):
+        rows = adjacency[start:start + step]
         ids = np.arange(start, start + len(rows))[:, None]
         if fmt == "edge-list":
             # row-major order keeps v ascending, then u ascending in the sorted row

@@ -70,6 +70,28 @@ def closure(generators: Sequence, identity, cap: int = ENUM_CAP_DEFAULT) -> list
     return elements
 
 
+def closure_rows(group: "PermGroup", cap: int = ENUM_CAP_DEFAULT) -> np.ndarray:
+    """The uint8 rows of 0-based images of the group's elements, in
+    `closure`'s order, with no Permutation built: a BFS over the rows, whose
+    product u·s is s's row read at u's images, each row met filed once
+    (`DistinctRows`). Raises CapacityExceeded once more than `cap` rows are
+    met."""
+    degree = group.degree
+    gens = np.array([g.images for g in group.generators], dtype=np.uint8).reshape(-1, degree) - 1
+    rows = DistinctRows(degree, np.uint8)
+    rows.add(np.arange(degree, dtype=np.uint8))
+    done = 0
+    while done < rows.count:
+        frontier = rows.take(np.arange(done, rows.count))
+        done = rows.count
+        # row-major: for each element of the frontier, each generator in order
+        for row in gens.T[frontier].transpose(0, 2, 1).reshape(-1, degree):
+            rows.add(row)
+        if rows.count > cap:
+            raise CapacityExceeded(f"closure exceeded cap {cap}", discovered=rows.count)
+    return rows.take(np.arange(rows.count))
+
+
 def orbit(point, generators: Sequence, action: Callable) -> list:
     """Orbit of `point` under `generators` via `action(point, g)`, BFS order."""
     out = [point]
@@ -510,8 +532,10 @@ class TableGroup:
     that is not natural alternating; `TableGroup(group)` builds one for any
     T up to `cap` elements, A7 included.
 
-    Elements are numbered in BFS order from the identity (id 0) and held as
-    `images`, the uint8 matrix of their 0-based images (|T| × degree). An
+    Elements are numbered in BFS order from the identity (id 0), found as
+    image rows (`closure_rows`), and held as `images`, the uint8 matrix of
+    their 0-based images (|T| × degree); `elem` builds an id's Permutation
+    when asked. An
     element is fixed by its images of a base b_1..b_m of T (the stabilizer
     chain's), so an id is read off base images level by level (`_levels`):
     the distinct images of b_1..b_j are ranked, and the rank c of the images
@@ -533,13 +557,11 @@ class TableGroup:
     """
 
     def __init__(self, group: PermGroup, cap: int = TABLE_CAP):
-        elems = group.elements(cap)  # CapacityExceeded past the cap
+        images = self.images = closure_rows(group, cap)  # CapacityExceeded past the cap
         self.group = group
-        self.elements = elems
-        size = self.size = len(elems)
+        size = self.size = len(images)
         degree = self.degree = group.degree
         self.dtype = id_dtype(size)
-        images = self.images = np.array([p.images for p in elems], dtype=np.uint8).reshape(size, degree) - 1
         self._base = [b - 1 for b in group.chain().base]
         self._base_images = [np.ascontiguousarray(images[:, b]) for b in self._base]
         # level j: offset of the prefix before + image of b_j -> offset of the
@@ -621,7 +643,7 @@ class TableGroup:
         raise ValidationError(f"element {p.cycle_string()} not in this group")
 
     def elem(self, i: int) -> Permutation:
-        return self.elements[i]
+        return Permutation((self.images[i] + 1).tolist())
 
     def image_rows(self, ids: np.ndarray) -> np.ndarray:
         """The uint8 rows of 0-based images of the ids."""
@@ -712,8 +734,9 @@ class EntryPool:
 
     def fill(self) -> None:
         """Intern every element of T, unchecked, as they are products of its
-        generators (`PermGroup.elements`); the ids are then 0..|T|-1."""
-        self._intern(np.array([p.images for p in self.group.elements()]) - 1)
+        generators, in `closure`'s order (`closure_rows`); the ids are then
+        0..|T|-1."""
+        self._intern(closure_rows(self.group))
 
     def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """The entrywise product a·b of two id arrays, broadcast."""

@@ -9,6 +9,7 @@ permutation groups.
 
 import dataclasses
 import random
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,7 +24,7 @@ from arccover.cosetgraph import (
     _Fibre,
     _check_symmetric,
     build_coset_graph,
-    EXPORT_CHUNK_ROWS,
+    EXPORT_CHUNK_INTS,
     centralizer_elements,
     export_chunks,
     graph_girth,
@@ -34,11 +35,12 @@ from arccover.errors import CapacityExceeded, InternalCheckError, ValidationErro
 from arccover.groups import EntryPool, PermGroup, closure
 from arccover.perm import Permutation, parse_cycles
 from arccover.report import JobSpec, run_job
-from arccover.subdirect import subdirect_decompose
+from arccover.subdirect import RowSifter, subdirect_decompose
 from arccover.wreath import (
     CoverJob,
     WreathElement,
     build_cover_group,
+    normal_closure,
     twist_tops,
 )
 
@@ -598,11 +600,63 @@ def _joined_export(adjacency, fmt):
 @pytest.mark.parametrize("fmt", ["edge-list", "adjacency-text"])
 def test_exports_in_chunks_match_the_joined_lines(fmt):
     """A circulant graph over more than two chunks of rows, and graphs with
-    no edges or no vertices, export the same bytes as the joined lines."""
-    order = 2 * EXPORT_CHUNK_ROWS + 7
+    no edges or no vertices, export the same bytes as the joined lines. Each
+    chunk formats at most EXPORT_CHUNK_INTS ints (a line "v: a b c d" has
+    five, an edge "u v" two)."""
+    order = 2 * (EXPORT_CHUNK_INTS // 5) + 7
     ids = np.arange(order)[:, None]
     circulant = np.sort((ids + np.array([-5, -1, 1, 5])) % order, axis=1)
-    assert len(list(export_chunks(circulant, fmt))) == 3
+    chunks = list(export_chunks(circulant, fmt))
+    assert len(chunks) >= 3
+    assert all(len(chunk.split()) <= EXPORT_CHUNK_INTS for chunk in chunks)
     edgeless, empty = np.zeros((3, 0), dtype=np.int32), np.zeros((0, 3), dtype=np.int32)
     for adjacency in (circulant, edgeless, empty):
         assert export_bytes(adjacency, fmt) == _joined_export(adjacency.tolist(), fmt)
+
+
+def traced_peak(work) -> int:
+    """The tracemalloc peak of `work()`, above what was held before it."""
+    tracemalloc.start()
+    try:
+        work()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fmt", ["edge-list", "adjacency-text"])
+def test_export_peak_does_not_grow_with_the_graph(fmt):
+    """A circulant graph eight times larger exports with no higher peak:
+    each chunk formats at most EXPORT_CHUNK_INTS ints, whatever the order."""
+    peaks = []
+    for order in (2_000, 16_000):
+        ids = np.arange(order, dtype=np.int32)[:, None]
+        circulant = np.sort((ids + np.array([-5, -1, 1, 5], dtype=np.int32)) % order, axis=1)
+        peaks.append(traced_peak(lambda: sum(map(len, export_chunks(circulant, fmt)))))
+    assert peaks[1] < 1.25 * peaks[0]
+
+
+def test_build_and_quotient_peak_below_three_times_the_graph():
+    """The 864,000-vertex cover (A5, y = (1,5,3), d = 3) of the extended-build
+    job, with M's generators as the job finds them (the normal closure's
+    rows, four here): the graph build and the quotient by M together peak
+    below three times the bytes of `vertex` and `adjacency`. Every other
+    array is one section's, one column's or one generator's vertex map, in
+    the entry or the vertex ids' dtype."""
+    a5 = resolve_group("A5")
+    data = build_cover_group(CoverJob(n=4, group=a5, x=P("(1,2)(3,4)", 5), y=P("(1,5,3)", 5)))
+    sifter = RowSifter(a5, data.ctx.k)
+    normal_closure(data, sifter)
+    structure = sifter.structure()
+    assert len(structure.generators) == 4
+    built = {}
+
+    def work():
+        graph = built["graph"] = build_coset_graph(data, structure)
+        built["cert"] = quotient_graph(graph, graph.m_gens)
+
+    peak = traced_peak(work)
+    graph, cert = built["graph"], built["cert"]
+    assert graph.order == 864_000 and graph.vertex.dtype == graph.adjacency.dtype == np.int32
+    assert cert.quotient_is_complete and cert.locally_bijective and cert.fibre_size == 60**3
+    assert peak < 3 * (graph.vertex.nbytes + graph.adjacency.nbytes)

@@ -272,7 +272,9 @@ def test_table_group_matches_permutation_arithmetic():
         if t.mult is not None:
             assert t.mult.shape == (size, size) and np.shares_memory(t.mult.reshape(-1), t.mult)
         assert t.elem(0).is_identity()
-        elems = t.elements
+        # the rows' BFS lists the elements in the order of `closure`
+        elems = g.elements()
+        assert [t.elem(i) for i in range(size)] == list(elems)
         ids = np.arange(size)
         products = t.product(ids[:, None], ids)
         assert np.array_equal(products, int32_table(g)[0])
@@ -284,26 +286,30 @@ def test_table_group_matches_permutation_arithmetic():
             assert t.order_of[a] == elems[a].order()
 
 
-def test_table_build_rejects_an_inconsistent_element_list():
+def test_table_build_rejects_an_inconsistent_element_list(monkeypatch):
+    from arccover import groups
+
+    def listing(elements):
+        """Make the table's element rows those of `elements`."""
+        rows = np.array([p.images for p in elements], dtype=np.uint8) - 1
+        monkeypatch.setattr(groups, "closure_rows", lambda group, cap: rows)
+
     # products leaving the list: half of A5
-    half = resolve_group("A5")
-    half._elements = half.elements()[:30]
+    listing(resolve_group("A5").elements()[:30])
     with pytest.raises(InternalCheckError, match="not in the element list"):
-        TableGroup(half)
+        TableGroup(resolve_group("A5"))
     # S5 listed for A5: a base of A5 (three points) fixes no element of S5,
     # so each pair of S5's elements that differ by a transposition of the
     # last two points shares its base images
-    a5 = resolve_group("A5")
-    a5._elements = group("(1,2)", "(1,2,3,4,5)", degree=5).elements()
+    listing(group("(1,2)", "(1,2,3,4,5)", degree=5).elements())
     with pytest.raises(InternalCheckError, match="60 elements share their base images"):
-        TableGroup(a5)
+        TableGroup(resolve_group("A5"))
     # closed under the generators' products but not generated by them: V4
     # listed for <(1,2)(3,4)>, whose base (point 1) tells V4's elements apart,
     # has two rows never reached from row 0
-    z2 = group("(1,2)(3,4)", degree=4)
-    z2._elements = group("(1,2)(3,4)", "(1,3)(2,4)", degree=4).elements()
+    listing(group("(1,2)(3,4)", "(1,3)(2,4)", degree=4).elements())
     with pytest.raises(InternalCheckError, match="2 rows unreached"):
-        TableGroup(z2)
+        TableGroup(group("(1,2)(3,4)", degree=4))
 
 
 def test_natural_alternating_t_past_one_byte_runs_on_its_pool(monkeypatch):
@@ -338,15 +344,25 @@ def test_table_cap():
     ("A5", np.uint8), ("PSL27", np.uint8),
     ("A6", np.uint16),  # |T| = 360: the first catalog group past uint8
     ("A7", np.uint16), ("PSL2_13", np.uint16),
+    ("PSL2_19", np.uint16),  # 3420 elements, near TABLE_CAP
 ])
 def test_compact_table_matches_the_int32_oracle(name, dtype):
-    grp = PermGroup.from_cycle_strings(*PSL2_13) if name == "PSL2_13" else resolve_group(name)
+    """The rows' BFS lists the oracle's elements (`PermGroup.elements`, the
+    closure of Permutations) in its order, and ids, products, inverses and
+    orders are the oracle's."""
+    grp = {"PSL2_13": PSL2_13, "PSL2_19": PSL2_19}.get(name)
+    grp = PermGroup.from_cycle_strings(*grp) if grp else resolve_group(name)
     t = TableGroup(grp)
     mult, inv, order_of = int32_table(grp)
+    elems = grp.elements()
+    assert np.array_equal(t.images, np.array([p.images for p in elems], dtype=np.uint8) - 1)
+    assert [t.idx(p) for p in elems] == list(range(t.size))
+    assert [t.elem(i) for i in range(t.size)] == list(elems)
     ids = np.arange(t.size)
-    products = t.product(ids[:, None], ids)
-    assert products.dtype == dtype
-    assert np.array_equal(products, mult)
+    for start in range(0, t.size, 512):  # a block of rows at a time: a few MB
+        products = t.product(ids[start:start + 512, None], ids)
+        assert products.dtype == dtype
+        assert np.array_equal(products, mult[start:start + 512])
     # the table is kept only while the ids fit in one byte
     assert (t.mult is None) == (dtype == np.uint16)
     assert np.array_equal(t.inv, inv) and t.inv.dtype == dtype
@@ -410,8 +426,8 @@ def test_idx_checks_the_whole_row(name):
     base = grp.chain().base
     i, j = [p for p in range(1, grp.degree + 1) if p not in base][:2]
     swap = P(f"({i},{j})", grp.degree)
-    for e in t.elements[:20]:
-        assert t.idx(e) == t.elements.index(e)
+    for i, e in enumerate(grp.elements()[:20]):
+        assert t.idx(e) == i
         outside = swap * e
         assert [outside.apply(p) for p in base] == [e.apply(p) for p in base]
         with pytest.raises(ValidationError, match="not in this group"):
@@ -565,6 +581,23 @@ def test_entry_pool_agrees_with_the_table(conjugator_route):
     assert np.array_equal(pool.order_of, [p.order() for p in everything])
 
 
+def test_pool_fill_keeps_its_ids_and_appends_the_closure(conjugator_route):
+    """`fill` keeps the ids met so far and numbers the rest of T in the order
+    of `closure` over Permutations (`PermGroup.elements`), as a pool filled
+    from that list would."""
+    for grp in (resolve_group("A7"), conjugator_route(resolve_group("A5"))):
+        pool = grp.entries()
+        assert isinstance(pool, EntryPool)
+        c = grp.generators[-1]
+        pool.conjugate(pool.product(np.array([pool.idx(c)]), np.array([pool.idx(c)])), grp.generators[0])
+        met = [pool.elem(i) for i in range(pool.size)]
+        pool.fill()
+        assert [pool.elem(i) for i in range(pool.size)] == met + [
+            p for p in grp.elements() if p not in met
+        ]
+        assert pool.size == grp.order()
+
+
 def test_pool_takes_in_no_element_outside_the_group(conjugator_route):
     pool = conjugator_route(resolve_group("A5")).entries()
     for outside in (P("(1,2)", 5), P("(1,2,3)", 6)):
@@ -587,7 +620,7 @@ def test_index_maps_agree_with_and_without_a_table(conjugator_route):
     (data, fibre), (bare_data, bare) = fibres
     pool = bare.entries
     assert isinstance(pool, EntryPool) and pool.size == bare.size == 60
-    to_pool = np.array([pool.idx(p) for p in t.elements])  # table id -> pool id
+    to_pool = np.array([pool.idx(t.elem(i)) for i in range(60)])  # table id -> pool id
     assert sorted(to_pool.tolist()) == list(range(60))
     # key order is the order of the elements' Permutation keys
     assert sorted(range(60), key=fibre.rank.__getitem__) == sorted(
@@ -608,7 +641,7 @@ def test_index_maps_agree_with_and_without_a_table(conjugator_route):
             assert np.array_equal(bare.apply(bare_z, left)[to_pool], to_pool[got])
     # conjugation by an odd permutation, held both ways
     b = P("(1,2)", 5)
-    images = [t.idx(x.conjugate(b)) for x in t.elements]
+    images = [t.idx(t.elem(i).conjugate(b)) for i in range(60)]
     by_table = extend_to_automorphism(t, list(t.gen_indices), [images[i] for i in t.gen_indices])
     assert by_table.image(np.arange(60), t).tolist() == images
     assert np.array_equal(AutomorphismMap(conjugator=b).image(to_pool, pool), to_pool[images])

@@ -110,7 +110,7 @@ def test_conjugated_pair_moves_rows_by_the_automorphism():
     rows, _ = oracle.all_rows(cover(group, 5, *A5[1:]))
     moved, _ = oracle.all_rows(cover(group, 5, *A5_CONJUGATED[1:]))
     c = P("(1,2,3)", 5)
-    conj = np.array([table.idx(t.conjugate(c)) for t in table.elements])
+    conj = np.array([table.idx(table.elem(i).conjugate(c)) for i in range(table.size)])
     assert np.array_equal(conj[rows], moved)
 
 
@@ -130,8 +130,8 @@ def test_object_rows_match_the_table_rows(conjugator_route):
     by_table, _ = oracle.all_rows(cover(group, 5, *A5[1:]))
     by_pool, _ = oracle.all_rows(cover(bare, 5, *A5[1:]))
     assert by_pool.dtype == np.uint8  # the pool dtype is the table's, from |T|
-    elems, elem = group.table().elements, bare.entries().elem
-    assert ([[elems[i] for i in row] for row in by_table.tolist()]
+    table, elem = group.table(), bare.entries().elem
+    assert ([list(map(table.elem, row)) for row in by_table.tolist()]
             == [list(map(elem, row)) for row in by_pool.tolist()])
 
 

@@ -288,7 +288,7 @@ def twin_columns():
 
     twin = c[:7] + [next(e for e in range(60) if e != c[7] and orders(e) == orders(c[7]))]
     b = P("(1,2)")
-    phi = [table.idx(t.conjugate(b)) for t in table.elements]
+    phi = [table.idx(table.elem(i).conjugate(b)) for i in range(table.size)]
     return np.array([c, twin, [phi[e] for e in c], [phi[e] for e in twin]], dtype=np.uint8).T
 
 
