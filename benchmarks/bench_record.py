@@ -15,9 +15,11 @@ length are those of the change's BENCHMARK.json. The record holds:
 - in_process: wall time and peak RSS (ru_maxrss) of a fresh process
   running the `extended-build` job, of one running the whole `extended`
   suite, of one running perfbench's cover-k4 job (COVER_K4, unconjugated),
-  and of one per `decompose` job of DECOMPOSE, with its d: A5 at
-  n = 8, A11 at n = 7 and A7 at n = 4 to 7, the last five on the entry
-  pool, per checkout: the medians of ROUNDS runs, with the runs;
+  and of one per `decompose` job of DECOMPOSE, with its d and its
+  `class-partition` stage time: A5 at n = 8 and 9, A11 at n = 7 and A7 at
+  n = 4 to 7, the last five on the entry pool, per checkout: the medians
+  of ROUNDS runs, with the runs (a job that a checkout rejects records its
+  exit code and the last line of its stderr);
 - layers: the median of each layer microbenchmark in the checkout's own
   `benchmarks/` (pytest-benchmark), in seconds, and its median over ROUNDS
   runs of the whole set.
@@ -51,6 +53,7 @@ ROUNDS = 3
 A7_PAIR = ("A7", "(1,2)(3,4)", "(1,2,3,4,5,6,7)")
 DECOMPOSE = {
     "n8-decompose": (8, "A5", "(1,2)(3,4)", "(1,2,3,4,5)"),
+    "n9-decompose": (9, "A5", "(1,2)(3,4)", "(1,2,3,4,5)"),
     "a11-n7-decompose": (7, "A11", "(1,2)(3,6)", "(1,2,3,4,5,6,7,8,9,10,11)"),
     **{f"a7-n{n}-decompose": (n, *A7_PAIR) for n in (4, 5, 6, 7)},
 }
@@ -84,6 +87,7 @@ elif sys.argv[1] == "decompose":
     cert = run_job(JobSpec(n=n, group=group, x=x, y=y), "decompose")
     ok = cert.ok
     facts["d"] = cert.check("block-structure")["computed"]["d"]
+    facts["class_partition_s"] = cert.payload["timings"]["class-partition"]
 else:
     spec = [s for s in _suite_specs("extended") if s.label == "extended-build"][0]
     ok = run_job(spec).ok
@@ -119,8 +123,10 @@ def in_process(checkout: Path, what: str) -> dict:
         args = [what]
     out = subprocess.run(
         [sys.executable, "-c", IN_PROCESS, *args],
-        cwd=checkout, env=_env(checkout), capture_output=True, text=True, check=True,
+        cwd=checkout, env=_env(checkout), capture_output=True, text=True, check=False,
     )
+    if out.returncode:  # a job the checkout rejects, such as one past its MATERIALIZE_LIMIT
+        return {"ok": False, "exit": out.returncode, "error": out.stderr.strip().splitlines()[-1]}
     return _last_json(out.stdout)
 
 

@@ -230,7 +230,7 @@ def build_coset_graph(
         raise CapacityExceeded(
             f"expected {decimal_string(expected)} vertices exceeds the cap {vertex_cap}"
         )
-    transversal = right_transversal(data.tops.k, data.h_tops())[0]
+    transversal = right_transversal(data.k_tops(), data.h_tops())[0]
     seeds = [data.g * data.ctx.embed_top(t) for t in transversal]
     return CosetGraph(data, structure, seeds)
 

@@ -23,7 +23,9 @@ import numpy as np
 from ._version import __version__
 from .catalog import resolve_group
 from .errors import ArccoverError, CapacityExceeded, ValidationError
-from .groups import ENUM_CAP_DEFAULT, VERTEX_CAP_DEFAULT, closure, decimal_string, orbit
+from .groups import (
+    ENUM_CAP_DEFAULT, VERTEX_CAP_DEFAULT, closure, decimal_string, group_order, orbit,
+)
 from .perm import parse_cycles
 from .subdirect import (
     BlockReport,
@@ -41,6 +43,7 @@ from .wreath import (
     k4_tuple_data,
     kernel_witness,
     normal_closure,
+    twist_tops,
 )
 
 # largest |Y| that the centralizer stage will enumerate element by element
@@ -291,7 +294,7 @@ class _Run:
     def certificate(self) -> Certificate:
         passed = sum(1 for c in self.checks if c["passed"])
         payload = {
-            "format": "arccover-certificate/4",
+            "format": "arccover-certificate/5",
             "version": __version__,
             "job": self.spec.echo(),
             "checks": self.checks,
@@ -383,7 +386,7 @@ def _class_partition(run: _Run):
 
     # transitive on a class of |L| elements == regular; L and (1,2) act on
     # the cycle positions through their comp maps
-    regular = len(data.tops.l) == size
+    regular = group_order(data.l_top_gens, n) == size
     l_maps = [comp_map(s) for s in data.l_top_gens]
     for positions in classes.values():
         if set(orbit(positions[0], l_maps, lambda p, m: m[p])) != set(positions):
@@ -404,18 +407,18 @@ def _class_partition(run: _Run):
 
 
 def _twist_identities(run: _Run):
-    g = run.data.g
-    g2_trivial = (g * g).is_identity()
-    tops = run.data.tops
-    fixed = {t.key() for t in tops.k} == {t.key() for t in tops.l}
-    # g·(1,τ) = (f, δτ) and (1,τ)·g = (f∘comp(τ), τδ) with δτ = τδ, as τ
-    # fixes 1 and 2: g commutes with (1,τ) iff f = f[comp(τ)], which is
-    # K's test (twist_tops), so g commutes with L iff K = L
-    ok = g2_trivial and fixed and len(tops.k) == math.factorial(run.n - 2)
+    data = run.data
+    g2_trivial = (data.g * data.g).is_identity()
+    # g commutes with (1,τ), τ in L, iff f = f[comp(τ)], which is K's test,
+    # so g commutes with L iff K = L iff every generator of L passes it
+    # (`twist_tops`); a K < L is not computed, so no order is claimed for it
+    fixed = twist_tops(data)
+    order = group_order(data.l_top_gens, run.n) if fixed else None
+    ok = g2_trivial and fixed and order == math.factorial(run.n - 2)
     return {
         "g_squared_trivial": g2_trivial,
-        "commuting_pairs_checked": len(tops.l),
-        "intersection_order": len(tops.k),
+        "generators_checked": len(data.l_top_gens),
+        "intersection_order": order,
         "intersection_is_fixed_subgroup": fixed,
     }, ok, None
 
@@ -553,7 +556,7 @@ def _two_arc_transitive(run: _Run):
     from .cosetgraph import two_arc_transitive
 
     data = run.data
-    result = two_arc_transitive(data.h_tops(), data.tops.k, data.h_top_gens)
+    result = two_arc_transitive(data.h_tops(), data.k_tops(), data.h_top_gens)
     ok = result["two_transitive"] and result["index"] == run.n - 1
     computed = {"neighbor_count": result["index"], "two_transitive": result["two_transitive"]}
     return computed, ok, None
@@ -677,7 +680,7 @@ STAGES = (
         _graph_build,
     ),
     Stage(
-        "two-arc-transitive", "graph", (),
+        "two-arc-transitive", "graph", ("twist-identities",),
         "the vertex stabilizer H acts 2-transitively on the n-1 neighboring "
         "cosets, so the constructed group acts 2-arc-transitively on the graph",
         _n_input, _two_arc_transitive,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -27,13 +27,12 @@ from .groups import (
     ENUM_CAP_DEFAULT,
     PermGroup,
     closure,
-    id_dtype,
     is_natural_alternating,
     is_nonabelian_simple,
 )
 from .perm import Permutation, parse_cycles
 
-MATERIALIZE_LIMIT = 8  # largest n for which wreath elements may be built
+MATERIALIZE_LIMIT = 9  # largest n for which wreath elements may be built
 
 
 def _is_odd_prime(m: int) -> bool:
@@ -255,18 +254,21 @@ class CoverGroupData:
     l_top_gens: tuple[Permutation, ...]  # Sym{3..n}
     delta: Permutation  # the swap (1,2)
 
-    @cached_property
-    def tops(self) -> "TwistTops":
-        """L and K = H ∩ H^g as tops (`twist_tops`), built on first use."""
-        return twist_tops(self)
-
     def h_tops(self) -> list[Permutation]:
         """H = Sym{2..n} as top permutations, in `closure` order, closed on
-        the first call and then held, as `tops` is. Only the graph stages
-        read H; `twist_tops` needs L alone."""
-        if "_h_tops" not in self.__dict__:
-            self.__dict__["_h_tops"] = closure(self.h_top_gens, Permutation.identity(self.ctx.n))
-        return self.__dict__["_h_tops"]
+        the first call and then held. Only the graph stages read H."""
+        return self._closed("_h_tops", self.h_top_gens)
+
+    def k_tops(self) -> list[Permutation]:
+        """K = H ∩ H^g as top permutations: L = Sym{3..n}, closed and held
+        as `h_tops` is. K = L only once `twist_tops` holds, so only the
+        graph stages read it, after `twist-identities` has passed."""
+        return self._closed("_k_tops", self.l_top_gens)
+
+    def _closed(self, name: str, gens: Sequence[Permutation]) -> list[Permutation]:
+        if name not in self.__dict__:
+            self.__dict__[name] = closure(gens, Permutation.identity(self.ctx.n))
+        return self.__dict__[name]
 
     def h_elements(self) -> list[WreathElement]:
         """H as wreath elements: H is top-only, and embedding a top is an
@@ -309,51 +311,21 @@ def _sym_tail_gens(n: int, start: int) -> tuple[Permutation, ...]:
     return (parse_cycles(long_cycle, n), parse_cycles(swap, n))
 
 
-class _TopWithComps:
-    """A top with its comp map, for `closure`: comp(u·s) = comp(s)[comp(u)]."""
-
-    __slots__ = ("sigma", "comps")
-
-    def __init__(self, sigma: Permutation, comps: np.ndarray):
-        self.sigma = sigma
-        self.comps = comps
-
-    def __mul__(self, other: "_TopWithComps") -> "_TopWithComps":
-        return _TopWithComps(self.sigma * other.sigma, other.comps[self.comps])
-
-    def key(self) -> bytes:
-        return self.sigma.key()
-
-
-@dataclass(frozen=True)
-class TwistTops:
-    """L and K = H ∩ H^g as top permutations; L in `closure` order."""
-
-    l: list[Permutation]
-    k: list[Permutation]
-
-
-def twist_tops(data: CoverGroupData) -> TwistTops:
-    """L = Sym{3..n} and K = H ∩ H^g, with H = Sym{2..n}, held by their tops.
+def twist_tops(data: CoverGroupData) -> bool:
+    """Whether K = H ∩ H^g equals L = Sym{3..n}, with H = Sym{2..n}, decided
+    on L's top generators.
 
     H and L are top-only. g = (f, δ) with δ = (1,2), and the top of
     g·(1,τ)·g^-1 is δτδ, which fixes 1 iff τ fixes 2: only τ in L can lie
     in K. For τ in L, δτ = τδ, so g·(1,τ)·g^-1 lies in H iff it is (1,τ),
     iff (f, δτ) = g·(1,τ) = (1,τ)·g = (f∘comp(τ), τδ), iff f = f[comp(τ)]
-    entrywise: one gather per element of L, with L's comp maps composed
-    along its BFS.
+    entrywise. The τ in L that fix f so form a subgroup, K, so K = L iff
+    every generator of L fixes f: one gather of g's base per generator.
     """
     ctx, g = data.ctx, data.g
     if g.sigma != data.delta:
         raise InternalCheckError("the twisted swap's top is not (1,2)")
-    ident = Permutation.identity(ctx.n)
-    dtype = id_dtype(ctx.k)  # positions 0..k-1: uint16 for k = 8! = 40320
-    l_gens = [_TopWithComps(s, np.array(ctx.comp_map(s), dtype=dtype)) for s in data.l_top_gens]
-    l_elems = closure(l_gens, _TopWithComps(ident, np.arange(ctx.k, dtype=dtype)))
-    return TwistTops(
-        l=[z.sigma for z in l_elems],
-        k=[z.sigma for z in l_elems if np.array_equal(g.f[z.comps], g.f)],
-    )
+    return all([np.array_equal(g.f[ctx.comp_map(s)], g.f) for s in data.l_top_gens])
 
 
 def kernel_witness(data: CoverGroupData) -> WreathElement:
@@ -396,11 +368,11 @@ def normal_closure(
 
     Sym(n) has the Coxeter presentation on s_i = (i, i+1), and Y is
     generated by the lifts g of s_1 and the embedded (i, i+1) of s_i,
-    i >= 2. The lifts satisfy every Coxeter relation but one: g^2 = 1, g
-    commutes with Sym{3..n} (`twist_tops`), and embedded tops multiply as
-    tops. The one left, (s_1·s_2)^3, lifts to (g·(2,3))^3 = s. So by von
-    Dyck's theorem M is the normal closure of s in Y, and Y/M is Sym(n)
-    without a top enumerated.
+    i >= 2. The lifts satisfy every Coxeter relation but one: g^2 = 1 and
+    g commutes with Sym{3..n} (`twist-identities`, on L's generators), and
+    embedded tops multiply as tops. The one left, (s_1·s_2)^3, lifts to
+    (g·(2,3))^3 = s. So by von Dyck's theorem M is the normal closure of s
+    in Y, and Y/M is Sym(n) without a top enumerated.
 
     S starts as s's row. Each pass conjugates the rows that joined S in the
     pass before, as base-only elements, by every generator in `data.y_gens`

@@ -6,9 +6,10 @@ element of least canonical key (`canonical_key`, `_Canonicalizer.rep`) and
 numbering vertices by sorted canonical key; the quotient labels orbits by BFS
 over products w*z. They work for any elements with `*`, `.inverse()` and
 `.key()`: plain Permutations as well as wreath elements, as does
-`conj_intersection`, the element-list route to H ∩ H^g that
-`wreath.twist_tops` replaced, over the wreath elements of H
-(`CoverGroupData.h_elements`) and L (`l_elements`), and
+`conj_intersection`, H ∩ H^g by elements, over the wreath elements of H
+(`CoverGroupData.h_elements`) and L (`l_elements`); the pipeline decides
+K = L on L's generators (`wreath.twist_tops`), and the enumeration of L
+it replaced is `cycle_oracle.twist_intersection`. So does
 `centralizer_elements`, the one-element-at-a-time commutation test that
 `cosetgraph.centralizer_elements` replaced. `fibre_element` turns a fibre
 point of the derived graph back into its element of M, so the two numberings

@@ -4,7 +4,10 @@
 as a walk array and its inverse. This oracle rebuilds the domain from
 cycle notation: the cycles in the lex order of their tails, a cycle's class
 by walking it from 1 to 2, and conjugates numbered by their
-`Permutation.key()`.
+`Permutation.key()`. `twist_intersection` is the enumeration of L that
+`wreath.twist_tops` replaced by a test of L's generators: L closed with
+each element's conjugation map, and K = H ∩ H^g read off by one gather of
+g's base per element.
 """
 
 from __future__ import annotations
@@ -12,6 +15,9 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
+import numpy as np
+
+from arccover.groups import closure
 from arccover.perm import Permutation, parse_cycles
 
 
@@ -52,3 +58,30 @@ def conjugation_map(n: int, sigma: Permutation) -> list[int]:
     """Per index i, the index of the conjugate sigma^-1 · cycle i · sigma."""
     index = cycle_index(n)
     return [index[c.conjugate(sigma).key()] for c in full_cycles(n)]
+
+
+class _TopWithComps:
+    """A top with its conjugation map, for `closure`:
+    comp(u·s) = comp(s)[comp(u)]."""
+
+    __slots__ = ("sigma", "comps")
+
+    def __init__(self, sigma: Permutation, comps: np.ndarray):
+        self.sigma = sigma
+        self.comps = comps
+
+    def __mul__(self, other: "_TopWithComps") -> "_TopWithComps":
+        return _TopWithComps(self.sigma * other.sigma, other.comps[self.comps])
+
+    def key(self) -> bytes:
+        return self.sigma.key()
+
+
+def twist_intersection(data) -> tuple[list[Permutation], list[Permutation]]:
+    """L = Sym{3..n} in `closure` order, and K = H ∩ H^g: the elements τ of
+    L with f = f[comp(τ)] for g = (f, (1,2)), every element of L tested."""
+    n, f = data.ctx.n, data.g.f
+    gens = [_TopWithComps(s, np.array(conjugation_map(n, s))) for s in data.l_top_gens]
+    count = len(full_cycles(n))
+    l_elems = closure(gens, _TopWithComps(Permutation.identity(n), np.arange(count)))
+    return [z.sigma for z in l_elems], [z.sigma for z in l_elems if np.array_equal(f[z.comps], f)]

@@ -97,7 +97,7 @@ def test_construct_verb_emits_certificate(capsys):
     code, out, err = run_cli(["construct", *JOB1_FLAGS], capsys)
     assert code == 0
     payload = json.loads(out)
-    assert payload["format"] == "arccover-certificate/4"
+    assert payload["format"] == "arccover-certificate/5"
     assert [c["id"] for c in payload["checks"]] == [
         "job-valid", "class-partition", "twist-identities", "kernel-witness",
     ]
@@ -111,6 +111,22 @@ def test_decompose_verb_reports_d(capsys):
     by_id = {c["id"]: c for c in payload["checks"]}
     assert by_id["block-structure"]["computed"]["d"] == 1
     assert "graph-build" not in by_id
+
+
+def test_decompose_at_n9_certifies_d(capsys):
+    """n = 9 is the largest n whose wreath elements materialize: k = 8!
+    cycles, and every block a pair {α, α^-1}, so d = 8!/2."""
+    code, out, _ = run_cli(["decompose", "--n", "9", *JOB1_FLAGS[2:]], capsys)
+    assert code == 0
+    by_id = {c["id"]: c for c in json.loads(out)["checks"]}
+    assert by_id["block-structure"]["computed"]["d"] == 20160
+    assert by_id["twist-identities"]["computed"]["intersection_order"] == 5040
+
+
+def test_decompose_at_n10_is_rejected(capsys):
+    code, out, _ = run_cli(["decompose", "--n", "10", *JOB1_FLAGS[2:]], capsys)
+    assert code == 2
+    assert "materialize only for 3 <= n <= 9" in json.loads(out)["reason"]
 
 
 @pytest.mark.parametrize("flag,value", [("--vertex-cap", "-5"), ("--enum-cap", "0")])

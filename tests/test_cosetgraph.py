@@ -41,7 +41,6 @@ from arccover.wreath import (
     WreathElement,
     build_cover_group,
     normal_closure,
-    twist_tops,
 )
 
 
@@ -256,8 +255,7 @@ def test_single_root_girth_matches_full_scan():
 
 def test_two_arc_transitivity_of_cover():
     data, _, _ = cover_graph()
-    tops = twist_tops(data)
-    stats = two_arc_transitive(data.h_tops(), tops.k, h_gens=data.h_top_gens)
+    stats = two_arc_transitive(data.h_tops(), data.k_tops(), h_gens=data.h_top_gens)
     assert stats == {"index": 3, "two_transitive": True}
 
 

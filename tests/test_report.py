@@ -141,19 +141,24 @@ def test_h_is_built_only_at_graph_depth(monkeypatch):
 
 
 def test_tops_and_h_are_computed_once_per_job(monkeypatch):
-    """One `quotient` run of example-1 closes L = Sym{3,4} once (so it runs
-    `twist_tops` once) and H = Sym{2..4} once: `two-arc-transitive` and the
-    graph build read both from the cover data."""
+    """L's generators are closed by no `decompose` job: `twist-identities`
+    tests them one gather each. One `quotient` run of example-1 closes L =
+    Sym{3,4} (K's tops) once and H = Sym{2..4} once: `two-arc-transitive`
+    and the graph build read both from the cover data."""
     calls = {"l_closure": 0, "h_closure": 0}
-    h_gens = wreath._sym_tail_gens(4, start=2)
     closure = wreath.closure
 
     def counted(gens, identity, *args, **kwargs):
-        calls["l_closure"] += isinstance(identity, wreath._TopWithComps)
-        calls["h_closure"] += tuple(gens) == h_gens
+        n = identity.degree
+        calls["l_closure"] += tuple(gens) == wreath._sym_tail_gens(n, start=3)
+        calls["h_closure"] += tuple(gens) == wreath._sym_tail_gens(n, start=2)
         return closure(gens, identity, *args, **kwargs)
 
     monkeypatch.setattr(wreath, "closure", counted)
+    for n in (4, 7):
+        spec = JobSpec(n=n, group="A5", x="(1,2)(3,4)", y="(1,2,3,4,5)")
+        assert run_job(spec, phase="decompose").ok
+    assert calls == {"l_closure": 0, "h_closure": 0}
     assert run_job(JOB1, phase="full").ok
     assert calls == {"l_closure": 1, "h_closure": 1}
 
@@ -165,7 +170,7 @@ def test_full_certificate_shape_and_values():
         "format", "version", "job", "checks", "skips", "artifacts",
         "summary", "gaps", "environment", "timings",
     ]
-    assert cert.payload["format"] == "arccover-certificate/4"
+    assert cert.payload["format"] == "arccover-certificate/5"
     assert cert.payload["gaps"] == list(GAP_STATEMENTS)
     assert cert.payload["summary"] == {
         "checks": 12, "passed": 12, "failed": 0, "all_passed": True,

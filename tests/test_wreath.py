@@ -7,13 +7,12 @@ import math
 import random
 import tracemalloc
 from collections import Counter
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from coset_oracle import conj_intersection, l_elements
-from cycle_oracle import conjugation_map, cycle_class, full_cycles
+from cycle_oracle import conjugation_map, cycle_class, full_cycles, twist_intersection
 from schreier_oracle import _pair_classes
 from arccover import report
 from arccover.catalog import resolve_group
@@ -174,7 +173,7 @@ def test_elements_hold_read_only_rows():
 
 def test_context_size_limit():
     with pytest.raises(ValidationError, match="materialize"):
-        WreathContext(9, A5)
+        WreathContext(10, A5)
 
 
 def test_embed_top_degree_check():
@@ -243,12 +242,12 @@ def test_twist_identities(n):
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_h_and_l_elements_are_the_wreath_closures(n):
-    """H's wreath elements and L's tops come in the order of the closures of
-    their embedded generators."""
+    """H's wreath elements and K's tops, the closure of L's, come in the
+    order of the closures of their embedded generators."""
     data = data_for(n=n)
     h_elems = closure(data.h_gens, data.ctx.identity_element())
     assert [w.key() for w in data.h_elements()] == [w.key() for w in h_elems]
-    assert twist_tops(data).l == [w.sigma for w in l_elements(data)]
+    assert data.k_tops() == [w.sigma for w in l_elements(data)]
 
 
 C = P("(1,2,3)", 5)
@@ -261,17 +260,19 @@ TOPS_CASES = {
 
 
 def assert_tops_match_the_wreath_oracle(data):
-    """H, L and K from the tops equal the wreath-element route, and g
-    commutes with exactly the elements of L in K; returns K's tops."""
-    tops = twist_tops(data)
+    """L and K from the enumeration of L (`twist_intersection`) equal the
+    wreath-element route, g commutes with exactly the elements of L in K,
+    and the generator test passes exactly when K = L; returns K's tops."""
+    l_tops, k_tops = twist_intersection(data)
     g, h_elems, l_elems = data.g, data.h_elements(), l_elements(data)
     assert data.h_tops() == [w.sigma for w in h_elems]
-    assert tops.l == [w.sigma for w in l_elems]
+    assert l_tops == [w.sigma for w in l_elems]
     inter = conj_intersection(h_elems, g)
-    assert {t.key() for t in tops.k} == {w.sigma.key() for w in inter}
+    assert {t.key() for t in k_tops} == {w.sigma.key() for w in inter}
     commuting = {w.sigma.key() for w in l_elems if g * w == w * g}
-    assert commuting == {t.key() for t in tops.k}
-    return tops.k
+    assert commuting == {t.key() for t in k_tops}
+    assert twist_tops(data) == (k_tops == l_tops)
+    return k_tops
 
 
 @pytest.mark.parametrize("case", sorted(TOPS_CASES))
@@ -283,23 +284,32 @@ def test_twist_tops_match_the_wreath_oracle(case):
     assert len(assert_tops_match_the_wreath_oracle(data)) == math.factorial(n - 2)
 
 
+def test_twist_tops_match_the_cycle_oracle_at_n8():
+    """At n = 8 every one of the 720 elements of L fixes g's base, as the
+    test of L's two generators says."""
+    data = data_for(n=8)
+    l_tops, k_tops = twist_intersection(data)
+    assert len(l_tops) == 720 and k_tops == l_tops == data.k_tops()
+    assert twist_tops(data)
+
+
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_two_arc_transitive_on_tops_matches_the_wreath_route(n):
     data = data_for(n=n)
-    tops = twist_tops(data)
     h_elems = data.h_elements()
     wreath = two_arc_transitive(h_elems, conj_intersection(h_elems, data.g), data.h_gens)
-    assert two_arc_transitive(data.h_tops(), tops.k, data.h_top_gens) == wreath
+    assert two_arc_transitive(data.h_tops(), data.k_tops(), data.h_top_gens) == wreath
     assert wreath == {"index": n - 1, "two_transitive": True}
 
 
-def _broken_twist(data, tops=()):
+def _broken_twist(data, tops=(), last=False):
     """g with a base that is not constant on class 1: at one cycle of the
     class and at its conjugates by `tops`, y^2 replaces y, and y^-2 replaces
     y^-1 at their images under (1,2), so g^2 = 1 still holds but only the
-    elements of L that keep those cycles together commute with g."""
+    elements of L that keep those cycles together commute with g. With
+    `last`, the cycle is the last of the class, the one of highest index."""
     ctx, f = data.ctx, list(data.g.f)
-    first = next(i for i, alpha in enumerate(full_cycles(ctx.n)) if cycle_class(alpha) == 1)
+    first = np.flatnonzero(ctx.place[:, 1] == 1)[-1 if last else 0]
     for i in {first, *(ctx.comp_map(t)[first] for t in tops)}:
         j = ctx.comp_map(data.delta)[i]
         f[i], f[j] = ctx.entries.idx(Y * Y), ctx.entries.idx((Y * Y).inverse())
@@ -310,17 +320,23 @@ def _broken_twist(data, tops=()):
 @pytest.mark.parametrize("n", [5, 6])
 def test_twist_tops_match_the_wreath_oracle_on_broken_twists(n):
     """K is the identity for one broken cycle, and <(3,4)> for a cycle and
-    its conjugate by (3,4): L is regular on the class."""
-    swap = P("(3,4)", n)
-    assert len(assert_tops_match_the_wreath_oracle(_broken_twist(data_for(n=n)))) == 1
-    k = assert_tops_match_the_wreath_oracle(_broken_twist(data_for(n=n), [swap]))
-    assert sorted(t.key() for t in k) == sorted([swap.key(), Permutation.identity(n).key()])
+    its conjugate by (3,4): L is regular on the class. So K is <s> for a
+    cycle and its conjugates by one generator s of L, which passes while
+    the other fails. Each time K < L, and the generator test fails."""
+    data, ident = data_for(n=n), Permutation.identity(n)
+    cyclic = [closure([s], ident) for s in (P("(3,4)", n), *data.l_top_gens)]
+    for subgroup in ([ident], *cyclic):
+        broken = _broken_twist(data, subgroup)
+        k = assert_tops_match_the_wreath_oracle(broken)
+        assert sorted(t.key() for t in k) == sorted(t.key() for t in subgroup)
+        assert not twist_tops(broken)
 
 
 def test_broken_twist_fails_the_twist_identities(capsys, monkeypatch):
+    """A failed generator fails the check, and no order of K is claimed."""
     broken = _broken_twist(data_for(n=5))
     assert (broken.g * broken.g).is_identity()
-    assert len(twist_tops(broken).k) == 1  # L is regular on the class
+    assert not twist_tops(broken)
     monkeypatch.setattr(report, "build_cover_group", lambda job: broken)
     code = main(["construct", "--n", "5", "--group", "A5", "--x", "(1,2)(3,4)",
                  "--y", "(1,2,3,4,5)"])
@@ -330,8 +346,8 @@ def test_broken_twist_fails_the_twist_identities(capsys, monkeypatch):
     assert rec["passed"] is False
     assert rec["computed"] == {
         "g_squared_trivial": True,
-        "commuting_pairs_checked": 6,
-        "intersection_order": 1,
+        "generators_checked": 2,
+        "intersection_order": None,
         "intersection_is_fixed_subgroup": False,
     }
 
@@ -343,19 +359,21 @@ def test_twist_tops_needs_the_swap_as_top():
         twist_tops(dataclasses.replace(data, g=g))
 
 
-def test_twist_tops_number_positions_up_to_k_minus_one_at_8_factorial():
-    """At k = 8! = 40320, as at n = 9, positions 0..k-1 do not fit in int16,
-    and a numbering there wraps. A stand-in context with k = 8! positions,
-    under n = 5's L = Sym{3,4,5}, whose comp maps fix every position: g's
-    base differs from position to position, so K = L only if every position
-    up to k - 1 is read as itself."""
-    data = data_for(n=5)
-    k = math.factorial(8)
-    ctx = SimpleNamespace(n=5, k=k, comp_map=lambda sigma: np.arange(k))
-    g = SimpleNamespace(sigma=data.delta, f=(np.arange(k) % 251).astype(np.uint8))
-    stand_in = SimpleNamespace(ctx=ctx, g=g, delta=data.delta, l_top_gens=data.l_top_gens)
-    tops = twist_tops(stand_in)
-    assert len(tops.l) == 6 and tops.k == tops.l
+def test_twist_tops_decide_k_at_n9():
+    """At n = 9 the k = 8! = 40320 positions do not fit in int16. L's
+    generators fix g's base, a g broken at the last cycle of class 1 (at
+    position k - 1) fails, and the comp maps at the last positions give the
+    positions of the cycles' conjugates."""
+    data = data_for(n=9)
+    ctx, walk = data.ctx, data.ctx.walk
+    assert ctx.k == math.factorial(8) and twist_tops(data)
+    broken = _broken_twist(data, last=True)
+    assert int(np.flatnonzero(broken.g.f != data.g.f).max()) == ctx.k - 1 > 2**15
+    assert not twist_tops(broken)
+    for sigma in data.l_top_gens:
+        for i in range(ctx.k - 3, ctx.k):
+            alpha = parse_cycles("(" + ",".join(str(p + 1) for p in walk[i]) + ")", 9)
+            assert ctx.comp_map(sigma)[i] == ctx.position(alpha.conjugate(sigma))
 
 
 def test_kernel_witness_entries():
