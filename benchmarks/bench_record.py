@@ -67,7 +67,11 @@ COVER_K4 = {"n": 4, "group": "PSL2_13", "x": "(1,14)(2,13)(3,7)(4,5)(8,12)(10,11
 
 IN_PROCESS = """
 import json, os, resource, sys, tempfile, time
-from arccover.report import JobSpec, _suite_specs, run_job, run_suite
+from arccover.report import JobSpec, run_job
+try:
+    from arccover.suite import _suite_specs, run_suite
+except ImportError:  # a checkout whose suites still live in `report`
+    from arccover.report import _suite_specs, run_suite
 t0 = time.perf_counter()
 facts = {}
 if sys.argv[1] == "suite":

@@ -7,7 +7,7 @@ from .catalog import resolve_group
 from .errors import ArccoverError, CapacityExceeded, ValidationError
 from .groups import StabilizerChain, closure, group_order
 from .perm import Permutation, parse_cycles
-from .report import Certificate, JobSpec, run_job, run_suite
+from .report import Certificate, JobSpec, run_job
 from .subdirect import subdirect_decompose
 from .wreath import CoverJob, WreathContext, build_cover_group
 
@@ -36,10 +36,15 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    """`build_coset_graph` and `quotient_graph`, imported on first use, so
-    that a job that builds no graph never loads `cosetgraph`."""
+    """`build_coset_graph` and `quotient_graph`, and `run_suite`, imported on
+    first use, so that a job that builds no graph never loads `cosetgraph`
+    and one that runs no suite never loads `suite`."""
     if name in ("build_coset_graph", "quotient_graph"):
         from . import cosetgraph
 
         return getattr(cosetgraph, name)
+    if name == "run_suite":
+        from . import suite
+
+        return suite.run_suite
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

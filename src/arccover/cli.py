@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 from ._version import __version__
 from .errors import CapacityExceeded, ValidationError
 from .groups import ENUM_CAP_DEFAULT, VERTEX_CAP_DEFAULT
-from .report import EXPORT_SUFFIX, SUITE_NAMES, JobSpec, run_job, run_suite
+from .report import EXPORT_SUFFIX, SUITE_NAMES, JobSpec, run_job
 
 _PHASE_OF_VERB = {
     "construct": "construct",
@@ -119,6 +119,8 @@ def _run_pipeline(args: argparse.Namespace, verb: str) -> int:
 
 
 def _run_suite_verb(args: argparse.Namespace) -> int:
+    from .suite import run_suite
+
     result = run_suite(
         args.name,
         out_dir=args.out,

@@ -44,8 +44,9 @@ from .errors import CapacityExceeded, InternalCheckError, ValidationError
 from .groups import (
     VERTEX_CAP_DEFAULT,
     EntryPool,
-    decimal_string,
+    group_order,
     is_2_transitive,
+    orbit,
     right_transversal,
 )
 from .perm import Permutation, parse_cycles
@@ -225,14 +226,26 @@ def build_coset_graph(
     `vertex_cap`. `components` counts the connected components; the graph is
     connected exactly when the voltages generate all of T^d.
     """
-    expected = data.ctx.n * structure.order()
+    n = data.ctx.n
+    expected = n * structure.order()
     if expected > vertex_cap:
         raise CapacityExceeded(
-            f"expected {decimal_string(expected)} vertices exceeds the cap {vertex_cap}"
+            f"expected {n}·{structure.group.order()}^{structure.block_count} vertices "
+            f"({_digit_count(expected)} digits) exceeds the cap {vertex_cap}"
         )
     transversal = right_transversal(data.k_tops(), data.h_tops())[0]
     seeds = [data.g * data.ctx.embed_top(t) for t in transversal]
     return CosetGraph(data, structure, seeds)
+
+
+def _digit_count(value: int) -> int:
+    """The decimal digits of an int >= 1, without writing it out (n·|T|^d
+    has 35,849 at n = 9): 0.301029 < log10(2), so the first guess from the
+    bit length is at most the count."""
+    digits = max(1, (value.bit_length() - 1) * 301029 // 1000000)
+    while 10**digits <= value:
+        digits += 1
+    return digits
 
 
 def _check_symmetric(adjacency: np.ndarray) -> None:
@@ -268,20 +281,25 @@ def _orbit_labels(columns: Sequence[np.ndarray], order: int) -> np.ndarray:
             return label
 
 
-def two_arc_transitive(h_elements: Sequence, k_elements: Sequence, h_gens: Sequence) -> dict:
+def two_arc_transitive(
+    h_gens: Sequence[Permutation], k_gens: Sequence[Permutation], degree: int
+) -> dict:
     """Whether the coset graph is 2-arc-transitive under its defining group.
 
-    Criterion: H acts 2-transitively on the cosets of K = H ∩ H^g, listed as
-    `k_elements`. The coset action is computed for the generating set
-    `h_gens` of H.
+    Criterion: H acts 2-transitively on the right cosets of K = H ∩ H^g.
+    K's generators `k_gens` fix 2 and |H| = |2^H|·|K| (stabilizer chains),
+    so K is the stabilizer of 2 in H, and K·h -> 2^h carries H's action on
+    the cosets to its action on the orbit of 2. That action is computed for
+    the generators `h_gens` of H. InternalCheckError if K is not the
+    stabilizer of 2.
     """
-    transversal, pos_of = right_transversal(k_elements, h_elements)
-    index = len(transversal)
-    action_gens = [
-        Permutation([pos_of[(t * h).key()] + 1 for t in transversal]) for h in h_gens
-    ]
-    ok = is_2_transitive(action_gens, index)
-    return {"index": index, "two_transitive": ok}
+    points = orbit(2, h_gens, lambda p, h: h.apply(p))
+    fixes_2 = all(s.apply(2) == 2 for s in k_gens)
+    if not fixes_2 or group_order(h_gens, degree) != len(points) * group_order(k_gens, degree):
+        raise InternalCheckError("K is not the stabilizer of 2 in H")
+    number = {p: i for i, p in enumerate(points, start=1)}
+    action_gens = [Permutation([number[h.apply(p)] for p in points]) for h in h_gens]
+    return {"index": len(points), "two_transitive": is_2_transitive(action_gens, len(points))}
 
 
 @dataclass(frozen=True)

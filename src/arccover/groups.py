@@ -16,7 +16,6 @@ holding |T| - 1 (`id_dtype`): table indices, or ids of the group's
 
 from __future__ import annotations
 
-import decimal
 import math
 import random
 from dataclasses import dataclass
@@ -453,8 +452,14 @@ def group_order(generators: Sequence[Permutation], degree: int) -> int:
 
 def decimal_string(value: int) -> str:
     """str(value) without the interpreter's limit on the digits of an int
-    (4300 by default; 60^2520 has 4481)."""
-    return str(decimal.Decimal(value))
+    (4300 by default; 60^2520 has 4481). `decimal` is imported only for a
+    value past that limit, so a job that formats none never loads it."""
+    try:
+        return str(value)
+    except ValueError:
+        import decimal
+
+        return str(decimal.Decimal(value))
 
 
 # ---------------------------------------------------------------------------

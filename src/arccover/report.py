@@ -13,8 +13,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, replace
-from importlib import resources
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -23,9 +22,7 @@ import numpy as np
 from ._version import __version__
 from .catalog import resolve_group
 from .errors import ArccoverError, CapacityExceeded, ValidationError
-from .groups import (
-    ENUM_CAP_DEFAULT, VERTEX_CAP_DEFAULT, closure, decimal_string, group_order, orbit,
-)
+from .groups import ENUM_CAP_DEFAULT, VERTEX_CAP_DEFAULT, closure, decimal_string, group_order
 from .perm import parse_cycles
 from .subdirect import (
     BlockReport,
@@ -51,6 +48,10 @@ CENTRALIZER_ENUM_LIMIT = 20_000
 
 # graph export format -> file name suffix
 EXPORT_SUFFIX = {"edge-list": "edges", "adjacency-text": "adj"}
+
+# the job collections of `suite`, here so that the CLI parser can list them
+# without loading that module
+SUITE_NAMES = ("examples", "small-n", "extended")
 
 
 def _is_int(value) -> bool:
@@ -373,28 +374,35 @@ def run_job(spec: JobSpec, phase: str = "full") -> Certificate:
 
 def _class_partition(run: _Run):
     n, data = run.n, run.data
-    comp_map = data.ctx.comp_map
-    classes: dict[int, list[int]] = {}  # class -> the positions of its cycles
-    for i, c in enumerate(data.ctx.place[:, 1].tolist()):
-        classes.setdefault(c, []).append(i)
+    ctx = data.ctx
+    # the positions of each class's cycles, in increasing order
+    counts = np.bincount(ctx.place[:, 1], minlength=n)
+    by_class = np.split(np.argsort(ctx.place[:, 1], kind="stable"), np.cumsum(counts)[:-1])
+    classes = {c: positions for c, positions in enumerate(by_class) if positions.size}
     size = math.factorial(n - 2)
     sizes_ok = sorted(classes) == list(range(1, n)) and all(
         len(v) == size for v in classes.values()
     )
-    total = sum(len(v) for v in classes.values())
-    partition_ok = total == math.factorial(n - 1)
+    partition_ok = int(counts.sum()) == math.factorial(n - 1)
 
     # transitive on a class of |L| elements == regular; L and (1,2) act on
     # the cycle positions through their comp maps
     regular = group_order(data.l_top_gens, n) == size
-    l_maps = [comp_map(s) for s in data.l_top_gens]
+    l_maps = [ctx.comp_map(s) for s in data.l_top_gens]
     for positions in classes.values():
-        if set(orbit(positions[0], l_maps, lambda p, m: m[p])) != set(positions):
-            regular = False
+        reached = np.zeros(ctx.k, dtype=bool)
+        frontier = positions[:1]
+        reached[frontier] = True
+        while frontier.size:
+            before = reached.copy()
+            for m in l_maps:
+                reached[m[frontier]] = True
+            frontier = np.flatnonzero(reached & ~before)
+        regular = regular and np.array_equal(np.flatnonzero(reached), positions)
 
-    reflect = comp_map(data.delta)
+    reflect = ctx.comp_map(data.delta)
     reflected = all(
-        sorted(reflect[p] for p in classes[k]) == list(classes[n - k]) for k in classes
+        np.array_equal(np.sort(reflect[classes[k]]), classes[n - k]) for k in classes
     )
     ok = sizes_ok and partition_ok and regular and reflected
     return {
@@ -556,7 +564,7 @@ def _two_arc_transitive(run: _Run):
     from .cosetgraph import two_arc_transitive
 
     data = run.data
-    result = two_arc_transitive(data.h_tops(), data.k_tops(), data.h_top_gens)
+    result = two_arc_transitive(data.h_top_gens, data.l_top_gens, run.n)
     ok = result["two_transitive"] and result["index"] == run.n - 1
     computed = {"neighbor_count": result["index"], "two_transitive": result["two_transitive"]}
     return computed, ok, None
@@ -712,151 +720,3 @@ def _write_exports(run: _Run, graph) -> None:
         with open(out_dir / name, "wb") as fh:
             fh.writelines(export_chunks(graph.adjacency, fmt))
         run.artifacts.append(name)
-
-
-# ---------------------------------------------------------------------------
-# suites
-# ---------------------------------------------------------------------------
-
-SUITE_NAMES = ("examples", "small-n", "extended")
-
-_EXAMPLE_JOBS = (
-    JobSpec(n=4, group="A5", x="(1,2)(3,4)", y="(1,2,3,4,5)",
-            vertex_cap=10_000, label="example-1"),
-    JobSpec(n=4, group="A5", x="(1,2)(3,4)", y="(1,5,3)",
-            vertex_cap=10_000, label="example-2"),
-    JobSpec(n=4, group="A11", x="(1,2)(3,6)", y="(1,2,3,4,5,6,7,8,9,10,11)",
-            vertex_cap=10_000, label="example-3"),
-)
-
-_SMALL_N_JOBS = tuple(
-    JobSpec(n=n, group="A5", x="(1,2)(3,4)", y="(1,2,3,4,5)",
-            vertex_cap=10_000, label=f"small-n{n}")
-    for n in (4, 5, 6, 7)
-)
-
-_EXTENDED_JOBS = (
-    JobSpec(n=4, group="A5", x="(1,2)(3,4)", y="(1,5,3)",
-            vertex_cap=VERTEX_CAP_DEFAULT, label="extended-build"),
-)
-
-# regression keys -> (job label, certificate lookup) recorded by suites
-_REGRESSION_SOURCES = {
-    "d/n=7/A5/(1,2)(3,4)/(1,2,3,4,5)": ("small-n7", ("block-structure", "d")),
-    "girth/n=4/A5/(1,2)(3,4)/(1,2,3,4,5)": ("small-n4", ("graph-build", "girth")),
-    "girth/n=4/A5/(1,2)(3,4)/(1,5,3)": ("extended-build", ("graph-build", "girth")),
-}
-
-
-def _suite_specs(name: str) -> tuple[JobSpec, ...]:
-    if name == "examples":
-        return _EXAMPLE_JOBS
-    if name == "small-n":
-        return _SMALL_N_JOBS
-    if name == "extended":
-        return _EXAMPLE_JOBS + _SMALL_N_JOBS + _EXTENDED_JOBS
-    raise ValidationError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-
-
-def load_baselines(path: Optional[str] = None) -> dict:
-    """Frozen regression values: the packaged defaults or a user file."""
-    if path is None:
-        text = resources.files("arccover").joinpath("baselines.json").read_text()
-        return json.loads(text)
-    p = Path(path)
-    if not p.exists():
-        return {}
-    try:
-        return json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"cannot parse baselines file {path}: {exc}") from exc
-
-
-@dataclass
-class SuiteResult:
-    suite: str
-    certificates: list[Certificate]
-    regressions: list[dict]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.certificates) and all(
-            r["passed"] for r in self.regressions
-        )
-
-    def summary_table(self) -> str:
-        lines = [f"suite: {self.suite}"]
-        for cert in self.certificates:
-            lines.append("  " + cert.summary_line())
-        for reg in self.regressions:
-            state = "pass" if reg["passed"] else "FAIL"
-            note = "frozen" if reg.get("frozen") else f"baseline {reg['baseline']}"
-            lines.append(f"  {state}  regression {reg['key']} = {reg['computed']} ({note})")
-        lines.append(("all checks passed" if self.ok else "FAILURES PRESENT"))
-        return "\n".join(lines) + "\n"
-
-
-def run_suite(
-    name: str,
-    out_dir: Optional[str] = None,
-    catalog: Optional[str] = None,
-    parallel: bool = False,
-    baselines_path: Optional[str] = None,
-) -> SuiteResult:
-    """Run a named job collection and compare frozen regression values.
-
-    A regression key absent from the baselines is frozen at the computed
-    value (and written back when a user baselines path is given); a present
-    key must match exactly.
-    """
-    specs = [
-        replace(s, out_dir=out_dir, catalog=catalog) for s in _suite_specs(name)
-    ]
-    if parallel and len(specs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(4, len(specs))) as pool:
-            certificates = list(pool.map(run_job, specs))
-    else:
-        certificates = [run_job(s) for s in specs]
-
-    by_label = {s.label: c for s, c in zip(specs, certificates)}
-    baselines = load_baselines(baselines_path)
-    regressions = []
-    dirty = False
-    for key, (label, (check_id, field_name)) in _REGRESSION_SOURCES.items():
-        cert = by_label.get(label)
-        if cert is None:
-            continue
-        rec = cert.check(check_id)
-        if rec is None or field_name not in rec["computed"]:
-            continue
-        computed = rec["computed"][field_name]
-        if key in baselines:
-            regressions.append(
-                {
-                    "key": key,
-                    "computed": computed,
-                    "baseline": baselines[key],
-                    "passed": computed == baselines[key],
-                }
-            )
-        else:
-            baselines[key] = computed
-            dirty = True
-            regressions.append(
-                {"key": key, "computed": computed, "baseline": None,
-                 "passed": True, "frozen": True}
-            )
-    if dirty and baselines_path is not None:
-        Path(baselines_path).write_text(json.dumps(baselines, indent=2) + "\n")
-
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        for spec, cert in zip(specs, certificates):
-            cert.write(out / f"{spec.label}.json")
-        (out / f"suite-{name}.txt").write_text(
-            SuiteResult(name, certificates, regressions).summary_table()
-        )
-    return SuiteResult(name, certificates, regressions)

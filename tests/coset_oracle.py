@@ -11,7 +11,10 @@ over products w*z. They work for any elements with `*`, `.inverse()` and
 K = L on L's generators (`wreath.twist_tops`), and the enumeration of L
 it replaced is `cycle_oracle.twist_intersection`. So does
 `centralizer_elements`, the one-element-at-a-time commutation test that
-`cosetgraph.centralizer_elements` replaced. `fibre_element` turns a fibre
+`cosetgraph.centralizer_elements` replaced, and `two_arc_transitive`, H's
+action on a right transversal of K in H, both closed, which
+`cosetgraph.two_arc_transitive` replaced by the action of H's generators
+on the orbit of 2. `fibre_element` turns a fibre
 point of the derived graph back into its element of M, so the two numberings
 can be compared.
 """
@@ -23,7 +26,8 @@ from typing import Optional, Sequence
 
 from arccover.cosetgraph import VERTEX_CAP_DEFAULT, CoverCertificate
 from arccover.errors import CapacityExceeded, InternalCheckError, ValidationError
-from arccover.groups import closure, right_transversal
+from arccover.groups import closure, is_2_transitive, right_transversal
+from arccover.perm import Permutation
 from arccover.wreath import WreathElement
 
 
@@ -37,6 +41,17 @@ def conj_intersection(h_elements: Sequence, g) -> list:
     g_inv = g.inverse()
     # h in H^g = g^-1 H g iff g h g^-1 in H
     return [h for h in h_elements if (g * h * g_inv).key() in h_keys]
+
+
+def two_arc_transitive(h_elements: Sequence, k_elements: Sequence, h_gens: Sequence) -> dict:
+    """Whether H acts 2-transitively on the right cosets of K, both given
+    as element lists: the action of `h_gens` on a right transversal."""
+    transversal, pos_of = right_transversal(k_elements, h_elements)
+    index = len(transversal)
+    action_gens = [
+        Permutation([pos_of[(t * h).key()] + 1 for t in transversal]) for h in h_gens
+    ]
+    return {"index": index, "two_transitive": is_2_transitive(action_gens, index)}
 
 
 def canonical_key(w) -> bytes:

@@ -7,17 +7,20 @@ by walking it from 1 to 2, and conjugates numbered by their
 `Permutation.key()`. `twist_intersection` is the enumeration of L that
 `wreath.twist_tops` replaced by a test of L's generators: L closed with
 each element's conjugation map, and K = H ∩ H^g read off by one gather of
-g's base per element.
+g's base per element. `class_partition` is the `class-partition` stage as a
+loop over the cycle positions, one position at a time, that
+`report._class_partition` replaced by a sort and array orbits.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
 
-from arccover.groups import closure
+from arccover.groups import closure, group_order, orbit
 from arccover.perm import Permutation, parse_cycles
 
 
@@ -85,3 +88,35 @@ def twist_intersection(data) -> tuple[list[Permutation], list[Permutation]]:
     count = len(full_cycles(n))
     l_elems = closure(gens, _TopWithComps(Permutation.identity(n), np.arange(count)))
     return [z.sigma for z in l_elems], [z.sigma for z in l_elems if np.array_equal(f[z.comps], f)]
+
+
+def class_partition(data) -> tuple[dict, bool]:
+    """The `class-partition` stage's computed record and verdict for cover
+    data, from class lists built position by position and each class's
+    orbit walked one position at a time."""
+    n, comp_map = data.ctx.n, data.ctx.comp_map
+    classes: dict[int, list[int]] = {}
+    for i, c in enumerate(data.ctx.place[:, 1].tolist()):
+        classes.setdefault(c, []).append(i)
+    size = math.factorial(n - 2)
+    sizes_ok = sorted(classes) == list(range(1, n)) and all(
+        len(v) == size for v in classes.values()
+    )
+    partition_ok = sum(len(v) for v in classes.values()) == math.factorial(n - 1)
+    regular = group_order(data.l_top_gens, n) == size
+    l_maps = [comp_map(s) for s in data.l_top_gens]
+    for positions in classes.values():
+        if set(orbit(positions[0], l_maps, lambda p, m: m[p])) != set(positions):
+            regular = False
+    reflect = comp_map(data.delta)
+    reflected = all(
+        sorted(reflect[p] for p in classes[k]) == list(classes[n - k]) for k in classes
+    )
+    computed = {
+        "classes": n - 1,
+        "class_size": size,
+        "partition": partition_ok,
+        "regular": regular,
+        "reflected": reflected,
+    }
+    return computed, sizes_ok and partition_ok and regular and reflected

@@ -12,14 +12,15 @@ import time
 
 import pytest
 
-from coset_oracle import conj_intersection, l_elements
+from coset_oracle import conj_intersection, l_elements, two_arc_transitive
 from cycle_oracle import cycle_class, full_cycles
 from schreier_oracle import all_rows
 from arccover.catalog import resolve_group
-from arccover.cosetgraph import build_coset_graph, quotient_graph, two_arc_transitive
+from arccover.cosetgraph import build_coset_graph, quotient_graph
 from arccover.groups import closure, group_order
 from arccover.perm import Permutation, parse_cycles
-from arccover.report import GAP_STATEMENTS, JobSpec, run_job, run_suite
+from arccover.report import GAP_STATEMENTS, JobSpec, run_job
+from arccover.suite import run_suite
 from arccover.subdirect import inverting_automorphism, structures_equal, subdirect_decompose
 from arccover.wreath import (
     CoverJob,
@@ -422,7 +423,7 @@ def test_criterion_09_property_suites(extended_suite):
     assert quotient.locally_bijective and quotient.quotient_is_complete
     h_elems = data.h_elements()
     kernel = conj_intersection(h_elems, data.g)
-    assert two_arc_transitive(h_elems, kernel, h_gens=data.h_gens)["two_transitive"]
+    assert two_arc_transitive(h_elems, kernel, data.h_gens)["two_transitive"]
     for label in ("example-1", "small-n4", "extended-build"):
         rec = cert_of(result, label).check("cover-quotient")
         assert rec is not None and rec["computed"]["locally_bijective"] is True

@@ -154,18 +154,27 @@ def test_quotient_run_leaves_numpy_ma_unimported(tmp_path):
 def test_runs_without_a_graph_leave_cosetgraph_unimported(verb, n, group, y):
     """Only the graph stages import `cosetgraph` (the package resolves
     `build_coset_graph` and `quotient_graph` on first use), and, as in a
-    `quotient` run, no stage needs `numpy.ma`, with a table or on a pool."""
+    `quotient` run, no stage needs `numpy.ma`, with a table or on a pool.
+    Nor does a job load `decimal` (its numbers are written by str) or the
+    suites (`arccover.suite`, loaded by the `suite` verb alone)."""
     code = (
         "import contextlib, io, sys\n"
         "from arccover.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = main([{verb!r}, '--n', '{n}', '--group', {group!r}, '--x', '(1,2)(3,4)',\n"
         f"                 '--y', {y!r}])\n"
-        "print(code, 'arccover.cosetgraph' in sys.modules, 'numpy.ma' in sys.modules)\n"
+        "print(code, *(m in sys.modules for m in\n"
+        "              ('arccover.cosetgraph', 'numpy.ma', 'decimal', 'arccover.suite')))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    assert out.stdout.split() == ["0", "False", "False"]
+    assert out.stdout.split() == ["0", "False", "False", "False", "False"]
     assert arccover.quotient_graph.__module__ == "arccover.cosetgraph"
+
+
+def test_run_suite_resolves_to_the_suite_module():
+    import arccover.suite
+
+    assert arccover.run_suite is arccover.suite.run_suite

@@ -214,7 +214,7 @@ def test_unwritable_out_is_a_rejection(tmp_path, capsys, verb):
 def test_failing_check_exits_one(capsys, monkeypatch):
     import arccover.cosetgraph as cosetgraph
 
-    def broken(h_elements, k_elements, h_gens):
+    def broken(h_gens, k_gens, degree):
         return {"index": 3, "two_transitive": False}
 
     monkeypatch.setattr(cosetgraph, "two_arc_transitive", broken)

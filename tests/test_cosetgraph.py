@@ -10,6 +10,7 @@ permutation groups.
 import dataclasses
 import random
 import tracemalloc
+from decimal import Decimal
 from types import SimpleNamespace
 
 import numpy as np
@@ -144,7 +145,7 @@ def test_complete_graph_on_point_stabilizer():
     assert graph.adjacency == [(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)]
     assert graph.order == 24 // 6
     assert pytest.importorskip("networkx").is_connected(nx_graph(graph.adjacency))
-    stats = two_arc_transitive(h, oracle.conj_intersection(h, g), h)
+    stats = oracle.two_arc_transitive(h, oracle.conj_intersection(h, g), h)
     assert stats == {"index": 3, "two_transitive": True}
 
 
@@ -157,13 +158,13 @@ def test_petersen_graph_from_pair_stabilizer():
     assert graph.order == 10
     assert is_petersen(graph.adjacency)
     assert graph.order == 120 // 12
-    assert two_arc_transitive(h, oracle.conj_intersection(h, g), h_gens=gens)["two_transitive"]
+    assert oracle.two_arc_transitive(h, oracle.conj_intersection(h, g), gens)["two_transitive"]
 
 
 def test_regular_subgroup_action_is_not_two_transitive():
     h = closure([P("(1,2,3,4)", 4)], Permutation.identity(4))
     g = P("(1,2)", 4)
-    stats = two_arc_transitive(h, oracle.conj_intersection(h, g), h)
+    stats = oracle.two_arc_transitive(h, oracle.conj_intersection(h, g), h)
     assert stats["index"] == 4
     assert stats["two_transitive"] is False
     graph = oracle.build_coset_graph(h, g)
@@ -255,8 +256,9 @@ def test_single_root_girth_matches_full_scan():
 
 def test_two_arc_transitivity_of_cover():
     data, _, _ = cover_graph()
-    stats = two_arc_transitive(data.h_tops(), data.k_tops(), h_gens=data.h_top_gens)
+    stats = two_arc_transitive(data.h_top_gens, data.l_top_gens, 4)
     assert stats == {"index": 3, "two_transitive": True}
+    assert oracle.two_arc_transitive(data.h_tops(), data.k_tops(), data.h_top_gens) == stats
 
 
 def test_vertex_lookup_constant_on_cosets():
@@ -288,8 +290,18 @@ def test_vertex_index_is_sorted_and_names_each_representative():
 
 def test_vertex_cap_interrupts_search():
     data, structure = example1()
-    with pytest.raises(CapacityExceeded, match="expected 240 vertices exceeds the cap 50"):
+    with pytest.raises(
+        CapacityExceeded, match=r"^expected 4·60\^1 vertices \(3 digits\) exceeds the cap 50$"
+    ):
         build_coset_graph(data, structure, vertex_cap=50)
+
+
+def test_digit_count_is_exact_next_to_powers_of_ten():
+    """The capacity skip's digit count, checked against Decimal up to the
+    35,849 digits of A5's n·|T|^d at n = 9."""
+    near = [10**e + step for e in (1, 2, 17, 300, 4300) for step in (-1, 0, 1)]
+    for value in (1, 9, 240, *near, 8 * 60**2520, 9 * 60**20160):
+        assert cosetgraph._digit_count(value) == len(str(Decimal(value)))
 
 
 def test_adjacency_is_symmetric_and_loop_free():

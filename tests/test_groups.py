@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import random
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from arccover.groups import (
     closure,
     conjugacy_classes,
     conjugating_permutations,
+    decimal_string,
     extend_to_automorphism,
     generating_rows,
     group_order,
@@ -195,6 +197,15 @@ def test_the_sifting_seed_changes_no_order_or_membership(monkeypatch, seed):
         chain = StabilizerChain(gens, degree, order_bound=bound)
         assert chain.order() == order
         assert [chain.contains(p) for p in _probes(gens, degree)] == members
+
+
+def test_decimal_string_writes_every_digit():
+    """Past the interpreter's 4300-digit limit on str(int) (A5's |M| at
+    n = 8 and 9) as below it."""
+    for value in (60**2520, 60**20160, 8 * 60**2520):
+        assert decimal_string(value) == str(Decimal(value))
+    for value in (0, 7, -12, 60**12, 10**4299):
+        assert decimal_string(value) == str(value)
 
 
 # ---------------------------------------------------------------------------

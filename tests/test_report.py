@@ -8,18 +8,14 @@ from types import SimpleNamespace
 
 import pytest
 
+from cycle_oracle import class_partition
 from arccover import report, wreath
 from arccover.catalog import resolve_group
 from arccover.cosetgraph import VERTEX_CAP_DEFAULT
 from arccover.errors import ValidationError
-from arccover.report import (
-    GAP_STATEMENTS,
-    JobSpec,
-    SUITE_NAMES,
-    load_baselines,
-    run_job,
-    run_suite,
-)
+from arccover.perm import parse_cycles
+from arccover.report import GAP_STATEMENTS, SUITE_NAMES, JobSpec, run_job
+from arccover.suite import load_baselines, run_suite
 from arccover.wreath import CoverGroupData
 
 JOB1 = JobSpec(n=4, group="A5", x="(1,2)(3,4)", y="(1,2,3,4,5)")
@@ -143,8 +139,8 @@ def test_h_is_built_only_at_graph_depth(monkeypatch):
 def test_tops_and_h_are_computed_once_per_job(monkeypatch):
     """L's generators are closed by no `decompose` job: `twist-identities`
     tests them one gather each. One `quotient` run of example-1 closes L =
-    Sym{3,4} (K's tops) once and H = Sym{2..4} once: `two-arc-transitive`
-    and the graph build read both from the cover data."""
+    Sym{3,4} (K's tops) once and H = Sym{2..4} once, for the graph build's
+    transversal; `two-arc-transitive` reads their generators alone."""
     calls = {"l_closure": 0, "h_closure": 0}
     closure = wreath.closure
 
@@ -217,9 +213,11 @@ def test_orders_beyond_the_int_digit_limit(monkeypatch):
     """d = 2520 with |T| = 60, as A5 certifies at n = 8: |M| = 60^2520 has
     4481 digits, more than str(int) converts by default. A stub structure
     drives block-structure and the graph-build capacity skip without an
-    n = 8 run: both stages certify and the certificate serializes."""
+    n = 8 run: both stages certify, the skip reason writes n·|T|^d in
+    factored form with its digit count, and the certificate serializes."""
     a5, n, d = resolve_group("A5"), 8, 2520
     structure = SimpleNamespace(
+        group=a5,
         block_count=d,
         k=math.factorial(n - 1),
         blocks=tuple((2 * b, 2 * b + 1) for b in range(d)),
@@ -241,8 +239,11 @@ def test_orders_beyond_the_int_digit_limit(monkeypatch):
     assert blocks["bound_ok"] is True
     skip = cert.skipped("graph-build")
     assert skip["kind"] == "capacity" and cert.capacity_blocked()
-    expected, cap = skip["reason"].removeprefix("expected ").split(" vertices exceeds the cap ")
-    assert Decimal(expected) == n * 60**d and cap == str(VERTEX_CAP_DEFAULT)
+    digits = len(str(Decimal(n * 60**d)))
+    assert digits == 4482
+    assert skip["reason"] == (
+        f"expected {n}·60^{d} vertices ({digits} digits) exceeds the cap {VERTEX_CAP_DEFAULT}"
+    )
 
 
 def test_budget_skips_are_not_capacity():
@@ -289,6 +290,35 @@ def test_budget_runs_out_between_schreier_frontiers(monkeypatch):
         "reason": "time budget exhausted",
         "details": {"conjugations": 33, "rows_kept": 20, "decompositions": 1},
     }]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9])
+def test_class_partition_matches_the_loop_oracle(n):
+    """The sort and array orbits of `class-partition` record what the
+    position-by-position loop records, on the cover data and on data whose
+    L is cut to its first generator (smaller for n >= 5), replaced by a
+    Sym of the same order that moves 1, or whose swap is (1,3)."""
+    data = wreath.build_cover_group(JobSpec(n=n, group="A5", x="(1,2)(3,4)", y="(1,2,3,4,5)")
+                                    .cover_job())
+    moves_1 = "(" + ",".join(map(str, [1, *range(4, n + 1)])) + ")"
+    outside = (parse_cycles(moves_1, n),) + ((parse_cycles(f"({n - 1},{n})", n),) if n > 4 else ())
+    variants = {
+        "cover": data,
+        "first-generator": dataclasses.replace(data, l_top_gens=data.l_top_gens[:1]),
+        "moves-1": dataclasses.replace(data, l_top_gens=outside),
+        "swap-13": dataclasses.replace(data, delta=parse_cycles("(1,3)", n)),
+    }
+    failed = {}
+    for name, variant in variants.items():
+        computed, ok, _ = report._class_partition(SimpleNamespace(n=n, data=variant))
+        assert (computed, ok) == class_partition(variant)
+        failed[name] = sorted(key for key, value in computed.items() if value is False)
+    assert failed == {
+        "cover": [],
+        "first-generator": [] if n == 4 else ["regular"],
+        "moves-1": ["regular"],
+        "swap-13": ["reflected"],
+    }
 
 
 def test_image_order_is_certified_from_the_tops(monkeypatch):

@@ -11,6 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import coset_oracle
 from coset_oracle import conj_intersection, l_elements
 from cycle_oracle import conjugation_map, cycle_class, full_cycles, twist_intersection
 from schreier_oracle import _pair_classes
@@ -297,9 +298,36 @@ def test_twist_tops_match_the_cycle_oracle_at_n8():
 def test_two_arc_transitive_on_tops_matches_the_wreath_route(n):
     data = data_for(n=n)
     h_elems = data.h_elements()
-    wreath = two_arc_transitive(h_elems, conj_intersection(h_elems, data.g), data.h_gens)
-    assert two_arc_transitive(data.h_tops(), data.k_tops(), data.h_top_gens) == wreath
+    wreath = coset_oracle.two_arc_transitive(
+        h_elems, conj_intersection(h_elems, data.g), data.h_gens
+    )
+    assert two_arc_transitive(data.h_top_gens, data.l_top_gens, n) == wreath
     assert wreath == {"index": n - 1, "two_transitive": True}
+
+
+@pytest.mark.parametrize("case", [*sorted(TOPS_CASES), "A5-n8"])
+def test_two_arc_transitive_from_generators_matches_the_closure_route(case):
+    """H's generators on the orbit of 2 decide what H's action on a right
+    transversal of K, both closed as tops, decides."""
+    n, name, x, y = TOPS_CASES.get(case, (8, "A5", X, Y))
+    data = build_cover_group(CoverJob(n=n, group=resolve_group(name), x=x, y=y, group_name=name))
+    closed = coset_oracle.two_arc_transitive(data.h_tops(), data.k_tops(), data.h_top_gens)
+    assert two_arc_transitive(data.h_top_gens, data.l_top_gens, n) == closed
+    assert closed == {"index": n - 1, "two_transitive": True}
+
+
+def test_two_arc_transitive_from_generators_on_other_groups():
+    """A cyclic H on {2..5} acts regularly on the cosets of its trivial
+    stabilizer of 2, as on the closed transversal; a K that is not the
+    stabilizer of 2 in H is refused."""
+    h_gens, identity = [P("(2,3,4,5)", 5)], Permutation.identity(5)
+    closed = coset_oracle.two_arc_transitive(closure(h_gens, identity), [identity], h_gens)
+    assert two_arc_transitive(h_gens, [], 5) == closed
+    assert closed == {"index": 4, "two_transitive": False}
+    sym = [P("(2,3,4,5)", 5), P("(4,5)", 5)]
+    for k_gens in ([P("(3,4,5)", 5)], [P("(2,3)", 5)]):  # index 2 in the stabilizer; moves 2
+        with pytest.raises(InternalCheckError, match="not the stabilizer of 2"):
+            two_arc_transitive(sym, k_gens, 5)
 
 
 def _broken_twist(data, tops=(), last=False):
