@@ -79,7 +79,7 @@ class _Fibre:
         # order: the image rows sorted by their first column, then the next
         self.rank = np.empty(self.size, dtype=entries.dtype)
         self.rank[np.lexsort(entries.image_rows(self.ids).T[::-1])] = self.ids
-        self.bases = [b for b, link in enumerate(structure.links) if link is None]
+        self.bases = structure.bases.tolist()
         self.points = self.size ** len(self.bases)
         self.dtype = _id_type(self.points)
         # coordinate t of the points in order: each id for |T|^t points in
@@ -88,10 +88,8 @@ class _Fibre:
             np.tile(np.repeat(self.ids, self.size**t), self.size ** (len(self.bases) - 1 - t))
             for t in range(len(self.bases))
         ]
-        # link(t) for every id t; the identity at a block base
-        self.links = [
-            self.ids if link is None else link.image(self.ids, entries) for link in structure.links
-        ]
+        # per link id, link(t) for every id t; id 0 is the identity
+        self.images = [self.ids] + [link.image(self.ids, entries) for link in structure.maps[1:]]
 
     def apply(self, z: WreathElement, left: bool) -> np.ndarray:
         """The fibre point of z·m (left) or m·z for every fibre point m; z in M."""
@@ -106,11 +104,12 @@ class _Fibre:
         """Per component, the entry ranks of r·m over every fibre point m."""
         amap = r.ctx.comp_map(r.sigma)
         base_at = {b: t for t, b in enumerate(self.bases)}
+        base_of, link_id = self.structure.base_of.tolist(), self.structure.link_id.tolist()
         cols = []
         for alpha, beta in enumerate(amap):
             # (r·m)(alpha) = r(alpha) · m(beta), m(beta) = link_beta(m at its base)
-            ranks = self.rank[self.entries.product(r.f[alpha], self.links[beta])]
-            cols.append(ranks[self.coords[base_at[self.structure.base_of[beta]]]])
+            ranks = self.rank[self.entries.product(r.f[alpha], self.images[link_id[beta]])]
+            cols.append(ranks[self.coords[base_at[base_of[beta]]]])
         return cols
 
 

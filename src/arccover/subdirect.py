@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -46,18 +45,40 @@ from .perm import Permutation
 
 @dataclass(frozen=True, eq=False)
 class SubdirectStructure:
-    """Blocks and linking maps of a subdirect subgroup of T^k."""
+    """Blocks and linking maps of a subdirect subgroup of T^k, as arrays:
+    component j's entry is maps[link_id[j]] of the entry at its block's base
+    base_of[j], its least component. `maps` holds the distinct links,
+    interned by `key()`, the identity at id 0 (the bases' id); at n >= 5,
+    where an automorphism φ fixes x and inverts y, it is the identity and φ.
+    """
 
     k: int
-    blocks: tuple[tuple[int, ...], ...]
-    links: tuple[Optional[AutomorphismMap], ...]  # None exactly at block bases
-    base_of: tuple[int, ...]  # component -> base component of its block
+    base_of: np.ndarray  # component -> base component of its block
+    link_id: np.ndarray  # component -> its link in `maps`
+    maps: tuple[AutomorphismMap, ...]
     generators: np.ndarray  # distinct generating rows in input order, or a sifter's S
     group: PermGroup
 
     @property
+    def bases(self) -> np.ndarray:
+        return np.flatnonzero(self.base_of == np.arange(self.k))
+
+    @property
     def block_count(self) -> int:
-        return len(self.blocks)
+        return len(self.bases)
+
+    @property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """Each block's components in order, the blocks in order of their bases."""
+        members = np.argsort(self.base_of, kind="stable")
+        ends = np.cumsum(np.bincount(self.base_of)[self.bases])[:-1]
+        return tuple(tuple(block.tolist()) for block in np.split(members, ends))
+
+    @property
+    def links(self) -> tuple[Optional[AutomorphismMap], ...]:
+        """Per component its link, None exactly at the block bases."""
+        ids = np.where(self.base_of == np.arange(self.k), -1, self.link_id).tolist()
+        return tuple(None if t < 0 else self.maps[t] for t in ids)
 
     def order(self) -> int:
         return self.group.order() ** self.block_count
@@ -68,27 +89,18 @@ class SubdirectStructure:
         rows = row[None] if isinstance(row, np.ndarray) else [row]
         return bool(self._holds(_entry_rows(rows, self.group, self.k))[0])
 
-    @cached_property
-    def _gathers(self) -> list[tuple[AutomorphismMap, np.ndarray, np.ndarray]]:
-        """Per distinct link (by its lookup or conjugator): the components it
-        links and their bases. Where one map links every block, as at
-        n >= 5 with an automorphism fixing x and inverting y, there is one."""
-        by_map: dict = {}
-        for j, (base, link) in enumerate(zip(self.base_of, self.links)):
-            if link is not None:
-                _, bases, members = by_map.setdefault(link.key(), (link, [], []))
-                bases.append(base)
-                members.append(j)
-        return [(link, np.array(b), np.array(m)) for link, b, m in by_map.values()]
-
     def _holds(self, matrix: np.ndarray) -> np.ndarray:
         """Per row of an entry matrix, whether it lies in the subgroup: its
-        entries at the bases, gathered through each distinct link at once,
-        equal its entries at the linked components."""
+        entries at the bases, gathered through each link id at once, equal
+        its entries at the linked components."""
         entries = self.group.entries()
+        linked = self.base_of != np.arange(self.k)
         ok = np.ones(len(matrix), dtype=bool)
-        for link, bases, members in self._gathers:
-            images = link.image(matrix.take(bases, axis=1), entries)
+        for t, link in enumerate(self.maps):
+            members = np.flatnonzero(linked & (self.link_id == t))
+            images = matrix.take(self.base_of[members], axis=1)
+            if t:  # id 0 is the identity
+                images = link.image(images, entries)
             ok &= (images == matrix.take(members, axis=1)).all(axis=1)
         return ok
 
@@ -101,36 +113,42 @@ class SubdirectStructure:
         φ_j∘φ_i^-1 (φ the links from the base, the identity at it), and are
         linked iff it also sends row_i to row_j, that is iff
         φ_i^-1(row_i) = φ_j^-1(row_j). So each block splits by the value
-        φ_j^-1(row_j); each part's least component is its base, and a
-        component whose base moves from b to c is linked by φ_j∘φ_c^-1.
-        Both maps are unique, so they are the links `_decompose` finds.
+        φ_j^-1(row_j), pulled back once per link id; each part's least
+        component is its base, and a component whose base moves from b to
+        c is linked by φ_j∘φ_c^-1, formed once per distinct pair of ids
+        (link_id[j], link_id[c]) and interned. Both maps are unique, so
+        they are the links `_decompose` finds. `maps` keeps the links still
+        in use, in their order.
         """
         entries, size = self.group.entries(), self.group.order()
-        pulled = row.astype(np.int64)  # φ_j^-1(row_j), row_j at the bases
-        for link, _, members in self._gathers:
-            pulled[members] = link.inverse().image(row.take(members), entries)
-        _, first, back = np.unique(
-            np.array(self.base_of) * size + pulled, return_index=True, return_inverse=True
-        )
+        inverses = [link.inverse() for link in self.maps]
+        pulled = row.astype(np.int64)  # φ_j^-1(row_j), row_j at id 0
+        for t in range(1, len(self.maps)):
+            members = np.flatnonzero(self.link_id == t)
+            pulled[members] = inverses[t].image(row.take(members), entries)
+        _, first, back = np.unique(self.base_of * size + pulled, return_index=True, return_inverse=True)
         base_of = first[back]  # the least component with the same base and value
-        links = list(self.links)
-        inverses: dict[int, AutomorphismMap] = {}
-        for j in np.flatnonzero(base_of != np.array(self.base_of)).tolist():
-            c = int(base_of[j])
-            if c == j:
-                links[j] = None
-            else:
-                if c not in inverses:
-                    inverses[c] = self.links[c].inverse()
-                links[j] = self.links[j].after(inverses[c])
-        return SubdirectStructure(
-            k=self.k,
-            blocks=_blocks_from(base_of.tolist(), self.k),
-            links=tuple(links),
-            base_of=tuple(base_of.tolist()),
-            generators=generators,
-            group=self.group,
-        )
+        moved = np.flatnonzero(base_of != self.base_of)
+        linked = moved[base_of[moved] != moved]
+        link_id = np.where(base_of == np.arange(self.k), 0, self.link_id)
+        count = len(self.maps)  # pair (i, c) of old ids at i·count + c
+        pair = self.link_id[linked] * count + self.link_id[base_of[linked]]
+        pairs, pair_of = np.unique(pair, return_inverse=True)
+        maps = list(self.maps)
+        composed = [maps[p // count].after(inverses[p % count]) for p in pairs.tolist()]
+        link_id[linked] = _interned(maps, composed)[pair_of]
+        used, link_id = np.unique(link_id, return_inverse=True)
+        maps = tuple(maps[t] for t in used.tolist())
+        return SubdirectStructure(self.k, base_of, link_id, maps, generators, self.group)
+
+
+def _interned(maps: list[AutomorphismMap], found: Sequence[Optional[AutomorphismMap]]) -> np.ndarray:
+    """Per map found, its id in `maps` by `key()` (appended if new), or -1 for None."""
+    ids = {link.key(): t for t, link in enumerate(maps)}
+    for link in found:
+        if link is not None and ids.setdefault(link.key(), len(maps)) == len(maps):
+            maps.append(link)
+    return np.array([-1 if link is None else ids[link.key()] for link in found], dtype=np.intp)
 
 
 class RowSifter:
@@ -160,9 +178,7 @@ class RowSifter:
     BudgetExhausted once `out_of_budget()` holds before one of its rounds.
     """
 
-    def __init__(
-        self, group: PermGroup, k: int, out_of_budget: Callable[[], bool] = lambda: False
-    ):
+    def __init__(self, group: PermGroup, k: int, out_of_budget: Callable[[], bool] = lambda: False):
         _require_links(group)
         self.group = group
         self._out_of_budget = out_of_budget
@@ -213,10 +229,8 @@ class RowSifter:
         return rows
 
     def _decompose(self, whole: bool) -> None:
-        self._structure = _decompose(
-            self.rows(), self.group, self._out_of_budget,
-            self._prefixes, self._generates, whole,
-        )
+        self._structure = _decompose(self.rows(), self.group, self._out_of_budget,
+                                     self._prefixes, self._generates, whole)
         self.decompositions += self._structure is not None
 
 
@@ -274,8 +288,10 @@ def _first_rows(matrix: np.ndarray) -> list[int]:
 
 
 def _fingerprints(columns: np.ndarray, group: PermGroup) -> list[int]:
-    """Per column (a row of `columns`), the hash of its sequence of pairs
-    (|e|, |e·e0|) over its entries e, row by row, with e0 its entry in row 0.
+    """Per column (a row of `columns`), a hash of its sequence of pairs
+    (|e|, |e·e0|) over its entries e, row by row, with e0 its entry in row 0:
+    the sum of the pairs' codes times the powers of the odd kinds | 1,
+    modulo 2^64 (odd, so no power is 0 there), one product per block.
 
     A link maps a column entrywise by an automorphism, which keeps element
     orders, so a column and its image have one sequence, and one hash. Two
@@ -298,11 +314,12 @@ def _fingerprints(columns: np.ndarray, group: PermGroup) -> list[int]:
     offsets = first_of * size
     k, rows = columns.shape
     width = max(1, BATCH_ENTRIES // rows)  # columns per block
-    out = []
+    weights = np.cumprod(np.full(rows, kinds | 1, dtype=np.uint64))  # wrapping at 2^64
+    out = np.empty(k, dtype=np.uint64)
     for lo in range(0, k, width):
         block = table_codes.take(columns[lo:lo + width] + offsets[lo:lo + width, None])
-        out += [row_hash(codes) for codes in block]
-    return out
+        out[lo:lo + width] = block.astype(np.uint64) @ weights
+    return out.tolist()
 
 
 def subdirect_decompose(
@@ -323,10 +340,8 @@ def subdirect_decompose(
 
 def _require_links(group: PermGroup) -> None:
     if group.table() is None and not is_natural_alternating(group):
-        raise ValidationError(
-            "T is too large for a multiplication table and not a natural "
-            "alternating group, so its links cannot be decided"
-        )
+        raise ValidationError("T is too large for a multiplication table and not a natural "
+                              "alternating group, so its links cannot be decided")
 
 
 def _decompose(
@@ -371,8 +386,9 @@ def _decompose(
     for j, key in enumerate(_fingerprints(columns, group)):
         buckets.setdefault(key, []).append(j)
 
-    base_of = list(range(k))
-    links: list[Optional[AutomorphismMap]] = [None] * k
+    base_of = np.arange(k)
+    link_id = np.zeros(k, dtype=np.intp)
+    maps = [_identity(group)]
     proper: list[int] = []  # bases whose column generates a proper subgroup
     pending = list(buckets.values())  # per bucket, its undecided columns
     decided = 0
@@ -380,9 +396,7 @@ def _decompose(
         if out_of_budget():
             raise BudgetExhausted("time budget exhausted", columns_scanned=decided)
         bases = [cols[0] for cols in pending]
-        found = _prefixes(
-            columns, [b for b in bases if b not in prefixes], group, generates, whole
-        )
+        found = _prefixes(columns, [b for b in bases if b not in prefixes], group, generates, whole)
         prefixes.update((b, rows) for b, rows in found.items() if rows)
         proper += [b for b, rows in found.items() if not rows]
         if proper and not whole:
@@ -390,25 +404,27 @@ def _decompose(
         decided += len(bases)
         pending = [cols for cols in pending if cols[0] in prefixes]
         pairs = [(cols[0], j) for cols in pending for j in cols[1:]]
-        for (b, j), phi in zip(pairs, _links(columns, pairs, prefixes, group)):
-            if phi is not None:
-                base_of[j] = b
-                links[j] = phi
-                decided += 1
-        pending = [rest for cols in pending if (rest := [j for j in cols[1:] if links[j] is None])]
+        ids = _links(columns, pairs, prefixes, group, maps)
+        b, j = np.array(pairs, dtype=np.intp).reshape(-1, 2)[ids >= 0].T
+        base_of[j], link_id[j] = b, ids[ids >= 0]
+        decided += len(j)
+        unlinked = (base_of == np.arange(k)).tolist()
+        pending = [rest for cols in pending if (rest := [j for j in cols[1:] if unlinked[j]])]
     if proper:
         raise ValidationError(f"component {min(proper)} projection generates a proper subgroup")
 
     generators = matrix.view()
     generators.flags.writeable = False
-    return SubdirectStructure(
-        k=k,
-        blocks=_blocks_from(base_of, k),
-        links=tuple(links),
-        base_of=tuple(base_of),
-        generators=generators,
-        group=group,
-    )
+    return SubdirectStructure(k, base_of, link_id, tuple(maps), generators, group)
+
+
+def _identity(group: PermGroup) -> AutomorphismMap:
+    """The identity link, a lookup or a conjugator as `_links` finds links."""
+    if group.table() is None:
+        return AutomorphismMap(conjugator=Permutation.identity(group.degree))
+    lookup = np.arange(group.order(), dtype=group.entries().dtype)
+    lookup.flags.writeable = False
+    return AutomorphismMap(lookup=lookup)
 
 
 def _prefixes(
@@ -479,28 +495,32 @@ def _links(
     pairs: list[tuple[int, int]],
     prefixes: dict[int, list[int]],
     group: PermGroup,
-) -> list[Optional[AutomorphismMap]]:
-    """Per pair (b, j): the automorphism sending b's generating prefix of
-    rows to column j's entries there, if it maps column b onto column j.
+    maps: list[AutomorphismMap],
+) -> np.ndarray:
+    """Per pair (b, j): the id in `maps` (`_interned`, which appends the
+    new ones) of the automorphism sending b's generating prefix of rows to
+    column j's entries there, if it maps column b onto column j; else -1.
 
     With a table the pairs propagate in batches (`automorphism_lookups`),
     each prefix padded by repeating its rows, and the consistent ones are
     checked on whole columns, with the lookups narrowed to the columns'
     dtype; both batches hold about `BATCH_ENTRIES` integer entries. Without
-    one, each pair runs the conjugator search on its prefix's entries.
+    one, each pair runs the conjugator search on its prefix's entries. A
+    table interns one lookup per distinct row of the linked pairs' lookups.
     """
     table, entries = group.table(), group.entries()
     if table is None:
-        out: list[Optional[AutomorphismMap]] = []
+        found = []
         for b, j in pairs:
             rows = prefixes[b]
             phi = _conjugation(group.degree, *(list(map(entries.elem, columns[c, rows])) for c in (b, j)))
             if phi is not None and not np.array_equal(phi.image(columns[b], entries), columns[j]):
                 phi = None
-            out.append(phi)
-        return out
+            found.append(phi)
+        return _interned(maps, found)
+    ids = np.full(len(pairs), -1, dtype=np.intp)
     if not pairs:
-        return []
+        return ids
     width = max(len(prefixes[b]) for b, _ in pairs)
     rows = np.array([(prefixes[b] * width)[:width] for b, _ in pairs])
     b, j = np.array(pairs).T
@@ -523,10 +543,14 @@ def _links(
         part = consistent[lo:lo + chunk]
         images = np.take_along_axis(lookups[part], columns[b[part]], axis=1)
         ok[part] = (images == columns[j[part]]).all(axis=1)
-    linked = lookups[ok]  # a copy of the linked rows: no link holds the failed pairs
-    linked.flags.writeable = False
-    kept = iter(linked)
-    return [AutomorphismMap(lookup=next(kept)) if good else None for good in ok.tolist()]
+    linked = np.flatnonzero(ok)
+    rows = lookups[linked]  # each row as one opaque value: far faster than axis=0
+    opaque = rows.view(np.dtype((np.void, rows.strides[0]))).ravel()
+    _, first, back = np.unique(opaque, return_index=True, return_inverse=True)
+    distinct = rows[first]  # a copy: no link holds the other pairs' rows
+    distinct.flags.writeable = False
+    ids[linked] = _interned(maps, [AutomorphismMap(lookup=row) for row in distinct])[back]
+    return ids
 
 
 def _conjugation(
@@ -540,16 +564,10 @@ def _conjugation(
     return AutomorphismMap(conjugator=found[0]) if found else None
 
 
-def _blocks_from(base_of: Sequence[int], k: int) -> tuple[tuple[int, ...], ...]:
-    by_base: dict[int, list[int]] = {}
-    for j in range(k):
-        by_base.setdefault(base_of[j], []).append(j)
-    return tuple(tuple(sorted(v)) for _, v in sorted(by_base.items()))
-
-
 def structures_equal(a: SubdirectStructure, b: SubdirectStructure) -> bool:
-    """Same blocks and the same subgroup (mutual generator membership)."""
-    if a.k != b.k or a.blocks != b.blocks:
+    """Same blocks (a base is its block's least component, so the same
+    bases) and the same subgroup (mutual generator membership)."""
+    if a.k != b.k or not np.array_equal(a.base_of, b.base_of):
         return False
     return bool(b._holds(a.generators).all() and a._holds(b.generators).all())
 
@@ -566,15 +584,10 @@ def _phi_route(
 
     Natural alternating groups go through the conjugator search (exact for
     degree != 6); groups with a table through table propagation; when both
-    apply the routes must agree.
+    apply the routes must agree. Any other T is a ValidationError.
     """
-    table = group.table()
-    natural = is_natural_alternating(group)
-    if table is None and not natural:
-        raise ValidationError(
-            "cannot decide automorphism existence: group is too large to enumerate "
-            "and not natural alternating"
-        )
+    _require_links(group)
+    table, natural = group.table(), is_natural_alternating(group)
     shortcut = _conjugation(group.degree, sources, targets) if natural else None
     if table is None:
         return shortcut
@@ -626,19 +639,10 @@ class BlockReport:
     @classmethod
     def build(cls, n: int, block_count: int) -> "BlockReport":
         component_count = math.factorial(n - 1)
-        divides = component_count % block_count == 0
-        lower_bound = None
-        bound_ok = None
-        if n >= 7:
-            # block_count >= binom(n, floor(n/2)) / 2, compared in integers
-            binom = math.comb(n, n // 2)
-            lower_bound = (binom + 1) // 2
-            bound_ok = 2 * block_count >= binom
+        # from n = 7: block_count >= binom(n, floor(n/2)) / 2, compared in integers
+        binom = math.comb(n, n // 2) if n >= 7 else None
         return cls(
-            n=n,
-            block_count=block_count,
-            component_count=component_count,
-            divides=divides,
-            lower_bound=lower_bound,
-            bound_ok=bound_ok,
+            n, block_count, component_count, component_count % block_count == 0,
+            None if binom is None else (binom + 1) // 2,
+            None if binom is None else 2 * block_count >= binom,
         )

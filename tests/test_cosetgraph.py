@@ -410,9 +410,11 @@ def test_corrupted_voltage_fails_graph_build(monkeypatch):
         table = structure.group.table()
         s = table.gen_indices[0]
         twist = table.product(table.product(table.invert(s), np.arange(table.size)), s)  # a -> s^-1·a·s
-        links = list(structure.links)
-        links[1] = dataclasses.replace(links[1], lookup=twist[links[1].lookup])
-        return real(data, dataclasses.replace(structure, links=tuple(links)), vertex_cap)
+        link = structure.links[1]
+        link_id = structure.link_id.copy()
+        link_id[1] = len(structure.maps)  # component 1 alone takes the twisted link
+        maps = structure.maps + (dataclasses.replace(link, lookup=twist[link.lookup]),)
+        return real(data, dataclasses.replace(structure, link_id=link_id, maps=maps), vertex_cap)
 
     monkeypatch.setattr(cosetgraph, "build_coset_graph", corrupted)
     assert graph_record(run_job(JOB1, phase="graph")) == "a voltage does not lie in M"

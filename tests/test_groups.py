@@ -638,8 +638,10 @@ def test_index_maps_agree_with_and_without_a_table(conjugator_route):
         range(60), key=lambda i: t.elem(i).key()
     )
     assert np.array_equal(bare.rank[to_pool], fibre.rank)
-    assert len(fibre.links) == len(bare.links) == 6
-    for link, bare_link in zip(fibre.links, bare.links):
+    links = [fibre.images[t] for t in fibre.structure.link_id]
+    bare_links = [bare.images[t] for t in bare.structure.link_id]
+    assert len(links) == len(bare_links) == 6
+    for link, bare_link in zip(links, bare_links):
         assert np.array_equal(bare_link[to_pool], to_pool[link])
     # products: the fibre point (d = 1: the id at the base) of z·m and m·z
     assert fibre.bases == bare.bases == [0]
