@@ -16,10 +16,11 @@ length are those of the change's BENCHMARK.json. The record holds:
   running the `extended-build` job, of one running the whole `extended`
   suite, of one running perfbench's cover-k4 job (COVER_K4, unconjugated),
   and of one per `decompose` job of DECOMPOSE, with its d and its
-  `class-partition` stage time: A5 at n = 8 and 9, A11 at n = 7 and A7 at
-  n = 4 to 7, the last five on the entry pool, per checkout: the medians
-  of ROUNDS runs, with the runs (a job that a checkout rejects records its
-  exit code and the last line of its stderr);
+  `class-partition` and `kernel-generators` stage times: A5 at n = 8, 9
+  and 10, A11 at n = 7 and A7 at n = 4 to 7, the last five on the entry
+  pool, per checkout: the medians of ROUNDS runs, with the runs (a job
+  that a checkout rejects, such as n = 10 past a MATERIALIZE_LIMIT of 9,
+  records its exit code and the last line of its stderr);
 - layers: the median of each layer microbenchmark in the checkout's own
   `benchmarks/` (pytest-benchmark), in seconds, and its median over ROUNDS
   runs of the whole set.
@@ -54,6 +55,7 @@ A7_PAIR = ("A7", "(1,2)(3,4)", "(1,2,3,4,5,6,7)")
 DECOMPOSE = {
     "n8-decompose": (8, "A5", "(1,2)(3,4)", "(1,2,3,4,5)"),
     "n9-decompose": (9, "A5", "(1,2)(3,4)", "(1,2,3,4,5)"),
+    "n10-decompose": (10, "A5", "(1,2)(3,4)", "(1,2,3,4,5)"),
     "a11-n7-decompose": (7, "A11", "(1,2)(3,6)", "(1,2,3,4,5,6,7,8,9,10,11)"),
     **{f"a7-n{n}-decompose": (n, *A7_PAIR) for n in (4, 5, 6, 7)},
 }
@@ -92,6 +94,7 @@ elif sys.argv[1] == "decompose":
     ok = cert.ok
     facts["d"] = cert.check("block-structure")["computed"]["d"]
     facts["class_partition_s"] = cert.payload["timings"]["class-partition"]
+    facts["kernel_generators_s"] = cert.payload["timings"]["kernel-generators"]
 else:
     spec = [s for s in _suite_specs("extended") if s.label == "extended-build"][0]
     ok = run_job(spec).ok

@@ -295,7 +295,7 @@ class _Run:
     def certificate(self) -> Certificate:
         passed = sum(1 for c in self.checks if c["passed"])
         payload = {
-            "format": "arccover-certificate/5",
+            "format": "arccover-certificate/6",
             "version": __version__,
             "job": self.spec.echo(),
             "checks": self.checks,
@@ -480,9 +480,10 @@ def _block_structure(run: _Run):
     report = BlockReport.build(n, d)
     order_m = run.data.job.group.order() ** d
     order_y = decimal_string(order_m * math.factorial(n))
+    sizes = np.unique(np.bincount(structure.base_of)[structure.bases], return_counts=True)
     computed = {
         "d": d,
-        "block_sizes": sorted(len(b) for b in structure.blocks),
+        "block_sizes": np.column_stack(sizes).tolist(),  # sorted [size, count] pairs
         "order_m": decimal_string(order_m),
         "order_y": order_y,
         "order_y_digits": len(order_y),

@@ -32,7 +32,7 @@ from .groups import (
 )
 from .perm import Permutation, parse_cycles
 
-MATERIALIZE_LIMIT = 9  # largest n for which wreath elements may be built
+MATERIALIZE_LIMIT = 10  # largest n for which wreath elements may be built
 
 
 def _is_odd_prime(m: int) -> bool:

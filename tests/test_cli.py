@@ -97,7 +97,7 @@ def test_construct_verb_emits_certificate(capsys):
     code, out, err = run_cli(["construct", *JOB1_FLAGS], capsys)
     assert code == 0
     payload = json.loads(out)
-    assert payload["format"] == "arccover-certificate/5"
+    assert payload["format"] == "arccover-certificate/6"
     assert [c["id"] for c in payload["checks"]] == [
         "job-valid", "class-partition", "twist-identities", "kernel-witness",
     ]
@@ -114,8 +114,7 @@ def test_decompose_verb_reports_d(capsys):
 
 
 def test_decompose_at_n9_certifies_d(capsys):
-    """n = 9 is the largest n whose wreath elements materialize: k = 8!
-    cycles, and every block a pair {α, α^-1}, so d = 8!/2."""
+    """n = 9: k = 8! cycles, and every block a pair {α, α^-1}, so d = 8!/2."""
     code, out, _ = run_cli(["decompose", "--n", "9", *JOB1_FLAGS[2:]], capsys)
     assert code == 0
     by_id = {c["id"]: c for c in json.loads(out)["checks"]}
@@ -123,10 +122,10 @@ def test_decompose_at_n9_certifies_d(capsys):
     assert by_id["twist-identities"]["computed"]["intersection_order"] == 5040
 
 
-def test_decompose_at_n10_is_rejected(capsys):
-    code, out, _ = run_cli(["decompose", "--n", "10", *JOB1_FLAGS[2:]], capsys)
+def test_decompose_at_n11_is_rejected(capsys):
+    code, out, _ = run_cli(["decompose", "--n", "11", *JOB1_FLAGS[2:]], capsys)
     assert code == 2
-    assert "materialize only for 3 <= n <= 9" in json.loads(out)["reason"]
+    assert "materialize only for 3 <= n <= 10" in json.loads(out)["reason"]
 
 
 @pytest.mark.parametrize("flag,value", [("--vertex-cap", "-5"), ("--enum-cap", "0")])

@@ -6,6 +6,7 @@ import math
 from decimal import Decimal
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from cycle_oracle import class_partition
@@ -166,7 +167,7 @@ def test_full_certificate_shape_and_values():
         "format", "version", "job", "checks", "skips", "artifacts",
         "summary", "gaps", "environment", "timings",
     ]
-    assert cert.payload["format"] == "arccover-certificate/5"
+    assert cert.payload["format"] == "arccover-certificate/6"
     assert cert.payload["gaps"] == list(GAP_STATEMENTS)
     assert cert.payload["summary"] == {
         "checks": 12, "passed": 12, "failed": 0, "all_passed": True,
@@ -220,7 +221,8 @@ def test_orders_beyond_the_int_digit_limit(monkeypatch):
         group=a5,
         block_count=d,
         k=math.factorial(n - 1),
-        blocks=tuple((2 * b, 2 * b + 1) for b in range(d)),
+        base_of=np.repeat(np.arange(0, 2 * d, 2), 2),  # blocks {2b, 2b + 1}
+        bases=np.arange(0, 2 * d, 2),
         order=lambda: a5.order() ** d,
     )
     monkeypatch.setattr(report, "STAGES", tuple(
@@ -236,7 +238,7 @@ def test_orders_beyond_the_int_digit_limit(monkeypatch):
     assert Decimal(blocks["order_m"]) == 60**d
     assert Decimal(blocks["order_y"]) == 60**d * math.factorial(n)
     assert blocks["order_y_digits"] == len(blocks["order_y"]) == 4486
-    assert blocks["bound_ok"] is True
+    assert blocks["bound_ok"] is True and blocks["block_sizes"] == [[2, d]]
     skip = cert.skipped("graph-build")
     assert skip["kind"] == "capacity" and cert.capacity_blocked()
     digits = len(str(Decimal(n * 60**d)))

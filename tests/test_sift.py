@@ -1,19 +1,27 @@
 """The sifted block structure (`RowSifter`) of the rows of every Schreier
 generator (`schreier_oracle.schreier_rows`, many rows in large batches)
 against their decomposition all at once (`subdirect_decompose`),
-its refinement by a row outside <S>, the inverse-pair blocks at n >= 5, and
-the pool's conjugation cache that its links read."""
+its refinement by a row outside <S>, the inverse-pair blocks at n >= 5 and
+their two interned links, and the pool's conjugation cache that its links
+read."""
 
 import numpy as np
 import pytest
 
 from schreier_oracle import schreier_rows
+from arccover import report
 from arccover.catalog import resolve_group
 from arccover.cosetgraph import build_coset_graph, quotient_graph
 from arccover.errors import ValidationError
-from arccover.groups import EntryPool
-from arccover.perm import parse_cycles
-from arccover.subdirect import RowSifter, inverting_automorphism, structures_equal, subdirect_decompose
+from arccover.groups import AutomorphismMap, EntryPool
+from arccover.perm import Permutation, parse_cycles
+from arccover.subdirect import (
+    RowSifter,
+    SubdirectStructure,
+    inverting_automorphism,
+    structures_equal,
+    subdirect_decompose,
+)
 from arccover.wreath import CoverJob, _lehmer_ranks, build_cover_group
 
 A5 = ("A5", "(1,2)(3,4)", "(1,2,3,4,5)")
@@ -113,6 +121,61 @@ def test_inverse_cycles_share_a_block_linked_by_phi(sifted):
     for base, other in structure.blocks:
         assert inverse_of[base] == other
         assert structure.links[other].key() == phi.key()
+
+
+def identity_key(group):
+    """The identity's key in the form `subdirect` finds links for `group`:
+    a lookup in the entries' dtype with a table, a conjugator without."""
+    if group.table() is None:
+        return Permutation.identity(group.degree).images
+    return np.arange(group.order(), dtype=group.entries().dtype).tobytes()
+
+
+@pytest.mark.parametrize("sifted", [p for p in JOBS if p[1] >= 5], indirect=True,
+                         ids=[i for p, i in zip(JOBS, IDS) if p[1] >= 5])
+def test_the_interned_links_are_the_identity_and_phi(sifted):
+    """The k links of n >= 5 are held as two distinct maps, the identity at
+    id 0 (the bases' id) and phi, compared by key; A11, with no phi, holds
+    the identity alone."""
+    (_, x, y), data, sifter, _ = sifted
+    group, structure = data.job.group, sifter.structure()
+    phi = inverting_automorphism(group, parse_cycles(x, group.degree), parse_cycles(y, group.degree))
+    want = [identity_key(group)] + ([] if phi is None else [phi.key()])
+    assert [link.key() for link in structure.maps] == want
+    assert not structure.link_id[structure.bases].any()
+
+
+def test_refinement_composes_once_per_pair_of_link_ids(monkeypatch):
+    """A5 n = 8's kernel-generators decomposes S once and refines it twice;
+    each refinement forms a moved component's link φ_j∘φ_c^-1 once per
+    distinct pair (link_id[j], link_id[c]), not once per moved component
+    (120 and 60 of them)."""
+    calls = []
+    real_after, real_refined = AutomorphismMap.after, SubdirectStructure.refined
+
+    def after(self, other):
+        calls.append(1)
+        return real_after(self, other)
+
+    refinements = []  # per refinement: (after calls, distinct id pairs, moved links)
+
+    def refined(self, row, generators):
+        before = len(calls)
+        new = real_refined(self, row, generators)
+        moved = np.flatnonzero(new.base_of != self.base_of)
+        linked = moved[new.base_of[moved] != moved]
+        pairs = set(zip(self.link_id[linked].tolist(), self.link_id[new.base_of[linked]].tolist()))
+        refinements.append((len(calls) - before, len(pairs), len(linked)))
+        return new
+
+    monkeypatch.setattr(AutomorphismMap, "after", after)
+    monkeypatch.setattr(SubdirectStructure, "refined", refined)
+    name, x, y = A5
+    cert = report.run_job(report.JobSpec(n=8, group=name, x=x, y=y), "decompose")
+    assert cert.ok and cert.check("block-structure")["computed"]["d"] == 2520
+    assert cert.check("kernel-generators")["computed"]["decompositions"] == 1 + len(refinements) == 3
+    assert all(made <= pairs for made, pairs, _ in refinements)
+    assert sum(made for made, _, _ in refinements) < sum(linked for _, _, linked in refinements)
 
 
 def test_a_row_outside_s_raises_d():

@@ -174,7 +174,7 @@ def test_elements_hold_read_only_rows():
 
 def test_context_size_limit():
     with pytest.raises(ValidationError, match="materialize"):
-        WreathContext(10, A5)
+        WreathContext(11, A5)
 
 
 def test_embed_top_degree_check():
