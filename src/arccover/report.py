@@ -492,7 +492,9 @@ def _block_structure(run: _Run):
     }
     if n == 4:
         pos_of, _ = _k4_maps()
-        computed["blocks_positional"] = sorted(sorted(pos_of[j] + 1 for j in blk) for blk in structure.blocks)
+        computed["blocks_positional"] = sorted(
+            sorted(pos_of[j] + 1 for j in blk) for blk in structure.blocks
+        )
     if report.lower_bound is not None:
         computed["lower_bound"] = report.lower_bound
         computed["bound_ok"] = report.bound_ok
@@ -522,7 +524,9 @@ def _tuple_generators(run: _Run):
     rows = np.stack([t.f for t in (tuples.t1, tuples.t2, tuples.t3)])
     alt = subdirect_decompose(rows, run.data.job.group)
     same = structures_equal(alt, run.products["block-structure"])
-    positional = [[p.cycle_string() for p in row] for row in tuples.tuples_in_positions()]
+    positional = [
+        [p.cycle_string() for p in row] for row in tuples.tuples_in_positions()
+    ]
     return {
         "structures_equal": same,
         "tuple_d": alt.block_count,
