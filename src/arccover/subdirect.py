@@ -94,10 +94,11 @@ class SubdirectStructure:
         entries at the bases, gathered through each link id at once, equal
         its entries at the linked components."""
         entries = self.group.entries()
-        linked = self.base_of != np.arange(self.k)
+        linked = np.flatnonzero(self.base_of != np.arange(self.k))
+        ids = self.link_id[linked]
         ok = np.ones(len(matrix), dtype=bool)
         for t, link in enumerate(self.maps):
-            members = np.flatnonzero(linked & (self.link_id == t))
+            members = linked[ids == t]
             images = matrix.take(self.base_of[members], axis=1)
             if t:  # id 0 is the identity
                 images = link.image(images, entries)
