@@ -50,6 +50,7 @@ class SubdirectStructure:
     base_of[j], its least component. `maps` holds the distinct links,
     interned by `key()`, the identity at id 0 (the bases' id); at n >= 5,
     where an automorphism φ fixes x and inverts y, it is the identity and φ.
+    `refined` forms each new link once per distinct pair of link ids.
     """
 
     k: int
