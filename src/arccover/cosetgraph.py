@@ -4,11 +4,12 @@ The graph Cos(Y, H, HgH) has the right cosets of H as vertices, with Hx ~ Hy
 iff y x^-1 in HgH. H is top-only (the embedded Sym{2..n}) and the kernel M of
 the top projection meets it trivially, so every coset is H·c_i·m for exactly
 one top i = 1^σ and one m in M. The sections are c_1 = 1, c_2 = g and
-c_j = g·(2,j). A neighbour seed p (g times a transversal of H ∩ H^g in H,
-both held as tops) sends H·c_i·m to H·c_j·(v·m), where p·c_i = h·c_j·v with
-h in H and the voltage v in M. So the graph is the derived graph of K_n with n(n-1)
-voltages in M = T^d (Gross–Tucker), built with one gather per dart and block
-base over all |T|^d fibre points and no coset search.
+c_j = g·(2,j). The n - 1 neighbour seeds are the sections other than c_1
+(`build_coset_graph`): a seed p sends H·c_i·m to H·c_j·(v·m), where
+p·c_i = h·c_j·v with h in H and the voltage v in M. So the graph is the
+derived graph of K_n with n(n-1) voltages in M = T^d (Gross–Tucker), built
+with one gather per dart and block base over all |T|^d fibre points and no
+coset search.
 
 An element m of M is held by its entry ids (`PermGroup.entries`) at the
 block bases of the subdirect structure (`_Fibre`); the other entries follow
@@ -47,7 +48,6 @@ from .groups import (
     group_order,
     is_2_transitive,
     orbit,
-    right_transversal,
 )
 from .perm import Permutation, parse_cycles
 from .subdirect import SubdirectStructure
@@ -121,7 +121,7 @@ class CosetGraph:
     and `m_gens` holds M's generating rows as base-only elements.
     """
 
-    def __init__(self, data: CoverGroupData, structure: SubdirectStructure, seeds: list):
+    def __init__(self, data: CoverGroupData, structure: SubdirectStructure):
         ctx, n, g = data.ctx, data.ctx.n, data.g
         self.ctx = ctx
         self.structure = structure
@@ -131,7 +131,7 @@ class CosetGraph:
             g * ctx.embed_top(parse_cycles(f"(2,{j})", n)) for j in range(3, n + 1)
         ]
         self._section_inverses = [c.inverse() for c in self.sections]
-        self.valency = len(seeds)
+        self.valency = n - 1
         points = self.fibre.points
         ids = _id_type(n * points)
         self.vertex = np.empty((n, points), dtype=ids)
@@ -140,7 +140,7 @@ class CosetGraph:
         self.adjacency = np.empty((n * points, self.valency), dtype=ids)
         for i, c in enumerate(self.sections):
             tops = []
-            for col, p in enumerate(seeds):
+            for col, p in enumerate(self.sections[1:]):
                 j, v = self._split(p * c)
                 tops.append(j)
                 self.adjacency[self.vertex[i], col] = self.vertex[j][self.fibre.apply(v, True)]
@@ -224,6 +224,19 @@ def build_coset_graph(
     CapacityExceeded before enumerating anything when n·|T|^d exceeds
     `vertex_cap`. `components` counts the connected components; the graph is
     connected exactly when the voltages generate all of T^d.
+
+    The neighbours of H are H·g·t for t in a right transversal of
+    K = H ∩ H^g in H. The seeds are the sections c_j = g·(2,j), j >= 2
+    (c_2 = g), so no element of H or K is enumerated:
+    - `two-arc-transitive` certifies that K's generators (L's, by
+      `twist-identities`) fix 2 and that |H| = |2^H|·|K|. So the right
+      cosets K·h correspond to the points 2^h, and (2,j) represents the
+      coset of j.
+    - Two representatives t and k·t of one coset give the seeds g·t and
+      g·k·t = (g·k·g^-1)·g·t. Here g·k·g^-1 = k lies in H, because g
+      commutes with L (`twist-identities`). So H·g·k·t = H·g·t.
+    So every vertex has the neighbours that any transversal gives, and as
+    each adjacency row is sorted, the same row.
     """
     n = data.ctx.n
     expected = n * structure.order()
@@ -232,9 +245,7 @@ def build_coset_graph(
             f"expected {n}·{structure.group.order()}^{structure.block_count} vertices "
             f"({_digit_count(expected)} digits) exceeds the cap {vertex_cap}"
         )
-    transversal = right_transversal(data.k_tops(), data.h_tops())[0]
-    seeds = [data.g * data.ctx.embed_top(t) for t in transversal]
-    return CosetGraph(data, structure, seeds)
+    return CosetGraph(data, structure)
 
 
 def _digit_count(value: int) -> int:

@@ -1,4 +1,4 @@
-"""Group engine: orders, closures, orbits, transversals, automorphism extension.
+"""Group engine: orders, closures, orbits, automorphism extension.
 
 Everything here is deterministic: BFS in generator order with FIFO frontiers
 and dict insertion order. The one random source is the stabilizer chain's
@@ -367,7 +367,6 @@ class PermGroup:
         self.generators = tuple(g for g in gens if not g.is_identity())
         self.degree = degree
         self._chain: Optional[StabilizerChain] = None
-        self._elements: Optional[tuple[Permutation, ...]] = None
         self._table: Optional[TableGroup] = None
         self._tabled: Optional[bool] = None  # whether `table()` builds one
         self._pool: Optional[EntryPool] = None
@@ -401,16 +400,6 @@ class PermGroup:
 
     def contains(self, g: Permutation) -> bool:
         return self.chain().contains(g)
-
-    def elements(self, cap: int = ENUM_CAP_DEFAULT) -> tuple[Permutation, ...]:
-        if self._elements is None:
-            self._elements = tuple(closure(self.generators, self.identity, cap))
-        if len(self._elements) > cap:
-            raise CapacityExceeded(
-                f"group order {len(self._elements)} exceeds cap {cap}",
-                discovered=len(self._elements),
-            )
-        return self._elements
 
     def table(self) -> Optional[TableGroup]:
         """The enumerated group (`TableGroup`), built once, or None: when
@@ -484,27 +473,6 @@ def is_2_transitive(generators: Sequence[Permutation], degree: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# subgroup utilities on explicit element lists
-# ---------------------------------------------------------------------------
-
-
-def right_transversal(
-    subgroup_elements: Sequence, group_elements: Sequence
-) -> tuple[list, dict[bytes, int]]:
-    """Representatives of the right cosets K\\H, in H's listed order, and the
-    position of each element's coset among them, by key."""
-    coset_of: dict[bytes, int] = {}
-    reps: list = []
-    for h in group_elements:
-        if h.key() in coset_of:
-            continue
-        for s in subgroup_elements:
-            coset_of[(s * h).key()] = len(reps)
-        reps.append(h)
-    return reps, coset_of
-
-
-# ---------------------------------------------------------------------------
 # enumerated groups with multiplication tables
 # ---------------------------------------------------------------------------
 
@@ -535,7 +503,7 @@ class TableGroup:
 
     `PermGroup.table` builds one for A5 and for a T up to TABLE_CAP elements
     that is not natural alternating; `TableGroup(group)` builds one for any
-    T up to `cap` elements, A7 included.
+    T up to TABLE_CAP elements, A7 included.
 
     Elements are numbered in BFS order from the identity (id 0), found as
     image rows (`closure_rows`), and held as `images`, the uint8 matrix of
@@ -561,8 +529,8 @@ class TableGroup:
     first (to intp), as a·|T| overflows the dtype.
     """
 
-    def __init__(self, group: PermGroup, cap: int = TABLE_CAP):
-        images = self.images = closure_rows(group, cap)  # CapacityExceeded past the cap
+    def __init__(self, group: PermGroup):
+        images = self.images = closure_rows(group, TABLE_CAP)  # CapacityExceeded past it
         self.group = group
         size = self.size = len(images)
         degree = self.degree = group.degree

@@ -254,26 +254,13 @@ class CoverGroupData:
     l_top_gens: tuple[Permutation, ...]  # Sym{3..n}
     delta: Permutation  # the swap (1,2)
 
-    def h_tops(self) -> list[Permutation]:
-        """H = Sym{2..n} as top permutations, in `closure` order, closed on
-        the first call and then held. Only the graph stages read H."""
-        return self._closed("_h_tops", self.h_top_gens)
-
-    def k_tops(self) -> list[Permutation]:
-        """K = H ∩ H^g as top permutations: L = Sym{3..n}, closed and held
-        as `h_tops` is. K = L only once `twist_tops` holds, so only the
-        graph stages read it, after `twist-identities` has passed."""
-        return self._closed("_k_tops", self.l_top_gens)
-
-    def _closed(self, name: str, gens: Sequence[Permutation]) -> list[Permutation]:
-        if name not in self.__dict__:
-            self.__dict__[name] = closure(gens, Permutation.identity(self.ctx.n))
-        return self.__dict__[name]
-
     def h_elements(self) -> list[WreathElement]:
         """H as wreath elements: H is top-only, and embedding a top is an
-        isomorphism onto it, so this is the closure of `h_gens`, in order."""
-        return [self.ctx.embed_top(t) for t in self.h_tops()]
+        isomorphism onto it, so this is the closure of `h_gens`, in order.
+        No stage reads it: the pipeline reads H through its generators, and
+        this serves the benchmark's set-up step and the test oracles."""
+        identity = Permutation.identity(self.ctx.n)
+        return [self.ctx.embed_top(t) for t in closure(self.h_top_gens, identity)]
 
 
 def build_cover_group(job: CoverJob) -> CoverGroupData:

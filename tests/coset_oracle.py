@@ -12,11 +12,12 @@ K = L on L's generators (`wreath.twist_tops`), and the enumeration of L
 it replaced is `cycle_oracle.twist_intersection`. So does
 `centralizer_elements`, the one-element-at-a-time commutation test that
 `cosetgraph.centralizer_elements` replaced, and `two_arc_transitive`, H's
-action on a right transversal of K in H, both closed, which
-`cosetgraph.two_arc_transitive` replaced by the action of H's generators
-on the orbit of 2. `fibre_element` turns a fibre
-point of the derived graph back into its element of M, so the two numberings
-can be compared.
+action on a right transversal of K in H (`right_transversal`), both closed,
+which `cosetgraph.two_arc_transitive` replaced by the action of H's
+generators on the orbit of 2; the BFS seeds the graph by such a transversal
+too, where the derived graph takes the sections g·(2,j). `fibre_element`
+turns a fibre point of the derived graph back into its element of M, so the
+two numberings can be compared.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Optional, Sequence
 
 from arccover.cosetgraph import VERTEX_CAP_DEFAULT, CoverCertificate
 from arccover.errors import CapacityExceeded, InternalCheckError, ValidationError
-from arccover.groups import closure, is_2_transitive, right_transversal
+from arccover.groups import closure, is_2_transitive
 from arccover.perm import Permutation
 from arccover.wreath import WreathElement
 
@@ -41,6 +42,22 @@ def conj_intersection(h_elements: Sequence, g) -> list:
     g_inv = g.inverse()
     # h in H^g = g^-1 H g iff g h g^-1 in H
     return [h for h in h_elements if (g * h * g_inv).key() in h_keys]
+
+
+def right_transversal(
+    subgroup_elements: Sequence, group_elements: Sequence
+) -> tuple[list, dict[bytes, int]]:
+    """Representatives of the right cosets K\\H, in H's listed order, and the
+    position of each element's coset among them, by key."""
+    coset_of: dict[bytes, int] = {}
+    reps: list = []
+    for h in group_elements:
+        if h.key() in coset_of:
+            continue
+        for s in subgroup_elements:
+            coset_of[(s * h).key()] = len(reps)
+        reps.append(h)
+    return reps, coset_of
 
 
 def two_arc_transitive(h_elements: Sequence, k_elements: Sequence, h_gens: Sequence) -> dict:

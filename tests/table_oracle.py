@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from arccover.groups import PermGroup
+from arccover.groups import PermGroup, closure
 
 
 def int32_table(group: PermGroup) -> tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]:
-    """(mult, inv, order_of) of the group's elements in `elements()` order."""
-    elems = group.elements()
+    """(mult, inv, order_of) of the group's elements in `closure` order."""
+    elems = closure(group.generators, group.identity)
     index = {p.key(): i for i, p in enumerate(elems)}
     size = len(elems)
 

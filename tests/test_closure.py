@@ -15,7 +15,7 @@ from arccover.groups import PermGroup
 from arccover.perm import parse_cycles
 from arccover.report import JobSpec, run_job
 from arccover.subdirect import RowSifter, structures_equal
-from arccover.wreath import CoverJob, build_cover_group, normal_closure
+from arccover.wreath import CoverJob, build_cover_group, kernel_witness, normal_closure
 
 A5 = ("A5", "(1,2)(3,4)", "(1,2,3,4,5)")
 A5_Y2 = ("A5", "(1,2)(3,4)", "(1,5,3)")
@@ -58,6 +58,38 @@ def test_closure_structure_is_the_schreier_structure(job, n):
     assert structures_equal(got, want)
     # every row of S was sifted as s or one of the conjugates formed
     assert closed.rows_formed == conjugations + 1 and closed.rows_kept <= closed.rows_formed
+
+
+class SpyingSifter(RowSifter):
+    """A RowSifter that records each batch of rows it is given."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.batches = []
+
+    def add(self, rows):
+        self.batches.append(np.array(rows))
+        return super().add(rows)
+
+
+SPY_JOBS = [(A5, 4), (A5_Y2, 5), (A5, 7), (PSL2_13, 4), (A11, 5)]
+
+
+@pytest.mark.parametrize(
+    "job, n", SPY_JOBS, ids=[f"{job[0]}-{job[2]}-n{n}" for job, n in SPY_JOBS]
+)
+def test_closure_conjugates_s_by_every_generator_of_y(job, n):
+    """The batch sifted after s is s conjugated by each generator of Y, g
+    last, in that order: closing s under H's generators alone gives M too
+    on every job above, so only the batch itself shows that g is used."""
+    data = cover(job, n)
+    spy = SpyingSifter(data.job.group, data.ctx.k)
+    normal_closure(data, spy)
+    s = kernel_witness(data)
+    assert np.array_equal(spy.batches[0], s.f[None])
+    want = np.stack([(y.inverse() * s * y).f for y in data.y_gens])
+    assert data.y_gens[-1] is data.g and len(want) == len(data.h_gens) + 1
+    assert np.array_equal(spy.batches[1], want)
 
 
 @pytest.mark.parametrize("klass", [1, 2, 3, 4])

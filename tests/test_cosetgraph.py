@@ -258,7 +258,9 @@ def test_two_arc_transitivity_of_cover():
     data, _, _ = cover_graph()
     stats = two_arc_transitive(data.h_top_gens, data.l_top_gens, 4)
     assert stats == {"index": 3, "two_transitive": True}
-    assert oracle.two_arc_transitive(data.h_tops(), data.k_tops(), data.h_top_gens) == stats
+    identity = Permutation.identity(4)
+    h_tops, k_tops = (closure(gens, identity) for gens in (data.h_top_gens, data.l_top_gens))
+    assert oracle.two_arc_transitive(h_tops, k_tops, data.h_top_gens) == stats
 
 
 def test_vertex_lookup_constant_on_cosets():
@@ -454,7 +456,7 @@ def centralizer_case(seed):
     """Y's elements and M's generators of example-1 (seed 0) or of its pair
     conjugated by a seeded element of A5."""
     a5 = resolve_group("A5")
-    c = random.Random(seed).choice(a5.elements()) if seed else Permutation.identity(5)
+    c = random.Random(seed).choice(closure(a5.generators, a5.identity)) if seed else a5.identity
     x, y = (P(t, 5).conjugate(c).cycle_string() for t in ("(1,2)(3,4)", "(1,2,3,4,5)"))
     data, structure = cover_data(a5, x, y)
     return data, closure(data.y_gens, data.ctx.identity_element()), kernel_gens(data, structure)

@@ -8,7 +8,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from coset_oracle import conj_intersection
+from coset_oracle import conj_intersection, right_transversal
 from schreier_oracle import all_rows
 from table_oracle import int32_table
 from arccover.catalog import BUILTIN_CATALOG, resolve_group
@@ -34,7 +34,6 @@ from arccover.groups import (
     is_natural_alternating,
     is_nonabelian_simple,
     orbit,
-    right_transversal,
 )
 from arccover.perm import Permutation, parse_cycles
 from arccover.subdirect import subdirect_decompose
@@ -230,7 +229,7 @@ def test_is_natural_alternating():
 
 
 # ---------------------------------------------------------------------------
-# subgroup utilities
+# subgroup oracles (`coset_oracle`)
 # ---------------------------------------------------------------------------
 
 
@@ -284,7 +283,7 @@ def test_table_group_matches_permutation_arithmetic():
             assert t.mult.shape == (size, size) and np.shares_memory(t.mult.reshape(-1), t.mult)
         assert t.elem(0).is_identity()
         # the rows' BFS lists the elements in the order of `closure`
-        elems = g.elements()
+        elems = closure(g.generators, g.identity)
         assert [t.elem(i) for i in range(size)] == list(elems)
         ids = np.arange(size)
         products = t.product(ids[:, None], ids)
@@ -306,19 +305,22 @@ def test_table_build_rejects_an_inconsistent_element_list(monkeypatch):
         monkeypatch.setattr(groups, "closure_rows", lambda group, cap: rows)
 
     # products leaving the list: half of A5
-    listing(resolve_group("A5").elements()[:30])
+    a5 = resolve_group("A5")
+    listing(closure(a5.generators, a5.identity)[:30])
     with pytest.raises(InternalCheckError, match="not in the element list"):
         TableGroup(resolve_group("A5"))
     # S5 listed for A5: a base of A5 (three points) fixes no element of S5,
     # so each pair of S5's elements that differ by a transposition of the
     # last two points shares its base images
-    listing(group("(1,2)", "(1,2,3,4,5)", degree=5).elements())
+    s5 = group("(1,2)", "(1,2,3,4,5)", degree=5)
+    listing(closure(s5.generators, s5.identity))
     with pytest.raises(InternalCheckError, match="60 elements share their base images"):
         TableGroup(resolve_group("A5"))
     # closed under the generators' products but not generated by them: V4
     # listed for <(1,2)(3,4)>, whose base (point 1) tells V4's elements apart,
     # has two rows never reached from row 0
-    listing(group("(1,2)(3,4)", "(1,3)(2,4)", degree=4).elements())
+    v4 = group("(1,2)(3,4)", "(1,3)(2,4)", degree=4)
+    listing(closure(v4.generators, v4.identity))
     with pytest.raises(InternalCheckError, match="2 rows unreached"):
         TableGroup(group("(1,2)(3,4)", degree=4))
 
@@ -365,7 +367,7 @@ def test_compact_table_matches_the_int32_oracle(name, dtype):
     grp = PermGroup.from_cycle_strings(*grp) if grp else resolve_group(name)
     t = TableGroup(grp)
     mult, inv, order_of = int32_table(grp)
-    elems = grp.elements()
+    elems = closure(grp.generators, grp.identity)
     assert np.array_equal(t.images, np.array([p.images for p in elems], dtype=np.uint8) - 1)
     assert [t.idx(p) for p in elems] == list(range(t.size))
     assert [t.elem(i) for i in range(t.size)] == list(elems)
@@ -437,7 +439,7 @@ def test_idx_checks_the_whole_row(name):
     base = grp.chain().base
     i, j = [p for p in range(1, grp.degree + 1) if p not in base][:2]
     swap = P(f"({i},{j})", grp.degree)
-    for i, e in enumerate(grp.elements()[:20]):
+    for i, e in enumerate(closure(grp.generators, grp.identity)[:20]):
         assert t.idx(e) == i
         outside = swap * e
         assert [outside.apply(p) for p in base] == [e.apply(p) for p in base]
@@ -604,7 +606,7 @@ def test_pool_fill_keeps_its_ids_and_appends_the_closure(conjugator_route):
         met = [pool.elem(i) for i in range(pool.size)]
         pool.fill()
         assert [pool.elem(i) for i in range(pool.size)] == met + [
-            p for p in grp.elements() if p not in met
+            p for p in closure(grp.generators, grp.identity) if p not in met
         ]
         assert pool.size == grp.order()
 

@@ -17,7 +17,6 @@ from arccover.errors import ValidationError
 from arccover.perm import parse_cycles
 from arccover.report import GAP_STATEMENTS, SUITE_NAMES, JobSpec, run_job
 from arccover.suite import load_baselines, run_suite
-from arccover.wreath import CoverGroupData
 
 JOB1 = JobSpec(n=4, group="A5", x="(1,2)(3,4)", y="(1,2,3,4,5)")
 JOB2 = JobSpec(n=4, group="A5", x="(1,2)(3,4)", y="(1,5,3)", vertex_cap=10_000)
@@ -120,44 +119,33 @@ def test_phase_truncation():
     assert full == graph + ["cover-quotient", "centralizer-structure"]
 
 
-def test_h_is_built_only_at_graph_depth(monkeypatch):
-    """H = Sym{2..n} is read by the graph stages alone: a decompose job
-    never enumerates it, and a graph job does."""
-    built = []
-    h_tops = CoverGroupData.h_tops
-
-    def counted(self):
-        built.append(self.ctx.n)
-        return h_tops(self)
-
-    monkeypatch.setattr(CoverGroupData, "h_tops", counted)
-    assert run_job(JobSpec(n=5, group="A5", x="(1,2)(3,4)", y="(1,2,3,4,5)"), "decompose").ok
-    assert built == []
-    assert run_job(JOB1, phase="graph").ok
-    assert built and set(built) == {4}
-
-
-def test_tops_and_h_are_computed_once_per_job(monkeypatch):
-    """L's generators are closed by no `decompose` job: `twist-identities`
-    tests them one gather each. One `quotient` run of example-1 closes L =
-    Sym{3,4} (K's tops) once and H = Sym{2..4} once, for the graph build's
-    transversal; `two-arc-transitive` reads their generators alone."""
+def test_no_job_closes_h_or_l(monkeypatch):
+    """No stage closes H = Sym{2..n} or L = Sym{3..n}, as tops or as
+    embedded wreath elements: `twist-identities` tests L's generators one
+    gather each, `two-arc-transitive` acts with H's generators on the orbit
+    of 2, and the graph's neighbour seeds are its sections. `decompose` jobs
+    at n = 4 and 7 and a `full` example-1 job close neither."""
     calls = {"l_closure": 0, "h_closure": 0}
-    closure = wreath.closure
 
-    def counted(gens, identity, *args, **kwargs):
-        n = identity.degree
-        calls["l_closure"] += tuple(gens) == wreath._sym_tail_gens(n, start=3)
-        calls["h_closure"] += tuple(gens) == wreath._sym_tail_gens(n, start=2)
-        return closure(gens, identity, *args, **kwargs)
+    def counted(real):
+        def closure(gens, identity, *args, **kwargs):
+            tops = tuple(getattr(s, "sigma", s) for s in gens)
+            if tops:
+                n = tops[0].degree
+                calls["l_closure"] += tops == wreath._sym_tail_gens(n, start=3)
+                calls["h_closure"] += tops == wreath._sym_tail_gens(n, start=2)
+            return real(gens, identity, *args, **kwargs)
 
-    monkeypatch.setattr(wreath, "closure", counted)
+        return closure
+
+    for module in (wreath, report):  # the modules of `src/` that call `closure`
+        monkeypatch.setattr(module, "closure", counted(module.closure))
     for n in (4, 7):
         spec = JobSpec(n=n, group="A5", x="(1,2)(3,4)", y="(1,2,3,4,5)")
         assert run_job(spec, phase="decompose").ok
     assert calls == {"l_closure": 0, "h_closure": 0}
     assert run_job(JOB1, phase="full").ok
-    assert calls == {"l_closure": 1, "h_closure": 1}
+    assert calls == {"l_closure": 0, "h_closure": 0}
 
 
 def test_full_certificate_shape_and_values():

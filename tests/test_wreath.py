@@ -142,7 +142,7 @@ def test_entry_arithmetic_matches_permutation_products(name, dtype, conjugator_r
         group = conjugator_route(group)
     ctx = WreathContext(5, group)
     assert ctx.dtype == dtype
-    elems = group.elements()
+    elems = closure(group.generators, group.identity)
     rng = random.Random(5)
     picks = [[rng.randrange(len(elems)) for _ in range(ctx.k)] for _ in range(6)]
     a, b = (np.array([[ctx.entries.idx(elems[i]) for i in row] for row in half], dtype=dtype)
@@ -248,7 +248,8 @@ def test_h_and_l_elements_are_the_wreath_closures(n):
     data = data_for(n=n)
     h_elems = closure(data.h_gens, data.ctx.identity_element())
     assert [w.key() for w in data.h_elements()] == [w.key() for w in h_elems]
-    assert data.k_tops() == [w.sigma for w in l_elements(data)]
+    l_tops = closure(data.l_top_gens, Permutation.identity(n))
+    assert l_tops == [w.sigma for w in l_elements(data)]
 
 
 C = P("(1,2,3)", 5)
@@ -266,7 +267,8 @@ def assert_tops_match_the_wreath_oracle(data):
     and the generator test passes exactly when K = L; returns K's tops."""
     l_tops, k_tops = twist_intersection(data)
     g, h_elems, l_elems = data.g, data.h_elements(), l_elements(data)
-    assert data.h_tops() == [w.sigma for w in h_elems]
+    h_tops = closure(data.h_top_gens, Permutation.identity(data.ctx.n))
+    assert h_tops == [w.sigma for w in h_elems]
     assert l_tops == [w.sigma for w in l_elems]
     inter = conj_intersection(h_elems, g)
     assert {t.key() for t in k_tops} == {w.sigma.key() for w in inter}
@@ -290,7 +292,8 @@ def test_twist_tops_match_the_cycle_oracle_at_n8():
     test of L's two generators says."""
     data = data_for(n=8)
     l_tops, k_tops = twist_intersection(data)
-    assert len(l_tops) == 720 and k_tops == l_tops == data.k_tops()
+    assert len(l_tops) == 720 and k_tops == l_tops
+    assert l_tops == closure(data.l_top_gens, Permutation.identity(8))
     assert twist_tops(data)
 
 
@@ -311,7 +314,9 @@ def test_two_arc_transitive_from_generators_matches_the_closure_route(case):
     transversal of K, both closed as tops, decides."""
     n, name, x, y = TOPS_CASES.get(case, (8, "A5", X, Y))
     data = build_cover_group(CoverJob(n=n, group=resolve_group(name), x=x, y=y, group_name=name))
-    closed = coset_oracle.two_arc_transitive(data.h_tops(), data.k_tops(), data.h_top_gens)
+    identity = Permutation.identity(n)
+    h_tops, k_tops = (closure(gens, identity) for gens in (data.h_top_gens, data.l_top_gens))
+    closed = coset_oracle.two_arc_transitive(h_tops, k_tops, data.h_top_gens)
     assert two_arc_transitive(data.h_top_gens, data.l_top_gens, n) == closed
     assert closed == {"index": n - 1, "two_transitive": True}
 
