@@ -18,8 +18,9 @@ into the block structure (`normal_closure` and `RowSifter`: A5 at n = 7
 and 8 with its table, A7 at n = 6 and the n = 4 A11 kernel of example-3 on
 their entry pools), the subdirect decomposition of every Schreier row of
 the kernel (the test oracle's BFS over all n! tops: 1714 uint8 rows at
-n = 7 for A5) by each linking route (table propagation on the A5 kernel;
-the conjugator search on the A11 kernel), the n = 6 A11 kernel's normal
+n = 7 for A5), all given to a `RowSifter` in one batch, by each linking
+route (table propagation on the A5 kernel; the conjugator search on the
+A11 kernel), the n = 6 A11 kernel's normal
 closure over a fresh entry pool (its rows sifted as they are formed:
 k = 120, d = 120), the decomposition of the n = 6 A7 kernel (k = 120, d = 60) on A7's entry pool and through a `TableGroup`
 built for it, and, on the 240-vertex cover of K4 of
@@ -44,6 +45,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from schreier_oracle import schreier_rows  # noqa: E402
+from subdirect_oracle import decompose_rows  # noqa: E402
 from arccover.catalog import resolve_group
 from arccover.cosetgraph import (
     build_coset_graph,
@@ -53,7 +55,7 @@ from arccover.cosetgraph import (
 )
 from arccover.groups import PermGroup, TableGroup, closure
 from arccover.perm import Permutation, parse_cycles
-from arccover.subdirect import RowSifter, subdirect_decompose
+from arccover.subdirect import RowSifter
 from arccover.wreath import (
     CoverJob,
     WreathContext,
@@ -189,11 +191,12 @@ def test_normal_closure(benchmark, name, n, x, y, d, rounds):
     ("A11", 4, "(1,2)(3,6)", "(1,2,3,4,5,6,7,8,9,10,11)", 6),
 ], ids=["A5-n7-table", "A11-n4-conjugator"])
 def test_subdirect_decompose(benchmark, name, n, x, y, d):
-    """The decomposition of every Schreier row at once (`subdirect_decompose`,
-    as the tuple-generators stage decomposes its three rows)."""
+    """The decomposition of every Schreier row at once: one `RowSifter.add`
+    of them all and its `structure()`, as the tuple-generators stage sifts
+    its three rows."""
     group = resolve_group(name)
     kgens = formed_rows(cover_data(n, group, x, y))[0]
-    structure = benchmark(subdirect_decompose, kgens, group)
+    structure = benchmark(decompose_rows, kgens, group)
     assert structure.block_count == d
     assert (group.table() is None) == (name == "A11")
 
@@ -220,7 +223,7 @@ def test_a7_n6_decomposition(benchmark, route):
     table = TableGroup(group) if route == "table" else None
     group.table = lambda: table
     kgens = formed_rows(cover_data(6, group, "(1,2)(3,4)", "(1,2,3,4,5,6,7)"))[0]
-    structure = benchmark(subdirect_decompose, kgens, group)
+    structure = benchmark(decompose_rows, kgens, group)
     assert structure.block_count == 60 and kgens.dtype == group.entries().dtype
 
 

@@ -8,7 +8,6 @@ from .errors import ArccoverError, CapacityExceeded, ValidationError
 from .groups import StabilizerChain, closure, group_order
 from .perm import Permutation, parse_cycles
 from .report import Certificate, JobSpec, run_job
-from .subdirect import subdirect_decompose
 from .wreath import CoverJob, WreathContext, build_cover_group
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "resolve_group",
     "run_job",
     "run_suite",
-    "subdirect_decompose",
 ]
 
 

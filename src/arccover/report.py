@@ -30,7 +30,6 @@ from .subdirect import (
     cross_automorphism,
     inverting_automorphism,
     structures_equal,
-    subdirect_decompose,
 )
 from .wreath import (
     CoverGroupData,
@@ -522,7 +521,9 @@ def _block_prediction(run: _Run):
 def _tuple_generators(run: _Run):
     tuples = k4_tuple_data(run.data)  # checks that their tops are trivial
     rows = np.stack([t.f for t in (tuples.t1, tuples.t2, tuples.t3)])
-    alt = subdirect_decompose(rows, run.data.job.group)
+    sifter = RowSifter(run.data.job.group, rows.shape[1])
+    sifter.add(rows)
+    alt = sifter.structure()
     same = structures_equal(alt, run.products["block-structure"])
     positional = [
         [p.cycle_string() for p in row] for row in tuples.tuples_in_positions()

@@ -5,10 +5,9 @@ is a direct product of full diagonal subgroups (Scott's lemma; Dixon and
 Mortimer, Permutation Groups, 4.3): the components split into blocks, each
 block carries linking automorphisms from a base component, and
 M = { z : z_j = link_j(z_base) within each block }. This module computes that
-structure exactly from a generating set (`subdirect_decompose`), or from rows
-that come in batches by keeping only those that change it (`RowSifter`),
-plus the specific automorphism criteria that predict the block count for the
-n = 4 construction.
+structure exactly from generating rows given in batches, keeping only those
+that change it (`RowSifter`), plus the specific automorphism criteria that
+predict the block count for the n = 4 construction.
 
 Entries of T are the integer ids `WreathContext` uses (`PermGroup.entries`):
 table indices when T has a table (`PermGroup.table`: A5, or a T up to
@@ -20,7 +19,6 @@ search, which needs T natural alternating.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -38,7 +36,6 @@ from .groups import (
     extend_to_automorphism,
     generating_rows,
     is_natural_alternating,
-    row_hash,
 )
 from .perm import Permutation
 
@@ -57,7 +54,7 @@ class SubdirectStructure:
     base_of: np.ndarray  # component -> base component of its block
     link_id: np.ndarray  # component -> its link in `maps`
     maps: tuple[AutomorphismMap, ...]
-    generators: np.ndarray  # distinct generating rows in input order, or a sifter's S
+    generators: np.ndarray  # a sifter's S
     group: PermGroup
 
     @property
@@ -84,11 +81,10 @@ class SubdirectStructure:
     def order(self) -> int:
         return self.group.order() ** self.block_count
 
-    def contains(self, row: Sequence) -> bool:
-        """Membership of a row of k entry ids, a sequence or a row of an
-        entry matrix: within each block every entry follows its linking map."""
-        rows = row[None] if isinstance(row, np.ndarray) else [row]
-        return bool(self._holds(_entry_rows(rows, self.group, self.k))[0])
+    def contains(self, row: np.ndarray) -> bool:
+        """Membership of a row of an entry matrix (`WreathElement.f`): within
+        each block every entry follows its linking map."""
+        return bool(self._holds(row[None])[0])
 
     def _holds(self, matrix: np.ndarray) -> np.ndarray:
         """Per row of an entry matrix, whether it lies in the subgroup: its
@@ -173,7 +169,7 @@ class RowSifter:
     refined by it (`SubdirectStructure.refined`), so d only grows. S lies in
     M and every row given lies in <S>, so <S> = M; blocks, bases (the least
     component of each block) and links are fixed by M, and they are those
-    of `subdirect_decompose` over all the rows.
+    of the decomposition of all the rows at once.
 
     `rows_formed` (rows given), `rows_kept` (|S|) and `decompositions` (S's
     structure found whole, then refined) count the work. A decomposition raises
@@ -220,7 +216,7 @@ class RowSifter:
     def structure(self) -> SubdirectStructure:
         """M's structure. If S never decomposed, S holds every row given,
         and its decomposition now names the least column that does not
-        generate T (ValidationError), as `subdirect_decompose` would."""
+        generate T (ValidationError), as one of all the rows would."""
         if self._structure is None:
             self._decompose(whole=True)
         return self._structure
@@ -238,59 +234,6 @@ class RowSifter:
             self._prefixes, self._generates, whole,
         )
         self.decompositions += self._structure is not None
-
-
-def _entry_rows(gens: Sequence, group: PermGroup, k: Optional[int] = None) -> np.ndarray:
-    """The distinct rows of `gens`, in input order, as T's entry matrix.
-
-    `gens` is a 2-D integer matrix of rows, as a `RowSifter` keeps, or a
-    sequence of rows, all of one length (k, if given). Entries must be int
-    entry ids 0..size-1 (`PermGroup.entries`; a bool is not an int here),
-    held in the entries' dtype; anything else is a ValidationError. A
-    matrix of distinct rows in that dtype comes back as itself.
-    """
-    matrix = None
-    if isinstance(gens, np.ndarray) and gens.ndim == 2 and gens.dtype.kind in "iu":
-        matrix = gens  # one width, int entries by its dtype
-        widths = {gens.shape[1]} if len(gens) else set()
-        found = {int}
-    else:
-        rows = [tuple(z) for z in gens]
-        widths = set(map(len, rows))
-        found = set(map(type, itertools.chain.from_iterable(rows)))
-    if len(widths) != 1 or 0 in widths or (k is not None and widths != {k}):
-        want = "one positive length" if k is None else f"length {k}"
-        raise ValidationError(f"rows must have {want}, got lengths {sorted(widths)}")
-    entries = group.entries()
-    ids = "table indices" if group.table() is not None else "pool ids"
-    if found != {int}:
-        got = ", ".join(sorted(t.__name__ for t in found - {int}))
-        raise ValidationError(f"entries of T must be int {ids}, got {got}")
-    if matrix is None:
-        matrix = np.array(rows)
-    if matrix.min() < 0 or matrix.max() >= entries.size:
-        raise ValidationError(f"entries of T must be {ids} 0..{entries.size - 1}")
-    matrix = matrix.astype(entries.dtype, copy=False)
-    first = _first_rows(matrix)
-    return matrix if len(first) == len(matrix) else matrix[first]
-
-
-def _first_rows(matrix: np.ndarray) -> list[int]:
-    """Positions of the first occurrence of each distinct row, in order.
-    Rows are filed by `row_hash` and compared only when their hashes meet,
-    so no row is copied."""
-    seen: dict[int, list[int]] = {}  # hash -> positions of the rows kept with it
-    out = []
-    for i, row in enumerate(matrix):
-        same = seen.get(h := row_hash(row))
-        if same is None:
-            seen[h] = [i]
-        elif any(np.array_equal(matrix[r], row) for r in same):
-            continue
-        else:
-            same.append(i)
-        out.append(i)
-    return out
 
 
 def _fingerprints(columns: np.ndarray, group: PermGroup) -> list[int]:
@@ -329,22 +272,6 @@ def _fingerprints(columns: np.ndarray, group: PermGroup) -> list[int]:
     return out.tolist()
 
 
-def subdirect_decompose(
-    gens: Sequence, group: PermGroup, out_of_budget: Callable[[], bool] = lambda: False
-) -> SubdirectStructure:
-    """Block structure of the subgroup of T^k generated by `gens`, all of
-    them decomposed at once (`RowSifter` keeps only the rows that change
-    the structure).
-
-    Rows are an integer matrix or k-tuples of entry ids (module docstring);
-    repeats are dropped, and the structure's generators are the distinct
-    rows in input order (`_entry_rows`). Raises BudgetExhausted as
-    `_decompose`.
-    """
-    _require_links(group)
-    return _decompose(_entry_rows(gens, group), group, out_of_budget, {}, {})
-
-
 def _require_links(group: PermGroup) -> None:
     if group.table() is None and not is_natural_alternating(group):
         raise ValidationError(
@@ -359,7 +286,7 @@ def _decompose(
     out_of_budget: Callable[[], bool],
     prefixes: dict[int, list[int]],
     generates: dict[frozenset, bool],
-    whole: bool = True,
+    whole: bool,
 ) -> Optional[SubdirectStructure]:
     """The structure of the distinct rows of an entry matrix. `prefixes`
     holds the generating prefixes (`_prefixes`) of columns known to
@@ -443,7 +370,7 @@ def _prefixes(
     bases: list[int],
     group: PermGroup,
     generates: dict[frozenset, bool],
-    whole: bool = True,
+    whole: bool,
 ) -> dict[int, list[int]]:
     """Each base column's generating prefix: the rows of its first distinct
     entries, up to the first that generate T ([] if none do). The columns

@@ -21,9 +21,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from subdirect_oracle import distinct_rows
 from arccover.errors import BudgetExhausted, CapacityExceeded, InternalCheckError
 from arccover.groups import BATCH_ENTRIES, ENUM_CAP_DEFAULT, DistinctRows
-from arccover.subdirect import _entry_rows
 from arccover.wreath import CoverGroupData, WreathContext, _lehmer_ranks
 
 
@@ -33,7 +33,7 @@ def all_rows(data, image_cap: int = ENUM_CAP_DEFAULT, out_of_budget: Callable = 
     and the number of tops it reached."""
     batches = []
     tops = schreier_rows(data, batches.append, image_cap, out_of_budget)
-    return _entry_rows(np.concatenate(batches), data.job.group), tops
+    return distinct_rows(np.concatenate(batches)), tops
 
 
 def schreier_kernel_generators(

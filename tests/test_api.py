@@ -21,7 +21,7 @@ LIBRARY = [
     "Permutation", "parse_cycles", "resolve_group",
     "closure", "group_order", "StabilizerChain",
     "CoverJob", "WreathContext", "build_cover_group",
-    "subdirect_decompose", "build_coset_graph", "quotient_graph",
+    "build_coset_graph", "quotient_graph",
 ]
 
 

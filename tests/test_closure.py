@@ -1,7 +1,7 @@
 """The kernel M as the normal closure of the kernel witness (`normal_closure`)
 against the Schreier route (`schreier_oracle.schreier_rows`, a BFS over all
-n! tops), structure by structure, and the Coxeter relations its proof rests
-on."""
+n! tops), structure by structure, the Coxeter relations its proof rests
+on, and the batches that the pipeline's sifters are given."""
 
 import dataclasses
 
@@ -15,7 +15,13 @@ from arccover.groups import PermGroup
 from arccover.perm import parse_cycles
 from arccover.report import JobSpec, run_job
 from arccover.subdirect import RowSifter, structures_equal
-from arccover.wreath import CoverJob, build_cover_group, kernel_witness, normal_closure
+from arccover.wreath import (
+    CoverJob,
+    build_cover_group,
+    k4_tuple_data,
+    kernel_witness,
+    normal_closure,
+)
 
 A5 = ("A5", "(1,2)(3,4)", "(1,2,3,4,5)")
 A5_Y2 = ("A5", "(1,2)(3,4)", "(1,5,3)")
@@ -90,6 +96,27 @@ def test_closure_conjugates_s_by_every_generator_of_y(job, n):
     want = np.stack([(y.inverse() * s * y).f for y in data.y_gens])
     assert data.y_gens[-1] is data.g and len(want) == len(data.h_gens) + 1
     assert np.array_equal(spy.batches[1], want)
+
+
+def test_tuple_generators_sifts_the_three_tuples_in_one_batch(monkeypatch):
+    """Example-1's decompose job builds two sifters, the kernel's and then
+    tuple-generators': the second is given t1, t2, t3 as one batch, and its
+    d is the certified tuple_d."""
+    sifters = []
+
+    class Recorded(SpyingSifter):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sifters.append(self)
+
+    monkeypatch.setattr(report, "RowSifter", Recorded)
+    cert = run_job(JobSpec(n=4, group="A5", x="(1,2)(3,4)", y="(1,2,3,4,5)"), "decompose")
+    tuples = k4_tuple_data(cover(A5, 4))
+    assert len(sifters) == 2
+    (batch,) = sifters[1].batches
+    assert np.array_equal(batch, np.stack([t.f for t in (tuples.t1, tuples.t2, tuples.t3)]))
+    tuple_d = cert.check("tuple-generators")["computed"]["tuple_d"]
+    assert sifters[1].structure().block_count == tuple_d == 1
 
 
 @pytest.mark.parametrize("klass", [1, 2, 3, 4])

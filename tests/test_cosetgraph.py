@@ -18,6 +18,7 @@ import pytest
 
 import coset_oracle as oracle
 from schreier_oracle import all_rows
+from subdirect_oracle import decompose_rows
 from table_oracle import int32_table
 from arccover import cosetgraph
 from arccover.catalog import resolve_group
@@ -36,7 +37,7 @@ from arccover.errors import CapacityExceeded, InternalCheckError, ValidationErro
 from arccover.groups import EntryPool, PermGroup, closure
 from arccover.perm import Permutation, parse_cycles
 from arccover.report import JobSpec, run_job
-from arccover.subdirect import RowSifter, subdirect_decompose
+from arccover.subdirect import RowSifter
 from arccover.wreath import (
     CoverJob,
     WreathElement,
@@ -84,7 +85,7 @@ def cover_data(group, x, y):
     job = CoverJob(n=4, group=group, x=P(x, group.degree), y=P(y, group.degree))
     data = build_cover_group(job)
     kgens = all_rows(data)[0]
-    return data, subdirect_decompose(kgens, group)
+    return data, decompose_rows(kgens, group)
 
 
 def example1():

@@ -10,6 +10,7 @@ import pytest
 
 from coset_oracle import conj_intersection, right_transversal
 from schreier_oracle import all_rows
+from subdirect_oracle import decompose_rows
 from table_oracle import int32_table
 from arccover.catalog import BUILTIN_CATALOG, resolve_group
 from arccover.cosetgraph import _Fibre
@@ -36,7 +37,6 @@ from arccover.groups import (
     orbit,
 )
 from arccover.perm import Permutation, parse_cycles
-from arccover.subdirect import subdirect_decompose
 from arccover.wreath import CoverJob, build_cover_group
 
 
@@ -338,7 +338,7 @@ def test_natural_alternating_t_past_one_byte_runs_on_its_pool(monkeypatch):
     monkeypatch.setattr(groups, "is_natural_alternating", lambda g: decided.append(g) or natural(g))
     data = build_cover_group(CoverJob(n=4, group=a7, x=P("(1,2)(3,4)", 7),
                                       y=P("(1,2,3,4,5,6,7)", 7)))
-    assert subdirect_decompose(all_rows(data)[0], a7).block_count == 3
+    assert decompose_rows(all_rows(data)[0], a7).block_count == 3
     assert a7._table is None and a7.table() is None
     assert decided == [a7]
     assert isinstance(data.ctx.entries, EntryPool) and data.ctx.dtype == np.uint16
@@ -629,7 +629,7 @@ def test_index_maps_agree_with_and_without_a_table(conjugator_route):
     for group in (a5, conjugator_route(a5)):
         job = CoverJob(n=4, group=group, x=P("(1,2)(3,4)", 5), y=P("(1,2,3,4,5)", 5))
         data = build_cover_group(job)
-        fibres.append((data, _Fibre(subdirect_decompose(all_rows(data)[0], group))))
+        fibres.append((data, _Fibre(decompose_rows(all_rows(data)[0], group))))
     (data, fibre), (bare_data, bare) = fibres
     pool = bare.entries
     assert isinstance(pool, EntryPool) and pool.size == bare.size == 60

@@ -1,6 +1,6 @@
 """The sifted block structure (`RowSifter`) of the rows of every Schreier
 generator (`schreier_oracle.schreier_rows`, many rows in large batches)
-against their decomposition all at once (`subdirect_decompose`),
+against their decomposition all at once (`subdirect_oracle.decompose_rows`),
 its refinement by a row outside <S>, the inverse-pair blocks at n >= 5 and
 their two interned links, and the pool's conjugation cache that its links
 read."""
@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from schreier_oracle import schreier_rows
+from subdirect_oracle import decompose_rows
 from arccover import report
 from arccover.catalog import resolve_group
 from arccover.cosetgraph import build_coset_graph, quotient_graph
@@ -20,7 +21,6 @@ from arccover.subdirect import (
     SubdirectStructure,
     inverting_automorphism,
     structures_equal,
-    subdirect_decompose,
 )
 from arccover.wreath import CoverJob, _lehmer_ranks, build_cover_group
 
@@ -82,7 +82,7 @@ def test_sifted_structure_is_the_decomposition_of_every_row(sifted):
     rows S kept give those of all the rows formed."""
     _, data, sifter, rows = sifted
     structure = sifter.structure()
-    assert_same_structure(structure, subdirect_decompose(rows, data.job.group))
+    assert_same_structure(structure, decompose_rows(rows, data.job.group))
     s = structure.generators
     assert len(s) == sifter.rows_kept <= sifter.rows_formed == len(rows)
     assert not s.flags.writeable and s.dtype == rows.dtype
@@ -194,7 +194,7 @@ def test_a_row_outside_s_raises_d():
     after = sifter.structure()
     assert after.block_count > before.block_count
     assert (sifter.rows_kept, sifter.decompositions) == (kept + 1, steps + 1)
-    whole = subdirect_decompose(np.vstack([rows, outside]), data.job.group)
+    whole = decompose_rows(np.vstack([rows, outside]), data.job.group)
     assert_same_structure(after, whole)
     # a row inside <S> changes nothing
     sifter.add(after.generators[:1])
@@ -223,12 +223,12 @@ def test_a_split_block_links_to_its_new_base(route, conjugator_route):
     sifter.add(row[None])
     after = sifter.structure()
     assert after.blocks == ((0, 1, 2), (3, 4, 5)) and after.base_of.tolist() == [0, 0, 0, 3, 3, 3]
-    assert_same_structure(after, subdirect_decompose(np.vstack([rows, row]), group))
+    assert_same_structure(after, decompose_rows(np.vstack([rows, row]), group))
 
 
 def test_a_column_that_never_generates_is_named_as_the_whole_decomposition_names_it():
     """Rows whose columns never all generate T all join S, and the structure
-    names the least column that does not, as `subdirect_decompose` does."""
+    names the least column that does not, as the decomposition of every row does."""
     data = cover(A5, 5)
     _, rows = sift(data)
     rows = rows.copy()
@@ -238,7 +238,7 @@ def test_a_column_that_never_generates_is_named_as_the_whole_decomposition_names
     assert sifter.decompositions == 0 and sifter.rows_kept == len(np.unique(rows, axis=0))
     message = "component 3 projection generates a proper subgroup"
     with pytest.raises(ValidationError, match=message):
-        subdirect_decompose(rows, data.job.group)
+        decompose_rows(rows, data.job.group)
     with pytest.raises(ValidationError, match=message):
         sifter.structure()
 

@@ -19,12 +19,9 @@ from arccover.perm import Permutation, parse_cycles
 from arccover.report import JobSpec, run_job
 from arccover.subdirect import (
     BlockReport,
-    _entry_rows,
-    _first_rows,
     cross_automorphism,
     inverting_automorphism,
     structures_equal,
-    subdirect_decompose,
 )
 from arccover.wreath import (
     CoverJob,
@@ -56,7 +53,7 @@ def kernel_structure(y, n=4, group=A5, x=X):
     job = CoverJob(n=n, group=group, x=x, y=y, group_name="T")
     data = build_cover_group(job)
     kgens = all_rows(data)[0]
-    return data, subdirect_decompose(kgens, group)
+    return data, oracle.decompose_rows(kgens, group)
 
 
 def positional_blocks(data, structure):
@@ -74,17 +71,18 @@ def positional_blocks(data, structure):
 @pytest.fixture
 def routes(conjugator_route):
     """A5 by table propagation and a fresh A5 by the conjugator search, each
-    with a converter of Permutation rows into its entry ids."""
+    with a converter of Permutation rows into rows of its entry ids."""
     out = []
     for group in (A5, conjugator_route(A5)):
-        idx = group.entries().idx
-        out.append((group, lambda *row, idx=idx: tuple(map(idx, row))))
+        entries = group.entries()
+        out.append((group, lambda *row, entries=entries: np.array(
+            list(map(entries.idx, row)), dtype=entries.dtype)))
     return out
 
 
 def test_full_diagonal_is_one_block(routes):
     for group, e in routes:
-        s = subdirect_decompose([e(X, X), e(Y1, Y1)], group)
+        s = oracle.decompose_rows([e(X, X), e(Y1, Y1)], group)
         assert s.block_count == 1
         assert s.blocks == ((0, 1),)
         assert s.order() == 60
@@ -94,7 +92,7 @@ def test_full_diagonal_is_one_block(routes):
 
 def test_twisted_diagonal_single_block(routes):
     for group, e in routes:
-        s = subdirect_decompose([e(X, X), e(Y1, Y1.inverse())], group)
+        s = oracle.decompose_rows([e(X, X), e(Y1, Y1.inverse())], group)
         assert s.block_count == 1
         link = s.links[1] if s.links[0] is None else s.links[0]
         assert image(link, X, group) == X and image(link, Y1, group) == Y1.inverse()
@@ -104,35 +102,20 @@ def test_twisted_diagonal_single_block(routes):
 
 def test_independent_components_are_singletons(routes):
     for group, e in routes:
-        s = subdirect_decompose([e(X, E), e(Y1, E), e(E, X), e(E, Y1)], group)
+        s = oracle.decompose_rows([e(X, E), e(Y1, E), e(E, X), e(E, Y1)], group)
         assert s.blocks == ((0,), (1,))
         assert s.order() == 3600
         assert s.contains(e(Y1, X * Y1))  # anything coordinatewise in T
         # the first two rows are diagonal, the third is not: a link is
         # accepted only if it holds on every row
-        s = subdirect_decompose([e(X, X), e(Y1, Y1), e(X * Y1, Y1 * X)], group)
+        s = oracle.decompose_rows([e(X, X), e(Y1, Y1), e(X * Y1, Y1 * X)], group)
         assert s.blocks == ((0,), (1,))
 
 
 def test_non_subdirect_rows_rejected(routes):
     for group, e in routes:
         with pytest.raises(ValidationError, match="component 1 projection"):
-            subdirect_decompose([e(X, X), e(Y1, E)], group)
-
-
-@pytest.mark.parametrize(
-    "rows",
-    [
-        [(1, 1), (2, 60)],  # past the last index
-        [(1, 1), (2, -1)],  # would read element 59
-        [(1, 1), (2, 2.7)],  # would be truncated to 2
-        [(1, 1), (2, "3")],
-        [(1, 1), (2, True)],
-    ],
-)
-def test_malformed_table_entries_rejected(rows):
-    with pytest.raises(ValidationError, match="entries of T"):
-        subdirect_decompose(rows, A5)
+            oracle.decompose_rows([e(X, X), e(Y1, E)], group)
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
@@ -143,87 +126,28 @@ def test_integer_matrix_is_taken_as_its_rows(dtype):
     table = A5.table()
     rows = [tuple(table.idx(p) for p in row) for row in [(X, X), (Y1, Y1.inverse())]]
     matrix = np.array([rows[0], rows[1], rows[0]], dtype=dtype)
-    by_matrix = subdirect_decompose(matrix, A5)
-    by_tuples = subdirect_decompose(rows, A5)
+    by_matrix = oracle.decompose_rows(matrix, A5)
+    by_tuples = oracle.decompose_rows(rows, A5)
     for s in (by_matrix, by_tuples):
         assert s.generators.dtype == np.uint8 and not s.generators.flags.writeable
         assert s.generators.tolist() == [list(row) for row in rows]
     assert by_matrix.blocks == by_tuples.blocks and structures_equal(by_matrix, by_tuples)
 
 
-def test_distinct_rows_are_kept_without_a_copy():
-    """Rows that are already distinct and uint8 come back as the same
-    memory, and the caller's matrix stays writeable."""
-    data, _ = kernel_structure(Y1)
-    rows = all_rows(data)[0]
-    s = subdirect_decompose(rows, A5)
-    assert np.shares_memory(s.generators, rows) and rows.flags.writeable
-    assert s.generators.shape == rows.shape
-
-
-@pytest.mark.parametrize("collide", [False, True], ids=["row-hash", "one-hash"])
-def test_first_rows_are_found_by_hash_and_comparison(monkeypatch, collide):
-    """Repeated rows are dropped and the first of each kept, in order, also
-    when every row is filed under one hash and told apart by comparison."""
-    data, _ = kernel_structure(Y1, n=5)
-    rows = all_rows(data)[0]
-    repeated = np.concatenate([rows[:10], rows[5:], rows[::-1], rows[:3]])
-    if collide:
-        monkeypatch.setattr(subdirect, "row_hash", lambda row: 0)
-    assert _first_rows(repeated) == list(range(10)) + list(range(15, 5 + len(rows)))
-    assert np.array_equal(_entry_rows(repeated, A5), rows)
-
-
 def test_decomposition_at_n7_peaks_below_one_and_a_half_megabytes():
-    """The column-major copy of the 1004 x 720 rows takes 0.72 MB; no row is
-    copied as a key, no round copies the base columns, and the integer
+    """The decomposition of the 1004 x 720 rows at once (`_decompose`): its
+    column-major copy of the rows takes 0.72 MB; no row is copied as a key, no round copies the base columns, and the integer
     temporaries are held to a fixed number of entries."""
     data, _ = kernel_structure(Y1, n=7)
     rows = all_rows(data)[0]
     tracemalloc.start()
     try:
-        s = subdirect_decompose(rows, A5)
+        s = subdirect._decompose(rows, A5, lambda: False, {}, {}, True)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert s.block_count == 360
     assert peak < 1_500_000
-
-
-@pytest.mark.parametrize("matrix, message", [
-    (np.array([[1, 1], [2, 60]]), "table indices 0..59"),
-    (np.array([[1, 1], [2, -1]]), "table indices 0..59"),
-    (np.zeros((0, 2), dtype=np.uint8), "one positive length, got lengths \\[\\]"),
-    (np.zeros((2, 0), dtype=np.uint8), "one positive length, got lengths \\[0\\]"),
-    (np.array([[1.0, 1.0], [2.0, 3.0]]), "int table indices, got float"),
-    (np.array([[True, True]]), "int table indices, got bool"),
-])
-def test_malformed_matrix_rejected(matrix, message):
-    with pytest.raises(ValidationError, match=message):
-        subdirect_decompose(matrix, A5)
-
-
-def test_matrix_needs_ids_of_the_pool_and_width_k(conjugator_route):
-    """Without a table, ids name the pool's entries: a fresh pool holds the
-    identity alone, so id 1 is not yet an entry."""
-    matrix = np.array([[1, 1], [2, 2]], dtype=np.uint8)
-    with pytest.raises(ValidationError, match="pool ids 0..0"):
-        subdirect_decompose(matrix, conjugator_route(A5))
-    with pytest.raises(ValidationError, match="length 3, got lengths \\[2\\]"):
-        _entry_rows(matrix, A5, 3)
-
-
-def test_entries_must_match_the_route(conjugator_route):
-    """Both routes take int entry ids only; a pool's ids are those it holds."""
-    bare = conjugator_route(A5)
-    for group, ids in ((A5, "table indices"), (bare, "pool ids")):
-        with pytest.raises(ValidationError, match=f"int {ids}, got Permutation"):
-            subdirect_decompose([(X, X), (Y1, Y1)], group)
-    with pytest.raises(ValidationError, match="pool ids 0..0"):
-        subdirect_decompose([(1, 1), (2, 2)], bare)
-    # an element reaches the pool through `idx` only, which checks it
-    with pytest.raises(ValidationError, match="not in this group"):
-        bare.entries().idx(P("(1,2)"))
 
 
 def test_membership_rejects_twisted_elements():
@@ -250,7 +174,7 @@ def oracle_blocks(base_of):
 
 
 def assert_matches_scan(matrix, group):
-    s = subdirect_decompose(matrix, group)
+    s = oracle.decompose_rows(matrix, group)
     base_of, lookups = oracle.decompose(matrix, group.table())
     assert s.base_of.tolist() == base_of
     assert s.blocks == oracle_blocks(base_of)
@@ -309,7 +233,7 @@ def test_budget_is_checked_before_each_round():
         return len(checks) == 2
 
     with pytest.raises(BudgetExhausted, match="time budget exhausted") as info:
-        subdirect_decompose(twin_columns(), A5, out_of_budget)
+        oracle.decompose_rows(twin_columns(), A5, out_of_budget)
     assert info.value.details == {"columns_scanned": 2}
 
 
@@ -385,7 +309,7 @@ def test_pool_route_checks_no_membership_after_the_construction(monkeypatch):
     contains = PermGroup.contains
     monkeypatch.setattr(PermGroup, "contains", lambda self, g: calls.append(g) or contains(self, g))
     rows = all_rows(data)[0]
-    s = subdirect_decompose(rows, a11)
+    s = oracle.decompose_rows(rows, a11)
     assert rows.shape == (35, 24) and s.block_count == 24
     assert calls == []
 
@@ -414,7 +338,7 @@ def test_object_mode_builds_one_chain_per_column(monkeypatch):
     kgens = all_rows(data)[0]
     a11.order()  # the group's own chain is not part of the count
     built = count_chains(monkeypatch)
-    s = subdirect_decompose(kgens, a11)
+    s = oracle.decompose_rows(kgens, a11)
     assert s.blocks == ((0,), (1,), (2,), (3,), (4,), (5,))
     assert len(built) == 6
 
@@ -433,7 +357,7 @@ def test_pool_tests_each_prefix_set_once(monkeypatch):
                         lambda self, elements: tested.append(frozenset(elements))
                         or subgroup_order(self, elements))
     built = count_chains(monkeypatch)
-    assert subdirect_decompose(kgens, a7).block_count == 12
+    assert oracle.decompose_rows(kgens, a7).block_count == 12
     assert len(set(tested)) == len(tested) > 0
     assert len(built) <= len(tested)
 
@@ -465,7 +389,7 @@ def test_conjugator_route_builds_one_chain_per_block_base(monkeypatch, conjugato
     kgens = all_rows(data)[0]
     group.order()  # the group's own chain is not part of the count
     built = count_chains(monkeypatch)
-    s = subdirect_decompose(kgens, group)
+    s = oracle.decompose_rows(kgens, group)
     assert s.block_count == d
     assert len(built) == d
 
@@ -482,7 +406,7 @@ def test_routes_agree_on_n4_kernels(table_route, conjugator_route, name, x, y):
         job = CoverJob(n=4, group=group, x=P(x, group.degree), y=P(y, group.degree))
         data = build_cover_group(job)
         kgens = all_rows(data)[0]
-        structures.append((data.ctx, subdirect_decompose(kgens, group)))
+        structures.append((data.ctx, oracle.decompose_rows(kgens, group)))
     (ctx_t, by_table), (ctx_c, by_conjugator) = structures
     assert by_table.blocks == by_conjugator.blocks
     assert np.array_equal(by_table.base_of, by_conjugator.base_of)
@@ -499,7 +423,7 @@ def test_routes_agree_on_n4_kernels(table_route, conjugator_route, name, x, y):
 
 
 def test_links_are_read_only_lookups_or_conjugations(conjugator_route):
-    """A table link, from `subdirect_decompose` or `extend_to_automorphism`,
+    """A table link, from a decomposition or `extend_to_automorphism`,
     is one read-only lookup array over the entry ids, in the table's dtype,
     and `image` reads it; the distinct links of one decomposition round
     share a copy of their distinct rows, and nothing more (at n = 5 the 12
@@ -566,7 +490,7 @@ def test_linking_relation_consistency_sampled():
 def test_structures_equal_and_tuple_route():
     data, s = kernel_structure(Y1)
     tuples = k4_tuple_data(data)
-    alt = subdirect_decompose([t.f.tolist() for t in (tuples.t1, tuples.t2, tuples.t3)], A5)
+    alt = oracle.decompose_rows([t.f.tolist() for t in (tuples.t1, tuples.t2, tuples.t3)], A5)
     assert structures_equal(alt, s)
     assert structures_equal(s, s)
     _, s3 = kernel_structure(Y2)
