@@ -26,12 +26,13 @@ centralizer acting on the right, through int vertex maps
 Arrays are held in the narrowest dtype of what they hold. T's entry ids,
 the fibre's coordinates and key ranks and the key columns are in the entry
 dtype (`id_dtype`: uint8 up to |T| = 256, else uint16). Fibre points,
-vertex ids, `vertex`, `adjacency`, vertex maps, orbit labels and orbit
-numbers are in the vertex ids' dtype (`_id_type`: int32 up to 2^31 - 1
-vertices). The build and the quotient read the adjacency one column at a
-time, so each temporary is one section's or one column's; the only intp
-array is the sort order of one section's keys. An export formats at most
-EXPORT_CHUNK_INTS ints at a time.
+vertex ids, `vertex`, `adjacency`, vertex maps and orbit numbers are in the
+vertex ids' dtype (`_id_type`: int32 up to 2^31 - 1 vertices), and so are
+the component and orbit labels, which `groups.orbit_labels` gives in the
+dtype of the columns or maps. The build and the quotient read the adjacency
+one column at a time, so each temporary is one section's or one column's;
+the only intp array is the sort order of one section's keys. An export
+formats at most EXPORT_CHUNK_INTS ints at a time.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ from .groups import (
     EntryPool,
     group_order,
     is_2_transitive,
-    orbit,
+    orbit_labels,
+    point_maps,
 )
 from .perm import Permutation, parse_cycles
 from .subdirect import SubdirectStructure
@@ -149,7 +151,7 @@ class CosetGraph:
                 raise InternalCheckError("neighbor cosets collide; H∩H^g is wrong")
         self.adjacency.sort(axis=1)
         _check_symmetric(self.adjacency)
-        labels = _orbit_labels(list(self.adjacency.T), self.order)
+        labels = orbit_labels(list(self.adjacency.T), self.order)
         self.components = int(np.count_nonzero(labels == np.arange(self.order, dtype=ids)))
 
     @property
@@ -271,26 +273,6 @@ def _check_symmetric(adjacency: np.ndarray) -> None:
             raise InternalCheckError("an edge of the coset graph has no reverse")
 
 
-def _orbit_labels(columns: Sequence[np.ndarray], order: int) -> np.ndarray:
-    """The least vertex of each vertex's class under the edges v -> col[v].
-
-    For the columns of a symmetric adjacency the classes are the connected
-    components; for permutations generating a finite group, its orbits
-    (every orbit is strongly connected). Labels are pulled along the edges
-    and then through themselves, in place, until nothing changes. A label
-    only falls, so an unchanged sum is an unchanged array.
-    """
-    label = np.arange(order, dtype=_id_type(order))
-    total = None
-    while True:
-        for col in columns:
-            np.minimum(label, label[col], out=label)
-        label[:] = label[label]
-        before, total = total, int(label.sum(dtype=np.int64))
-        if total == before:
-            return label
-
-
 def two_arc_transitive(
     h_gens: Sequence[Permutation], k_gens: Sequence[Permutation], degree: int
 ) -> dict:
@@ -299,11 +281,12 @@ def two_arc_transitive(
     Criterion: H acts 2-transitively on the right cosets of K = H ∩ H^g.
     K's generators `k_gens` fix 2 and |H| = |2^H|·|K| (stabilizer chains),
     so K is the stabilizer of 2 in H, and K·h -> 2^h carries H's action on
-    the cosets to its action on the orbit of 2. That action is computed for
-    the generators `h_gens` of H. InternalCheckError if K is not the
-    stabilizer of 2.
+    the cosets to its action on the orbit of 2, numbered in increasing
+    order. That action is computed for the generators `h_gens` of H.
+    InternalCheckError if K is not the stabilizer of 2.
     """
-    points = orbit(2, h_gens, lambda p, h: h.apply(p))
+    labels = orbit_labels(point_maps(h_gens, degree), degree)
+    points = (np.flatnonzero(labels == labels[1]) + 1).tolist()
     fixes_2 = all(s.apply(2) == 2 for s in k_gens)
     if not fixes_2 or group_order(h_gens, degree) != len(points) * group_order(k_gens, degree):
         raise InternalCheckError("K is not the stabilizer of 2 in H")
@@ -345,20 +328,20 @@ def quotient_graph(graph: CosetGraph, elements: Sequence[WreathElement]) -> Cove
     the vertex ids' dtype, and the adjacency is read one column at a time.
     """
     adjacency = graph.adjacency
-    labels = _orbit_labels([graph.vertex_map(z) for z in elements], len(adjacency))
+    labels = orbit_labels([graph.vertex_map(z) for z in elements], len(adjacency))
     # the labels are the orbits' least vertices: number them in increasing order
     number = np.zeros(len(labels), dtype=labels.dtype)
     number[labels] = 1
     np.cumsum(number, out=number)
     count = int(number[-1]) if len(number) else 0
     number -= 1
-    orbit_of = number[labels]
+    orbit_at = number[labels]
     del labels, number
-    sizes = np.bincount(orbit_of, minlength=count).tolist()
+    sizes = np.bincount(orbit_at, minlength=count).tolist()
     if len(set(sizes)) != 1:
         raise ValidationError(f"orbit sizes differ ({sorted(set(sizes))}); not a cover action")
-    seen = [orbit_of[col] for col in adjacency.T]
-    if any((col == orbit_of).any() for col in seen):
+    seen = [orbit_at[col] for col in adjacency.T]
+    if any((col == orbit_at).any() for col in seen):
         raise ValidationError(
             "an edge joins two vertices of one orbit; quotient would have a loop"
         )
@@ -369,7 +352,7 @@ def quotient_graph(graph: CosetGraph, elements: Sequence[WreathElement]) -> Cove
     # an edge {a, b} of the quotient, a < b, as the code a·count + b
     code = _id_type(count * count)
     codes = _sorted_distinct(np.concatenate([
-        _sorted_distinct(np.minimum(orbit_of, col).astype(code) * count + np.maximum(orbit_of, col))
+        _sorted_distinct(np.minimum(orbit_at, col).astype(code) * count + np.maximum(orbit_at, col))
         for col in seen
     ]))
     q_adj: list[list[int]] = [[] for _ in range(count)]

@@ -1,17 +1,18 @@
 """Group engine: orders, closures, orbits, automorphism extension.
 
-Everything here is deterministic: BFS in generator order with FIFO frontiers
-and dict insertion order. The one random source is the stabilizer chain's
-sifting of product-replacement elements, and it is seeded; no certified fact
-depends on it, as the chain's order and membership are exact whatever
-elements were sifted (`StabilizerChain`). Groups are given by permutation
-generators and handled through a stabilizer chain without enumeration; small
-groups that are not natural alternating, and A5, are also enumerated as a
-`TableGroup`, which multiplies its ids through the images of a base of T and
-keeps a multiplication table only while they fit in one byte. Either way T's
-entries are integer ids (`PermGroup.entries`) in the smallest unsigned dtype
-holding |T| - 1 (`id_dtype`): table indices, or ids of the group's
-`EntryPool`.
+Everything here is deterministic: closures are BFS in generator order with
+FIFO frontiers, and orbits, of points, pairs or ids, are labelled by their
+least point (`orbit_labels`). The one random source is the stabilizer
+chain's sifting of product-replacement elements, and it is seeded; no
+certified fact depends on it, as the chain's order and membership are exact
+whatever elements were sifted (`StabilizerChain`). Groups are given by
+permutation generators and handled through a stabilizer chain without
+enumeration; small groups that are not natural alternating, and A5, are
+also enumerated as a `TableGroup`, which multiplies its ids through the
+images of a base of T and keeps a multiplication table only while they fit
+in one byte. Either way T's entries are integer ids (`PermGroup.entries`) in
+the smallest unsigned dtype holding |T| - 1 (`id_dtype`): table indices, or
+ids of the group's `EntryPool`.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ BATCH_ENTRIES = 1 << 15
 
 
 # ---------------------------------------------------------------------------
-# generic BFS closure and orbits
+# BFS closures and orbit labels
 # ---------------------------------------------------------------------------
 
 
@@ -76,7 +77,7 @@ def closure_rows(group: "PermGroup", cap: int = ENUM_CAP_DEFAULT) -> np.ndarray:
     (`DistinctRows`). Raises CapacityExceeded once more than `cap` rows are
     met."""
     degree = group.degree
-    gens = np.array([g.images for g in group.generators], dtype=np.uint8).reshape(-1, degree) - 1
+    gens = point_maps(group.generators, degree)
     rows = DistinctRows(degree, np.uint8)
     rows.add(np.arange(degree, dtype=np.uint8))
     done = 0
@@ -91,26 +92,32 @@ def closure_rows(group: "PermGroup", cap: int = ENUM_CAP_DEFAULT) -> np.ndarray:
     return rows.take(np.arange(rows.count))
 
 
-def orbit(point, generators: Sequence, action: Callable) -> list:
-    """Orbit of `point` under `generators` via `action(point, g)`, BFS order."""
-    out = [point]
-    seen = {point}
-    frontier = [point]
-    while frontier:
-        new_frontier = []
-        for p in frontier:
-            for g in generators:
-                q = action(p, g)
-                if q not in seen:
-                    seen.add(q)
-                    out.append(q)
-                    new_frontier.append(q)
-        frontier = new_frontier
-    return out
+def orbit_labels(maps: Sequence[np.ndarray], size: int) -> np.ndarray:
+    """The least point of each point's class under the edges p -> m[p] of
+    the maps m on 0..size-1, in the maps' dtype (intp when there are none).
+
+    For permutations the classes are the orbits of the group they generate
+    (every orbit of a finite group is strongly connected), and for the
+    columns of a symmetric adjacency the connected components. Labels are
+    pulled backwards along the edges and then through themselves, in place,
+    until nothing changes; a label only falls, so an unchanged sum is an
+    unchanged array. Labels travel backwards only, so for maps that are not
+    injective a point's label is the least point that it reaches.
+    """
+    label = np.arange(size, dtype=np.result_type(*maps) if len(maps) else np.intp)
+    total = None
+    while True:
+        for m in maps:
+            np.minimum(label, label[m], out=label)
+        label[:] = label[label]
+        before, total = total, int(label.sum(dtype=np.int64))
+        if total == before:
+            return label
 
 
-def _point_action(point: int, g: Permutation) -> int:
-    return g.apply(point)
+def point_maps(generators: Sequence[Permutation], degree: int) -> np.ndarray:
+    """The generators' 0-based images, one uint8 row per generator."""
+    return np.array([g.images for g in generators], dtype=np.uint8).reshape(-1, degree) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -426,11 +433,9 @@ class PermGroup:
             self._pool = EntryPool(self)
         return self._pool
 
-    def orbit_of(self, point: int) -> list[int]:
-        return orbit(point, self.generators, _point_action)
-
     def is_transitive(self) -> bool:
-        return len(self.orbit_of(1)) == self.degree
+        maps = point_maps(self.generators, self.degree)
+        return not np.count_nonzero(orbit_labels(maps, self.degree))
 
 
 def group_order(generators: Sequence[Permutation], degree: int) -> int:
@@ -459,17 +464,16 @@ def decimal_string(value: int) -> str:
 def is_2_transitive(generators: Sequence[Permutation], degree: int) -> bool:
     """True iff the group is 2-transitive on 1..degree.
 
-    BFS on ordered pairs under the generators; 2-transitive iff the pair
-    (1, 2) reaches all degree*(degree-1) ordered pairs of distinct points.
+    The generators act on the ordered pairs (p, q) of 0-based points,
+    numbered p·degree + q (`orbit_labels`). The pair (1, 2) is number 1 and
+    no pair (p, p) shares its orbit, so its orbit is labelled 1; it must
+    hold all degree·(degree - 1) pairs of distinct points.
     """
     if degree < 2:
         return False
-
-    def act(pair, g: Permutation):
-        return (g.apply(pair[0]), g.apply(pair[1]))
-
-    reached = orbit((1, 2), generators, act)
-    return len(reached) == degree * (degree - 1)
+    points = point_maps(generators, degree).astype(np.intp)
+    maps = [(g[:, None] * degree + g).reshape(-1) for g in points]
+    return int(np.count_nonzero(orbit_labels(maps, degree * degree) == 1)) == degree * (degree - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -554,25 +558,13 @@ class TableGroup:
         if self._levels:
             self._levels[-1] = np.zeros(len(self._levels[-1]), dtype=self.dtype)
             self._levels[-1][key] = np.arange(size)
-        gens = np.array([g.images for g in group.generators], dtype=np.uint8).reshape(-1, degree) - 1
-        self.gen_indices = tuple(self._lookup(gens).tolist())
-        # row a·s is s's row read at a's images, (a·s)(i) = s(a(i)); BFS over
-        # right multiplication by the generators must reach every row
+        self.gen_indices = tuple(self._lookup(point_maps(group.generators, degree)).tolist())
+        # row a·s is s's row read at a's images, (a·s)(i) = s(a(i)); right
+        # multiplication by the generators must carry row 0 to every row
         right = [self._lookup(images[s].take(images)) for s in self.gen_indices]
-        reached, new = np.zeros(size, dtype=bool), np.zeros(size, dtype=bool)
-        reached[0] = True
-        frontier = np.zeros(1, dtype=np.intp)
-        while len(frontier):
-            new[:] = False
-            for r in right:
-                new[r.take(frontier)] = True
-            new &= ~reached
-            reached |= new
-            frontier = np.flatnonzero(new)
-        if not reached.all():
-            raise InternalCheckError(
-                f"multiplication table: {size - np.count_nonzero(reached)} rows unreached"
-            )
+        unreached = np.count_nonzero(orbit_labels(right, size))
+        if unreached:
+            raise InternalCheckError(f"multiplication table: {unreached} rows unreached")
         ids = np.arange(size)
         self.mult = self._compose(ids[:, None], ids) if self.dtype.itemsize == 1 else None
         # a row's argsort is its inverse's images
@@ -772,20 +764,13 @@ class EntryPool:
 
 
 def conjugacy_classes(table: TableGroup) -> list[list[int]]:
-    """The conjugacy classes as index lists, ordered by their least index
-    (the identity's class first), each in BFS order from that index."""
+    """The conjugacy classes as increasing id lists, ordered by their least
+    id (the identity's class first): the orbits of the maps a -> s^-1·a·s
+    of the generators s."""
     ids = np.arange(table.size)
-    # per generator s, the map a -> s^-1·a·s over all ids
-    maps = [table.product(table.product(table.invert(s), ids), s).tolist() for s in table.gen_indices]
-    seen: set[int] = set()
-    classes = []
-    for a in range(table.size):
-        if a in seen:
-            continue
-        cls = orbit(a, maps, lambda p, m: m[p])
-        seen.update(cls)
-        classes.append(cls)
-    return classes
+    maps = [table.product(table.product(table.invert(s), ids), s) for s in table.gen_indices]
+    labels = orbit_labels(maps, table.size)
+    return [np.flatnonzero(labels == least).tolist() for least in np.flatnonzero(labels == ids)]
 
 
 def class_sizes_force_simple(sizes: Sequence[int], order: int) -> bool:
@@ -964,7 +949,7 @@ def conjugating_permutations(
     """
     if len(sources) != len(targets):
         raise ValidationError("sources and targets must have equal length")
-    if len(orbit(1, sources, _point_action)) != degree:
+    if np.count_nonzero(orbit_labels(point_maps(sources, degree), degree)):
         raise ValidationError("sources must act transitively for the conjugator search")
     out = []
     for first in range(1, degree + 1):

@@ -22,7 +22,9 @@ import numpy as np
 from ._version import __version__
 from .catalog import resolve_group
 from .errors import ArccoverError, CapacityExceeded, ValidationError
-from .groups import ENUM_CAP_DEFAULT, VERTEX_CAP_DEFAULT, closure, decimal_string, group_order
+from .groups import (
+    ENUM_CAP_DEFAULT, VERTEX_CAP_DEFAULT, closure, decimal_string, group_order, orbit_labels,
+)
 from .perm import parse_cycles
 from .subdirect import (
     BlockReport,
@@ -384,20 +386,14 @@ def _class_partition(run: _Run):
     )
     partition_ok = int(counts.sum()) == math.factorial(n - 1)
 
-    # transitive on a class of |L| elements == regular; L and (1,2) act on
-    # the cycle positions through their comp maps
-    regular = group_order(data.l_top_gens, n) == size
-    l_maps = [ctx.comp_map(s) for s in data.l_top_gens]
-    for positions in classes.values():
-        reached = np.zeros(ctx.k, dtype=bool)
-        frontier = positions[:1]
-        reached[frontier] = True
-        while frontier.size:
-            before = reached.copy()
-            for m in l_maps:
-                reached[m[frontier]] = True
-            frontier = np.flatnonzero(reached & ~before)
-        regular = regular and np.array_equal(np.flatnonzero(reached), positions)
+    # transitive on a class of |L| elements == regular; L acts on the cycle
+    # positions through its comp maps, with one orbit (label) per class
+    labels = orbit_labels([ctx.comp_map(s) for s in data.l_top_gens], ctx.k)
+    regular = (
+        group_order(data.l_top_gens, n) == size
+        and int(np.count_nonzero(labels == np.arange(ctx.k))) == len(classes)
+        and all((labels[p] == labels[p[0]]).all() for p in classes.values())
+    )
 
     reflect = ctx.comp_map(data.delta)
     reflected = all(

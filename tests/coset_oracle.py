@@ -15,7 +15,9 @@ it replaced is `cycle_oracle.twist_intersection`. So does
 action on a right transversal of K in H (`right_transversal`), both closed,
 which `cosetgraph.two_arc_transitive` replaced by the action of H's
 generators on the orbit of 2; the BFS seeds the graph by such a transversal
-too, where the derived graph takes the sections g·(2,j). `fibre_element`
+too, where the derived graph takes the sections g·(2,j). Its 2-transitivity
+is decided by `orbit`, a BFS of its own on ordered pairs, where the pipeline
+labels orbits with `groups.orbit_labels`. `fibre_element`
 turns a fibre point of the derived graph back into its element of M, so the
 two numberings can be compared.
 """
@@ -27,7 +29,7 @@ from typing import Optional, Sequence
 
 from arccover.cosetgraph import VERTEX_CAP_DEFAULT, CoverCertificate
 from arccover.errors import CapacityExceeded, InternalCheckError, ValidationError
-from arccover.groups import closure, is_2_transitive
+from arccover.groups import closure
 from arccover.perm import Permutation
 from arccover.wreath import WreathElement
 
@@ -58,6 +60,28 @@ def right_transversal(
             coset_of[(s * h).key()] = len(reps)
         reps.append(h)
     return reps, coset_of
+
+
+def orbit(point, generators: Sequence, action) -> list:
+    """The orbit of `point` under `generators` via `action(point, g)`, in
+    BFS order."""
+    out, seen = [point], {point}
+    for p in out:  # grows while it is read: a FIFO queue
+        for g in generators:
+            q = action(p, g)
+            if q not in seen:
+                seen.add(q)
+                out.append(q)
+    return out
+
+
+def is_2_transitive(generators: Sequence[Permutation], degree: int) -> bool:
+    """Whether the pair (1, 2) reaches all degree·(degree - 1) ordered pairs
+    of distinct points, by a BFS on pairs."""
+    if degree < 2:
+        return False
+    pairs = orbit((1, 2), generators, lambda pq, g: (g.apply(pq[0]), g.apply(pq[1])))
+    return len(pairs) == degree * (degree - 1)
 
 
 def two_arc_transitive(h_elements: Sequence, k_elements: Sequence, h_gens: Sequence) -> dict:

@@ -9,7 +9,8 @@ by walking it from 1 to 2, and conjugates numbered by their
 each element's conjugation map, and K = H ∩ H^g read off by one gather of
 g's base per element. `class_partition` is the `class-partition` stage as a
 loop over the cycle positions, one position at a time, that
-`report._class_partition` replaced by a sort and array orbits.
+`report._class_partition` replaced by a sort and the orbit labels of L's
+comp maps (`groups.orbit_labels`); its orbit walk is a loop of its own.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from arccover.groups import closure, group_order, orbit
+from arccover.groups import closure, group_order
 from arccover.perm import Permutation, parse_cycles
 
 
@@ -106,7 +107,14 @@ def class_partition(data) -> tuple[dict, bool]:
     regular = group_order(data.l_top_gens, n) == size
     l_maps = [comp_map(s) for s in data.l_top_gens]
     for positions in classes.values():
-        if set(orbit(positions[0], l_maps, lambda p, m: m[p])) != set(positions):
+        walked, todo = {positions[0]}, [positions[0]]
+        while todo:
+            p = todo.pop()
+            for m in l_maps:
+                if int(m[p]) not in walked:
+                    walked.add(int(m[p]))
+                    todo.append(int(m[p]))
+        if walked != set(positions):
             regular = False
     reflect = comp_map(data.delta)
     reflected = all(

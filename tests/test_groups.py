@@ -7,7 +7,10 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import coset_oracle
 from coset_oracle import conj_intersection, right_transversal
 from schreier_oracle import all_rows
 from subdirect_oracle import decompose_rows
@@ -34,7 +37,8 @@ from arccover.groups import (
     is_2_transitive,
     is_natural_alternating,
     is_nonabelian_simple,
-    orbit,
+    orbit_labels,
+    point_maps,
 )
 from arccover.perm import Permutation, parse_cycles
 from arccover.wreath import CoverJob, build_cover_group
@@ -66,10 +70,37 @@ def test_closure_cap():
                 Permutation.identity(7), cap=100)
 
 
-def test_orbit_oracle():
-    got = orbit(1, [P("(1,2,3)", 5)], lambda pt, g: g.apply(pt))
-    assert got == [1, 2, 3]
-    assert orbit(4, [P("(1,2,3)", 5)], lambda pt, g: g.apply(pt)) == [4]
+def test_orbit_labels():
+    """Each point is labelled by the least point of its orbit, in the maps'
+    dtype (intp for no maps); under a map that is not injective, by the
+    least point it reaches."""
+    labels = orbit_labels(point_maps([P("(1,2,3)", 5)], 5), 5)
+    assert labels.tolist() == [0, 0, 0, 3, 4] and labels.dtype == np.uint8
+    none = orbit_labels([], 3)
+    assert none.tolist() == [0, 1, 2] and none.dtype == np.intp
+    # 0 -> 2 and 1 -> 0: 2 reaches only itself
+    assert orbit_labels([np.array([2, 0, 2], dtype=np.int32)], 3).tolist() == [0, 0, 2]
+
+
+@st.composite
+def permutation_lists(draw):
+    """A degree from 2 to 9 and up to three permutations of it."""
+    degree = draw(st.integers(2, 9))
+    images = draw(st.lists(st.permutations(range(1, degree + 1)), max_size=3))
+    return degree, [Permutation(p) for p in images]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(permutation_lists())
+def test_orbit_labels_and_2_transitivity_agree_with_a_bfs(case):
+    """`orbit_labels` gives the least point of each point's BFS orbit, and
+    `is_2_transitive` the verdict of a BFS on ordered pairs from (1, 2)."""
+    degree, gens = case
+    points = range(1, degree + 1)
+    bfs = [min(coset_oracle.orbit(p, gens, lambda q, g: g.apply(q))) - 1 for p in points]
+    assert orbit_labels(point_maps(gens, degree), degree).tolist() == bfs
+    assert PermGroup(gens, degree).is_transitive() == (max(bfs) == 0)
+    assert is_2_transitive(gens, degree) == coset_oracle.is_2_transitive(gens, degree)
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +534,7 @@ def test_conjugacy_classes_of_a5():
     assert len(reps) == 5
     assert reps == sorted(reps) and reps[0] == 0
     assert all(c[0] == min(c) for c in classes)
+    assert all(c == sorted(c) for c in classes)
     assert sorted(t.order_of[r] for r in reps) == [1, 2, 3, 5, 5]
     assert sorted(map(len, classes)) == [1, 12, 12, 15, 20]
     assert sorted(i for c in classes for i in c) == list(range(60))
