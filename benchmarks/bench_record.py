@@ -15,8 +15,9 @@ length are those of the change's BENCHMARK.json. The record holds:
 - in_process: wall time and peak RSS (ru_maxrss) of a fresh process
   running the `extended-build` job, of one running the whole `extended`
   suite, of one running perfbench's cover-k4 job (COVER_K4, unconjugated),
-  and of one per `decompose` job of DECOMPOSE, with its d and its
-  `class-partition` and `kernel-generators` stage times: A5 at n = 8, 9
+  the two single jobs with their `graph-build` stage time, and of one per
+  `decompose` job of DECOMPOSE, with its d and its `class-partition`,
+  `kernel-generators` and `block-structure` stage times: A5 at n = 8, 9
   and 10, A11 at n = 7 and A7 at n = 4 to 7, the last five on the entry
   pool, per checkout: the medians of ROUNDS runs, with the runs (a job
   that a checkout rejects, such as n = 10 past a MATERIALIZE_LIMIT of 9,
@@ -88,6 +89,7 @@ elif sys.argv[1] == "cover-k4":
                                catalog=catalog, out_dir=tmp))
         ok = cert.check("graph-build")["passed"]  # the centralizer is capacity-skipped
         facts["vertices"] = cert.check("graph-build")["computed"]["vertices"]
+        facts["graph_build_s"] = cert.payload["timings"]["graph-build"]
 elif sys.argv[1] == "decompose":
     n, group, x, y = json.loads(sys.argv[2])
     cert = run_job(JobSpec(n=n, group=group, x=x, y=y), "decompose")
@@ -95,9 +97,12 @@ elif sys.argv[1] == "decompose":
     facts["d"] = cert.check("block-structure")["computed"]["d"]
     facts["class_partition_s"] = cert.payload["timings"]["class-partition"]
     facts["kernel_generators_s"] = cert.payload["timings"]["kernel-generators"]
+    facts["block_structure_s"] = cert.payload["timings"]["block-structure"]
 else:
     spec = [s for s in _suite_specs("extended") if s.label == "extended-build"][0]
-    ok = run_job(spec).ok
+    cert = run_job(spec)
+    ok = cert.ok
+    facts["graph_build_s"] = cert.payload["timings"]["graph-build"]
 print(json.dumps({"wall_s": round(time.perf_counter() - t0, 3), "ok": ok,
                   "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
                   **facts}))

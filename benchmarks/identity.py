@@ -6,7 +6,7 @@ Each checkout runs one fixed job list in its own child process, with
 PYTHONPATH=<checkout>/src, so each side runs its own code:
 
 - every job of its `examples`, `small-n` and `extended` suites;
-- A5 at n = 8 and 9, PSL27 at n = 5, A7 at n = 5, 6 and 7, A11 at n = 5;
+- A5 at n = 8, 9 and 10, PSL27 at n = 5, A7 at n = 5, 6 and 7, A11 at n = 5;
 - perfbench's job files at seeds 0, 1 and 3, written by
   `perfbench/jobs.py write_job_files` of this script's own checkout.
 
@@ -38,7 +38,7 @@ A5 = ("A5", "(1,2)(3,4)", "(1,2,3,4,5)")
 PSL27 = ("PSL27", "(1,8)(2,7)(3,4)(5,6)", "(1,2,3,4,5,6,7)")
 A7 = ("A7", "(1,2)(3,4)", "(1,2,3,4,5,6,7)")
 A11 = ("A11", "(1,2)(3,6)", "(1,2,3,4,5,6,7,8,9,10,11)")
-PAIRS = [(A5, 8), (A5, 9), (PSL27, 5), (A7, 5), (A7, 6), (A7, 7), (A11, 5)]
+PAIRS = [(A5, 8), (A5, 9), (A5, 10), (PSL27, 5), (A7, 5), (A7, 6), (A7, 7), (A11, 5)]
 
 
 def pair_job(pair: tuple[str, str, str], n: int) -> dict:

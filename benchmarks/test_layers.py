@@ -260,7 +260,8 @@ def built(request):
 
 
 def test_build_coset_graph(benchmark, built):
-    """The derived-graph build: voltages, canonical keys and adjacency."""
+    """The derived-graph build: voltages, adjacency columns, and the
+    symmetry and connectivity checks."""
     data, structure, _, order = built
     graph = benchmark(build_coset_graph, data, structure)
     assert graph.order == order and graph.components == 1

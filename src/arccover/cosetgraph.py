@@ -12,26 +12,27 @@ with one gather per dart and block base over all |T|^d fibre points and no
 coset search.
 
 An element m of M is held by its entry ids (`PermGroup.entries`) at the
-block bases of the subdirect structure (`_Fibre`); the other entries follow
-through the links. Vertices are numbered by the sorted canonical key of their
-coset, the least serialized key of an element of H·c_i·m: the least top of
-H·c_i first, then the entries, compared in the order of their Permutation
-keys.
+block bases of the subdirect structure (`_Fibre`), read as the fibre point f;
+the other entries follow through the links. The vertex set is the pairs
+(i, m) of the derived graph K_n ×_v M (Malnič–Nedela–Škoviera), and vertex
+i·|M| + f is H·c_(i+1)·m_f. Distinct pairs are distinct cosets: H·c_i·m =
+H·c_i·m' puts m'·m^-1 in c_i^-1·H·c_i ∩ M = c_i^-1·(H ∩ M)·c_i, which is
+trivial, as M is normal and meets the top-only H trivially.
 
 `quotient_graph` takes the quotient by a subgroup of M or of M's
 centralizer acting on the right, through int vertex maps
 (`CosetGraph.vertex_map`): (i, m) -> (i, m·z) for z in M, and
 (i, m) -> (j, m'·m) for z centralizing M, where H·c_i·z = H·c_j·m'.
 
-Arrays are held in the narrowest dtype of what they hold. T's entry ids,
-the fibre's coordinates and key ranks and the key columns are in the entry
-dtype (`id_dtype`: uint8 up to |T| = 256, else uint16). Fibre points,
-vertex ids, `vertex`, `adjacency`, vertex maps and orbit numbers are in the
-vertex ids' dtype (`_id_type`: int32 up to 2^31 - 1 vertices), and so are
-the component and orbit labels, which `groups.orbit_labels` gives in the
-dtype of the columns or maps. The build and the quotient read the adjacency
-one column at a time, so each temporary is one section's or one column's;
-the only intp array is the sort order of one section's keys. An export
+Arrays are held in the narrowest dtype of what they hold. T's entry ids and
+the fibre's coordinates are in the entry dtype (`id_dtype`: uint8 up to
+|T| = 256, else uint16). Fibre points, vertex ids, `adjacency`, vertex maps
+and orbit numbers are in the vertex ids' dtype (`_id_type`: int32 up to
+2^31 - 1 vertices), and so are the component and orbit labels, which
+`groups.orbit_labels` gives in the dtype of the columns or maps. The build
+writes each adjacency column as one section's fibre points shifted by the
+neighbour's j·|M|, and the quotient reads the adjacency one column at a
+time, so each temporary is one section's or one column's. An export
 formats at most EXPORT_CHUNK_INTS ints at a time.
 """
 
@@ -65,33 +66,26 @@ class _Fibre:
     """M = T^d as the fibre points f = sum_t (m at base b_t) · |T|^t.
 
     Entries are T's entry ids (`PermGroup.entries`), 0..|T|-1: a pool first
-    takes in every element of T. Products, links and key order are read as
-    maps over all the ids at once. The coordinates and key ranks are in the
-    entry dtype, and fibre points in `dtype`, the vertex ids' rule.
+    takes in every element of T. Products are read as maps over all the ids
+    at once. The coordinates are in the entry dtype, and fibre points in
+    `dtype`, the vertex ids' dtype.
     """
 
-    def __init__(self, structure: SubdirectStructure):
-        self.structure = structure
+    def __init__(self, structure: SubdirectStructure, dtype: type):
         self.entries = entries = structure.group.entries()
         if isinstance(entries, EntryPool):
             entries.fill()
         self.size = entries.size
         self.ids = np.arange(self.size, dtype=entries.dtype)
-        # id -> place of its element's Permutation key (its images) in key
-        # order: the image rows sorted by their first column, then the next
-        self.rank = np.empty(self.size, dtype=entries.dtype)
-        self.rank[np.lexsort(entries.image_rows(self.ids).T[::-1])] = self.ids
         self.bases = structure.bases.tolist()
         self.points = self.size ** len(self.bases)
-        self.dtype = _id_type(self.points)
+        self.dtype = dtype
         # coordinate t of the points in order: each id for |T|^t points in
         # turn, the run repeated |T|^(d-1-t) times
         self.coords = [
             np.tile(np.repeat(self.ids, self.size**t), self.size ** (len(self.bases) - 1 - t))
             for t in range(len(self.bases))
         ]
-        # per link id, link(t) for every id t; id 0 is the identity
-        self.images = [self.ids] + [link.image(self.ids, entries) for link in structure.maps[1:]]
 
     def apply(self, z: WreathElement, left: bool) -> np.ndarray:
         """The fibre point of z·m (left) or m·z for every fibre point m; z in M."""
@@ -102,23 +96,11 @@ class _Fibre:
             out += (products.astype(self.dtype) * self.size**t)[coord]
         return out
 
-    def key_columns(self, r: WreathElement) -> list[np.ndarray]:
-        """Per component, the entry ranks of r·m over every fibre point m."""
-        amap = r.ctx.comp_map(r.sigma)
-        base_at = {b: t for t, b in enumerate(self.bases)}
-        base_of, link_id = self.structure.base_of.tolist(), self.structure.link_id.tolist()
-        cols = []
-        for alpha, beta in enumerate(amap):
-            # (r·m)(alpha) = r(alpha) · m(beta), m(beta) = link_beta(m at its base)
-            ranks = self.rank[self.entries.product(r.f[alpha], self.images[link_id[beta]])]
-            cols.append(ranks[self.coords[base_at[base_of[beta]]]])
-        return cols
-
 
 class CosetGraph:
-    """The derived graph: vertex ids of the fibre points and sorted adjacency.
+    """The derived graph K_n ×_v M: vertex i·|M| + f is H·c_(i+1)·m for the
+    fibre point f of m.
 
-    `vertex[i, f]` is the id of H·c_(i+1)·m for the fibre point f of m,
     `adjacency` is an (order × valency) int array of sorted neighbour rows,
     and `m_gens` holds M's generating rows as base-only elements.
     """
@@ -127,7 +109,7 @@ class CosetGraph:
         ctx, n, g = data.ctx, data.ctx.n, data.g
         self.ctx = ctx
         self.structure = structure
-        self.fibre = _Fibre(structure)
+        self.fibre = _Fibre(structure, _id_type(n * structure.order()))
         self.m_gens = [ctx.from_assignment(row) for row in structure.generators]
         self.sections = [ctx.identity_element(), g] + [
             g * ctx.embed_top(parse_cycles(f"(2,{j})", n)) for j in range(3, n + 1)
@@ -135,47 +117,26 @@ class CosetGraph:
         self._section_inverses = [c.inverse() for c in self.sections]
         self.valency = n - 1
         points = self.fibre.points
-        ids = _id_type(n * points)
-        self.vertex = np.empty((n, points), dtype=ids)
-        for i, c in enumerate(self.sections):
-            self._number_section(i, c)
-        self.adjacency = np.empty((n * points, self.valency), dtype=ids)
+        self.adjacency = np.empty((n * points, self.valency), dtype=self.fibre.dtype)
+        # section i's rows, i·|M| + f for every fibre point f
+        rows = self.adjacency.reshape(n, points, self.valency)
         for i, c in enumerate(self.sections):
             tops = []
             for col, p in enumerate(self.sections[1:]):
                 j, v = self._split(p * c)
                 tops.append(j)
-                self.adjacency[self.vertex[i], col] = self.vertex[j][self.fibre.apply(v, True)]
+                np.add(self.fibre.apply(v, True), j * points, out=rows[i, :, col])
             # neighbours in n-1 distinct tops other than i: no loop, no repeat
             if i in tops or len(set(tops)) != len(tops):
                 raise InternalCheckError("neighbor cosets collide; H∩H^g is wrong")
         self.adjacency.sort(axis=1)
         _check_symmetric(self.adjacency)
         labels = orbit_labels(list(self.adjacency.T), self.order)
-        self.components = int(np.count_nonzero(labels == np.arange(self.order, dtype=ids)))
+        self.components = int(np.count_nonzero(labels == np.arange(self.order, dtype=labels.dtype)))
 
     @property
     def order(self) -> int:
         return len(self.adjacency)
-
-    def _number_section(self, i: int, c: WreathElement) -> None:
-        """Fill `vertex[i]`: the ids i·|M| on of the fibre points, in the
-        order of their cosets' canonical keys, which must be distinct."""
-        n, points = self.ctx.n, self.fibre.points
-        # the least top in H·top(c_i) sends 1 to i and the rest in order;
-        # vertex ids follow the keys, which start with that top
-        least = Permutation([i + 1] + [p for p in range(1, n + 1) if p != i + 1])
-        cols = self.fibre.key_columns(self.ctx.embed_top(least * c.sigma.inverse()) * c)
-        order = np.lexsort(cols[::-1])
-        # sorted keys are distinct iff each neighbouring pair differs in some
-        # column, compared one column at a time
-        differ = np.zeros(max(points - 1, 0), dtype=bool)
-        for col in cols:
-            keys = col[order]
-            differ |= keys[1:] != keys[:-1]
-        if not differ.all():
-            raise InternalCheckError("two fibre points name one coset")
-        self.vertex[i, order] = np.arange(i * points, (i + 1) * points, dtype=self.vertex.dtype)
 
     def _split(self, w: WreathElement) -> tuple[int, WreathElement]:
         """(j, v) with H·w = H·c_(j+1)·v and v in M, checked by membership."""
@@ -194,13 +155,15 @@ class CosetGraph:
         H·c_i·m·z = H·c_i·z·m = H·c_j·m'·m with H·c_i·z = H·c_j·m'.
         Any other z is a ValidationError.
         """
-        out = np.empty_like(self.vertex, shape=self.order)
+        out = np.empty(self.order, dtype=self.fibre.dtype)
+        points = self.fibre.points
+        sections = out.reshape(len(self.sections), points)
         if z.sigma.is_identity():
             if not self.structure.contains(z.f):
                 raise ValidationError("a base-only element outside M")
             moved = self.fibre.apply(z, False)
-            for ids in self.vertex:
-                out[ids] = ids[moved]
+            for i, section in enumerate(sections):
+                np.add(moved, i * points, out=section)
             return out
         # commuting is symmetric: z centralizes M iff every generator of M
         # commutes with z, tested for all of them at once
@@ -208,7 +171,7 @@ class CosetGraph:
             raise ValidationError("element neither lies in M nor centralizes M")
         for i, c in enumerate(self.sections):
             j, m = self._split(c * z)
-            out[self.vertex[i]] = self.vertex[j][self.fibre.apply(m, True)]
+            np.add(self.fibre.apply(m, True), j * points, out=sections[i])
         return out
 
 
@@ -221,11 +184,11 @@ def build_coset_graph(
 
     `structure` is M's block structure (`RowSifter.structure` of the
     kernel generators). Every voltage must have a trivial top and lie in M,
-    the n·|T|^d canonical keys must be distinct, and the adjacency symmetric,
-    loop-free and (n-1)-regular; otherwise InternalCheckError. Raises
-    CapacityExceeded before enumerating anything when n·|T|^d exceeds
-    `vertex_cap`. `components` counts the connected components; the graph is
-    connected exactly when the voltages generate all of T^d.
+    and the adjacency must be symmetric, loop-free and (n-1)-regular;
+    otherwise InternalCheckError. Raises CapacityExceeded before enumerating
+    anything when n·|T|^d exceeds `vertex_cap`. `components` counts the
+    connected components; the graph is connected exactly when the voltages
+    generate all of T^d.
 
     The neighbours of H are H·g·t for t in a right transversal of
     K = H ∩ H^g in H. The seeds are the sections c_j = g·(2,j), j >= 2

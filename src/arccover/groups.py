@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -444,16 +445,23 @@ def group_order(generators: Sequence[Permutation], degree: int) -> int:
     return StabilizerChain(generators, degree).order()
 
 
-def decimal_string(value: int) -> str:
-    """str(value) without the interpreter's limit on the digits of an int
-    (4300 by default; 60^2520 has 4481). `decimal` is imported only for a
-    value past that limit, so a job that formats none never loads it."""
-    try:
-        return str(value)
-    except ValueError:
-        import decimal
+def decimal_string(base: int, exponent: int, factor: int = 1) -> str:
+    """str(base**exponent * factor), for base, factor >= 1, without the
+    interpreter's limit on the digits of an int (4300 by default; 60^2520
+    has 4481). Past the limit, `str(int)` would be quadratic, so the value is
+    formed as an exact `decimal` power instead, with every inexact step
+    trapped. `decimal` is imported only for such a value, so a job that
+    formats none never loads it."""
+    # the value has floor(log10) + 1 digits; the limit reads 0 where it is
+    # lifted, and Python 3.10 before 3.10.7 has none
+    limit = getattr(sys, "get_int_max_str_digits", int)() or 4300
+    if exponent * math.log10(base) + math.log10(factor) < limit - 2:
+        return str(base**exponent * factor)
+    import decimal
 
-        return str(decimal.Decimal(value))
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
+    with decimal.localcontext(exact):
+        return str(decimal.Decimal(base) ** exponent * factor)
 
 
 # ---------------------------------------------------------------------------
@@ -610,10 +618,6 @@ class TableGroup:
     def elem(self, i: int) -> Permutation:
         return Permutation((self.images[i] + 1).tolist())
 
-    def image_rows(self, ids: np.ndarray) -> np.ndarray:
-        """The uint8 rows of 0-based images of the ids."""
-        return self.images.take(ids, axis=0)
-
     def multiply(self, a: int, b: int) -> int:
         return int(self.product(a, b))
 
@@ -692,10 +696,6 @@ class EntryPool:
 
     def elem(self, i: int) -> Permutation:
         return Permutation((self._rows.take(i) + 1).tolist())
-
-    def image_rows(self, ids: np.ndarray) -> np.ndarray:
-        """The uint8 rows of 0-based images of the ids."""
-        return self._rows.take(ids)
 
     def fill(self) -> None:
         """Intern every element of T, unchecked, as they are products of its

@@ -473,13 +473,13 @@ def _block_structure(run: _Run):
     structure = run.products["kernel-generators"].structure()
     d = structure.block_count
     report = BlockReport.build(n, d)
-    order_m = run.data.job.group.order() ** d
-    order_y = decimal_string(order_m * math.factorial(n))
+    order_t = run.data.job.group.order()
+    order_y = decimal_string(order_t, d, math.factorial(n))
     sizes = np.unique(np.bincount(structure.base_of)[structure.bases], return_counts=True)
     computed = {
         "d": d,
         "block_sizes": np.column_stack(sizes).tolist(),  # sorted [size, count] pairs
-        "order_m": decimal_string(order_m),
+        "order_m": decimal_string(order_t, d),
         "order_y": order_y,
         "order_y_digits": len(order_y),
         "component_count": structure.k,

@@ -18,8 +18,9 @@ generators on the orbit of 2; the BFS seeds the graph by such a transversal
 too, where the derived graph takes the sections g·(2,j). Its 2-transitivity
 is decided by `orbit`, a BFS of its own on ordered pairs, where the pipeline
 labels orbits with `groups.orbit_labels`. `fibre_element`
-turns a fibre point of the derived graph back into its element of M, so the
-two numberings can be compared.
+turns a fibre point f of the derived graph back into its element m_f of M,
+so the two numberings can be compared: the derived graph's vertex
+i·|M| + f is the oracle's vertex of c_(i+1)·m_f.
 """
 
 from __future__ import annotations

@@ -23,7 +23,6 @@ from table_oracle import int32_table
 from arccover import cosetgraph
 from arccover.catalog import resolve_group
 from arccover.cosetgraph import (
-    _Fibre,
     _check_symmetric,
     build_coset_graph,
     EXPORT_CHUNK_INTS,
@@ -109,16 +108,31 @@ PSL2_13 = (14, ["(1,2,3,4,5,6,7,8,9,10,11,12,13)", "(1,14)(2,13)(3,7)(4,5)(8,12)
 PSL2_13_PAIR = ("(1,14)(2,13)(3,7)(4,5)(8,12)(10,11)", "(1,4,7,10,13,3,6,9,12,2,5,8,11)")
 
 
+def oracle_vertices(graph, bfs):
+    """φ(i·|M| + f), the oracle's vertex of c_(i+1)·m_f, for every vertex."""
+    points = graph.fibre.points
+    return [bfs.vertex_of(c * oracle.fibre_element(graph, f)) for c in graph.sections for f in range(points)]
+
+
+def assert_same_quotient(cert, oracle_cert):
+    """Equal covering facts and isomorphic quotients: the two sides number
+    the quotient's vertices by their own vertex ids."""
+    plain = dataclasses.replace(cert, quotient_adjacency=())
+    assert plain == dataclasses.replace(oracle_cert, quotient_adjacency=())
+    nx = pytest.importorskip("networkx")
+    assert nx.is_isomorphic(nx_graph(cert.quotient_adjacency), nx_graph(oracle_cert.quotient_adjacency))
+
+
 def assert_matches_oracle(data, structure, centralizer=False):
-    """Same adjacency, vertex numbering and quotient facts as the BFS oracle."""
+    """The BFS oracle's graph through the bijection φ (`oracle_vertices`):
+    the same adjacency and vertex maps, and the same quotient facts."""
     graph = build_coset_graph(data, structure)
     bfs = oracle.build_coset_graph(data.h_elements(), data.g)
-    assert graph.adjacency.tolist() == [list(nbrs) for nbrs in bfs.adjacency]
+    phi = oracle_vertices(graph, bfs)
+    assert sorted(phi) == list(range(bfs.order)) == list(range(graph.order))
     assert graph.components == 1 and graph.valency == bfs.valency == 3
-    for i, c in enumerate(graph.sections):
-        for f in range(graph.fibre.points):
-            w = c * oracle.fibre_element(graph, f)
-            assert bfs.vertex_of(w) == graph.vertex[i, f]
+    for v, nbrs in enumerate(graph.adjacency.tolist()):
+        assert sorted(phi[u] for u in nbrs) == list(bfs.adjacency[phi[v]])
     m_gens = kernel_gens(data, structure)
     groups = [m_gens]
     if centralizer:
@@ -126,10 +140,22 @@ def assert_matches_oracle(data, structure, centralizer=False):
         groups.append(centralizer_elements(elements, m_gens))
     for gens in groups:
         for z in gens:
-            moved = graph.vertex_map(z)
-            assert moved.tolist() == [bfs.vertex_of(w * z) for w in bfs.reps]
-        assert quotient_graph(graph, gens) == oracle.quotient_graph(bfs, gens)
+            moved = graph.vertex_map(z).tolist()
+            assert [phi[u] for u in moved] == [bfs.vertex_of(bfs.reps[p] * z) for p in phi]
+        assert_same_quotient(quotient_graph(graph, gens), oracle.quotient_graph(bfs, gens))
     return graph
+
+
+def assert_same_graph_by_pool_ids(pool_graph, graph):
+    """A table route's graph (d = 1) is the pool route's once its vertex
+    ids are relabelled: the fibre point, the entry id at the one base,
+    through its element's pool id."""
+    table, pool = graph.fibre.entries, pool_graph.fibre.entries
+    assert graph.fibre.bases == pool_graph.fibre.bases == [0]
+    to_pool = np.array([pool.idx(table.elem(i)) for i in range(table.size)])
+    points, ids = graph.fibre.points, np.arange(graph.order)
+    relabel = ids // points * points + to_pool[ids % points]
+    assert np.array_equal(pool_graph.adjacency[relabel], np.sort(relabel[graph.adjacency], axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +291,8 @@ def test_two_arc_transitivity_of_cover():
 
 
 def test_vertex_lookup_constant_on_cosets():
-    """H·c_i·m names vertex[i, f] whatever element of the coset is named."""
+    """The oracle names H·c_i·m by one vertex whatever element of the coset
+    is named."""
     data, _, graph = cover_graph()
     bfs = oracle.build_coset_graph(data.h_elements(), data.g)
     rng = random.Random(5)
@@ -274,21 +301,57 @@ def test_vertex_lookup_constant_on_cosets():
         i = rng.randrange(4)
         f = rng.randrange(graph.fibre.points)
         w = graph.sections[i] * oracle.fibre_element(graph, f)
-        assert bfs.vertex_of(rng.choice(h_elems) * w) == graph.vertex[i, f]
+        assert bfs.vertex_of(rng.choice(h_elems) * w) == bfs.vertex_of(w)
     with pytest.raises(ValidationError):
         bfs.index_of_key(b"\x00nonsense")
 
 
-def test_vertex_index_is_sorted_and_names_each_representative():
-    """Every vertex id is used once, and ids follow the sorted canonical keys."""
-    data, _, graph = cover_graph()
-    assert sorted(graph.vertex.reshape(-1).tolist()) == list(range(graph.order))
-    canon = oracle._Canonicalizer(data.h_elements())
-    keys = [None] * graph.order
-    for i, c in enumerate(graph.sections):
-        for f in range(graph.fibre.points):
-            keys[graph.vertex[i, f]] = oracle.canonical_key(canon.rep(c * oracle.fibre_element(graph, f)))
-    assert keys == sorted(keys) and len(set(keys)) == graph.order
+def extended_build_cover():
+    """The extended-build job's data and M's structure (A5, y = (1,5,3),
+    d = 3), with M's generators as the job finds them (the normal
+    closure's rows)."""
+    a5 = resolve_group("A5")
+    data = build_cover_group(CoverJob(n=4, group=a5, x=P("(1,2)(3,4)", 5), y=P("(1,5,3)", 5)))
+    sifter = RowSifter(a5, data.ctx.k)
+    normal_closure(data, sifter)
+    return data, sifter.structure()
+
+
+@pytest.mark.parametrize("case", ["example1", "pool", "d3"])
+def test_vertex_i_times_m_plus_f_is_the_coset_of_c_i_m_f(case, conjugator_route):
+    """Vertex i·|M| + f is H·c_(i+1)·m_f: the neighbours of each vertex are
+    the cosets H·s·c_(i+1)·m_f for the oracle's seeds s = g·t, t in a right
+    transversal of H ∩ H^g in H, and the vertices name distinct cosets.
+    Example-1 is checked at every vertex, over its table and over its entry
+    pool; the 864,000-vertex cover of the extended-build job (d = 3, three
+    fibre coordinates) at a seeded sample of vertices."""
+    a5 = resolve_group("A5")
+    if case == "d3":
+        data, structure = extended_build_cover()
+    else:
+        group = conjugator_route(a5) if case == "pool" else a5
+        data, structure = cover_data(group, "(1,2)(3,4)", "(1,2,3,4,5)")
+    graph = build_coset_graph(data, structure)
+    h_elems = data.h_elements()
+    canon = oracle._Canonicalizer(h_elems)
+    points = graph.fibre.points
+
+    def coset(w):
+        return oracle.canonical_key(canon.rep(w))
+
+    def named(v):
+        return graph.sections[v // points] * oracle.fibre_element(graph, v % points)
+
+    transversal, _ = oracle.right_transversal(oracle.conj_intersection(h_elems, data.g), h_elems)
+    seeds = [data.g * t for t in transversal]
+    if case == "d3":
+        vertices = random.Random(7).sample(range(graph.order), 40)
+    else:
+        vertices = range(graph.order)
+    for v in vertices:
+        w = named(v)
+        assert sorted(coset(named(u)) for u in graph.adjacency[v].tolist()) == sorted(coset(s * w) for s in seeds)
+    assert len({coset(named(v)) for v in vertices}) == len(vertices)
 
 
 def test_vertex_cap_interrupts_search():
@@ -352,12 +415,12 @@ def test_conjugated_pair_matches_oracle():
 
 def test_route_without_table_matches_oracle(conjugator_route):
     """Example-1 with T forced onto its entry pool: the same graph as the
-    oracle, and as the table route, since the canonical keys are the same
-    bytes."""
+    oracle, and as the table route with the fibre points relabelled from
+    the table's ids to the pool's."""
     data, structure = cover_data(conjugator_route(resolve_group("A5")), "(1,2)(3,4)", "(1,2,3,4,5)")
     assert isinstance(data.ctx.entries, EntryPool)
     graph = assert_matches_oracle(data, structure, centralizer=True)
-    assert np.array_equal(graph.adjacency, cover_graph()[2].adjacency)
+    assert_same_graph_by_pool_ids(graph, cover_graph()[2])
 
 
 def test_route_without_table_reads_t_through_its_entry_ids(conjugator_route, monkeypatch):
@@ -374,7 +437,8 @@ def test_route_without_table_reads_t_through_its_entry_ids(conjugator_route, mon
     cert = quotient_graph(graph, kernel_gens(data, structure))
     assert len(products) < 400
     table_route = cover_graph()
-    assert np.array_equal(graph.adjacency, table_route[2].adjacency)
+    assert_same_graph_by_pool_ids(graph, table_route[2])
+    # M's orbits are the sections on both routes
     assert cert == quotient_graph(table_route[2], kernel_gens(*table_route[:2]))
 
 
@@ -490,22 +554,6 @@ def test_centralizer_elements_match_the_oracle(seed):
     changed = centralizer_elements(elements, mutated)
     assert keys(changed) != keys(got)
     assert keys(changed) == keys(oracle.centralizer_elements(elements, mutated))
-
-
-@pytest.mark.parametrize("name", ["A5", "PSL2_13"])
-def test_fibre_ranks_follow_the_permutation_keys(name):
-    """The fibre's key order, one lexsort over T's image rows, ranks the ids
-    as sorting their elements' Permutation keys does."""
-    if name == "A5":
-        _, structure = example1()
-    else:
-        degree, gens = PSL2_13
-        _, structure = cover_data(PermGroup.from_cycle_strings(gens, degree), *PSL2_13_PAIR)
-    fibre = _Fibre(structure)
-    keys = [fibre.entries.elem(i).key() for i in range(fibre.size)]
-    by_keys = np.empty(fibre.size, dtype=np.int64)
-    by_keys[sorted(range(fibre.size), key=keys.__getitem__)] = np.arange(fibre.size)
-    assert np.array_equal(fibre.rank, by_keys)
 
 
 @pytest.mark.parametrize("name, dtype", [("A5", np.uint8), ("PSL2_13", np.uint16)])
@@ -655,14 +703,10 @@ def test_build_and_quotient_peak_below_three_times_the_graph():
     """The 864,000-vertex cover (A5, y = (1,5,3), d = 3) of the extended-build
     job, with M's generators as the job finds them (the normal closure's
     rows, four here): the graph build and the quotient by M together peak
-    below three times the bytes of `vertex` and `adjacency`. Every other
-    array is one section's, one column's or one generator's vertex map, in
-    the entry or the vertex ids' dtype."""
-    a5 = resolve_group("A5")
-    data = build_cover_group(CoverJob(n=4, group=a5, x=P("(1,2)(3,4)", 5), y=P("(1,5,3)", 5)))
-    sifter = RowSifter(a5, data.ctx.k)
-    normal_closure(data, sifter)
-    structure = sifter.structure()
+    below three times the bytes of `adjacency` and of one int32 per vertex
+    (41.5 MB). Every other array is one section's, one column's or one
+    generator's vertex map, in the entry or the vertex ids' dtype."""
+    data, structure = extended_build_cover()
     assert len(structure.generators) == 4
     built = {}
 
@@ -672,6 +716,6 @@ def test_build_and_quotient_peak_below_three_times_the_graph():
 
     peak = traced_peak(work)
     graph, cert = built["graph"], built["cert"]
-    assert graph.order == 864_000 and graph.vertex.dtype == graph.adjacency.dtype == np.int32
+    assert graph.order == 864_000 and graph.adjacency.dtype == np.int32
     assert cert.quotient_is_complete and cert.locally_bijective and cert.fibre_size == 60**3
-    assert peak < 3 * (graph.vertex.nbytes + graph.adjacency.nbytes)
+    assert peak < 3 * (graph.order * 4 + graph.adjacency.nbytes)

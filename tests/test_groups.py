@@ -2,8 +2,9 @@
 
 import copy
 import dataclasses
+import math
 import random
-from decimal import Decimal
+import sys
 
 import numpy as np
 import pytest
@@ -230,12 +231,21 @@ def test_the_sifting_seed_changes_no_order_or_membership(monkeypatch, seed):
 
 
 def test_decimal_string_writes_every_digit():
-    """Past the interpreter's 4300-digit limit on str(int) (A5's |M| at
-    n = 8 and 9) as below it."""
-    for value in (60**2520, 60**20160, 8 * 60**2520):
-        assert decimal_string(value) == str(Decimal(value))
-    for value in (0, 7, -12, 60**12, 10**4299):
-        assert decimal_string(value) == str(value)
+    """Past the interpreter's 4300-digit limit on str(int) (A5's |M| and |Y|
+    at n = 8 and 9, and PSL(2,7)'s |M| at d = 1260) as below it and next to
+    it, the digits of str(int) with the limit lifted."""
+    cases = [
+        (60, 2520, 1), (60, 2520, math.factorial(8)), (168, 1260, 1),
+        (60, 20160, 1), (60, 20160, math.factorial(9)),
+        (10, 4296, 1), (10, 4297, 1), (10, 4299, 1), (60, 0, 1), (7, 1, 1), (60, 12, 24), (1, 9, 7),
+    ]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for base, exponent, factor in cases:
+            assert decimal_string(base, exponent, factor) == str(base**exponent * factor)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # ---------------------------------------------------------------------------
@@ -652,34 +662,31 @@ def test_pool_takes_in_no_element_outside_the_group(conjugator_route):
 
 
 def test_index_maps_agree_with_and_without_a_table(conjugator_route):
-    """`_Fibre` reads T's products, links and key order as maps over the
-    entry ids. On the entry pool, which then holds all of T, they are the
-    table's maps with every id relabelled through its element."""
+    """`_Fibre` reads T's products as maps over the entry ids. On the entry
+    pool, which then holds all of T, they and the links are the table's maps
+    with every id relabelled through its element."""
     a5 = resolve_group("A5")
     t = a5.table()
     fibres = []
     for group in (a5, conjugator_route(a5)):
         job = CoverJob(n=4, group=group, x=P("(1,2)(3,4)", 5), y=P("(1,2,3,4,5)", 5))
         data = build_cover_group(job)
-        fibres.append((data, _Fibre(decompose_rows(all_rows(data)[0], group))))
-    (data, fibre), (bare_data, bare) = fibres
+        structure = decompose_rows(all_rows(data)[0], group)
+        fibres.append((data, structure, _Fibre(structure, np.int32)))
+    (data, structure, fibre), (bare_data, bare_structure, bare) = fibres
     pool = bare.entries
     assert isinstance(pool, EntryPool) and pool.size == bare.size == 60
     to_pool = np.array([pool.idx(t.elem(i)) for i in range(60)])  # table id -> pool id
     assert sorted(to_pool.tolist()) == list(range(60))
-    # key order is the order of the elements' Permutation keys
-    assert sorted(range(60), key=fibre.rank.__getitem__) == sorted(
-        range(60), key=lambda i: t.elem(i).key()
-    )
-    assert np.array_equal(bare.rank[to_pool], fibre.rank)
-    links = [fibre.images[t] for t in fibre.structure.link_id]
-    bare_links = [bare.images[t] for t in bare.structure.link_id]
+    ids = np.arange(60)
+    links = [structure.maps[i].image(ids, t) for i in structure.link_id]
+    bare_links = [bare_structure.maps[i].image(ids, pool) for i in bare_structure.link_id]
     assert len(links) == len(bare_links) == 6
     for link, bare_link in zip(links, bare_links):
         assert np.array_equal(bare_link[to_pool], to_pool[link])
     # products: the fibre point (d = 1: the id at the base) of z·m and m·z
     assert fibre.bases == bare.bases == [0]
-    for row in fibre.structure.generators[:3]:
+    for row in structure.generators[:3]:
         z, bare_z = data.ctx.from_assignment(row), bare_data.ctx.from_assignment(to_pool[row])
         for left in (True, False):
             got = fibre.apply(z, left)
