@@ -236,7 +236,7 @@ class RowSifter:
         self.decompositions += self._structure is not None
 
 
-def _fingerprints(columns: np.ndarray, group: PermGroup) -> list[int]:
+def _fingerprints(columns: np.ndarray, group: PermGroup) -> np.ndarray:
     """Per column (a row of `columns`), a hash of its sequence of pairs
     (|e|, |e·e0|) over its entries e, row by row, with e0 its entry in row 0:
     the sum of the pairs' codes times the powers of the odd kinds | 1,
@@ -269,7 +269,7 @@ def _fingerprints(columns: np.ndarray, group: PermGroup) -> list[int]:
     for lo in range(0, k, width):
         block = table_codes.take(columns[lo:lo + width] + offsets[lo:lo + width, None])
         out[lo:lo + width] = (block * weights).sum(axis=1)
-    return out.tolist()
+    return out
 
 
 def _require_links(group: PermGroup) -> None:
@@ -299,15 +299,15 @@ def _decompose(
     column needs no check: it is the image of a generating column.
 
     Columns of one fingerprint form a bucket, and buckets never link to each
-    other, so the scan runs in rounds over all buckets at once: each
-    bucket's first undecided column is a base, its later columns are all
-    tested against that base, and the ones that fail go on to the next
-    round. That is the order in which the scan tries bases, so it links the
-    same columns. A column that does not generate T never links, so the
-    first such base is the least such column; a ValidationError names it,
-    or, unless `whole`, the scan ends at the first round with such a base
-    and returns None. The columns are read from one column-major copy of
-    the rows.
+    other, so the scan runs in rounds over all buckets at once, on the index
+    array `j` of undecided columns by bucket, then column: each bucket's
+    first column (`head`) is a base, the later ones are paired with it (`b`)
+    and tested, and those that fail stay in `j` for the next round. That is
+    the order in which the scan tries bases, so it links the same columns.
+    A column that does not generate T never links, so the first such base
+    is the least such column; a ValidationError names it, or, unless
+    `whole`, the scan ends at the first round with such a base and returns
+    None. The columns are read from one column-major copy of the rows.
 
     Raises BudgetExhausted, with the number of columns decided, once
     `out_of_budget()` holds before a round.
@@ -318,36 +318,33 @@ def _decompose(
     columns = np.empty((k, len(matrix)), dtype=matrix.dtype)
     for lo in range(0, len(matrix), 512):
         columns[:, lo:lo + 512] = matrix[lo:lo + 512].T
-    buckets: dict[int, list[int]] = {}
-    for j, key in enumerate(_fingerprints(columns, group)):
-        buckets.setdefault(key, []).append(j)
+    _, least, bucket = np.unique(_fingerprints(columns, group), return_index=True, return_inverse=True)
+    j = np.lexsort((np.arange(k), least[bucket]))  # by bucket's least column, then column
 
     base_of = np.arange(k)
     link_id = np.zeros(k, dtype=np.intp)
     maps = [_identity(group)]
     proper: list[int] = []  # bases whose column generates a proper subgroup
-    pending = list(buckets.values())  # per bucket, its undecided columns
     decided = 0
-    while pending:
+    while len(j):
         if out_of_budget():
             raise BudgetExhausted("time budget exhausted", columns_scanned=decided)
-        bases = [cols[0] for cols in pending]
-        found = _prefixes(
-            columns, [b for b in bases if b not in prefixes], group, generates, whole
-        )
+        head = np.diff(bucket[j], prepend=-1) != 0  # each bucket's first column: a base
+        bases = j[head].tolist()
+        found = _prefixes(columns, [b for b in bases if b not in prefixes], group, generates, whole)
         prefixes.update((b, rows) for b, rows in found.items() if rows)
         proper += [b for b, rows in found.items() if not rows]
         if proper and not whole:
             return None
         decided += len(bases)
-        pending = [cols for cols in pending if cols[0] in prefixes]
-        pairs = [(cols[0], j) for cols in pending for j in cols[1:]]
-        ids = _links(columns, pairs, prefixes, group, maps)
-        b, j = np.array(pairs, dtype=np.intp).reshape(-1, 2)[ids >= 0].T
-        base_of[j], link_id[j] = b, ids[ids >= 0]
-        decided += len(j)
-        unlinked = (base_of == np.arange(k)).tolist()
-        pending = [rest for cols in pending if (rest := [j for j in cols[1:] if unlinked[j]])]
+        at = np.cumsum(head) - 1  # per column, its bucket's base in `bases`
+        paired = ~head & np.array([c in prefixes for c in bases], dtype=bool)[at]
+        b, j = j[head][at][paired], j[paired]  # the pairs (base, column)
+        ids = _links(columns, b, j, prefixes, group, maps)
+        linked = ids >= 0
+        base_of[j[linked]], link_id[j[linked]] = b[linked], ids[linked]
+        decided += int(linked.sum())
+        j = j[~linked]
     if proper:
         raise ValidationError(f"component {min(proper)} projection generates a proper subgroup")
 
@@ -430,7 +427,8 @@ def _next_fresh(columns: np.ndarray, todo: np.ndarray, chosen: np.ndarray) -> np
 
 def _links(
     columns: np.ndarray,
-    pairs: list[tuple[int, int]],
+    b: np.ndarray,
+    j: np.ndarray,
     prefixes: dict[int, list[int]],
     group: PermGroup,
     maps: list[AutomorphismMap],
@@ -440,39 +438,39 @@ def _links(
     column j's entries there, if it maps column b onto column j; else -1.
 
     With a table the pairs propagate in batches (`automorphism_lookups`),
-    each prefix padded by repeating its rows, and the consistent ones are
-    checked on whole columns, with the lookups narrowed to the columns'
-    dtype; both batches hold about `BATCH_ENTRIES` integer entries. Without
-    one, each pair runs the conjugator search on its prefix's entries. A
-    table interns one lookup per distinct row of the linked pairs' lookups.
+    each base's prefix padded once by repeating its rows, and the consistent
+    ones are checked on whole columns, with the lookups narrowed to the
+    columns' dtype; both batches hold about `BATCH_ENTRIES` integer entries.
+    Without one, each pair runs the conjugator search on its prefix's
+    entries. A table interns one lookup per distinct row of the linked
+    pairs' lookups.
     """
     table, entries = group.table(), group.entries()
     if table is None:
         found = []
-        for b, j in pairs:
-            rows = prefixes[b]
-            phi = _conjugation(group.degree, *(list(map(entries.elem, columns[c, rows])) for c in (b, j)))
-            if phi is not None and not np.array_equal(phi.image(columns[b], entries), columns[j]):
+        for base, col in zip(b.tolist(), j.tolist()):
+            rows = prefixes[base]
+            phi = _conjugation(group.degree, *(list(map(entries.elem, columns[c, rows])) for c in (base, col)))
+            if phi is not None and not np.array_equal(phi.image(columns[base], entries), columns[col]):
                 phi = None
             found.append(phi)
         return _interned(maps, found)
-    ids = np.full(len(pairs), -1, dtype=np.intp)
-    if not pairs:
+    ids = np.full(len(b), -1, dtype=np.intp)
+    if not len(b):
         return ids
-    width = max(len(prefixes[b]) for b, _ in pairs)
-    rows = np.array([(prefixes[b] * width)[:width] for b, _ in pairs])
-    b, j = np.array(pairs).T
+    bases, at = np.unique(b, return_inverse=True)
+    width = max(len(prefixes[base]) for base in bases.tolist())
+    padded = np.array([(prefixes[base] * width)[:width] for base in bases.tolist()])
     # the lookups in the columns' dtype; a row of -1 (no automorphism)
     # wraps, and is read only as not ok
-    lookups = np.empty((len(pairs), table.size), dtype=columns.dtype)
-    ok = np.empty(len(pairs), dtype=bool)
+    lookups = np.empty((len(b), table.size), dtype=columns.dtype)
+    ok = np.empty(len(b), dtype=bool)
     # `automorphism_lookups` holds one int32 image per pair and element of T
     per = max(1, BATCH_ENTRIES // table.size)
-    for lo in range(0, len(pairs), per):
+    for lo in range(0, len(b), per):
         part = slice(lo, lo + per)
-        found = automorphism_lookups(
-            table, columns[b[part, None], rows[part]], columns[j[part, None], rows[part]]
-        )
+        rows = padded[at[part]]
+        found = automorphism_lookups(table, columns[b[part, None], rows], columns[j[part, None], rows])
         ok[part] = found[:, 0] >= 0
         lookups[part] = found
     consistent = np.flatnonzero(ok)

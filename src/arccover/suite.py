@@ -55,17 +55,19 @@ def _suite_specs(name: str) -> tuple[JobSpec, ...]:
 
 
 def load_baselines(path: Optional[str] = None) -> dict:
-    """Frozen regression values: the packaged defaults or a user file."""
+    """Frozen regression values: the packaged defaults or a user file ({} if absent)."""
     if path is None:
-        text = resources.files("arccover").joinpath("baselines.json").read_text()
-        return json.loads(text)
+        return json.loads(resources.files("arccover").joinpath("baselines.json").read_text())
     p = Path(path)
     if not p.exists():
         return {}
     try:
-        return json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"cannot parse baselines file {path}: {exc}") from exc
+        raw = json.loads(p.read_text())
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read baselines file {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ValidationError(f"baselines file {path} must hold a JSON object")
+    return raw
 
 
 @dataclass
@@ -108,6 +110,7 @@ def run_suite(
     specs = [
         replace(s, out_dir=out_dir, catalog=catalog) for s in _suite_specs(name)
     ]
+    baselines = load_baselines(baselines_path)  # before any job runs
     if parallel and len(specs) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -117,7 +120,6 @@ def run_suite(
         certificates = [run_job(s) for s in specs]
 
     by_label = {s.label: c for s, c in zip(specs, certificates)}
-    baselines = load_baselines(baselines_path)
     regressions = []
     dirty = False
     for key, (label, (check_id, field_name)) in _REGRESSION_SOURCES.items():

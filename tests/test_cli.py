@@ -261,9 +261,11 @@ def test_version_flag(capsys):
     assert "arccover" in capsys.readouterr().out
 
 
-# job files: a valid pair of T with n in -1..10, then a few fields replaced
-# by mistyped or out-of-range values or dropped; construct is fast up to
-# n = 8, so the jobs that stay valid run for real
+# job files: construct on a valid pair of T with n in -1..10, then a few
+# fields replaced by mistyped or out-of-range values or dropped; construct is
+# fast up to n = 8, so the jobs that stay valid run for real. The pipeline
+# verbs get a valid job at n = 4..6 with small caps and a time budget that
+# is absent, 0 or 1e-4, so their stages run and are cut short
 PAIRS = st.sampled_from([
     ("A5", "(1,2)(3,4)", "(1,2,3,4,5)"),
     ("A5", "(1,2)(3,4)", "(1,5,3)"),
@@ -271,6 +273,8 @@ PAIRS = st.sampled_from([
     ("PSL27", "(1,8)(2,7)(3,4)(5,6)", "(1,2,3,4,5,6,7)"),
     ("A11", "(1,2)(3,6)", "(1,2,3,4,5,6,7,8,9,10,11)"),
 ])
+PIPELINE = ("decompose", "graph", "quotient")
+SMALL_CAPS = st.integers(1, 300)
 BAD = st.one_of(
     st.none(), st.booleans(), st.floats(), st.integers(-2, 10**6),
     st.lists(st.integers(0, 5), max_size=3), st.text(max_size=4),
@@ -282,24 +286,31 @@ FIELDS = ("n", "group", "x", "y", "time_budget", "enum_cap", "vertex_cap",
 
 @st.composite
 def job_files(draw):
+    verb = draw(st.sampled_from(("construct", *PIPELINE)))
     group, x, y = draw(PAIRS)
+    if verb in PIPELINE:
+        job = {"n": draw(st.integers(4, 6)), "group": group, "x": x, "y": y,
+               "enum_cap": draw(SMALL_CAPS), "vertex_cap": draw(SMALL_CAPS)}
+        budget = draw(st.sampled_from([None, 0, 1e-4]))
+        return verb, job if budget is None else {**job, "time_budget": budget}
     job = {"n": draw(st.integers(-1, 10)), "group": group, "x": x, "y": y}
     job.update(draw(st.dictionaries(st.sampled_from(FIELDS), BAD, max_size=2)))
     for key in draw(st.sets(st.sampled_from(("n", "group", "x", "y")), max_size=1)):
         del job[key]
-    return draw(st.sampled_from([job, job, job, [job], job.get("n")]))
+    return verb, draw(st.sampled_from([job, job, job, [job], job.get("n")]))
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=160, deadline=None, derandomize=True)
 @given(job_files())
-def test_fuzzed_job_files_exit_cleanly(raw):
+def test_fuzzed_job_files_exit_cleanly(case):
     """Any job file gives one JSON object on stdout and an exit code in 0..3."""
+    verb, raw = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "job.json"
         path.write_text(json.dumps(raw))
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["construct", "--job", str(path)])
+            code = main([verb, "--job", str(path)])
     assert code in (0, 1, 2, 3)
     assert isinstance(json.loads(out.getvalue()), dict)
     assert "Traceback" not in err.getvalue()
@@ -307,7 +318,8 @@ def test_fuzzed_job_files_exit_cleanly(raw):
 
 # flags: a pair of T with --x or --y possibly malformed, --n, the two caps
 # and --format drawn with or without --out, for validate and construct;
-# --n, the caps and --format also draw values argparse itself rejects
+# --n, the caps and --format also draw values argparse itself rejects. The
+# pipeline verbs get a valid pair at n = 4..6, small caps and valid formats
 CYCLES = st.sampled_from(["(1,2", "(0,1)", "(1,1)", "(1,99)", "()", "", "x", "(1,2)(3,4)",
                           "(1,5,3)"])
 NOT_INTS = st.sampled_from(["abc", "4.5", "", "1e3", "--"])
@@ -315,8 +327,15 @@ NOT_INTS = st.sampled_from(["abc", "4.5", "", "1e3", "--"])
 
 @st.composite
 def flag_lists(draw):
+    verb = draw(st.sampled_from(("validate", "construct", *PIPELINE)))
     group, x, y = draw(PAIRS)
-    argv = [draw(st.sampled_from(["validate", "construct"])),
+    if verb in PIPELINE:
+        argv = [verb, "--n", str(draw(st.integers(4, 6))), "--group", group, "--x", x, "--y", y,
+                "--enum-cap", str(draw(SMALL_CAPS)), "--vertex-cap", str(draw(SMALL_CAPS))]
+        for fmt in draw(st.lists(st.sampled_from(["edge-list", "adjacency-text"]), max_size=2)):
+            argv += ["--format", fmt]
+        return argv, draw(st.booleans())
+    argv = [verb,
             "--n", draw(st.one_of(st.integers(-1, 9).map(str), NOT_INTS)), "--group", group,
             "--x", draw(st.one_of(st.just(x), CYCLES)),
             "--y", draw(st.one_of(st.just(y), CYCLES))]
@@ -329,7 +348,7 @@ def flag_lists(draw):
     return argv, draw(st.booleans())
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(flag_lists())
 def test_fuzzed_flags_exit_cleanly(case):
     """Any such command line gives one JSON object on stdout and an exit code
@@ -427,3 +446,21 @@ def test_suite_regression_failure_exits_one(tmp_path, capsys):
     assert code == 1
     assert "FAIL" in out
     assert "FAILURES PRESENT" in out
+
+
+@pytest.mark.parametrize("suite, write, reason", [
+    ("examples", lambda p: p.write_bytes(b"\xff\xfe{}"), "cannot read baselines file"),
+    ("small-n", lambda p: p.write_text("[1, 2]"), "must hold a JSON object"),
+    ("examples", lambda p: p.mkdir(), "cannot read baselines file"),
+], ids=["not-utf8", "json-list", "directory"])
+def test_unreadable_baselines_file_is_rejected(tmp_path, capsys, suite, write, reason):
+    """A baselines file that is not UTF-8, holds no JSON object or is a
+    directory is a rejection naming the file, before any job runs."""
+    base = tmp_path / "bad.json"
+    write(base)
+    code, out, err = run_cli(["suite", suite, "--baselines", str(base)], capsys)
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["rejected"] is True
+    assert reason in payload["reason"] and str(base) in payload["reason"]
+    assert "Traceback" not in err

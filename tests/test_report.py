@@ -364,7 +364,7 @@ def test_packaged_baselines_present():
 def test_baselines_file_must_parse(tmp_path):
     bad = tmp_path / "base.json"
     bad.write_text("{nope")
-    with pytest.raises(ValidationError, match="cannot parse baselines"):
+    with pytest.raises(ValidationError, match="cannot read baselines"):
         load_baselines(str(bad))
 
 

@@ -196,6 +196,40 @@ def test_kernel_decomposition_matches_the_column_scan(name, n, x, y):
     assert_matches_scan(all_rows(data)[0], group)
 
 
+@pytest.mark.parametrize("name, n, x, y", [
+    ("A5", 6, "(1,2)(3,4)", "(1,2,3,4,5)"),
+    ("PSL27", 5, "(1,8)(2,7)(3,4)(5,6)", "(1,2,3,4,5,6,7)"),
+    ("A7", 5, "(1,2)(3,4)", "(1,2,3,4,5,6,7)"),
+], ids=["A5-n6", "PSL27-n5", "A7-n5-pool"])
+def test_fingerprint_collisions_change_no_link(monkeypatch, table_route, name, n, x, y):
+    """`_fingerprints` only buckets the columns: with every column in one
+    bucket, the rounds try one base at a time and link the same columns to
+    the same bases by the same maps as the fingerprint buckets and the
+    column scan (on T's table, for A7 too, whose run is on its pool)."""
+    def kernel_rows(group):
+        job = CoverJob(n=n, group=group, x=P(x, group.degree), y=P(y, group.degree))
+        return all_rows(build_cover_group(job))[0]
+
+    group = resolve_group(name)
+    rows = kernel_rows(group)
+    bucketed = oracle.decompose_rows(rows, group)
+    rounds = []
+    links = subdirect._links
+    monkeypatch.setattr(subdirect, "_fingerprints",
+                        lambda columns, group: np.zeros(len(columns), dtype=np.uint64))
+    monkeypatch.setattr(subdirect, "_links", lambda *args: rounds.append(1) or links(*args))
+    merged = oracle.decompose_rows(rows, group)
+    assert len(rounds) > 1
+    assert merged.base_of.tolist() == bucketed.base_of.tolist()
+    keys = [[None if phi is None else phi.key() for phi in s.links] for s in (merged, bucketed)]
+    assert keys[0] == keys[1]
+    on_table = group if group.table() is not None else table_route(group)
+    base_of, lookups = oracle.decompose(kernel_rows(on_table), on_table.table())
+    assert merged.base_of.tolist() == base_of
+    if on_table is group:
+        assert [None if phi is None else tuple(phi.lookup.tolist()) for phi in merged.links] == lookups
+
+
 def twin_columns():
     """Columns c, c', phi(c), phi(c') of one fingerprint: c' is c with its
     last entry replaced by another of the same order whose product with the
